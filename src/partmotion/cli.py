@@ -23,8 +23,6 @@ from .nets import PredictionNode, ShapePrediction, recursive_predict
 from .plyio import read_ply, write_ply
 from .training import (
     EvalResult,
-    Pipeline,
-    end_state_stop_fraction,
     evaluate_model,
     evaluate_oracle,
     load_pipeline,
@@ -177,7 +175,9 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["prediction report", f"input {args.input}", f"resampled {str(resampled).lower()}"]
     if args.recursive and args.recursive > 1:
-        node = recursive_predict(points, pipeline.predict, depth=args.recursive)
+        node = recursive_predict(
+            points, pipeline.predict, depth=args.recursive, stop_threshold=config.theta_stop
+        )
         lines += format_tree(node, config.theta_stop)
         pred = node.prediction
     else:

@@ -13,6 +13,8 @@ member index, so relabeling is stable under input permutation.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 
@@ -33,26 +35,17 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         raise ConfigError("distance matrix must be symmetric")
     within = dist <= eps
     core = within.sum(axis=1) >= min_pts  # neighborhood includes the point itself
-    labels = np.full(n, -1, dtype=np.int64)
     if not core.any():
         return np.zeros(n, dtype=np.int64)
 
-    # connected components over cores, eps-linked cores are one cluster
-    next_label = 0
-    for start in np.flatnonzero(core):
-        if labels[start] >= 0:
-            continue
-        stack = [int(start)]
-        labels[start] = next_label
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(within[i] & core):
-                if labels[j] < 0:
-                    labels[j] = next_label
-                    stack.append(int(j))
-        next_label += 1
-
+    # eps-linked cores are one cluster; components are numbered by their
+    # smallest member, which the noise tie-break below relies on
     core_idx = np.flatnonzero(core)
+    n_clusters, components = connected_components(
+        csr_matrix(within[np.ix_(core_idx, core_idx)]), directed=False
+    )
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core_idx] = components
     rest = np.flatnonzero(labels < 0)
     if rest.size:
         to_cores = dist[np.ix_(rest, core_idx)]
@@ -62,7 +55,7 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         labels[rest[border]] = labels[nearest[border]]
         base = labels.copy()  # noise joins settled members only, order-free
         for i in rest[~border]:
-            means = [dist[i, base == c].mean() for c in range(next_label)]
+            means = [dist[i, base == c].mean() for c in range(n_clusters)]
             labels[i] = int(np.argmin(means))
 
     return _canonical_ids(labels)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..geom import MobilitySpec, Segmentation, apply_mobility
+from ..geom import MobilitySpec, apply_mobility
 from .templates import ShapeSample
 
 
@@ -43,15 +43,6 @@ class MotionSequence:
     def displacement_maps(self) -> np.ndarray:
         """(n-1, N, 3) true maps, map t moving frame t to frame t+1."""
         return self.frames[1:] - self.frames[:-1]
-
-    @property
-    def segmentation(self) -> Segmentation:
-        return Segmentation(self.labels)
-
-    @property
-    def same_part(self) -> np.ndarray:
-        """Pair matrix over moving points: 0 same part, 1 different."""
-        return same_part_matrix(self.labels)[1]
 
 
 def sample_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
@@ -109,14 +100,6 @@ class TrainingInstance:
     labels: np.ndarray          # (N,)
     n_true: int                 # leading maps that are real
     specs: Optional[list[MobilitySpec]]
-
-    @property
-    def final_points(self) -> np.ndarray:
-        return self.points + self.targets.sum(axis=0)
-
-    @property
-    def same_part(self) -> np.ndarray:
-        return same_part_matrix(self.labels)[1]
 
 
 def make_instances(seq: MotionSequence, shape_id: str = "") -> list[TrainingInstance]:

@@ -37,8 +37,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "tanh",
-    "sqrt",
-    "square",
     "l2_norm_rows",
     "softmax_cross_entropy",
     "variance_along_axis",
@@ -318,20 +316,6 @@ def tanh(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
     out = np.tanh(a.value)
     return _make(out, [(a, lambda g: g * (1.0 - out * out))], "tanh")
-
-
-def sqrt(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    if np.any(a.value < 0.0):
-        raise NumericError("op 'sqrt': negative input")
-    out = np.sqrt(a.value)
-    safe = np.maximum(out, _EPS)
-    return _make(out, [(a, lambda g: g * 0.5 / safe)], "sqrt")
-
-
-def square(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    return _make(a.value * a.value, [(a, lambda g: g * 2.0 * a.value)], "square")
 
 
 def l2_norm_rows(a: Node | np.ndarray) -> Node:

@@ -6,7 +6,7 @@ direction. All arrays are float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,11 +24,9 @@ __all__ = [
     "TYPE_TR",
     "MOBILITY_TYPES",
     "PointCloud",
-    "Segmentation",
     "RigidTransform",
     "MobilitySpec",
     "unit",
-    "canonical_sign",
     "rotation_about_axis",
     "translation_along",
     "screw_transform",
@@ -54,13 +52,6 @@ def unit(v: Sequence[float] | np.ndarray) -> np.ndarray:
     return a / n
 
 
-def canonical_sign(d: np.ndarray) -> np.ndarray:
-    """Flip the axis direction so its largest-magnitude component is positive."""
-    d = _as_vec3(d, "direction")
-    k = int(np.argmax(np.abs(d)))
-    return -d if d[k] < 0.0 else d
-
-
 @dataclass
 class PointCloud:
     """Points with an optional per-point integer part label (0 = reference)."""
@@ -79,30 +70,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class Segmentation:
-    """Per-point labels: 0 for the reference part, 1..C for moving parts."""
-
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise ConfigError("segmentation labels must be 1-D")
-        if self.labels.size and self.labels.min() < 0:
-            raise ConfigError("segmentation labels must be non-negative")
-
-    @property
-    def num_moving(self) -> int:
-        return int(self.labels.max()) if self.labels.size else 0
-
-    def part_indices(self, part_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == part_id)
-
-    def moving_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels > 0)
 
 
 @dataclass
@@ -132,10 +99,6 @@ class RigidTransform:
             self.rotation @ first.rotation,
             self.rotation @ first.translation + self.translation,
         )
-
-    def invert(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
 
 
 @dataclass

@@ -29,11 +29,7 @@ __all__ = [
     "l_mob",
     "total_motion_loss",
     "baseline_loss",
-    "MOBILITY_CLASSES",
 ]
-
-# class indices for the 3-way mobility type head
-MOBILITY_CLASSES = ("T", "R", "TR")
 
 
 @dataclass
@@ -70,18 +66,16 @@ def l_ref(cloud: Node, origin: np.ndarray, ref_idx: np.ndarray) -> Node:
     return dc.reduce_sum(dc.l2_norm_rows(diff))
 
 
-def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest neighbors of each point within the same set."""
+def _neighbor_distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances within one set, infinite on the diagonal."""
     d = np.linalg.norm(points[:, None] - points[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
-    return np.argsort(d, axis=1)[:, :k]
+    return d
 
 
 def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
     """Mean distance of each point to its k nearest neighbors."""
-    d = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return np.sort(d, axis=1)[:, :k].mean(axis=1)
+    return np.sort(_neighbor_distances(points), axis=1)[:, :k].mean(axis=1)
 
 
 def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
@@ -108,7 +102,7 @@ def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
     k = int(k_density)
     if pv.shape[0] <= k or gt.shape[0] <= k:
         return shape_term
-    nbr = _knn_indices(pv, k)
+    nbr = np.argsort(_neighbor_distances(pv), axis=1)[:, :k]
     n = pv.shape[0]
     anchors = np.repeat(np.arange(n), k)
     diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .geom import TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, unit
+from .geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, unit
 
 ANGLE_FLOOR_DEG = 0.5
 PITCH_FLOOR = 0.005
@@ -123,12 +123,6 @@ def classify_transform(
     return PairMotion(tau, direction, position, angle, slide)
 
 
-def fit_pair(src: np.ndarray, dst: np.ndarray, **kwargs) -> PairMotion:
-    motion = classify_transform(rigid_register(src, dst), **kwargs)
-    motion.amount = float(np.mean(np.linalg.norm(dst - src, axis=1)))
-    return motion
-
-
 @dataclass
 class FittedMobility:
     """Fit result: the mobility plus registration diagnostics."""
@@ -206,7 +200,7 @@ def fit_sequence(
     residual = float(np.mean(residuals))
     flags: list[str] = []
 
-    votes = {tau: sum(p.tau == tau for p in pairs) for tau in (TYPE_T, TYPE_R, TYPE_TR)}
+    votes = {tau: sum(p.tau == tau for p in pairs) for tau in MOBILITY_TYPES}
     top = max(votes.values())
     leaders = [tau for tau, v in votes.items() if v == top]
     if len(leaders) == 1:

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError
-from .geom import MobilitySpec, normalize_to_unit_box, unit
+from .geom import MOBILITY_TYPES, MobilitySpec, normalize_to_unit_box, unit
 
 THETA_STOP = 0.01
-MOBILITY_CLASSES = ("T", "R", "TR")
 # Clustering features are projected onto a sphere of this radius. The
 # diameter (160) keeps cross-part distances able to clear the margin (80)
 # while ruling out the degenerate optimum where every row shrinks to a
@@ -206,12 +205,6 @@ class SAEncoder:
         return f1, f2, dc.reshape(pooled, (1, cfg.global_width))
 
 
-def encode(points: np.ndarray, encoder: SAEncoder, cfg: NetConfig):
-    """One-off encoding of a raw cloud (plan built on the fly)."""
-    plan = build_plan(points, cfg)
-    return encoder.apply(plan)
-
-
 # ---------------------------------------------------------------------------
 # displacement hallucination network
 
@@ -324,6 +317,12 @@ def feature_distance_matrix(features: np.ndarray) -> np.ndarray:
 # mobility regression network
 
 
+def _mobility_readout(type_logits: dc.Node, axis_out: dc.Node):
+    """(type string, unit direction, position) from a mobility head's outputs."""
+    tau = MOBILITY_TYPES[int(np.argmax(type_logits.value[0]))]
+    return tau, unit(axis_out.value[0, :3]), axis_out.value[0, 3:].copy()
+
+
 class MobilityRegressor:
     """Motion type and axis for one moving component.
 
@@ -360,11 +359,7 @@ class MobilityRegressor:
 
     def predict(self, plan: EncoderPlan, channels: np.ndarray):
         """(type string, unit direction, position) without gradients."""
-        type_logits, axis_out = self.forward(plan, channels)
-        tau = MOBILITY_CLASSES[int(np.argmax(type_logits.value[0]))]
-        d = unit(axis_out.value[0, :3])
-        x = axis_out.value[0, 3:].copy()
-        return tau, d, x
+        return _mobility_readout(*self.forward(plan, channels))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +399,9 @@ class DirectBaseline:
         return seg, _linear(self.params, "base.type", h), _linear(self.params, "base.axis", h)
 
     def predict(self, plan: EncoderPlan):
+        """(moving-point mask, type string, unit direction, position)."""
         seg, type_logits, axis_out = self.forward(plan)
-        moving = seg.value.argmax(axis=1) == 1
-        tau = MOBILITY_CLASSES[int(np.argmax(type_logits.value[0]))]
-        d = unit(axis_out.value[0, :3])
-        x = axis_out.value[0, 3:].copy()
-        return moving, tau, d, x
+        return (seg.value.argmax(axis=1) == 1, *_mobility_readout(type_logits, axis_out))
 
 
 # ---------------------------------------------------------------------------

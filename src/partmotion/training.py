@@ -1,9 +1,11 @@
-"""Training loops, the prediction pipeline, and the evaluation harness.
+"""Training, the prediction pipeline, and the evaluation harness.
 
-Training is single-worker and deterministic given the config seed: the
-network init, the shuffle order, and every downstream prediction derive
-from it. Evaluation may fan out across shapes since each shape is scored
-independently.
+All three models (the displacement net, the mobility regressor, and the
+direct baseline) are fitted by one optimizer loop, `_fit`. Training is
+single-worker and deterministic given the config seed: each model's init
+and shuffle order draw from their own RNG lane of it, and every downstream
+prediction derives from them. Evaluation may fan out across shapes since
+each shape is scored independently.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from .cluster import assemble_segmentation, dbscan_labels, default_min_pts
 from .config import RunConfig, _net_from_dict, load_config
 from .datagen import ShapeRecord, make_instances, same_part_matrix
 from .errors import ConfigError, DataError, NumericError
-from .geom import TYPE_T, TYPE_TR, MobilitySpec, unit
-from .losses import MOBILITY_CLASSES, baseline_loss, l_mob, total_motion_loss
+from .geom import MOBILITY_TYPES, TYPE_T, TYPE_TR, MobilitySpec, unit
+from .losses import LossBreakdown, baseline_loss, l_mob, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -107,6 +109,72 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
 
 
 # ---------------------------------------------------------------------------
+# the optimizer loop
+
+
+def _fit(
+    samples: Sequence,
+    params: dict[str, dc.Node],
+    loss_fn: Callable[[object], LossBreakdown],
+    config: RunConfig,
+    lane: int,
+    epochs: int,
+    log: Optional[LogFn],
+    prefix: str = "",
+    log_every: int = 0,
+    checkpoint_every: int = 0,
+    checkpoint_dir: Optional[Path] = None,
+) -> list[str]:
+    """Adam over `epochs` passes of `samples`; returns the loss log lines.
+
+    Each pass visits the samples in an order drawn from the RNG lane
+    (config.seed, lane). Every line goes to `log` as it is made. A step
+    line is made every `log_every` steps and a checkpoint written every
+    `checkpoint_every` steps; 0 turns either off.
+    """
+    opt = dc.Adam(
+        params,
+        lr=config.lr,
+        betas=(config.beta1, config.beta2),
+        eps=config.adam_eps,
+        max_grad_norm=config.max_grad_norm,
+    )
+    shuffle = np.random.default_rng([config.seed, lane])
+    lines: list[str] = []
+
+    def emit(line: str) -> None:
+        lines.append(line)
+        if log:
+            log(line)
+
+    step = 0
+    for epoch in range(epochs):
+        losses = []
+        for idx in shuffle.permutation(len(samples)):
+            try:
+                breakdown = loss_fn(samples[int(idx)])
+                value = float(breakdown.total.value)
+                if not np.isfinite(value):
+                    raise NumericError("non-finite loss value")
+                opt.zero_grad()
+                dc.backward(breakdown.total)
+                opt.step()
+            except NumericError as exc:
+                raise NumericError(f"training aborted at step {step}: {exc}") from exc
+            losses.append(value)
+            if log_every and step % log_every == 0:
+                parts = " ".join(
+                    f"{k} {v:.6f}" for k, v in breakdown.terms.items() if k != "total"
+                )
+                emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
+            step += 1
+            if checkpoint_every and step % checkpoint_every == 0:
+                dc.save_params(Path(checkpoint_dir) / f"step_{step:06d}.params", params)
+        emit(f"{prefix}epoch {epoch} mean_loss {float(np.mean(losses)):.6f}")
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # displacement network training
 
 
@@ -151,51 +219,13 @@ def train_displacement(
     net = DisplacementNet(
         n_maps, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
-    opt = dc.Adam(
-        net.parameters(),
-        lr=config.lr,
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
-        max_grad_norm=config.max_grad_norm,
+    return net, _fit(
+        instances, net.parameters(), lambda inst: _instance_loss(net, inst, config),
+        config, 1, config.epochs, log,
+        log_every=config.log_every,
+        checkpoint_every=0 if checkpoint_dir is None else config.checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
     )
-    shuffle = np.random.default_rng([config.seed, 1])
-    lines: list[str] = []
-
-    def emit(line: str) -> None:
-        lines.append(line)
-        if log:
-            log(line)
-
-    step = 0
-    for epoch in range(config.epochs):
-        order = shuffle.permutation(len(instances))
-        epoch_losses = []
-        for idx in order:
-            inst = instances[int(idx)]
-            try:
-                breakdown = _instance_loss(net, inst, config)
-                value = float(breakdown.total.value)
-                if not np.isfinite(value):
-                    raise NumericError("non-finite loss value")
-                opt.zero_grad()
-                dc.backward(breakdown.total)
-                opt.step()
-            except NumericError as exc:
-                raise NumericError(f"training aborted at step {step}: {exc}") from exc
-            epoch_losses.append(value)
-            if config.log_every and step % config.log_every == 0:
-                parts = " ".join(
-                    f"{k} {v:.6f}" for k, v in breakdown.terms.items() if k != "total"
-                )
-                emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
-            step += 1
-            if checkpoint_dir is not None and config.checkpoint_every:
-                if step % config.checkpoint_every == 0:
-                    dc.save_params(
-                        Path(checkpoint_dir) / f"step_{step:06d}.params", net.parameters()
-                    )
-        emit(f"epoch {epoch} mean_loss {float(np.mean(epoch_losses)):.6f}")
-    return net, lines
 
 
 # ---------------------------------------------------------------------------
@@ -232,47 +262,12 @@ def part_samples(instances: Sequence[PreparedInstance], with_channels: bool) -> 
                     labels=inst.labels,
                     part_id=part_id,
                     channels=channels,
-                    type_idx=MOBILITY_CLASSES.index(spec.tau),
+                    type_idx=MOBILITY_TYPES.index(spec.tau),
                     direction=spec.direction,
                     position=spec.position,
                 )
             )
     return out
-
-
-def _fit_head(samples, config, seed_lane, step_fn, params, log=None):
-    """Shared epoch loop for the two small supervised heads."""
-    opt = dc.Adam(
-        params,
-        lr=config.lr,
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
-        max_grad_norm=config.max_grad_norm,
-    )
-    shuffle = np.random.default_rng([config.seed, seed_lane])
-    lines: list[str] = []
-    step = 0
-    for epoch in range(config.mobility_epochs):
-        losses = []
-        for idx in shuffle.permutation(len(samples)):
-            sample = samples[int(idx)]
-            try:
-                loss = step_fn(sample)
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise NumericError("non-finite loss value")
-                opt.zero_grad()
-                dc.backward(loss)
-                opt.step()
-            except NumericError as exc:
-                raise NumericError(f"training aborted at step {step}: {exc}") from exc
-            losses.append(value)
-            step += 1
-        line = f"epoch {epoch} mean_loss {float(np.mean(losses)):.6f}"
-        lines.append(line)
-        if log:
-            log(line)
-    return lines
 
 
 def train_mobility(
@@ -291,12 +286,15 @@ def train_mobility(
     n_maps = int(instances[0].targets.shape[0])
     reg = MobilityRegressor(n_maps, np.random.default_rng([config.seed, 2]), config.net)
 
-    def step_fn(sample: PartSample):
+    def loss_fn(sample: PartSample) -> LossBreakdown:
         type_logits, axis_out = reg.forward(sample.plan, sample.channels)
-        return l_mob(type_logits, axis_out, sample.type_idx, sample.direction, sample.position)
+        return LossBreakdown(
+            l_mob(type_logits, axis_out, sample.type_idx, sample.direction, sample.position)
+        )
 
-    lines = _fit_head(samples, config, 3, step_fn, reg.parameters(), log)
-    return reg, [f"mobility {line}" for line in lines]
+    return reg, _fit(
+        samples, reg.parameters(), loss_fn, config, 3, config.mobility_epochs, log, "mobility "
+    )
 
 
 def train_baseline(
@@ -310,16 +308,18 @@ def train_baseline(
         raise DataError("baseline training needs shapes with mobility parameters")
     baseline = DirectBaseline(np.random.default_rng([config.seed, 4]), config.net)
 
-    def step_fn(sample: PartSample):
+    def loss_fn(sample: PartSample) -> LossBreakdown:
         seg, type_logits, axis_out = baseline.forward(sample.plan)
         binary = (sample.labels == sample.part_id).astype(np.int64)
         return baseline_loss(
             seg, binary, type_logits, axis_out,
             sample.type_idx, sample.direction, sample.position,
-        ).total
+        )
 
-    lines = _fit_head(samples, config, 5, step_fn, baseline.parameters(), log)
-    return baseline, [f"baseline {line}" for line in lines]
+    return baseline, _fit(
+        samples, baseline.parameters(), loss_fn, config, 5, config.mobility_epochs, log,
+        "baseline ",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,17 @@ class Pipeline:
         return ShapePrediction(maps, labels, mobilities, confidences, fits)
 
     def _part_mobility(self, plan: EncoderPlan, maps: np.ndarray, member: np.ndarray):
-        """(regressor spec, mobfit cross-check spec) for one component."""
-        fit = fit_from_displacements(plan.points[member], maps[:, member])
+        """(regressor spec, mobfit cross-check spec) for one component.
+
+        A component mobfit cannot fit (fewer than three points, collinear
+        points, a rotation it cannot take an axis from) has no cross-check
+        spec; the regressor still reads its mobility.
+        """
         fit_spec = None
+        try:
+            fit = fit_from_displacements(plan.points[member], maps[:, member])
+        except DataError:
+            fit = None
         if fit is not None and fit.residual <= NONRIGID_RESIDUAL:
             fit_spec = fit.spec
         if self.regressor is None or self.config.no_mob_net:
@@ -413,19 +421,11 @@ class Pipeline:
         mov_idx = np.flatnonzero(moving)
         labels = assemble_segmentation(n, mov_idx, np.zeros(mov_idx.size, dtype=np.int64))
         maps = np.zeros((self.config.n_frames, n, 3))
-        mobilities: dict[int, Optional[MobilitySpec]] = {}
-        fits: dict[int, Optional[MobilitySpec]] = {}
-        confidences: dict[int, float] = {}
-        if mov_idx.size:
-            if tau == TYPE_T:
-                spec = MobilitySpec(TYPE_T, unit(d), None, (0.0, 0.0))
-            else:
-                slide = (0.0, 0.0) if tau == TYPE_TR else None
-                spec = MobilitySpec(tau, unit(d), x, (0.0, 0.0), slide)
-            mobilities[1] = spec
-            fits[1] = None
-            confidences[1] = 1.0
-        return ShapePrediction(maps, labels, mobilities, confidences, fits)
+        if not mov_idx.size:
+            return ShapePrediction(maps, labels, {}, {}, {})
+        # still maps: the range reads (0, 0) for every type
+        spec = _compose_spec(tau, d, x, maps[:, mov_idx], None)
+        return ShapePrediction(maps, labels, {1: spec}, {1: 1.0}, {1: None})
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +545,18 @@ class EvalResult:
     shapes: list[ShapeEval] = field(default_factory=list)
 
 
+def _eval_result(shapes: list[ShapeEval]) -> EvalResult:
+    """Pool the per-shape scores into the primary and cross-check reports."""
+    if not shapes:
+        raise DataError("no shapes to evaluate")
+    ap_records = [s.ap_record for s in shapes]
+    return EvalResult(
+        report=summarize([e for s in shapes for e in s.net_evals], ap_records),
+        fit_report=summarize([e for s in shapes for e in s.fit_evals], ap_records),
+        shapes=shapes,
+    )
+
+
 def _eval_shape(pipeline: Pipeline, rec: ShapeRecord) -> ShapeEval:
     pred = pipeline.predict(rec.frames[0])
     ap_record = prediction_matches(pred.labels, rec.labels, pred.confidences)
@@ -564,25 +576,16 @@ def evaluate_model(
     records: Sequence[ShapeRecord], pipeline: Pipeline, workers: int = 1
 ) -> EvalResult:
     """Score a test split; shapes are independent so workers may fan out."""
-    if not records:
-        raise DataError("no shapes to evaluate")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shapes = list(pool.map(lambda r: _eval_shape(pipeline, r), records))
     else:
         shapes = [_eval_shape(pipeline, r) for r in records]
-    ap_records = [s.ap_record for s in shapes]
-    return EvalResult(
-        report=summarize([e for s in shapes for e in s.net_evals], ap_records),
-        fit_report=summarize([e for s in shapes for e in s.fit_evals], ap_records),
-        shapes=shapes,
-    )
+    return _eval_result(shapes)
 
 
 def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
     """Feed ground truth back as predictions; the end-to-end identity check."""
-    if not records:
-        raise DataError("no shapes to evaluate")
     shapes = []
     for rec in records:
         parts = sorted(int(p) for p in np.unique(rec.labels) if p != 0)
@@ -598,66 +601,4 @@ def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
             confidences=confidences,
         )
         shapes.append(ShapeEval(rec.shape_id, rec.category, ap_record, evals, list(evals), pred))
-    ap_records = [s.ap_record for s in shapes]
-    return EvalResult(
-        report=summarize([e for s in shapes for e in s.net_evals], ap_records),
-        fit_report=summarize([e for s in shapes for e in s.fit_evals], ap_records),
-        shapes=shapes,
-    )
-
-
-def evaluate_regressor_on_gt(
-    records: Sequence[ShapeRecord], regressor: MobilityRegressor, config: RunConfig
-) -> list[MobilityEval]:
-    """Regressor scores on ground-truth maps and segmentation.
-
-    The counterpart to the pipeline numbers: the same head fed clean maps,
-    recorded separately because training uses ground truth while the
-    pipeline evaluates on predictions.
-    """
-    out = []
-    for rec in records:
-        if rec.specs is None:
-            continue
-        seq = rec.sequence
-        inst = make_instances(seq, rec.shape_id)[0]
-        plan = build_plan(inst.points, config.net)
-        for part_id, spec in enumerate(rec.specs, start=1):
-            member = np.flatnonzero(rec.labels == part_id)
-            channels = MobilityRegressor.component_channels(inst.points, inst.targets, member)
-            tau, d, x = regressor.predict(plan, channels)
-            pred = _compose_spec(tau, d, x, inst.targets[:, member], None)
-            out.append(evaluate_mobility(pred, spec))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# behavior probes used by the CLI and the acceptance suite
-
-
-def end_state_stop_fraction(records: Sequence[ShapeRecord], pipeline: Pipeline) -> float:
-    """Fraction of final frames whose predicted motion stays under theta_stop."""
-    if not records:
-        raise DataError("no end-state frames to check")
-    hits = sum(
-        pipeline.predict(rec.frames[-1]).mean_step < pipeline.config.theta_stop
-        for rec in records
-    )
-    return hits / len(records)
-
-
-def mean_displacement_error(records: Sequence[ShapeRecord], pipeline: Pipeline) -> float:
-    """Mean per-point displacement error per frame from start-state inputs."""
-    if not records:
-        raise DataError("no shapes to check")
-    per_shape = []
-    for rec in records:
-        pred = pipeline.predict(rec.frames[0])
-        targets = make_instances(rec.sequence, rec.shape_id)[0].targets
-        per_shape.append(float(np.linalg.norm(pred.maps - targets, axis=2).mean()))
-    return float(np.mean(per_shape))
-
-
-def segmentation_accuracy(pred_labels: np.ndarray, gt_labels: np.ndarray) -> float:
-    """Per-point accuracy of the moving-vs-reference split."""
-    return float(np.mean((np.asarray(pred_labels) > 0) == (np.asarray(gt_labels) > 0)))
+    return _eval_result(shapes)

@@ -174,18 +174,6 @@ def case_tanh(rng):
     return "tanh", [a], lambda n: dc.reduce_sum(dc.mul(dc.tanh(n[0]), w))
 
 
-def case_sqrt(rng):
-    a = rng.uniform(0.1, 2.0, size=(3, 5))
-    w = _proj(rng, (3, 5))
-    return "sqrt", [a], lambda n: dc.reduce_sum(dc.mul(dc.sqrt(n[0]), w))
-
-
-def case_square(rng):
-    a = rng.normal(size=(4, 3))
-    w = _proj(rng, (4, 3))
-    return "square", [a], lambda n: dc.reduce_sum(dc.mul(dc.square(n[0]), w))
-
-
 def case_l2_norm_rows(rng):
     a = rng.normal(size=(6, 3)) + np.array([1.0, 0.5, -0.5])
     w = _proj(rng, (6,))
@@ -270,8 +258,6 @@ OP_CASES = [
     case_relu,
     case_sigmoid,
     case_tanh,
-    case_sqrt,
-    case_square,
     case_l2_norm_rows,
     case_softmax_cross_entropy,
     case_variance,

@@ -8,7 +8,9 @@ import pytest
 
 from microfixtures import TINY_NET_JSON, micro_config
 from partmotion.cli import main
+from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor
 from partmotion.plyio import read_ply, write_ply
+from partmotion.training import Pipeline, save_pipeline
 
 
 def tree_hash(root: Path) -> str:
@@ -124,6 +126,23 @@ def test_predict_recursive_tree(workdir, tmp_path, capsys):
     assert main(["predict", "--run", str(workdir / "run"), "--input", str(inp),
                  "--out", str(tmp_path / "p"), "--recursive", "2"]) == 0
     assert "node level 1" in capsys.readouterr().out
+
+
+def test_predict_recursive_stops_at_config_theta_stop(workdir, tmp_path, capsys):
+    # an untrained net moves the whole cloud well past the default threshold,
+    # so only a config threshold above its motion keeps the tree at level 1
+    inp = workdir / "data" / "drawer_box_000" / "frame_01.ply"
+    deeper = {}
+    for theta_stop in (THETA_STOP, 1.0):
+        cfg = micro_config(theta_stop=theta_stop)
+        rng = np.random.default_rng(0)
+        pipeline = Pipeline(cfg, net=DisplacementNet(4, rng, cfg.net),
+                            regressor=MobilityRegressor(4, rng, cfg.net))
+        run = save_pipeline(tmp_path / f"run_{theta_stop}", pipeline)
+        assert main(["predict", "--run", str(run), "--input", str(inp),
+                     "--out", str(tmp_path / "p"), "--recursive", "3"]) == 0
+        deeper[theta_stop] = "node level 2" in capsys.readouterr().out
+    assert deeper == {THETA_STOP: True, 1.0: False}
 
 
 def test_predict_unknown_run_is_data_error(workdir, tmp_path, capsys):

@@ -95,6 +95,19 @@ def test_noise_joins_closest_cluster():
     assert labels[n] != labels[6]
 
 
+def test_noise_tie_joins_cluster_with_smallest_member():
+    # two interleaved core clusters and one noise point (the last row) at
+    # the same mean distance from both: the tie goes to the cluster holding
+    # the lowest index, here the smaller one
+    member = np.array([0, 1, 0, 1, 0, 1, 0, 1, 1, 1])
+    grown = np.full((11, 11), 60.0)
+    grown[:10, :10] = np.where(member[:, None] == member[None, :], 0.0, 80.0)
+    grown[10, 10] = 0.0
+    labels = dbscan_labels(grown, eps=40.0, min_pts=4)
+    assert labels[10] == labels[0]
+    assert labels[10] != labels[1]
+
+
 def test_canonical_ordering_by_size_then_index():
     dist, _ = block_matrix([4, 9], far=80.0)
     labels = dbscan_labels(dist, eps=40.0, min_pts=4)

@@ -143,7 +143,6 @@ def test_instances_padding_and_telescoping():
         )
         assert not inst.targets[inst.n_true :].any()
         assert np.allclose(inst.points + inst.targets.sum(axis=0), final, atol=1e-12)
-        assert np.allclose(inst.final_points, final, atol=1e-12)
 
 
 def test_same_part_matrix():
@@ -307,13 +306,6 @@ def test_moving_point_step_norms_are_constant():
     mov = seq.labels != 0
     spread = norms[:, mov].max(axis=0) - norms[:, mov].min(axis=0)
     assert spread.max() < 1e-9
-
-
-def test_same_part_property_matches_helper():
-    sample = shape_of("cabinet_multi", seed=5)
-    seq = make_sequence(sample, 3)
-    _, same = same_part_matrix(seq.labels)
-    np.testing.assert_array_equal(seq.same_part, same)
 
 
 def test_dataset_generation_is_byte_deterministic(tmp_path):

@@ -98,14 +98,14 @@ def test_backward_requires_scalar_root():
 
 def test_backward_accumulates_until_zeroed():
     x = dc.parameter(np.array([[1.5]]))
-    out = dc.reduce_sum(dc.square(x))
+    out = dc.reduce_sum(dc.mul(x, x))
     dc.backward(out)
     first = x.grad.copy()
-    out2 = dc.reduce_sum(dc.square(x))
+    out2 = dc.reduce_sum(dc.mul(x, x))
     dc.backward(out2)
     np.testing.assert_allclose(x.grad, 2.0 * first, atol=1e-12)
     x.grad = None
-    out3 = dc.reduce_sum(dc.square(x))
+    out3 = dc.reduce_sum(dc.mul(x, x))
     dc.backward(out3)
     np.testing.assert_allclose(x.grad, first, atol=1e-12)
 
@@ -152,7 +152,7 @@ def test_adam_minimizes_quadratic_bowl():
     value = None
     for step in range(5000):
         opt.zero_grad()
-        out = dc.reduce_sum(dc.square(p))
+        out = dc.reduce_sum(dc.mul(p, p))
         dc.backward(out)
         opt.step()
         value = float(out.value)

@@ -80,8 +80,6 @@ def test_compose_invert_round_trip():
     ab = a.compose(b)
     pts = rng.normal(size=(6, 3))
     np.testing.assert_allclose(ab.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-    ident = ab.compose(ab.invert())
-    np.testing.assert_allclose(ident.apply(pts), pts, atol=1e-9)
 
 
 def test_mobility_transform_endpoints():
@@ -131,13 +129,6 @@ def test_mobility_spec_validation(kwargs):
         geom.MobilitySpec(**kwargs)
 
 
-def test_canonical_sign():
-    d = np.array([0.1, -0.8, 0.2])
-    out = geom.canonical_sign(d)
-    np.testing.assert_allclose(out, -d)
-    np.testing.assert_allclose(geom.canonical_sign(out), out)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_normalize_round_trip(seed):
@@ -155,9 +146,3 @@ def test_point_cloud_and_segmentation_validation():
         geom.PointCloud(np.zeros((4, 2)))
     with pytest.raises(ConfigError):
         geom.PointCloud(np.zeros((4, 3)), labels=np.zeros(3, dtype=int))
-    seg = geom.Segmentation(np.array([0, 1, 1, 2, 0]))
-    assert seg.num_moving == 2
-    np.testing.assert_array_equal(seg.part_indices(1), [1, 2])
-    np.testing.assert_array_equal(seg.moving_indices(), [1, 2, 3])
-    with pytest.raises(ConfigError):
-        geom.Segmentation(np.array([0, -1]))

@@ -21,7 +21,6 @@ from partmotion.mobfit import (
     classify_transform,
     derive_range,
     fit_from_displacements,
-    fit_pair,
     fit_sequence,
     registration_residual,
     rigid_register,
@@ -116,16 +115,6 @@ def test_classification_floors():
     assert classify_transform(shifted).tau == TYPE_T  # angle under the floor
     small_pitch = screw_transform(d, np.zeros(3), 20.0, 0.002)
     assert classify_transform(small_pitch).tau == TYPE_R  # pitch under the floor
-
-
-def test_fit_pair_from_points():
-    rng = np.random.default_rng(1)
-    src = rng.normal(size=(40, 3))
-    tf = rotation_about_axis(np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 0.0]), 12.0)
-    motion = fit_pair(src, tf.apply(src))
-    assert motion.tau == TYPE_R
-    assert np.isclose(motion.angle_deg, 12.0, atol=1e-9)
-    assert motion.amount > 0.0
 
 
 @pytest.mark.parametrize("category", PARAMETRIC)

@@ -188,7 +188,7 @@ def test_tiny_overfit_loss_drops():
 
     def loss_value():
         maps = net.hallucinate(plan)
-        terms = [dc.reduce_mean(dc.square(dc.sub(m, dc.constant(t)))) for m, t in zip(maps, target)]
+        terms = [dc.reduce_mean(dc.mul(dc.sub(m, dc.constant(t)), dc.sub(m, dc.constant(t)))) for m, t in zip(maps, target)]
         total = terms[0]
         for t in terms[1:]:
             total = dc.add(total, t)

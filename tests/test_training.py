@@ -8,7 +8,7 @@ from partmotion import training as tr
 from partmotion.config import RunConfig
 from partmotion.errors import ConfigError, DataError, NumericError
 from partmotion.geom import MobilitySpec, unit
-from partmotion.nets import MobilityRegressor, NetConfig
+from partmotion.nets import NetConfig
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,16 @@ def test_loss_log_lines_are_emitted(records, instances):
     assert lines[-1].startswith("epoch 0 mean_loss ")
 
 
+@pytest.mark.parametrize("flags", [{}, {"basenet": True}], ids=["full", "basenet"])
+def test_log_receives_exactly_the_loss_log_lines(tmp_path, records, instances, flags):
+    seen = []
+    tr.run_training(micro_config(**flags), records, out_dir=tmp_path, log=seen.append,
+                    instances=instances)
+    assert "".join(line + "\n" for line in seen) == (tmp_path / "loss.log").read_text()
+    head = "baseline epoch " if flags else "mobility epoch "
+    assert any(line.startswith(head) for line in seen)
+
+
 def test_overfitting_reduces_the_loss():
     records = micro_records(("drawer_box",))
     cfg = micro_config(categories=("drawer_box",), epochs=80, lr=3e-3)
@@ -129,6 +139,15 @@ def test_pipeline_prediction_shapes(trained, records):
     assert set(pred.mobilities) == parts
     assert set(pred.fits) == parts
     assert set(pred.confidences) == parts
+
+
+def test_part_too_small_to_register_keeps_regressor_mobility(trained, instances):
+    cfg, pipe = trained
+    inst = instances[0]
+    member = np.flatnonzero(inst.labels > 0)[:2]
+    spec, fit = pipe._part_mobility(inst.plan, inst.targets, member)
+    assert fit is None
+    assert spec is not None and spec.tau in ("T", "R", "TR")
 
 
 def test_pipeline_requires_a_network():
@@ -264,27 +283,3 @@ def test_unmatched_gt_part_scores_worst_case(records):
     assert result.report.e_seg == 1.0
 
 
-def test_regressor_gt_map_eval_counts_parts(records):
-    cfg = micro_config()
-    reg = MobilityRegressor(4, np.random.default_rng(0), cfg.net)
-    evals = tr.evaluate_regressor_on_gt(records, reg, cfg)
-    assert len(evals) == sum(len(r.specs) for r in records if r.specs is not None)
-
-
-def test_end_state_fraction_bounds(trained, records):
-    cfg, pipe = trained
-    frac = tr.end_state_stop_fraction(records, pipe)
-    assert 0.0 <= frac <= 1.0
-
-
-def test_mean_displacement_error_nonnegative(trained, records):
-    cfg, pipe = trained
-    err = tr.mean_displacement_error(records, pipe)
-    assert err >= 0.0
-
-
-def test_segmentation_accuracy_counts_binary_agreement():
-    gt = np.array([0, 0, 1, 2])
-    pred = np.array([0, 1, 3, 0])
-    assert tr.segmentation_accuracy(pred, gt) == pytest.approx(0.5)
-    assert tr.segmentation_accuracy(gt, gt) == 1.0
