@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +80,10 @@ class RunConfig:
     out_dir: str = "run"
 
     def __post_init__(self) -> None:
+        for obj in (self, self.net, self.weights):
+            _check_scalar_types(obj)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self.categories = tuple(self.categories)
         unknown = [c for c in self.categories if c not in TEMPLATE_NAMES]
         if unknown:
@@ -117,11 +122,14 @@ class RunConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
-        if "net" in data and not isinstance(data["net"], NetConfig):
-            data["net"] = _net_from_dict(data["net"])
-        if "weights" in data and not isinstance(data["weights"], LossWeights):
-            data["weights"] = LossWeights(**data["weights"])
-        return cls(**data)
+        try:
+            if "net" in data and not isinstance(data["net"], NetConfig):
+                data["net"] = _net_from_dict(data["net"])
+            if "weights" in data and not isinstance(data["weights"], LossWeights):
+                data["weights"] = LossWeights(**data["weights"])
+            return cls(**data)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -136,6 +144,15 @@ class RunConfig:
         target = out / "config.json"
         self.save(target)
         return target
+
+
+def _check_scalar_types(obj) -> None:
+    """Every int, float, bool or str field must hold a value of that kind."""
+    kinds = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+    for f in dataclasses.fields(obj):
+        kind, value = kinds.get(type(f.default)), getattr(obj, f.name)
+        if kind and (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
+            raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
 
 
 def _net_from_dict(data: dict) -> NetConfig:

@@ -4,6 +4,8 @@ A Node wraps an ndarray value plus backward closures onto its parents.
 Graphs are built dynamically per forward pass; backward() runs one reverse
 topological sweep accumulating gradients into every node that requires
 them. Gradients accumulate across calls, so zero them between passes.
+Each op does one job: `slice_axis` takes a contiguous block along any axis
+(LSTM gates, column readouts, weight row splits) and `absolute` is |x|.
 """
 from __future__ import annotations
 
@@ -24,17 +26,17 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "scale",
     "matmul",
-    "transpose",
     "reshape",
     "concat",
+    "slice_axis",
     "gather_rows",
     "reduce_sum",
     "reduce_mean",
     "reduce_max_with_index",
     "relu",
+    "absolute",
     "sigmoid",
     "tanh",
     "l2_norm_rows",
@@ -68,10 +70,6 @@ class Node:
         self.parents = parents
         self.op_tag = op_tag
         self.requires_grad = requires_grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def __repr__(self) -> str:
         return f"Node({self.op_tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -176,11 +174,6 @@ def div(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
     )
 
 
-def neg(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    return _make(-a.value, [(a, lambda g: -g)], "neg")
-
-
 def scale(a: Node | np.ndarray, c: float) -> Node:
     a = _as_node(a)
     c = float(c)
@@ -194,13 +187,6 @@ def matmul(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
         raise ShapeMismatch(f"op 'matmul': shapes {av.shape} and {bv.shape} are incompatible")
     out = av @ bv
     return _make(out, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)], "matmul")
-
-
-def transpose(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeMismatch(f"op 'transpose': expected a 2-D array, got shape {a.value.shape}")
-    return _make(a.value.T.copy(), [(a, lambda g: g.T)], "transpose")
 
 
 def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
@@ -227,6 +213,22 @@ def concat(nodes: Sequence[Node | np.ndarray], axis: int = 0) -> Node:
 
         parents.append((p, bw))
     return _make(out, parents, "concat")
+
+
+def slice_axis(a: Node | np.ndarray, lo: int, hi: int, axis: int = 0) -> Node:
+    """The contiguous block [lo, hi) along one axis."""
+    a = _as_node(a)
+    shape = a.value.shape
+    if not -len(shape) <= axis < len(shape) or not 0 <= lo < hi <= shape[axis]:
+        raise ShapeMismatch(f"op 'slice_axis': block [{lo}, {hi}) on axis {axis} outside shape {shape}")
+    sl = (slice(None),) * (axis % len(shape)) + (slice(lo, hi),)
+
+    def bw(g: np.ndarray) -> np.ndarray:
+        acc = np.zeros(shape)
+        acc[sl] = g
+        return acc
+
+    return _make(a.value[sl], [(a, bw)], "slice_axis")
 
 
 def gather_rows(a: Node | np.ndarray, idx: np.ndarray) -> Node:
@@ -304,6 +306,12 @@ def relu(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
     mask = a.value > 0.0
     return _make(a.value * mask, [(a, lambda g: g * mask)], "relu")
+
+
+def absolute(a: Node | np.ndarray) -> Node:
+    a = _as_node(a)
+    sign = np.sign(a.value)
+    return _make(np.abs(a.value), [(a, lambda g: g * sign)], "absolute")
 
 
 def sigmoid(a: Node | np.ndarray) -> Node:
@@ -398,9 +406,6 @@ def pairwise_row_distances(a: Node | np.ndarray) -> Node:
 # ---------------------------------------------------------------------------
 # recurrent cell
 
-GATE_ORDER = "ifgo"
-
-
 def lstm_cell(
     x: Node,
     h: Node,
@@ -416,11 +421,9 @@ def lstm_cell(
             f"op 'lstm_cell': gate widths disagree: w_x {w_x.value.shape}, w_h {w_h.value.shape}, b {b.value.shape}"
         )
     gates = add(add(matmul(x, w_x), matmul(h, w_h)), b)
-    gates_t = transpose(gates)
 
     def block(k: int) -> Node:
-        # column slice [k*width, (k+1)*width) via transpose + row gather
-        return transpose(gather_rows(gates_t, np.arange(k * width, (k + 1) * width)))
+        return slice_axis(gates, k * width, (k + 1) * width, axis=1)
 
     i_gate = sigmoid(block(0))
     f_gate = sigmoid(block(1))
@@ -545,7 +548,10 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     split = raw.find(marker)
     if split < 0:
         raise DataError(f"{path}: missing data marker")
-    lines = raw[:split].decode("ascii").splitlines()
+    try:
+        lines = raw[:split].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: header is not ASCII") from exc
     if not lines or lines[0] != _MAGIC:
         raise DataError(f"{path}: not a parameter file")
     try:
@@ -554,8 +560,13 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         raise DataError(f"{path}: malformed tensor count") from exc
     entries = []
     for line in lines[2 : 2 + count]:
-        name, dims = line.split()
-        shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+        try:
+            name, dims = line.split()
+            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed tensor line {line!r}") from exc
+        if any(d < 0 for d in shape):
+            raise DataError(f"{path}: negative dimension in {line!r}")
         entries.append((name, shape))
     if len(entries) != count:
         raise DataError(f"{path}: header lists {len(entries)} tensors, expected {count}")

@@ -85,10 +85,6 @@ class RigidTransform:
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ConfigError("rigid transform needs a 3x3 rotation and 3-vector")
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation.T + self.translation

@@ -5,10 +5,16 @@ neighbor matching inside the moving-part shape term is computed on values
 and treated as a fixed correspondence; gradients flow through the matched
 distances. Sums run over points where the objective is a per-point sum,
 and cross entropies are means over points.
+
+Per-frame terms stack their frames along the row axis: frame t of an
+N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, so `l_ref`,
+`l_disp` and `l_mot` each cover every frame with one gather.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,17 +59,22 @@ class LossBreakdown:
     terms: dict = field(default_factory=dict)
 
 
-def _abs(x: Node) -> Node:
-    return dc.add(dc.relu(x), dc.relu(dc.neg(x)))
+def _frame_rows(idx: np.ndarray, n: int, n_points: int) -> np.ndarray:
+    """Rows of point indices `idx` in each of n stacked N-point frames."""
+    return (np.arange(n)[:, None] * n_points + idx).ravel()
+
+
+def _row_distance_sum(pred: Node, target: np.ndarray, idx: np.ndarray) -> Node:
+    """Sum over rows i in idx of |pred[i] - target[i]|; 0 when idx is empty."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 0:
+        return dc.constant(0.0)
+    return dc.reduce_sum(dc.l2_norm_rows(dc.sub(dc.gather_rows(pred, idx), np.asarray(target)[idx])))
 
 
 def l_ref(cloud: Node, origin: np.ndarray, ref_idx: np.ndarray) -> Node:
     """Reference points must stay put: sum of distances to their frame-0 positions."""
-    ref_idx = np.asarray(ref_idx, dtype=np.int64)
-    if ref_idx.size == 0:
-        return dc.constant(0.0)
-    diff = dc.sub(dc.gather_rows(cloud, ref_idx), np.asarray(origin)[ref_idx])
-    return dc.reduce_sum(dc.l2_norm_rows(diff))
+    return _row_distance_sum(cloud, origin, ref_idx)
 
 
 def _neighbor_distances(points: np.ndarray) -> np.ndarray:
@@ -108,17 +119,13 @@ def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
     diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
     radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n, k)), axis=1)
     gt_radii = knn_radii(gt, k)[nearest_gt]
-    density_term = dc.reduce_mean(_abs(dc.sub(radii, gt_radii)))
+    density_term = dc.reduce_mean(dc.absolute(dc.sub(radii, gt_radii)))
     return dc.add(shape_term, density_term)
 
 
 def l_disp(disp: Node, gt_disp: np.ndarray, mov_idx: np.ndarray) -> Node:
     """Per-point displacement supervision summed over moving points."""
-    mov_idx = np.asarray(mov_idx, dtype=np.int64)
-    if mov_idx.size == 0:
-        return dc.constant(0.0)
-    diff = dc.sub(dc.gather_rows(disp, mov_idx), np.asarray(gt_disp)[mov_idx])
-    return dc.reduce_sum(dc.l2_norm_rows(diff))
+    return _row_distance_sum(disp, gt_disp, mov_idx)
 
 
 def l_mot(maps: Sequence[Node], mov_idx: np.ndarray, n_true: int) -> Node:
@@ -132,12 +139,9 @@ def l_mot(maps: Sequence[Node], mov_idx: np.ndarray, n_true: int) -> Node:
         raise ConfigError(f"n_true={n_true} exceeds {len(maps)} maps")
     if mov_idx.size == 0 or n_true < 2:
         return dc.constant(0.0)
-    rows = [
-        dc.reshape(dc.l2_norm_rows(dc.gather_rows(m, mov_idx)), (1, mov_idx.size))
-        for m in maps[:n_true]
-    ]
-    stacked = dc.concat(rows, axis=0)
-    return dc.reduce_sum(dc.variance_along_axis(stacked, axis=0))
+    rows = _frame_rows(mov_idx, n_true, maps[0].value.shape[0])
+    steps = dc.l2_norm_rows(dc.gather_rows(dc.concat(maps[:n_true]), rows))
+    return dc.reduce_sum(dc.variance_along_axis(dc.reshape(steps, (n_true, mov_idx.size)), axis=0))
 
 
 def l_seg_obj(logits: Node, labels: np.ndarray) -> Node:
@@ -174,8 +178,7 @@ def l_mob(
         raise ConfigError("l_mob expects (1, 3) type logits and (1, 6) axis output")
     gt_type = int(gt_type)
     type_term = dc.softmax_cross_entropy(type_logits, np.array([gt_type]))
-    axis_t = dc.transpose(axis_out)
-    d_pred = dc.transpose(dc.gather_rows(axis_t, np.arange(3)))
+    d_pred = dc.slice_axis(axis_out, 0, 3, axis=1)
     norm = dc.l2_norm_rows(d_pred)
     d_unit = dc.div(d_pred, dc.reshape(norm, (1, 1)))
     d_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(d_unit, np.asarray(gt_direction)[None, :])))
@@ -183,7 +186,7 @@ def l_mob(
     if gt_type != 0:
         if gt_position is None:
             raise ConfigError("rotational ground truth requires an axis position")
-        x_pred = dc.transpose(dc.gather_rows(axis_t, np.arange(3, 6)))
+        x_pred = dc.slice_axis(axis_out, 3, 6, axis=1)
         x_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(x_pred, np.asarray(gt_position)[None, :])))
         out = dc.add(out, x_term)
     return out
@@ -223,33 +226,23 @@ def total_motion_loss(
     terms: dict[str, float] = {}
     pieces: list[Node] = []
 
-    per_frame: list[Node] = []
-    cloud = dc.constant(p0)
-    gt_cloud = p0.copy()
-    for t in range(n):
-        cloud = dc.add(cloud, maps[t])
-        gt_cloud = gt_cloud + gt_maps[t]
-        frame_terms: list[Node] = []
-        if not no_geom:
-            ref_term = l_ref(cloud, p0, ref_idx)
-            mov_term = l_mov(
-                dc.gather_rows(cloud, mov_idx), gt_cloud[mov_idx], weights.k_density
-            ) if mov_idx.size else dc.constant(0.0)
-            frame_terms.append(
-                dc.add(dc.scale(ref_term, weights.w_ref), dc.scale(mov_term, weights.w_mov))
-            )
-        if not no_disp:
-            frame_terms.append(l_disp(maps[t], gt_maps[t], mov_idx))
-        if frame_terms:
-            total_t = frame_terms[0]
-            for extra in frame_terms[1:]:
-                total_t = dc.add(total_t, extra)
-            per_frame.append(total_t)
-    if per_frame:
-        summed = per_frame[0]
-        for extra in per_frame[1:]:
-            summed = dc.add(summed, extra)
-        rec = dc.scale(summed, 1.0 / n)
+    recon: list[Node] = []
+    if not no_geom:
+        clouds = list(accumulate(maps, dc.add, initial=dc.constant(p0)))[1:]
+        ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
+        recon.append(dc.scale(l_ref(dc.concat(clouds), np.tile(p0, (n, 1)), ref_rows), weights.w_ref))
+        if mov_idx.size:
+            gt_clouds = list(accumulate(gt_maps, np.add, initial=p0))[1:]
+            mov = [
+                l_mov(dc.gather_rows(cloud, mov_idx), gt_cloud[mov_idx], weights.k_density)
+                for cloud, gt_cloud in zip(clouds, gt_clouds)
+            ]
+            recon.append(dc.scale(reduce(dc.add, mov), weights.w_mov))
+    if not no_disp:
+        mov_rows = _frame_rows(mov_idx, n, p0.shape[0])
+        recon.append(l_disp(dc.concat(maps), gt_maps.reshape(-1, 3), mov_rows))
+    if recon:
+        rec = dc.scale(reduce(dc.add, recon), 1.0 / n)
         terms["reconstruction"] = float(rec.value)
         pieces.append(rec)
 
@@ -270,9 +263,7 @@ def total_motion_loss(
 
     if not pieces:
         raise ConfigError("all loss terms ablated away")
-    total = pieces[0]
-    for extra in pieces[1:]:
-        total = dc.add(total, extra)
+    total = reduce(dc.add, pieces)
     terms["total"] = float(total.value)
     return LossBreakdown(total=total, terms=terms)
 

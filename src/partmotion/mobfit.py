@@ -89,29 +89,23 @@ def axis_point(rotation: np.ndarray, translation: np.ndarray, direction: np.ndar
     return np.linalg.solve(a, t_perp)
 
 
+@dataclass
 class PairMotion:
     """Classified relative motion of one consecutive frame pair."""
 
-    __slots__ = ("tau", "direction", "position", "angle_deg", "slide", "amount")
-
-    def __init__(self, tau, direction, position, angle_deg, slide, amount=0.0):
-        self.tau = tau
-        self.direction = direction
-        self.position = position
-        self.angle_deg = angle_deg
-        self.slide = slide
-        self.amount = amount   # mean per-point displacement, for tie breaks
+    tau: str
+    direction: np.ndarray
+    position: Optional[np.ndarray]
+    angle_deg: float
+    slide: float
+    amount: float = 0.0   # mean per-point displacement, for tie breaks
 
 
-def classify_transform(
-    transform: RigidTransform,
-    angle_floor_deg: float = ANGLE_FLOOR_DEG,
-    pitch_floor: float = PITCH_FLOOR,
-) -> PairMotion:
+def classify_transform(transform: RigidTransform) -> PairMotion:
     """Pair verdict; DataError("no motion") when nothing moves."""
     angle = rotation_angle_deg(transform.rotation)
     t = transform.translation
-    if angle < angle_floor_deg:
+    if angle < ANGLE_FLOOR_DEG:
         shift = float(np.linalg.norm(t))
         if shift < STILL_EPS:
             raise DataError("no motion")
@@ -119,7 +113,7 @@ def classify_transform(
     direction = rotation_axis(transform.rotation)
     slide = float(np.dot(t, direction))
     position = axis_point(transform.rotation, t, direction)
-    tau = TYPE_TR if abs(slide) >= pitch_floor else TYPE_R
+    tau = TYPE_TR if abs(slide) >= PITCH_FLOOR else TYPE_R
     return PairMotion(tau, direction, position, angle, slide)
 
 
@@ -165,11 +159,7 @@ def derive_range(first: np.ndarray, last: np.ndarray, spec: MobilitySpec) -> tup
     return signed, flags
 
 
-def fit_sequence(
-    frames: np.ndarray,
-    angle_floor_deg: float = ANGLE_FLOOR_DEG,
-    pitch_floor: float = PITCH_FLOOR,
-) -> Optional[FittedMobility]:
+def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
     """Mobility of one part across its frames; None when it never moves.
 
     Still pairs (padded tail frames for instance) drop out through the
@@ -186,9 +176,7 @@ def fit_sequence(
         transforms.append(transform)
         residuals.append(registration_residual(transform, frames[k], frames[k + 1]))
         try:
-            motion = classify_transform(
-                transform, angle_floor_deg=angle_floor_deg, pitch_floor=pitch_floor
-            )
+            motion = classify_transform(transform)
         except DataError as exc:
             if str(exc) != "no motion":
                 raise
@@ -259,10 +247,8 @@ def _aligned_mean(directions: list[np.ndarray]) -> np.ndarray:
     return unit(acc)
 
 
-def fit_from_displacements(points: np.ndarray, maps: np.ndarray, **kwargs) -> Optional[FittedMobility]:
+def fit_from_displacements(points: np.ndarray, maps: np.ndarray) -> Optional[FittedMobility]:
     """Fit mobility from a start state and its displacement maps."""
     maps = np.asarray(maps, dtype=np.float64)
-    frames = np.concatenate(
-        [points[None], points[None] + np.cumsum(maps, axis=0)], axis=0
-    )
-    return fit_sequence(frames, **kwargs)
+    frames = np.concatenate([points[None], points[None] + np.cumsum(maps, axis=0)])
+    return fit_sequence(frames)

@@ -11,11 +11,14 @@ steps.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
-features into an N x 3 displacement map. Segmentation heads consume the
-input points concatenated with all n maps. The mobility regressor reads
-the same concatenation with displacements zeroed outside one component
-and outputs a motion type and an axis. The baseline predicts segmentation
-and a single mobility straight from the input points.
+features into an N x 3 displacement map. The first decoder layer's weight
+splits by rows: the per-point block is applied once per cloud, the state
+block once per step as a 1 x hidden row that `add` broadcasts to all N.
+Segmentation heads consume the input points concatenated with all n
+maps. The mobility regressor reads the same concatenation with
+displacements zeroed outside one component and outputs a motion type and
+an axis. The baseline predicts segmentation and a single mobility straight
+from the input points.
 """
 from __future__ import annotations
 
@@ -167,6 +170,11 @@ def _linear(params: dict, name: str, x: dc.Node) -> dc.Node:
     return dc.add(dc.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
 
 
+def _interpolated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node) -> list[dc.Node]:
+    """Both stages' features interpolated back onto the plan's points."""
+    return [dc.matmul(dc.constant(plan.fp1), f1), dc.matmul(dc.constant(plan.fp2), f2)]
+
+
 class SAEncoder:
     """Two set-abstraction stages plus a global max pool."""
 
@@ -259,37 +267,28 @@ class DisplacementNet:
     def hallucinate(self, plan: EncoderPlan) -> list[dc.Node]:
         """n displacement maps, each (N, 3), for the planned cloud."""
         f1, f2, g_feat = self.encoder.apply(plan)
-        n_pts = plan.points.shape[0]
-        per_point = dc.concat(
-            [
-                dc.constant(plan.points),
-                dc.matmul(dc.constant(plan.fp1), f1),
-                dc.matmul(dc.constant(plan.fp2), f2),
-            ],
-            axis=1,
-        )
-        ones = dc.constant(np.ones((n_pts, 1)))
+        per_point = dc.concat([dc.constant(plan.points)] + _interpolated(plan, f1, f2), axis=1)
+        w = self.params["dec.l1.w"]
+        split = per_point.value.shape[1]
+        base = dc.matmul(per_point, dc.slice_axis(w, 0, split))
+        w_state = dc.slice_axis(w, split, w.value.shape[0])
+        if not self.use_rnn:
+            wide = self._decode_step(base, w_state, g_feat)
+            return [dc.slice_axis(wide, 3 * t, 3 * t + 3, axis=1) for t in range(self.n_maps)]
         maps = []
-        if self.use_rnn:
-            h = dc.constant(np.zeros((1, self.cfg.global_width)))
-            c = dc.constant(np.zeros((1, self.cfg.global_width)))
-            for _ in range(self.n_maps):
-                h, c = dc.lstm_cell(
-                    g_feat, h, c,
-                    self.params["lstm.wx"], self.params["lstm.wh"], self.params["lstm.b"],
-                )
-                maps.append(self._decode_step(per_point, ones, h))
-        else:
-            wide = self._decode_step(per_point, ones, g_feat)
-            for t in range(self.n_maps):
-                cols = np.arange(3 * t, 3 * t + 3)
-                maps.append(dc.transpose(dc.gather_rows(dc.transpose(wide), cols)))
+        h = dc.constant(np.zeros((1, self.cfg.global_width)))
+        c = dc.constant(np.zeros((1, self.cfg.global_width)))
+        for _ in range(self.n_maps):
+            h, c = dc.lstm_cell(
+                g_feat, h, c,
+                self.params["lstm.wx"], self.params["lstm.wh"], self.params["lstm.b"],
+            )
+            maps.append(self._decode_step(base, w_state, h))
         return maps
 
-    def _decode_step(self, per_point: dc.Node, ones: dc.Node, state: dc.Node) -> dc.Node:
-        x = dc.concat([per_point, dc.matmul(ones, state)], axis=1)
-        h = dc.relu(_linear(self.params, "dec.l1", x))
-        return _linear(self.params, "dec.l2", h)
+    def _decode_step(self, base: dc.Node, w_state: dc.Node, state: dc.Node) -> dc.Node:
+        pre = dc.add(dc.add(base, dc.matmul(state, w_state)), self.params["dec.l1.b"])
+        return _linear(self.params, "dec.l2", dc.relu(pre))
 
     def segment(self, p0: dc.Node, maps: list[dc.Node]):
         """Per-point 2-way logits and clustering features."""
@@ -387,10 +386,7 @@ class DirectBaseline:
     def forward(self, plan: EncoderPlan):
         """(per-point 2-way logits, type logits, axis output)."""
         f1, f2, g_feat = self.encoder.apply(plan)
-        per_point = dc.concat(
-            [dc.matmul(dc.constant(plan.fp1), f1), dc.matmul(dc.constant(plan.fp2), f2)],
-            axis=1,
-        )
+        per_point = dc.concat(_interpolated(plan, f1, f2), axis=1)
         seg = _linear(
             self.params, "base.seg.l2",
             dc.relu(_linear(self.params, "base.seg.l1", per_point)),
@@ -422,16 +418,12 @@ class ShapePrediction:
     def mean_step(self) -> float:
         return float(np.linalg.norm(self.maps, axis=2).mean())
 
-    @property
-    def motion_complete(self) -> bool:
-        return self.mean_step < THETA_STOP
-
 
 @dataclass
 class PredictionNode:
     """One level of the recursive decomposition."""
 
-    indices: np.ndarray                    # into the parent's points
+    indices: np.ndarray                    # into the input cloud's points
     prediction: ShapePrediction
     children: list["PredictionNode"] = field(default_factory=list)
 
@@ -464,9 +456,11 @@ def recursive_predict(
     """Predict, then re-run the predictor inside each moving component.
 
     Component points are re-centered and scaled to the unit box before the
-    recursive call; fitted mobilities come back mapped to the parent frame.
-    Recursion stops at the depth limit, below min_points, or when a
-    component's predicted motion is already below the stop threshold.
+    recursive call. Each level maps the whole subtree it gets back through
+    its (scale, center) and member indices, so every node's indices and
+    mobilities are in the input cloud's frame; maps stay in the frame the
+    predictor saw. Recursion stops at the depth limit, below min_points, or
+    when a component's predicted motion is already below the stop threshold.
     """
     if depth < 1:
         raise ConfigError("recursion depth must be at least 1")
@@ -480,17 +474,13 @@ def recursive_predict(
         if member_idx.size < min_points:
             continue
         normed, scale, center = normalize_to_unit_box(points[member_idx])
-        child = recursive_predict(
-            normed, predictor, depth - 1, min_points, stop_threshold
-        )
-        child.indices = member_idx
-        child.prediction.mobilities = {
-            pid: denormalized_spec(spec, scale, center)
-            for pid, spec in child.prediction.mobilities.items()
-        }
-        child.prediction.fits = {
-            pid: denormalized_spec(spec, scale, center)
-            for pid, spec in child.prediction.fits.items()
-        }
+        child = recursive_predict(normed, predictor, depth - 1, min_points, stop_threshold)
+        subtree = [child]
+        for sub in subtree:  # breadth first: the loop reaches what it appends
+            subtree += sub.children
+            sub.indices = member_idx[sub.indices]
+            pred = sub.prediction
+            pred.mobilities = {p: denormalized_spec(s, scale, center) for p, s in pred.mobilities.items()}
+            pred.fits = {p: denormalized_spec(s, scale, center) for p, s in pred.fits.items()}
         node.children.append(child)
     return node

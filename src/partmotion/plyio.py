@@ -42,8 +42,10 @@ def write_ply(path: str | Path, points: np.ndarray, labels: Optional[np.ndarray]
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read an ASCII PLY written by write_ply (x y z plus optional label)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read as a text PLY file ({exc})") from exc
     if not lines or lines[0].strip() != "ply":
         raise DataError(f"{path}: not a PLY file")
     n_vertex = None
@@ -54,11 +56,11 @@ def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
+            if tok[1:2] != ["ascii"]:
                 raise DataError(f"{path}: only ASCII PLY is supported")
         elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise DataError(f"{path}: unsupported element {tok[1]!r}")
+            if tok[1:2] != ["vertex"] or len(tok) != 3 or not tok[2].isdecimal():
+                raise DataError(f"{path}: expected 'element vertex <count>', got {line!r}")
             n_vertex = int(tok[2])
         elif tok[0] == "property":
             props.append(tok[-1])
@@ -79,7 +81,12 @@ def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
         tok = row.split()
         if len(tok) < len(props):
             raise DataError(f"{path}: short vertex row {i}")
-        points[i] = [float(tok[0]), float(tok[1]), float(tok[2])]
-        if labels is not None:
-            labels[i] = int(tok[3])
+        try:
+            points[i] = [float(tok[0]), float(tok[1]), float(tok[2])]
+            if labels is not None:
+                labels[i] = int(tok[3])
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed vertex row {i}") from exc
+    if not np.all(np.isfinite(points)):
+        raise DataError(f"{path}: non-finite vertex coordinates")
     return points, labels

@@ -61,12 +61,6 @@ def case_div(rng):
     return "div", [a, b], lambda n: dc.reduce_sum(dc.mul(dc.div(n[0], n[1]), w))
 
 
-def case_neg(rng):
-    a = rng.normal(size=(2, 5))
-    w = _proj(rng, (2, 5))
-    return "neg", [a], lambda n: dc.reduce_sum(dc.mul(dc.neg(n[0]), w))
-
-
 def case_scale(rng):
     a = rng.normal(size=(3, 3))
     w = _proj(rng, (3, 3))
@@ -77,12 +71,6 @@ def case_matmul(rng):
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
     w = _proj(rng, (2, 4))
     return "matmul", [a, b], lambda n: dc.reduce_sum(dc.mul(dc.matmul(n[0], n[1]), w))
-
-
-def case_transpose(rng):
-    a = rng.normal(size=(3, 5))
-    w = _proj(rng, (5, 3))
-    return "transpose", [a], lambda n: dc.reduce_sum(dc.mul(dc.transpose(n[0]), w))
 
 
 def case_reshape(rng):
@@ -101,6 +89,18 @@ def case_concat_cols(rng):
     a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 5))
     w = _proj(rng, (3, 7))
     return "concat_cols", [a, b], lambda n: dc.reduce_sum(dc.mul(dc.concat([n[0], n[1]], axis=1), w))
+
+
+def case_slice_rows(rng):
+    a = rng.normal(size=(6, 3))
+    w = _proj(rng, (3, 3))
+    return "slice_rows", [a], lambda n: dc.reduce_sum(dc.mul(dc.slice_axis(n[0], 2, 5), w))
+
+
+def case_slice_cols(rng):
+    a = rng.normal(size=(3, 8))
+    w = _proj(rng, (3, 4))
+    return "slice_cols", [a], lambda n: dc.reduce_sum(dc.mul(dc.slice_axis(n[0], 4, 8, axis=1), w))
 
 
 def case_gather_rows(rng):
@@ -160,6 +160,13 @@ def case_relu(rng):
     a = np.where(np.abs(a) < 0.05, a + 0.2, a)
     w = _proj(rng, (4, 4))
     return "relu", [a], lambda n: dc.reduce_sum(dc.mul(dc.relu(n[0]), w))
+
+
+def case_absolute(rng):
+    a = rng.normal(size=(4, 4))
+    a = np.where(np.abs(a) < 0.05, a + 0.2, a)
+    w = _proj(rng, (4, 4))
+    return "absolute", [a], lambda n: dc.reduce_sum(dc.mul(dc.absolute(n[0]), w))
 
 
 def case_sigmoid(rng):
@@ -240,13 +247,13 @@ OP_CASES = [
     case_sub,
     case_mul,
     case_div,
-    case_neg,
     case_scale,
     case_matmul,
-    case_transpose,
     case_reshape,
     case_concat_rows,
     case_concat_cols,
+    case_slice_rows,
+    case_slice_cols,
     case_gather_rows,
     case_gather_rows_2d_index,
     case_reduce_sum_all,
@@ -256,6 +263,7 @@ OP_CASES = [
     case_reduce_max,
     case_reduce_max_3d,
     case_relu,
+    case_absolute,
     case_sigmoid,
     case_tanh,
     case_l2_norm_rows,

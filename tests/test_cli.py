@@ -1,6 +1,7 @@
 """End-to-end command surface: every subcommand plus the exit-code contract."""
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,46 @@ def test_predict_unknown_run_is_data_error(workdir, tmp_path, capsys):
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
     assert main(["predict", "--run", str(tmp_path / "nowhere"),
                  "--input", str(inp), "--out", str(tmp_path / "p")]) == 3
+
+
+@pytest.mark.parametrize("bad", [{"net": {"bogus": 1}}, {"weights": {"bogus": 1}}, {"seed": "x"}],
+                         ids=["net_key", "weights_key", "seed_text"])
+def test_malformed_config_field_is_config_error(tmp_path, capsys, bad):
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    assert main(["gen", "--config", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
+
+
+@pytest.mark.parametrize("body", [
+    PLY_HEAD.format("x") + "0 0 0\n",
+    PLY_HEAD.format("-1"),
+    PLY_HEAD.format(2) + "0 0 0\nnan 0 0\n",
+    PLY_HEAD.format(2) + "0 0 0\n0 inf 0\n",
+], ids=["count_text", "count_negative", "nan", "inf"])
+def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
+    (tmp_path / "bad.ply").write_text(body)
+    assert main(["predict", "--run", str(workdir / "run"),
+                 "--input", str(tmp_path / "bad.ply"), "--out", str(tmp_path / "p")]) == 3
+    assert "bad.ply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [(b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n"),
+                                      (b"tensors", b"tens\xc3\xb6rs")],
+                         ids=["no_shape", "non_ascii"])
+def test_malformed_params_header_is_data_error(workdir, tmp_path, capsys, old, new):
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    raw = (run / "displacement.params").read_bytes()
+    assert old in raw
+    (run / "displacement.params").write_bytes(raw.replace(old, new, 1))
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "displacement.params" in capsys.readouterr().err
 
 
 def test_eval_report_matches_file(workdir, tmp_path, capsys):

@@ -59,6 +59,11 @@ def test_switches_other_than_basenet_compose():
         dict(n_frames=1),
         dict(epochs=0),
         dict(lr=0.0),
+        dict(seed="x"),
+        dict(seed=-1),
+        dict(epochs=2.5),
+        dict(no_rnn=1),
+        dict(lr=True),
     ],
 )
 def test_invalid_fields_are_rejected(bad):

@@ -127,6 +127,12 @@ def test_shape_mismatch_names_op():
         dc.gather_rows(dc.constant(np.ones((2, 3))), np.array([0, 5]))
 
 
+@pytest.mark.parametrize("lo, hi, axis", [(1, 4, 0), (-1, 2, 0), (2, 2, 1), (0, 2, 2)])
+def test_slice_axis_rejects_block_outside_shape(lo, hi, axis):
+    with pytest.raises(ShapeMismatch, match="slice_axis"):
+        dc.slice_axis(dc.constant(np.ones((3, 5))), lo, hi, axis)
+
+
 def test_non_finite_forward_raises_with_op_tag():
     with pytest.raises(NumericError, match="div"):
         dc.div(dc.constant(np.ones(2)), dc.constant(np.array([1.0, 0.0])))

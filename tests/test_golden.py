@@ -12,6 +12,7 @@ differently in the last printed digit.
 import pytest
 
 from microfixtures import micro_config, micro_records
+from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.cli import format_metrics
 
@@ -78,3 +79,69 @@ def test_golden_loss_log_and_eval_report(tmp_path, row):
     # score the reloaded checkpoint, as `partmotion eval` does
     result = tr.evaluate_model(test, tr.load_pipeline(tmp_path))
     assert "".join(line + "\n" for line in format_metrics(result)) == report
+
+
+# Every step's loss, as `repr` of the root handed to `dc.backward`, for
+# three epochs of the displacement net on the micro fixture. `loss.log`
+# prints only every third step to 6 decimals; this pins every step to
+# 1e-9 relative, so a graph rewrite that reorders float sums passes and
+# one that changes what is computed does not.
+LOSS_TRACE = {
+    "full": (
+        "7982.279397848302", "7294.279692185951", "3655.391967162298", "3013.9253440163843",
+        "8593.856882441478", "3744.3431190083056", "8192.443042004561", "3124.631522834461",
+        "8028.285238754501", "2766.507063195438", "7751.390940252731", "2261.5895107262627",
+        "1967.491829451939", "6070.231536556884", "6869.593508482817", "2335.181547697649",
+        "5703.4881092882", "7068.968209867272", "6640.232779597512", "1764.8821729601739",
+        "1489.184200476278", "1420.2911455683698", "6420.010582780954", "1673.4574930954993",
+    ),
+    "no_rnn": (
+        "7065.473677205104", "6024.535815936129", "2049.6688217146448", "2184.159607785082",
+        "9497.539747480569", "2219.041103486032", "8393.025823899643", "2300.4318250833057",
+        "9736.110086107614", "1626.075047523584", "8470.171342614827", "1927.9137562585724",
+        "1445.090344858918", "7342.23304807055", "7458.884444508147", "1665.8863108331752",
+        "6722.06673199416", "8591.243499275066", "7511.706009892865", "1382.2081822125108",
+        "1403.469722473363", "1760.7091629617648", "6484.272143286082", "1488.4064872606791",
+    ),
+    "no_geom": (
+        "7867.880150885886", "7292.668286731432", "3588.5241620844836", "2983.0292712107757",
+        "8300.8493928086", "3703.013136795223", "8241.561546527728", "3036.461998382413",
+        "7799.535276767225", "2731.663076472361", "7823.786724160181", "2239.3054412688343",
+        "1902.174646542877", "6524.255803234355", "7133.110554518638", "2230.5519241335974",
+        "6191.844761172594", "7245.302196514561", "7067.130838634313", "1542.2427471498845",
+        "1316.3090545689397", "1231.1957459278258", "6624.416290573165", "1486.909100527204",
+    ),
+    "no_disp": (
+        "7978.573632548895", "7290.718281454615", "3653.8757020491157", "3011.142202845239",
+        "8638.79378229076", "3743.354776046664", "8187.889190420713", "3124.216742451318",
+        "8080.264677083947", "2769.616964258348", "7761.49217983749", "2266.7400395528",
+        "1969.6045415696562", "6062.506477398064", "6862.377408453907", "2338.111696739015",
+        "5695.181073640019", "7062.971739174543", "6614.977183699246", "1769.335585827191",
+        "1488.5437249183283", "1419.8939864946256", "6399.733583337689", "1674.5864004300436",
+    ),
+    "no_mot": (
+        "7982.277497337964", "7294.279833864293", "3655.3903929797075", "3013.9186338716668",
+        "8593.841217151912", "3744.3375034243654", "8192.42586731474", "3124.604069365419",
+        "8028.250205575141", "2766.48582711324", "7751.344448678553", "2261.546262352177",
+        "1967.4788012994395", "6070.172407310425", "6869.5409355884685", "2335.0309128053987",
+        "5703.537041698538", "7068.993889934513", "6640.345523437179", "1764.3071242710348",
+        "1488.6488430195207", "1419.9285753392082", "6420.061887834879", "1673.1535031227313",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(LOSS_TRACE))
+def test_loss_trace_every_step(monkeypatch, row):
+    flags = {} if row == "full" else {row: True}
+    config = micro_config(epochs=3, **flags)
+    instances = tr.prepare_instances(micro_records(("drawer_box", "fan")), config)
+    roots = []
+    backward = dc.backward
+
+    def spy(root):
+        roots.append(float(root.value))
+        backward(root)
+
+    monkeypatch.setattr(dc, "backward", spy)
+    tr.train_displacement(instances, config)
+    assert roots == pytest.approx([float(v) for v in LOSS_TRACE[row]], rel=1e-9)

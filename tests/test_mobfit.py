@@ -83,7 +83,7 @@ def test_classify_pure_translation():
 
 def test_classify_still_raises_no_motion():
     with pytest.raises(DataError, match="no motion"):
-        classify_transform(RigidTransform.identity())
+        classify_transform(RigidTransform(np.eye(3), np.zeros(3)))
 
 
 def test_classify_rotation_recovers_axis_and_position():

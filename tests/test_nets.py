@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
+from partmotion import training as tr
 from partmotion.errors import ConfigError
 from partmotion.geom import MobilitySpec
 from partmotion.nets import (
@@ -203,6 +207,27 @@ def test_tiny_overfit_loss_drops():
     assert float(loss_value().value) < first * 0.5
 
 
+def test_training_step_graph_size():
+    # one micro `full` step, walked over the edges `dc.backward` follows;
+    # a rewrite that adds nodes to the training graph must update this
+    config = micro_config()
+    inst = tr.prepare_instances(micro_records(("drawer_box", "fan")), config)[0]
+    net = DisplacementNet(inst.targets.shape[0], np.random.default_rng([0, 0]), config.net)
+    root = tr._instance_loss(net, inst, config).total
+    tags = Counter()
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        tags[node.op_tag] += 1
+        stack.extend(p for p, _ in node.parents if p.requires_grad)
+    assert sum(tags.values()) == 271
+    assert tags["transpose"] == tags["neg"] == 0
+
+
 # ---------------------------------------------------------------------------
 # mobility regressor
 
@@ -318,7 +343,7 @@ def test_recursion_depth_three_stops_at_still_latch():
     lid = tree.children[0]
     assert len(lid.children) == 1
     latch = lid.children[0]
-    assert latch.prediction.motion_complete
+    assert latch.prediction.mean_step < THETA_STOP
     assert latch.children == []
 
 
@@ -339,12 +364,25 @@ def test_child_mobility_mapped_back_to_parent_frame():
     assert abs(child_spec.range_[1] - 0.2 * scale) < 1e-12
 
 
-def test_motion_complete_flag_threshold():
-    maps = np.full((2, 10, 3), THETA_STOP / 10.0)
-    pred = ShapePrediction(maps, np.zeros(10, dtype=np.int64), {})
-    assert pred.motion_complete
-    big = ShapePrediction(np.full((2, 10, 3), 0.5), np.zeros(10, dtype=np.int64), {})
-    assert not big.motion_complete
+def test_depth_three_reports_grandchild_in_input_frame():
+    # each level moves its last rows; the innermost part's axis passes
+    # through its first point, which is input point 280
+    def predictor(points):
+        n = points.shape[0]
+        labels = np.zeros(n, dtype=np.int64)
+        labels[n // 2:] = 1
+        maps = np.zeros((2, n, 3))
+        maps[:, n // 2:] = 0.05
+        spec = MobilitySpec("R", np.array([0.0, 0.0, 1.0]), points[n // 2].copy(), (0.0, 90.0))
+        return ShapePrediction(maps, labels, {1: spec}, {1: 0.9}, {1: spec})
+
+    pts = cloud(320, seed=4)
+    tree = recursive_predict(pts, predictor, depth=3)
+    grandchild = tree.children[0].children[0]
+    assert grandchild.children == []
+    np.testing.assert_array_equal(grandchild.indices, np.arange(240, 320))
+    for spec in (grandchild.prediction.mobilities[1], grandchild.prediction.fits[1]):
+        np.testing.assert_allclose(spec.position, pts[280], atol=1e-12)
 
 
 def test_denormalized_spec_scaling():
