@@ -155,6 +155,8 @@ def cmd_train(args) -> int:
 
 def _load_input_points(path: Path, config: RunConfig) -> tuple[np.ndarray, bool]:
     points, _ = read_ply(path)
+    if points.shape[0] == 0:
+        raise DataError(f"{path}: no points to predict on")
     if points.shape[0] == config.n_points:
         return points, False
     # off-size input: resample it to the configured point count
@@ -204,7 +206,7 @@ def cmd_eval(args) -> int:
         pipeline = load_pipeline(args.run)
         dataset = Path(args.dataset or pipeline.config.dataset_dir)
         records = load_dataset(dataset, split=args.split)
-        result = evaluate_model(records, pipeline, workers=args.workers)
+        result = evaluate_model(records, pipeline)
     lines = format_metrics(result)
     text = "".join(line + "\n" for line in lines)
     if args.out:
@@ -233,7 +235,7 @@ def cmd_ablate(args) -> int:
     for row in rows:
         config = base if row == "full" else base.replaced(**{row: True})
         pipeline = run_training(config, train_records, out_dir=out / row, instances=instances)
-        result = evaluate_model(test_records, pipeline, workers=args.workers)
+        result = evaluate_model(test_records, pipeline)
         r = result.report.as_dict()
         e_dist = "-" if r["e_dist"] is None else f"{r['e_dist']:.6f}"
         table.append(
@@ -302,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", default=None, help="run directory (omit with --oracle)")
     p.add_argument("--dataset", default=None)
     p.add_argument("--split", default="test")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--oracle", action="store_true",
                    help="feed ground truth as predictions (identity check)")
     p.add_argument("--out", default=None, help="also write the report to this file")
@@ -314,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rows", nargs="*", default=None,
                    help=f"rows to run (default: {' '.join(DEFAULT_ABLATION_ROWS)})")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("export", help="re-render a dataset shape at a new point count")

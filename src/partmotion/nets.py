@@ -3,11 +3,12 @@ and the direct baseline.
 
 All of them share one point-set encoder: two set-abstraction stages of
 farthest-point-sampled centroids with local max-pooled MLPs, followed by a
-global max pool. Neighborhood structure depends only on coordinates, with
-distance ties broken lexicographically on the coordinates themselves, so
-encoding a permuted cloud yields the same global feature. The structure is
-precomputed once per cloud as an EncoderPlan and reused across training
-steps.
+global max pool. Neighborhood structure depends only on coordinates. Of
+equally distant points, in sampling, grouping and interpolation alike, the
+first in coordinate order (x, then y, then z, then index) wins, so a
+permuted cloud encodes to the same global feature; with a point set's
+columns in that order, each tie-break is a first-wins argmax or a stable
+argsort. The plan is built once per cloud and reused across steps.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
@@ -52,14 +53,17 @@ class NetConfig:
     feature_width: int = 64
 
     def __post_init__(self) -> None:
-        counts = [stage[0] for stage in self.sa_stages]
-        if any(b >= a for a, b in zip(counts, counts[1:])):
-            raise ConfigError("set-abstraction sample counts must strictly decrease")
-        widths = [w for stage in self.sa_stages for w in stage[2]]
-        widths += [self.global_width, self.decoder_hidden, self.head_hidden, self.feature_width]
-        if any(w <= 0 for w in widths):
-            raise ConfigError("network widths must be positive")
-        if self.sa_stages[-1][2][-1] != self.global_width:
+        if len(self.sa_stages) != 2 or len(self.group_sizes) != 2 or any(
+                len(stage) != 3 or len(stage[2]) != 2 for stage in self.sa_stages):
+            raise ConfigError("need two (count, radius, (width, width)) stages and two group sizes")
+        (s1, _, (w1a, w1b)), (s2, _, (w2a, w2b)) = self.sa_stages
+        if not 0 < s2 < s1:
+            raise ConfigError("set-abstraction sample counts must be positive and strictly decrease")
+        sizes = [w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
+                 self.feature_width, *self.group_sizes]
+        if min(sizes) <= 0:
+            raise ConfigError("network widths and group sizes must be positive")
+        if w2b != self.global_width:
             raise ConfigError("global width must equal the last stage output width")
 
 
@@ -67,47 +71,44 @@ class NetConfig:
 # deterministic, order-free neighborhood structure
 
 
-def _lex_order(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Indices sorted by distance, ties broken by coordinates."""
-    return np.lexsort((points[:, 2], points[:, 1], points[:, 0], dist))
+def _coord_order(points: np.ndarray) -> np.ndarray:
+    """Indices in coordinate order: x, then y, then z, then index."""
+    return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
 def farthest_point_indices(points: np.ndarray, count: int) -> np.ndarray:
     if points.shape[0] < count:
         raise ConfigError(f"cannot pick {count} centroids from {points.shape[0]} points")
-    center = points.mean(axis=0)
-    chosen = [int(_lex_order(-np.linalg.norm(points - center, axis=1), points)[0])]
-    min_dist = np.linalg.norm(points - points[chosen[0]], axis=1)
-    while len(chosen) < count:
-        nxt = int(_lex_order(-min_dist, points)[0])
-        chosen.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
-    return np.array(chosen, dtype=np.int64)
+    order = _coord_order(points)
+    ranked = points[order]
+    # the first pick is farthest from the mean, each next one from all picked
+    gap = np.linalg.norm(ranked - points.mean(axis=0), axis=1)
+    near, chosen = np.inf, []
+    for _ in range(count):
+        chosen.append(int(np.argmax(gap)))
+        near = gap = np.minimum(near, np.linalg.norm(ranked - ranked[chosen[-1]], axis=1))
+    return order[chosen]
 
 
-def _group(points: np.ndarray, centroids: np.ndarray, radius: float, k: int) -> np.ndarray:
-    """(len(centroids), k) neighbor indices: nearest within radius, padded."""
-    groups = np.empty((centroids.shape[0], k), dtype=np.int64)
-    for row, c in enumerate(centroids):
-        dist = np.linalg.norm(points - points[c], axis=1)
-        order = _lex_order(dist, points)
-        inside = order[dist[order] <= radius][:k]
-        if inside.size == 0:
-            inside = order[:1]
-        pad = np.full(k - inside.size, inside[0], dtype=np.int64)
-        groups[row] = np.concatenate([inside, pad])
-    return groups
+def _nearest(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest columns, taking tied columns in the order of cols."""
+    return cols[np.argsort(dist[:, cols], axis=1, kind="stable")[:, :k]]
 
 
-def _idw_weights(targets: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray:
-    """Dense (len(targets), len(sources)) inverse-square-distance weights."""
-    w = np.zeros((targets.shape[0], sources.shape[0]))
-    k = min(k, sources.shape[0])
-    for row, t in enumerate(targets):
-        dist = np.linalg.norm(sources - t, axis=1)
-        near = _lex_order(dist, sources)[:k]
-        inv = 1.0 / (dist[near] ** 2 + 1e-8)
-        w[row, near] = inv / inv.sum()
+def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """(rows, k) nearest columns within radius, padded with the nearest."""
+    near = _nearest(dist, cols, k)
+    inside = np.sum(np.take_along_axis(dist, near, axis=1) <= radius, axis=1, keepdims=True)
+    slot = np.arange(k)
+    return np.take_along_axis(near, np.where(slot < inside, slot, 0), axis=1)
+
+
+def _idw_weights(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Dense inverse-square-distance weights over each row's k nearest columns."""
+    near = _nearest(dist, cols, k)
+    inv = 1.0 / (np.take_along_axis(dist, near, axis=1) ** 2 + 1e-8)
+    w = np.zeros(dist.shape)
+    np.put_along_axis(w, near, inv / inv.sum(axis=1, keepdims=True), axis=1)
     return w
 
 
@@ -133,22 +134,20 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
     (s1, r1, _), (s2, r2, _) = cfg.sa_stages
     k1, k2 = cfg.group_sizes
     c1 = farthest_point_indices(points, s1)
-    g1 = _group(points, c1, r1, k1)
-    rel1 = (points[g1.ravel()] - np.repeat(points[c1], k1, axis=0))
     p1 = points[c1]
-    c2_local = farthest_point_indices(p1, s2)
-    g2 = _group(p1, c2_local, r2, k2)
-    rel2 = (p1[g2.ravel()] - np.repeat(p1[c2_local], k2, axis=0))
+    c2 = farthest_point_indices(p1, s2)
+    # stage-1 centroid-to-point distances serve both groupings and both interpolations
+    d1 = np.linalg.norm(points - p1[:, None], axis=2)
+    o1 = _coord_order(p1)
+    g1 = _group(d1, _coord_order(points), r1, k1)
+    g2 = _group(d1[np.ix_(c2, c1)], o1, r2, k2)
     return EncoderPlan(
-        points=points,
-        centroids1=c1,
-        groups1=g1,
-        rel1=rel1,
-        centroids2=c2_local,
-        groups2=g2,
-        rel2=rel2,
-        fp1=_idw_weights(points, p1, cfg.fp_neighbors),
-        fp2=_idw_weights(points, p1[c2_local], cfg.fp_neighbors),
+        points=points, centroids1=c1, groups1=g1,
+        rel1=points[g1.ravel()] - np.repeat(p1, k1, axis=0),
+        centroids2=c2, groups2=g2,
+        rel2=p1[g2.ravel()] - np.repeat(p1[c2], k2, axis=0),
+        fp1=_idw_weights(d1.T, o1, cfg.fp_neighbors),
+        fp2=_idw_weights(d1[c2].T, _coord_order(p1[c2]), cfg.fp_neighbors),
     )
 
 

@@ -4,14 +4,12 @@ All three models (the displacement net, the mobility regressor, and the
 direct baseline) are fitted by one optimizer loop, `_fit`. Training is
 single-worker and deterministic given the config seed: each model's init
 and shuffle order draw from their own RNG lane of it, and every downstream
-prediction derives from them. Evaluation may fan out across shapes since
-each shape is scored independently.
+prediction derives from them.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -468,22 +466,26 @@ def load_pipeline(run_dir: str | Path) -> Pipeline:
     meta_path = run / MODEL_FILE
     if not meta_path.exists():
         raise DataError(f"no {MODEL_FILE} under {run}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+        net_cfg = _net_from_dict(meta["net"])
+        n_maps, use_rnn = int(meta["n_maps"]), bool(meta["use_rnn"])
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # ConfigError is a ValueError
+        raise DataError(f"{meta_path}: malformed {MODEL_FILE} ({exc!r})") from exc
     config_path = run / "config.json"
     if not config_path.exists():
         raise DataError(f"no config.json under {run}")
     config = load_config(config_path)
-    net_cfg = _net_from_dict(meta["net"])
     rng = np.random.default_rng(0)    # values are overwritten by the checkpoint
     if meta.get("basenet"):
         baseline = DirectBaseline(rng, net_cfg)
         dc.load_into(baseline.parameters(), run / BASE_PARAMS)
         return Pipeline(config, baseline=baseline)
-    net = DisplacementNet(int(meta["n_maps"]), rng, net_cfg, use_rnn=bool(meta["use_rnn"]))
+    net = DisplacementNet(n_maps, rng, net_cfg, use_rnn=use_rnn)
     dc.load_into(net.parameters(), run / DISP_PARAMS)
     regressor = None
     if (run / MOB_PARAMS).exists():
-        regressor = MobilityRegressor(int(meta["n_maps"]), rng, net_cfg)
+        regressor = MobilityRegressor(n_maps, rng, net_cfg)
         dc.load_into(regressor.parameters(), run / MOB_PARAMS)
     return Pipeline(config, net=net, regressor=regressor)
 
@@ -572,16 +574,9 @@ def _eval_shape(pipeline: Pipeline, rec: ShapeRecord) -> ShapeEval:
     return ShapeEval(rec.shape_id, rec.category, ap_record, net_evals, fit_evals, pred)
 
 
-def evaluate_model(
-    records: Sequence[ShapeRecord], pipeline: Pipeline, workers: int = 1
-) -> EvalResult:
-    """Score a test split; shapes are independent so workers may fan out."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shapes = list(pool.map(lambda r: _eval_shape(pipeline, r), records))
-    else:
-        shapes = [_eval_shape(pipeline, r) for r in records]
-    return _eval_result(shapes)
+def evaluate_model(records: Sequence[ShapeRecord], pipeline: Pipeline) -> EvalResult:
+    """Score a test split, one shape after another."""
+    return _eval_result([_eval_shape(pipeline, r) for r in records])
 
 
 def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:

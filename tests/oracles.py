@@ -9,6 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from partmotion.errors import ConfigError
+from partmotion.nets import EncoderPlan, NetConfig
+
 
 def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function at x."""
@@ -139,4 +142,78 @@ def rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:
             [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
             [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
         ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# EncoderPlan reference: the per-row loop version, one lexsort per row
+
+
+def _lex_order(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Indices sorted by distance, ties broken by coordinates."""
+    return np.lexsort((points[:, 2], points[:, 1], points[:, 0], dist))
+
+
+def farthest_point_indices(points: np.ndarray, count: int) -> np.ndarray:
+    if points.shape[0] < count:
+        raise ConfigError(f"cannot pick {count} centroids from {points.shape[0]} points")
+    center = points.mean(axis=0)
+    chosen = [int(_lex_order(-np.linalg.norm(points - center, axis=1), points)[0])]
+    min_dist = np.linalg.norm(points - points[chosen[0]], axis=1)
+    while len(chosen) < count:
+        nxt = int(_lex_order(-min_dist, points)[0])
+        chosen.append(nxt)
+        min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
+    return np.array(chosen, dtype=np.int64)
+
+
+def _group(points: np.ndarray, centroids: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """(len(centroids), k) neighbor indices: nearest within radius, padded."""
+    groups = np.empty((centroids.shape[0], k), dtype=np.int64)
+    for row, c in enumerate(centroids):
+        dist = np.linalg.norm(points - points[c], axis=1)
+        order = _lex_order(dist, points)
+        inside = order[dist[order] <= radius][:k]
+        if inside.size == 0:
+            inside = order[:1]
+        pad = np.full(k - inside.size, inside[0], dtype=np.int64)
+        groups[row] = np.concatenate([inside, pad])
+    return groups
+
+
+def _idw_weights(targets: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray:
+    """Dense (len(targets), len(sources)) inverse-square-distance weights."""
+    w = np.zeros((targets.shape[0], sources.shape[0]))
+    k = min(k, sources.shape[0])
+    for row, t in enumerate(targets):
+        dist = np.linalg.norm(sources - t, axis=1)
+        near = _lex_order(dist, sources)[:k]
+        inv = 1.0 / (dist[near] ** 2 + 1e-8)
+        w[row, near] = inv / inv.sum()
+    return w
+
+
+def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ConfigError(f"points must be (N, 3), got {points.shape}")
+    (s1, r1, _), (s2, r2, _) = cfg.sa_stages
+    k1, k2 = cfg.group_sizes
+    c1 = farthest_point_indices(points, s1)
+    g1 = _group(points, c1, r1, k1)
+    rel1 = (points[g1.ravel()] - np.repeat(points[c1], k1, axis=0))
+    p1 = points[c1]
+    c2_local = farthest_point_indices(p1, s2)
+    g2 = _group(p1, c2_local, r2, k2)
+    rel2 = (p1[g2.ravel()] - np.repeat(p1[c2_local], k2, axis=0))
+    return EncoderPlan(
+        points=points,
+        centroids1=c1,
+        groups1=g1,
+        rel1=rel1,
+        centroids2=c2_local,
+        groups2=g2,
+        rel2=rel2,
+        fp1=_idw_weights(points, p1, cfg.fp_neighbors),
+        fp2=_idw_weights(points, p1[c2_local], cfg.fp_neighbors),
     )

@@ -169,12 +169,25 @@ PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\npropert
     PLY_HEAD.format("-1"),
     PLY_HEAD.format(2) + "0 0 0\nnan 0 0\n",
     PLY_HEAD.format(2) + "0 0 0\n0 inf 0\n",
-], ids=["count_text", "count_negative", "nan", "inf"])
+    PLY_HEAD.format(0),
+], ids=["count_text", "count_negative", "nan", "inf", "empty"])
 def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     (tmp_path / "bad.ply").write_text(body)
     assert main(["predict", "--run", str(workdir / "run"),
                  "--input", str(tmp_path / "bad.ply"), "--out", str(tmp_path / "p")]) == 3
     assert "bad.ply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ['{not json', '[]', '{}', '{"net": {"bogus": 1}}'],
+                         ids=["not_json", "list", "no_keys", "net_key"])
+def test_malformed_model_json_is_data_error(workdir, tmp_path, capsys, body):
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    (run / "model.json").write_text(body)
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "model.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new", [(b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n"),

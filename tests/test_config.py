@@ -64,10 +64,17 @@ def test_switches_other_than_basenet_compose():
         dict(epochs=2.5),
         dict(no_rnn=1),
         dict(lr=True),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, 0.4, (64, 128)), (4, 0.8, (128, 128))))),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, 0.4, (64, 96, 128))))),
+        dict(net=dict(group_sizes=(16, 8, 4))),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (0, 0.4, (64, 128))))),
+        dict(net=dict(group_sizes=(16, 0))),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
     with pytest.raises(ConfigError):
+        if "net" in bad:  # NetConfig checks its own shape as it is built
+            bad = dict(bad, net=NetConfig(**bad["net"]))
         RunConfig(**bad)
 
 

@@ -1,11 +1,15 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
 from partmotion import training as tr
+from partmotion.config import RunConfig
+from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import ConfigError
 from partmotion.geom import MobilitySpec
 from partmotion.nets import (
@@ -94,6 +98,40 @@ def test_farthest_point_sampling_spreads_out():
     pts = np.concatenate([cloud(40) * 0.1, [[5.0, 0.0, 0.0]]])
     idx = farthest_point_indices(pts, 4)
     assert 40 in idx
+
+
+def _plan_case(case):
+    """(clouds, config) for one byte-for-byte comparison with the loop oracle."""
+    def states(category, seed):
+        sample = generate_shape(category, np.random.default_rng(seed), 256)
+        return list(make_sequence(sample, RunConfig().n_frames).frames)
+
+    pick = np.random.default_rng(11).integers
+    if case == "rounded":
+        return [np.round(p, 1) for p in states("cabinet_multi", 2)] + [np.round(cloud(256), 1)], NetConfig()
+    if case == "duplicates":  # fewer distinct points than stage-1 centroids
+        base = cloud(40, seed=3)
+        return [base[pick(0, 40, 256)], np.round(base, 1)[pick(0, 40, 256)]], NetConfig()
+    if case == "tiny":
+        return [cloud(100), np.round(cloud(100, seed=1), 1), cloud(30, seed=2)[pick(0, 30, 60)]], TINY
+    if case == "oversized":  # group sizes and fp_neighbors exceed the points available
+        cfg = dataclasses.replace(TINY, group_sizes=(40, 20), fp_neighbors=20)
+        return [cloud(30), np.round(cloud(30, seed=1), 1), np.round(cloud(30, seed=2), 0)], cfg
+    category, seed = case.split(":")
+    return states(category, int(seed)), NetConfig()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{c}:{s}" for c in TEMPLATE_NAMES for s in (0, 1)] + ["rounded", "duplicates", "tiny", "oversized"],
+)
+def test_build_plan_matches_loop_oracle_bytes(case):
+    clouds, cfg = _plan_case(case)
+    for pts in clouds:
+        got, want = build_plan(pts, cfg), oracles.build_plan(pts, cfg)
+        for f in dataclasses.fields(EncoderPlan):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,6 @@ def test_run_training_writes_artifacts(tmp_path, records, instances):
 # evaluation
 
 
-def test_evaluate_model_matches_across_workers(trained, records):
-    cfg, pipe = trained
-    a = tr.evaluate_model(records, pipe, workers=1)
-    b = tr.evaluate_model(records, pipe, workers=3)
-    assert a.report.as_dict() == b.report.as_dict()
-    assert a.fit_report.as_dict() == b.fit_report.as_dict()
-
-
 def test_evaluate_model_rejects_empty_split(trained):
     cfg, pipe = trained
     with pytest.raises(DataError, match="no shapes"):
