@@ -9,6 +9,7 @@ Each op does one job: `slice_axis` takes a contiguous block along any axis
 """
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -573,11 +574,13 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     cursor = split + len(marker)
     for name, shape in entries:
-        n = int(np.prod(shape)) if shape else 1
-        end = cursor + 8 * n
+        end = cursor + 8 * math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
         if end > len(raw):
             raise DataError(f"{path}: truncated payload at tensor {name!r}")
-        out[name] = np.frombuffer(raw[cursor:end], dtype="<f8").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(raw[cursor:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # over 64 dimensions, or an empty tensor too large to index
+            raise DataError(f"{path}: unusable shape in tensor {name!r} ({exc})") from exc
         cursor = end
     if cursor != len(raw):
         raise DataError(f"{path}: trailing bytes after payload")

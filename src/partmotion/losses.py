@@ -8,7 +8,7 @@ and cross entropies are means over points.
 
 Per-frame terms stack their frames along the row axis: frame t of an
 N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, so `l_ref`,
-`l_disp` and `l_mot` each cover every frame with one gather.
+`l_mov`, `l_disp` and `l_mot` each cover every frame with one call.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .diffcore import Node
@@ -79,7 +80,7 @@ def l_ref(cloud: Node, origin: np.ndarray, ref_idx: np.ndarray) -> Node:
 
 def _neighbor_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise distances within one set, infinite on the diagonal."""
-    d = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+    d = cdist(points, points)
     np.fill_diagonal(d, np.inf)
     return d
 
@@ -92,35 +93,51 @@ def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
 def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
     """Moving-part resemblance: symmetric Chamfer plus a local density term.
 
-    pred holds the predicted moving points, gt the ground-truth moving
-    points of the same frame. The density term compares each predicted
-    point's mean k-NN radius with that of its matched ground-truth point
-    and is skipped when either set is smaller than k + 1.
+    gt holds the ground-truth moving points of n frames, (n, M', 3), or of
+    one frame, (M', 3); pred holds the predicted moving points of the same
+    frames stacked along rows, (n*M, 3). Each frame's term is computed on
+    its own and the frames are summed. The density term compares each
+    predicted point's mean k-NN radius with that of its matched
+    ground-truth point and is skipped when either set is smaller than k + 1.
     """
     gt = np.asarray(gt, dtype=np.float64)
+    if gt.ndim == 2:
+        gt = gt[None]
     pv = pred.value
-    if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 2 or gt.shape[1] != 3:
-        raise ConfigError("l_mov expects (N, 3) point sets")
-    if pv.shape[0] == 0 or gt.shape[0] == 0:
+    if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 3 or gt.shape[2] != 3:
+        raise ConfigError("l_mov expects (n*M, 3) predicted and (n, M', 3) ground-truth points")
+    n, m_gt = gt.shape[:2]
+    if n == 0 or pv.shape[0] % n:
+        raise ConfigError(f"l_mov: {pv.shape[0]} predicted rows do not split into {n} frames")
+    m = pv.shape[0] // n
+    if m == 0 or m_gt == 0:
         return dc.constant(0.0)
-    cross = np.linalg.norm(pv[:, None] - gt[None, :], axis=2)
-    nearest_gt = np.argmin(cross, axis=1)
-    nearest_pred = np.argmin(cross, axis=0)
-    fwd = dc.l2_norm_rows(dc.sub(pred, gt[nearest_gt]))
-    bwd = dc.l2_norm_rows(dc.sub(dc.gather_rows(pred, nearest_pred), gt))
-    pooled = dc.concat([fwd, bwd], axis=0)
-    shape_term = dc.reduce_mean(pooled)
+    frames = pv.reshape(n, m, 3)
+    nearest_gt = np.empty((n, m), dtype=np.int64)
+    nearest_pred = np.empty((n, m_gt), dtype=np.int64)
+    for t in range(n):
+        cross = cdist(frames[t], gt[t])
+        nearest_gt[t], nearest_pred[t] = cross.argmin(axis=1), cross.argmin(axis=0)
+    first = np.arange(n)[:, None] * m
+    # per frame: each predicted point against its nearest ground truth, then
+    # each ground-truth point against its nearest prediction
+    rows = np.concatenate([first + np.arange(m), first + nearest_pred], axis=1)
+    targets = np.concatenate([gt[np.arange(n)[:, None], nearest_gt], gt], axis=1)
+    matched = dc.l2_norm_rows(dc.sub(dc.gather_rows(pred, rows.ravel()), targets.reshape(-1, 3)))
+    per_frame = dc.reduce_mean(dc.reshape(matched, rows.shape), axis=1)
     k = int(k_density)
-    if pv.shape[0] <= k or gt.shape[0] <= k:
-        return shape_term
-    nbr = np.argsort(_neighbor_distances(pv), axis=1)[:, :k]
-    n = pv.shape[0]
-    anchors = np.repeat(np.arange(n), k)
-    diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
-    radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n, k)), axis=1)
-    gt_radii = knn_radii(gt, k)[nearest_gt]
-    density_term = dc.reduce_mean(dc.absolute(dc.sub(radii, gt_radii)))
-    return dc.add(shape_term, density_term)
+    if m > k and m_gt > k:
+        nbr = np.empty((n, m, k), dtype=np.int64)
+        gt_radii = np.empty((n, m))
+        for t in range(n):
+            nbr[t] = t * m + np.argsort(_neighbor_distances(frames[t]), axis=1)[:, :k]
+            gt_radii[t] = knn_radii(gt[t], k)[nearest_gt[t]]
+        anchors = np.repeat(np.arange(n * m), k)
+        diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
+        radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n * m, k)), axis=1)
+        density = dc.absolute(dc.sub(radii, gt_radii.ravel()))
+        per_frame = dc.add(per_frame, dc.reduce_mean(dc.reshape(density, (n, m)), axis=1))
+    return dc.reduce_sum(per_frame)
 
 
 def l_disp(disp: Node, gt_disp: np.ndarray, mov_idx: np.ndarray) -> Node:
@@ -223,23 +240,20 @@ def total_motion_loss(
     seg_labels = np.asarray(seg_labels, dtype=np.int64)
     mov_idx = np.flatnonzero(seg_labels > 0)
     ref_idx = np.flatnonzero(seg_labels == 0)
+    mov_rows = _frame_rows(mov_idx, n, p0.shape[0])
     terms: dict[str, float] = {}
     pieces: list[Node] = []
 
     recon: list[Node] = []
     if not no_geom:
-        clouds = list(accumulate(maps, dc.add, initial=dc.constant(p0)))[1:]
+        clouds = dc.concat(list(accumulate(maps, dc.add, initial=dc.constant(p0)))[1:])
         ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
-        recon.append(dc.scale(l_ref(dc.concat(clouds), np.tile(p0, (n, 1)), ref_rows), weights.w_ref))
+        recon.append(dc.scale(l_ref(clouds, np.tile(p0, (n, 1)), ref_rows), weights.w_ref))
         if mov_idx.size:
-            gt_clouds = list(accumulate(gt_maps, np.add, initial=p0))[1:]
-            mov = [
-                l_mov(dc.gather_rows(cloud, mov_idx), gt_cloud[mov_idx], weights.k_density)
-                for cloud, gt_cloud in zip(clouds, gt_clouds)
-            ]
-            recon.append(dc.scale(reduce(dc.add, mov), weights.w_mov))
+            gt_clouds = np.array(list(accumulate(gt_maps, np.add, initial=p0))[1:])
+            mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds[:, mov_idx], weights.k_density)
+            recon.append(dc.scale(mov, weights.w_mov))
     if not no_disp:
-        mov_rows = _frame_rows(mov_idx, n, p0.shape[0])
         recon.append(l_disp(dc.concat(maps), gt_maps.reshape(-1, 3), mov_rows))
     if recon:
         rec = dc.scale(reduce(dc.add, recon), 1.0 / n)

@@ -469,7 +469,11 @@ def load_pipeline(run_dir: str | Path) -> Pipeline:
     try:
         meta = json.loads(meta_path.read_text())
         net_cfg = _net_from_dict(meta["net"])
-        n_maps, use_rnn = int(meta["n_maps"]), bool(meta["use_rnn"])
+        n_maps, use_rnn, basenet = meta["n_maps"], meta["use_rnn"], meta.get("basenet", False)
+        if type(n_maps) is not int or n_maps < 1 or type(use_rnn) is not bool or type(basenet) is not bool:
+            raise ValueError(
+                f"need a positive int n_maps and bool use_rnn and basenet, got {n_maps!r}, {use_rnn!r}, {basenet!r}"
+            )
     except (OSError, ValueError, TypeError, KeyError) as exc:  # ConfigError is a ValueError
         raise DataError(f"{meta_path}: malformed {MODEL_FILE} ({exc!r})") from exc
     config_path = run / "config.json"
@@ -477,7 +481,7 @@ def load_pipeline(run_dir: str | Path) -> Pipeline:
         raise DataError(f"no config.json under {run}")
     config = load_config(config_path)
     rng = np.random.default_rng(0)    # values are overwritten by the checkpoint
-    if meta.get("basenet"):
+    if basenet:
         baseline = DirectBaseline(rng, net_cfg)
         dc.load_into(baseline.parameters(), run / BASE_PARAMS)
         return Pipeline(config, baseline=baseline)

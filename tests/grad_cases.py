@@ -313,6 +313,19 @@ def case_loss_moving(rng):
     return "loss_l_mov", [d], build
 
 
+def case_loss_moving_frames(rng):
+    p0, mov, gt = _loss_fixture(rng, n_points=14, n_moving=10)
+    targets = p0[mov] + gt[:, mov] + rng.normal(scale=0.02, size=(3, len(mov), 3))
+    rows = (np.arange(3)[:, None] * len(p0) + mov).ravel()
+    d = rng.normal(scale=0.1, size=(3 * len(p0), 3))
+
+    def build(n):
+        clouds = dc.add(np.tile(p0, (3, 1)), n[0])
+        return losses.l_mov(dc.gather_rows(clouds, rows), targets, k_density=3)
+
+    return "loss_l_mov_frames", [d], build
+
+
 def case_loss_displacement(rng):
     p0, mov, gt = _loss_fixture(rng)
     d = rng.normal(scale=0.1, size=p0.shape)
@@ -411,6 +424,7 @@ def case_loss_total(rng):
 LOSS_CASES = [
     case_loss_reference,
     case_loss_moving,
+    case_loss_moving_frames,
     case_loss_displacement,
     case_loss_motion,
     case_loss_seg_object,

@@ -178,11 +178,16 @@ def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     assert "bad.ply" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", ['{not json', '[]', '{}', '{"net": {"bogus": 1}}'],
-                         ids=["not_json", "list", "no_keys", "net_key"])
+@pytest.mark.parametrize("body", ['{not json', '[]', '{}', '{"net": {"bogus": 1}}',
+                                  {"n_maps": 0}, {"use_rnn": "no"}, {"basenet": "no"}],
+                         ids=["not_json", "list", "no_keys", "net_key", "n_maps_zero", "use_rnn_text",
+                              "basenet_text"])
 def test_malformed_model_json_is_data_error(workdir, tmp_path, capsys, body):
+    # a str replaces the whole file; a dict overrides fields of the saved one
     run = tmp_path / "run"
     shutil.copytree(workdir / "run", run)
+    if isinstance(body, dict):
+        body = json.dumps({**json.loads((run / "model.json").read_text()), **body})
     (run / "model.json").write_text(body)
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
     assert main(["predict", "--run", str(run), "--input", str(inp),
@@ -191,8 +196,9 @@ def test_malformed_model_json_is_data_error(workdir, tmp_path, capsys, body):
 
 
 @pytest.mark.parametrize("old, new", [(b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n"),
-                                      (b"tensors", b"tens\xc3\xb6rs")],
-                         ids=["no_shape", "non_ascii"])
+                                      (b"tensors", b"tens\xc3\xb6rs"),
+                                      (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w 4294967296,4294967296\n")],
+                         ids=["no_shape", "non_ascii", "dims_overflow"])
 def test_malformed_params_header_is_data_error(workdir, tmp_path, capsys, old, new):
     run = tmp_path / "run"
     shutil.copytree(workdir / "run", run)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partmotion import diffcore as dc
 from partmotion.errors import ConfigError, DataError, NumericError, ShapeMismatch
@@ -209,3 +211,24 @@ def test_checkpoint_errors(tmp_path):
     bad_shape = {"w": dc.parameter(np.ones((2, 2)))}
     with pytest.raises(DataError):
         dc.load_into(bad_shape, path)
+
+
+_DIMS = st.lists(st.integers(0, 3) | st.integers(-2, 2**70), max_size=70).map(lambda d: ",".join(map(str, d)))
+_TENSOR_LINE = st.builds("{} {}".format, st.sampled_from(["w", "enc.l1.b"]), _DIMS | st.just("scalar")) | st.text(max_size=12)
+_HEADER = st.builds(
+    lambda count, lines: "\n".join(["partmotion-params 1", f"tensors {count}", *lines]).encode(),
+    st.integers(-1, 3),
+    st.lists(_TENSOR_LINE, max_size=3),
+) | st.binary(max_size=48)
+
+
+@settings(max_examples=60, deadline=None)
+@given(header=_HEADER, payload=st.binary(max_size=80))
+@example(header=b"partmotion-params 1\ntensors 1\nw 4294967296,4294967296", payload=b"")
+def test_load_params_returns_or_raises_data_error(tmp_path_factory, header, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz.params"
+    path.write_bytes(header + b"\ndata\n" + payload)
+    try:
+        dc.load_params(path)
+    except DataError:
+        pass

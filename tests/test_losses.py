@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
 from partmotion import losses
@@ -55,6 +56,51 @@ def test_moving_term_matches_brute_chamfer_when_density_skipped():
     gt = rng.normal(size=(6, 3))
     out = losses.l_mov(dc.constant(pred), gt, k_density=8)  # 6 <= 8 skips density
     assert abs(float(out.value) - brute_chamfer(pred, gt)) < 1e-12
+
+
+@pytest.mark.parametrize("m, m_gt, k", [(12, 12, 4), (6, 6, 8), (10, 13, 4)],
+                         ids=["density", "density_skipped", "unequal_sizes"])
+def test_moving_term_over_stacked_frames_sums_single_frames(m, m_gt, k):
+    rng = np.random.default_rng(9)
+    n = 4
+    pred = rng.normal(size=(n * m, 3))
+    gt = rng.normal(size=(n, m_gt, 3))
+    stacked = dc.parameter(pred)
+    out = losses.l_mov(stacked, gt, k)
+    dc.backward(out)
+    frames = [dc.parameter(pred[t * m:(t + 1) * m]) for t in range(n)]
+    singles = [losses.l_mov(f, g, k) for f, g in zip(frames, gt)]
+    for single in singles:
+        dc.backward(single)
+    expect = sum(float(single.value) for single in singles)
+    assert abs(float(out.value) - expect) <= 1e-12 * abs(expect)
+    np.testing.assert_allclose(stacked.grad, np.concatenate([f.grad for f in frames]), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("rows, frames", [(7, 3), (6, 0)])
+def test_moving_term_rejects_rows_that_do_not_split_into_frames(rows, frames):
+    with pytest.raises(ConfigError):
+        losses.l_mov(dc.constant(np.zeros((rows, 3))), np.zeros((frames, 2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "negative_zero"])
+def test_cdist_matches_broadcast_norm_bytes(kind):
+    # l_mov's nearest-neighbor choices rest on these bits being the same
+    rng = np.random.default_rng(11)
+    for m in (41, 120, 236):
+        a = rng.normal(size=(m, 3)) * rng.uniform(0.01, 10.0)
+        b = rng.normal(size=(m + 5, 3))
+        if kind == "duplicates":
+            a, b = np.round(a, 1), np.round(b, 1)
+            a[::4] = a[1]
+            b[: m // 2] = a[: m // 2]
+        if kind == "negative_zero":
+            a[::3] = -0.0
+            a[1::3, 1] = -0.0
+            b[::5] = 0.0
+        for x, y in ((a, b), (a, a), (b, a)):
+            expect = np.linalg.norm(x[:, None] - y[None, :], axis=2)
+            assert cdist(x, y).tobytes() == expect.tobytes()
 
 
 def test_knn_radii_match_brute_force():
