@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ABLATION_SWITCHES, RunConfig, load_config
-from .datagen import generate_dataset, generate_shape, load_dataset, make_sequence
+from .datagen import TEMPLATE_NAMES, generate_dataset, generate_shape, load_dataset, make_sequence
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
 from .nets import PredictionNode, ShapePrediction, recursive_predict
@@ -170,13 +170,15 @@ def _load_input_points(path: Path, config: RunConfig) -> tuple[np.ndarray, bool]
 
 
 def cmd_predict(args) -> int:
+    if args.recursive < 0:
+        raise ConfigError(f"--recursive must be a depth of at least 0, got {args.recursive}")
     pipeline = load_pipeline(args.run)
     config = pipeline.config
     points, resampled = _load_input_points(Path(args.input), config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["prediction report", f"input {args.input}", f"resampled {str(resampled).lower()}"]
-    if args.recursive and args.recursive > 1:
+    if args.recursive > 1:
         node = recursive_predict(
             points, pipeline.predict, depth=args.recursive, stop_threshold=config.theta_stop
         )
@@ -254,12 +256,21 @@ def cmd_export(args) -> int:
     meta_path = shape_dir / "shape.json"
     if not meta_path.exists():
         raise DataError(f"no shape {args.shape!r} under {dataset}")
-    meta = json.loads(meta_path.read_text())
-    seed_path = meta["seed_path"]
+    try:
+        meta = json.loads(meta_path.read_text())
+        seed_path, category, n_frames = meta["seed_path"], meta["category"], meta["n_frames"]
+        if (type(seed_path) is not list or not all(type(s) is int and s >= 0 for s in seed_path)
+                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 1):
+            raise ValueError(
+                f"need a list of non-negative ints seed_path, a known category and a positive int n_frames, "
+                f"got {seed_path!r}, {category!r}, {n_frames!r}"
+            )
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{meta_path}: malformed shape.json ({exc!r})") from exc
     # same seed path, denser sampling: templates draw all shape parameters
     # before any point sampling, so the geometry matches the stored shape
-    sample = generate_shape(meta["category"], np.random.default_rng(seed_path), args.points)
-    seq = make_sequence(sample, meta["n_frames"])
+    sample = generate_shape(category, np.random.default_rng(seed_path), args.points)
+    seq = make_sequence(sample, n_frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(seq.n_frames):

@@ -1,14 +1,22 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Node wraps an ndarray value plus backward closures onto its parents.
-Graphs are built dynamically per forward pass; backward() runs one reverse
-topological sweep accumulating gradients into every node that requires
-them. Gradients accumulate across calls, so zero them between passes.
-Each op does one job: `slice_axis` takes a contiguous block along any axis
-(LSTM gates, column readouts, weight row splits) and `absolute` is |x|.
+Graphs are built dynamically per forward pass. Every node is numbered when
+it is made, after its parents, so backward() visits the nodes that need a
+gradient in decreasing creation order: each one is reached after all of
+its consumers. Gradients accumulate across calls, so zero them between
+passes. Each op does one job: `linear` is x @ w + b, `slice_axis` takes a
+contiguous block along any axis (LSTM gates, column readouts, weight row
+splits) and `absolute` is |x|.
+
+Ops do not check their values for NaN or infinity; the callers check at
+their boundaries (the training loss, Adam's gradients, loaded parameters,
+the outputs of a prediction).
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import re
 from pathlib import Path
@@ -29,6 +37,7 @@ __all__ = [
     "div",
     "scale",
     "matmul",
+    "linear",
     "reshape",
     "concat",
     "slice_axis",
@@ -52,12 +61,13 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_CREATED = itertools.count()
 
 
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "grad", "parents", "op_tag", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "op_tag", "requires_grad", "seq")
 
     def __init__(
         self,
@@ -71,6 +81,7 @@ class Node:
         self.parents = parents
         self.op_tag = op_tag
         self.requires_grad = requires_grad
+        self.seq = next(_CREATED)
 
     def __repr__(self) -> str:
         return f"Node({self.op_tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -88,13 +99,7 @@ def _as_node(x: Node | np.ndarray | float) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def _check_finite(value: np.ndarray, op_tag: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise NumericError(f"non-finite value produced by op {op_tag!r}")
-
-
 def _make(value: np.ndarray, parents: Iterable[tuple[Node, Callable]], op_tag: str) -> Node:
-    _check_finite(value, op_tag)
     kept = tuple((p, fn) for p, fn in parents if p.requires_grad)
     return Node(value, kept, op_tag, requires_grad=bool(kept))
 
@@ -190,6 +195,22 @@ def matmul(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
     return _make(out, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)], "matmul")
 
 
+def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
+    """x @ w + b, with b broadcast over the rows."""
+    x, w, b = _as_node(x), _as_node(w), _as_node(b)
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ShapeMismatch(f"op 'linear': shapes {xv.shape} and {wv.shape} are incompatible")
+    if not _broadcastable((xv.shape[0], wv.shape[1]), b.value.shape) or b.value.size != wv.shape[1]:
+        raise ShapeMismatch(f"op 'linear': bias {b.value.shape} does not fit {wv.shape[1]} columns")
+    out = xv @ wv + b.value
+    return _make(
+        out,
+        [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g), (b, lambda g: _unbroadcast(g, b.value.shape))],
+        "linear",
+    )
+
+
 def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
     a = _as_node(a)
     src = a.value.shape
@@ -243,12 +264,13 @@ def gather_rows(a: Node | np.ndarray, idx: np.ndarray) -> Node:
             f"op 'gather_rows': index range [{idx.min()}, {idx.max()}] outside 0..{a.value.shape[0] - 1}"
         )
     out = a.value[idx]
-    rest = a.value.shape[1:]
+    width = math.prod(a.value.shape[1:])
 
     def bw(g: np.ndarray) -> np.ndarray:
-        acc = np.zeros(a.value.shape)
-        np.add.at(acc, idx.ravel(), g.reshape((-1,) + rest))
-        return acc
+        # one scatter over the flat index row * width + col; bincount sums
+        # each target in input order, as np.add.at does, so the bytes match
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=a.value.size).reshape(a.value.shape)
 
     return _make(out, [(a, bw)], "gather_rows")
 
@@ -408,31 +430,33 @@ def pairwise_row_distances(a: Node | np.ndarray) -> Node:
 # recurrent cell
 
 def lstm_cell(
-    x: Node,
-    h: Node,
-    c: Node,
-    w_x: Node,
+    x_proj: Node,
+    h: Optional[Node],
+    c: Optional[Node],
     w_h: Node,
-    b: Node,
 ) -> tuple[Node, Node]:
-    """One LSTM step. Gate blocks are ordered input, forget, cell, output."""
+    """One LSTM step. Gate blocks are ordered input, forget, cell, output.
+
+    x_proj is the projected input plus bias, x @ w_x + b, so an input that
+    stays the same over the steps is projected once. h = c = None is the
+    zero state of the first step.
+    """
     width = w_h.value.shape[0]
-    if w_x.value.shape[1] != 4 * width or w_h.value.shape[1] != 4 * width or b.value.shape != (4 * width,):
+    if w_h.value.shape[1] != 4 * width or x_proj.value.shape[-1] != 4 * width:
         raise ShapeMismatch(
-            f"op 'lstm_cell': gate widths disagree: w_x {w_x.value.shape}, w_h {w_h.value.shape}, b {b.value.shape}"
+            f"op 'lstm_cell': gate widths disagree: x_proj {x_proj.value.shape}, w_h {w_h.value.shape}"
         )
-    gates = add(add(matmul(x, w_x), matmul(h, w_h)), b)
+    if (h is None) != (c is None):
+        raise ConfigError("op 'lstm_cell': give both h and c, or neither for the zero state")
+    gates = x_proj if h is None else add(x_proj, matmul(h, w_h))
 
     def block(k: int) -> Node:
         return slice_axis(gates, k * width, (k + 1) * width, axis=1)
 
-    i_gate = sigmoid(block(0))
-    f_gate = sigmoid(block(1))
-    g_gate = tanh(block(2))
-    o_gate = sigmoid(block(3))
-    c_next = add(mul(f_gate, c), mul(i_gate, g_gate))
-    h_next = mul(o_gate, tanh(c_next))
-    return h_next, c_next
+    c_next = mul(sigmoid(block(0)), tanh(block(2)))
+    if c is not None:
+        c_next = add(mul(sigmoid(block(1)), c), c_next)
+    return mul(sigmoid(block(3)), tanh(c_next)), c_next
 
 
 # ---------------------------------------------------------------------------
@@ -440,36 +464,29 @@ def lstm_cell(
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar root into every contributing node."""
+    """Accumulate gradients of a scalar root into every contributing node.
+
+    A node is made after its parents, so taking the pending nodes in
+    decreasing creation order reaches each one after every node that feeds
+    it a gradient. A node's first contribution is stored as is; later ones
+    make a new array (grad + contrib), never an in-place sum, because an op
+    may hand the same array to more than one parent.
+    """
     if root.value.size != 1:
         raise ConfigError(f"backward root must be scalar, got shape {root.value.shape}")
-    topo: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    if root.grad is None:
-        root.grad = np.zeros(root.value.shape)
-    root.grad = root.grad + np.ones(root.value.shape)
-    for node in reversed(topo):
+    seed = np.ones(root.value.shape)
+    root.grad = seed if root.grad is None else root.grad + seed
+    pending = [(-root.seq, root)]
+    queued = {root.seq}
+    while pending:
+        _, node = heapq.heappop(pending)
         g = node.grad
-        if g is None:
-            continue
         for parent, fn in node.parents:
             contrib = fn(g)
-            if parent.grad is None:
-                parent.grad = np.zeros(parent.value.shape)
-            parent.grad += contrib
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            if parent.seq not in queued:
+                queued.add(parent.seq)
+                heapq.heappush(pending, (-parent.seq, parent))
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +512,47 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
         self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        # two work arrays per parameter, so a step allocates nothing
+        self._work = {k: (np.empty(p.value.shape), np.empty(p.value.shape)) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self) -> None:
+        """One update, in place, with the operations of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g g and value -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        in their order, so the bytes match that arithmetic."""
         self.t += 1
         grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
+        factor = None
         if self.max_grad_norm is not None and grads:
-            total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            total = float(np.sqrt(sum(float(np.multiply(g, g, out=self._work[k][1]).sum())
+                                      for k, g in grads.items())))
             if total > self.max_grad_norm:
                 factor = self.max_grad_norm / (total + _EPS)
-                grads = {k: g * factor for k, g in grads.items()}
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for k, g in grads.items():
-            _check_finite(g, f"adam_grad:{k}")
-            m = self._m[k] = self.beta1 * self._m[k] + (1.0 - self.beta1) * g
-            v = self._v[k] = self.beta2 * self._v[k] + (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            self.params[k].value = self.params[k].value - self.lr * update
+            a, b = self._work[k]
+            if factor is not None:
+                g = np.multiply(g, factor, out=a)
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient for parameter {k!r}")
+            m, v = self._m[k], self._v[k]
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=b)
+            v *= self.beta2
+            np.multiply(g, g, out=b)
+            b *= 1.0 - self.beta2
+            v += b
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            update = np.divide(m, bc1, out=a)
+            update /= b
+            update *= self.lr
+            self.params[k].value -= update
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +581,10 @@ def save_params(path: str | Path, params: dict[str, Node | np.ndarray]) -> None:
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read parameter file ({exc.strerror or exc})") from exc
     marker = b"\ndata\n"
     split = raw.find(marker)
     if split < 0:
@@ -598,4 +638,7 @@ def load_into(params: dict[str, Node], path: str | Path) -> None:
             raise DataError(
                 f"{path}: shape mismatch for {name!r}: file {stored[name].shape}, model {node.value.shape}"
             )
+        if not np.all(np.isfinite(stored[name])):
+            raise DataError(f"{path}: non-finite values in tensor {name!r}")
+    for name, node in params.items():
         node.value = stored[name]

@@ -7,15 +7,17 @@ distances. Sums run over points where the objective is a per-point sum,
 and cross entropies are means over points.
 
 Per-frame terms stack their frames along the row axis: frame t of an
-N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, so `l_ref`,
-`l_mov`, `l_disp` and `l_mot` each cover every frame with one call.
+N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, the layout in
+which the displacement net emits its maps, so `l_ref`, `l_mov`, `l_disp`
+and `l_mot` each cover every frame with one call. The cumulative clouds
+p0 + d_1 + ... + d_t of all frames come from one matmul of a lower
+triangle of ones with the maps laid out as (n, N*3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -145,19 +147,22 @@ def l_disp(disp: Node, gt_disp: np.ndarray, mov_idx: np.ndarray) -> Node:
     return _row_distance_sum(disp, gt_disp, mov_idx)
 
 
-def l_mot(maps: Sequence[Node], mov_idx: np.ndarray, n_true: int) -> Node:
+def l_mot(maps: Node, n_frames: int, mov_idx: np.ndarray, n_true: int) -> Node:
     """Rigidity proxy: variance over frames of each moving point's step length.
 
-    Only the first n_true maps (the non-padded prefix) enter the variance.
+    maps holds n_frames maps stacked along rows, (n_frames*N, 3). Only the
+    first n_true maps (the non-padded prefix) enter the variance.
     """
     mov_idx = np.asarray(mov_idx, dtype=np.int64)
-    n_true = int(n_true)
-    if n_true > len(maps):
-        raise ConfigError(f"n_true={n_true} exceeds {len(maps)} maps")
+    n_true, n_frames = int(n_true), int(n_frames)
+    if n_frames < 1 or maps.value.shape[0] % n_frames:
+        raise ConfigError(f"{maps.value.shape[0]} map rows do not split into {n_frames} frames")
+    if n_true > n_frames:
+        raise ConfigError(f"n_true={n_true} exceeds {n_frames} maps")
     if mov_idx.size == 0 or n_true < 2:
         return dc.constant(0.0)
-    rows = _frame_rows(mov_idx, n_true, maps[0].value.shape[0])
-    steps = dc.l2_norm_rows(dc.gather_rows(dc.concat(maps[:n_true]), rows))
+    rows = _frame_rows(mov_idx, n_true, maps.value.shape[0] // n_frames)
+    steps = dc.l2_norm_rows(dc.gather_rows(maps, rows))
     return dc.reduce_sum(dc.variance_along_axis(dc.reshape(steps, (n_true, mov_idx.size)), axis=0))
 
 
@@ -210,7 +215,7 @@ def l_mob(
 
 
 def total_motion_loss(
-    maps: Sequence[Node],
+    maps: Node,
     gt_maps: np.ndarray,
     p0: np.ndarray,
     seg_labels: np.ndarray,
@@ -226,17 +231,19 @@ def total_motion_loss(
 ) -> LossBreakdown:
     """Combined objective over one training instance.
 
-    maps are the predicted displacement maps; gt_maps the padded targets.
-    Per-frame terms are averaged over frames; the motion and segmentation
-    terms enter once. Ablation flags drop whole terms.
+    maps are the n predicted displacement maps stacked along rows,
+    (n*N, 3); gt_maps the padded targets, (n, N, 3). Per-frame terms are
+    averaged over frames; the motion and segmentation terms enter once.
+    Ablation flags drop whole terms.
     """
-    n = len(maps)
-    if n == 0:
-        raise ConfigError("total_motion_loss needs at least one map")
     gt_maps = np.asarray(gt_maps, dtype=np.float64)
-    if gt_maps.shape != (n,) + maps[0].value.shape:
-        raise ConfigError(f"gt maps shape {gt_maps.shape} does not match predictions")
     p0 = np.asarray(p0, dtype=np.float64)
+    n = gt_maps.shape[0] if gt_maps.ndim == 3 else 0
+    if n == 0 or gt_maps.shape[1:] != p0.shape or maps.value.shape != (n * p0.shape[0], 3):
+        raise ConfigError(
+            f"total_motion_loss needs (n >= 1, N, 3) gt maps and (n*N, 3) predicted maps for"
+            f" (N, 3) points, got {gt_maps.shape}, {maps.value.shape} and {p0.shape}"
+        )
     seg_labels = np.asarray(seg_labels, dtype=np.int64)
     mov_idx = np.flatnonzero(seg_labels > 0)
     ref_idx = np.flatnonzero(seg_labels == 0)
@@ -246,15 +253,19 @@ def total_motion_loss(
 
     recon: list[Node] = []
     if not no_geom:
-        clouds = dc.concat(list(accumulate(maps, dc.add, initial=dc.constant(p0)))[1:])
+        # frame t's cloud is p0 plus the first t maps
+        steps = dc.reshape(maps, (n, p0.size))
+        cumulative = dc.reshape(dc.matmul(np.tril(np.ones((n, n))), steps), maps.value.shape)
+        origins = np.tile(p0, (n, 1))
+        clouds = dc.add(cumulative, origins)
         ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
-        recon.append(dc.scale(l_ref(clouds, np.tile(p0, (n, 1)), ref_rows), weights.w_ref))
+        recon.append(dc.scale(l_ref(clouds, origins, ref_rows), weights.w_ref))
         if mov_idx.size:
-            gt_clouds = np.array(list(accumulate(gt_maps, np.add, initial=p0))[1:])
+            gt_clouds = np.cumsum(np.concatenate([p0[None], gt_maps]), axis=0)[1:]
             mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds[:, mov_idx], weights.k_density)
             recon.append(dc.scale(mov, weights.w_mov))
     if not no_disp:
-        recon.append(l_disp(dc.concat(maps), gt_maps.reshape(-1, 3), mov_rows))
+        recon.append(l_disp(maps, gt_maps.reshape(-1, 3), mov_rows))
     if recon:
         rec = dc.scale(reduce(dc.add, recon), 1.0 / n)
         terms["reconstruction"] = float(rec.value)
@@ -262,7 +273,7 @@ def total_motion_loss(
 
     if not no_mot:
         effective = n if weights.include_padded_motion else n_true
-        mot = l_mot(maps, mov_idx, effective)
+        mot = l_mot(maps, n, mov_idx, effective)
         terms["motion_consistency"] = float(mot.value)
         pieces.append(mot)
 

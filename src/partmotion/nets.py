@@ -12,14 +12,19 @@ argsort. The plan is built once per cloud and reused across steps.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
-features into an N x 3 displacement map. The first decoder layer's weight
-splits by rows: the per-point block is applied once per cloud, the state
-block once per step as a 1 x hidden row that `add` broadcasts to all N.
-Segmentation heads consume the input points concatenated with all n
-maps. The mobility regressor reads the same concatenation with
-displacements zeroed outside one component and outputs a motion type and
-an axis. The baseline predicts segmentation and a single mobility straight
-from the input points.
+features into an N x 3 displacement map. The LSTM's input projection is
+the same at every step, so it is computed once per cloud. The decoder is
+feed-forward given the hidden states, so all n frames are decoded in one
+pass: the first decoder layer's weight splits by rows, the per-point block
+is applied once per cloud as (N, hidden), the state block and bias once to
+the n stacked states as (n, 1, hidden), and `add` broadcasts the two to
+(n, N, hidden); one `relu` and one output layer over n*N rows give the
+maps stacked frame by frame, (n*N, 3). Segmentation heads consume the
+input points concatenated with all n maps, read as data. The mobility
+regressor reads the same concatenation with displacements zeroed outside
+one component and outputs a motion type and an axis. The baseline
+predicts segmentation and a single mobility straight from the input
+points.
 """
 from __future__ import annotations
 
@@ -166,7 +171,7 @@ def _linear_params(rng, name: str, fan_in: int, fan_out: int, params: dict) -> N
 
 
 def _linear(params: dict, name: str, x: dc.Node) -> dc.Node:
-    return dc.add(dc.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return dc.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _interpolated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node) -> list[dc.Node]:
@@ -263,37 +268,45 @@ class DisplacementNet:
     def parameters(self) -> dict[str, dc.Node]:
         return self.params
 
-    def hallucinate(self, plan: EncoderPlan) -> list[dc.Node]:
-        """n displacement maps, each (N, 3), for the planned cloud."""
+    def hallucinate(self, plan: EncoderPlan) -> dc.Node:
+        """All n displacement maps stacked frame by frame: (n*N, 3), frame t
+        in rows [t*N, (t+1)*N)."""
         f1, f2, g_feat = self.encoder.apply(plan)
         per_point = dc.concat([dc.constant(plan.points)] + _interpolated(plan, f1, f2), axis=1)
         w = self.params["dec.l1.w"]
         split = per_point.value.shape[1]
         base = dc.matmul(per_point, dc.slice_axis(w, 0, split))
         w_state = dc.slice_axis(w, split, w.value.shape[0])
-        if not self.use_rnn:
-            wide = self._decode_step(base, w_state, g_feat)
-            return [dc.slice_axis(wide, 3 * t, 3 * t + 3, axis=1) for t in range(self.n_maps)]
-        maps = []
-        h = dc.constant(np.zeros((1, self.cfg.global_width)))
-        c = dc.constant(np.zeros((1, self.cfg.global_width)))
-        for _ in range(self.n_maps):
-            h, c = dc.lstm_cell(
-                g_feat, h, c,
-                self.params["lstm.wx"], self.params["lstm.wh"], self.params["lstm.b"],
-            )
-            maps.append(self._decode_step(base, w_state, h))
-        return maps
+        if self.use_rnn:
+            x_proj = dc.linear(g_feat, self.params["lstm.wx"], self.params["lstm.b"])
+            h = c = None
+            states = []
+            for _ in range(self.n_maps):
+                h, c = dc.lstm_cell(x_proj, h, c, self.params["lstm.wh"])
+                states.append(h)
+            states = dc.concat(states)
+        else:
+            states = g_feat
+        n_states, n_points = states.value.shape[0], base.value.shape[0]
+        hidden = self.cfg.decoder_hidden
+        state_part = dc.reshape(dc.linear(states, w_state, self.params["dec.l1.b"]), (n_states, 1, hidden))
+        pre = dc.reshape(dc.relu(dc.add(state_part, base)), (n_states * n_points, hidden))
+        out = _linear(self.params, "dec.l2", pre)
+        if self.use_rnn:
+            return out
+        # one readout emits all n maps side by side, (N, 3n)
+        return dc.concat([dc.slice_axis(out, 3 * t, 3 * t + 3, axis=1) for t in range(self.n_maps)])
 
-    def _decode_step(self, base: dc.Node, w_state: dc.Node, state: dc.Node) -> dc.Node:
-        pre = dc.add(dc.add(base, dc.matmul(state, w_state)), self.params["dec.l1.b"])
-        return _linear(self.params, "dec.l2", dc.relu(pre))
+    def segment(self, p0: np.ndarray, maps: np.ndarray):
+        """Per-point 2-way logits and clustering features.
 
-    def segment(self, p0: dc.Node, maps: list[dc.Node]):
-        """Per-point 2-way logits and clustering features."""
-        if len(maps) != self.n_maps:
-            raise ConfigError(f"expected {self.n_maps} maps, got {len(maps)}")
-        x = dc.concat([p0] + list(maps), axis=1)
+        maps is (n, N, 3); the heads read it and p0 as data, so the margin
+        term cannot trade displacement quality for feature separation.
+        """
+        maps = np.asarray(maps, dtype=np.float64)
+        if maps.shape[0] != self.n_maps:
+            raise ConfigError(f"expected {self.n_maps} maps, got {maps.shape[0]}")
+        x = dc.constant(np.concatenate([p0, *maps], axis=1))
         seg = _linear(self.params, "seg.l2", dc.relu(_linear(self.params, "seg.l1", x)))
         raw = _linear(self.params, "feat.l2", dc.relu(_linear(self.params, "feat.l1", x)))
         norms = dc.reshape(dc.l2_norm_rows(raw), (raw.value.shape[0], 1))

@@ -181,10 +181,7 @@ def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConf
     seg_logits = dist_mov = same = None
     if not config.no_seg:
         p0 = np.zeros_like(inst.points) if config.no_p0 else inst.points
-        # the heads read the maps as data: the margin term must not be able
-        # to trade displacement quality for feature separation
-        frozen = [dc.constant(m.value) for m in maps]
-        seg_logits, feats = net.segment(dc.constant(p0), frozen)
+        seg_logits, feats = net.segment(p0, maps.value.reshape(inst.targets.shape))
         dist_mov = dc.pairwise_row_distances(dc.gather_rows(feats, inst.mov_idx))
         same = inst.same_mov
     return total_motion_loss(
@@ -346,6 +343,11 @@ def _compose_spec(
     return MobilitySpec(tau, d, x, range_, slide)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"prediction produced non-finite {what}")
+
+
 @dataclass
 class Pipeline:
     """A trained model bundle exposing flat shape prediction."""
@@ -362,9 +364,9 @@ class Pipeline:
             return self._predict_baseline(plan)
         if self.net is None:
             raise ConfigError("pipeline has no displacement network")
-        map_nodes = self.net.hallucinate(plan)
-        maps = np.stack([m.value for m in map_nodes])
         n = points.shape[0]
+        maps = self.net.hallucinate(plan).value.reshape(self.net.n_maps, n, 3)
+        _require_finite(maps, "displacement maps")
         if self.config.no_seg:
             # trained without the segmentation terms: threshold the motion
             moving = np.linalg.norm(maps, axis=2).mean(axis=0) > self.config.theta_stop
@@ -373,7 +375,9 @@ class Pipeline:
             confidences = {1: 1.0} if mov_idx.size else {}
         else:
             p0 = np.zeros_like(points) if self.config.no_p0 else points
-            seg_logits, feat_nodes = self.net.segment(dc.constant(p0), map_nodes)
+            seg_logits, feat_nodes = self.net.segment(p0, maps)
+            _require_finite(seg_logits.value, "segmentation logits")
+            _require_finite(feat_nodes.value, "clustering features")
             mov_idx = np.flatnonzero(seg_logits.value.argmax(axis=1) == 1)
             if mov_idx.size:
                 dist = feature_distance_matrix(feat_nodes.value[mov_idx])
@@ -411,6 +415,7 @@ class Pipeline:
             return fit_spec, fit_spec
         channels = MobilityRegressor.component_channels(plan.points, maps, member)
         tau, d, x = self.regressor.predict(plan, channels)
+        _require_finite(np.concatenate([d, x]), "mobility regressor output")
         return _compose_spec(tau, d, x, maps[:, member], fit_spec), fit_spec
 
     def _predict_baseline(self, plan: EncoderPlan) -> ShapePrediction:

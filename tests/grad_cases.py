@@ -73,6 +73,18 @@ def case_matmul(rng):
     return "matmul", [a, b], lambda n: dc.reduce_sum(dc.mul(dc.matmul(n[0], n[1]), w))
 
 
+def case_linear(rng):
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+    p = _proj(rng, (5, 4))
+    return "linear", [x, w, b], lambda n: dc.reduce_sum(dc.mul(dc.linear(n[0], n[1], n[2]), p))
+
+
+def case_linear_flat_bias(rng):
+    x, w, b = rng.normal(size=(2, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6,))
+    p = _proj(rng, (2, 6))
+    return "linear_flat_bias", [x, w, b], lambda n: dc.reduce_sum(dc.mul(dc.linear(n[0], n[1], n[2]), p))
+
+
 def case_reshape(rng):
     a = rng.normal(size=(4, 6))
     w = _proj(rng, (2, 12))
@@ -221,10 +233,26 @@ def case_lstm_cell(rng):
     w2 = _proj(rng, (batch, width))
 
     def build(n):
-        h2, c2 = dc.lstm_cell(n[0], n[1], n[2], n[3], n[4], n[5])
+        h2, c2 = dc.lstm_cell(dc.linear(n[0], n[3], n[5]), n[1], n[2], n[4])
         return dc.add(dc.reduce_sum(dc.mul(h2, w1)), dc.reduce_sum(dc.mul(c2, w2)))
 
     return "lstm_cell", [x, h, c, w_x, w_h, b], build
+
+
+def case_lstm_cell_zero_state(rng):
+    width, batch = 3, 2
+    x_proj = rng.normal(size=(batch, 4 * width))
+    w_h = rng.normal(size=(width, 4 * width)) * 0.5
+    w1 = _proj(rng, (batch, width))
+    w2 = _proj(rng, (batch, width))
+
+    def build(n):
+        # first step from the zero state, then a second step from its output
+        h1, c1 = dc.lstm_cell(n[0], None, None, n[1])
+        h2, c2 = dc.lstm_cell(n[0], h1, c1, n[1])
+        return dc.add(dc.reduce_sum(dc.mul(h2, w1)), dc.reduce_sum(dc.mul(c2, w2)))
+
+    return "lstm_cell_zero_state", [x_proj, w_h], build
 
 
 def case_mlp_chain(rng):
@@ -249,6 +277,8 @@ OP_CASES = [
     case_div,
     case_scale,
     case_matmul,
+    case_linear,
+    case_linear_flat_bias,
     case_reshape,
     case_concat_rows,
     case_concat_cols,
@@ -271,6 +301,7 @@ OP_CASES = [
     case_variance,
     case_pairwise_row_distances,
     case_lstm_cell,
+    case_lstm_cell_zero_state,
     case_mlp_chain,
 ]
 
@@ -341,8 +372,7 @@ def case_loss_motion(rng):
     maps = rng.normal(scale=0.1, size=(3, len(p0), 3))
 
     def build(n):
-        per_frame = [dc.gather_rows(dc.reshape(n[0], (3 * len(p0), 3)), np.arange(t * len(p0), (t + 1) * len(p0))) for t in range(3)]
-        return losses.l_mot(per_frame, mov, n_true=3)
+        return losses.l_mot(n[0], 3, mov, n_true=3)
 
     return "loss_l_mot", [maps.reshape(3 * len(p0), 3)], build
 
@@ -404,10 +434,9 @@ def case_loss_total(rng):
     feats = rng.normal(size=(len(mov), 4)) * 5.0
 
     def build(n):
-        maps = [dc.gather_rows(n[0], np.arange(t * len(p0), (t + 1) * len(p0))) for t in range(3)]
         m = dc.pairwise_row_distances(n[2])
         return losses.total_motion_loss(
-            maps,
+            n[0],
             gt,
             p0,
             seg,

@@ -59,13 +59,9 @@ def test_criterion_gradient_suite():
     feats = rng.normal(size=(len(mov), 8)) * 4.0
 
     def build(nodes):
-        maps = [
-            dc.gather_rows(nodes[0], np.arange(t * n_pts, (t + 1) * n_pts))
-            for t in range(n_maps)
-        ]
         dist = dc.pairwise_row_distances(nodes[2])
         return losses.total_motion_loss(
-            maps, gt, p0, seg, dist, nodes[1], same,
+            nodes[0], gt, p0, seg, dist, nodes[1], same,
             n_true=2, weights=losses.LossWeights(),
         ).total
 

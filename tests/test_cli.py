@@ -152,6 +152,39 @@ def test_predict_unknown_run_is_data_error(workdir, tmp_path, capsys):
                  "--input", str(inp), "--out", str(tmp_path / "p")]) == 3
 
 
+def test_predict_negative_recursion_depth_is_config_error(workdir, tmp_path, capsys):
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(workdir / "run"), "--input", str(inp),
+                 "--out", str(tmp_path / "p"), "--recursive", "-1"]) == 2
+    assert "--recursive" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_predict_missing_params_file_is_data_error(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    (run / "displacement.params").unlink()
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "displacement.params" in capsys.readouterr().err
+
+
+def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
+    # finite weights whose products overflow: the maps come out infinite
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    net = DisplacementNet(4, rng, cfg.net)
+    net.params["dec.l2.w"].value[:] = 1e300
+    net.params["dec.l1.b"].value[:] = 1e300
+    run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=net, regressor=MobilityRegressor(4, rng, cfg.net)))
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    with pytest.warns(RuntimeWarning):
+        code = main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p")])
+    assert code == 4
+    assert "non-finite displacement maps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [{"net": {"bogus": 1}}, {"weights": {"bogus": 1}}, {"seed": "x"}],
                          ids=["net_key", "weights_key", "seed_text"])
 def test_malformed_config_field_is_config_error(tmp_path, capsys, bad):
@@ -288,3 +321,20 @@ def test_export_denser_rendering(workdir, tmp_path, capsys):
 def test_export_unknown_shape(workdir, tmp_path, capsys):
     assert main(["export", "--dataset", str(workdir / "data"), "--shape", "sofa_000",
                  "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"seed_path": None}, {"category": "sofa"},
+                                  {"n_frames": "4"}, {"n_frames": None}],
+                         ids=["not_json", "list", "no_keys", "seed_path_null", "category_unknown",
+                              "n_frames_text", "n_frames_null"])
+def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
+    # a str replaces the whole file; a dict overrides fields of the saved one
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data" / "fan_002", data / "fan_002")
+    meta = data / "fan_002" / "shape.json"
+    if isinstance(body, dict):
+        body = json.dumps({**json.loads(meta.read_text()), **body})
+    meta.write_text(body)
+    assert main(["export", "--dataset", str(data), "--shape", "fan_002",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "shape.json" in capsys.readouterr().err

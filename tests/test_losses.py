@@ -125,8 +125,8 @@ def test_motion_term_zero_for_constant_speed():
     rng = np.random.default_rng(7)
     direction = rng.normal(size=(5, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    maps = [dc.constant(direction * 0.2) for _ in range(4)]
-    out = losses.l_mot(maps, np.arange(5), n_true=4)
+    maps = dc.constant(np.tile(direction * 0.2, (4, 1)))
+    out = losses.l_mot(maps, 4, np.arange(5), n_true=4)
     assert float(out.value) < 1e-15
 
 
@@ -134,14 +134,14 @@ def test_motion_term_ignores_padded_frames():
     mov = np.arange(3)
     true_map = np.ones((3, 3)) * 0.1
     zero_map = np.zeros((3, 3))
-    maps = [dc.constant(true_map), dc.constant(true_map), dc.constant(zero_map)]
-    with_pad = losses.l_mot(maps, mov, n_true=3)
-    prefix_only = losses.l_mot(maps, mov, n_true=2)
+    maps = dc.constant(np.concatenate([true_map, true_map, zero_map]))
+    with_pad = losses.l_mot(maps, 3, mov, n_true=3)
+    prefix_only = losses.l_mot(maps, 3, mov, n_true=2)
     assert float(prefix_only.value) < 1e-15
     assert float(with_pad.value) > 1e-3
-    assert float(losses.l_mot(maps, mov, n_true=1).value) == 0.0
+    assert float(losses.l_mot(maps, 3, mov, n_true=1).value) == 0.0
     with pytest.raises(ConfigError):
-        losses.l_mot(maps, mov, n_true=4)
+        losses.l_mot(maps, 3, mov, n_true=4)
 
 
 def test_seg_object_uniform_and_confident_logits():
@@ -211,7 +211,7 @@ def _total_fixture(n=2, n_points=6):
 
 def test_total_weights_reflected_in_reference_term():
     p0, seg, gt = _total_fixture(n=1)
-    maps = [dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))]
+    maps = dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))
     out = losses.total_motion_loss(
         maps, gt, p0, seg, None, None, None, n_true=1,
         weights=losses.LossWeights(), no_seg=True, no_mot=True,
@@ -223,7 +223,7 @@ def test_total_weights_reflected_in_reference_term():
 
 def test_total_ablation_flags_drop_terms():
     p0, seg, gt = _total_fixture()
-    maps = [dc.constant(np.zeros((6, 3))) for _ in range(2)]
+    maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
     same = np.zeros((3, 3))
@@ -246,7 +246,7 @@ def test_total_ablation_flags_drop_terms():
 
 def test_total_uniform_seg_logits_contribute_weighted_ln2():
     p0, seg, gt = _total_fixture()
-    maps = [dc.constant(np.zeros((6, 3))) for _ in range(2)]
+    maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
     same = np.zeros((3, 3))
@@ -276,3 +276,14 @@ def test_baseline_loss_combines_terms():
     assert abs(out.terms["segmentation"] - np.log(2.0)) < 1e-12
     assert out.terms["mobility"] < 1e-3
     assert abs(out.terms["total"] - (out.terms["segmentation"] + out.terms["mobility"])) < 1e-12
+
+
+@pytest.mark.parametrize("maps_rows, gt_shape", [(12, (2, 5, 3)), (10, (2, 6, 3)), (0, (0, 6, 3)), (12, (12, 3))],
+                         ids=["gt_points", "map_rows", "no_frames", "gt_2d"])
+def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape):
+    p0, seg, _ = _total_fixture()
+    with pytest.raises(ConfigError, match="total_motion_loss"):
+        losses.total_motion_loss(
+            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, None, None, None,
+            n_true=1, weights=losses.LossWeights(), no_seg=True,
+        )

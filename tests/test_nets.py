@@ -151,9 +151,9 @@ def test_global_feature_is_permutation_invariant():
 def test_hallucinated_maps_track_point_order():
     pts = cloud(64, seed=7)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(0), cfg=TINY)
-    maps_a = [m.value for m in net.hallucinate(build_plan(pts, TINY))]
+    maps_a = net.hallucinate(build_plan(pts, TINY)).value.reshape(2, 64, 3)
     perm = np.random.default_rng(4).permutation(64)
-    maps_b = [m.value for m in net.hallucinate(build_plan(pts[perm], TINY))]
+    maps_b = net.hallucinate(build_plan(pts[perm], TINY)).value.reshape(2, 64, 3)
     for a, b in zip(maps_a, maps_b):
         np.testing.assert_allclose(a[perm], b, atol=1e-9)
 
@@ -166,8 +166,7 @@ def test_hallucinate_emits_n_maps():
     pts = cloud(48)
     net = DisplacementNet(n_maps=4, rng=np.random.default_rng(1), cfg=TINY)
     maps = net.hallucinate(build_plan(pts, TINY))
-    assert len(maps) == 4
-    assert all(m.value.shape == (48, 3) for m in maps)
+    assert maps.value.shape == (4 * 48, 3)
 
 
 def test_zeroed_output_layer_means_zero_maps():
@@ -175,15 +174,14 @@ def test_zeroed_output_layer_means_zero_maps():
     net = DisplacementNet(n_maps=3, rng=np.random.default_rng(2), cfg=TINY)
     net.params["dec.l2.w"].value[:] = 0.0
     net.params["dec.l2.b"].value[:] = 0.0
-    for m in net.hallucinate(build_plan(pts, TINY)):
-        assert np.abs(m.value).max() == 0.0
+    assert np.abs(net.hallucinate(build_plan(pts, TINY)).value).max() == 0.0
 
 
 def test_recurrent_steps_differ():
     pts = cloud(32)
     net = DisplacementNet(n_maps=3, rng=np.random.default_rng(3), cfg=TINY)
-    maps = net.hallucinate(build_plan(pts, TINY))
-    assert np.abs(maps[0].value - maps[1].value).max() > 1e-8
+    maps = net.hallucinate(build_plan(pts, TINY)).value.reshape(3, 32, 3)
+    assert np.abs(maps[0] - maps[1]).max() > 1e-8
 
 
 def test_without_rnn_still_emits_n_maps():
@@ -191,14 +189,14 @@ def test_without_rnn_still_emits_n_maps():
     net = DisplacementNet(n_maps=3, rng=np.random.default_rng(3), cfg=TINY, use_rnn=False)
     assert not any(k.startswith("lstm") for k in net.params)
     maps = net.hallucinate(build_plan(pts, TINY))
-    assert len(maps) == 3 and all(m.value.shape == (32, 3) for m in maps)
+    assert maps.value.shape == (3 * 32, 3)
 
 
 def test_segment_head_shapes():
     pts = cloud(40)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(4), cfg=TINY)
-    maps = net.hallucinate(build_plan(pts, TINY))
-    logits, feats = net.segment(dc.constant(pts), maps)
+    maps = net.hallucinate(build_plan(pts, TINY)).value.reshape(2, 40, 3)
+    logits, feats = net.segment(pts, maps)
     assert logits.value.shape == (40, 2)
     assert feats.value.shape == (40, TINY.feature_width)
 
@@ -206,9 +204,9 @@ def test_segment_head_shapes():
 def test_segment_rejects_wrong_map_count():
     pts = cloud(40)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(4), cfg=TINY)
-    maps = net.hallucinate(build_plan(pts, TINY))
+    maps = net.hallucinate(build_plan(pts, TINY)).value.reshape(2, 40, 3)
     with pytest.raises(ConfigError):
-        net.segment(dc.constant(pts), maps[:1])
+        net.segment(pts, maps[:1])
 
 
 def test_feature_distance_matrix_properties():
@@ -225,16 +223,13 @@ def test_tiny_overfit_loss_drops():
     pts = cloud(24, seed=9)
     plan = build_plan(pts, TINY)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(5), cfg=TINY)
-    target = [np.full((24, 3), 0.05), np.full((24, 3), -0.02)]
+    target = np.concatenate([np.full((24, 3), 0.05), np.full((24, 3), -0.02)])
     opt = dc.Adam(net.parameters(), lr=5e-3)
 
     def loss_value():
-        maps = net.hallucinate(plan)
-        terms = [dc.reduce_mean(dc.mul(dc.sub(m, dc.constant(t)), dc.sub(m, dc.constant(t)))) for m, t in zip(maps, target)]
-        total = terms[0]
-        for t in terms[1:]:
-            total = dc.add(total, t)
-        return total
+        # the sum over both maps of each map's mean squared error
+        diff = dc.sub(net.hallucinate(plan), target)
+        return dc.scale(dc.reduce_mean(dc.mul(diff, diff)), 2.0)
 
     first = float(loss_value().value)
     for _ in range(30):
@@ -262,7 +257,7 @@ def test_training_step_graph_size():
         seen.add(id(node))
         tags[node.op_tag] += 1
         stack.extend(p for p, _ in node.parents if p.requires_grad)
-    assert sum(tags.values()) == 214
+    assert sum(tags.values()) == 173
     assert tags["transpose"] == tags["neg"] == 0
 
 

@@ -150,6 +150,26 @@ def test_part_too_small_to_register_keeps_regressor_mobility(trained, instances)
     assert spec is not None and spec.tau in ("T", "R", "TR")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layers, what", [(("dec.l1", "dec.l2"), "displacement maps"),
+                                          (("feat.l1", "feat.l2"), "clustering features"),
+                                          (("mob.fc", "mob.axis"), "mobility regressor output")])
+def test_non_finite_prediction_is_numeric_error(records, layers, what):
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    pipe = tr.Pipeline(cfg, net=tr.DisplacementNet(4, rng, cfg.net),
+                       regressor=tr.MobilityRegressor(4, rng, cfg.net))
+    # every point moving, so one part reaches the regressor
+    pipe.net.params["seg.l2.b"].value[:] = [-100.0, 100.0]
+    owner = pipe.regressor if layers[0].startswith("mob.") else pipe.net
+    # finite weights whose product overflows: a huge hidden layer times a
+    # huge output weight
+    owner.params[f"{layers[0]}.b"].value[:] = 1e300
+    owner.params[f"{layers[1]}.w"].value[:] = 1e300
+    with pytest.raises(NumericError, match=what):
+        pipe.predict(records[0].frames[0])
+
+
 def test_pipeline_requires_a_network():
     with pytest.raises(ConfigError, match="no displacement network"):
         tr.Pipeline(micro_config()).predict(np.zeros((64, 3)))
