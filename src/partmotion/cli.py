@@ -260,9 +260,9 @@ def cmd_export(args) -> int:
         meta = json.loads(meta_path.read_text())
         seed_path, category, n_frames = meta["seed_path"], meta["category"], meta["n_frames"]
         if (type(seed_path) is not list or not all(type(s) is int and s >= 0 for s in seed_path)
-                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 1):
+                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2):
             raise ValueError(
-                f"need a list of non-negative ints seed_path, a known category and a positive int n_frames, "
+                f"need a list of non-negative ints seed_path, a known category and an int n_frames of at least 2, "
                 f"got {seed_path!r}, {category!r}, {n_frames!r}"
             )
     except (OSError, ValueError, TypeError, KeyError) as exc:

@@ -6,8 +6,9 @@ it is made, after its parents, so backward() visits the nodes that need a
 gradient in decreasing creation order: each one is reached after all of
 its consumers. Gradients accumulate across calls, so zero them between
 passes. Each op does one job: `linear` is x @ w + b, `slice_axis` takes a
-contiguous block along any axis (LSTM gates, column readouts, weight row
-splits) and `absolute` is |x|.
+contiguous block along any axis (column readouts, weight row splits),
+`absolute` is |x| and `lstm` runs a whole LSTM recurrence as one node whose
+backward is one reverse sweep through time.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
@@ -53,7 +54,7 @@ __all__ = [
     "softmax_cross_entropy",
     "variance_along_axis",
     "pairwise_row_distances",
-    "lstm_cell",
+    "lstm",
     "Adam",
     "save_params",
     "load_params",
@@ -429,34 +430,51 @@ def pairwise_row_distances(a: Node | np.ndarray) -> Node:
 # ---------------------------------------------------------------------------
 # recurrent cell
 
-def lstm_cell(
-    x_proj: Node,
-    h: Optional[Node],
-    c: Optional[Node],
-    w_h: Node,
-) -> tuple[Node, Node]:
-    """One LSTM step. Gate blocks are ordered input, forget, cell, output.
 
-    x_proj is the projected input plus bias, x @ w_x + b, so an input that
-    stays the same over the steps is projected once. h = c = None is the
-    zero state of the first step.
+def lstm(x_proj: Node | np.ndarray, w_h: Node | np.ndarray, steps: int) -> Node:
+    """`steps` LSTM steps from the zero state, hidden states stacked (steps, W).
+
+    x_proj (1, 4W) is x @ w_x + b; gate blocks are ordered input, forget, cell,
+    output. Step t's gates are x_proj + h @ w_h, x_proj alone at t = 0.
     """
-    width = w_h.value.shape[0]
-    if w_h.value.shape[1] != 4 * width or x_proj.value.shape[-1] != 4 * width:
-        raise ShapeMismatch(
-            f"op 'lstm_cell': gate widths disagree: x_proj {x_proj.value.shape}, w_h {w_h.value.shape}"
-        )
-    if (h is None) != (c is None):
-        raise ConfigError("op 'lstm_cell': give both h and c, or neither for the zero state")
-    gates = x_proj if h is None else add(x_proj, matmul(h, w_h))
+    x_proj, w_h = _as_node(x_proj), _as_node(w_h)
+    xv, wv = x_proj.value, w_h.value
+    width = wv.shape[0] if wv.ndim == 2 else -1
+    if xv.shape != (1, 4 * width) or wv.shape != (width, 4 * width) or steps < 1:
+        raise ShapeMismatch(f"op 'lstm': x_proj {xv.shape}, w_h {wv.shape} and {steps} steps do not fit")
+    acts = np.empty((steps, 4, width))  # sigmoid of the i, f, o gates, tanh of the cell gate
+    cells, tanh_c, states = np.empty((3, steps, width))
+    h = None
+    for t in range(steps):
+        gates = (xv if h is None else xv + h @ wv).reshape(4, width)
+        a = acts[t]
+        a[:] = 1.0 / (1.0 + np.exp(-gates))
+        a[2] = np.tanh(gates[2])
+        cells[t] = a[0] * a[2] if h is None else a[1] * cells[t - 1] + a[0] * a[2]
+        tanh_c[t] = np.tanh(cells[t])
+        h = (a[3] * tanh_c[t]).reshape(1, width)
+        states[t] = h
+    swept: list = [None, None]  # backward() hands both closures one g: sweep once per call
 
-    def block(k: int) -> Node:
-        return slice_axis(gates, k * width, (k + 1) * width, axis=1)
+    def gate_grads(g: np.ndarray) -> np.ndarray:
+        """(steps, 4W) gradient of every step's gate pre-activations."""
+        if swept[0] is not g:
+            slope = acts * (1.0 - acts)
+            slope[:, 2] = 1.0 - acts[:, 2] ** 2
+            dG = np.empty((steps, 4, width))
+            dh, dc = g[-1], 0.0
+            for t in range(steps - 1, -1, -1):
+                i, f, cand, o = acts[t]
+                dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+                dG[t] = dc * cand, dc * (cells[t - 1] if t else 0.0), dc * i, dh * tanh_c[t]
+                dG[t] *= slope[t]
+                if t:
+                    dh, dc = g[t - 1] + dG[t].reshape(-1) @ wv.T, dc * f
+            swept[:] = g, dG.reshape(steps, 4 * width)
+        return swept[1]
 
-    c_next = mul(sigmoid(block(0)), tanh(block(2)))
-    if c is not None:
-        c_next = add(mul(sigmoid(block(1)), c), c_next)
-    return mul(sigmoid(block(3)), tanh(c_next)), c_next
+    return _make(states, [(x_proj, lambda g: gate_grads(g).sum(axis=0, keepdims=True)),
+                          (w_h, lambda g: states[:-1].T @ gate_grads(g)[1:])], "lstm")
 
 
 # ---------------------------------------------------------------------------

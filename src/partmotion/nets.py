@@ -13,7 +13,8 @@ argsort. The plan is built once per cloud and reused across steps.
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
 features into an N x 3 displacement map. The LSTM's input projection is
-the same at every step, so it is computed once per cloud. The decoder is
+the same at every step, so it is computed once per cloud, and all n steps
+run as one `dc.lstm` node that returns the stacked states. The decoder is
 feed-forward given the hidden states, so all n frames are decoded in one
 pass: the first decoder layer's weight splits by rows, the per-point block
 is applied once per cloud as (N, hidden), the state block and bias once to
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .geom import MOBILITY_TYPES, MobilitySpec, normalize_to_unit_box, unit
 
 THETA_STOP = 0.01
@@ -81,7 +82,8 @@ def _coord_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
-def farthest_point_indices(points: np.ndarray, count: int) -> np.ndarray:
+def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count picks, and their (count, N) distances to every point in input order."""
     if points.shape[0] < count:
         raise ConfigError(f"cannot pick {count} centroids from {points.shape[0]} points")
     order = _coord_order(points)
@@ -89,10 +91,12 @@ def farthest_point_indices(points: np.ndarray, count: int) -> np.ndarray:
     # the first pick is farthest from the mean, each next one from all picked
     gap = np.linalg.norm(ranked - points.mean(axis=0), axis=1)
     near, chosen = np.inf, []
-    for _ in range(count):
+    dist = np.empty((count, points.shape[0]))
+    for k in range(count):
         chosen.append(int(np.argmax(gap)))
-        near = gap = np.minimum(near, np.linalg.norm(ranked - ranked[chosen[-1]], axis=1))
-    return order[chosen]
+        dist[k] = np.linalg.norm(ranked - ranked[chosen[-1]], axis=1)
+        near = gap = np.minimum(near, dist[k])
+    return order[chosen], dist[:, np.argsort(order)]
 
 
 def _nearest(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
@@ -138,11 +142,10 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
         raise ConfigError(f"points must be (N, 3), got {points.shape}")
     (s1, r1, _), (s2, r2, _) = cfg.sa_stages
     k1, k2 = cfg.group_sizes
-    c1 = farthest_point_indices(points, s1)
+    # the stage-1 centroid-to-point distances serve both groupings and both interpolations
+    c1, d1 = farthest_point_indices(points, s1)
     p1 = points[c1]
-    c2 = farthest_point_indices(p1, s2)
-    # stage-1 centroid-to-point distances serve both groupings and both interpolations
-    d1 = np.linalg.norm(points - p1[:, None], axis=2)
+    c2, _ = farthest_point_indices(p1, s2)
     o1 = _coord_order(p1)
     g1 = _group(d1, _coord_order(points), r1, k1)
     g2 = _group(d1[np.ix_(c2, c1)], o1, r2, k2)
@@ -279,12 +282,7 @@ class DisplacementNet:
         w_state = dc.slice_axis(w, split, w.value.shape[0])
         if self.use_rnn:
             x_proj = dc.linear(g_feat, self.params["lstm.wx"], self.params["lstm.b"])
-            h = c = None
-            states = []
-            for _ in range(self.n_maps):
-                h, c = dc.lstm_cell(x_proj, h, c, self.params["lstm.wh"])
-                states.append(h)
-            states = dc.concat(states)
+            states = dc.lstm(x_proj, self.params["lstm.wh"], self.n_maps)
         else:
             states = g_feat
         n_states, n_points = states.value.shape[0], base.value.shape[0]
@@ -331,7 +329,10 @@ def feature_distance_matrix(features: np.ndarray) -> np.ndarray:
 def _mobility_readout(type_logits: dc.Node, axis_out: dc.Node):
     """(type string, unit direction, position) from a mobility head's outputs."""
     tau = MOBILITY_TYPES[int(np.argmax(type_logits.value[0]))]
-    return tau, unit(axis_out.value[0, :3]), axis_out.value[0, 3:].copy()
+    try:
+        return tau, unit(axis_out.value[0, :3]), axis_out.value[0, 3:].copy()
+    except ConfigError as exc:  # a zero output is a numeric failure, not a bad setting
+        raise NumericError(f"mobility regressor output: {exc}") from exc
 
 
 class MobilityRegressor:

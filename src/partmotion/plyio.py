@@ -85,7 +85,7 @@ def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
             points[i] = [float(tok[0]), float(tok[1]), float(tok[2])]
             if labels is not None:
                 labels[i] = int(tok[3])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
             raise DataError(f"{path}: malformed vertex row {i}") from exc
     if not np.all(np.isfinite(points)):
         raise DataError(f"{path}: non-finite vertex coordinates")

@@ -221,38 +221,12 @@ def case_pairwise_row_distances(rng):
     )
 
 
-def case_lstm_cell(rng):
-    width, xdim, batch = 3, 4, 2
-    x = rng.normal(size=(batch, xdim))
-    h = rng.normal(size=(batch, width))
-    c = rng.normal(size=(batch, width))
-    w_x = rng.normal(size=(xdim, 4 * width)) * 0.5
+def case_lstm(rng):
+    width, steps = 3, 3
+    x_proj = rng.normal(size=(1, 4 * width))
     w_h = rng.normal(size=(width, 4 * width)) * 0.5
-    b = rng.normal(size=(4 * width,))
-    w1 = _proj(rng, (batch, width))
-    w2 = _proj(rng, (batch, width))
-
-    def build(n):
-        h2, c2 = dc.lstm_cell(dc.linear(n[0], n[3], n[5]), n[1], n[2], n[4])
-        return dc.add(dc.reduce_sum(dc.mul(h2, w1)), dc.reduce_sum(dc.mul(c2, w2)))
-
-    return "lstm_cell", [x, h, c, w_x, w_h, b], build
-
-
-def case_lstm_cell_zero_state(rng):
-    width, batch = 3, 2
-    x_proj = rng.normal(size=(batch, 4 * width))
-    w_h = rng.normal(size=(width, 4 * width)) * 0.5
-    w1 = _proj(rng, (batch, width))
-    w2 = _proj(rng, (batch, width))
-
-    def build(n):
-        # first step from the zero state, then a second step from its output
-        h1, c1 = dc.lstm_cell(n[0], None, None, n[1])
-        h2, c2 = dc.lstm_cell(n[0], h1, c1, n[1])
-        return dc.add(dc.reduce_sum(dc.mul(h2, w1)), dc.reduce_sum(dc.mul(c2, w2)))
-
-    return "lstm_cell_zero_state", [x_proj, w_h], build
+    w = _proj(rng, (steps, width))
+    return "lstm", [x_proj, w_h], lambda n: dc.reduce_sum(dc.mul(dc.lstm(n[0], n[1], steps), w))
 
 
 def case_mlp_chain(rng):
@@ -300,8 +274,7 @@ OP_CASES = [
     case_softmax_cross_entropy,
     case_variance,
     case_pairwise_row_distances,
-    case_lstm_cell,
-    case_lstm_cell_zero_state,
+    case_lstm,
     case_mlp_chain,
 ]
 

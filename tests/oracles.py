@@ -5,10 +5,11 @@ code with the package under test.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from partmotion import diffcore as dc
 from partmotion.errors import ConfigError
 from partmotion.nets import EncoderPlan, NetConfig
 
@@ -126,6 +127,40 @@ def brute_average_precision(
         _, r_next = pr[k + 1]
         ap += (r_k - r_next) * p_k
     return ap
+
+
+def lstm_cell(
+    x_proj: dc.Node,
+    h: Optional[dc.Node],
+    c: Optional[dc.Node],
+    w_h: dc.Node,
+) -> tuple[dc.Node, dc.Node]:
+    """One LSTM step built from single engine ops: the reference for dc.lstm.
+
+    Gate blocks are ordered input, forget, cell, output. x_proj is the
+    projected input plus bias; h = c = None is the zero state of the first
+    step, which has no recurrent matmul and no forget term.
+    """
+    width = w_h.value.shape[0]
+    gates = x_proj if h is None else dc.add(x_proj, dc.matmul(h, w_h))
+
+    def block(k: int) -> dc.Node:
+        return dc.slice_axis(gates, k * width, (k + 1) * width, axis=1)
+
+    c_next = dc.mul(dc.sigmoid(block(0)), dc.tanh(block(2)))
+    if c is not None:
+        c_next = dc.add(dc.mul(dc.sigmoid(block(1)), c), c_next)
+    return dc.mul(dc.sigmoid(block(3)), dc.tanh(c_next)), c_next
+
+
+def lstm_states(x_proj: dc.Node, w_h: dc.Node, steps: int) -> dc.Node:
+    """`steps` reference cell steps from the zero state, hidden states stacked."""
+    h = c = None
+    states = []
+    for _ in range(steps):
+        h, c = lstm_cell(x_proj, h, c, w_h)
+        states.append(h)
+    return dc.concat(states)
 
 
 def rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:

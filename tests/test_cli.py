@@ -2,13 +2,17 @@
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microfixtures import TINY_NET_JSON, micro_config
 from partmotion.cli import main
+from partmotion.datagen import TEMPLATE_NAMES
 from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
@@ -185,6 +189,19 @@ def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
     assert "non-finite displacement maps" in capsys.readouterr().err
 
 
+def test_predict_zero_regressor_direction_is_numeric_error(workdir, tmp_path, capsys):
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    net, reg = DisplacementNet(4, rng, cfg.net), MobilityRegressor(4, rng, cfg.net)
+    net.params["seg.l2.b"].value[:] = [-100.0, 100.0]  # every point moving
+    for name in ("mob.axis.w", "mob.axis.b"):
+        reg.params[name].value[:] = 0.0
+    run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=net, regressor=reg))
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p")]) == 4
+    assert "mobility regressor output" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [{"net": {"bogus": 1}}, {"weights": {"bogus": 1}}, {"seed": "x"}],
                          ids=["net_key", "weights_key", "seed_text"])
 def test_malformed_config_field_is_config_error(tmp_path, capsys, bad):
@@ -324,9 +341,9 @@ def test_export_unknown_shape(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"seed_path": None}, {"category": "sofa"},
-                                  {"n_frames": "4"}, {"n_frames": None}],
+                                  {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1}],
                          ids=["not_json", "list", "no_keys", "seed_path_null", "category_unknown",
-                              "n_frames_text", "n_frames_null"])
+                              "n_frames_text", "n_frames_null", "n_frames_one"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str replaces the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"
@@ -338,3 +355,99 @@ def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     assert main(["export", "--dataset", str(data), "--shape", "fan_002",
                  "--out", str(tmp_path / "x")]) == 3
     assert "shape.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: each one a user can hand the CLI either works or exits
+# with a documented code (2 config, 3 data, 4 numeric), never a traceback.
+# Drawn counts and widths stay small, so a run that succeeds is quick.
+
+CONTRACT_CODES = {0, 2, 3, 4}
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(-3.0, 3.0), st.text(max_size=6),
+    st.sampled_from([float("nan"), float("inf"), 1e308, *TEMPLATE_NAMES]),
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def json_file_text(base: dict, keys) -> st.SearchStrategy:
+    """Arbitrary text, a JSON value that is not an object, or `base` with a
+    few fields redrawn (a drawn object would mostly fall back to the
+    full-size defaults)."""
+    def value(key):  # half the time a value of the field's own kind
+        kind = {bool: st.booleans(), int: st.integers(-3, 9), float: st.floats(-3.0, 3.0)}.get(type(base.get(key)))
+        return JSON_VALUE if kind is None else kind | JSON_VALUE
+
+    overrides = st.lists(st.sampled_from([*keys, "bogus"]), max_size=3, unique=True).flatmap(
+        lambda ks: st.fixed_dictionaries({k: value(k) for k in ks}))
+    return st.one_of(st.text(max_size=40), (JSON_LEAF | st.lists(JSON_VALUE, max_size=3)).map(json.dumps),
+                     overrides.map(lambda d: json.dumps({**base, **d})))
+
+
+CONFIG_BASE = json.loads(micro_config(categories=("fan",), shapes_per_category=1).to_json())
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=json_file_text(CONFIG_BASE, [k for k in CONFIG_BASE if k not in ("dataset_dir", "out_dir")]))
+def test_fuzzed_config_exits_with_contract_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "config.json").write_text(text)
+        assert main(["gen", "--config", f"{tmp}/config.json", "--out", f"{tmp}/data"]) in CONTRACT_CODES
+
+
+@st.composite
+def ply_text(draw) -> str:
+    props = draw(st.sampled_from([("x", "y", "z"), ("x", "y", "z", "label"), ("y", "x", "z"), ("x", "y")]))
+    fields = (st.integers(-3, 3).map(str) if p == "label" else st.floats(-2.0, 2.0).map(repr) for p in props)
+    rows = draw(st.lists(st.tuples(*fields).map(" ".join), max_size=70))
+    # a few rows swapped for bad numbers, an overflowing label, or a short or long row
+    junk = st.sampled_from(["nan 0 0", "0 -inf 0", "1e999 0 0", "0 x 0", "0 0", "0 0 0 0 0", "0 0 0 " + "9" * 25])
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)) if rows else []:
+        rows[i] = draw(junk)
+    count = draw(st.sampled_from([len(rows), len(rows) + 1, max(len(rows) - 1, 0)]).map(str)
+                 | st.text(max_size=3))
+    head = ["ply", "format ascii 1.0", f"element vertex {count}",
+            *(f"property double {p}" for p in props), "end_header"]
+    return "\n".join(draw(st.sampled_from([head, head[:2] + head[3:]])) + rows) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=ply_text() | st.text(max_size=60))
+@example(text=PLY_HEAD.replace("end_header", "property int label\nend_header").format(1) + "0 0 0 " + "9" * 25)
+def test_fuzzed_input_ply_exits_with_contract_code(workdir, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "in.ply").write_text(text)
+        code = main(["predict", "--run", str(workdir / "run"), "--input", f"{tmp}/in.ply", "--out", f"{tmp}/p"])
+        assert code in CONTRACT_CODES
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_json_exits_with_contract_code(workdir, data):
+    base = json.loads((workdir / "run" / "model.json").read_text())
+    net = st.dictionaries(st.sampled_from(sorted(TINY_NET_JSON)), JSON_VALUE, max_size=2)
+    base_or_net = st.one_of(json_file_text(base, sorted(base)),
+                            net.map(lambda d: json.dumps({**base, "net": {**TINY_NET_JSON, **d}})))
+    text = data.draw(base_or_net)
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(workdir / "run", run)
+        (run / "model.json").write_text(text)
+        inp = workdir / "data" / "fan_004" / "frame_01.ply"
+        assert main(["predict", "--run", str(run), "--input", str(inp), "--out", f"{tmp}/p"]) in CONTRACT_CODES
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_shape_json_exits_with_contract_code(workdir, data):
+    base = json.loads((workdir / "data" / "fan_002" / "shape.json").read_text())
+    text = data.draw(json_file_text(base, sorted(base)))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "fan_002").mkdir()
+        (Path(tmp) / "fan_002" / "shape.json").write_text(text)
+        assert main(["export", "--dataset", tmp, "--shape", "fan_002", "--points", "64",
+                     "--out", f"{tmp}/x"]) in CONTRACT_CODES

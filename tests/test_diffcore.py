@@ -7,6 +7,7 @@ from partmotion import diffcore as dc
 from partmotion.errors import ConfigError, DataError, NumericError, ShapeMismatch
 
 from grad_cases import OP_CASES
+import oracles
 from oracles import finite_difference_grad, relative_error
 
 N_FIXTURES = 5
@@ -71,33 +72,61 @@ def test_pairwise_row_distances_symmetric_zero_diagonal():
     assert abs(m[3, 11] - brute) < 1e-9
 
 
-def test_lstm_zero_params_zero_state_gives_zero_output():
-    width, xdim = 4, 3
-    x = dc.constant(np.ones((1, xdim)))
-    w_x = dc.constant(np.zeros((xdim, 4 * width)))
-    w_h = dc.constant(np.zeros((width, 4 * width)))
-    b = dc.constant(np.zeros(4 * width))
-    x_proj = dc.linear(x, w_x, b)
-    # the zero state given as None (first step) and as explicit zeros
-    h_none, c_none = dc.lstm_cell(x_proj, None, None, w_h)
-    zeros = dc.constant(np.zeros((1, width)))
-    h_zero, c_zero = dc.lstm_cell(x_proj, zeros, zeros, w_h)
-    for h2, c2 in ((h_none, c_none), (h_zero, c_zero)):
-        np.testing.assert_allclose(h2.value, 0.0, atol=1e-15)
-        np.testing.assert_allclose(c2.value, 0.0, atol=1e-15)
+def test_lstm_zero_params_give_zero_states():
+    width = 4
+    x_proj = dc.linear(np.ones((1, 3)), np.zeros((3, 4 * width)), np.zeros(4 * width))
+    states = dc.lstm(x_proj, np.zeros((width, 4 * width)), 5)
+    assert states.value.shape == (5, width)
+    np.testing.assert_allclose(states.value, 0.0, atol=1e-15)
 
 
-def test_lstm_first_step_matches_explicit_zero_state_bytes():
-    rng = np.random.default_rng(3)
-    x_proj = dc.constant(rng.normal(size=(1, 16)))
-    w_h = dc.constant(rng.normal(size=(4, 16)))
-    zeros = dc.constant(np.zeros((1, 4)))
-    h_none, c_none = dc.lstm_cell(x_proj, None, None, w_h)
-    h_zero, c_zero = dc.lstm_cell(x_proj, zeros, zeros, w_h)
-    assert h_none.value.tobytes() == h_zero.value.tobytes()
-    assert c_none.value.tobytes() == c_zero.value.tobytes()
-    with pytest.raises(ConfigError, match="lstm_cell"):
-        dc.lstm_cell(x_proj, zeros, None, w_h)
+@pytest.mark.parametrize("width,steps", [(128, 8), (3, 1)])
+def test_lstm_matches_cell_loop_bytes(width, steps):
+    rng = np.random.default_rng(width)
+    x_proj, w_h = rng.normal(size=(1, 4 * width)), rng.normal(size=(width, 4 * width)) * 0.2
+    weights = rng.normal(size=(steps, width))
+    got, want = [dc.parameter(x_proj), dc.parameter(w_h)], [dc.parameter(x_proj), dc.parameter(w_h)]
+    fused, loop = dc.lstm(*got, steps), oracles.lstm_states(*want, steps)
+    assert fused.value.tobytes() == loop.value.tobytes()
+    dc.backward(dc.reduce_sum(dc.mul(fused, weights)))
+    dc.backward(dc.reduce_sum(dc.mul(loop, weights)))
+    # the sums run in another order, so the gradients agree to rounding only
+    assert relative_error(got[0].grad, want[0].grad) < 1e-9
+    if steps == 1:  # no recurrent matmul: the reference never reaches w_h
+        assert want[1].grad is None and not got[1].grad.any()
+    else:
+        assert relative_error(got[1].grad, want[1].grad) < 1e-9
+
+
+def test_lstm_sweeps_again_on_each_backward_call():
+    # two backward passes through one lstm node must each use their own
+    # upstream gradient, not the gate gradients of the first pass
+    rng = np.random.default_rng(5)
+    x_proj, w_h = rng.normal(size=(1, 12)), rng.normal(size=(3, 12))
+    w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+    def grads(*weights):
+        nodes = [dc.parameter(x_proj), dc.parameter(w_h)]
+        states = dc.lstm(*nodes, 4)
+        for w in weights:
+            states.grad = None  # only the parameters sum over both passes
+            dc.backward(dc.reduce_sum(dc.mul(states, w)))
+        return [n.grad for n in nodes]
+
+    both, first, second = grads(w1, w2), grads(w1), grads(w2)
+    for got, a, b in zip(both, first, second):
+        np.testing.assert_allclose(got, a + b, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((2, 12), (3, 12)),   # more than one input row
+    ((1, 16), (3, 12)),   # x_proj gates wider than w_h's
+    ((1, 12), (3, 16)),   # w_h not (W, 4W)
+    ((12,), (3, 12)),     # flat x_proj
+])
+def test_lstm_rejects_mismatched_shapes(x_shape, w_shape):
+    with pytest.raises(ShapeMismatch, match="lstm"):
+        dc.lstm(np.zeros(x_shape), np.zeros(w_shape), 2)
 
 
 def test_shared_subgraph_accumulates_gradient():

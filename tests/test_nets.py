@@ -88,16 +88,18 @@ def test_build_plan_rejects_small_cloud():
 def test_farthest_point_sampling_is_order_free():
     pts = cloud(60, seed=3)
     perm = np.random.default_rng(1).permutation(60)
-    a = pts[farthest_point_indices(pts, 10)]
-    b = pts[perm][farthest_point_indices(pts[perm], 10)]
+    a = pts[farthest_point_indices(pts, 10)[0]]
+    b = pts[perm][farthest_point_indices(pts[perm], 10)[0]]
     np.testing.assert_allclose(a, b, atol=0.0)
 
 
 def test_farthest_point_sampling_spreads_out():
     # a far-away outlier must be picked before its crowded neighbors
     pts = np.concatenate([cloud(40) * 0.1, [[5.0, 0.0, 0.0]]])
-    idx = farthest_point_indices(pts, 4)
+    idx, rows = farthest_point_indices(pts, 4)
     assert 40 in idx
+    want = np.linalg.norm(pts - pts[idx][:, None], axis=2)
+    assert rows.tobytes() == want.tobytes()
 
 
 def _plan_case(case):
@@ -257,7 +259,7 @@ def test_training_step_graph_size():
         seen.add(id(node))
         tags[node.op_tag] += 1
         stack.extend(p for p, _ in node.parents if p.requires_grad)
-    assert sum(tags.values()) == 173
+    assert sum(tags.values()) == 119
     assert tags["transpose"] == tags["neg"] == 0
 
 

@@ -170,6 +170,18 @@ def test_non_finite_prediction_is_numeric_error(records, layers, what):
         pipe.predict(records[0].frames[0])
 
 
+def test_zero_regressor_direction_is_numeric_error(records):
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    pipe = tr.Pipeline(cfg, net=tr.DisplacementNet(4, rng, cfg.net),
+                       regressor=tr.MobilityRegressor(4, rng, cfg.net))
+    pipe.net.params["seg.l2.b"].value[:] = [-100.0, 100.0]  # every point moving
+    for name in ("mob.axis.w", "mob.axis.b"):
+        pipe.regressor.params[name].value[:] = 0.0
+    with pytest.raises(NumericError, match="mobility regressor output"):
+        pipe.predict(records[0].frames[0])
+
+
 def test_pipeline_requires_a_network():
     with pytest.raises(ConfigError, match="no displacement network"):
         tr.Pipeline(micro_config()).predict(np.zeros((64, 3)))
