@@ -19,7 +19,7 @@ from .config import ABLATION_SWITCHES, RunConfig, load_config
 from .datagen import TEMPLATE_NAMES, generate_dataset, generate_shape, load_dataset, make_sequence
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
-from .nets import PredictionNode, ShapePrediction, recursive_predict
+from .nets import MIN_PART_POINTS, PredictionNode, ShapePrediction, recursive_predict
 from .plyio import read_ply, write_ply
 from .training import (
     EvalResult,
@@ -179,8 +179,9 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["prediction report", f"input {args.input}", f"resampled {str(resampled).lower()}"]
     if args.recursive > 1:
-        node = recursive_predict(
-            points, pipeline.predict, depth=args.recursive, stop_threshold=config.theta_stop
+        node = recursive_predict(  # a part with fewer points than stage-1 centroids is a leaf
+            points, pipeline.predict, depth=args.recursive,
+            min_points=max(MIN_PART_POINTS, config.net.sa_stages[0][0]), stop_threshold=config.theta_stop,
         )
         lines += format_tree(node, config.theta_stop)
         pred = node.prediction

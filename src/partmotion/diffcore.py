@@ -48,8 +48,6 @@ __all__ = [
     "reduce_max_with_index",
     "relu",
     "absolute",
-    "sigmoid",
-    "tanh",
     "l2_norm_rows",
     "softmax_cross_entropy",
     "variance_along_axis",
@@ -329,25 +327,13 @@ def reduce_max_with_index(a: Node | np.ndarray, axis: int) -> tuple[Node, np.nda
 def relu(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
     mask = a.value > 0.0
-    return _make(a.value * mask, [(a, lambda g: g * mask)], "relu")
+    return _make(np.maximum(a.value, 0.0), [(a, lambda g: g * mask)], "relu")
 
 
 def absolute(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
     sign = np.sign(a.value)
     return _make(np.abs(a.value), [(a, lambda g: g * sign)], "absolute")
-
-
-def sigmoid(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    out = 1.0 / (1.0 + np.exp(-a.value))
-    return _make(out, [(a, lambda g: g * out * (1.0 - out))], "sigmoid")
-
-
-def tanh(a: Node | np.ndarray) -> Node:
-    a = _as_node(a)
-    out = np.tanh(a.value)
-    return _make(out, [(a, lambda g: g * (1.0 - out * out))], "tanh")
 
 
 def l2_norm_rows(a: Node | np.ndarray) -> Node:

@@ -8,7 +8,10 @@ equally distant points, in sampling, grouping and interpolation alike, the
 first in coordinate order (x, then y, then z, then index) wins, so a
 permuted cloud encodes to the same global feature; with a point set's
 columns in that order, each tie-break is a first-wins argmax or a stable
-argsort. The plan is built once per cloud and reused across steps.
+sort. Sampling computes one distance table per cloud, whose rows for the
+picks serve both groupings and both interpolations; a k-nearest selection
+partitions each row and stable-sorts just the k columns it keeps, under
+the same tie rule. The plan is built once per cloud and reused across steps.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
@@ -33,12 +36,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
 from .geom import MOBILITY_TYPES, MobilitySpec, normalize_to_unit_box, unit
 
 THETA_STOP = 0.01
+MIN_PART_POINTS = 32  # smallest component the recursion re-runs the predictor on
 # Clustering features are projected onto a sphere of this radius. The
 # diameter (160) keeps cross-part distances able to clear the margin (80)
 # while ruling out the degenerate optimum where every row shrinks to a
@@ -88,20 +93,27 @@ def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, 
         raise ConfigError(f"cannot pick {count} centroids from {points.shape[0]} points")
     order = _coord_order(points)
     ranked = points[order]
+    table = cdist(ranked, ranked)
     # the first pick is farthest from the mean, each next one from all picked
     gap = np.linalg.norm(ranked - points.mean(axis=0), axis=1)
     near, chosen = np.inf, []
-    dist = np.empty((count, points.shape[0]))
-    for k in range(count):
+    for _ in range(count):
         chosen.append(int(np.argmax(gap)))
-        dist[k] = np.linalg.norm(ranked - ranked[chosen[-1]], axis=1)
-        near = gap = np.minimum(near, dist[k])
-    return order[chosen], dist[:, np.argsort(order)]
+        near = gap = np.minimum(near, table[chosen[-1]])
+    return order[chosen], table[np.ix_(chosen, np.argsort(order))]
 
 
 def _nearest(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest columns, taking tied columns in the order of cols."""
-    return cols[np.argsort(dist[:, cols], axis=1, kind="stable")[:, :k]]
+    sub = dist[:, cols]
+    k = min(k, cols.size)
+    kth = np.partition(sub, k - 1, axis=1)[:, k - 1 : k]
+    below, tied = sub < kth, sub == kth
+    # every column below the k-th value, then the first tied ones up to k
+    keep = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    picked = np.nonzero(keep)[1].reshape(-1, k)
+    rank = np.argsort(np.take_along_axis(sub, picked, axis=1), axis=1, kind="stable")
+    return cols[np.take_along_axis(picked, rank, axis=1)]
 
 
 def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndarray:
@@ -463,7 +475,7 @@ def recursive_predict(
     points: np.ndarray,
     predictor: Callable[[np.ndarray], ShapePrediction],
     depth: int = 2,
-    min_points: int = 32,
+    min_points: int = MIN_PART_POINTS,
     stop_threshold: float = THETA_STOP,
 ) -> PredictionNode:
     """Predict, then re-run the predictor inside each moving component.

@@ -13,6 +13,8 @@ import numpy as np
 from partmotion import diffcore as dc
 from partmotion import losses
 
+import oracles
+
 Case = tuple[str, list[np.ndarray], Callable]
 
 
@@ -184,13 +186,13 @@ def case_absolute(rng):
 def case_sigmoid(rng):
     a = rng.normal(size=(3, 4))
     w = _proj(rng, (3, 4))
-    return "sigmoid", [a], lambda n: dc.reduce_sum(dc.mul(dc.sigmoid(n[0]), w))
+    return "sigmoid", [a], lambda n: dc.reduce_sum(dc.mul(oracles.sigmoid(n[0]), w))
 
 
 def case_tanh(rng):
     a = rng.normal(size=(3, 4))
     w = _proj(rng, (3, 4))
-    return "tanh", [a], lambda n: dc.reduce_sum(dc.mul(dc.tanh(n[0]), w))
+    return "tanh", [a], lambda n: dc.reduce_sum(dc.mul(oracles.tanh(n[0]), w))
 
 
 def case_l2_norm_rows(rng):
@@ -237,7 +239,7 @@ def case_mlp_chain(rng):
     labels = rng.integers(0, 2, size=4)
 
     def build(n):
-        hidden = dc.tanh(dc.add(dc.matmul(n[0], n[1]), n[2]))
+        hidden = oracles.tanh(dc.add(dc.matmul(n[0], n[1]), n[2]))
         return dc.softmax_cross_entropy(dc.matmul(hidden, n[3]), labels)
 
     return "mlp_chain", [x, w1, b1, w2], build

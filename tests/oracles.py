@@ -129,6 +129,22 @@ def brute_average_precision(
     return ap
 
 
+def _unary(a: dc.Node, out: np.ndarray, backward: Callable, op_tag: str) -> dc.Node:
+    """One engine node with a single parent, which it skips unless a needs a gradient."""
+    parents = ((a, backward),) if a.requires_grad else ()
+    return dc.Node(out, parents, op_tag, requires_grad=a.requires_grad)
+
+
+def sigmoid(a: dc.Node) -> dc.Node:
+    out = 1.0 / (1.0 + np.exp(-a.value))
+    return _unary(a, out, lambda g: g * out * (1.0 - out), "sigmoid")
+
+
+def tanh(a: dc.Node) -> dc.Node:
+    out = np.tanh(a.value)
+    return _unary(a, out, lambda g: g * (1.0 - out * out), "tanh")
+
+
 def lstm_cell(
     x_proj: dc.Node,
     h: Optional[dc.Node],
@@ -147,10 +163,10 @@ def lstm_cell(
     def block(k: int) -> dc.Node:
         return dc.slice_axis(gates, k * width, (k + 1) * width, axis=1)
 
-    c_next = dc.mul(dc.sigmoid(block(0)), dc.tanh(block(2)))
+    c_next = dc.mul(sigmoid(block(0)), tanh(block(2)))
     if c is not None:
-        c_next = dc.add(dc.mul(dc.sigmoid(block(1)), c), c_next)
-    return dc.mul(dc.sigmoid(block(3)), dc.tanh(c_next)), c_next
+        c_next = dc.add(dc.mul(sigmoid(block(1)), c), c_next)
+    return dc.mul(sigmoid(block(3)), tanh(c_next)), c_next
 
 
 def lstm_states(x_proj: dc.Node, w_h: dc.Node, steps: int) -> dc.Node:

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microfixtures import TINY_NET_JSON, micro_config
+from microfixtures import TINY_NET, TINY_NET_JSON, micro_config
 from partmotion.cli import main
 from partmotion.datagen import TEMPLATE_NAMES
-from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor
+from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
 
@@ -148,6 +148,30 @@ def test_predict_recursive_stops_at_config_theta_stop(workdir, tmp_path, capsys)
                      "--out", str(tmp_path / "p"), "--recursive", "3"]) == 0
         deeper[theta_stop] = "node level 2" in capsys.readouterr().out
     assert deeper == {THETA_STOP: True, 1.0: False}
+
+
+@pytest.mark.parametrize("moving, deeper", [(40, False), (56, True)])
+def test_predict_recursive_leaves_parts_below_stage_one_centroids(
+        workdir, tmp_path, monkeypatch, capsys, moving, deeper):
+    # with 48 stage-1 centroids a 40-point part cannot be encoded, so it stays a leaf
+    net = NetConfig(**{**TINY_NET, "sa_stages": ((48, 0.35, (8, 16)), (4, 0.8, (16, 24)))})
+    cfg = micro_config(net=net)
+    rng = np.random.default_rng(0)
+    run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=DisplacementNet(4, rng, net),
+                                                   regressor=MobilityRegressor(4, rng, net)))
+    inner = Pipeline.predict
+
+    def predict(self, points):
+        if points.shape[0] < cfg.n_points:
+            return inner(self, points)
+        labels = (np.arange(cfg.n_points) < moving).astype(np.int64)
+        return ShapePrediction(np.full((4, cfg.n_points, 3), 0.1), labels, {1: None}, {1: 1.0})
+
+    monkeypatch.setattr(Pipeline, "predict", predict)
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p"), "--recursive", "2"]) == 0
+    assert ("node level 2" in capsys.readouterr().out) == deeper
 
 
 def test_predict_unknown_run_is_data_error(workdir, tmp_path, capsys):

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from microfixtures import micro_config, micro_records
@@ -21,6 +23,7 @@ from partmotion.nets import (
     NetConfig,
     PredictionNode,
     ShapePrediction,
+    _nearest,
     build_plan,
     denormalized_spec,
     farthest_point_indices,
@@ -134,6 +137,34 @@ def test_build_plan_matches_loop_oracle_bytes(case):
         for f in dataclasses.fields(EncoderPlan):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nearest_matches_stable_argsort_on_ties(data):
+    rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=rows * n, max_size=rows * n))
+    dist = np.array(values).reshape(rows, n)
+    cols = np.array(data.draw(st.permutations(range(n))))
+    k = data.draw(st.integers(1, n + 2))
+    want = cols[np.argsort(dist[:, cols], axis=1, kind="stable")[:, :k]]
+    assert _nearest(dist, cols, k).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_plan_matches_loop_oracle_on_drawn_clouds(data):
+    # few distinct points on a 0.1 grid, repeated: ties everywhere
+    coord = st.integers(-5, 5).map(lambda v: v / 10)
+    base = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=30)))
+    rows = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=TINY.sa_stages[0][0], max_size=60))
+    cfg = dataclasses.replace(TINY, group_sizes=(data.draw(st.integers(1, 24)), data.draw(st.integers(1, 8))),
+                              fp_neighbors=data.draw(st.integers(1, 20)))
+    pts = base[rows]
+    got, want = build_plan(pts, cfg), oracles.build_plan(pts, cfg)
+    for f in dataclasses.fields(EncoderPlan):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 # ---------------------------------------------------------------------------
