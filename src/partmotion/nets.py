@@ -98,7 +98,7 @@ def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, 
     gap = np.linalg.norm(ranked - points.mean(axis=0), axis=1)
     near, chosen = np.inf, []
     for _ in range(count):
-        chosen.append(int(np.argmax(gap)))
+        chosen.append(int(gap.argmax()))
         near = gap = np.minimum(near, table[chosen[-1]])
     return order[chosen], table[np.ix_(chosen, np.argsort(order))]
 
@@ -111,7 +111,7 @@ def _nearest(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     below, tied = sub < kth, sub == kth
     # every column below the k-th value, then the first tied ones up to k
     keep = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
-    picked = np.nonzero(keep)[1].reshape(-1, k)
+    picked = np.flatnonzero(keep).reshape(-1, k) % sub.shape[1]
     rank = np.argsort(np.take_along_axis(sub, picked, axis=1), axis=1, kind="stable")
     return cols[np.take_along_axis(picked, rank, axis=1)]
 

@@ -1,5 +1,6 @@
-"""Gradient-check fixtures: every engine op and every loss, checked against
-central finite differences. Shared by the unit tests and the acceptance suite.
+"""Gradient-check fixtures: every engine op, the reference cell's sigmoid and
+tanh from `oracles`, and every loss, checked against central finite
+differences. Shared by the unit tests and the acceptance suite.
 
 Each case function takes a seeded Generator and returns (name, arrays, build)
 where build maps freshly wrapped Nodes for `arrays` onto a scalar Node.
