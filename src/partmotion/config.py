@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,6 +97,8 @@ class RunConfig:
             raise ConfigError("n_frames must be at least 2")
         if not 0.0 <= self.scan_fraction <= 1.0:
             raise ConfigError(f"scan fraction must lie in [0, 1], got {self.scan_fraction}")
+        if not 0.0 <= self.scan_sigma < math.inf or math.copysign(1.0, self.scan_sigma) < 0.0:
+            raise ConfigError(f"scan_sigma must be finite and at least +0.0, got {self.scan_sigma}")
         if self.epochs < 1 or self.mobility_epochs < 0:
             raise ConfigError("epoch counts must be positive")
         if self.lr <= 0.0:

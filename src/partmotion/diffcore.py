@@ -326,8 +326,7 @@ def reduce_max_with_index(a: Node | np.ndarray, axis: int) -> tuple[Node, np.nda
 
 def relu(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
-    mask = a.value > 0.0
-    return _make(np.maximum(a.value, 0.0), [(a, lambda g: g * mask)], "relu")
+    return _make(np.maximum(a.value, 0.0), [(a, lambda g: g * (a.value > 0.0))], "relu")
 
 
 def absolute(a: Node | np.ndarray) -> Node:

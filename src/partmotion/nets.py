@@ -8,10 +8,9 @@ equally distant points, in sampling, grouping and interpolation alike, the
 first in coordinate order (x, then y, then z, then index) wins, so a
 permuted cloud encodes to the same global feature; with a point set's
 columns in that order, each tie-break is a first-wins argmax or a stable
-sort. Sampling computes one distance table per cloud, whose rows for the
-picks serve both groupings and both interpolations; a k-nearest selection
-partitions each row and stable-sorts just the k columns it keeps, under
-the same tie rule. The plan is built once per cloud and reused across steps.
+sort. One distance table per cloud serves sampling, both groupings and both
+interpolations; a k-nearest selection partitions each row and stable-sorts
+only the k columns it keeps. The plan is built once per cloud and reused.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point

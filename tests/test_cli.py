@@ -417,6 +417,7 @@ CONFIG_BASE = json.loads(micro_config(categories=("fan",), shapes_per_category=1
 
 @settings(max_examples=40, deadline=None)
 @given(text=json_file_text(CONFIG_BASE, [k for k in CONFIG_BASE if k not in ("dataset_dir", "out_dir")]))
+@example(text=json.dumps({**CONFIG_BASE, "scan_sigma": -0.0}))
 def test_fuzzed_config_exits_with_contract_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.json").write_text(text)

@@ -69,6 +69,10 @@ def test_switches_other_than_basenet_compose():
         dict(net=dict(group_sizes=(16, 8, 4))),
         dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (0, 0.4, (64, 128))))),
         dict(net=dict(group_sizes=(16, 0))),
+        dict(scan_sigma=-0.5),
+        dict(scan_sigma=-0.0),
+        dict(scan_sigma=float("nan")),
+        dict(scan_sigma=float("inf")),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
