@@ -4,7 +4,7 @@ The other training tests compare one run against another, so a change
 that shifts every run the same way passes them. These pin the exact text
 of `loss.log` and of the eval report for the three training paths (the
 displacement net plus the mobility regressor, the same without the
-recurrence, and the direct baseline), so refactors of the training loops,
+recurrence, and the direct baseline), and the `--oracle` report, so refactors of the training loops,
 the readouts or the clustering must reproduce them byte for byte. The
 strings were recorded on x86-64 with OpenBLAS; another BLAS may round
 differently in the last printed digit.
@@ -15,6 +15,7 @@ from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.cli import format_metrics
+from partmotion.datagen import TEMPLATE_NAMES
 
 GOLDEN = {
     "full": (
@@ -79,6 +80,27 @@ def test_golden_loss_log_and_eval_report(tmp_path, row):
     # score the reloaded checkpoint, as `partmotion eval` does
     result = tr.evaluate_model(test, tr.load_pipeline(tmp_path))
     assert "".join(line + "\n" for line in format_metrics(result)) == report
+
+
+ORACLE_REPORT = (
+    "metrics report\n"
+    "model e_type 0.000000 e_angle 0.000000 e_dist 0.000000 e_seg 0.000000 parts 7 shapes 8\n"
+    "mobfit e_type 0.000000 e_angle 0.000000 e_dist 0.000000 e_seg 0.000000 parts 7 shapes 8\n"
+    "shape drawer_box_000 gt_parts 1 pred_iou 1.000\n"
+    "shape door_box_001 gt_parts 1 pred_iou 1.000\n"
+    "shape fan_002 gt_parts 1 pred_iou 1.000\n"
+    "shape laptop_003 gt_parts 1 pred_iou 1.000\n"
+    "shape bottle_cap_TR_004 gt_parts 1 pred_iou 1.000\n"
+    "shape cabinet_multi_005 gt_parts 2 pred_iou 1.000 1.000\n"
+    "shape umbrella_006 gt_parts 1 pred_iou 1.000\n"
+    "shape balance_007 gt_parts 3 pred_iou 1.000 1.000 1.000\n"
+)
+
+
+def test_golden_oracle_report():
+    # one test shape of every category, multi-part and non-parametric ones included
+    result = tr.evaluate_oracle(micro_records(TEMPLATE_NAMES, seed=1, split="test"))
+    assert "".join(line + "\n" for line in format_metrics(result)) == ORACLE_REPORT
 
 
 # Every step's loss, as `repr` of the root handed to `dc.backward`, for
