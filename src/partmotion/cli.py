@@ -7,7 +7,6 @@ Every command is driven by a JSON run config and is deterministic given
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -16,9 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .config import ABLATION_SWITCHES, RunConfig, load_config
-from .datagen import TEMPLATE_NAMES, generate_dataset, generate_shape, load_dataset, make_sequence
+from .datagen import ShapeRecord, generate_dataset, generate_shape, load_dataset, make_sequence, read_shape_json
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
+from .metrics import MetricsReport
 from .nets import MIN_PART_POINTS, PredictionNode, ShapePrediction, recursive_predict
 from .plyio import read_ply, write_ply
 from .training import (
@@ -86,16 +86,15 @@ def format_tree(node: PredictionNode, theta_stop: float, level: int = 1) -> list
     return lines
 
 
+def format_errors(report: MetricsReport) -> str:
+    e_dist = "-" if report.e_dist is None else f"{report.e_dist:.6f}"
+    return f"e_type {report.e_type:.6f} e_angle {report.e_angle:.6f} e_dist {e_dist} e_seg {report.e_seg:.6f}"
+
+
 def format_metrics(result: EvalResult) -> list[str]:
     lines = ["metrics report"]
     for name, report in (("model", result.report), ("mobfit", result.fit_report)):
-        r = report.as_dict()
-        e_dist = "-" if r["e_dist"] is None else f"{r['e_dist']:.6f}"
-        lines.append(
-            f"{name} e_type {r['e_type']:.6f} e_angle {r['e_angle']:.6f} "
-            f"e_dist {e_dist} e_seg {r['e_seg']:.6f} "
-            f"parts {r['n_parts']} shapes {r['n_shapes']}"
-        )
+        lines.append(f"{name} {format_errors(report)} parts {report.n_parts} shapes {report.n_shapes}")
     for shape in result.shapes:
         ious = " ".join(f"{iou:.3f}" for _, iou in shape.ap_record.matched) or "-"
         lines.append(f"shape {shape.shape_id} gt_parts {shape.ap_record.n_gt} pred_iou {ious}")
@@ -122,7 +121,6 @@ def cmd_gen(args) -> int:
         seed=config.seed,
         scan_sigma=config.scan_sigma,
         scan_fraction=config.scan_fraction,
-        workers=args.workers,
     )
     config.echo_into(out)
     n_shapes = len(manifest["shapes"])
@@ -130,24 +128,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_dataset_matches(config: RunConfig, dataset: Path) -> None:
-    manifest_path = dataset / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json under {dataset}")
-    manifest = json.loads(manifest_path.read_text())
-    for key, value in (("n_points", config.n_points), ("n_frames", config.n_frames)):
-        if manifest.get(key) != value:
-            raise DataError(
-                f"dataset {key}={manifest.get(key)} does not match config {key}={value}"
-            )
+def _check_dataset_matches(config: RunConfig, records: list[ShapeRecord]) -> None:
+    for rec in records:
+        n_frames, n_points = rec.frames.shape[:2]
+        for key, found, want in (("n_points", n_points, config.n_points), ("n_frames", n_frames, config.n_frames)):
+            if found != want:
+                raise DataError(f"dataset shape {rec.shape_id} {key}={found} does not match config {key}={want}")
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = Path(args.dataset or config.dataset_dir)
     out = Path(args.out or config.out_dir)
-    _check_dataset_matches(config, dataset)
     records = load_dataset(dataset, split="train")
+    _check_dataset_matches(config, records)
     run_training(config, records, out_dir=out, log=print if args.verbose else None)
     print(f"checkpoint written to {out}")
     return 0
@@ -227,11 +221,11 @@ def cmd_ablate(args) -> int:
         if row != "full" and row not in ABLATION_SWITCHES:
             raise ConfigError(f"unknown ablation row {row!r}")
     dataset = Path(args.dataset or base.dataset_dir)
-    _check_dataset_matches(base, dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_records = load_dataset(dataset, split="train")
     test_records = load_dataset(dataset, split="test")
+    _check_dataset_matches(base, train_records + test_records)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     # plans depend only on geometry, so all rows share one prepared pass
     instances = prepare_instances(train_records, base)
     table = ["ablation table"]
@@ -239,12 +233,7 @@ def cmd_ablate(args) -> int:
         config = base if row == "full" else base.replaced(**{row: True})
         pipeline = run_training(config, train_records, out_dir=out / row, instances=instances)
         result = evaluate_model(test_records, pipeline)
-        r = result.report.as_dict()
-        e_dist = "-" if r["e_dist"] is None else f"{r['e_dist']:.6f}"
-        table.append(
-            f"row {row} e_type {r['e_type']:.6f} e_angle {r['e_angle']:.6f} "
-            f"e_dist {e_dist} e_seg {r['e_seg']:.6f}"
-        )
+        table.append(f"row {row} {format_errors(result.report)}")
         print(table[-1])
     (out / "table.txt").write_text("".join(line + "\n" for line in table))
     print(f"table written to {out / 'table.txt'}")
@@ -252,26 +241,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    dataset = Path(args.dataset)
-    shape_dir = dataset / args.shape
-    meta_path = shape_dir / "shape.json"
-    if not meta_path.exists():
-        raise DataError(f"no shape {args.shape!r} under {dataset}")
-    try:
-        meta = json.loads(meta_path.read_text())
-        seed_path, category, n_frames = meta["seed_path"], meta["category"], meta["n_frames"]
-        if (type(seed_path) is not list or not all(type(s) is int and s >= 0 for s in seed_path)
-                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2):
-            raise ValueError(
-                f"need a list of non-negative ints seed_path, a known category and an int n_frames of at least 2, "
-                f"got {seed_path!r}, {category!r}, {n_frames!r}"
-            )
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise DataError(f"{meta_path}: malformed shape.json ({exc!r})") from exc
+    meta = read_shape_json(Path(args.dataset) / args.shape)
     # same seed path, denser sampling: templates draw all shape parameters
     # before any point sampling, so the geometry matches the stored shape
-    sample = generate_shape(category, np.random.default_rng(seed_path), args.points)
-    seq = make_sequence(sample, n_frames)
+    sample = generate_shape(meta["category"], np.random.default_rng(meta["seed_path"]), args.points)
+    seq = make_sequence(sample, meta["n_frames"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(seq.n_frames):
@@ -295,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (default: config dataset_dir)")
     p.add_argument("--force", action="store_true", help="replace an existing dataset")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train the configured model")
@@ -347,7 +320,7 @@ def main(argv=None) -> int:
         parser.error("eval --oracle requires --dataset")
     try:
         return args.fn(args)
-    except (ConfigError, DataError, NumericError) as exc:
+    except (ConfigError, DataError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

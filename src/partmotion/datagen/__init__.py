@@ -7,6 +7,7 @@ from .dataset import (
     load_shape,
     mobility_from_json,
     mobility_to_json,
+    read_shape_json,
 )
 from .scan import (
     DEPTH_SIGMA,
@@ -19,9 +20,7 @@ from .sequences import (
     TrainingInstance,
     make_instances,
     make_sequence,
-    nontrivial_sequence,
     same_part_matrix,
-    sample_sequence,
 )
 from .templates import (
     NON_PARAMETRIC,
@@ -39,6 +38,7 @@ __all__ = [
     "load_shape",
     "mobility_from_json",
     "mobility_to_json",
+    "read_shape_json",
     "DEPTH_SIGMA",
     "hidden_point_removal",
     "partial_scan",
@@ -47,9 +47,7 @@ __all__ = [
     "TrainingInstance",
     "make_instances",
     "make_sequence",
-    "nontrivial_sequence",
     "same_part_matrix",
-    "sample_sequence",
     "NON_PARAMETRIC",
     "TEMPLATE_NAMES",
     "ShapeSample",

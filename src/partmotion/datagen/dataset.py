@@ -1,6 +1,8 @@
 """On-disk dataset generation and loading.
 
-Layout under the output root:
+This is the only module that reads or writes the dataset layout, and its
+readers check every file they read: a malformed one is a DataError that
+names it. Layout under the output root:
 
     manifest.json                     dataset-wide parameters and shape list
     <category>_<idx>/shape.json       per-shape metadata incl. mobility
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -79,30 +80,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _build_shape(category, cat_idx, shape_idx, seed, n_points, n_frames, scan_sigma, want_scan):
-    """Compute one shape's sequence and optional scan; no filesystem access."""
-    rng = np.random.default_rng([seed, cat_idx, shape_idx])
-    sample = generate_shape(category, rng, n_points)
-    seq = make_sequence(sample, n_frames)
-    scan = None
-    if want_scan:
-        # render the same shape densely so the visible subset can be
-        # thinned back to exactly n_points
-        dense = generate_shape(
-            category, np.random.default_rng([seed, cat_idx, shape_idx]),
-            SCAN_RENDER_FACTOR * n_points,
-        )
-        scan = scan_with_viewpoint_retries(
-            dense.cloud.points,
-            dense.cloud.labels,
-            rng,
-            sigma=scan_sigma,
-            n_target=n_points,
-            floor=min_part_points(n_points),
-        )
-    return seq, scan
-
-
 def generate_dataset(
     out_dir: str | Path,
     categories: tuple[str, ...] = TEMPLATE_NAMES,
@@ -112,14 +89,11 @@ def generate_dataset(
     seed: int = 0,
     scan_sigma: float = DEPTH_SIGMA,
     scan_fraction: float = 1.0,
-    workers: int = 1,
 ) -> dict:
     """Write a full corpus; returns the dataset manifest.
 
     scan_fraction controls how many test shapes per category get a partial
-    scan (rounded to the nearest count, earliest test shapes first). Shapes
-    are seeded independently, so workers may compute them in parallel;
-    writes happen in order and the output is identical either way.
+    scan (rounded to the nearest count, earliest test shapes first).
     """
     if not 0.0 <= scan_fraction <= 1.0:
         raise ConfigError(f"scan fraction must lie in [0, 1], got {scan_fraction}")
@@ -128,56 +102,54 @@ def generate_dataset(
     n_test = math.ceil(0.1 * shapes_per_category)
     n_scanned = round(scan_fraction * n_test)
     first_test = shapes_per_category - n_test
-    jobs = []
+    shapes = []
+    split_lines = []
     for cat_idx, category in enumerate(categories):
         for shape_idx in range(shapes_per_category):
             split = "test" if shape_idx >= first_test else "train"
-            want_scan = split == "test" and shape_idx - first_test < n_scanned
-            jobs.append((category, cat_idx, shape_idx, split, want_scan))
-
-    def run(job):
-        category, cat_idx, shape_idx, _, want_scan = job
-        return _build_shape(
-            category, cat_idx, shape_idx, seed, n_points, n_frames, scan_sigma, want_scan
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(run, jobs))
-    else:
-        built = [run(job) for job in jobs]
-
-    shapes = []
-    split_lines = []
-    for (category, cat_idx, shape_idx, split, _), (seq, scan) in zip(jobs, built):
-        shape_id = f"{category}_{shape_idx:03d}"
-        shape_dir = root / shape_id
-        shape_dir.mkdir(exist_ok=True)
-        for k in range(n_frames):
-            write_ply(shape_dir / f"frame_{k + 1:02d}.ply", seq.frames[k], seq.labels)
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "category": category,
-            "shape_id": shape_id,
-            "split": split,
-            "n_frames": n_frames,
-            "seed_path": [seed, cat_idx, shape_idx],
-            "parts": None
-            if seq.specs is None
-            else [
-                {"part_id": part_id, "mobility": mobility_to_json(spec)}
-                for part_id, spec in enumerate(seq.specs, start=1)
-            ],
-            "scan": None,
-        }
-        if scan is not None:
-            scan_points, scan_labels, viewpoint = scan
-            write_ply(shape_dir / "scan.ply", scan_points, scan_labels)
-            meta["scan"] = {"file": "scan.ply", "viewpoint": viewpoint.tolist(),
-                            "sigma": scan_sigma}
-        _write_json(shape_dir / "shape.json", meta)
-        shapes.append({"shape_id": shape_id, "category": category, "split": split})
-        split_lines.append(f"{shape_id}\t{split}\n")
+            rng = np.random.default_rng([seed, cat_idx, shape_idx])
+            seq = make_sequence(generate_shape(category, rng, n_points), n_frames)
+            shape_id = f"{category}_{shape_idx:03d}"
+            shape_dir = root / shape_id
+            shape_dir.mkdir(exist_ok=True)
+            for k in range(n_frames):
+                write_ply(shape_dir / f"frame_{k + 1:02d}.ply", seq.frames[k], seq.labels)
+            meta = {
+                "format_version": FORMAT_VERSION,
+                "category": category,
+                "shape_id": shape_id,
+                "split": split,
+                "n_frames": n_frames,
+                "seed_path": [seed, cat_idx, shape_idx],
+                "parts": None
+                if seq.specs is None
+                else [
+                    {"part_id": part_id, "mobility": mobility_to_json(spec)}
+                    for part_id, spec in enumerate(seq.specs, start=1)
+                ],
+                "scan": None,
+            }
+            if split == "test" and shape_idx - first_test < n_scanned:
+                # render the same shape densely so the visible subset can be
+                # thinned back to exactly n_points
+                dense = generate_shape(
+                    category, np.random.default_rng([seed, cat_idx, shape_idx]),
+                    SCAN_RENDER_FACTOR * n_points,
+                )
+                scan_points, scan_labels, viewpoint = scan_with_viewpoint_retries(
+                    dense.cloud.points,
+                    dense.cloud.labels,
+                    rng,
+                    sigma=scan_sigma,
+                    n_target=n_points,
+                    floor=min_part_points(n_points),
+                )
+                write_ply(shape_dir / "scan.ply", scan_points, scan_labels)
+                meta["scan"] = {"file": "scan.ply", "viewpoint": viewpoint.tolist(),
+                                "sigma": scan_sigma}
+            _write_json(shape_dir / "shape.json", meta)
+            shapes.append({"shape_id": shape_id, "category": category, "split": split})
+            split_lines.append(f"{shape_id}\t{split}\n")
     manifest = {
         "format_version": FORMAT_VERSION,
         "categories": list(categories),
@@ -194,50 +166,80 @@ def generate_dataset(
     return manifest
 
 
+# A file that is missing, is not JSON or holds the wrong kinds of values
+# raises one of these while it is read; the readers report each as a
+# DataError naming the file. ConfigError, from MobilitySpec, is a ValueError.
+MALFORMED = (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError)
+
+
 def load_dataset(root: str | Path, split: Optional[str] = None) -> list[ShapeRecord]:
     """Load every shape (optionally one split) back into memory."""
-    root = Path(root)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format {manifest.get('format_version')!r}")
-    records = []
-    for entry in manifest["shapes"]:
-        if split is not None and entry["split"] != split:
-            continue
-        records.append(load_shape(root / entry["shape_id"]))
-    return records
+    path = Path(root) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        if type(manifest) is not dict or manifest.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"need an object of format_version {FORMAT_VERSION}")
+        entries = manifest["shapes"]
+        if type(entries) is not list or not all(
+                type(e) is dict and type(e.get("shape_id")) is str and type(e.get("split")) is str
+                for e in entries):
+            raise ValueError("need a list of {shape_id, split} objects as shapes")
+    except MALFORMED as exc:
+        raise DataError(f"{path}: unreadable or malformed ({exc!r})") from exc
+    return [load_shape(path.parent / e["shape_id"]) for e in entries
+            if split is None or e["split"] == split]
+
+
+def read_shape_json(shape_dir: str | Path) -> dict:
+    """The checked shape.json of one shape directory.
+
+    Its mobilities come parsed under "specs" and its scan, if any, as a
+    (file name, viewpoint) pair under "scan".
+    """
+    path = Path(shape_dir) / "shape.json"
+    try:
+        meta = json.loads(path.read_text())
+        seed_path, category, n_frames = meta["seed_path"], meta["category"], meta["n_frames"]
+        if (type(seed_path) is not list or not all(type(s) is int and s >= 0 for s in seed_path)
+                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2):
+            raise ValueError(
+                f"need a list of non-negative ints seed_path, a known category and an int n_frames of at least 2, "
+                f"got {seed_path!r}, {category!r}, {n_frames!r}"
+            )
+        if type(meta["shape_id"]) is not str or type(meta["split"]) is not str:
+            raise ValueError(f"need str shape_id and split, got {meta['shape_id']!r}, {meta['split']!r}")
+        parts = meta["parts"]
+        meta["specs"] = None if parts is None else [mobility_from_json(p["mobility"]) for p in parts]
+        scan = meta.get("scan")
+        if scan and type(scan["file"]) is not str:
+            raise ValueError(f"need a file name as scan file, got {scan['file']!r}")
+        meta["scan"] = (scan["file"], np.array(scan["viewpoint"], dtype=np.float64).reshape(3)) if scan else None
+    except MALFORMED as exc:
+        raise DataError(f"{path}: unreadable or malformed ({exc!r})") from exc
+    return meta
 
 
 def load_shape(shape_dir: str | Path) -> ShapeRecord:
     shape_dir = Path(shape_dir)
-    meta = json.loads((shape_dir / "shape.json").read_text())
+    meta = read_shape_json(shape_dir)
     frames = []
     labels = None
     for k in range(meta["n_frames"]):
-        pts, lab = read_ply(shape_dir / f"frame_{k + 1:02d}.ply")
-        if lab is None:
-            raise DataError(f"frame without labels in {shape_dir}")
+        path = shape_dir / f"frame_{k + 1:02d}.ply"
+        pts, lab = read_ply(path)
+        if lab is None or (labels is not None and not np.array_equal(lab, labels)):
+            raise DataError(f"{path}: frame without labels or unlike the shape's first frame")
         frames.append(pts)
         labels = lab
-    specs = (
-        None
-        if meta["parts"] is None
-        else [mobility_from_json(p["mobility"]) for p in meta["parts"]]
-    )
     record = ShapeRecord(
         category=meta["category"],
         shape_id=meta["shape_id"],
         split=meta["split"],
         frames=np.stack(frames),
         labels=labels,
-        specs=specs,
+        specs=meta["specs"],
     )
-    if meta.get("scan"):
-        pts, lab = read_ply(shape_dir / meta["scan"]["file"])
-        record.scan_points = pts
-        record.scan_labels = lab
-        record.scan_viewpoint = np.array(meta["scan"]["viewpoint"], dtype=np.float64)
+    if meta["scan"]:
+        scan_file, record.scan_viewpoint = meta["scan"]
+        record.scan_points, record.scan_labels = read_ply(shape_dir / scan_file)
     return record

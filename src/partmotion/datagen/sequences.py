@@ -45,12 +45,17 @@ class MotionSequence:
         return self.frames[1:] - self.frames[:-1]
 
 
-def sample_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
-    """Play every declared mobility simultaneously over n uniform fractions."""
-    if not sample.parametric:
-        raise ConfigError(f"{sample.category} has no mobility parameters; use nontrivial_sequence")
+def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
+    """Frames at n uniform motion fractions.
+
+    A parametric sample plays every declared mobility simultaneously; any
+    other sample renders its frames with its own frame function.
+    """
     if n_frames < 2:
         raise ConfigError("need at least two frames")
+    if not sample.parametric:
+        frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
+        return MotionSequence(sample.category, frames, sample.cloud.labels.copy(), None)
     pts0 = sample.cloud.points
     labels = sample.cloud.labels
     frames = np.empty((n_frames, pts0.shape[0], 3))
@@ -62,22 +67,6 @@ def sample_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
             frame[idx] = apply_mobility(pts0[idx], spec, s)
         frames[k] = frame
     return MotionSequence(sample.category, frames, labels.copy(), list(sample.specs))
-
-
-def nontrivial_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
-    """Sequence for categories whose motion is not a fixed screw."""
-    if sample.parametric:
-        raise ConfigError(f"{sample.category} is parametric; use sample_sequence")
-    if n_frames < 2:
-        raise ConfigError("need at least two frames")
-    frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
-    return MotionSequence(sample.category, frames, sample.cloud.labels.copy(), None)
-
-
-def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
-    if sample.parametric:
-        return sample_sequence(sample, n_frames)
-    return nontrivial_sequence(sample, n_frames)
 
 
 def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ class NumericError(ArithmeticError):
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, DataError):
+    if isinstance(exc, (DataError, OSError)):  # OSError: a path that cannot be read or written
         return EXIT_DATA
     if isinstance(exc, NumericError):
         return EXIT_NUMERIC

@@ -199,16 +199,6 @@ class MetricsReport:
     n_parts: int
     n_shapes: int
 
-    def as_dict(self) -> dict:
-        return {
-            "e_type": self.e_type,
-            "e_angle": self.e_angle,
-            "e_dist": self.e_dist,
-            "e_seg": self.e_seg,
-            "n_parts": self.n_parts,
-            "n_shapes": self.n_shapes,
-        }
-
 
 def summarize(
     mobility_evals: Sequence[MobilityEval], ap_records: Sequence[ShapeAPRecord]

@@ -568,8 +568,8 @@ def _eval_result(shapes: list[ShapeEval]) -> EvalResult:
     )
 
 
-def _eval_shape(pipeline: Pipeline, rec: ShapeRecord) -> ShapeEval:
-    pred = pipeline.predict(rec.frames[0])
+def _eval_shape(rec: ShapeRecord, pred: ShapePrediction) -> ShapeEval:
+    """Score one prediction for the start frame of a test shape."""
     ap_record = prediction_matches(pred.labels, rec.labels, pred.confidences)
     net_evals: list[MobilityEval] = []
     fit_evals: list[MobilityEval] = []
@@ -585,24 +585,16 @@ def _eval_shape(pipeline: Pipeline, rec: ShapeRecord) -> ShapeEval:
 
 def evaluate_model(records: Sequence[ShapeRecord], pipeline: Pipeline) -> EvalResult:
     """Score a test split, one shape after another."""
-    return _eval_result([_eval_shape(pipeline, r) for r in records])
+    return _eval_result([_eval_shape(r, pipeline.predict(r.frames[0])) for r in records])
 
 
 def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
-    """Feed ground truth back as predictions; the end-to-end identity check."""
+    """Score the ground truth as the prediction; the end-to-end identity check."""
     shapes = []
     for rec in records:
-        parts = sorted(int(p) for p in np.unique(rec.labels) if p != 0)
-        confidences = {p: 1.0 for p in parts}
-        ap_record = prediction_matches(rec.labels, rec.labels, confidences)
-        evals = []
-        if rec.specs is not None:
-            evals = [evaluate_mobility(spec, spec) for spec in rec.specs]
-        pred = ShapePrediction(
-            maps=rec.sequence.displacement_maps,
-            labels=rec.labels.copy(),
-            mobilities={} if rec.specs is None else dict(enumerate(rec.specs, start=1)),
-            confidences=confidences,
-        )
-        shapes.append(ShapeEval(rec.shape_id, rec.category, ap_record, evals, list(evals), pred))
+        mobilities = {} if rec.specs is None else dict(enumerate(rec.specs, start=1))
+        confidences = {int(p): 1.0 for p in np.unique(rec.labels) if p != 0}
+        pred = ShapePrediction(rec.sequence.displacement_maps, rec.labels.copy(), mobilities, confidences,
+                               fits=dict(mobilities))
+        shapes.append(_eval_shape(rec, pred))
     return _eval_result(shapes)

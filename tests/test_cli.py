@@ -64,13 +64,6 @@ def test_gen_force_reproduces_bytes(workdir, tmp_path):
     assert first == tree_hash(workdir / "data")
 
 
-def test_gen_parallel_workers_identical(workdir, tmp_path):
-    out = tmp_path / "data4"
-    argv = ["gen", "--config", str(workdir / "config.json"), "--out", str(out), "--workers", "3"]
-    assert main(argv) == 0
-    assert tree_hash(out) == tree_hash(workdir / "data")
-
-
 def test_train_writes_run_dir(workdir):
     run = workdir / "run"
     names = {p.name for p in run.iterdir()}
@@ -371,14 +364,66 @@ def test_export_unknown_shape(workdir, tmp_path, capsys):
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str replaces the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"
-    shutil.copytree(workdir / "data" / "fan_002", data / "fan_002")
+    shutil.copytree(workdir / "data", data)
     meta = data / "fan_002" / "shape.json"
     if isinstance(body, dict):
         body = json.dumps({**json.loads(meta.read_text()), **body})
     meta.write_text(body)
-    assert main(["export", "--dataset", str(data), "--shape", "fan_002",
-                 "--out", str(tmp_path / "x")]) == 3
-    assert "shape.json" in capsys.readouterr().err
+    export = ["export", "--dataset", str(data), "--shape", "fan_002", "--out", str(tmp_path / "x")]
+    for argv in (export, *dataset_reads(workdir, data, tmp_path)):
+        assert main(argv) == 3, argv[0]
+        assert str(meta) in capsys.readouterr().err
+
+
+def dataset_reads(workdir, data, tmp_path):
+    """`train` and `eval --oracle`, each reading the train split of `data`."""
+    return (["train", "--config", str(workdir / "config.json"), "--dataset", str(data),
+             "--out", str(tmp_path / "run")],
+            ["eval", "--oracle", "--dataset", str(data), "--split", "train"])
+
+
+def drop_last_vertex(text: str) -> str:
+    head, body = text.split("end_header\n")
+    return head.replace("element vertex 64", "element vertex 63") + "end_header\n" + "".join(
+        line + "\n" for line in body.splitlines()[:-1])
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("manifest.json", lambda t: "{not json"),
+    ("manifest.json", lambda t: "[]"),
+    ("manifest.json", lambda t: json.dumps({k: v for k, v in json.loads(t).items() if k != "shapes"})),
+    ("manifest.json", lambda t: json.dumps({**json.loads(t), "shapes": "fan_002"})),
+    ("manifest.json", lambda t: json.dumps({**json.loads(t), "shapes": [{"shape_id": "fan_002"}]})),
+    ("fan_002/frame_03.ply", drop_last_vertex),
+    ("fan_002/frame_03.ply", lambda t: t.replace(" 0\n", " 1\n", 1)),
+], ids=["manifest_not_json", "manifest_list", "manifest_no_shapes", "manifest_shapes_text",
+        "manifest_entry_no_split", "frame_short", "frame_relabelled"])
+def test_malformed_dataset_is_data_error(workdir, tmp_path, capsys, name, edit):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    path = data / name
+    edited = edit(path.read_text())
+    assert edited != path.read_text()
+    path.write_text(edited)
+    for argv in dataset_reads(workdir, data, tmp_path):
+        assert main(argv) == 3, argv[0]
+        assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "gen_force", "train", "eval"])
+def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = str(workdir / "config.json")
+    target, argv = {
+        "gen": (taken, ["gen", "--config", config, "--out", str(taken)]),
+        "gen_force": (taken, ["gen", "--config", config, "--out", str(taken), "--force"]),
+        "train": (taken, ["train", "--config", config, "--out", str(taken)]),
+        "eval": (tmp_path / "missing" / "r.txt",
+                 ["eval", "--oracle", "--dataset", str(workdir / "data"), "--out", str(tmp_path / "missing" / "r.txt")]),
+    }[command]
+    assert main(argv) == 3
+    assert str(target) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +517,12 @@ def test_fuzzed_shape_json_exits_with_contract_code(workdir, data):
     base = json.loads((workdir / "data" / "fan_002" / "shape.json").read_text())
     text = data.draw(json_file_text(base, sorted(base)))
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "fan_002").mkdir()
+        # a one-shape dataset, so eval --oracle reads the drawn file too
+        shutil.copytree(workdir / "data" / "fan_002", Path(tmp) / "fan_002")
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        manifest["shapes"] = [{"shape_id": "fan_002", "category": "fan", "split": "test"}]
+        (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
         (Path(tmp) / "fan_002" / "shape.json").write_text(text)
         assert main(["export", "--dataset", tmp, "--shape", "fan_002", "--points", "64",
                      "--out", f"{tmp}/x"]) in CONTRACT_CODES
+        assert main(["eval", "--oracle", "--dataset", tmp]) in CONTRACT_CODES

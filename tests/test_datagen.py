@@ -15,13 +15,11 @@ from partmotion.datagen import (
     make_instances,
     make_sequence,
     min_part_points,
-    nontrivial_sequence,
     partial_scan,
     same_part_matrix,
-    sample_sequence,
     scan_with_viewpoint_retries,
 )
-from partmotion.errors import ConfigError, DataError
+from partmotion.errors import DataError
 from partmotion.geom import TYPE_R
 
 N_TEST = 512
@@ -90,13 +88,6 @@ def test_fan_range_is_fixed():
         (spec,) = sample.specs
         assert spec.tau == TYPE_R
         assert spec.range_ == (0.0, 120.0)
-
-
-def test_sequence_dispatch_errors():
-    with pytest.raises(ConfigError):
-        sample_sequence(shape_of("umbrella"), 4)
-    with pytest.raises(ConfigError):
-        nontrivial_sequence(shape_of("drawer_box"), 4)
 
 
 def test_umbrella_cover_contracts():

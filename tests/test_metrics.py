@@ -226,4 +226,3 @@ def test_summarize_means_and_pooling():
     assert np.isclose(report.e_dist, 0.5)
     assert report.n_parts == 2 and report.n_shapes == 1
     assert np.isclose(report.e_seg, segmentation_error(records))
-    assert set(report.as_dict()) == {"e_type", "e_angle", "e_dist", "e_seg", "n_parts", "n_shapes"}

@@ -278,12 +278,12 @@ def test_evaluate_model_rejects_empty_split(trained):
 def test_oracle_identity_is_exactly_zero():
     records = micro_records(("drawer_box", "fan", "umbrella"))
     result = tr.evaluate_oracle(records)
-    r = result.report.as_dict()
-    assert r["e_type"] == 0.0
-    assert r["e_angle"] == 0.0
-    assert r["e_dist"] == 0.0
-    assert r["e_seg"] == 0.0
-    assert r["n_shapes"] == 3
+    r = result.report
+    assert r.e_type == 0.0
+    assert r.e_angle == 0.0
+    assert r.e_dist == 0.0
+    assert r.e_seg == 0.0
+    assert r.n_shapes == 3
 
 
 def test_unmatched_gt_part_scores_worst_case(records):
