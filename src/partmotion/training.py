@@ -595,6 +595,6 @@ def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
         mobilities = {} if rec.specs is None else dict(enumerate(rec.specs, start=1))
         confidences = {int(p): 1.0 for p in np.unique(rec.labels) if p != 0}
         pred = ShapePrediction(rec.sequence.displacement_maps, rec.labels.copy(), mobilities, confidences,
-                               fits=dict(mobilities))
+                               fits=mobilities)
         shapes.append(_eval_shape(rec, pred))
     return _eval_result(shapes)
