@@ -5,10 +5,15 @@ that shifts every run the same way passes them. These pin the exact text
 of `loss.log` and of the eval report for the three training paths (the
 displacement net plus the mobility regressor, the same without the
 recurrence, and the direct baseline), and the `--oracle` report, so refactors of the training loops,
-the readouts or the clustering must reproduce them byte for byte. The
-strings were recorded on x86-64 with OpenBLAS; another BLAS may round
+the readouts or the clustering must reproduce them byte for byte. A
+SHA-256 of every `Pipeline.predict` output pins the prediction path
+(encoder, heads, DBSCAN, mobfit, regressor) below the printed digits. The
+strings and digests were recorded on x86-64 with OpenBLAS; another BLAS may round
 differently in the last printed digit.
 """
+import hashlib
+
+import numpy as np
 import pytest
 
 from microfixtures import micro_config, micro_records
@@ -167,3 +172,56 @@ def test_loss_trace_every_step(monkeypatch, row):
     monkeypatch.setattr(dc, "backward", spy)
     tr.train_displacement(instances, config)
     assert roots == pytest.approx([float(v) for v in LOSS_TRACE[row]], rel=1e-9)
+
+
+# SHA-256 of `Pipeline.predict` on the start state of one micro test cloud
+# per category, from the micro displacement net and regressor trained for
+# two epochs: maps, labels, cluster confidences, and each part's mobility
+# and mobfit spec, all as raw float64 bytes.
+PREDICT_DIGEST = {
+    "drawer_box": "4efdf428340e49334a042e12d04e36f584fd19935e09d056847678fd3c94fba9",
+    "door_box": "8be1206367a18444b1deef8017c79018b4e6484b65f420dc98cb7cf4e5bdd52a",
+    "fan": "23b056d8c7fc120b982d44b5010c69b54b7f1e8752c822dccb3dc92b6ef202ad",
+    "laptop": "82982a097b4518715c98cc4feee73b59fa98300b8ac86fca6a152e63508336ec",
+    "bottle_cap_TR": "72c728b9af246db9315c9159d8695f3d65ba3139bb125b53c0686dc2232b8f4f",
+    "cabinet_multi": "67a2e57e1472a1593f7db95b4f06b3dffde18404722227ec2a17ea8752ce0fb6",
+    "umbrella": "c89d9620e36d25b02b72ceb1700dda5b3d4fd82ba5b32730a61ff7ba68b9b5cb",
+    "balance": "069a227fa6fca493907cd4c017ce599955d29a3b08e46f076b92ccd894b355dc",
+}
+
+
+def _spec_bytes(spec) -> bytes:
+    if spec is None:
+        return b"none"
+    position = b"-" if spec.position is None else spec.position.tobytes()
+    slide = b"-" if spec.slide_range is None else np.array(spec.slide_range).tobytes()
+    return b"|".join([spec.tau.encode(), spec.direction.tobytes(), position,
+                      np.array(spec.range_).tobytes(), slide])
+
+
+def _prediction_digest(pred) -> str:
+    h = hashlib.sha256()
+    h.update(pred.maps.tobytes())
+    h.update(pred.labels.tobytes())
+    for part in sorted(pred.confidences):
+        h.update(np.array([part, pred.confidences[part]]).tobytes())
+    for part in sorted(pred.mobilities):
+        h.update(np.int64(part).tobytes())
+        h.update(_spec_bytes(pred.mobilities[part]))
+        h.update(_spec_bytes(pred.fits[part]))
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def micro_pipeline(tmp_path_factory):
+    out = tmp_path_factory.mktemp("predict_run")
+    tr.run_training(micro_config(epochs=2), micro_records(("drawer_box", "fan")), out_dir=out)
+    return tr.load_pipeline(out)
+
+
+@pytest.mark.parametrize("category", TEMPLATE_NAMES)
+def test_golden_predict_bytes(micro_pipeline, category):
+    rec = micro_records(TEMPLATE_NAMES, seed=1, split="test")[TEMPLATE_NAMES.index(category)]
+    pred = micro_pipeline.predict(rec.frames[0])
+    assert pred.fits.keys() == pred.mobilities.keys()
+    assert _prediction_digest(pred) == PREDICT_DIGEST[category]
