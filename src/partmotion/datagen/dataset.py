@@ -231,13 +231,16 @@ def load_shape(shape_dir: str | Path) -> ShapeRecord:
             raise DataError(f"{path}: frame without labels or unlike the shape's first frame")
         frames.append(pts)
         labels = lab
+    specs = meta["specs"]
+    if specs is not None and len(specs) != labels.max():
+        raise DataError(f"{shape_dir / 'shape.json'}: {len(specs)} parts for {labels.max()} moving labels")
     record = ShapeRecord(
         category=meta["category"],
         shape_id=meta["shape_id"],
         split=meta["split"],
         frames=np.stack(frames),
         labels=labels,
-        specs=meta["specs"],
+        specs=specs,
     )
     if meta["scan"]:
         scan_file, record.scan_viewpoint = meta["scan"]

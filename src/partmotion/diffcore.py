@@ -45,7 +45,7 @@ __all__ = [
     "gather_rows",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max_with_index",
+    "reduce_max",
     "relu",
     "absolute",
     "l2_norm_rows",
@@ -303,21 +303,19 @@ def reduce_mean(a: Node | np.ndarray, axis: Optional[int] = None) -> Node:
     return _make(out, [(a, bw)], "reduce_mean")
 
 
-def reduce_max_with_index(a: Node | np.ndarray, axis: int) -> tuple[Node, np.ndarray]:
-    """Max along an axis plus the winning indices (first winner on ties)."""
+def reduce_max(a: Node | np.ndarray, axis: int) -> Node:
+    """Max along an axis; the gradient goes to the first winner on ties."""
     a = _as_node(a)
     if a.value.ndim < 1 or not -a.value.ndim <= axis < a.value.ndim:
-        raise ShapeMismatch(f"op 'reduce_max_with_index': bad axis {axis} for shape {a.value.shape}")
-    idx = np.argmax(a.value, axis=axis)
-    out = np.take_along_axis(a.value, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+        raise ShapeMismatch(f"op 'reduce_max': bad axis {axis} for shape {a.value.shape}")
 
     def bw(g: np.ndarray) -> np.ndarray:
+        idx = np.expand_dims(np.argmax(a.value, axis=axis), axis)
         acc = np.zeros(a.value.shape)
-        np.put_along_axis(acc, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(acc, idx, np.expand_dims(g, axis), axis=axis)
         return acc
 
-    node = _make(out, [(a, bw)], "reduce_max_with_index")
-    return node, idx
+    return _make(a.value.max(axis=axis), [(a, bw)], "reduce_max")
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,9 @@ class MobilitySpec:
                 raise ConfigError("slide range start must not exceed end")
         elif self.slide_range is not None:
             raise ConfigError("slide range only applies to type TR")
+        values = (self.direction, self.position, self.range_, self.slide_range)
+        if not all(np.isfinite(v).all() for v in values if v is not None):
+            raise ConfigError("mobility direction, position and ranges must be finite")
 
     @property
     def span(self) -> float:

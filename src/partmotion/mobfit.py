@@ -1,7 +1,7 @@
 """Analytic mobility extraction from rigid part trajectories.
 
-Given the frames of one part, each consecutive pair is registered with the
-SVD (Kabsch) solution and the relative transform is classified as a
+Given the frames of one part, all consecutive pairs are registered in one
+batched SVD (Kabsch) solve and each relative transform is classified as a
 translation, rotation, or screw from its rotation angle and pitch. The
 sequence verdict is the majority pair type; the axis averages sign-aligned
 pair axes and the motion range comes from summing signed per-pair steps,
@@ -36,25 +36,27 @@ def rigid_register(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
         raise DataError(f"point sets must both be (M, 3), got {src.shape} and {dst.shape}")
-    if src.shape[0] < 3:
+    rotation, translation = _kabsch(src[None], dst[None])
+    return RigidTransform(rotation[0], translation[0])
+
+
+def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (P, 3, 3) and translations (P, 3) mapping each src[p] onto dst[p]."""
+    if src.shape[1] < 3:
         raise DataError("need at least three points to register")
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
+    cs = src.mean(axis=1)
+    cd = dst.mean(axis=1)
+    h = (src - cs[:, None]).transpose(0, 2, 1) @ (dst - cd[:, None])
     u, sv, vt = np.linalg.svd(h)
     # collinear (or fully degenerate) sets leave a rotation degree of
     # freedom unconstrained
-    if sv[0] < 1e-15 or sv[1] <= 1e-9 * sv[0]:
+    if np.any((sv[:, 0] < 1e-15) | (sv[:, 1] <= 1e-9 * sv[:, 0])):
         raise DataError("rank-deficient configuration: points are collinear or coincident")
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    return RigidTransform(rotation, cd - rotation @ cs)
-
-
-def registration_residual(transform: RigidTransform, src: np.ndarray, dst: np.ndarray) -> float:
-    """Mean squared distance between the transformed source and the target."""
-    diff = transform.apply(np.asarray(src, dtype=np.float64)) - np.asarray(dst, dtype=np.float64)
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.tile(np.eye(3), (len(h), 1, 1))
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rotation = v @ flip @ ut
+    return rotation, cd - (rotation @ cs[..., None])[..., 0]
 
 
 def rotation_angle_deg(rotation: np.ndarray) -> float:
@@ -168,24 +170,23 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
         raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
+    rotations, translations = _kabsch(frames[:-1], frames[1:])
+    transforms = [RigidTransform(r, t) for r, t in zip(rotations, translations)]
+    amounts = np.linalg.norm(frames[1:] - frames[:-1], axis=2).mean(axis=1)
     pairs: list[PairMotion] = []
-    transforms: list[RigidTransform] = []
-    residuals: list[float] = []
-    for k in range(frames.shape[0] - 1):
-        transform = rigid_register(frames[k], frames[k + 1])
-        transforms.append(transform)
-        residuals.append(registration_residual(transform, frames[k], frames[k + 1]))
+    for transform, amount in zip(transforms, amounts):
         try:
             motion = classify_transform(transform)
         except DataError as exc:
             if str(exc) != "no motion":
                 raise
             continue
-        motion.amount = float(np.mean(np.linalg.norm(frames[k + 1] - frames[k], axis=1)))
+        motion.amount = float(amount)
         pairs.append(motion)
     if not pairs:
         return None
-    residual = float(np.mean(residuals))
+    diff = frames[:-1] @ rotations.transpose(0, 2, 1) + translations[:, None] - frames[1:]
+    residual = float(np.mean(np.mean(np.sum(diff * diff, axis=2), axis=1)))
     flags: list[str] = []
 
     votes = {tau: sum(p.tau == tau for p in pairs) for tau in MOBILITY_TYPES}

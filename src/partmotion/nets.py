@@ -220,14 +220,14 @@ class SAEncoder:
             x1 = dc.concat([x1, dc.gather_rows(channels, plan.groups1.ravel())], axis=1)
         h = dc.relu(_linear(self.params, f"{self.prefix}.sa1.l1", x1))
         h = dc.relu(_linear(self.params, f"{self.prefix}.sa1.l2", h))
-        f1, _ = dc.reduce_max_with_index(dc.reshape(h, (s1, k1, w1b)), axis=1)
+        f1 = dc.reduce_max(dc.reshape(h, (s1, k1, w1b)), axis=1)
         x2 = dc.concat(
             [dc.constant(plan.rel2), dc.gather_rows(f1, plan.groups2.ravel())], axis=1
         )
         h = dc.relu(_linear(self.params, f"{self.prefix}.sa2.l1", x2))
         h = dc.relu(_linear(self.params, f"{self.prefix}.sa2.l2", h))
-        f2, _ = dc.reduce_max_with_index(dc.reshape(h, (s2, k2, w2b)), axis=1)
-        pooled, _ = dc.reduce_max_with_index(f2, axis=0)
+        f2 = dc.reduce_max(dc.reshape(h, (s2, k2, w2b)), axis=1)
+        pooled = dc.reduce_max(f2, axis=0)
         return f1, f2, dc.reshape(pooled, (1, cfg.global_width))
 
 

@@ -157,8 +157,8 @@ def case_reduce_mean_axis(rng):
 def case_reduce_max(rng):
     a = _spread(rng, (4, 6))
     w = _proj(rng, (4,))
-    return "reduce_max_with_index", [a], lambda n: dc.reduce_sum(
-        dc.mul(dc.reduce_max_with_index(n[0], axis=1)[0], w)
+    return "reduce_max", [a], lambda n: dc.reduce_sum(
+        dc.mul(dc.reduce_max(n[0], axis=1), w)
     )
 
 
@@ -166,7 +166,7 @@ def case_reduce_max_3d(rng):
     a = _spread(rng, (3, 4, 2))
     w = _proj(rng, (3, 2))
     return "reduce_max_3d", [a], lambda n: dc.reduce_sum(
-        dc.mul(dc.reduce_max_with_index(n[0], axis=1)[0], w)
+        dc.mul(dc.reduce_max(n[0], axis=1), w)
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 from partmotion.config import RunConfig
 from partmotion.datagen import generate_shape, make_sequence
 from partmotion.datagen.dataset import ShapeRecord
+from partmotion.geom import MobilitySpec
 from partmotion.nets import NetConfig
 
 TINY_NET = dict(
@@ -56,3 +57,13 @@ def micro_records(categories, n_points=64, n_frames=4, seed=0, split="train"):
             )
         )
     return records
+
+
+def spec_bytes(spec: MobilitySpec | None) -> bytes:
+    """Every field of a mobility spec as raw float64 bytes, for exact comparisons."""
+    if spec is None:
+        return b"none"
+    position = b"-" if spec.position is None else spec.position.tobytes()
+    slide = b"-" if spec.slide_range is None else np.array(spec.slide_range).tobytes()
+    return b"|".join([spec.tau.encode(), spec.direction.tobytes(), position,
+                      np.array(spec.range_).tobytes(), slide])

@@ -10,7 +10,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from partmotion import diffcore as dc
-from partmotion.errors import ConfigError
+from partmotion.errors import ConfigError, DataError
+from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform
+from partmotion.mobfit import (
+    FLAG_LOW_CONFIDENCE,
+    FittedMobility,
+    PairMotion,
+    _aligned_mean,
+    _range_check,
+    classify_transform,
+)
 from partmotion.nets import EncoderPlan, NetConfig
 
 
@@ -194,6 +203,101 @@ def rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:
             [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# mobfit reference: one Kabsch solve and one residual per frame pair
+
+
+def rigid_register(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
+    """Least-squares rigid transform mapping src onto dst, det(R) = +1."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
+        raise DataError(f"point sets must both be (M, 3), got {src.shape} and {dst.shape}")
+    if src.shape[0] < 3:
+        raise DataError("need at least three points to register")
+    cs = src.mean(axis=0)
+    cd = dst.mean(axis=0)
+    h = (src - cs).T @ (dst - cd)
+    u, sv, vt = np.linalg.svd(h)
+    # collinear (or fully degenerate) sets leave a rotation degree of
+    # freedom unconstrained
+    if sv[0] < 1e-15 or sv[1] <= 1e-9 * sv[0]:
+        raise DataError("rank-deficient configuration: points are collinear or coincident")
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    rotation = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    return RigidTransform(rotation, cd - rotation @ cs)
+
+
+def registration_residual(transform: RigidTransform, src: np.ndarray, dst: np.ndarray) -> float:
+    """Mean squared distance between the transformed source and the target."""
+    diff = transform.apply(np.asarray(src, dtype=np.float64)) - np.asarray(dst, dtype=np.float64)
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
+    """`mobfit.fit_sequence` with one registration and one residual per pair.
+
+    The vote and the composed range check are the package's own; the
+    registration they use is checked against `rigid_register` above.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
+        raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
+    pairs: list[PairMotion] = []
+    transforms: list[RigidTransform] = []
+    residuals: list[float] = []
+    for k in range(frames.shape[0] - 1):
+        transform = rigid_register(frames[k], frames[k + 1])
+        transforms.append(transform)
+        residuals.append(registration_residual(transform, frames[k], frames[k + 1]))
+        try:
+            motion = classify_transform(transform)
+        except DataError as exc:
+            if str(exc) != "no motion":
+                raise
+            continue
+        motion.amount = float(np.mean(np.linalg.norm(frames[k + 1] - frames[k], axis=1)))
+        pairs.append(motion)
+    if not pairs:
+        return None
+    residual = float(np.mean(residuals))
+    flags: list[str] = []
+
+    votes = {tau: sum(p.tau == tau for p in pairs) for tau in MOBILITY_TYPES}
+    top = max(votes.values())
+    leaders = [tau for tau, v in votes.items() if v == top]
+    if len(leaders) == 1:
+        tau = leaders[0]
+    else:
+        # no clear majority: the most-moving pair decides
+        tau = max(pairs, key=lambda p: p.amount).tau
+        flags.append(FLAG_LOW_CONFIDENCE)
+
+    if tau == TYPE_T:
+        kept = [p for p in pairs if p.tau == TYPE_T]
+        direction = _aligned_mean([p.direction for p in kept])
+        span = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
+        if span < 0.0:
+            direction, span = -direction, -span
+        spec = MobilitySpec(TYPE_T, direction, None, (0.0, float(span)))
+    else:
+        kept = [p for p in pairs if p.tau in (TYPE_R, TYPE_TR)]
+        direction = _aligned_mean([p.direction for p in kept])
+        position = np.mean([p.position for p in kept], axis=0)
+        angle = sum(np.sign(np.dot(p.direction, direction)) * p.angle_deg for p in kept)
+        slide = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
+        if angle < 0.0:
+            direction, angle, slide = -direction, -angle, -slide
+        if tau == TYPE_R:
+            spec = MobilitySpec(TYPE_R, direction, position, (0.0, float(angle)))
+        else:
+            slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
+            spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
+
+    flags.extend(_range_check(frames, spec))
+    return FittedMobility(spec, residual, transforms, flags)
 
 
 # ---------------------------------------------------------------------------

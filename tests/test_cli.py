@@ -357,10 +357,15 @@ def test_export_unknown_shape(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 3
 
 
+NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 0.0, 0.0],
+                "range": [0.0, 90.0], "slide_range": None}
+
+
 @pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"seed_path": None}, {"category": "sofa"},
-                                  {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1}],
+                                  {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1},
+                                  {"parts": [{"mobility": NAN_MOBILITY}]}],
                          ids=["not_json", "list", "no_keys", "seed_path_null", "category_unknown",
-                              "n_frames_text", "n_frames_null", "n_frames_one"])
+                              "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str replaces the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"
@@ -396,8 +401,9 @@ def drop_last_vertex(text: str) -> str:
     ("manifest.json", lambda t: json.dumps({**json.loads(t), "shapes": [{"shape_id": "fan_002"}]})),
     ("fan_002/frame_03.ply", drop_last_vertex),
     ("fan_002/frame_03.ply", lambda t: t.replace(" 0\n", " 1\n", 1)),
+    ("fan_002/shape.json", lambda t: json.dumps({**json.loads(t), "parts": []})),
 ], ids=["manifest_not_json", "manifest_list", "manifest_no_shapes", "manifest_shapes_text",
-        "manifest_entry_no_split", "frame_short", "frame_relabelled"])
+        "manifest_entry_no_split", "frame_short", "frame_relabelled", "parts_short"])
 def test_malformed_dataset_is_data_error(workdir, tmp_path, capsys, name, edit):
     data = tmp_path / "data"
     shutil.copytree(workdir / "data", data)

@@ -55,11 +55,13 @@ def test_variance_of_constant_input_is_zero_with_zero_grad():
     np.testing.assert_allclose(x.grad, np.zeros((5, 3)), atol=1e-15)
 
 
-def test_reduce_max_reports_first_winning_index():
-    x = dc.constant(np.array([[1.0, 3.0, 3.0], [0.5, 0.1, 0.2]]))
-    out, idx = dc.reduce_max_with_index(x, axis=1)
-    np.testing.assert_array_equal(idx, [1, 0])
-    np.testing.assert_allclose(out.value, [3.0, 0.5])
+def test_reduce_max_gradient_goes_to_first_winner():
+    x = dc.parameter(np.array([[1.0, 3.0, 3.0], [0.5, 0.1, 0.2]]))
+    out = dc.reduce_max(x, axis=1)
+    np.testing.assert_array_equal(out.value, [3.0, 0.5])
+    dc.backward(dc.reduce_sum(out))
+    # the tie in the first row sends the whole gradient to its first winner
+    np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_pairwise_row_distances_symmetric_zero_diagonal():

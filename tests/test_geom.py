@@ -122,6 +122,12 @@ def test_mobility_fraction_out_of_range_rejected():
         dict(tau="R", direction=np.array([1.0, 0.0, 0.0]), position=np.zeros(3), range_=(2.0, 1.0)),
         dict(tau="TR", direction=np.array([1.0, 0.0, 0.0]), position=np.zeros(3)),
         dict(tau="T", direction=np.array([1.0, 0.0, 0.0]), slide_range=(0.0, 1.0)),
+        # non-finite values: NaN passes every comparison, so each needs its own check
+        dict(tau="T", direction=np.full(3, np.nan)),
+        dict(tau="R", direction=np.array([1.0, 0.0, 0.0]), position=np.array([0.0, np.nan, 0.0])),
+        dict(tau="R", direction=np.array([1.0, 0.0, 0.0]), position=np.zeros(3), range_=(0.0, np.nan)),
+        dict(tau="T", direction=np.array([1.0, 0.0, 0.0]), range_=(0.0, np.inf)),
+        dict(tau="TR", direction=np.array([1.0, 0.0, 0.0]), position=np.zeros(3), slide_range=(np.nan, 0.0)),
     ],
 )
 def test_mobility_spec_validation(kwargs):

@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from microfixtures import micro_config, micro_records
+from microfixtures import micro_config, micro_records, spec_bytes
 from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.cli import format_metrics
@@ -190,15 +190,6 @@ PREDICT_DIGEST = {
 }
 
 
-def _spec_bytes(spec) -> bytes:
-    if spec is None:
-        return b"none"
-    position = b"-" if spec.position is None else spec.position.tobytes()
-    slide = b"-" if spec.slide_range is None else np.array(spec.slide_range).tobytes()
-    return b"|".join([spec.tau.encode(), spec.direction.tobytes(), position,
-                      np.array(spec.range_).tobytes(), slide])
-
-
 def _prediction_digest(pred) -> str:
     h = hashlib.sha256()
     h.update(pred.maps.tobytes())
@@ -207,8 +198,8 @@ def _prediction_digest(pred) -> str:
         h.update(np.array([part, pred.confidences[part]]).tobytes())
     for part in sorted(pred.mobilities):
         h.update(np.int64(part).tobytes())
-        h.update(_spec_bytes(pred.mobilities[part]))
-        h.update(_spec_bytes(pred.fits[part]))
+        h.update(spec_bytes(pred.mobilities[part]))
+        h.update(spec_bytes(pred.fits[part]))
     return h.hexdigest()
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from partmotion.datagen import TEMPLATE_NAMES, NON_PARAMETRIC, generate_shape, make_sequence
+from partmotion.datagen import NON_PARAMETRIC, TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import DataError
 from partmotion.geom import (
     TYPE_R,
@@ -22,12 +22,13 @@ from partmotion.mobfit import (
     derive_range,
     fit_from_displacements,
     fit_sequence,
-    registration_residual,
     rigid_register,
     rotation_angle_deg,
 )
 
-from oracles import rotation_matrix
+import oracles
+from microfixtures import spec_bytes
+from oracles import registration_residual, rotation_matrix
 
 PARAMETRIC = [c for c in TEMPLATE_NAMES if c not in NON_PARAMETRIC]
 
@@ -247,3 +248,74 @@ def test_rotation_angle_degenerate_guard():
         classify_transform(
             RigidTransform(rotation_matrix(np.array([0.0, 0.0, 1.0]), np.pi), np.zeros(3))
         )
+
+
+# ---------------------------------------------------------------------------
+# batched registration against the per-pair reference, byte for byte
+
+
+def _fit_bytes(fit_fn, frames) -> tuple:
+    """Every field of a fit as raw bytes, or the DataError text it raised."""
+    try:
+        fit = fit_fn(frames)
+    except DataError as exc:
+        return ("DataError", str(exc))
+    if fit is None:
+        return (None,)
+    transforms = [(t.rotation.tobytes(), t.translation.tobytes()) for t in fit.per_frame_transforms]
+    return spec_bytes(fit.spec), np.float64(fit.residual).tobytes(), transforms, fit.flags
+
+
+def _assert_matches_oracle(frames) -> tuple:
+    got = _fit_bytes(fit_sequence, frames)
+    assert got == _fit_bytes(oracles.fit_sequence_per_pair, frames)
+    return got
+
+
+@pytest.mark.parametrize("category", TEMPLATE_NAMES)
+def test_fit_sequence_matches_per_pair_oracle(category):
+    fitted = 0
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 11])
+        seq = make_sequence(generate_shape(category, rng, 256), 8)
+        noisy = seq.frames + rng.normal(0.0, 0.002, size=seq.frames.shape)
+        for part_id in range(1, int(seq.labels.max()) + 1):
+            member = seq.labels == part_id
+            for frames in (seq.frames[:, member], noisy[:, member]):
+                fitted += _assert_matches_oracle(frames)[0] not in (None, "DataError")
+    assert fitted > 0
+
+
+def test_fit_sequence_matches_oracle_on_still_pairs():
+    rng = np.random.default_rng(12)
+    part = rng.normal(size=(30, 3))
+    swing = rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.zeros(3), 15.0)
+    moving = [part, swing.apply(part), swing.apply(swing.apply(part))]
+    padded = np.stack(moving + [moving[-1], moving[-1]])
+    assert _assert_matches_oracle(padded)[0].startswith(b"R|")
+    still_first = np.stack([part, part] + moving[1:])
+    assert _assert_matches_oracle(still_first)[0].startswith(b"R|")
+    assert _assert_matches_oracle(np.tile(part, (4, 1, 1))) == (None,)
+
+
+def test_fit_sequence_matches_oracle_errors():
+    line = np.linspace(0.0, 1.0, 12)[:, None] * np.array([1.0, 2.0, -1.0])
+    rng = np.random.default_rng(13)
+    part = rng.normal(size=(12, 3))
+    # the first pair and the first-to-last pair are well posed, the others are not
+    collinear_pair = np.stack([part, part + 0.1, line, part + 0.2])
+    assert _assert_matches_oracle(collinear_pair)[1].startswith("rank-deficient")
+    two_points = rng.normal(size=(4, 2, 3))
+    assert _assert_matches_oracle(two_points) == ("DataError", "need at least three points to register")
+
+
+def test_rigid_register_matches_per_pair_oracle():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        src = rng.normal(size=(3 + 10 * seed, 3))
+        for dst in (src @ rotation_matrix(unit(rng.normal(size=3)), 2.0).T + 0.3,
+                    -src, src + rng.normal(0.0, 0.01, size=src.shape)):
+            got = rigid_register(src, dst)
+            want = oracles.rigid_register(src, dst)
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
