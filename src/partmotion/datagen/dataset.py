@@ -232,8 +232,9 @@ def load_shape(shape_dir: str | Path) -> ShapeRecord:
         frames.append(pts)
         labels = lab
     specs = meta["specs"]
-    if specs is not None and len(specs) != labels.max():
-        raise DataError(f"{shape_dir / 'shape.json'}: {len(specs)} parts for {labels.max()} moving labels")
+    # one part per moving label, labelled 1..K without gaps
+    if specs is not None and not np.array_equal(np.unique(labels[labels != 0]), np.arange(1, len(specs) + 1)):
+        raise DataError(f"{shape_dir / 'shape.json'}: {len(specs)} parts do not match the frames' moving labels")
     record = ShapeRecord(
         category=meta["category"],
         shape_id=meta["shape_id"],

@@ -416,6 +416,24 @@ def test_malformed_dataset_is_data_error(workdir, tmp_path, capsys, name, edit):
         assert str(path) in capsys.readouterr().err
 
 
+def test_moving_labels_with_a_gap_are_data_error(workdir, tmp_path, capsys):
+    # fan_002's moving part relabelled 2 in every frame, with a second part
+    # to match the highest label: label 1 has no points and no part may be dropped
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    shape = data / "fan_002"
+    for frame in shape.glob("frame_*.ply"):
+        head, body = frame.read_text().split("end_header\n")
+        body = "".join(line[:-1] + "2\n" if line.endswith(" 1") else line + "\n"
+                       for line in body.splitlines())
+        frame.write_text(head + "end_header\n" + body)
+    meta = json.loads((shape / "shape.json").read_text())
+    (shape / "shape.json").write_text(json.dumps({**meta, "parts": meta["parts"] * 2}))
+    for argv in dataset_reads(workdir, data, tmp_path):
+        assert main(argv) == 3, argv[0]
+        assert str(shape / "shape.json") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gen", "gen_force", "train", "eval"])
 def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
     taken = tmp_path / "taken"
