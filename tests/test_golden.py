@@ -8,8 +8,8 @@ recurrence, and the direct baseline), and the `--oracle` report, so refactors of
 the readouts or the clustering must reproduce them byte for byte. A
 SHA-256 of every `Pipeline.predict` output pins the prediction path
 (encoder, heads, DBSCAN, mobfit, regressor) below the printed digits. The
-strings and digests were recorded on x86-64 with OpenBLAS; another BLAS may round
-differently in the last printed digit.
+strings and digests were recorded on x86-64 with OpenBLAS; another BLAS
+may round differently in the last printed digit, and in the digests.
 """
 import hashlib
 
