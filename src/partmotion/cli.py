@@ -1,4 +1,4 @@
-"""Command-line surface: gen, train, predict, eval, ablate, export.
+"""Command-line surface: gen, train, predict, eval, ablate.
 
 Every command is driven by a JSON run config and is deterministic given
 (config, seed). Reports are plain structured text. Exit codes: 0 success,
@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .config import ABLATION_SWITCHES, RunConfig, load_config
-from .datagen import ShapeRecord, generate_dataset, generate_shape, load_dataset, make_sequence, read_shape_json
+from .datagen import ShapeRecord, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
 from .metrics import MetricsReport
-from .nets import MIN_PART_POINTS, PredictionNode, ShapePrediction, recursive_predict
+from .nets import PredictionNode, ShapePrediction
 from .plyio import read_ply, write_ply
 from .training import (
     EvalResult,
@@ -122,7 +122,7 @@ def cmd_gen(args) -> int:
         scan_sigma=config.scan_sigma,
         scan_fraction=config.scan_fraction,
     )
-    config.echo_into(out)
+    config.save(out / "config.json")
     n_shapes = len(manifest["shapes"])
     print(f"wrote {n_shapes} shapes ({n_shapes * config.n_frames} instances) to {out}")
     return 0
@@ -156,10 +156,7 @@ def _load_input_points(path: Path, config: RunConfig) -> tuple[np.ndarray, bool]
     # off-size input: resample it to the configured point count
     rng = np.random.default_rng(config.seed)
     n = points.shape[0]
-    if n >= config.n_points:
-        idx = np.sort(rng.choice(n, size=config.n_points, replace=False))
-    else:
-        idx = np.sort(rng.choice(n, size=config.n_points, replace=True))
+    idx = np.sort(rng.choice(n, size=config.n_points, replace=n < config.n_points))
     return points[idx], True
 
 
@@ -173,10 +170,7 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["prediction report", f"input {args.input}", f"resampled {str(resampled).lower()}"]
     if args.recursive > 1:
-        node = recursive_predict(  # a part with fewer points than stage-1 centroids is a leaf
-            points, pipeline.predict, depth=args.recursive,
-            min_points=max(MIN_PART_POINTS, config.net.sa_stages[0][0]), stop_threshold=config.theta_stop,
-        )
+        node = pipeline.predict_tree(points, args.recursive)
         lines += format_tree(node, config.theta_stop)
         pred = node.prediction
     else:
@@ -194,7 +188,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records = None
     if args.oracle:
         dataset = Path(args.dataset)
         records = load_dataset(dataset, split=args.split)
@@ -237,20 +230,6 @@ def cmd_ablate(args) -> int:
         print(table[-1])
     (out / "table.txt").write_text("".join(line + "\n" for line in table))
     print(f"table written to {out / 'table.txt'}")
-    return 0
-
-
-def cmd_export(args) -> int:
-    meta = read_shape_json(Path(args.dataset) / args.shape)
-    # same seed path, denser sampling: templates draw all shape parameters
-    # before any point sampling, so the geometry matches the stored shape
-    sample = generate_shape(meta["category"], np.random.default_rng(meta["seed_path"]), args.points)
-    seq = make_sequence(sample, meta["n_frames"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for k in range(seq.n_frames):
-        write_ply(out / f"frame_{k + 1:02d}.ply", seq.frames[k], seq.labels)
-    print(f"wrote {seq.n_frames} frames of {args.shape} at {args.points} points to {out}")
     return 0
 
 
@@ -301,13 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", nargs="*", default=None,
                    help=f"rows to run (default: {' '.join(DEFAULT_ABLATION_ROWS)})")
     p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("export", help="re-render a dataset shape at a new point count")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--shape", required=True, help="shape id, e.g. laptop_003")
-    p.add_argument("--points", type=int, default=2048)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export)
     return parser
 
 

@@ -97,12 +97,20 @@ class RunConfig:
             raise ConfigError("n_frames must be at least 2")
         if not 0.0 <= self.scan_fraction <= 1.0:
             raise ConfigError(f"scan fraction must lie in [0, 1], got {self.scan_fraction}")
-        if not 0.0 <= self.scan_sigma < math.inf or math.copysign(1.0, self.scan_sigma) < 0.0:
-            raise ConfigError(f"scan_sigma must be finite and at least +0.0, got {self.scan_sigma}")
+        if math.copysign(1.0, self.scan_sigma) < 0.0:
+            raise ConfigError(f"scan_sigma must be at least +0.0, got {self.scan_sigma}")
         if self.epochs < 1 or self.mobility_epochs < 0:
             raise ConfigError("epoch counts must be positive")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
+        # a clip norm of 0 zeroes every step and a negative one flips its sign
+        if self.max_grad_norm <= 0.0 or self.adam_eps <= 0.0:
+            raise ConfigError("max_grad_norm and adam_eps must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"Adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        w = self.weights
+        if min(w.w_ref, w.w_mov, w.w_seg_obj, w.w_seg_mov, w.margin) < 0.0 or w.k_density < 1:
+            raise ConfigError("loss weights and margin must be non-negative and k_density at least 1")
         if self.basenet and any(getattr(self, s) for s in ABLATION_SWITCHES if s != "basenet"):
             raise ConfigError("basenet is exclusive; it cannot combine with other switches")
 
@@ -112,11 +120,6 @@ class RunConfig:
 
     def replaced(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["categories"] = list(self.categories)
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -135,27 +138,21 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
 
-    def echo_into(self, out_dir: str | Path) -> Path:
-        """Copy this config into an output directory for reproducibility."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / "config.json"
-        self.save(target)
-        return target
-
 
 def _check_scalar_types(obj) -> None:
-    """Every int, float, bool or str field must hold a value of that kind."""
+    """Every int, float, bool or str field must hold a value of that kind, floats finite."""
     kinds = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
     for f in dataclasses.fields(obj):
         kind, value = kinds.get(type(f.default)), getattr(obj, f.name)
         if kind and (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
             raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+        if kind is numbers.Real and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def _net_from_dict(data: dict) -> NetConfig:

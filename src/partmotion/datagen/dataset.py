@@ -137,8 +137,8 @@ def generate_dataset(
                     SCAN_RENDER_FACTOR * n_points,
                 )
                 scan_points, scan_labels, viewpoint = scan_with_viewpoint_retries(
-                    dense.cloud.points,
-                    dense.cloud.labels,
+                    dense.points,
+                    dense.labels,
                     rng,
                     sigma=scan_sigma,
                     n_target=n_points,

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..geom import MobilitySpec, apply_mobility
+from ..geom import MobilitySpec, mobility_transform
 from .templates import ShapeSample
 
 
@@ -55,17 +55,14 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
         raise ConfigError("need at least two frames")
     if not sample.parametric:
         frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
-        return MotionSequence(sample.category, frames, sample.cloud.labels.copy(), None)
-    pts0 = sample.cloud.points
-    labels = sample.cloud.labels
-    frames = np.empty((n_frames, pts0.shape[0], 3))
+        return MotionSequence(sample.category, frames, sample.labels.copy(), None)
+    pts0 = sample.points
+    labels = sample.labels
+    frames = np.repeat(pts0[None], n_frames, axis=0)
     for k in range(n_frames):
-        s = k / (n_frames - 1)
-        frame = pts0.copy()
         for part_id, spec in enumerate(sample.specs, start=1):
             idx = np.flatnonzero(labels == part_id)
-            frame[idx] = apply_mobility(pts0[idx], spec, s)
-        frames[k] = frame
+            frames[k, idx] = mobility_transform(spec, k / (n_frames - 1)).apply(pts0[idx])
     return MotionSequence(sample.category, frames, labels.copy(), list(sample.specs))
 
 

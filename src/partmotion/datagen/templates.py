@@ -21,7 +21,6 @@ from ..geom import (
     TYPE_T,
     TYPE_TR,
     MobilitySpec,
-    PointCloud,
     RigidTransform,
     rotation_about_axis,
 )
@@ -50,7 +49,8 @@ class ShapeSample:
     """A generated start-state shape plus everything needed to move it."""
 
     category: str
-    cloud: PointCloud
+    points: np.ndarray          # (N, 3)
+    labels: np.ndarray          # (N,) part ids, 0 = reference
     specs: Optional[list[MobilitySpec]]
     frame_fn: Optional[Callable[[float], np.ndarray]] = None
     extras: dict = field(default_factory=dict)
@@ -213,9 +213,7 @@ def _assemble(
     pts = yaw.apply(pts)
     if specs is not None:
         specs = [_yaw_spec(s, yaw) for s in specs]
-    sample = ShapeSample(category, PointCloud(pts, lab), specs)
-    sample.extras["yaw"] = yaw
-    return sample
+    return ShapeSample(category, pts, lab, specs, extras={"yaw": yaw})
 
 
 def _cabinet_shell(w: float, d: float, h: float, z0: float = 0.0) -> list[Surface]:
@@ -417,13 +415,8 @@ def build_umbrella(rng: np.random.Generator, n_points: int) -> ShapeSample:
         alpha = a_open + s * (a_closed - a_open)
         return yaw.apply(np.concatenate([ref_pts, cover_at(alpha)], axis=0))
 
-    cloud = PointCloud(
-        frame_fn(0.0),
-        np.concatenate([np.zeros(int(counts[0]), dtype=np.int64), np.ones(m, dtype=np.int64)]),
-    )
-    sample = ShapeSample("umbrella", cloud, None, frame_fn=frame_fn)
-    sample.extras["yaw"] = yaw
-    return sample
+    labels = np.concatenate([np.zeros(int(counts[0]), dtype=np.int64), np.ones(m, dtype=np.int64)])
+    return ShapeSample("umbrella", frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
 
 
 def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -459,9 +452,7 @@ def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
     labels = np.concatenate(
         [np.full(int(c), part_id, dtype=np.int64) for part_id, c in enumerate(counts)]
     )
-    sample = ShapeSample("balance", PointCloud(frame_fn(0.0), labels), None, frame_fn=frame_fn)
-    sample.extras["yaw"] = yaw
-    return sample
+    return ShapeSample("balance", frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
 
 
 BUILDERS: dict[str, Callable[[np.random.Generator, int], ShapeSample]] = {

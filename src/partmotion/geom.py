@@ -1,4 +1,4 @@
-"""Rigid transforms, mobility parameters, and point cloud containers.
+"""Rigid transforms, mobility parameters, and unit-box normalization.
 
 Angles are degrees at every public boundary and radians only inside a
 function body. Rotations follow the right-hand rule about the axis
@@ -23,15 +23,11 @@ __all__ = [
     "TYPE_R",
     "TYPE_TR",
     "MOBILITY_TYPES",
-    "PointCloud",
     "RigidTransform",
     "MobilitySpec",
     "unit",
     "rotation_about_axis",
-    "translation_along",
-    "screw_transform",
     "mobility_transform",
-    "apply_mobility",
     "normalize_to_unit_box",
 ]
 
@@ -53,26 +49,6 @@ def unit(v: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PointCloud:
-    """Points with an optional per-point integer part label (0 = reference)."""
-
-    points: np.ndarray
-    labels: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ConfigError(f"points must be (N, 3), got {self.points.shape}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.points.shape[0],):
-                raise ConfigError("labels length must match point count")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
 class RigidTransform:
     """p -> rotation @ p + translation."""
 
@@ -88,13 +64,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation.T + self.translation
-
-    def compose(self, first: "RigidTransform") -> "RigidTransform":
-        """Return self applied after `first`."""
-        return RigidTransform(
-            self.rotation @ first.rotation,
-            self.rotation @ first.translation + self.translation,
-        )
 
 
 @dataclass
@@ -158,37 +127,20 @@ def rotation_about_axis(direction: np.ndarray, position: np.ndarray, angle_deg: 
     return RigidTransform(rot, x - rot @ x)
 
 
-def translation_along(direction: np.ndarray, distance: float) -> RigidTransform:
-    d = unit(direction)
-    return RigidTransform(np.eye(3), d * float(distance))
-
-
-def screw_transform(
-    direction: np.ndarray,
-    position: np.ndarray,
-    angle_deg: float,
-    slide: float,
-) -> RigidTransform:
-    """Rotation about the axis coupled with translation along it."""
-    rot = rotation_about_axis(direction, position, angle_deg)
-    return translation_along(direction, slide).compose(rot)
-
-
 def mobility_transform(spec: MobilitySpec, s: float) -> RigidTransform:
-    """Transform taking start-state points to the state at fraction s of the range."""
+    """Transform taking start-state points to the state at fraction s of the range.
+
+    A TR screw is the rotation about the axis followed by the slide along it.
+    """
     if not 0.0 <= s <= 1.0:
         raise ConfigError(f"motion fraction must lie in [0, 1], got {s}")
     if spec.tau == TYPE_T:
-        return translation_along(spec.direction, s * spec.span)
-    if spec.tau == TYPE_R:
-        return rotation_about_axis(spec.direction, spec.position, s * spec.span)
-    slide_span = spec.slide_range[1] - spec.slide_range[0]
-    return screw_transform(spec.direction, spec.position, s * spec.span, s * slide_span)
-
-
-def apply_mobility(points: np.ndarray, spec: MobilitySpec, s: float) -> np.ndarray:
-    """Place start-state part points at fraction s of the mobility range."""
-    return mobility_transform(spec, s).apply(points)
+        return RigidTransform(np.eye(3), unit(spec.direction) * (s * spec.span))
+    transform = rotation_about_axis(spec.direction, spec.position, s * spec.span)
+    if spec.tau == TYPE_TR:
+        slide_span = spec.slide_range[1] - spec.slide_range[0]
+        transform.translation = transform.translation + unit(spec.direction) * (s * slide_span)
+    return transform
 
 
 def normalize_to_unit_box(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

@@ -125,7 +125,6 @@ class FittedMobility:
 
     spec: MobilitySpec
     residual: float                              # mean squared pair error
-    per_frame_transforms: list[RigidTransform] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
 
@@ -171,12 +170,11 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
         raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
     rotations, translations = _kabsch(frames[:-1], frames[1:])
-    transforms = [RigidTransform(r, t) for r, t in zip(rotations, translations)]
     amounts = np.linalg.norm(frames[1:] - frames[:-1], axis=2).mean(axis=1)
     pairs: list[PairMotion] = []
-    for transform, amount in zip(transforms, amounts):
+    for rotation, translation, amount in zip(rotations, translations, amounts):
         try:
-            motion = classify_transform(transform)
+            motion = classify_transform(RigidTransform(rotation, translation))
         except DataError as exc:
             if str(exc) != "no motion":
                 raise
@@ -221,7 +219,7 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
     flags.extend(_range_check(frames, spec))
-    return FittedMobility(spec, residual, transforms, flags)
+    return FittedMobility(spec, residual, flags)
 
 
 def _range_check(frames: np.ndarray, spec: MobilitySpec) -> list[str]:

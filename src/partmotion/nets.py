@@ -32,17 +32,16 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
-from .geom import MOBILITY_TYPES, MobilitySpec, normalize_to_unit_box, unit
+from .geom import MOBILITY_TYPES, MobilitySpec, unit
 
 THETA_STOP = 0.01
-MIN_PART_POINTS = 32  # smallest component the recursion re-runs the predictor on
 # Clustering features are projected onto a sphere of this radius. The
 # diameter (160) keeps cross-part distances able to clear the margin (80)
 # while ruling out the degenerate optimum where every row shrinks to a
@@ -66,9 +65,11 @@ class NetConfig:
         if len(self.sa_stages) != 2 or len(self.group_sizes) != 2 or any(
                 len(stage) != 3 or len(stage[2]) != 2 for stage in self.sa_stages):
             raise ConfigError("need two (count, radius, (width, width)) stages and two group sizes")
-        (s1, _, (w1a, w1b)), (s2, _, (w2a, w2b)) = self.sa_stages
+        (s1, r1, (w1a, w1b)), (s2, r2, (w2a, w2b)) = self.sa_stages
         if not 0 < s2 < s1:
             raise ConfigError("set-abstraction sample counts must be positive and strictly decrease")
+        if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
+            raise ConfigError(f"set-abstraction radii must be positive and finite, got {r1}, {r2}")
         sizes = [w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
                  self.feature_width, *self.group_sizes]
         if min(sizes) <= 0:
@@ -468,43 +469,3 @@ def denormalized_spec(spec: Optional[MobilitySpec], scale: float, center: np.nda
     if slide is not None:
         slide = (slide[0] * scale, slide[1] * scale)
     return MobilitySpec(spec.tau, spec.direction, position, range_, slide)
-
-
-def recursive_predict(
-    points: np.ndarray,
-    predictor: Callable[[np.ndarray], ShapePrediction],
-    depth: int = 2,
-    min_points: int = MIN_PART_POINTS,
-    stop_threshold: float = THETA_STOP,
-) -> PredictionNode:
-    """Predict, then re-run the predictor inside each moving component.
-
-    Component points are re-centered and scaled to the unit box before the
-    recursive call. Each level maps the whole subtree it gets back through
-    its (scale, center) and member indices, so every node's indices and
-    mobilities are in the input cloud's frame; maps stay in the frame the
-    predictor saw. Recursion stops at the depth limit, below min_points, or
-    when a component's predicted motion is already below the stop threshold.
-    """
-    if depth < 1:
-        raise ConfigError("recursion depth must be at least 1")
-    points = np.asarray(points, dtype=np.float64)
-    prediction = predictor(points)
-    node = PredictionNode(np.arange(points.shape[0]), prediction)
-    if depth == 1 or prediction.mean_step < stop_threshold:
-        return node
-    for part_id in sorted(prediction.mobilities):
-        member_idx = np.flatnonzero(prediction.labels == part_id)
-        if member_idx.size < min_points:
-            continue
-        normed, scale, center = normalize_to_unit_box(points[member_idx])
-        child = recursive_predict(normed, predictor, depth - 1, min_points, stop_threshold)
-        subtree = [child]
-        for sub in subtree:  # breadth first: the loop reaches what it appends
-            subtree += sub.children
-            sub.indices = member_idx[sub.indices]
-            pred = sub.prediction
-            pred.mobilities = {p: denormalized_spec(s, scale, center) for p, s in pred.mobilities.items()}
-            pred.fits = {p: denormalized_spec(s, scale, center) for p, s in pred.fits.items()}
-        node.children.append(child)
-    return node

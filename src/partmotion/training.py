@@ -19,9 +19,9 @@ import numpy as np
 from . import diffcore as dc
 from .cluster import assemble_segmentation, dbscan_labels, default_min_pts
 from .config import RunConfig, _net_from_dict, load_config
-from .datagen import ShapeRecord, make_instances, same_part_matrix
+from .datagen import ShapeRecord, TrainingInstance, make_instances, same_part_matrix
 from .errors import ConfigError, DataError, NumericError
-from .geom import MOBILITY_TYPES, TYPE_T, TYPE_TR, MobilitySpec, unit
+from .geom import MOBILITY_TYPES, TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
 from .losses import LossBreakdown, baseline_loss, l_mob, total_motion_loss
 from .metrics import (
     MetricsReport,
@@ -39,8 +39,10 @@ from .nets import (
     DisplacementNet,
     EncoderPlan,
     MobilityRegressor,
+    PredictionNode,
     ShapePrediction,
     build_plan,
+    denormalized_spec,
     feature_distance_matrix,
 )
 
@@ -52,6 +54,8 @@ CLUSTER_EPS = 40.0
 # umbrella sequences sit at 9e-4 and above, rigid categories at ~1e-32
 NONRIGID_RESIDUAL = 5e-4
 
+MIN_PART_POINTS = 32  # smallest component the recursion re-runs the predictor on
+
 LogFn = Callable[[str], None]
 
 
@@ -60,23 +64,12 @@ LogFn = Callable[[str], None]
 
 
 @dataclass
-class PreparedInstance:
+class PreparedInstance(TrainingInstance):
     """One training instance with its sampling plan and loss inputs cached."""
 
-    category: str
-    shape_id: str
-    t: int
     plan: EncoderPlan
-    targets: np.ndarray           # (n, N, 3)
-    labels: np.ndarray            # (N,)
     mov_idx: np.ndarray
     same_mov: np.ndarray          # 0 same part, 1 different
-    n_true: int
-    specs: Optional[list[MobilitySpec]]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.plan.points
 
 
 def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list[PreparedInstance]:
@@ -89,20 +82,8 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
     for rec in records:
         for inst in make_instances(rec.sequence, rec.shape_id):
             mov_idx, same = same_part_matrix(inst.labels)
-            out.append(
-                PreparedInstance(
-                    category=inst.category,
-                    shape_id=inst.shape_id,
-                    t=inst.t,
-                    plan=build_plan(inst.points, config.net),
-                    targets=inst.targets,
-                    labels=inst.labels,
-                    mov_idx=mov_idx,
-                    same_mov=same,
-                    n_true=inst.n_true,
-                    specs=inst.specs,
-                )
-            )
+            plan = build_plan(inst.points, config.net)
+            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, same_mov=same))
     return out
 
 
@@ -397,6 +378,42 @@ class Pipeline:
             mobilities[part], fits[part] = self._part_mobility(plan, maps, member)
         return ShapePrediction(maps, labels, mobilities, confidences, fits)
 
+    def predict_tree(self, points: np.ndarray, depth: int) -> PredictionNode:
+        """Predict, then predict again inside each moving component.
+
+        Component points are re-centered and scaled to the unit box before the
+        recursive call. Each level maps the whole subtree it gets back through
+        its (scale, center) and member indices, so every node's indices and
+        mobilities are in the input cloud's frame; maps stay in the frame the
+        predictor saw. Recursion stops at the depth limit, when a component's
+        predicted motion is already below the config's theta_stop, and at
+        components smaller than MIN_PART_POINTS or than the stage-1 centroid
+        count, which the encoder cannot plan.
+        """
+        if depth < 1:
+            raise ConfigError("recursion depth must be at least 1")
+        points = np.asarray(points, dtype=np.float64)
+        prediction = self.predict(points)
+        node = PredictionNode(np.arange(points.shape[0]), prediction)
+        if depth == 1 or prediction.mean_step < self.config.theta_stop:
+            return node
+        floor = max(MIN_PART_POINTS, self.config.net.sa_stages[0][0])
+        for part_id in sorted(prediction.mobilities):
+            member_idx = np.flatnonzero(prediction.labels == part_id)
+            if member_idx.size < floor:
+                continue
+            normed, scale, center = normalize_to_unit_box(points[member_idx])
+            child = self.predict_tree(normed, depth - 1)
+            subtree = [child]
+            for sub in subtree:  # breadth first: the loop reaches what it appends
+                subtree += sub.children
+                sub.indices = member_idx[sub.indices]
+                pred = sub.prediction
+                pred.mobilities = {p: denormalized_spec(s, scale, center) for p, s in pred.mobilities.items()}
+                pred.fits = {p: denormalized_spec(s, scale, center) for p, s in pred.fits.items()}
+            node.children.append(child)
+        return node
+
     def _part_mobility(self, plan: EncoderPlan, maps: np.ndarray, member: np.ndarray):
         """(regressor spec, mobfit cross-check spec) for one component.
 
@@ -445,7 +462,7 @@ def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = pipeline.config
-    config.echo_into(out)
+    config.save(out / "config.json")
     meta = {
         "n_maps": config.n_frames,
         "theta_stop": config.theta_stop,

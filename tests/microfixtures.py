@@ -1,6 +1,9 @@
 """Tiny configs and in-memory shapes for fast training-path tests."""
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 
 from partmotion.config import RunConfig
@@ -67,3 +70,13 @@ def spec_bytes(spec: MobilitySpec | None) -> bytes:
     slide = b"-" if spec.slide_range is None else np.array(spec.slide_range).tobytes()
     return b"|".join([spec.tau.encode(), spec.direction.tobytes(), position,
                       np.array(spec.range_).tobytes(), slide])
+
+
+def tree_hash(root: Path) -> str:
+    """SHA-256 of every file under root, keyed by its relative path."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()

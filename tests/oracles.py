@@ -246,11 +246,9 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
         raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
     pairs: list[PairMotion] = []
-    transforms: list[RigidTransform] = []
     residuals: list[float] = []
     for k in range(frames.shape[0] - 1):
         transform = rigid_register(frames[k], frames[k + 1])
-        transforms.append(transform)
         residuals.append(registration_residual(transform, frames[k], frames[k + 1]))
         try:
             motion = classify_transform(transform)
@@ -297,7 +295,7 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
     flags.extend(_range_check(frames, spec))
-    return FittedMobility(spec, residual, transforms, flags)
+    return FittedMobility(spec, residual, flags)
 
 
 # ---------------------------------------------------------------------------

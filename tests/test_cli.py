@@ -1,5 +1,4 @@
 """End-to-end command surface: every subcommand plus the exit-code contract."""
-import hashlib
 import json
 import shutil
 import tempfile
@@ -10,21 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microfixtures import TINY_NET, TINY_NET_JSON, micro_config
+from microfixtures import TINY_NET, TINY_NET_JSON, micro_config, tree_hash
 from partmotion.cli import main
 from partmotion.datagen import TEMPLATE_NAMES
 from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
-
-
-def tree_hash(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            h.update(path.relative_to(root).as_posix().encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +77,15 @@ def test_train_numeric_failure_exits_4(workdir, tmp_path, capsys):
                      "--out", str(tmp_path / "r")])
     assert code == 4
     assert "training aborted at step" in capsys.readouterr().err
+
+
+def test_train_zero_grad_clip_is_config_error(workdir, tmp_path, capsys):
+    # a clip norm of 0 scales every step to nothing, so training would run but never learn
+    config = json.loads((workdir / "config.json").read_text())
+    (tmp_path / "stall.json").write_text(json.dumps({**config, "max_grad_norm": 0.0}))
+    assert main(["train", "--config", str(tmp_path / "stall.json"), "--out", str(tmp_path / "r")]) == 2
+    assert "max_grad_norm" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_predict_writes_frames_and_report(workdir, tmp_path, capsys):
@@ -333,30 +332,6 @@ def test_ablate_rejects_unknown_row(workdir, tmp_path):
                  "--out", str(tmp_path / "a"), "--rows", "no_such"]) == 2
 
 
-def test_export_matches_dataset_at_native_count(workdir, tmp_path, capsys):
-    out = tmp_path / "export"
-    assert main(["export", "--dataset", str(workdir / "data"), "--shape", "fan_002",
-                 "--points", "64", "--out", str(out)]) == 0
-    for k in range(1, 5):
-        a = (workdir / "data" / "fan_002" / f"frame_{k:02d}.ply").read_bytes()
-        b = (out / f"frame_{k:02d}.ply").read_bytes()
-        assert a == b, f"frame {k} differs"
-
-
-def test_export_denser_rendering(workdir, tmp_path, capsys):
-    out = tmp_path / "dense"
-    assert main(["export", "--dataset", str(workdir / "data"), "--shape", "fan_002",
-                 "--points", "256", "--out", str(out)]) == 0
-    pts, labels = read_ply(out / "frame_01.ply")
-    assert pts.shape == (256, 3)
-    assert set(np.unique(labels)) == {0, 1}
-
-
-def test_export_unknown_shape(workdir, tmp_path, capsys):
-    assert main(["export", "--dataset", str(workdir / "data"), "--shape", "sofa_000",
-                 "--out", str(tmp_path / "x")]) == 3
-
-
 NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 0.0, 0.0],
                 "range": [0.0, 90.0], "slide_range": None}
 
@@ -374,8 +349,7 @@ def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     if isinstance(body, dict):
         body = json.dumps({**json.loads(meta.read_text()), **body})
     meta.write_text(body)
-    export = ["export", "--dataset", str(data), "--shape", "fan_002", "--out", str(tmp_path / "x")]
-    for argv in (export, *dataset_reads(workdir, data, tmp_path)):
+    for argv in dataset_reads(workdir, data, tmp_path):
         assert main(argv) == 3, argv[0]
         assert str(meta) in capsys.readouterr().err
 
@@ -541,12 +515,10 @@ def test_fuzzed_shape_json_exits_with_contract_code(workdir, data):
     base = json.loads((workdir / "data" / "fan_002" / "shape.json").read_text())
     text = data.draw(json_file_text(base, sorted(base)))
     with tempfile.TemporaryDirectory() as tmp:
-        # a one-shape dataset, so eval --oracle reads the drawn file too
+        # a one-shape dataset, so eval --oracle reads the drawn file
         shutil.copytree(workdir / "data" / "fan_002", Path(tmp) / "fan_002")
         manifest = json.loads((workdir / "data" / "manifest.json").read_text())
         manifest["shapes"] = [{"shape_id": "fan_002", "category": "fan", "split": "test"}]
         (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
         (Path(tmp) / "fan_002" / "shape.json").write_text(text)
-        assert main(["export", "--dataset", tmp, "--shape", "fan_002", "--points", "64",
-                     "--out", f"{tmp}/x"]) in CONTRACT_CODES
         assert main(["eval", "--oracle", "--dataset", tmp]) in CONTRACT_CODES

@@ -1,13 +1,15 @@
 """RunConfig validation and JSON round-tripping."""
 import json
 
+import numpy as np
 import pytest
 
 from microfixtures import TINY_NET_JSON, micro_config
 from partmotion.config import ABLATION_SWITCHES, RunConfig, load_config
 from partmotion.errors import ConfigError
 from partmotion.losses import LossWeights
-from partmotion.nets import NetConfig
+from partmotion.nets import DisplacementNet, NetConfig
+from partmotion.training import Pipeline, save_pipeline
 
 
 def test_defaults_are_valid():
@@ -73,6 +75,26 @@ def test_switches_other_than_basenet_compose():
         dict(scan_sigma=-0.0),
         dict(scan_sigma=float("nan")),
         dict(scan_sigma=float("inf")),
+        # NaN passes every comparison, so finiteness is its own check
+        dict(lr=float("nan")),
+        dict(theta_stop=float("nan")),
+        dict(weights=LossWeights(w_mov=float("nan"))),
+        dict(weights=LossWeights(margin=float("inf"))),
+        dict(net=dict(sa_stages=((64, float("nan"), (32, 64)), (16, 0.4, (64, 128))))),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, float("inf"), (64, 128))))),
+        dict(net=dict(sa_stages=((64, 0.0, (32, 64)), (16, 0.4, (64, 128))))),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, -0.4, (64, 128))))),
+        # optimizer settings that would stall or reverse training
+        dict(max_grad_norm=0.0),
+        dict(max_grad_norm=-1.0),
+        dict(adam_eps=0.0),
+        dict(beta1=-0.1),
+        dict(beta1=1.0),
+        dict(beta2=1.0),
+        dict(weights=LossWeights(w_ref=-1.0)),
+        dict(weights=LossWeights(w_seg_mov=-0.2)),
+        dict(weights=LossWeights(margin=-80.0)),
+        dict(weights=LossWeights(k_density=0)),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
@@ -83,7 +105,7 @@ def test_invalid_fields_are_rejected(bad):
 
 
 def test_unknown_keys_are_rejected():
-    data = RunConfig().to_dict()
+    data = json.loads(RunConfig().to_json())
     data["typo_field"] = 1
     with pytest.raises(ConfigError, match="typo_field"):
         RunConfig.from_dict(data)
@@ -111,9 +133,10 @@ def test_save_and_load_round_trip(tmp_path):
 
 def test_echo_into_writes_the_same_config(tmp_path):
     cfg = micro_config()
-    target = cfg.echo_into(tmp_path / "run")
-    assert target.read_text() == cfg.to_json()
-    assert load_config(target) == cfg
+    rng = np.random.default_rng(0)
+    run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=DisplacementNet(4, rng, cfg.net)))
+    assert (run / "config.json").read_text() == cfg.to_json()
+    assert load_config(run / "config.json") == cfg
 
 
 def test_replaced_does_not_mutate():

@@ -8,6 +8,7 @@ import pytest
 from partmotion.datagen import (
     NON_PARAMETRIC,
     TEMPLATE_NAMES,
+    MotionSequence,
     generate_dataset,
     generate_shape,
     hidden_point_removal,
@@ -19,7 +20,7 @@ from partmotion.datagen import (
     same_part_matrix,
     scan_with_viewpoint_retries,
 )
-from partmotion.errors import DataError
+from partmotion.errors import ConfigError, DataError
 from partmotion.geom import TYPE_R
 
 N_TEST = 512
@@ -32,8 +33,8 @@ def shape_of(category, seed=3, n=N_TEST):
 @pytest.mark.parametrize("category", TEMPLATE_NAMES)
 def test_template_basics(category):
     sample = shape_of(category)
-    pts = sample.cloud.points
-    labels = sample.cloud.labels
+    pts = sample.points
+    labels = sample.labels
     assert pts.shape == (N_TEST, 3)
     parts = np.unique(labels)
     assert parts[0] == 0 and np.array_equal(parts, np.arange(len(parts)))
@@ -53,16 +54,16 @@ def test_template_deterministic(category):
     a = shape_of(category, seed=11)
     b = shape_of(category, seed=11)
     c = shape_of(category, seed=12)
-    assert np.array_equal(a.cloud.points, b.cloud.points)
-    assert np.array_equal(a.cloud.labels, b.cloud.labels)
-    assert not np.array_equal(a.cloud.points, c.cloud.points)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.labels, b.labels)
+    assert not np.array_equal(a.points, c.points)
 
 
 def test_part_floor_at_reference_resolution():
     assert min_part_points(2048) == 100
     sample = shape_of("balance", n=2048)
-    for p in np.unique(sample.cloud.labels):
-        assert (sample.cloud.labels == p).sum() >= 100
+    for p in np.unique(sample.labels):
+        assert (sample.labels == p).sum() >= 100
 
 
 @pytest.mark.parametrize("category", [c for c in TEMPLATE_NAMES if c not in NON_PARAMETRIC])
@@ -136,6 +137,16 @@ def test_instances_padding_and_telescoping():
         assert np.allclose(inst.points + inst.targets.sum(axis=0), final, atol=1e-12)
 
 
+@pytest.mark.parametrize("frames, labels", [
+    (np.zeros((4, 10, 2)), np.zeros(10, dtype=np.int64)),
+    (np.zeros((1, 10, 3)), np.zeros(10, dtype=np.int64)),
+    (np.zeros((4, 10, 3)), np.zeros(9, dtype=np.int64)),
+], ids=["two_columns", "one_frame", "short_labels"])
+def test_motion_sequence_validation(frames, labels):
+    with pytest.raises(ConfigError):
+        MotionSequence("fan", frames, labels, None)
+
+
 def test_same_part_matrix():
     labels = np.array([0, 1, 1, 2, 0, 2])
     mov_idx, same = same_part_matrix(labels)
@@ -162,7 +173,7 @@ def test_hidden_point_removal_sphere_oracle():
 
 def test_partial_scan_noise_free_keeps_original_points():
     sample = shape_of("drawer_box", seed=4)
-    pts, labels = sample.cloud.points, sample.cloud.labels
+    pts, labels = sample.points, sample.labels
     view = pts.mean(axis=0) + np.array([0.0, 3.0, 1.0])
     scan, scan_labels = partial_scan(
         pts, labels, view, np.random.default_rng(0), sigma=0.0, floor=1
@@ -190,7 +201,7 @@ def test_partial_scan_detects_lost_part():
 
 def test_partial_scan_target_respects_floor():
     sample = shape_of("fan", seed=6)
-    pts, labels = sample.cloud.points, sample.cloud.labels
+    pts, labels = sample.points, sample.labels
     view = pts.mean(axis=0) + np.array([0.0, 3.0, 0.5])
     scan, scan_labels = partial_scan(
         pts, labels, view, np.random.default_rng(1), sigma=0.0, n_target=80, floor=25
@@ -203,12 +214,12 @@ def test_partial_scan_target_respects_floor():
 def test_scan_retries_finds_viewpoint():
     sample = shape_of("cabinet_multi", seed=8)
     scan, scan_labels, view = scan_with_viewpoint_retries(
-        sample.cloud.points, sample.cloud.labels, np.random.default_rng(3)
+        sample.points, sample.labels, np.random.default_rng(3)
     )
     floor = min_part_points(N_TEST)
-    for p in np.unique(sample.cloud.labels):
+    for p in np.unique(sample.labels):
         assert (scan_labels == p).sum() >= floor
-    assert np.linalg.norm(view - sample.cloud.points.mean(axis=0)) > 1.0
+    assert np.linalg.norm(view - sample.points.mean(axis=0)) > 1.0
 
 
 def test_dataset_round_trip(tmp_path):
@@ -281,7 +292,7 @@ def test_densified_regeneration_keeps_shape_parameters():
     for cat in TEMPLATE_NAMES:
         a = generate_shape(cat, np.random.default_rng([7, 1]), 256)
         b = generate_shape(cat, np.random.default_rng([7, 1]), 1024)
-        assert b.cloud.points.shape == (1024, 3)
+        assert b.points.shape == (1024, 3)
         np.testing.assert_array_equal(a.extras["yaw"].rotation, b.extras["yaw"].rotation)
         if a.parametric:
             for sa, sb in zip(a.specs, b.specs):

@@ -52,13 +52,17 @@ def test_rotation_fixes_axis_points():
         np.testing.assert_allclose(t.apply(p[None])[0], p, atol=1e-12)
 
 
+def screw(axis, pos, angle, slide) -> geom.MobilitySpec:
+    return geom.MobilitySpec(geom.TYPE_TR, axis, pos, (0.0, angle), slide_range=(0.0, slide))
+
+
 def test_full_turn_screw_is_pure_slide():
     rng = np.random.default_rng(3)
     axis = geom.unit(rng.normal(size=3))
     pos = rng.normal(size=3)
     pts = rng.normal(size=(20, 3))
     slide = 0.37
-    t = geom.screw_transform(axis, pos, 360.0, slide)
+    t = geom.mobility_transform(screw(axis, pos, 360.0, slide), 1.0)
     np.testing.assert_allclose(t.apply(pts), pts + slide * axis, atol=1e-9)
 
 
@@ -67,19 +71,10 @@ def test_screw_equals_rotation_then_slide():
     axis = geom.unit(rng.normal(size=3))
     pos = rng.normal(size=3)
     pts = rng.normal(size=(10, 3))
-    rot = geom.rotation_about_axis(axis, pos, 42.0)
-    expect = rot.apply(pts) + 0.2 * axis
-    got = geom.screw_transform(axis, pos, 42.0, 0.2).apply(pts)
+    rot = geom.rotation_about_axis(axis, pos, 21.0)
+    expect = rot.apply(pts) + 0.1 * axis
+    got = geom.mobility_transform(screw(axis, pos, 42.0, 0.2), 0.5).apply(pts)
     np.testing.assert_allclose(got, expect, atol=1e-12)
-
-
-def test_compose_invert_round_trip():
-    rng = np.random.default_rng(5)
-    a = geom.rotation_about_axis(rng.normal(size=3), rng.normal(size=3), 31.0)
-    b = geom.translation_along(rng.normal(size=3), 0.8)
-    ab = a.compose(b)
-    pts = rng.normal(size=(6, 3))
-    np.testing.assert_allclose(ab.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
 def test_mobility_transform_endpoints():
@@ -87,22 +82,16 @@ def test_mobility_transform_endpoints():
         geom.TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, 0.4)
     )
     pts = np.array([[0.1, 0.2, 0.3]])
-    np.testing.assert_allclose(geom.apply_mobility(pts, spec, 0.0), pts, atol=1e-15)
+    np.testing.assert_allclose(geom.mobility_transform(spec, 0.0).apply(pts), pts, atol=1e-15)
     np.testing.assert_allclose(
-        geom.apply_mobility(pts, spec, 1.0), pts + [[0.0, 0.4, 0.0]], atol=1e-15
+        geom.mobility_transform(spec, 1.0).apply(pts), pts + [[0.0, 0.4, 0.0]], atol=1e-15
     )
 
 
 def test_mobility_tr_couples_rotation_and_slide():
-    spec = geom.MobilitySpec(
-        geom.TYPE_TR,
-        np.array([0.0, 0.0, 1.0]),
-        np.zeros(3),
-        (0.0, 180.0),
-        slide_range=(0.0, 0.1),
-    )
+    spec = screw(np.array([0.0, 0.0, 1.0]), np.zeros(3), 180.0, 0.1)
     p = np.array([[1.0, 0.0, 0.0]])
-    mid = geom.apply_mobility(p, spec, 0.5)
+    mid = geom.mobility_transform(spec, 0.5).apply(p)
     np.testing.assert_allclose(mid, [[0.0, 1.0, 0.05]], atol=1e-12)
 
 
@@ -145,10 +134,3 @@ def test_normalize_round_trip(seed):
     assert abs(extents.max() - 1.0) < 1e-12
     np.testing.assert_allclose(normed * scl + center, pts, atol=1e-12)
     np.testing.assert_allclose(normed.min(axis=0) + normed.max(axis=0), np.zeros(3), atol=1e-12)
-
-
-def test_point_cloud_and_segmentation_validation():
-    with pytest.raises(ConfigError):
-        geom.PointCloud(np.zeros((4, 2)))
-    with pytest.raises(ConfigError):
-        geom.PointCloud(np.zeros((4, 3)), labels=np.zeros(3, dtype=int))

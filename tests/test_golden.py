@@ -7,7 +7,8 @@ displacement net plus the mobility regressor, the same without the
 recurrence, and the direct baseline), and the `--oracle` report, so refactors of the training loops,
 the readouts or the clustering must reproduce them byte for byte. A
 SHA-256 of every `Pipeline.predict` output pins the prediction path
-(encoder, heads, DBSCAN, mobfit, regressor) below the printed digits. The
+(encoder, heads, DBSCAN, mobfit, regressor) below the printed digits, and
+a SHA-256 of a `generate_dataset` tree pins the corpus bytes. The
 strings and digests were recorded on x86-64 with OpenBLAS; another BLAS
 may round differently in the last printed digit, and in the digests.
 """
@@ -16,11 +17,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from microfixtures import micro_config, micro_records, spec_bytes
+from microfixtures import micro_config, micro_records, spec_bytes, tree_hash
 from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.cli import format_metrics
-from partmotion.datagen import TEMPLATE_NAMES
+from partmotion.datagen import TEMPLATE_NAMES, generate_dataset
 
 GOLDEN = {
     "full": (
@@ -216,3 +217,17 @@ def test_golden_predict_bytes(micro_pipeline, category):
     pred = micro_pipeline.predict(rec.frames[0])
     assert pred.fits.keys() == pred.mobilities.keys()
     assert _prediction_digest(pred) == PREDICT_DIGEST[category]
+
+
+# SHA-256 of a `generate_dataset` tree: five shapes of every category at
+# the default 256 points and 8 frames, the last a scanned test shape, so the
+# frames, shape.json, scan.ply, manifest and split file of every template
+# are pinned byte for byte. Fewer shapes or frames miss last-bit changes
+# in the screw transform, such as applying the slide before the rotation.
+DATASET_DIGEST = "8afff37d74394b90bae1b0e9a358b9a388783f5882b531233f08ec92138f81f0"
+
+
+def test_golden_dataset_bytes(tmp_path):
+    generate_dataset(tmp_path, TEMPLATE_NAMES, shapes_per_category=5, n_points=256, n_frames=8, seed=3)
+    assert sorted(p.name for p in tmp_path.glob("*/scan.ply")) == ["scan.ply"] * len(TEMPLATE_NAMES)
+    assert tree_hash(tmp_path) == DATASET_DIGEST

@@ -11,7 +11,7 @@ from partmotion.geom import (
     MobilitySpec,
     RigidTransform,
     rotation_about_axis,
-    screw_transform,
+    mobility_transform,
     unit,
 )
 from partmotion.mobfit import (
@@ -102,7 +102,7 @@ def test_classify_rotation_recovers_axis_and_position():
 
 def test_classify_screw_splits_angle_and_pitch():
     d = np.array([0.0, 0.0, 1.0])
-    tf = screw_transform(d, np.array([0.1, 0.0, 0.0]), 25.0, 0.04)
+    tf = mobility_transform(MobilitySpec(TYPE_TR, d, np.array([0.1, 0.0, 0.0]), (0.0, 25.0), (0.0, 0.04)), 1.0)
     motion = classify_transform(tf)
     assert motion.tau == TYPE_TR
     assert np.isclose(motion.angle_deg, 25.0, atol=1e-10)
@@ -114,7 +114,7 @@ def test_classification_floors():
     tiny_rot = rotation_about_axis(d, np.zeros(3), 0.2)
     shifted = RigidTransform(tiny_rot.rotation, tiny_rot.translation + np.array([0.0, 0.0, 0.1]))
     assert classify_transform(shifted).tau == TYPE_T  # angle under the floor
-    small_pitch = screw_transform(d, np.zeros(3), 20.0, 0.002)
+    small_pitch = mobility_transform(MobilitySpec(TYPE_TR, d, np.zeros(3), (0.0, 20.0), (0.0, 0.002)), 1.0)
     assert classify_transform(small_pitch).tau == TYPE_R  # pitch under the floor
 
 
@@ -136,7 +136,6 @@ def test_fit_sequence_exact_on_generated_shapes(category, seed):
         if gt.tau == TYPE_TR:
             assert abs(fit.spec.slide_range[1] - gt.slide_range[1]) < 1e-6
         assert fit.residual < 1e-18
-        assert len(fit.per_frame_transforms) == 7
         assert fit.flags == []
 
 
@@ -163,7 +162,6 @@ def test_padded_tail_frames_do_not_vote():
     fit = fit_sequence(frames)
     assert fit.spec.tau == TYPE_T
     assert abs(fit.spec.range_[1] - 0.1) < 1e-9
-    assert len(fit.per_frame_transforms) == 4
 
 
 def test_tied_votes_use_largest_amount_and_flag():
@@ -262,8 +260,7 @@ def _fit_bytes(fit_fn, frames) -> tuple:
         return ("DataError", str(exc))
     if fit is None:
         return (None,)
-    transforms = [(t.rotation.tobytes(), t.translation.tobytes()) for t in fit.per_frame_transforms]
-    return spec_bytes(fit.spec), np.float64(fit.residual).tobytes(), transforms, fit.flags
+    return spec_bytes(fit.spec), np.float64(fit.residual).tobytes(), fit.flags
 
 
 def _assert_matches_oracle(frames) -> tuple:

@@ -28,7 +28,6 @@ from partmotion.nets import (
     denormalized_spec,
     farthest_point_indices,
     feature_distance_matrix,
-    recursive_predict,
 )
 
 TINY = NetConfig(
@@ -383,9 +382,16 @@ def lid_box_predictor(points: np.ndarray) -> ShapePrediction:
     return ShapePrediction(np.zeros((2, n, 3)), np.zeros(n, dtype=np.int64), {})
 
 
+def fake_pipeline(predict, net: NetConfig = TINY) -> tr.Pipeline:
+    """A pipeline whose flat prediction is `predict`; TINY's recursion floor is 32 points."""
+    pipeline = tr.Pipeline(micro_config(net=net))
+    pipeline.predict = predict
+    return pipeline
+
+
 def test_recursive_predict_builds_two_levels():
     pts = cloud(200, seed=11)
-    tree = recursive_predict(pts, lid_box_predictor, depth=2)
+    tree = fake_pipeline(lid_box_predictor).predict_tree(pts, depth=2)
     assert isinstance(tree, PredictionNode)
     assert len(tree.children) == 1
     child = tree.children[0]
@@ -396,16 +402,16 @@ def test_recursive_predict_builds_two_levels():
 
 def test_recursion_depth_limit():
     pts = cloud(200, seed=11)
-    tree = recursive_predict(pts, lid_box_predictor, depth=1)
-    assert tree.children == []
+    pipeline = fake_pipeline(lid_box_predictor)
+    assert pipeline.predict_tree(pts, depth=1).children == []
     with pytest.raises(ConfigError):
-        recursive_predict(pts, lid_box_predictor, depth=0)
+        pipeline.predict_tree(pts, depth=0)
 
 
 def test_recursion_depth_three_stops_at_still_latch():
     # latch level predicts zero motion, so no third split happens
     pts = cloud(200, seed=11)
-    tree = recursive_predict(pts, lid_box_predictor, depth=3)
+    tree = fake_pipeline(lid_box_predictor).predict_tree(pts, depth=3)
     lid = tree.children[0]
     assert len(lid.children) == 1
     latch = lid.children[0]
@@ -414,14 +420,35 @@ def test_recursion_depth_three_stops_at_still_latch():
 
 
 def test_recursion_skips_small_components():
+    # the floor is the stage-1 centroid count when that exceeds MIN_PART_POINTS
     pts = cloud(200, seed=11)
-    tree = recursive_predict(pts, lid_box_predictor, depth=2, min_points=100)
+    net = dataclasses.replace(TINY, sa_stages=((100, 0.35, (8, 16)), (4, 0.8, (16, 24))))
+    tree = fake_pipeline(lid_box_predictor, net).predict_tree(pts, depth=2)
     assert tree.children == []
+
+
+def test_default_config_leaves_a_part_it_cannot_plan_as_a_leaf():
+    # the default encoder samples 64 stage-1 centroids, so a 40-point part
+    # would raise in Pipeline.predict if the recursion descended into it
+    pipeline = tr.Pipeline(RunConfig())
+    flat = pipeline.predict
+    with pytest.raises(ConfigError, match="64 centroids"):
+        flat(cloud(40))
+
+    def predict(points):
+        if points.shape[0] < 256:
+            return flat(points)
+        labels = (np.arange(256) < 40).astype(np.int64)
+        return ShapePrediction(np.full((2, 256, 3), 0.1), labels, {1: None}, {1: 1.0})
+
+    pipeline.predict = predict
+    tree = pipeline.predict_tree(cloud(256), depth=2)
+    assert tree.children == [] and tree.prediction.labels.sum() == 40
 
 
 def test_child_mobility_mapped_back_to_parent_frame():
     pts = cloud(200, seed=11)
-    tree = recursive_predict(pts, lid_box_predictor, depth=2)
+    tree = fake_pipeline(lid_box_predictor).predict_tree(pts, depth=2)
     child_spec = tree.children[0].prediction.mobilities[1]
     lid_pts = pts[120:]
     scale = (lid_pts.max(axis=0) - lid_pts.min(axis=0)).max()
@@ -443,7 +470,7 @@ def test_depth_three_reports_grandchild_in_input_frame():
         return ShapePrediction(maps, labels, {1: spec}, {1: 0.9}, {1: spec})
 
     pts = cloud(320, seed=4)
-    tree = recursive_predict(pts, predictor, depth=3)
+    tree = fake_pipeline(predictor).predict_tree(pts, depth=3)
     grandchild = tree.children[0].children[0]
     assert grandchild.children == []
     np.testing.assert_array_equal(grandchild.indices, np.arange(240, 320))
