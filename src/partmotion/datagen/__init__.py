@@ -7,7 +7,6 @@ from .dataset import (
     load_shape,
     mobility_from_json,
     mobility_to_json,
-    read_shape_json,
 )
 from .scan import (
     DEPTH_SIGMA,
@@ -38,7 +37,6 @@ __all__ = [
     "load_shape",
     "mobility_from_json",
     "mobility_to_json",
-    "read_shape_json",
     "DEPTH_SIGMA",
     "hidden_point_removal",
     "partial_scan",

@@ -190,21 +190,19 @@ def load_dataset(root: str | Path, split: Optional[str] = None) -> list[ShapeRec
             if split is None or e["split"] == split]
 
 
-def read_shape_json(shape_dir: str | Path) -> dict:
+def _read_shape_json(shape_dir: Path) -> dict:
     """The checked shape.json of one shape directory.
 
     Its mobilities come parsed under "specs" and its scan, if any, as a
-    (file name, viewpoint) pair under "scan".
+    (file name, viewpoint) pair under "scan". seed_path is written, not read.
     """
-    path = Path(shape_dir) / "shape.json"
+    path = shape_dir / "shape.json"
     try:
         meta = json.loads(path.read_text())
-        seed_path, category, n_frames = meta["seed_path"], meta["category"], meta["n_frames"]
-        if (type(seed_path) is not list or not all(type(s) is int and s >= 0 for s in seed_path)
-                or category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2):
+        category, n_frames = meta["category"], meta["n_frames"]
+        if category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2:
             raise ValueError(
-                f"need a list of non-negative ints seed_path, a known category and an int n_frames of at least 2, "
-                f"got {seed_path!r}, {category!r}, {n_frames!r}"
+                f"need a known category and an int n_frames of at least 2, got {category!r}, {n_frames!r}"
             )
         if type(meta["shape_id"]) is not str or type(meta["split"]) is not str:
             raise ValueError(f"need str shape_id and split, got {meta['shape_id']!r}, {meta['split']!r}")
@@ -221,7 +219,7 @@ def read_shape_json(shape_dir: str | Path) -> dict:
 
 def load_shape(shape_dir: str | Path) -> ShapeRecord:
     shape_dir = Path(shape_dir)
-    meta = read_shape_json(shape_dir)
+    meta = _read_shape_json(shape_dir)
     frames = []
     labels = None
     for k in range(meta["n_frames"]):

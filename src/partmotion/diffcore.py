@@ -308,14 +308,15 @@ def reduce_max(a: Node | np.ndarray, axis: int) -> Node:
     a = _as_node(a)
     if a.value.ndim < 1 or not -a.value.ndim <= axis < a.value.ndim:
         raise ShapeMismatch(f"op 'reduce_max': bad axis {axis} for shape {a.value.shape}")
+    out = a.value.max(axis=axis)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        idx = np.expand_dims(np.argmax(a.value, axis=axis), axis)
+        idx = np.expand_dims((a.value == np.expand_dims(out, axis)).argmax(axis=axis), axis)
         acc = np.zeros(a.value.shape)
         np.put_along_axis(acc, idx, np.expand_dims(g, axis), axis=axis)
         return acc
 
-    return _make(a.value.max(axis=axis), [(a, bw)], "reduce_max")
+    return _make(out, [(a, bw)], "reduce_max")
 
 
 # ---------------------------------------------------------------------------

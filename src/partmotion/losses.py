@@ -4,7 +4,9 @@ All losses are differentiable scalars built from diffcore ops. Nearest
 neighbor matching inside the moving-part shape term is computed on values
 and treated as a fixed correspondence; gradients flow through the matched
 distances. Sums run over points where the objective is a per-point sum,
-and cross entropies are means over points.
+and cross entropies are means over points. The ground-truth k-NN radii
+of `l_mov` depend only on the instance, so `moving_knn_radii` builds them
+once when it is prepared; each step searches only the predicted points.
 
 Per-frame terms stack their frames along the row axis: frame t of an
 N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, the layout in
@@ -24,7 +26,8 @@ from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .diffcore import Node
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
+from .nets import k_smallest
 
 __all__ = [
     "LossWeights",
@@ -80,37 +83,52 @@ def l_ref(cloud: Node, origin: np.ndarray, ref_idx: np.ndarray) -> Node:
     return _row_distance_sum(cloud, origin, ref_idx)
 
 
-def _neighbor_distances(points: np.ndarray) -> np.ndarray:
-    """Pairwise distances within one set, infinite on the diagonal."""
+def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
+    """Mean distance of each point to its k nearest neighbors; inf with k or fewer points."""
     d = cdist(points, points)
     np.fill_diagonal(d, np.inf)
-    return d
+    return np.sort(d, axis=1)[:, :k].sum(axis=1) / k
 
 
-def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
-    """Mean distance of each point to its k nearest neighbors."""
-    return np.sort(_neighbor_distances(points), axis=1)[:, :k].mean(axis=1)
+def _target_clouds(p0: np.ndarray, gt_maps: np.ndarray) -> np.ndarray:
+    """Ground-truth cloud of every frame: p0 plus the first t maps, (n, N, 3)."""
+    return np.cumsum(np.concatenate([p0[None], gt_maps]), axis=0)[1:]
 
 
-def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
+def moving_knn_radii(p0: np.ndarray, gt_maps: np.ndarray, mov_idx: np.ndarray, k: int) -> np.ndarray:
+    """knn_radii of the moving points in each ground-truth frame, (n, M); a
+    frame that zero padding repeats reuses the radii of the one before it."""
+    clouds = _target_clouds(p0, gt_maps)[:, mov_idx]
+    radii = np.empty(clouds.shape[:2])
+    for t, cloud in enumerate(clouds):
+        radii[t] = radii[t - 1] if t and np.array_equal(cloud, clouds[t - 1]) else knn_radii(cloud, k)
+    return radii
+
+
+def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int = 8) -> Node:
     """Moving-part resemblance: symmetric Chamfer plus a local density term.
 
     gt holds the ground-truth moving points of n frames, (n, M', 3), or of
-    one frame, (M', 3); pred holds the predicted moving points of the same
+    one frame, (M', 3), and gt_radii their `knn_radii` at k_density, built
+    once per instance; pred holds the predicted moving points of the same
     frames stacked along rows, (n*M, 3). Each frame's term is computed on
     its own and the frames are summed. The density term compares each
-    predicted point's mean k-NN radius with that of its matched
-    ground-truth point and is skipped when either set is smaller than k + 1.
+    predicted point's mean k-NN radius, searched per step, with that of its
+    matched ground-truth point and is skipped when either set has k or
+    fewer points.
     """
     gt = np.asarray(gt, dtype=np.float64)
+    gt_radii = np.asarray(gt_radii, dtype=np.float64)
     if gt.ndim == 2:
-        gt = gt[None]
+        gt, gt_radii = gt[None], gt_radii[None]
     pv = pred.value
-    if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 3 or gt.shape[2] != 3:
-        raise ConfigError("l_mov expects (n*M, 3) predicted and (n, M', 3) ground-truth points")
+    if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 3 or gt.shape[2] != 3 or gt_radii.shape != gt.shape[:2]:
+        raise ConfigError("l_mov expects (n*M, 3) predicted, (n, M', 3) ground-truth points and (n, M') radii")
     n, m_gt = gt.shape[:2]
     if n == 0 or pv.shape[0] % n:
         raise ConfigError(f"l_mov: {pv.shape[0]} predicted rows do not split into {n} frames")
+    if not np.all(np.isfinite(pv)):
+        raise NumericError("l_mov: non-finite predicted points")
     m = pv.shape[0] // n
     if m == 0 or m_gt == 0:
         return dc.constant(0.0)
@@ -129,15 +147,17 @@ def l_mov(pred: Node, gt: np.ndarray, k_density: int = 8) -> Node:
     per_frame = dc.reduce_mean(dc.reshape(matched, rows.shape), axis=1)
     k = int(k_density)
     if m > k and m_gt > k:
-        nbr = np.empty((n, m, k), dtype=np.int64)
-        gt_radii = np.empty((n, m))
-        for t in range(n):
-            nbr[t] = t * m + np.argsort(_neighbor_distances(frames[t]), axis=1)[:, :k]
-            gt_radii[t] = knn_radii(gt[t], k)[nearest_gt[t]]
+        nbr = np.empty((n * m, k), dtype=np.int64)
+        per = max(1, (1 << 17) // (m * m))  # frames per own-distance table of at most 1 MiB, which stays in cache
+        for t0 in range(0, n, per):
+            ts = np.arange(t0, min(n, t0 + per))
+            own = np.stack([cdist(frames[t], frames[t]) for t in ts])
+            own[:, np.arange(m), np.arange(m)] = np.inf  # no point is its own neighbour
+            nbr[t0 * m : (ts[-1] + 1) * m] = k_smallest(own.reshape(-1, m), k) + np.repeat(ts * m, m)[:, None]
         anchors = np.repeat(np.arange(n * m), k)
         diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
         radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n * m, k)), axis=1)
-        density = dc.absolute(dc.sub(radii, gt_radii.ravel()))
+        density = dc.absolute(dc.sub(radii, gt_radii[np.arange(n)[:, None], nearest_gt].ravel()))
         per_frame = dc.add(per_frame, dc.reduce_mean(dc.reshape(density, (n, m)), axis=1))
     return dc.reduce_sum(per_frame)
 
@@ -219,6 +239,7 @@ def total_motion_loss(
     gt_maps: np.ndarray,
     p0: np.ndarray,
     seg_labels: np.ndarray,
+    gt_radii: np.ndarray,
     dist_mov: Optional[Node],
     seg_logits: Optional[Node],
     same_mov: Optional[np.ndarray],
@@ -232,7 +253,8 @@ def total_motion_loss(
     """Combined objective over one training instance.
 
     maps are the n predicted displacement maps stacked along rows,
-    (n*N, 3); gt_maps the padded targets, (n, N, 3). Per-frame terms are
+    (n*N, 3); gt_maps the padded targets, (n, N, 3); gt_radii the
+    instance's `moving_knn_radii` at weights.k_density. Per-frame terms are
     averaged over frames; the motion and segmentation terms enter once.
     Ablation flags drop whole terms.
     """
@@ -261,8 +283,8 @@ def total_motion_loss(
         ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
         recon.append(dc.scale(l_ref(clouds, origins, ref_rows), weights.w_ref))
         if mov_idx.size:
-            gt_clouds = np.cumsum(np.concatenate([p0[None], gt_maps]), axis=0)[1:]
-            mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds[:, mov_idx], weights.k_density)
+            gt_clouds = _target_clouds(p0, gt_maps)[:, mov_idx]
+            mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds, gt_radii, weights.k_density)
             recon.append(dc.scale(mov, weights.w_mov))
     if not no_disp:
         recon.append(l_disp(maps, gt_maps.reshape(-1, 3), mov_rows))

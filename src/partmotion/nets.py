@@ -9,8 +9,8 @@ first in coordinate order (x, then y, then z, then index) wins, so a
 permuted cloud encodes to the same global feature; with a point set's
 columns in that order, each tie-break is a first-wins argmax or a stable
 sort. One distance table per cloud serves sampling, both groupings and both
-interpolations; a k-nearest selection partitions each row and stable-sorts
-only the k columns it keeps. The plan is built once per cloud and reused.
+interpolations; `k_smallest`, shared with the loss, sorts each row for its
+k-th value and stable-sorts the k columns it keeps. Each plan is built once.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
@@ -71,9 +71,9 @@ class NetConfig:
         if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
             raise ConfigError(f"set-abstraction radii must be positive and finite, got {r1}, {r2}")
         sizes = [w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
-                 self.feature_width, *self.group_sizes]
+                 self.feature_width, self.fp_neighbors, *self.group_sizes]
         if min(sizes) <= 0:
-            raise ConfigError("network widths and group sizes must be positive")
+            raise ConfigError("network widths, group sizes and fp_neighbors must be positive")
         if w2b != self.global_width:
             raise ConfigError("global width must equal the last stage output width")
 
@@ -103,22 +103,24 @@ def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, 
     return order[chosen], table[np.ix_(chosen, np.argsort(order))]
 
 
-def _nearest(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest columns, taking tied columns in the order of cols."""
-    sub = dist[:, cols]
-    k = min(k, cols.size)
-    kth = np.partition(sub, k - 1, axis=1)[:, k - 1 : k]
-    below, tied = sub < kth, sub == kth
-    # every column below the k-th value, then the first tied ones up to k
-    keep = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
-    picked = np.flatnonzero(keep).reshape(-1, k) % sub.shape[1]
-    rank = np.argsort(np.take_along_axis(sub, picked, axis=1), axis=1, kind="stable")
-    return cols[np.take_along_axis(picked, rank, axis=1)]
+def k_smallest(table: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest columns in ascending order, tied columns lowest first."""
+    k = min(k, table.shape[1])
+    kth = np.sort(table, axis=1)[:, k - 1 : k]
+    keep = table <= kth
+    extra = np.flatnonzero(keep.sum(axis=1) > k)
+    if extra.size:
+        # rows tied at the k-th value: every column below it, then the first tied ones up to k
+        below, tied = table[extra] < kth[extra], table[extra] == kth[extra]
+        keep[extra] = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    picked = np.flatnonzero(keep).reshape(-1, k) % table.shape[1]
+    rank = np.argsort(np.take_along_axis(table, picked, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picked, rank, axis=1)
 
 
 def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndarray:
-    """(rows, k) nearest columns within radius, padded with the nearest."""
-    near = _nearest(dist, cols, k)
+    """(rows, k) nearest columns within radius, padded with the nearest; ties in cols order."""
+    near = cols[k_smallest(dist[:, cols], k)]
     inside = np.sum(np.take_along_axis(dist, near, axis=1) <= radius, axis=1, keepdims=True)
     slot = np.arange(k)
     return np.take_along_axis(near, np.where(slot < inside, slot, 0), axis=1)
@@ -126,7 +128,7 @@ def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndar
 
 def _idw_weights(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Dense inverse-square-distance weights over each row's k nearest columns."""
-    near = _nearest(dist, cols, k)
+    near = cols[k_smallest(dist[:, cols], k)]
     inv = 1.0 / (np.take_along_axis(dist, near, axis=1) ** 2 + 1e-8)
     w = np.zeros(dist.shape)
     np.put_along_axis(w, near, inv / inv.sum(axis=1, keepdims=True), axis=1)

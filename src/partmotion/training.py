@@ -22,7 +22,7 @@ from .config import RunConfig, _net_from_dict, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances, same_part_matrix
 from .errors import ConfigError, DataError, NumericError
 from .geom import MOBILITY_TYPES, TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
-from .losses import LossBreakdown, baseline_loss, l_mob, total_motion_loss
+from .losses import LossBreakdown, baseline_loss, l_mob, moving_knn_radii, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -65,25 +65,30 @@ LogFn = Callable[[str], None]
 
 @dataclass
 class PreparedInstance(TrainingInstance):
-    """One training instance with its sampling plan and loss inputs cached."""
+    """One training instance with its plan, moving points, part matrix and k-NN radii."""
 
     plan: EncoderPlan
     mov_idx: np.ndarray
     same_mov: np.ndarray          # 0 same part, 1 different
+    gt_radii: np.ndarray          # (n_maps, M) moving_knn_radii
+    k_density: int
 
 
 def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list[PreparedInstance]:
-    """Expand shapes into per-state instances and precompute their plans.
+    """Expand shapes into per-state instances and precompute their plans and radii.
 
-    Plans depend only on the points and the network geometry, so one pass
-    here is shared by every training run over the same dataset.
+    Plans depend only on the points and the network geometry, and radii on
+    config.weights.k_density, so one pass here is shared by every training
+    run over the same dataset with that k_density.
     """
     out = []
     for rec in records:
         for inst in make_instances(rec.sequence, rec.shape_id):
             mov_idx, same = same_part_matrix(inst.labels)
             plan = build_plan(inst.points, config.net)
-            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, same_mov=same))
+            radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
+            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, same_mov=same,
+                                        gt_radii=radii, k_density=config.weights.k_density))
     return out
 
 
@@ -170,6 +175,7 @@ def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConf
         inst.targets,
         inst.points,
         inst.labels,
+        inst.gt_radii,
         dist_mov,
         seg_logits,
         same,
@@ -191,6 +197,8 @@ def train_displacement(
     """Fit the displacement net; returns it with the loss log lines."""
     if not instances:
         raise DataError("no training instances")
+    if any(inst.k_density != config.weights.k_density for inst in instances):
+        raise ConfigError(f"instances were prepared for another k_density than {config.weights.k_density}")
     n_maps = int(instances[0].targets.shape[0])
     net = DisplacementNet(
         n_maps, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn

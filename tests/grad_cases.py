@@ -315,7 +315,7 @@ def case_loss_moving(rng):
 
     def build(n):
         cloud = dc.add(p0, n[0])
-        return losses.l_mov(dc.gather_rows(cloud, mov), target, k_density=3)
+        return losses.l_mov(dc.gather_rows(cloud, mov), target, losses.knn_radii(target, 3), k_density=3)
 
     return "loss_l_mov", [d], build
 
@@ -323,12 +323,13 @@ def case_loss_moving(rng):
 def case_loss_moving_frames(rng):
     p0, mov, gt = _loss_fixture(rng, n_points=14, n_moving=10)
     targets = p0[mov] + gt[:, mov] + rng.normal(scale=0.02, size=(3, len(mov), 3))
+    radii = np.stack([losses.knn_radii(target, 3) for target in targets])
     rows = (np.arange(3)[:, None] * len(p0) + mov).ravel()
     d = rng.normal(scale=0.1, size=(3 * len(p0), 3))
 
     def build(n):
         clouds = dc.add(np.tile(p0, (3, 1)), n[0])
-        return losses.l_mov(dc.gather_rows(clouds, rows), targets, k_density=3)
+        return losses.l_mov(dc.gather_rows(clouds, rows), targets, radii, k_density=3)
 
     return "loss_l_mov_frames", [d], build
 
@@ -408,6 +409,7 @@ def case_loss_total(rng):
     d = rng.normal(scale=0.08, size=(3 * len(p0), 3))
     logits = rng.normal(size=(len(p0), 2))
     feats = rng.normal(size=(len(mov), 4)) * 5.0
+    radii = losses.moving_knn_radii(p0, gt, mov, losses.LossWeights().k_density)
 
     def build(n):
         m = dc.pairwise_row_distances(n[2])
@@ -416,6 +418,7 @@ def case_loss_total(rng):
             gt,
             p0,
             seg,
+            radii,
             m,
             n[1],
             same,

@@ -8,6 +8,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
 from partmotion.errors import ConfigError, DataError
@@ -296,6 +297,73 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
 
     flags.extend(_range_check(frames, spec))
     return FittedMobility(spec, residual, flags)
+
+
+# ---------------------------------------------------------------------------
+# l_mov reference: the per-step version, which rebuilt the ground-truth radii
+# every call and took each point's neighbours from a full argsort of its row
+
+
+def _neighbor_distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances within one set, infinite on the diagonal."""
+    d = cdist(points, points)
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
+    """Mean distance of each point to its k nearest neighbors."""
+    return np.sort(_neighbor_distances(points), axis=1)[:, :k].mean(axis=1)
+
+
+def l_mov(pred: dc.Node, gt: np.ndarray, k_density: int = 8) -> dc.Node:
+    """Moving-part resemblance: symmetric Chamfer plus a local density term.
+
+    gt holds the ground-truth moving points of n frames, (n, M', 3), or of
+    one frame, (M', 3); pred holds the predicted moving points of the same
+    frames stacked along rows, (n*M, 3). Each frame's term is computed on
+    its own and the frames are summed. The density term compares each
+    predicted point's mean k-NN radius with that of its matched
+    ground-truth point and is skipped when either set is smaller than k + 1.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    if gt.ndim == 2:
+        gt = gt[None]
+    pv = pred.value
+    if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 3 or gt.shape[2] != 3:
+        raise ConfigError("l_mov expects (n*M, 3) predicted and (n, M', 3) ground-truth points")
+    n, m_gt = gt.shape[:2]
+    if n == 0 or pv.shape[0] % n:
+        raise ConfigError(f"l_mov: {pv.shape[0]} predicted rows do not split into {n} frames")
+    m = pv.shape[0] // n
+    if m == 0 or m_gt == 0:
+        return dc.constant(0.0)
+    frames = pv.reshape(n, m, 3)
+    nearest_gt = np.empty((n, m), dtype=np.int64)
+    nearest_pred = np.empty((n, m_gt), dtype=np.int64)
+    for t in range(n):
+        cross = cdist(frames[t], gt[t])
+        nearest_gt[t], nearest_pred[t] = cross.argmin(axis=1), cross.argmin(axis=0)
+    first = np.arange(n)[:, None] * m
+    # per frame: each predicted point against its nearest ground truth, then
+    # each ground-truth point against its nearest prediction
+    rows = np.concatenate([first + np.arange(m), first + nearest_pred], axis=1)
+    targets = np.concatenate([gt[np.arange(n)[:, None], nearest_gt], gt], axis=1)
+    matched = dc.l2_norm_rows(dc.sub(dc.gather_rows(pred, rows.ravel()), targets.reshape(-1, 3)))
+    per_frame = dc.reduce_mean(dc.reshape(matched, rows.shape), axis=1)
+    k = int(k_density)
+    if m > k and m_gt > k:
+        nbr = np.empty((n, m, k), dtype=np.int64)
+        gt_radii = np.empty((n, m))
+        for t in range(n):
+            nbr[t] = t * m + np.argsort(_neighbor_distances(frames[t]), axis=1)[:, :k]
+            gt_radii[t] = knn_radii(gt[t], k)[nearest_gt[t]]
+        anchors = np.repeat(np.arange(n * m), k)
+        diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
+        radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n * m, k)), axis=1)
+        density = dc.absolute(dc.sub(radii, gt_radii.ravel()))
+        per_frame = dc.add(per_frame, dc.reduce_mean(dc.reshape(density, (n, m)), axis=1))
+    return dc.reduce_sum(per_frame)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,12 @@ def test_criterion_gradient_suite():
     flat = rng.normal(scale=0.08, size=(n_maps * n_pts, 3))
     logits = rng.normal(size=(n_pts, 2))
     feats = rng.normal(size=(len(mov), 8)) * 4.0
+    radii = losses.moving_knn_radii(p0, gt, mov, losses.LossWeights().k_density)
 
     def build(nodes):
         dist = dc.pairwise_row_distances(nodes[2])
         return losses.total_motion_loss(
-            nodes[0], gt, p0, seg, dist, nodes[1], same,
+            nodes[0], gt, p0, seg, radii, dist, nodes[1], same,
             n_true=2, weights=losses.LossWeights(),
         ).total
 

@@ -336,10 +336,10 @@ NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 
                 "range": [0.0, 90.0], "slide_range": None}
 
 
-@pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"seed_path": None}, {"category": "sofa"},
+@pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"category": "sofa"},
                                   {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1},
                                   {"parts": [{"mobility": NAN_MOBILITY}]}],
-                         ids=["not_json", "list", "no_keys", "seed_path_null", "category_unknown",
+                         ids=["not_json", "list", "no_keys", "category_unknown",
                               "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str replaces the whole file; a dict overrides fields of the saved one
@@ -352,6 +352,19 @@ def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     for argv in dataset_reads(workdir, data, tmp_path):
         assert main(argv) == 3, argv[0]
         assert str(meta) in capsys.readouterr().err
+
+
+def test_shape_json_without_seed_path_loads(workdir, tmp_path, capsys):
+    # the generator still writes seed_path, but nothing reads it back
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    meta = data / "fan_002" / "shape.json"
+    meta.write_text(json.dumps({k: v for k, v in json.loads(meta.read_text()).items() if k != "seed_path"}))
+    texts = []
+    for root in (workdir / "data", data):
+        assert main(["eval", "--oracle", "--dataset", str(root), "--split", "train"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
 
 
 def dataset_reads(workdir, data, tmp_path):

@@ -95,6 +95,8 @@ def test_switches_other_than_basenet_compose():
         dict(weights=LossWeights(w_seg_mov=-0.2)),
         dict(weights=LossWeights(margin=-80.0)),
         dict(weights=LossWeights(k_density=0)),
+        # an interpolation over no neighbours
+        dict(net=dict(fp_neighbors=0)),
     ],
 )
 def test_invalid_fields_are_rejected(bad):

@@ -418,8 +418,9 @@ def test_gather_rows_backward_matches_add_at_bytes(monkeypatch):
     moving = seq.labels > 0
     pred = seq.frames[1:, moving] + rng.normal(scale=0.01, size=(8, int(moving.sum()), 3))
     gt = seq.frames[1:, moving]
+    radii = np.stack([losses.knn_radii(g, 8) for g in gt])
     calls = _gather_rows_calls(
-        monkeypatch, lambda: losses.l_mov(dc.parameter(pred.reshape(-1, 3)), gt, k_density=8)
+        monkeypatch, lambda: losses.l_mov(dc.parameter(pred.reshape(-1, 3)), gt, radii, k_density=8)
     )
     # the Chamfer rows, then the density term's anchors and neighbours
     assert len(calls) == 3

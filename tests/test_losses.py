@@ -4,11 +4,21 @@ from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
 from partmotion import losses
-from partmotion.errors import ConfigError
+from partmotion.datagen import TEMPLATE_NAMES
+from partmotion.errors import ConfigError, NumericError
+from partmotion.training import prepare_instances
 
+import oracles
 from grad_cases import LOSS_CASES
+from microfixtures import micro_config, micro_records
 from oracles import brute_chamfer, brute_knn_radius, rotation_matrix
 from test_diffcore import run_gradient_case
+
+
+def _radii(gt, k):
+    """knn_radii of one ground-truth frame, or of each of a stack of frames."""
+    gt = np.asarray(gt)
+    return losses.knn_radii(gt, k) if gt.ndim == 2 else np.stack([losses.knn_radii(g, k) for g in gt])
 
 
 @pytest.mark.parametrize("case_fn", LOSS_CASES, ids=lambda fn: fn.__name__)
@@ -34,7 +44,7 @@ def test_moving_term_translation_gives_offset_norm():
     gt = rng.uniform(-1, 1, size=(12, 3)) * 4.0  # far separated vs the offset
     t = np.array([0.02, -0.01, 0.015])
     pred = gt + t
-    out = losses.l_mov(dc.constant(pred), gt, k_density=4)
+    out = losses.l_mov(dc.constant(pred), gt, _radii(gt, 4), k_density=4)
     # matching is exact, so the density term vanishes and Chamfer equals |t|
     assert abs(float(out.value) - np.linalg.norm(t)) < 1e-9
 
@@ -54,7 +64,7 @@ def test_moving_term_matches_brute_chamfer_when_density_skipped():
     rng = np.random.default_rng(4)
     pred = rng.normal(size=(6, 3))
     gt = rng.normal(size=(6, 3))
-    out = losses.l_mov(dc.constant(pred), gt, k_density=8)  # 6 <= 8 skips density
+    out = losses.l_mov(dc.constant(pred), gt, _radii(gt, 8), k_density=8)  # 6 <= 8 skips density
     assert abs(float(out.value) - brute_chamfer(pred, gt)) < 1e-12
 
 
@@ -66,10 +76,10 @@ def test_moving_term_over_stacked_frames_sums_single_frames(m, m_gt, k):
     pred = rng.normal(size=(n * m, 3))
     gt = rng.normal(size=(n, m_gt, 3))
     stacked = dc.parameter(pred)
-    out = losses.l_mov(stacked, gt, k)
+    out = losses.l_mov(stacked, gt, _radii(gt, k), k)
     dc.backward(out)
     frames = [dc.parameter(pred[t * m:(t + 1) * m]) for t in range(n)]
-    singles = [losses.l_mov(f, g, k) for f, g in zip(frames, gt)]
+    singles = [losses.l_mov(f, g, _radii(g, k), k) for f, g in zip(frames, gt)]
     for single in singles:
         dc.backward(single)
     expect = sum(float(single.value) for single in singles)
@@ -80,7 +90,7 @@ def test_moving_term_over_stacked_frames_sums_single_frames(m, m_gt, k):
 @pytest.mark.parametrize("rows, frames", [(7, 3), (6, 0)])
 def test_moving_term_rejects_rows_that_do_not_split_into_frames(rows, frames):
     with pytest.raises(ConfigError):
-        losses.l_mov(dc.constant(np.zeros((rows, 3))), np.zeros((frames, 2, 3)))
+        losses.l_mov(dc.constant(np.zeros((rows, 3))), np.zeros((frames, 2, 3)), np.zeros((frames, 2)))
 
 
 @pytest.mark.parametrize("kind", ["random", "duplicates", "negative_zero"])
@@ -206,14 +216,14 @@ def _total_fixture(n=2, n_points=6):
     p0 = np.linspace(0.0, 1.0, n_points * 3).reshape(n_points, 3)
     seg = np.array([0, 0, 0, 1, 1, 1])
     gt = np.zeros((n, n_points, 3))
-    return p0, seg, gt
+    return p0, seg, gt, losses.moving_knn_radii(p0, gt, np.flatnonzero(seg), 8)
 
 
 def test_total_weights_reflected_in_reference_term():
-    p0, seg, gt = _total_fixture(n=1)
+    p0, seg, gt, radii = _total_fixture(n=1)
     maps = dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, None, None, None, n_true=1,
+        maps, gt, p0, seg, radii, None, None, None, n_true=1,
         weights=losses.LossWeights(), no_seg=True, no_mot=True,
     )
     # one reference point offset by 0.3: w_ref * 0.3 plus the moving-term
@@ -222,36 +232,36 @@ def test_total_weights_reflected_in_reference_term():
 
 
 def test_total_ablation_flags_drop_terms():
-    p0, seg, gt = _total_fixture()
+    p0, seg, gt, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
     same = np.zeros((3, 3))
     full = losses.total_motion_loss(
-        maps, gt, p0, seg, dist, logits, same, n_true=2, weights=losses.LossWeights()
+        maps, gt, p0, seg, radii, dist, logits, same, n_true=2, weights=losses.LossWeights()
     )
     assert {"reconstruction", "motion_consistency", "segmentation", "total"} <= set(full.terms)
     no_seg = losses.total_motion_loss(
-        maps, gt, p0, seg, None, None, None, n_true=2,
+        maps, gt, p0, seg, radii, None, None, None, n_true=2,
         weights=losses.LossWeights(), no_seg=True,
     )
     assert "segmentation" not in no_seg.terms
     with pytest.raises(ConfigError):
         losses.total_motion_loss(
-            maps, gt, p0, seg, None, None, None, n_true=2,
+            maps, gt, p0, seg, radii, None, None, None, n_true=2,
             weights=losses.LossWeights(),
             no_geom=True, no_disp=True, no_mot=True, no_seg=True,
         )
 
 
 def test_total_uniform_seg_logits_contribute_weighted_ln2():
-    p0, seg, gt = _total_fixture()
+    p0, seg, gt, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
     same = np.zeros((3, 3))
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, dist, logits, same, n_true=2,
+        maps, gt, p0, seg, radii, dist, logits, same, n_true=2,
         weights=losses.LossWeights(), no_geom=True, no_disp=True, no_mot=True,
     )
     assert abs(out.terms["total"] - 2.0 * np.log(2.0)) < 1e-12
@@ -261,9 +271,9 @@ def test_moving_term_is_permutation_invariant():
     rng = np.random.default_rng(8)
     pred = rng.normal(size=(10, 3))
     gt = rng.normal(size=(10, 3))
-    a = float(losses.l_mov(dc.constant(pred), gt, 3).value)
+    a = float(losses.l_mov(dc.constant(pred), gt, _radii(gt, 3), 3).value)
     perm = rng.permutation(10)
-    b = float(losses.l_mov(dc.constant(pred[perm]), gt, 3).value)
+    b = float(losses.l_mov(dc.constant(pred[perm]), gt, _radii(gt, 3), 3).value)
     assert abs(a - b) < 1e-12
 
 
@@ -281,9 +291,75 @@ def test_baseline_loss_combines_terms():
 @pytest.mark.parametrize("maps_rows, gt_shape", [(12, (2, 5, 3)), (10, (2, 6, 3)), (0, (0, 6, 3)), (12, (12, 3))],
                          ids=["gt_points", "map_rows", "no_frames", "gt_2d"])
 def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape):
-    p0, seg, _ = _total_fixture()
+    p0, seg, _, radii = _total_fixture()
     with pytest.raises(ConfigError, match="total_motion_loss"):
         losses.total_motion_loss(
-            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, None, None, None,
+            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, radii, None, None, None,
             n_true=1, weights=losses.LossWeights(), no_seg=True,
         )
+
+
+def _backward_bytes(fn, pred):
+    node = dc.parameter(pred)
+    out = fn(node)
+    dc.backward(out)
+    return out.value.tobytes(), node.grad.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("category", TEMPLATE_NAMES)
+def test_moving_term_matches_per_step_oracle_bytes(category, k):
+    # radii built once per instance must give the value and gradient bytes
+    # of the old term, which rebuilt them and argsorted each row every step
+    config = micro_config(categories=(category,), weights=losses.LossWeights(k_density=k))
+    instances = prepare_instances(micro_records(config.categories, n_frames=4), config)
+    rng = np.random.default_rng([TEMPLATE_NAMES.index(category), k])
+    for inst in (instances[0], instances[1], instances[-1]):  # 3, 2 and 0 real maps
+        gt = np.cumsum(np.concatenate([inst.points[None], inst.targets]), axis=0)[1:, inst.mov_idx]
+        pred = (gt + rng.normal(scale=0.01, size=gt.shape)).reshape(-1, 3)
+        got = _backward_bytes(lambda p: losses.l_mov(p, gt, inst.gt_radii, k), pred)
+        assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, k), pred), (inst.t, inst.n_true)
+
+
+@pytest.mark.parametrize("m", [5, 8, 9, 230], ids=["below_k", "equal_k", "k_plus_one", "two_frames_per_table"])
+def test_moving_term_matches_oracle_bytes_on_random_frames(m):
+    # with M <= k the density term is skipped; at M = k + 1 every other point
+    # is a neighbour; at M = 230 the four frames take two own-distance tables
+    rng = np.random.default_rng(m)
+    p0 = rng.normal(size=(m, 3))
+    maps = np.concatenate([rng.normal(scale=0.1, size=(2, m, 3)), np.zeros((2, m, 3))])
+    radii = losses.moving_knn_radii(p0, maps, np.arange(m), 8)
+    gt = np.cumsum(np.concatenate([p0[None], maps]), axis=0)[1:]
+    pred = (gt + rng.normal(scale=0.01, size=gt.shape)).reshape(-1, 3)
+    got = _backward_bytes(lambda p: losses.l_mov(p, gt, radii, 8), pred)
+    assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, 8), pred)
+
+
+def test_moving_radii_reuse_repeated_frames(monkeypatch):
+    rng = np.random.default_rng(12)
+    p0 = rng.normal(size=(20, 3))
+    maps = np.concatenate([rng.normal(scale=0.1, size=(3, 20, 3)), np.zeros((5, 20, 3))])
+    mov = np.arange(4, 16)
+    calls = []
+    monkeypatch.setattr(losses, "knn_radii", lambda pts, k: calls.append(k) or oracles.knn_radii(pts, k))
+    radii = losses.moving_knn_radii(p0, maps, mov, 4)
+    assert len(calls) == 3  # the 5 padded frames repeat the third
+    clouds = np.cumsum(np.concatenate([p0[None], maps]), axis=0)[1:, mov]
+    want = np.stack([oracles.knn_radii(c, 4) for c in clouds])
+    assert radii.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_moving_term_rejects_non_finite_predictions(bad):
+    rng = np.random.default_rng(13)
+    gt = rng.normal(size=(2, 12, 3))
+    pred = rng.normal(size=(24, 3))
+    pred[17] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        losses.l_mov(dc.constant(pred), gt, _radii(gt, 4), 4)
+
+
+def test_moving_term_rejects_radii_of_another_shape():
+    gt = np.zeros((2, 12, 3))
+    with pytest.raises(ConfigError, match="radii"):
+        losses.l_mov(dc.constant(np.zeros((24, 3))), gt, np.zeros((2, 11)), 4)

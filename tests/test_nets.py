@@ -23,11 +23,11 @@ from partmotion.nets import (
     NetConfig,
     PredictionNode,
     ShapePrediction,
-    _nearest,
     build_plan,
     denormalized_spec,
     farthest_point_indices,
     feature_distance_matrix,
+    k_smallest,
 )
 
 TINY = NetConfig(
@@ -147,7 +147,21 @@ def test_nearest_matches_stable_argsort_on_ties(data):
     cols = np.array(data.draw(st.permutations(range(n))))
     k = data.draw(st.integers(1, n + 2))
     want = cols[np.argsort(dist[:, cols], axis=1, kind="stable")[:, :k]]
-    assert _nearest(dist, cols, k).tobytes() == want.tobytes()
+    assert cols[k_smallest(dist[:, cols], k)].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "rounded", "all_equal"])
+def test_k_smallest_matches_stable_argsort(kind):
+    rng = np.random.default_rng(["random", "rounded", "all_equal"].index(kind))
+    for rows, cols in ((64, 256), (150, 150), (7, 3)):
+        table = rng.random((rows, cols))
+        if kind == "rounded":
+            table = np.round(table, 1)
+        if kind == "all_equal":
+            table[::2] = 0.5
+        for k in (1, 3, 8, cols):
+            want = np.argsort(table, axis=1, kind="stable")[:, :k]
+            assert k_smallest(table, k).tobytes() == want.tobytes(), (rows, cols, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,6 @@
 """Training loops, pipeline prediction, checkpoints, and the eval harness."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ def test_same_part_matrix_covers_moving_points(instances):
     inst = instances[0]
     assert inst.same_mov.shape == (inst.mov_idx.size, inst.mov_idx.size)
     assert set(np.unique(inst.same_mov)) <= {0, 1}
+
+
+def test_radii_are_tied_to_their_k_density(records, instances):
+    first = instances[0]
+    assert first.k_density == micro_config().weights.k_density
+    assert first.gt_radii.shape == (4, first.mov_idx.size)
+    # prepared under k_density 8, trained under 3: the radii would be wrong
+    config = micro_config(weights=dataclasses.replace(micro_config().weights, k_density=3))
+    with pytest.raises(ConfigError, match="k_density"):
+        tr.train_displacement(instances, config)
+    tr.train_displacement(tr.prepare_instances(records[:1], config), config)
 
 
 def test_part_samples_one_per_moving_part(instances):
