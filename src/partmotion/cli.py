@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ABLATION_SWITCHES, RunConfig, load_config
-from .datagen import ShapeRecord, generate_dataset, load_dataset
+from .datagen import generate_dataset, load_dataset
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
 from .metrics import MetricsReport
@@ -23,6 +23,7 @@ from .nets import PredictionNode, ShapePrediction
 from .plyio import read_ply, write_ply
 from .training import (
     EvalResult,
+    check_dataset_matches,
     evaluate_model,
     evaluate_oracle,
     load_pipeline,
@@ -128,20 +129,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_dataset_matches(config: RunConfig, records: list[ShapeRecord]) -> None:
-    for rec in records:
-        n_frames, n_points = rec.frames.shape[:2]
-        for key, found, want in (("n_points", n_points, config.n_points), ("n_frames", n_frames, config.n_frames)):
-            if found != want:
-                raise DataError(f"dataset shape {rec.shape_id} {key}={found} does not match config {key}={want}")
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = Path(args.dataset or config.dataset_dir)
     out = Path(args.out or config.out_dir)
     records = load_dataset(dataset, split="train")
-    _check_dataset_matches(config, records)
     run_training(config, records, out_dir=out, log=print if args.verbose else None)
     print(f"checkpoint written to {out}")
     return 0
@@ -216,11 +208,11 @@ def cmd_ablate(args) -> int:
     dataset = Path(args.dataset or base.dataset_dir)
     train_records = load_dataset(dataset, split="train")
     test_records = load_dataset(dataset, split="test")
-    _check_dataset_matches(base, train_records + test_records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    check_dataset_matches(base, test_records)
     # plans depend only on geometry, so all rows share one prepared pass
     instances = prepare_instances(train_records, base)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     table = ["ablation table"]
     for row in rows:
         config = base if row == "full" else base.replaced(**{row: True})

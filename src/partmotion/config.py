@@ -91,8 +91,8 @@ class RunConfig:
             raise ConfigError(f"unknown categories {unknown}; choose from {list(TEMPLATE_NAMES)}")
         if not self.categories:
             raise ConfigError("need at least one category")
-        if self.shapes_per_category < 1:
-            raise ConfigError("shapes_per_category must be positive")
+        if self.shapes_per_category < 1 or self.n_points < 1:
+            raise ConfigError("shapes_per_category and n_points must be positive")
         if self.n_frames < 2:
             raise ConfigError("n_frames must be at least 2")
         if not 0.0 <= self.scan_fraction <= 1.0:
@@ -134,7 +134,7 @@ class RunConfig:
             if "weights" in data and not isinstance(data["weights"], LossWeights):
                 data["weights"] = LossWeights(**data["weights"])
             return cls(**data)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:

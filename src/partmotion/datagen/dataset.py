@@ -73,7 +73,7 @@ class ShapeRecord:
 
     @property
     def sequence(self) -> MotionSequence:
-        return MotionSequence(self.category, self.frames, self.labels, self.specs)
+        return MotionSequence(self.frames, self.labels, self.specs)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -21,7 +21,6 @@ from .templates import ShapeSample
 
 @dataclass
 class MotionSequence:
-    category: str
     frames: np.ndarray          # (n, N, 3)
     labels: np.ndarray          # (N,) part ids, 0 = reference
     specs: Optional[list[MobilitySpec]]
@@ -55,7 +54,7 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
         raise ConfigError("need at least two frames")
     if not sample.parametric:
         frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
-        return MotionSequence(sample.category, frames, sample.labels.copy(), None)
+        return MotionSequence(frames, sample.labels.copy(), None)
     pts0 = sample.points
     labels = sample.labels
     frames = np.repeat(pts0[None], n_frames, axis=0)
@@ -63,7 +62,7 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
         for part_id, spec in enumerate(sample.specs, start=1):
             idx = np.flatnonzero(labels == part_id)
             frames[k, idx] = mobility_transform(spec, k / (n_frames - 1)).apply(pts0[idx])
-    return MotionSequence(sample.category, frames, labels.copy(), list(sample.specs))
+    return MotionSequence(frames, labels.copy(), list(sample.specs))
 
 
 def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +77,6 @@ def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class TrainingInstance:
     """One start state plus the maps that finish (then hold) the motion."""
 
-    category: str
-    shape_id: str
     t: int                      # 1-based index of the start frame
     points: np.ndarray          # (N, 3)
     targets: np.ndarray         # (n_maps, N, 3) true maps then zero padding
@@ -88,7 +85,7 @@ class TrainingInstance:
     specs: Optional[list[MobilitySpec]]
 
 
-def make_instances(seq: MotionSequence, shape_id: str = "") -> list[TrainingInstance]:
+def make_instances(seq: MotionSequence) -> list[TrainingInstance]:
     """One instance per frame; instance t gets maps t..n-1 plus t zero maps."""
     maps = seq.displacement_maps
     n = seq.n_frames
@@ -99,8 +96,6 @@ def make_instances(seq: MotionSequence, shape_id: str = "") -> list[TrainingInst
         targets = np.concatenate([true_part, np.tile(zero, (t, 1, 1))], axis=0)
         out.append(
             TrainingInstance(
-                category=seq.category,
-                shape_id=shape_id,
                 t=t,
                 points=seq.frames[t - 1].copy(),
                 targets=targets,

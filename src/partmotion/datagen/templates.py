@@ -48,7 +48,6 @@ def min_part_points(n_points: int) -> int:
 class ShapeSample:
     """A generated start-state shape plus everything needed to move it."""
 
-    category: str
     points: np.ndarray          # (N, 3)
     labels: np.ndarray          # (N,) part ids, 0 = reference
     specs: Optional[list[MobilitySpec]]
@@ -182,7 +181,6 @@ def _yaw_spec(spec: MobilitySpec, t: RigidTransform) -> MobilitySpec:
 
 def _assemble(
     rng: np.random.Generator,
-    category: str,
     part_surfaces: list[list[Surface]],
     part_weights: Optional[list[float]],
     specs: Optional[list[MobilitySpec]],
@@ -213,7 +211,7 @@ def _assemble(
     pts = yaw.apply(pts)
     if specs is not None:
         specs = [_yaw_spec(s, yaw) for s in specs]
-    return ShapeSample(category, pts, lab, specs, extras={"yaw": yaw})
+    return ShapeSample(pts, lab, specs, extras={"yaw": yaw})
 
 
 def _cabinet_shell(w: float, d: float, h: float, z0: float = 0.0) -> list[Surface]:
@@ -293,7 +291,7 @@ def build_drawer_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, float(rng.uniform(0.3, 0.5) * d))
     )
-    return _assemble(rng, "drawer_box", [shell, drawer], None, [spec], n_points)
+    return _assemble(rng, [shell, drawer], None, [spec], n_points)
 
 
 def build_door_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -304,7 +302,7 @@ def build_door_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
     shell = _cabinet_shell(w, d, h)
     door = _door_part(w, d, 0.0, h, hinge_left)
     spec = _door_spec(w, d, rng, hinge_left)
-    return _assemble(rng, "door_box", [shell, door], None, [spec], n_points)
+    return _assemble(rng, [shell, door], None, [spec], n_points)
 
 
 def build_fan(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -326,7 +324,7 @@ def build_fan(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_R, np.array([0.0, 1.0, 0.0]), hub_c.copy(), (0.0, 120.0)
     )
-    return _assemble(rng, "fan", [base + pole + hub, blades], [2.0, 1.2], [spec], n_points)
+    return _assemble(rng, [base + pole + hub, blades], [2.0, 1.2], [spec], n_points)
 
 
 def build_laptop(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -340,7 +338,7 @@ def build_laptop(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_R, np.array([1.0, 0.0, 0.0]), np.array([0.0, -d / 2 + 0.01, 0.04]), (0.0, angle)
     )
-    return _assemble(rng, "laptop", [base, screen], None, [spec], n_points)
+    return _assemble(rng, [base, screen], None, [spec], n_points)
 
 
 def build_bottle_cap_tr(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -362,7 +360,7 @@ def build_bottle_cap_tr(rng: np.random.Generator, n_points: int) -> ShapeSample:
         (0.0, float(rng.uniform(120.0, 180.0))),
         slide_range=(0.0, float(rng.uniform(0.05, 0.09))),
     )
-    return _assemble(rng, "bottle_cap_TR", [body, cap], None, [spec], n_points)
+    return _assemble(rng, [body, cap], None, [spec], n_points)
 
 
 def build_cabinet_multi(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -380,9 +378,7 @@ def build_cabinet_multi(rng: np.random.Generator, n_points: int) -> ShapeSample:
         TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, float(rng.uniform(0.3, 0.5) * d))
     )
     door_spec = _door_spec(w, d, rng, hinge_left)
-    return _assemble(
-        rng, "cabinet_multi", [shell, drawer, door], None, [drawer_spec, door_spec], n_points
-    )
+    return _assemble(rng, [shell, drawer, door], None, [drawer_spec, door_spec], n_points)
 
 
 def build_umbrella(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -416,7 +412,7 @@ def build_umbrella(rng: np.random.Generator, n_points: int) -> ShapeSample:
         return yaw.apply(np.concatenate([ref_pts, cover_at(alpha)], axis=0))
 
     labels = np.concatenate([np.zeros(int(counts[0]), dtype=np.int64), np.ones(m, dtype=np.int64)])
-    return ShapeSample("umbrella", frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
+    return ShapeSample(frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
 
 
 def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -452,7 +448,7 @@ def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
     labels = np.concatenate(
         [np.full(int(c), part_id, dtype=np.int64) for part_id, c in enumerate(counts)]
     )
-    return ShapeSample("balance", frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
+    return ShapeSample(frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
 
 
 BUILDERS: dict[str, Callable[[np.random.Generator, int], ShapeSample]] = {

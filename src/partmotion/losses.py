@@ -27,6 +27,7 @@ from scipy.spatial.distance import cdist
 from . import diffcore as dc
 from .diffcore import Node
 from .errors import ConfigError, NumericError
+from .geom import MOBILITY_TYPES, TYPE_T, MobilitySpec
 from .nets import k_smallest
 
 __all__ = [
@@ -108,9 +109,9 @@ def moving_knn_radii(p0: np.ndarray, gt_maps: np.ndarray, mov_idx: np.ndarray, k
 def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int = 8) -> Node:
     """Moving-part resemblance: symmetric Chamfer plus a local density term.
 
-    gt holds the ground-truth moving points of n frames, (n, M', 3), or of
-    one frame, (M', 3), and gt_radii their `knn_radii` at k_density, built
-    once per instance; pred holds the predicted moving points of the same
+    gt holds the ground-truth moving points of n frames, (n, M', 3), and
+    gt_radii their `knn_radii` at k_density, (n, M'), built once per
+    instance; pred holds the predicted moving points of the same
     frames stacked along rows, (n*M, 3). Each frame's term is computed on
     its own and the frames are summed. The density term compares each
     predicted point's mean k-NN radius, searched per step, with that of its
@@ -119,8 +120,6 @@ def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int = 8) 
     """
     gt = np.asarray(gt, dtype=np.float64)
     gt_radii = np.asarray(gt_radii, dtype=np.float64)
-    if gt.ndim == 2:
-        gt, gt_radii = gt[None], gt_radii[None]
     pv = pred.value
     if pv.ndim != 2 or pv.shape[1] != 3 or gt.ndim != 3 or gt.shape[2] != 3 or gt_radii.shape != gt.shape[:2]:
         raise ConfigError("l_mov expects (n*M, 3) predicted, (n, M', 3) ground-truth points and (n, M') radii")
@@ -208,28 +207,20 @@ def l_seg_mov(dist_matrix: Node, same_part: np.ndarray, margin: float = 80.0) ->
     return dc.add(pull, push)
 
 
-def l_mob(
-    type_logits: Node,
-    axis_out: Node,
-    gt_type: int,
-    gt_direction: np.ndarray,
-    gt_position: Optional[np.ndarray],
-) -> Node:
-    """Mobility regression: type cross entropy plus axis direction and position."""
+def l_mob(type_logits: Node, axis_out: Node, gt: MobilitySpec) -> Node:
+    """Mobility regression: type cross entropy plus axis direction and, for
+    the rotational types, axis position against the ground-truth spec."""
     if type_logits.value.shape != (1, 3) or axis_out.value.shape != (1, 6):
         raise ConfigError("l_mob expects (1, 3) type logits and (1, 6) axis output")
-    gt_type = int(gt_type)
-    type_term = dc.softmax_cross_entropy(type_logits, np.array([gt_type]))
+    type_term = dc.softmax_cross_entropy(type_logits, np.array([MOBILITY_TYPES.index(gt.tau)]))
     d_pred = dc.slice_axis(axis_out, 0, 3, axis=1)
     norm = dc.l2_norm_rows(d_pred)
     d_unit = dc.div(d_pred, dc.reshape(norm, (1, 1)))
-    d_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(d_unit, np.asarray(gt_direction)[None, :])))
+    d_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(d_unit, gt.direction[None, :])))
     out = dc.add(type_term, d_term)
-    if gt_type != 0:
-        if gt_position is None:
-            raise ConfigError("rotational ground truth requires an axis position")
+    if gt.tau != TYPE_T:
         x_pred = dc.slice_axis(axis_out, 3, 6, axis=1)
-        x_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(x_pred, np.asarray(gt_position)[None, :])))
+        x_term = dc.reduce_sum(dc.l2_norm_rows(dc.sub(x_pred, gt.position[None, :])))
         out = dc.add(out, x_term)
     return out
 
@@ -320,13 +311,11 @@ def baseline_loss(
     seg_labels: np.ndarray,
     type_logits: Node,
     axis_out: Node,
-    gt_type: int,
-    gt_direction: np.ndarray,
-    gt_position: Optional[np.ndarray],
+    gt: MobilitySpec,
 ) -> LossBreakdown:
     """Direct baseline objective: object segmentation plus mobility regression."""
     seg = l_seg_obj(seg_logits, (np.asarray(seg_labels) > 0).astype(np.int64))
-    mob = l_mob(type_logits, axis_out, gt_type, gt_direction, gt_position)
+    mob = l_mob(type_logits, axis_out, gt)
     total = dc.add(seg, mob)
     return LossBreakdown(
         total=total,

@@ -8,8 +8,6 @@ prediction derives from them.
 """
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -18,10 +16,10 @@ import numpy as np
 
 from . import diffcore as dc
 from .cluster import assemble_segmentation, dbscan_labels, default_min_pts
-from .config import RunConfig, _net_from_dict, load_config
+from .config import RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances, same_part_matrix
 from .errors import ConfigError, DataError, NumericError
-from .geom import MOBILITY_TYPES, TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
+from .geom import TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
 from .losses import LossBreakdown, baseline_loss, l_mob, moving_knn_radii, total_motion_loss
 from .metrics import (
     MetricsReport,
@@ -74,16 +72,28 @@ class PreparedInstance(TrainingInstance):
     k_density: int
 
 
+def check_dataset_matches(config: RunConfig, records: Sequence[ShapeRecord]) -> None:
+    """DataError unless every shape has the config's point and frame counts."""
+    for rec in records:
+        n_frames, n_points = rec.frames.shape[:2]
+        for key, found, want in (("n_points", n_points, config.n_points), ("n_frames", n_frames, config.n_frames)):
+            if found != want:
+                raise DataError(f"dataset shape {rec.shape_id} {key}={found} does not match config {key}={want}")
+
+
 def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list[PreparedInstance]:
     """Expand shapes into per-state instances and precompute their plans and radii.
 
     Plans depend only on the points and the network geometry, and radii on
     config.weights.k_density, so one pass here is shared by every training
-    run over the same dataset with that k_density.
+    run over the same dataset with that k_density. The shapes must have the
+    config's point and frame counts, since load_pipeline rebuilds the saved
+    networks from the config.
     """
+    check_dataset_matches(config, records)
     out = []
     for rec in records:
-        for inst in make_instances(rec.sequence, rec.shape_id):
+        for inst in make_instances(rec.sequence):
             mov_idx, same = same_part_matrix(inst.labels)
             plan = build_plan(inst.points, config.net)
             radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
@@ -216,42 +226,10 @@ def train_displacement(
 # mobility regressor and baseline training (one sample per ground-truth part)
 
 
-@dataclass
-class PartSample:
-    plan: EncoderPlan
-    labels: np.ndarray
-    part_id: int
-    channels: Optional[np.ndarray]       # regressor input, None for the baseline
-    type_idx: int
-    direction: np.ndarray
-    position: Optional[np.ndarray]
-
-
-def part_samples(instances: Sequence[PreparedInstance], with_channels: bool) -> list[PartSample]:
-    """Start-state samples for every moving part that has a known mobility."""
-    out = []
-    for inst in instances:
-        if inst.t != 1 or inst.specs is None:
-            continue
-        for part_id, spec in enumerate(inst.specs, start=1):
-            channels = None
-            if with_channels:
-                member = np.flatnonzero(inst.labels == part_id)
-                channels = MobilityRegressor.component_channels(
-                    inst.points, inst.targets, member
-                )
-            out.append(
-                PartSample(
-                    plan=inst.plan,
-                    labels=inst.labels,
-                    part_id=part_id,
-                    channels=channels,
-                    type_idx=MOBILITY_TYPES.index(spec.tau),
-                    direction=spec.direction,
-                    position=spec.position,
-                )
-            )
-    return out
+def _start_parts(instances: Sequence[PreparedInstance]) -> list[tuple[PreparedInstance, int, MobilitySpec]]:
+    """(instance, part id, spec) of every moving part of a start state with known mobility."""
+    return [(inst, part_id, spec) for inst in instances if inst.t == 1 and inst.specs is not None
+            for part_id, spec in enumerate(inst.specs, start=1)]
 
 
 def train_mobility(
@@ -264,17 +242,18 @@ def train_mobility(
     Returns None when no instance carries mobility parameters (purely
     non-parametric corpora such as umbrella-only training).
     """
-    samples = part_samples(instances, with_channels=True)
+    samples = []
+    for inst, part_id, spec in _start_parts(instances):  # each part's input is built once
+        member = np.flatnonzero(inst.labels == part_id)
+        samples.append((inst.plan, MobilityRegressor.component_channels(inst.points, inst.targets, member), spec))
     if not samples:
         return None, []
     n_maps = int(instances[0].targets.shape[0])
     reg = MobilityRegressor(n_maps, np.random.default_rng([config.seed, 2]), config.net)
 
-    def loss_fn(sample: PartSample) -> LossBreakdown:
-        type_logits, axis_out = reg.forward(sample.plan, sample.channels)
-        return LossBreakdown(
-            l_mob(type_logits, axis_out, sample.type_idx, sample.direction, sample.position)
-        )
+    def loss_fn(sample) -> LossBreakdown:
+        plan, channels, spec = sample
+        return LossBreakdown(l_mob(*reg.forward(plan, channels), spec))
 
     return reg, _fit(
         samples, reg.parameters(), loss_fn, config, 3, config.mobility_epochs, log, "mobility "
@@ -287,18 +266,15 @@ def train_baseline(
     log: Optional[LogFn] = None,
 ) -> tuple[DirectBaseline, list[str]]:
     """Fit the direct baseline: static cloud in, segmentation plus one mobility."""
-    samples = part_samples(instances, with_channels=False)
+    samples = _start_parts(instances)
     if not samples:
         raise DataError("baseline training needs shapes with mobility parameters")
     baseline = DirectBaseline(np.random.default_rng([config.seed, 4]), config.net)
 
-    def loss_fn(sample: PartSample) -> LossBreakdown:
-        seg, type_logits, axis_out = baseline.forward(sample.plan)
-        binary = (sample.labels == sample.part_id).astype(np.int64)
-        return baseline_loss(
-            seg, binary, type_logits, axis_out,
-            sample.type_idx, sample.direction, sample.position,
-        )
+    def loss_fn(sample) -> LossBreakdown:
+        inst, part_id, spec = sample
+        seg, type_logits, axis_out = baseline.forward(inst.plan)
+        return baseline_loss(seg, inst.labels == part_id, type_logits, axis_out, spec)
 
     return baseline, _fit(
         samples, baseline.parameters(), loss_fn, config, 5, config.mobility_epochs, log,
@@ -459,67 +435,53 @@ class Pipeline:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-MODEL_FILE = "model.json"
 DISP_PARAMS = "displacement.params"
 MOB_PARAMS = "mobility.params"
 BASE_PARAMS = "baseline.params"
 
 
 def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
-    """Write checkpoints plus the model sidecar and echo the config."""
+    """Write the run's config.json and the parameters of each network it holds.
+
+    config.json is the only description of the networks: load_pipeline
+    rebuilds them from it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = pipeline.config
-    config.save(out / "config.json")
-    meta = {
-        "n_maps": config.n_frames,
-        "theta_stop": config.theta_stop,
-        "seed": config.seed,
-        "use_rnn": not config.no_rnn,
-        "basenet": config.basenet,
-        "no_mob_net": config.no_mob_net,
-        "net": dataclasses.asdict(config.net),
-    }
+    pipeline.config.save(out / "config.json")
     if pipeline.baseline is not None:
         dc.save_params(out / BASE_PARAMS, pipeline.baseline.parameters())
     if pipeline.net is not None:
         dc.save_params(out / DISP_PARAMS, pipeline.net.parameters())
     if pipeline.regressor is not None:
         dc.save_params(out / MOB_PARAMS, pipeline.regressor.parameters())
-    (out / MODEL_FILE).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return out
 
 
 def load_pipeline(run_dir: str | Path) -> Pipeline:
-    """Rebuild a Pipeline from a run directory written by save_pipeline."""
+    """Rebuild a Pipeline from a run directory written by save_pipeline.
+
+    The networks are built from the run's config.json: n_frames maps, an
+    RNN unless no_rnn, the baseline instead when basenet, and the widths of
+    net. A regressor is loaded when mobility.params exists. A missing
+    config.json is a DataError, a malformed one a ConfigError, and
+    parameters that do not fit the networks a DataError naming their file.
+    """
     run = Path(run_dir)
-    meta_path = run / MODEL_FILE
-    if not meta_path.exists():
-        raise DataError(f"no {MODEL_FILE} under {run}")
-    try:
-        meta = json.loads(meta_path.read_text())
-        net_cfg = _net_from_dict(meta["net"])
-        n_maps, use_rnn, basenet = meta["n_maps"], meta["use_rnn"], meta.get("basenet", False)
-        if type(n_maps) is not int or n_maps < 1 or type(use_rnn) is not bool or type(basenet) is not bool:
-            raise ValueError(
-                f"need a positive int n_maps and bool use_rnn and basenet, got {n_maps!r}, {use_rnn!r}, {basenet!r}"
-            )
-    except (OSError, ValueError, TypeError, KeyError) as exc:  # ConfigError is a ValueError
-        raise DataError(f"{meta_path}: malformed {MODEL_FILE} ({exc!r})") from exc
     config_path = run / "config.json"
     if not config_path.exists():
         raise DataError(f"no config.json under {run}")
     config = load_config(config_path)
     rng = np.random.default_rng(0)    # values are overwritten by the checkpoint
-    if basenet:
-        baseline = DirectBaseline(rng, net_cfg)
+    if config.basenet:
+        baseline = DirectBaseline(rng, config.net)
         dc.load_into(baseline.parameters(), run / BASE_PARAMS)
         return Pipeline(config, baseline=baseline)
-    net = DisplacementNet(n_maps, rng, net_cfg, use_rnn=use_rnn)
+    net = DisplacementNet(config.n_frames, rng, config.net, use_rnn=not config.no_rnn)
     dc.load_into(net.parameters(), run / DISP_PARAMS)
     regressor = None
     if (run / MOB_PARAMS).exists():
-        regressor = MobilityRegressor(n_maps, rng, net_cfg)
+        regressor = MobilityRegressor(config.n_frames, rng, config.net)
         dc.load_into(regressor.parameters(), run / MOB_PARAMS)
     return Pipeline(config, net=net, regressor=regressor)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from partmotion import diffcore as dc
 from partmotion import losses
+from partmotion.geom import MobilitySpec
 
 import oracles
 
@@ -311,11 +312,12 @@ def case_loss_reference(rng):
 def case_loss_moving(rng):
     p0, mov, gt = _loss_fixture(rng, n_points=14, n_moving=10)
     target = p0[mov] + gt[0][mov] + rng.normal(scale=0.02, size=(len(mov), 3))
+    radii = losses.knn_radii(target, 3)[None]
     d = rng.normal(scale=0.1, size=p0.shape)
 
     def build(n):
         cloud = dc.add(p0, n[0])
-        return losses.l_mov(dc.gather_rows(cloud, mov), target, losses.knn_radii(target, 3), k_density=3)
+        return losses.l_mov(dc.gather_rows(cloud, mov), target[None], radii, k_density=3)
 
     return "loss_l_mov", [d], build
 
@@ -381,10 +383,10 @@ def case_loss_mobility(rng):
     axis6 = rng.normal(size=(1, 6))
     gt_d = axis6[0, :3] + rng.normal(scale=0.3, size=3)
     gt_d = gt_d / np.linalg.norm(gt_d)
-    gt_x = rng.normal(size=3)
+    gt = MobilitySpec("TR", gt_d, rng.normal(size=3), slide_range=(0.0, 0.0))
 
     def build(n):
-        return losses.l_mob(n[0], n[1], 2, gt_d, gt_x)
+        return losses.l_mob(n[0], n[1], gt)
 
     return "loss_l_mob", [type_logits, axis6], build
 
@@ -393,10 +395,10 @@ def case_loss_mobility_translation(rng):
     type_logits = rng.normal(size=(1, 3))
     axis6 = rng.normal(size=(1, 6))
     gt_d = rng.normal(size=3)
-    gt_d = gt_d / np.linalg.norm(gt_d)
+    gt = MobilitySpec("T", gt_d / np.linalg.norm(gt_d))
 
     def build(n):
-        return losses.l_mob(n[0], n[1], 0, gt_d, None)
+        return losses.l_mob(n[0], n[1], gt)
 
     return "loss_l_mob_translation", [type_logits, axis6], build
 

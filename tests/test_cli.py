@@ -57,7 +57,8 @@ def test_gen_force_reproduces_bytes(workdir, tmp_path):
 def test_train_writes_run_dir(workdir):
     run = workdir / "run"
     names = {p.name for p in run.iterdir()}
-    assert {"config.json", "model.json", "loss.log", "displacement.params"} <= names
+    assert {"config.json", "loss.log", "displacement.params"} <= names
+    assert "model.json" not in names  # config.json alone describes the networks
     assert "mean_loss" in (run / "loss.log").read_text()
 
 
@@ -244,21 +245,52 @@ def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     assert "bad.ply" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", ['{not json', '[]', '{}', '{"net": {"bogus": 1}}',
-                                  {"n_maps": 0}, {"use_rnn": "no"}, {"basenet": "no"}],
-                         ids=["not_json", "list", "no_keys", "net_key", "n_maps_zero", "use_rnn_text",
-                              "basenet_text"])
-def test_malformed_model_json_is_data_error(workdir, tmp_path, capsys, body):
-    # a str replaces the whole file; a dict overrides fields of the saved one
+@pytest.mark.parametrize("body, code, named", [
+    (None, 3, "config.json"),
+    ('{not json', 2, "config.json"),
+    ('[]', 2, "config.json"),
+    ('{}', 3, "displacement.params"),  # the full-size defaults
+    ({"net": {"bogus": 1}}, 2, "bogus"),
+    ({"n_frames": 0}, 2, "n_frames"),
+    ({"no_rnn": "no"}, 2, "no_rnn"),
+    ({"basenet": "no"}, 2, "basenet"),
+    ({"n_points": -3}, 2, "n_points"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[float("inf"), 0.35, [8, 16]], [4, 0.8, [16, 24]]]}}, 2, "infinity"),
+    ({"net": {**TINY_NET_JSON, "global_width": 32, "sa_stages": [[16, 0.35, [8, 16]], [4, 0.8, [16, 32]]]}},
+     3, "displacement.params"),
+    ({"n_frames": 5}, 3, "displacement.params"),
+    ({"no_rnn": True}, 3, "displacement.params"),
+    ({"basenet": True}, 3, "baseline.params"),
+], ids=["missing", "not_json", "list", "no_keys", "net_key", "n_frames_zero", "no_rnn_text", "basenet_text",
+        "n_points_negative", "count_inf", "widths", "n_frames", "no_rnn", "basenet"])
+def test_malformed_run_config_exits_with_contract_code(workdir, tmp_path, capsys, body, code, named):
+    # None deletes the run's config.json, a str replaces it and a dict
+    # overrides fields of the saved one
     run = tmp_path / "run"
     shutil.copytree(workdir / "run", run)
-    if isinstance(body, dict):
-        body = json.dumps({**json.loads((run / "model.json").read_text()), **body})
-    (run / "model.json").write_text(body)
+    if body is None:
+        (run / "config.json").unlink()
+    else:
+        if isinstance(body, dict):
+            body = json.dumps({**json.loads((run / "config.json").read_text()), **body})
+        (run / "config.json").write_text(body)
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
     assert main(["predict", "--run", str(run), "--input", str(inp),
-                 "--out", str(tmp_path / "p")]) == 3
-    assert "model.json" in capsys.readouterr().err
+                 "--out", str(tmp_path / "p")]) == code
+    assert named in capsys.readouterr().err
+
+
+def test_run_config_group_sizes_drive_predict(workdir, tmp_path):
+    # group sizes set no parameter shape: the plans and the networks read
+    # them from the same config.json
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    config = json.loads((run / "config.json").read_text())
+    config["net"]["group_sizes"] = [6, 4]
+    (run / "config.json").write_text(json.dumps(config))
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p")]) == 0
+    assert (tmp_path / "p" / "report.txt").read_text().startswith("prediction report\n")
 
 
 @pytest.mark.parametrize("old, new", [(b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n"),
@@ -315,8 +347,9 @@ def test_ablate_two_rows(workdir, tmp_path, capsys):
     assert table[0] == "ablation table"
     assert table[1].startswith("row full ")
     assert table[2].startswith("row no_rnn ")
-    assert (out / "full" / "model.json").exists()
-    assert (out / "no_rnn" / "model.json").exists()
+    for row in ("full", "no_rnn"):
+        assert {p.name for p in (out / row).iterdir()} == {"config.json", "loss.log", "displacement.params",
+                                                          "mobility.params"}
 
 
 def test_ablate_rejects_switched_base(workdir, tmp_path, capsys):
@@ -508,8 +541,8 @@ def test_fuzzed_input_ply_exits_with_contract_code(workdir, text):
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_fuzzed_model_json_exits_with_contract_code(workdir, data):
-    base = json.loads((workdir / "run" / "model.json").read_text())
+def test_fuzzed_run_config_exits_with_contract_code(workdir, data):
+    base = json.loads((workdir / "run" / "config.json").read_text())
     net = st.dictionaries(st.sampled_from(sorted(TINY_NET_JSON)), JSON_VALUE, max_size=2)
     base_or_net = st.one_of(json_file_text(base, sorted(base)),
                             net.map(lambda d: json.dumps({**base, "net": {**TINY_NET_JSON, **d}})))
@@ -517,7 +550,7 @@ def test_fuzzed_model_json_exits_with_contract_code(workdir, data):
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
         shutil.copytree(workdir / "run", run)
-        (run / "model.json").write_text(text)
+        (run / "config.json").write_text(text)
         inp = workdir / "data" / "fan_004" / "frame_01.ply"
         assert main(["predict", "--run", str(run), "--input", str(inp), "--out", f"{tmp}/p"]) in CONTRACT_CODES
 

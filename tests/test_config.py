@@ -58,6 +58,8 @@ def test_switches_other_than_basenet_compose():
         dict(categories=("no_such_template",)),
         dict(categories=()),
         dict(shapes_per_category=0),
+        dict(n_points=0),
+        dict(n_points=-3),
         dict(n_frames=1),
         dict(epochs=0),
         dict(lr=0.0),

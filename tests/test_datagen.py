@@ -124,7 +124,7 @@ def test_balance_pans_translate_oppositely():
 def test_instances_padding_and_telescoping():
     sample = shape_of("laptop", seed=2, n=256)
     seq = make_sequence(sample, 5)
-    instances = make_instances(seq, "laptop_000")
+    instances = make_instances(seq)
     assert [inst.t for inst in instances] == [1, 2, 3, 4, 5]
     final = seq.frames[-1]
     for inst in instances:
@@ -144,7 +144,7 @@ def test_instances_padding_and_telescoping():
 ], ids=["two_columns", "one_frame", "short_labels"])
 def test_motion_sequence_validation(frames, labels):
     with pytest.raises(ConfigError):
-        MotionSequence("fan", frames, labels, None)
+        MotionSequence(frames, labels, None)
 
 
 def test_same_part_matrix():

@@ -6,6 +6,7 @@ from partmotion import diffcore as dc
 from partmotion import losses
 from partmotion.datagen import TEMPLATE_NAMES
 from partmotion.errors import ConfigError, NumericError
+from partmotion.geom import MobilitySpec
 from partmotion.training import prepare_instances
 
 import oracles
@@ -16,9 +17,8 @@ from test_diffcore import run_gradient_case
 
 
 def _radii(gt, k):
-    """knn_radii of one ground-truth frame, or of each of a stack of frames."""
-    gt = np.asarray(gt)
-    return losses.knn_radii(gt, k) if gt.ndim == 2 else np.stack([losses.knn_radii(g, k) for g in gt])
+    """knn_radii of each of a stack of ground-truth frames."""
+    return np.stack([losses.knn_radii(g, k) for g in gt])
 
 
 @pytest.mark.parametrize("case_fn", LOSS_CASES, ids=lambda fn: fn.__name__)
@@ -41,9 +41,9 @@ def test_reference_term_zero_at_rest_and_counts_offsets():
 
 def test_moving_term_translation_gives_offset_norm():
     rng = np.random.default_rng(2)
-    gt = rng.uniform(-1, 1, size=(12, 3)) * 4.0  # far separated vs the offset
+    gt = rng.uniform(-1, 1, size=(1, 12, 3)) * 4.0  # far separated vs the offset
     t = np.array([0.02, -0.01, 0.015])
-    pred = gt + t
+    pred = gt[0] + t
     out = losses.l_mov(dc.constant(pred), gt, _radii(gt, 4), k_density=4)
     # matching is exact, so the density term vanishes and Chamfer equals |t|
     assert abs(float(out.value) - np.linalg.norm(t)) < 1e-9
@@ -64,7 +64,7 @@ def test_moving_term_matches_brute_chamfer_when_density_skipped():
     rng = np.random.default_rng(4)
     pred = rng.normal(size=(6, 3))
     gt = rng.normal(size=(6, 3))
-    out = losses.l_mov(dc.constant(pred), gt, _radii(gt, 8), k_density=8)  # 6 <= 8 skips density
+    out = losses.l_mov(dc.constant(pred), gt[None], _radii(gt[None], 8), k_density=8)  # 6 <= 8 skips density
     assert abs(float(out.value) - brute_chamfer(pred, gt)) < 1e-12
 
 
@@ -79,7 +79,7 @@ def test_moving_term_over_stacked_frames_sums_single_frames(m, m_gt, k):
     out = losses.l_mov(stacked, gt, _radii(gt, k), k)
     dc.backward(out)
     frames = [dc.parameter(pred[t * m:(t + 1) * m]) for t in range(n)]
-    singles = [losses.l_mov(f, g, _radii(g, k), k) for f, g in zip(frames, gt)]
+    singles = [losses.l_mov(f, g[None], _radii(g[None], k), k) for f, g in zip(frames, gt)]
     for single in singles:
         dc.backward(single)
     expect = sum(float(single.value) for single in singles)
@@ -190,7 +190,7 @@ def test_mobility_loss_near_zero_for_exact_prediction():
     gt_x = np.array([0.25, -0.5, 0.0])
     logits = dc.constant(np.array([[-20.0, 20.0, -20.0]]))
     axis = dc.constant(np.concatenate([gt_d, gt_x])[None, :])
-    out = losses.l_mob(logits, axis, 1, gt_d, gt_x)
+    out = losses.l_mob(logits, axis, MobilitySpec("R", gt_d, gt_x))
     assert float(out.value) < 1e-4
 
 
@@ -198,17 +198,15 @@ def test_mobility_loss_translation_skips_position():
     gt_d = np.array([1.0, 0.0, 0.0])
     logits = dc.constant(np.array([[20.0, -20.0, -20.0]]))
     near = dc.constant(np.array([[1.0, 0.0, 0.0, 9.9, 9.9, 9.9]]))
-    out = losses.l_mob(logits, near, 0, gt_d, None)
+    out = losses.l_mob(logits, near, MobilitySpec("T", gt_d))
     assert float(out.value) < 1e-4  # wild position ignored for translations
-    with pytest.raises(ConfigError):
-        losses.l_mob(logits, near, 1, gt_d, None)
 
 
 def test_mobility_loss_normalizes_direction():
     gt_d = np.array([0.0, 1.0, 0.0])
     logits = dc.constant(np.array([[20.0, -20.0, -20.0]]))
     scaled = dc.constant(np.array([[0.0, 7.5, 0.0, 0.0, 0.0, 0.0]]))
-    out = losses.l_mob(logits, scaled, 0, gt_d, None)
+    out = losses.l_mob(logits, scaled, MobilitySpec("T", gt_d))
     assert float(out.value) < 1e-4
 
 
@@ -270,7 +268,7 @@ def test_total_uniform_seg_logits_contribute_weighted_ln2():
 def test_moving_term_is_permutation_invariant():
     rng = np.random.default_rng(8)
     pred = rng.normal(size=(10, 3))
-    gt = rng.normal(size=(10, 3))
+    gt = rng.normal(size=(1, 10, 3))
     a = float(losses.l_mov(dc.constant(pred), gt, _radii(gt, 3), 3).value)
     perm = rng.permutation(10)
     b = float(losses.l_mov(dc.constant(pred[perm]), gt, _radii(gt, 3), 3).value)
@@ -282,7 +280,7 @@ def test_baseline_loss_combines_terms():
     seg = np.array([0, 0, 1, 1])
     type_logits = dc.constant(np.array([[5.0, -5.0, -5.0]]))
     axis = dc.constant(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
-    out = losses.baseline_loss(logits, seg, type_logits, axis, 0, np.array([1.0, 0.0, 0.0]), None)
+    out = losses.baseline_loss(logits, seg, type_logits, axis, MobilitySpec("T", np.array([1.0, 0.0, 0.0])))
     assert abs(out.terms["segmentation"] - np.log(2.0)) < 1e-12
     assert out.terms["mobility"] < 1e-3
     assert abs(out.terms["total"] - (out.terms["segmentation"] + out.terms["mobility"])) < 1e-12

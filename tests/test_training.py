@@ -59,17 +59,29 @@ def test_radii_are_tied_to_their_k_density(records, instances):
     tr.train_displacement(tr.prepare_instances(records[:1], config), config)
 
 
-def test_part_samples_one_per_moving_part(instances):
-    samples = tr.part_samples(instances, with_channels=True)
-    expected = sum(len(i.specs) for i in instances if i.t == 1 and i.specs is not None)
-    assert len(samples) == expected
-    assert samples[0].channels.shape == (64, 3 * 5)
+def test_prepare_rejects_records_of_another_size(tmp_path, records):
+    # a 6-frame config over 4-frame records would train a 4-map net that
+    # its own run directory could not reload
+    with pytest.raises(DataError, match="n_frames=4 does not match config n_frames=6"):
+        tr.run_training(micro_config(n_frames=6), records, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
-def test_part_samples_skip_nonparametric():
+def test_mobility_steps_once_per_start_part(instances, monkeypatch):
+    seen = []
+    l_mob = tr.l_mob
+    monkeypatch.setattr(tr, "l_mob", lambda logits, axis, spec: seen.append(spec) or l_mob(logits, axis, spec))
+    tr.train_mobility(instances, micro_config(mobility_epochs=1))
+    expected = [spec for i in instances if i.t == 1 and i.specs is not None for spec in i.specs]
+    assert len(seen) == len(expected) > 0
+    assert {id(spec) for spec in seen} == {id(spec) for spec in expected}
+
+
+def test_baseline_training_rejects_nonparametric_corpora():
     records = micro_records(("umbrella",))
-    instances = tr.prepare_instances(records, micro_config())
-    assert tr.part_samples(instances, with_channels=False) == []
+    cfg = micro_config(categories=("umbrella",))
+    with pytest.raises(DataError, match="mobility parameters"):
+        tr.train_baseline(tr.prepare_instances(records, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ def test_checkpoint_round_trip(tmp_path, trained, records):
     out = tmp_path / "run"
     tr.save_pipeline(out, pipe)
     assert (out / "config.json").exists()
-    assert (out / "model.json").exists()
+    assert not (out / "model.json").exists()
     loaded = tr.load_pipeline(out)
     a = pipe.predict(records[1].frames[0])
     b = loaded.predict(records[1].frames[0])
@@ -257,14 +269,14 @@ def test_width_mismatch_is_a_data_error(tmp_path, trained):
     cfg, pipe = trained
     out = tmp_path / "run"
     tr.save_pipeline(out, pipe)
-    # rewrite the sidecar to claim different widths
+    # rewrite the run's config to claim different widths
     import json
 
-    meta = json.loads((out / "model.json").read_text())
-    meta["net"]["global_width"] = 48
-    meta["net"]["sa_stages"] = [[16, 0.35, [8, 16]], [4, 0.8, [16, 48]]]
-    (out / "model.json").write_text(json.dumps(meta))
-    with pytest.raises(DataError, match="shape mismatch"):
+    config = json.loads((out / "config.json").read_text())
+    config["net"]["global_width"] = 48
+    config["net"]["sa_stages"] = [[16, 0.35, [8, 16]], [4, 0.8, [16, 48]]]
+    (out / "config.json").write_text(json.dumps(config))
+    with pytest.raises(DataError, match="displacement.params: shape mismatch"):
         tr.load_pipeline(out)
 
 
@@ -272,8 +284,7 @@ def test_run_training_writes_artifacts(tmp_path, records, instances):
     cfg = micro_config()
     tr.run_training(cfg, records, out_dir=tmp_path / "run", instances=instances)
     names = {p.name for p in (tmp_path / "run").iterdir()}
-    assert {"config.json", "model.json", "loss.log", "displacement.params",
-            "mobility.params"} <= names
+    assert names == {"config.json", "loss.log", "displacement.params", "mobility.params"}
     log = (tmp_path / "run" / "loss.log").read_text()
     assert "mean_loss" in log and "mobility epoch" in log
 
