@@ -155,15 +155,21 @@ def _check_scalar_types(obj) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def _whole(value) -> int:  # a count, width or group size from JSON: 16.0 is 16, 16.9 an error
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
+        raise ConfigError(f"network counts, widths and group sizes must be whole numbers, got {value!r}")
+    return int(value)
+
+
 def _net_from_dict(data: dict) -> NetConfig:
     data = dict(data)
     if "sa_stages" in data:
         data["sa_stages"] = tuple(
-            (int(count), float(radius), tuple(int(w) for w in widths))
+            (_whole(count), float(radius), tuple(_whole(w) for w in widths))
             for count, radius, widths in data["sa_stages"]
         )
     if "group_sizes" in data:
-        data["group_sizes"] = tuple(int(k) for k in data["group_sizes"])
+        data["group_sizes"] = tuple(_whole(k) for k in data["group_sizes"])
     return NetConfig(**data)
 
 

@@ -5,10 +5,11 @@ Graphs are built dynamically per forward pass. Every node is numbered when
 it is made, after its parents, so backward() visits the nodes that need a
 gradient in decreasing creation order: each one is reached after all of
 its consumers. Gradients accumulate across calls, so zero them between
-passes. Each op does one job: `linear` is x @ w + b, `slice_axis` takes a
-contiguous block along any axis (column readouts, weight row splits),
-`absolute` is |x| and `lstm` runs a whole LSTM recurrence as one node whose
-backward is one reverse sweep through time.
+passes. Each op does one job: `linear` is x @ w + b, `pair_relu_linear` is
+relu(rows[t] + cols[i]) @ w + b over every (t, i) pair in one hidden buffer,
+`slice_axis` takes a contiguous block along any axis (column readouts, weight
+row splits), `absolute` is |x| and `lstm` runs a whole LSTM recurrence as one
+node whose backward is one reverse sweep through time.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
@@ -39,6 +40,7 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
+    "pair_relu_linear",
     "reshape",
     "concat",
     "slice_axis",
@@ -208,6 +210,30 @@ def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> 
         [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g), (b, lambda g: _unbroadcast(g, b.value.shape))],
         "linear",
     )
+
+
+def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node | np.ndarray,
+                     b: Node | np.ndarray) -> Node:
+    """relu(rows[t] + cols[i]) @ w + b in row t*N + i of a (T*N, O) array."""
+    rows, cols, w, b = _as_node(rows), _as_node(cols), _as_node(w), _as_node(b)
+    rv, cv, wv = rows.value, cols.value, w.value
+    if rv.ndim != 2 or cv.ndim != 2 or wv.ndim != 2 or not rv.shape[1] == cv.shape[1] == wv.shape[0] \
+            or b.value.shape not in ((wv.shape[1],), (1, wv.shape[1])):
+        raise ShapeMismatch(f"op 'pair_relu_linear': shapes {rv.shape, cv.shape, wv.shape, b.value.shape} differ")
+    steps, n = rv.shape[0], cv.shape[0]
+    hidden = np.add(rv[:, None], cv).reshape(steps * n, -1)  # the one (T*N, H) buffer, relu in place
+    np.maximum(hidden, 0.0, out=hidden)
+    masked: list = [None, None]  # backward() hands all four closures one g: mask it once per call
+
+    def pre_grad(g: np.ndarray) -> np.ndarray:
+        if masked[0] is not g:  # (T, N, H) gradient of the pre-activations
+            masked[:] = g, (g @ wv.T).reshape(steps, n, -1)
+            masked[1] *= (hidden > 0.0).reshape(steps, n, -1)
+        return masked[1]
+
+    return _make(hidden @ wv + b.value, [(rows, lambda g: pre_grad(g).sum(axis=1)),
+                 (cols, lambda g: pre_grad(g).sum(axis=0)), (w, lambda g: hidden.T @ g),
+                 (b, lambda g: _unbroadcast(g, b.value.shape))], "pair_relu_linear")
 
 
 def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
@@ -524,23 +550,24 @@ class Adam:
     def step(self) -> None:
         """One update, in place, with the operations of m = b1 m + (1 - b1) g,
         v = b2 v + (1 - b2) g g and value -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        in their order, so the bytes match that arithmetic."""
-        self.t += 1
+        in their order, so the bytes match that arithmetic. Only a non-finite clip
+        norm checks each gradient; the first non-finite one raises before anything changes."""
         grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
-        factor = None
-        if self.max_grad_norm is not None and grads:
-            total = float(np.sqrt(sum(float(np.multiply(g, g, out=self._work[k][1]).sum())
-                                      for k, g in grads.items())))
-            if total > self.max_grad_norm:
-                factor = self.max_grad_norm / (total + _EPS)
+        total = float(np.sqrt(sum(float(np.multiply(g, g, out=self._work[k][1]).sum())
+                                  for k, g in grads.items())))
+        if not math.isfinite(total):  # or a finite gradient whose square overflows
+            for k, g in grads.items():
+                if not np.all(np.isfinite(g)):
+                    raise NumericError(f"non-finite gradient for parameter {k!r}")
+        clip = self.max_grad_norm
+        factor = clip / (total + _EPS) if clip is not None and total > clip else None
+        self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for k, g in grads.items():
             a, b = self._work[k]
             if factor is not None:
                 g = np.multiply(g, factor, out=a)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {k!r}")
             m, v = self._m[k], self._v[k]
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=b)

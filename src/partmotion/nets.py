@@ -19,10 +19,10 @@ the same at every step, so it is computed once per cloud, and all n steps
 run as one `dc.lstm` node that returns the stacked states. The decoder is
 feed-forward given the hidden states, so all n frames are decoded in one
 pass: the first decoder layer's weight splits by rows, the per-point block
-is applied once per cloud as (N, hidden), the state block and bias once to
-the n stacked states as (n, 1, hidden), and `add` broadcasts the two to
-(n, N, hidden); one `relu` and one output layer over n*N rows give the
-maps stacked frame by frame, (n*N, 3). Segmentation heads consume the
+is applied once per cloud as (N, hidden) and the state block and bias once
+to the n stacked states as (n, hidden); one `dc.pair_relu_linear` node runs
+the relu and the output layer on every (state, point) sum, giving the maps
+stacked frame by frame, (n*N, 3). Segmentation heads consume the
 input points concatenated with all n maps, read as data. The mobility
 regressor reads the same concatenation with displacements zeroed outside
 one component and outputs a motion type and an axis. The baseline
@@ -70,10 +70,10 @@ class NetConfig:
             raise ConfigError("set-abstraction sample counts must be positive and strictly decrease")
         if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
             raise ConfigError(f"set-abstraction radii must be positive and finite, got {r1}, {r2}")
-        sizes = [w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
+        sizes = [s1, w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
                  self.feature_width, self.fp_neighbors, *self.group_sizes]
-        if min(sizes) <= 0:
-            raise ConfigError("network widths, group sizes and fp_neighbors must be positive")
+        if min(sizes) <= 0 or max(sizes) >= 2**31:  # a width of 1e308 would fail in numpy
+            raise ConfigError("network counts, widths, group sizes and fp_neighbors must lie in [1, 2**31)")
         if w2b != self.global_width:
             raise ConfigError("global width must equal the last stage output width")
 
@@ -299,11 +299,8 @@ class DisplacementNet:
             states = dc.lstm(x_proj, self.params["lstm.wh"], self.n_maps)
         else:
             states = g_feat
-        n_states, n_points = states.value.shape[0], base.value.shape[0]
-        hidden = self.cfg.decoder_hidden
-        state_part = dc.reshape(dc.linear(states, w_state, self.params["dec.l1.b"]), (n_states, 1, hidden))
-        pre = dc.reshape(dc.relu(dc.add(state_part, base)), (n_states * n_points, hidden))
-        out = _linear(self.params, "dec.l2", pre)
+        state_part = dc.linear(states, w_state, self.params["dec.l1.b"])
+        out = dc.pair_relu_linear(state_part, base, self.params["dec.l2.w"], self.params["dec.l2.b"])
         if self.use_rnn:
             return out
         # one readout emits all n maps side by side, (N, 3n)

@@ -233,6 +233,17 @@ def case_lstm(rng):
     return "lstm", [x_proj, w_h], lambda n: dc.reduce_sum(dc.mul(dc.lstm(n[0], n[1], steps), w))
 
 
+def case_pair_relu_linear(rng):
+    rows, cols = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+    while np.abs(rows[:, None] + cols).min() < 0.05:  # every pre-activation off the relu's kink
+        rows = rng.normal(size=(2, 4))
+    w, b = rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
+    proj = _proj(rng, (6, 2))
+    return "pair_relu_linear", [rows, cols, w, b], lambda n: dc.reduce_sum(
+        dc.mul(dc.pair_relu_linear(*n), proj)
+    )
+
+
 def case_mlp_chain(rng):
     x = rng.normal(size=(4, 3))
     w1 = rng.normal(size=(3, 5)) * 0.7
@@ -279,6 +290,7 @@ OP_CASES = [
     case_variance,
     case_pairwise_row_distances,
     case_lstm,
+    case_pair_relu_linear,
     case_mlp_chain,
 ]
 

@@ -189,6 +189,14 @@ def lstm_states(x_proj: dc.Node, w_h: dc.Node, steps: int) -> dc.Node:
     return dc.concat(states)
 
 
+def pair_relu_linear(rows: dc.Node, cols: dc.Node, w: dc.Node, b: dc.Node) -> dc.Node:
+    """relu(rows[t] + cols[i]) @ w + b built from single engine ops: the
+    reference for dc.pair_relu_linear, row t*N + i of a (T*N, O) array."""
+    steps, n, width = rows.value.shape[0], cols.value.shape[0], rows.value.shape[1]
+    pre = dc.add(dc.reshape(rows, (steps, 1, width)), cols)
+    return dc.linear(dc.reshape(dc.relu(pre), (steps * n, width)), w, b)
+
+
 def rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     """Rodrigues rotation matrix, written out independently."""
     axis = np.asarray(axis, dtype=np.float64)

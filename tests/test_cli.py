@@ -280,6 +280,31 @@ def test_malformed_run_config_exits_with_contract_code(workdir, tmp_path, capsys
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("net", [
+    {"sa_stages": [[16, 0.35, [1e308, 16]], [4, 0.8, [16, 24]]]},
+    {"sa_stages": [[16, 0.35, [2.7, 16]], [4, 0.8, [16, 24]]]},
+    {"group_sizes": [16.9, 8]},
+], ids=["width_huge", "width_fraction", "group_fraction"])
+def test_non_integral_or_huge_net_sizes_are_config_errors(workdir, tmp_path, capsys, command, net):
+    # int() used to truncate 2.7 and 16.9 without a word, and a width of
+    # 1e308 reached numpy's array constructor
+    if command == "train":
+        config = json.loads((workdir / "config.json").read_text())
+        (tmp_path / "bad.json").write_text(json.dumps({**config, "net": {**TINY_NET_JSON, **net}}))
+        argv = ["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "r")]
+    else:
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        config = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps({**config, "net": {**TINY_NET_JSON, **net}}))
+        argv = ["predict", "--run", str(run), "--input", str(workdir / "data" / "fan_004" / "frame_01.ply"),
+                "--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert "network counts, widths" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_config_group_sizes_drive_predict(workdir, tmp_path):
     # group sizes set no parameter shape: the plans and the networks read
     # them from the same config.json

@@ -40,6 +40,58 @@ def test_op_gradients_match_finite_differences(case_fn):
     run_gradient_case(case_fn)
 
 
+def _pair_inputs(steps, n=32, width=16, out=3, seed=0):
+    """rows, cols, w, b, upstream weights; some pre-activations are exactly 0."""
+    rng = np.random.default_rng([seed, steps])
+    rows, cols = rng.normal(size=(steps, width)), rng.normal(size=(n, width))
+    cols[0] = -rows[0]                 # a whole row of zeros in frame 0
+    cols[n - 1, : width // 2] = -rows[steps - 1, : width // 2]
+    arrays = [rows, cols, rng.normal(size=(width, out)), rng.normal(size=(1, out))]
+    return arrays, rng.normal(size=(steps * n, out))
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+def test_pair_relu_linear_matches_unfused_chain_bytes(steps):
+    arrays, weights = _pair_inputs(steps)
+    assert not (arrays[0][0] + arrays[1][0]).any()
+    got, want = [dc.parameter(a) for a in arrays], [dc.parameter(a) for a in arrays]
+    fused, chain = dc.pair_relu_linear(*got), oracles.pair_relu_linear(*want)
+    assert fused.value.tobytes() == chain.value.tobytes()
+    dc.backward(dc.reduce_sum(dc.mul(fused, weights)))
+    dc.backward(dc.reduce_sum(dc.mul(chain, weights)))
+    for g, w in zip(got, want):
+        assert g.grad.shape == w.grad.shape and g.grad.tobytes() == w.grad.tobytes()
+
+
+def test_pair_relu_linear_masks_again_on_each_backward_call():
+    # two backward passes through one node must each mask their own
+    # upstream gradient, not reuse the first pass's
+    arrays, w1 = _pair_inputs(4, n=5, width=6)
+    _, w2 = _pair_inputs(4, n=5, width=6, seed=1)
+
+    def grads(*weights):
+        nodes = [dc.parameter(a) for a in arrays]
+        out = dc.pair_relu_linear(*nodes)
+        for w in weights:
+            out.grad = None  # only the parameters sum over both passes
+            dc.backward(dc.reduce_sum(dc.mul(out, w)))
+        return [n.grad for n in nodes]
+
+    for got, a, b in zip(grads(w1, w2), grads(w1), grads(w2)):
+        assert got.tobytes() == (a + b).tobytes()
+
+
+@pytest.mark.parametrize("shapes", [
+    ((2, 4), (3, 5), (4, 2), (1, 2)),   # rows and cols widths differ
+    ((2, 4), (3, 4), (5, 2), (1, 2)),   # w rows differ from the hidden width
+    ((4,), (3, 4), (4, 2), (1, 2)),     # flat rows
+    ((2, 4), (3, 4), (4, 2), (1, 3)),   # bias wider than the output
+])
+def test_pair_relu_linear_rejects_mismatched_shapes(shapes):
+    with pytest.raises(ShapeMismatch, match="pair_relu_linear"):
+        dc.pair_relu_linear(*(np.zeros(s) for s in shapes))
+
+
 def test_softmax_cross_entropy_uniform_logits():
     logits = dc.constant(np.zeros((4, 2)))
     labels = np.array([0, 1, 0, 1])
@@ -240,25 +292,66 @@ def test_adam_rejects_non_finite_gradient():
         opt.step()
 
 
-def test_adam_in_place_update_matches_reference_bytes():
-    rng = np.random.default_rng(11)
-    start = rng.normal(size=(4, 5))
-    p = dc.parameter(start.copy())
-    opt = dc.Adam({"p": p}, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=1.5)
-    value, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
-    for t in range(1, 6):
-        g = rng.normal(size=start.shape) * 10.0 ** (t - 3)  # clipped from t = 3 on
-        p.grad = g.copy()
+@pytest.mark.parametrize("clip", [1.0, None])
+def test_adam_non_finite_last_gradient_changes_nothing(clip):
+    rng = np.random.default_rng(3)
+    params = {k: dc.parameter(rng.normal(size=(3, 2))) for k in "abc"}
+    opt = dc.Adam(params, lr=0.01, max_grad_norm=clip)
+    for p in params.values():
+        p.grad = rng.normal(size=(3, 2))
+    opt.step()
+    for p in params.values():
+        p.grad = rng.normal(size=(3, 2))
+    params["c"].grad[2, 1] = np.nan
+    before = [{k: a.tobytes() for k, a in d.items()}
+              for d in ({k: p.value for k, p in params.items()}, opt._m, opt._v)]
+    with pytest.raises(NumericError, match="'c'"):
         opt.step()
-        assert p.grad.tobytes() == g.tobytes()  # a gradient array may be shared: never written
-        total = float(np.sqrt(float((g * g).sum())))
-        if total > 1.5:
-            g = g * (1.5 / (total + 1e-12))
-        m = 0.8 * m + (1.0 - 0.8) * g
-        v = 0.95 * v + (1.0 - 0.95) * (g * g)
-        update = (m / (1.0 - 0.8**t)) / (np.sqrt(v / (1.0 - 0.95**t)) + 1e-7)
-        value = value - 3e-3 * update
-        assert p.value.tobytes() == value.tobytes()
+    after = [{k: a.tobytes() for k, a in d.items()}
+             for d in ({k: p.value for k, p in params.items()}, opt._m, opt._v)]
+    assert after == before and opt.t == 1
+
+
+def test_adam_overflowing_square_of_finite_gradient_clips_to_zero():
+    # 1e200 squared is inf, so the clip factor is 0 and the step decays the moments only
+    rng = np.random.default_rng(4)
+    start = rng.normal(size=(3,))
+    p = dc.parameter(start.copy())
+    opt = dc.Adam({"p": p}, lr=0.01, max_grad_norm=1.0)
+    g1 = np.array([0.3, -0.2, 0.5])
+    p.grad = g1.copy()
+    opt.step()
+    p.grad = np.array([1e200, 0.0, -1.0])
+    with np.errstate(over="ignore"):
+        opt.step()
+    want, m, v = start.copy(), np.zeros(3), np.zeros(3)
+    for t, g in [(1, g1), (2, np.zeros(3))]:
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        want = want - 0.01 * ((m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8))
+    assert opt.t == 2 and p.value.tobytes() == want.tobytes()
+
+
+def test_adam_in_place_update_matches_reference_bytes():
+    for clip in (1.5, None):
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(4, 5))
+        p = dc.parameter(start.copy())
+        opt = dc.Adam({"p": p}, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
+        value, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t in range(1, 6):
+            g = rng.normal(size=start.shape) * 10.0 ** (t - 3)  # clipped from t = 3 on
+            p.grad = g.copy()
+            opt.step()
+            assert p.grad.tobytes() == g.tobytes()  # a gradient array may be shared: never written
+            total = float(np.sqrt(float((g * g).sum())))
+            if clip is not None and total > clip:
+                g = g * (clip / (total + 1e-12))
+            m = 0.8 * m + (1.0 - 0.8) * g
+            v = 0.95 * v + (1.0 - 0.95) * (g * g)
+            update = (m / (1.0 - 0.8**t)) / (np.sqrt(v / (1.0 - 0.95**t)) + 1e-7)
+            value = value - 3e-3 * update
+            assert p.value.tobytes() == value.tobytes()
 
 
 def test_adam_step_magnitude_approaches_lr():

@@ -303,7 +303,7 @@ def test_training_step_graph_size():
         seen.add(id(node))
         tags[node.op_tag] += 1
         stack.extend(p for p, _ in node.parents if p.requires_grad)
-    assert sum(tags.values()) == 119
+    assert sum(tags.values()) == 115
     assert tags["transpose"] == tags["neg"] == 0
 
 
