@@ -25,17 +25,6 @@ from ..geom import (
     rotation_about_axis,
 )
 
-TEMPLATE_NAMES = (
-    "drawer_box",
-    "door_box",
-    "fan",
-    "laptop",
-    "bottle_cap_TR",
-    "cabinet_multi",
-    "umbrella",
-    "balance",
-)
-
 NON_PARAMETRIC = ("umbrella", "balance")
 
 
@@ -179,39 +168,29 @@ def _yaw_spec(spec: MobilitySpec, t: RigidTransform) -> MobilitySpec:
     )
 
 
-def _assemble(
-    rng: np.random.Generator,
-    part_surfaces: list[list[Surface]],
-    part_weights: Optional[list[float]],
-    specs: Optional[list[MobilitySpec]],
-    n_points: int,
-    yaw: Optional[RigidTransform] = None,
-) -> ShapeSample:
-    """Allocate points over parts by area (or given weights), sample, yaw.
+def _sample_parts(rng: np.random.Generator, part_surfaces: list[list[Surface]], n_points: int,
+                  part_weights: Optional[list[float]] = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each part's points, allocated by area (or the given weights) over the
+    parts with the per-part floor, and the part label of every point."""
+    if part_weights is None:
+        part_weights = [sum(s.area for s in group) for group in part_surfaces]
+    counts = allocate(n_points, part_weights, min_part_points(n_points))
+    points = [sample_surfaces(rng, group, int(c)) for group, c in zip(part_surfaces, counts)]
+    return points, np.repeat(np.arange(len(counts)), counts)
+
+
+def _assemble(rng: np.random.Generator, part_surfaces: list[list[Surface]], specs: list[MobilitySpec],
+              n_points: int, part_weights: Optional[list[float]] = None) -> ShapeSample:
+    """Sample the parts and yaw them.
 
     The yaw is drawn before any surface sampling so that regenerating the
     same seed at a different point count reproduces the same pose and the
     same part parameters, just denser or sparser.
     """
-    yaw = yaw if yaw is not None else _yaw(rng)
-    floor = min_part_points(n_points)
-    weights = (
-        np.array(part_weights)
-        if part_weights is not None
-        else np.array([sum(s.area for s in group) for group in part_surfaces])
-    )
-    counts = allocate(n_points, weights, floor)
-    points = []
-    labels = []
-    for part_id, (group, c) in enumerate(zip(part_surfaces, counts)):
-        points.append(sample_surfaces(rng, group, int(c)))
-        labels.append(np.full(int(c), part_id, dtype=np.int64))
-    pts = np.concatenate(points, axis=0)
-    lab = np.concatenate(labels)
-    pts = yaw.apply(pts)
-    if specs is not None:
-        specs = [_yaw_spec(s, yaw) for s in specs]
-    return ShapeSample(pts, lab, specs, extras={"yaw": yaw})
+    yaw = _yaw(rng)
+    points, labels = _sample_parts(rng, part_surfaces, n_points, part_weights)
+    return ShapeSample(yaw.apply(np.concatenate(points)), labels, [_yaw_spec(s, yaw) for s in specs],
+                       extras={"yaw": yaw})
 
 
 def _cabinet_shell(w: float, d: float, h: float, z0: float = 0.0) -> list[Surface]:
@@ -291,7 +270,7 @@ def build_drawer_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, float(rng.uniform(0.3, 0.5) * d))
     )
-    return _assemble(rng, [shell, drawer], None, [spec], n_points)
+    return _assemble(rng, [shell, drawer], [spec], n_points)
 
 
 def build_door_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -302,7 +281,7 @@ def build_door_box(rng: np.random.Generator, n_points: int) -> ShapeSample:
     shell = _cabinet_shell(w, d, h)
     door = _door_part(w, d, 0.0, h, hinge_left)
     spec = _door_spec(w, d, rng, hinge_left)
-    return _assemble(rng, [shell, door], None, [spec], n_points)
+    return _assemble(rng, [shell, door], [spec], n_points)
 
 
 def build_fan(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -324,7 +303,7 @@ def build_fan(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_R, np.array([0.0, 1.0, 0.0]), hub_c.copy(), (0.0, 120.0)
     )
-    return _assemble(rng, [base + pole + hub, blades], [2.0, 1.2], [spec], n_points)
+    return _assemble(rng, [base + pole + hub, blades], [spec], n_points, [2.0, 1.2])
 
 
 def build_laptop(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -338,7 +317,7 @@ def build_laptop(rng: np.random.Generator, n_points: int) -> ShapeSample:
     spec = MobilitySpec(
         TYPE_R, np.array([1.0, 0.0, 0.0]), np.array([0.0, -d / 2 + 0.01, 0.04]), (0.0, angle)
     )
-    return _assemble(rng, [base, screen], None, [spec], n_points)
+    return _assemble(rng, [base, screen], [spec], n_points)
 
 
 def build_bottle_cap_tr(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -360,7 +339,7 @@ def build_bottle_cap_tr(rng: np.random.Generator, n_points: int) -> ShapeSample:
         (0.0, float(rng.uniform(120.0, 180.0))),
         slide_range=(0.0, float(rng.uniform(0.05, 0.09))),
     )
-    return _assemble(rng, [body, cap], None, [spec], n_points)
+    return _assemble(rng, [body, cap], [spec], n_points)
 
 
 def build_cabinet_multi(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -378,7 +357,7 @@ def build_cabinet_multi(rng: np.random.Generator, n_points: int) -> ShapeSample:
         TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, float(rng.uniform(0.3, 0.5) * d))
     )
     door_spec = _door_spec(w, d, rng, hinge_left)
-    return _assemble(rng, [shell, drawer, door], None, [drawer_spec, door_spec], n_points)
+    return _assemble(rng, [shell, drawer, door], [drawer_spec, door_spec], n_points)
 
 
 def build_umbrella(rng: np.random.Generator, n_points: int) -> ShapeSample:
@@ -429,11 +408,7 @@ def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
     tilt = float(rng.uniform(12.0, 25.0))
     yaw = _yaw(rng)
 
-    floor = min_part_points(n_points)
-    groups = [base + post, bar, pans[0], pans[1]]
-    weights = np.array([sum(s.area for s in g) for g in groups])
-    counts = allocate(n_points, weights, floor)
-    pts0 = [sample_surfaces(rng, g, int(c)) for g, c in zip(groups, counts)]
+    pts0, labels = _sample_parts(rng, [base + post, bar, pans[0], pans[1]], n_points)
     offsets = [np.array([-arm, 0.0, 0.0]), np.array([arm, 0.0, 0.0])]
 
     def frame_fn(s: float) -> np.ndarray:
@@ -445,9 +420,6 @@ def build_balance(rng: np.random.Generator, n_points: int) -> ShapeSample:
             moved.append(pts0[2 + k] + shift)
         return yaw.apply(np.concatenate(moved, axis=0))
 
-    labels = np.concatenate(
-        [np.full(int(c), part_id, dtype=np.int64) for part_id, c in enumerate(counts)]
-    )
     return ShapeSample(frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})
 
 
@@ -461,6 +433,7 @@ BUILDERS: dict[str, Callable[[np.random.Generator, int], ShapeSample]] = {
     "umbrella": build_umbrella,
     "balance": build_balance,
 }
+TEMPLATE_NAMES = tuple(BUILDERS)
 
 
 def generate_shape(category: str, rng: np.random.Generator, n_points: int) -> ShapeSample:

@@ -5,7 +5,10 @@ Graphs are built dynamically per forward pass. Every node is numbered when
 it is made, after its parents, so backward() visits the nodes that need a
 gradient in decreasing creation order: each one is reached after all of
 its consumers. Gradients accumulate across calls, so zero them between
-passes. Each op does one job: `linear` is x @ w + b, `pair_relu_linear` is
+passes. Each op does one job: `add`, `sub`, `mul` and `div` are one
+broadcasting elementwise body (`mul` by a float is scaling, the float a constant
+and no grad node), `reduce_sum` and `reduce_mean` one reduction that divides by
+a count, `linear` is x @ w + b, `pair_relu_linear` is
 relu(rows[t] + cols[i]) @ w + b over every (t, i) pair in one hidden buffer,
 `slice_axis` takes a contiguous block along any axis (column readouts, weight
 row splits), `absolute` is |x| and `lstm` runs a whole LSTM recurrence as one
@@ -37,7 +40,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "scale",
     "matmul",
     "linear",
     "pair_relu_linear",
@@ -115,76 +117,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for da, db in zip(a[::-1], b[::-1]):
-        if da != db and da != 1 and db != 1:
-            return False
-    return True
-
-
-def _check_elementwise(a: Node, b: Node, op_tag: str) -> None:
-    if not _broadcastable(a.value.shape, b.value.shape):
-        raise ShapeMismatch(f"op {op_tag!r}: shapes {a.value.shape} and {b.value.shape} do not broadcast")
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
-def add(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
+def _binary(a: Node | np.ndarray, b: Node | np.ndarray, op_tag: str, value: Callable, grad_a: Callable,
+            grad_b: Callable) -> Node:
+    """One broadcasting elementwise op: out = value(av, bv), each parent's
+    gradient grad_x(g, av, bv) summed back down to its own shape."""
     a, b = _as_node(a), _as_node(b)
-    _check_elementwise(a, b, "add")
-    out = a.value + b.value
-    return _make(
-        out,
-        [(a, lambda g: _unbroadcast(g, a.value.shape)), (b, lambda g: _unbroadcast(g, b.value.shape))],
-        "add",
-    )
+    av, bv = a.value, b.value
+    try:
+        out = value(av, bv)
+    except ValueError:  # numpy's broadcast error, raised before any arithmetic
+        raise ShapeMismatch(f"op {op_tag!r}: shapes {av.shape} and {bv.shape} do not broadcast") from None
+    return _make(out, [(a, lambda g: _unbroadcast(grad_a(g, av, bv), av.shape)),
+                       (b, lambda g: _unbroadcast(grad_b(g, av, bv), bv.shape))], op_tag)
+
+
+def add(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
+    return _binary(a, b, "add", np.add, lambda g, av, bv: g, lambda g, av, bv: g)
 
 
 def sub(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    _check_elementwise(a, b, "sub")
-    out = a.value - b.value
-    return _make(
-        out,
-        [(a, lambda g: _unbroadcast(g, a.value.shape)), (b, lambda g: _unbroadcast(-g, b.value.shape))],
-        "sub",
-    )
+    return _binary(a, b, "sub", np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
 
 
 def mul(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    _check_elementwise(a, b, "mul")
-    av, bv = a.value, b.value
-    out = av * bv
-    return _make(
-        out,
-        [(a, lambda g: _unbroadcast(g * bv, av.shape)), (b, lambda g: _unbroadcast(g * av, bv.shape))],
-        "mul",
-    )
+    """a * b; a float factor is a constant, so it adds no grad node."""
+    return _binary(a, b, "mul", np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
 def div(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    _check_elementwise(a, b, "div")
-    av, bv = a.value, b.value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = av / bv
-    return _make(
-        out,
-        [
-            (a, lambda g: _unbroadcast(g / bv, av.shape)),
-            (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
-        ],
-        "div",
-    )
-
-
-def scale(a: Node | np.ndarray, c: float) -> Node:
-    a = _as_node(a)
-    c = float(c)
-    return _make(a.value * c, [(a, lambda g: g * c)], "scale")
+    with np.errstate(divide="ignore", invalid="ignore"):  # the forward only: backward runs later
+        return _binary(a, b, "div", np.divide, lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv))
 
 
 def matmul(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
@@ -196,14 +162,17 @@ def matmul(a: Node | np.ndarray, b: Node | np.ndarray) -> Node:
     return _make(out, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)], "matmul")
 
 
+def _fits_bias(b: Node, w: Node) -> bool:
+    """A bias is one value per output column: shape (O,) or (1, O) for a (H, O) weight."""
+    return w.value.ndim == 2 and b.value.shape in ((w.value.shape[1],), (1, w.value.shape[1]))
+
+
 def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
     """x @ w + b, with b broadcast over the rows."""
     x, w, b = _as_node(x), _as_node(w), _as_node(b)
     xv, wv = x.value, w.value
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ShapeMismatch(f"op 'linear': shapes {xv.shape} and {wv.shape} are incompatible")
-    if not _broadcastable((xv.shape[0], wv.shape[1]), b.value.shape) or b.value.size != wv.shape[1]:
-        raise ShapeMismatch(f"op 'linear': bias {b.value.shape} does not fit {wv.shape[1]} columns")
+    if xv.ndim != 2 or not _fits_bias(b, w) or xv.shape[1] != wv.shape[0]:
+        raise ShapeMismatch(f"op 'linear': shapes {xv.shape}, {wv.shape} and bias {b.value.shape} do not fit")
     out = xv @ wv + b.value
     return _make(
         out,
@@ -217,8 +186,7 @@ def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node |
     """relu(rows[t] + cols[i]) @ w + b in row t*N + i of a (T*N, O) array."""
     rows, cols, w, b = _as_node(rows), _as_node(cols), _as_node(w), _as_node(b)
     rv, cv, wv = rows.value, cols.value, w.value
-    if rv.ndim != 2 or cv.ndim != 2 or wv.ndim != 2 or not rv.shape[1] == cv.shape[1] == wv.shape[0] \
-            or b.value.shape not in ((wv.shape[1],), (1, wv.shape[1])):
+    if rv.ndim != 2 or cv.ndim != 2 or not _fits_bias(b, w) or not rv.shape[1] == cv.shape[1] == wv.shape[0]:
         raise ShapeMismatch(f"op 'pair_relu_linear': shapes {rv.shape, cv.shape, wv.shape, b.value.shape} differ")
     steps, n = rv.shape[0], cv.shape[0]
     hidden = np.add(rv[:, None], cv).reshape(steps * n, -1)  # the one (T*N, H) buffer, relu in place
@@ -304,29 +272,26 @@ def gather_rows(a: Node | np.ndarray, idx: np.ndarray) -> Node:
 # reductions
 
 
-def reduce_sum(a: Node | np.ndarray, axis: Optional[int] = None) -> Node:
-    a = _as_node(a)
-    out = a.value.sum(axis=axis)
+def _reduce(a: Node, axis: Optional[int], count: int, op_tag: str) -> Node:
+    """The sum along axis (over everything for None) divided by count: numpy's
+    mean is that sum / count, and a sum divides by 1."""
+    shape = a.value.shape
 
     def bw(g: np.ndarray) -> np.ndarray:
         if axis is None:
-            return np.full(a.value.shape, g)
-        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy()
+            return np.full(shape, g / count)
+        return np.broadcast_to(np.expand_dims(g, axis), shape) / count
 
-    return _make(out, [(a, bw)], "reduce_sum")
+    return _make(a.value.sum(axis=axis) / count, [(a, bw)], op_tag)
+
+
+def reduce_sum(a: Node | np.ndarray, axis: Optional[int] = None) -> Node:
+    return _reduce(_as_node(a), axis, 1, "reduce_sum")
 
 
 def reduce_mean(a: Node | np.ndarray, axis: Optional[int] = None) -> Node:
     a = _as_node(a)
-    out = a.value.mean(axis=axis)
-    count = a.value.size if axis is None else a.value.shape[axis]
-
-    def bw(g: np.ndarray) -> np.ndarray:
-        if axis is None:
-            return np.full(a.value.shape, g / count)
-        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape) / count
-
-    return _make(out, [(a, bw)], "reduce_mean")
+    return _reduce(a, axis, a.value.size if axis is None else a.value.shape[axis], "reduce_mean")
 
 
 def reduce_max(a: Node | np.ndarray, axis: int) -> Node:

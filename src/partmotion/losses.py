@@ -272,15 +272,15 @@ def total_motion_loss(
         origins = np.tile(p0, (n, 1))
         clouds = dc.add(cumulative, origins)
         ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
-        recon.append(dc.scale(l_ref(clouds, origins, ref_rows), weights.w_ref))
+        recon.append(dc.mul(l_ref(clouds, origins, ref_rows), weights.w_ref))
         if mov_idx.size:
             gt_clouds = _target_clouds(p0, gt_maps)[:, mov_idx]
             mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds, gt_radii, weights.k_density)
-            recon.append(dc.scale(mov, weights.w_mov))
+            recon.append(dc.mul(mov, weights.w_mov))
     if not no_disp:
         recon.append(l_disp(maps, gt_maps.reshape(-1, 3), mov_rows))
     if recon:
-        rec = dc.scale(reduce(dc.add, recon), 1.0 / n)
+        rec = dc.mul(reduce(dc.add, recon), 1.0 / n)
         terms["reconstruction"] = float(rec.value)
         pieces.append(rec)
 
@@ -293,8 +293,8 @@ def total_motion_loss(
     if not no_seg:
         if seg_logits is None or dist_mov is None or same_mov is None:
             raise ConfigError("segmentation terms need logits, distance matrix, and part matrix")
-        obj = dc.scale(l_seg_obj(seg_logits, (seg_labels > 0).astype(np.int64)), weights.w_seg_obj)
-        mov_pairs = dc.scale(l_seg_mov(dist_mov, same_mov, weights.margin), weights.w_seg_mov)
+        obj = dc.mul(l_seg_obj(seg_logits, (seg_labels > 0).astype(np.int64)), weights.w_seg_obj)
+        mov_pairs = dc.mul(l_seg_mov(dist_mov, same_mov, weights.margin), weights.w_seg_mov)
         seg = dc.add(obj, mov_pairs)
         terms["segmentation"] = float(seg.value)
         pieces.append(seg)

@@ -1,15 +1,15 @@
 """Analytic mobility extraction from rigid part trajectories.
 
-Given the frames of one part, all consecutive pairs are registered in one
-batched SVD (Kabsch) solve and each relative transform is classified as a
-translation, rotation, or screw from its rotation angle and pitch. The
-sequence verdict is the majority pair type; the axis averages sign-aligned
-pair axes and the motion range comes from summing signed per-pair steps,
-which stays well conditioned where a single composed rotation would
-approach the 180 degree ambiguity. The composed first-to-last transform
-still serves as a cross check on the summed range. Reported axes point
-along the observed motion, so ranges always start at zero and grow
-positive.
+Given the frames of one part, all consecutive pairs and the composed
+first-to-last pair are registered in one batched SVD (Kabsch) solve. Each
+consecutive pair's relative transform is classified as a translation,
+rotation, or screw from its rotation angle and pitch. The sequence verdict
+is the majority pair type; the axis averages sign-aligned pair axes and the
+motion range comes from summing signed per-pair steps, which stays well
+conditioned where a single composed rotation would approach the 180 degree
+ambiguity. The composed transform serves only as a cross check on the
+summed range. Reported axes point along the observed motion, so ranges
+always start at zero and grow positive.
 """
 from __future__ import annotations
 
@@ -28,16 +28,6 @@ RANGE_TOLERANCE = 0.02  # relative mismatch between summed and composed range
 
 FLAG_LOW_CONFIDENCE = "low_confidence"
 FLAG_RANGE_INCONSISTENT = "range_inconsistent"
-
-
-def rigid_register(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform mapping src onto dst, det(R) = +1."""
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise DataError(f"point sets must both be (M, 3), got {src.shape} and {dst.shape}")
-    rotation, translation = _kabsch(src[None], dst[None])
-    return RigidTransform(rotation[0], translation[0])
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,14 +93,14 @@ class PairMotion:
     amount: float = 0.0   # mean per-point displacement, for tie breaks
 
 
-def classify_transform(transform: RigidTransform) -> PairMotion:
-    """Pair verdict; DataError("no motion") when nothing moves."""
+def classify_transform(transform: RigidTransform) -> Optional[PairMotion]:
+    """Pair verdict; None when nothing moves."""
     angle = rotation_angle_deg(transform.rotation)
     t = transform.translation
     if angle < ANGLE_FLOOR_DEG:
         shift = float(np.linalg.norm(t))
         if shift < STILL_EPS:
-            raise DataError("no motion")
+            return None
         return PairMotion(TYPE_T, t / shift, None, 0.0, shift)
     direction = rotation_axis(transform.rotation)
     slide = float(np.dot(t, direction))
@@ -128,59 +118,26 @@ class FittedMobility:
     flags: list[str] = field(default_factory=list)
 
 
-def derive_range(first: np.ndarray, last: np.ndarray, spec: MobilitySpec) -> tuple[float, list[str]]:
-    """Motion span between two states from one composed registration.
-
-    Returns the signed span along the spec direction (length for T,
-    degrees otherwise) plus flags when the composed transform disagrees
-    with the claimed type. Near 0 or 180 degrees the composed rotation
-    cannot be signed reliably, which is why the summed per-pair range
-    stays authoritative; this is a cross check.
-    """
-    transform = rigid_register(first, last)
-    angle = rotation_angle_deg(transform.rotation)
-    flags: list[str] = []
-    if spec.tau == TYPE_T:
-        if angle >= ANGLE_FLOOR_DEG:
-            flags.append(FLAG_RANGE_INCONSISTENT)
-        span = float(np.dot(transform.translation, spec.direction))
-        off_axis = transform.translation - span * spec.direction
-        if np.linalg.norm(off_axis) > max(1e-6, RANGE_TOLERANCE * abs(span)):
-            flags.append(FLAG_RANGE_INCONSISTENT)
-        return span, flags
-    if angle < ANGLE_FLOOR_DEG:
-        # composed rotation vanished although the type is rotational
-        return 0.0, [FLAG_RANGE_INCONSISTENT]
-    try:
-        composed_dir = rotation_axis(transform.rotation)
-        signed = float(np.sign(np.dot(composed_dir, spec.direction)) * angle)
-    except DataError:
-        # 180 degrees: magnitude is still usable, the sign is not
-        signed = float(angle)
-    return signed, flags
-
-
 def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
     """Mobility of one part across its frames; None when it never moves.
 
-    Still pairs (padded tail frames for instance) drop out through the
-    no-motion error path and do not vote.
+    Still pairs (padded tail frames for instance) do not vote.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
         raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
-    rotations, translations = _kabsch(frames[:-1], frames[1:])
+    # the consecutive pairs, then the composed first-to-last pair
+    rotations, translations = _kabsch(np.concatenate([frames[:-1], frames[:1]]),
+                                      np.concatenate([frames[1:], frames[-1:]]))
+    composed = RigidTransform(rotations[-1], translations[-1])
+    rotations, translations = rotations[:-1], translations[:-1]
     amounts = np.linalg.norm(frames[1:] - frames[:-1], axis=2).mean(axis=1)
     pairs: list[PairMotion] = []
     for rotation, translation, amount in zip(rotations, translations, amounts):
-        try:
-            motion = classify_transform(RigidTransform(rotation, translation))
-        except DataError as exc:
-            if str(exc) != "no motion":
-                raise
-            continue
-        motion.amount = float(amount)
-        pairs.append(motion)
+        motion = classify_transform(RigidTransform(rotation, translation))
+        if motion is not None:
+            motion.amount = float(amount)
+            pairs.append(motion)
     if not pairs:
         return None
     diff = frames[:-1] @ rotations.transpose(0, 2, 1) + translations[:, None] - frames[1:]
@@ -218,22 +175,35 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
             slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
-    flags.extend(_range_check(frames, spec))
+    flags.extend(_range_flags(composed, spec))
     return FittedMobility(spec, residual, flags)
 
 
-def _range_check(frames: np.ndarray, spec: MobilitySpec) -> list[str]:
-    """Compare the summed range against the composed first-to-last span."""
-    span_sum = spec.span
-    composed, flags = derive_range(frames[0], frames[-1], spec)
-    if FLAG_RANGE_INCONSISTENT in flags:
-        return [FLAG_RANGE_INCONSISTENT]
+def _range_flags(composed: RigidTransform, spec: MobilitySpec) -> list[str]:
+    """Flags when the composed first-to-last transform disagrees with spec.
+
+    It must show the claimed type, and its span, signed along the spec
+    direction (a length for T, degrees otherwise, known only modulo 360),
+    must match the summed range. Near 0 or 180 degrees the composed rotation
+    cannot be signed reliably, which is why the summed range stays
+    authoritative and this is only a cross check.
+    """
+    angle = rotation_angle_deg(composed.rotation)
     if spec.tau == TYPE_T:
-        expected = span_sum
+        span = float(np.dot(composed.translation, spec.direction))
+        off_axis = np.linalg.norm(composed.translation - span * spec.direction)
+        if angle >= ANGLE_FLOOR_DEG or off_axis > max(1e-6, RANGE_TOLERANCE * abs(span)):
+            return [FLAG_RANGE_INCONSISTENT]
+        expected = spec.span
+    elif angle < ANGLE_FLOOR_DEG:  # composed rotation vanished although the type is rotational
+        return [FLAG_RANGE_INCONSISTENT]
     else:
-        # the composed angle is only known modulo 360
-        expected = abs((span_sum + 180.0) % 360.0 - 180.0)
-    if abs(composed - expected) > max(1e-6, RANGE_TOLERANCE * max(span_sum, 1e-12)):
+        try:
+            span = float(np.sign(np.dot(rotation_axis(composed.rotation), spec.direction)) * angle)
+        except DataError:  # 180 degrees: the magnitude is still usable, the sign is not
+            span = float(angle)
+        expected = abs((spec.span + 180.0) % 360.0 - 180.0)
+    if abs(span - expected) > max(1e-6, RANGE_TOLERANCE * max(spec.span, 1e-12)):
         return [FLAG_RANGE_INCONSISTENT]
     return []
 

@@ -319,7 +319,7 @@ class DisplacementNet:
         seg = _linear(self.params, "seg.l2", dc.relu(_linear(self.params, "seg.l1", x)))
         raw = _linear(self.params, "feat.l2", dc.relu(_linear(self.params, "feat.l1", x)))
         norms = dc.reshape(dc.l2_norm_rows(raw), (raw.value.shape[0], 1))
-        feats = dc.scale(dc.div(raw, dc.add(norms, 1e-8)), FEATURE_RADIUS)
+        feats = dc.mul(dc.div(raw, dc.add(norms, 1e-8)), FEATURE_RADIUS)
         return seg, feats
 
 

@@ -334,10 +334,8 @@ class Pipeline:
         _require_finite(maps, "displacement maps")
         if self.config.no_seg:
             # trained without the segmentation terms: threshold the motion
-            moving = np.linalg.norm(maps, axis=2).mean(axis=0) > self.config.theta_stop
-            mov_idx = np.flatnonzero(moving)
-            labels = assemble_segmentation(n, mov_idx, np.zeros(mov_idx.size, dtype=np.int64))
-            confidences = {1: 1.0} if mov_idx.size else {}
+            labels = (np.linalg.norm(maps, axis=2).mean(axis=0) > self.config.theta_stop).astype(np.int64)
+            confidences = {1: 1.0} if labels.any() else {}
         else:
             p0 = np.zeros_like(points) if self.config.no_p0 else points
             seg_logits, feat_nodes = self.net.segment(p0, maps)
@@ -421,14 +419,12 @@ class Pipeline:
 
     def _predict_baseline(self, plan: EncoderPlan) -> ShapePrediction:
         moving, tau, d, x = self.baseline.predict(plan)
-        n = plan.points.shape[0]
-        mov_idx = np.flatnonzero(moving)
-        labels = assemble_segmentation(n, mov_idx, np.zeros(mov_idx.size, dtype=np.int64))
-        maps = np.zeros((self.config.n_frames, n, 3))
-        if not mov_idx.size:
+        labels = moving.astype(np.int64)
+        maps = np.zeros((self.config.n_frames, labels.size, 3))
+        if not labels.any():
             return ShapePrediction(maps, labels, {}, {}, {})
         # still maps: the range reads (0, 0) for every type
-        spec = _compose_spec(tau, d, x, maps[:, mov_idx], None)
+        spec = _compose_spec(tau, d, x, maps[:, moving], None)
         return ShapePrediction(maps, labels, {1: spec}, {1: 1.0}, {1: None})
 
 
@@ -449,12 +445,10 @@ def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.config.save(out / "config.json")
-    if pipeline.baseline is not None:
-        dc.save_params(out / BASE_PARAMS, pipeline.baseline.parameters())
-    if pipeline.net is not None:
-        dc.save_params(out / DISP_PARAMS, pipeline.net.parameters())
-    if pipeline.regressor is not None:
-        dc.save_params(out / MOB_PARAMS, pipeline.regressor.parameters())
+    models = {BASE_PARAMS: pipeline.baseline, DISP_PARAMS: pipeline.net, MOB_PARAMS: pipeline.regressor}
+    for name, model in models.items():
+        if model is not None:
+            dc.save_params(out / name, model.parameters())
     return out
 
 
@@ -527,11 +521,9 @@ class ShapeEval:
     """Scores for one test shape."""
 
     shape_id: str
-    category: str
     ap_record: ShapeAPRecord
     net_evals: list[MobilityEval]
     fit_evals: list[MobilityEval]
-    prediction: ShapePrediction
 
 
 @dataclass
@@ -567,7 +559,7 @@ def _eval_shape(rec: ShapeRecord, pred: ShapePrediction) -> ShapeEval:
             pred_fit = pred.fits.get(m.pred_part) if m.pred_part is not None else None
             net_evals.append(evaluate_mobility(pred_net, gt_spec))
             fit_evals.append(evaluate_mobility(pred_fit, gt_spec))
-    return ShapeEval(rec.shape_id, rec.category, ap_record, net_evals, fit_evals, pred)
+    return ShapeEval(rec.shape_id, ap_record, net_evals, fit_evals)
 
 
 def evaluate_model(records: Sequence[ShapeRecord], pipeline: Pipeline) -> EvalResult:

@@ -66,9 +66,10 @@ def case_div(rng):
 
 
 def case_scale(rng):
+    """`mul` by a float constant."""
     a = rng.normal(size=(3, 3))
     w = _proj(rng, (3, 3))
-    return "scale", [a], lambda n: dc.reduce_sum(dc.mul(dc.scale(n[0], -2.5), w))
+    return "scale", [a], lambda n: dc.reduce_sum(dc.mul(dc.mul(n[0], -2.5), w))
 
 
 def case_matmul(rng):

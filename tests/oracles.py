@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the package.
 
-Everything here is deliberately slow and literal: plain loops, no shared
-code with the package under test.
+Everything here is deliberately slow and literal: plain loops, and no code
+shared with the package under test except where a reference says so. The
+mobfit reference (`fit_sequence_per_pair`) registers each pair on its own but
+takes the package's pair classifier, `_aligned_mean` and range check.
 """
 from __future__ import annotations
 
@@ -11,16 +13,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
+from partmotion import mobfit
 from partmotion.errors import ConfigError, DataError
 from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform
-from partmotion.mobfit import (
-    FLAG_LOW_CONFIDENCE,
-    FittedMobility,
-    PairMotion,
-    _aligned_mean,
-    _range_check,
-    classify_transform,
-)
+from partmotion.mobfit import FLAG_LOW_CONFIDENCE, FittedMobility, PairMotion, _aligned_mean, classify_transform
 from partmotion.nets import EncoderPlan, NetConfig
 
 
@@ -248,8 +244,10 @@ def registration_residual(transform: RigidTransform, src: np.ndarray, dst: np.nd
 def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
     """`mobfit.fit_sequence` with one registration and one residual per pair.
 
-    The vote and the composed range check are the package's own; the
-    registration they use is checked against `rigid_register` above.
+    The vote and the range check are the package's own; the registrations
+    they use, of each consecutive pair and of the first-to-last pair, are
+    `rigid_register` above. The range check is looked up on the module when
+    called, so a test can watch the composed transform it gets.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
@@ -259,14 +257,11 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
     for k in range(frames.shape[0] - 1):
         transform = rigid_register(frames[k], frames[k + 1])
         residuals.append(registration_residual(transform, frames[k], frames[k + 1]))
-        try:
-            motion = classify_transform(transform)
-        except DataError as exc:
-            if str(exc) != "no motion":
-                raise
-            continue
-        motion.amount = float(np.mean(np.linalg.norm(frames[k + 1] - frames[k], axis=1)))
-        pairs.append(motion)
+        motion = classify_transform(transform)
+        if motion is not None:
+            motion.amount = float(np.mean(np.linalg.norm(frames[k + 1] - frames[k], axis=1)))
+            pairs.append(motion)
+    composed = rigid_register(frames[0], frames[-1])
     if not pairs:
         return None
     residual = float(np.mean(residuals))
@@ -303,7 +298,7 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
             slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
-    flags.extend(_range_check(frames, spec))
+    flags.extend(mobfit._range_flags(composed, spec))
     return FittedMobility(spec, residual, flags)
 
 

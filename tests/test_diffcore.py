@@ -185,7 +185,7 @@ def test_lstm_rejects_mismatched_shapes(x_shape, w_shape):
 
 def test_shared_subgraph_accumulates_gradient():
     x = dc.parameter(np.array([[2.0]]))
-    y = dc.add(dc.mul(x, x), dc.scale(x, 3.0))  # x^2 + 3x
+    y = dc.add(dc.mul(x, x), dc.mul(x, 3.0))  # x^2 + 3x
     out = dc.reduce_sum(y)
     dc.backward(out)
     np.testing.assert_allclose(x.grad, [[7.0]], atol=1e-12)
@@ -197,7 +197,7 @@ def test_shared_gradient_array_is_not_summed_into_in_place():
     x = dc.parameter(np.array([[1.0, -2.0]]))
     w = np.array([[0.5, 3.0]])
     w2 = np.array([[7.0, -1.0]])
-    u, v = dc.scale(x, 2.0), dc.scale(x, 3.0)
+    u, v = dc.mul(x, 2.0), dc.mul(x, 3.0)
     p = dc.mul(u, w2)
     s = dc.add(u, v)
     dc.backward(dc.reduce_sum(dc.add(dc.mul(s, w), p)))
@@ -208,7 +208,7 @@ def test_shared_gradient_array_is_not_summed_into_in_place():
 
 def test_backward_visits_nodes_in_decreasing_creation_order():
     x = dc.parameter(np.ones((2, 2)))
-    a = dc.scale(x, 2.0)
+    a = dc.mul(x, 2.0)
     b = dc.mul(a, x)
     out = dc.reduce_sum(dc.add(b, a))
     visited = []
@@ -255,6 +255,28 @@ def test_shape_mismatch_names_op():
         dc.add(dc.constant(np.ones((2, 3))), dc.constant(np.ones((3, 2))))
     with pytest.raises(ShapeMismatch, match="gather_rows"):
         dc.gather_rows(dc.constant(np.ones((2, 3))), np.array([0, 5]))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_elementwise_shape_mismatch_names_op(op):
+    # div's errstate wrapper must not hide numpy's broadcast error
+    with pytest.raises(ShapeMismatch, match=f"op '{op}': shapes \\(2, 3\\) and \\(3, 2\\) do not broadcast"):
+        getattr(dc, op)(np.ones((2, 3)), dc.parameter(np.ones((3, 2))))
+
+
+@pytest.mark.parametrize("bias_shape", [(3,), (1, 3)])
+def test_linear_adds_bias_per_column(bias_shape):
+    b = dc.parameter(np.arange(3.0).reshape(bias_shape))
+    out = dc.linear(np.eye(3), np.eye(3), b)
+    np.testing.assert_array_equal(out.value, np.eye(3) + np.arange(3.0))
+    dc.backward(dc.reduce_sum(out))
+    np.testing.assert_array_equal(b.grad, np.full(bias_shape, 3.0))
+
+
+@pytest.mark.parametrize("bias_shape", [(3, 1), (1, 1, 3), (3, 3), (1,)])
+def test_linear_rejects_bias_that_is_not_one_per_column(bias_shape):
+    with pytest.raises(ShapeMismatch, match="linear"):
+        dc.linear(np.eye(3), np.eye(3), np.zeros(bias_shape))
 
 
 @pytest.mark.parametrize("lo, hi, axis", [(1, 4, 0), (-1, 2, 0), (2, 2, 1), (0, 2, 2)])

@@ -14,15 +14,16 @@ from partmotion.geom import (
     mobility_transform,
     unit,
 )
+from partmotion import mobfit
 from partmotion.mobfit import (
     FLAG_LOW_CONFIDENCE,
     FLAG_RANGE_INCONSISTENT,
     FittedMobility,
+    _kabsch,
+    _range_flags,
     classify_transform,
-    derive_range,
     fit_from_displacements,
     fit_sequence,
-    rigid_register,
     rotation_angle_deg,
 )
 
@@ -31,6 +32,12 @@ from microfixtures import spec_bytes
 from oracles import registration_residual, rotation_matrix
 
 PARAMETRIC = [c for c in TEMPLATE_NAMES if c not in NON_PARAMETRIC]
+
+
+def rigid_register(src, dst) -> RigidTransform:
+    """mobfit's batched registration on a one-pair stack."""
+    rotation, translation = _kabsch(src[None], dst[None])
+    return RigidTransform(rotation[0], translation[0])
 
 
 def point_line_distance(p, origin, direction):
@@ -54,13 +61,6 @@ def test_rigid_register_recovers_random_transform(seed):
     assert registration_residual(fit, src, dst) < 1e-20
 
 
-def test_rigid_register_validation():
-    with pytest.raises(DataError):
-        rigid_register(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(DataError):
-        rigid_register(np.zeros((5, 3)), np.zeros((4, 3)))
-
-
 def test_rigid_register_rejects_collinear_points():
     line = np.linspace(0.0, 1.0, 12)[:, None] * np.array([1.0, 2.0, -1.0])
     with pytest.raises(DataError, match="rank-deficient"):
@@ -82,9 +82,8 @@ def test_classify_pure_translation():
     assert np.isclose(motion.slide, 0.2)
 
 
-def test_classify_still_raises_no_motion():
-    with pytest.raises(DataError, match="no motion"):
-        classify_transform(RigidTransform(np.eye(3), np.zeros(3)))
+def test_classify_still_returns_none():
+    assert classify_transform(RigidTransform(np.eye(3), np.zeros(3))) is None
 
 
 def test_classify_rotation_recovers_axis_and_position():
@@ -206,13 +205,12 @@ def test_derive_range_translation():
     part = rng.normal(size=(25, 3))
     d = np.array([0.0, 1.0, 0.0])
     spec = MobilitySpec(TYPE_T, d, None, (0.0, 0.3))
-    span, flags = derive_range(part, part + 0.3 * d, spec)
-    assert abs(span - 0.3) < 1e-10
-    assert flags == []
+    assert _range_flags(oracles.rigid_register(part, part + 0.3 * d), spec) == []
+    # a composed span other than the summed one
+    assert _range_flags(oracles.rigid_register(part, part + 0.2 * d), spec) == [FLAG_RANGE_INCONSISTENT]
     # rotating end state conflicts with a translation claim
     swung = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.zeros(3), 15.0).apply(part)
-    _, flags = derive_range(part, swung, spec)
-    assert FLAG_RANGE_INCONSISTENT in flags
+    assert _range_flags(oracles.rigid_register(part, swung), spec) == [FLAG_RANGE_INCONSISTENT]
 
 
 def test_derive_range_rotation_sign():
@@ -221,11 +219,11 @@ def test_derive_range_rotation_sign():
     d = np.array([0.0, 0.0, 1.0])
     spec = MobilitySpec(TYPE_R, d, np.zeros(3), (0.0, 50.0))
     forward = rotation_about_axis(d, np.zeros(3), 50.0).apply(part)
-    span, flags = derive_range(part, forward, spec)
-    assert abs(span - 50.0) < 1e-9 and flags == []
+    assert _range_flags(oracles.rigid_register(part, forward), spec) == []
     backward = rotation_about_axis(d, np.zeros(3), -50.0).apply(part)
-    span, _ = derive_range(part, backward, spec)
-    assert abs(span + 50.0) < 1e-9
+    assert _range_flags(oracles.rigid_register(part, backward), spec) == [FLAG_RANGE_INCONSISTENT]
+    # a composed rotation that vanished although the type is rotational
+    assert _range_flags(oracles.rigid_register(part, part + 0.1 * d), spec) == [FLAG_RANGE_INCONSISTENT]
 
 
 def test_range_inconsistency_is_flagged():
@@ -253,14 +251,24 @@ def test_rotation_angle_degenerate_guard():
 
 
 def _fit_bytes(fit_fn, frames) -> tuple:
-    """Every field of a fit as raw bytes, or the DataError text it raised."""
+    """Every field of a fit as raw bytes, and the composed first-to-last
+    transform its range check got, or the DataError text it raised."""
+    composed = []
+
+    def watched(transform, spec):
+        composed.append(transform.rotation.tobytes() + transform.translation.tobytes())
+        return range_flags(transform, spec)
+
+    range_flags, mobfit._range_flags = mobfit._range_flags, watched
     try:
         fit = fit_fn(frames)
     except DataError as exc:
         return ("DataError", str(exc))
+    finally:
+        mobfit._range_flags = range_flags
     if fit is None:
         return (None,)
-    return spec_bytes(fit.spec), np.float64(fit.residual).tobytes(), fit.flags
+    return spec_bytes(fit.spec), np.float64(fit.residual).tobytes(), fit.flags, composed
 
 
 def _assert_matches_oracle(frames) -> tuple:

@@ -275,7 +275,7 @@ def test_tiny_overfit_loss_drops():
     def loss_value():
         # the sum over both maps of each map's mean squared error
         diff = dc.sub(net.hallucinate(plan), target)
-        return dc.scale(dc.reduce_mean(dc.mul(diff, diff)), 2.0)
+        return dc.mul(dc.reduce_mean(dc.mul(diff, diff)), 2.0)
 
     first = float(loss_value().value)
     for _ in range(30):
