@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError(f"scan_sigma must be at least +0.0, got {self.scan_sigma}")
         if self.epochs < 1 or self.mobility_epochs < 0:
             raise ConfigError("epoch counts must be positive")
+        if min(self.log_every, self.checkpoint_every, self.theta_stop) < 0:
+            raise ConfigError("log_every, checkpoint_every and theta_stop must be non-negative")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
         # a clip norm of 0 zeroes every step and a negative one flips its sign

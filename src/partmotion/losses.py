@@ -210,8 +210,8 @@ def l_seg_mov(dist_matrix: Node, same_part: np.ndarray, margin: float = 80.0) ->
 def l_mob(type_logits: Node, axis_out: Node, gt: MobilitySpec) -> Node:
     """Mobility regression: type cross entropy plus axis direction and, for
     the rotational types, axis position against the ground-truth spec."""
-    if type_logits.value.shape != (1, 3) or axis_out.value.shape != (1, 6):
-        raise ConfigError("l_mob expects (1, 3) type logits and (1, 6) axis output")
+    if type_logits.value.shape != (1, len(MOBILITY_TYPES)) or axis_out.value.shape != (1, 6):
+        raise ConfigError(f"l_mob expects (1, {len(MOBILITY_TYPES)}) type logits and (1, 6) axis output")
     type_term = dc.softmax_cross_entropy(type_logits, np.array([MOBILITY_TYPES.index(gt.tau)]))
     d_pred = dc.slice_axis(axis_out, 0, 3, axis=1)
     norm = dc.l2_norm_rows(d_pred)

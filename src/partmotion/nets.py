@@ -23,11 +23,12 @@ is applied once per cloud as (N, hidden) and the state block and bias once
 to the n stacked states as (n, hidden); one `dc.pair_relu_linear` node runs
 the relu and the output layer on every (state, point) sum, giving the maps
 stacked frame by frame, (n*N, 3). Segmentation heads consume the
-input points concatenated with all n maps, read as data. The mobility
-regressor reads the same concatenation with displacements zeroed outside
-one component and outputs a motion type and an axis. The baseline
-predicts segmentation and a single mobility straight from the input
-points.
+input points concatenated with all n maps, read as data; the loss and
+prediction's DBSCAN both compare their clustering features by
+`dc.pairwise_row_distances`. The mobility regressor reads the same
+concatenation with displacements zeroed outside one component and
+outputs a motion type and an axis. The baseline predicts segmentation
+and a single mobility straight from the input points.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
-from .geom import MOBILITY_TYPES, MobilitySpec, unit
+from .geom import MOBILITY_TYPES, TYPE_T, MobilitySpec, unit
 
 THETA_STOP = 0.01
 # Clustering features are projected onto a sphere of this radius. The
@@ -323,16 +324,6 @@ class DisplacementNet:
         return seg, feats
 
 
-def feature_distance_matrix(features: np.ndarray) -> np.ndarray:
-    """Symmetric zero-diagonal Euclidean distances between feature rows."""
-    sq = np.sum(features**2, axis=1)
-    gram = features @ features.T
-    # gemm output is not exactly symmetric; downstream clustering checks are
-    d2 = sq[:, None] + sq[None, :] - (gram + gram.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # mobility regression network
 
@@ -361,7 +352,7 @@ class MobilityRegressor:
         self.encoder = SAEncoder(rng, self.cfg, extra_channels=channels, prefix="mob.enc")
         self.params = dict(self.encoder.params)
         _linear_params(rng, "mob.fc", self.cfg.global_width, self.cfg.head_hidden, self.params)
-        _linear_params(rng, "mob.type", self.cfg.head_hidden, 3, self.params)
+        _linear_params(rng, "mob.type", self.cfg.head_hidden, len(MOBILITY_TYPES), self.params)
         _linear_params(rng, "mob.axis", self.cfg.head_hidden, 6, self.params)
 
     def parameters(self) -> dict[str, dc.Node]:
@@ -401,7 +392,7 @@ class DirectBaseline:
         _linear_params(rng, "base.seg.l1", per_point, self.cfg.head_hidden, self.params)
         _linear_params(rng, "base.seg.l2", self.cfg.head_hidden, 2, self.params)
         _linear_params(rng, "base.fc", self.cfg.global_width, self.cfg.head_hidden, self.params)
-        _linear_params(rng, "base.type", self.cfg.head_hidden, 3, self.params)
+        _linear_params(rng, "base.type", self.cfg.head_hidden, len(MOBILITY_TYPES), self.params)
         _linear_params(rng, "base.axis", self.cfg.head_hidden, 6, self.params)
 
     def parameters(self) -> dict[str, dc.Node]:
@@ -463,7 +454,7 @@ def denormalized_spec(spec: Optional[MobilitySpec], scale: float, center: np.nda
     position = None if spec.position is None else spec.position * scale + center
     range_ = spec.range_
     slide = spec.slide_range
-    if spec.tau == "T":
+    if spec.tau == TYPE_T:
         range_ = (range_[0] * scale, range_[1] * scale)
     if slide is not None:
         slide = (slide[0] * scale, slide[1] * scale)

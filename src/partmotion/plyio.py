@@ -1,4 +1,7 @@
-"""ASCII PLY reading and writing for labeled point clouds."""
+"""ASCII PLY reading and writing for labeled point clouds.
+
+numpy parses the vertex rows, so Python-only number spellings such as `1_0` are malformed.
+"""
 from __future__ import annotations
 
 from pathlib import Path
@@ -16,28 +19,16 @@ def write_ply(path: str | Path, points: np.ndarray, labels: Optional[np.ndarray]
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DataError(f"PLY points must be (N, 3), got {points.shape}")
+    header = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}"]
+    header += [f"property double {axis}" for axis in "xyz"]
+    fmt, rows = "%.17g %.17g %.17g", points.tolist()
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (points.shape[0],):
             raise DataError("PLY labels must match point count")
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {points.shape[0]}",
-        "property double x",
-        "property double y",
-        "property double z",
-    ]
-    if labels is not None:
-        lines.append("property int label")
-    lines.append("end_header")
-    for i in range(points.shape[0]):
-        x, y, z = points[i]
-        row = f"{x:.17g} {y:.17g} {z:.17g}"
-        if labels is not None:
-            row += f" {labels[i]}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+        header.append("property int label")
+        fmt, rows = fmt + " %d", [(*p, lab) for p, lab in zip(rows, labels.tolist())]
+    Path(path).write_text("\n".join([*header, "end_header", *(fmt % tuple(row) for row in rows)]) + "\n")
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -73,20 +64,17 @@ def read_ply(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
         raise DataError(f"{path}: PLY must start with x y z properties")
     has_label = len(props) > 3 and props[3] == "label"
     rows = lines[body_start : body_start + n_vertex]
-    if len(rows) < n_vertex:
-        raise DataError(f"{path}: expected {n_vertex} vertices, found {len(rows)}")
-    points = np.empty((n_vertex, 3), dtype=np.float64)
-    labels = np.empty(n_vertex, dtype=np.int64) if has_label else None
-    for i, row in enumerate(rows):
-        tok = row.split()
-        if len(tok) < len(props):
-            raise DataError(f"{path}: short vertex row {i}")
+    fields = [("xyz", np.float64, (3,))]
+    fields += [(f"p{j}", np.int64 if j == 3 and has_label else np.float64) for j in range(3, len(props))]
+    table = np.zeros(0, fields)
+    if "".join(rows).strip():  # numpy warns on a body without data
         try:
-            points[i] = [float(tok[0]), float(tok[1]), float(tok[2])]
-            if labels is not None:
-                labels[i] = int(tok[3])
-        except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
-            raise DataError(f"{path}: malformed vertex row {i}") from exc
+            table = np.loadtxt(rows, fields, usecols=range(len(props)), comments=None, ndmin=1)
+        except ValueError as exc:  # a short, non-numeric or out-of-range row
+            raise DataError(f"{path}: malformed vertex rows ({exc})") from exc
+    if table.shape[0] != n_vertex:  # a missing row; numpy also skips blank ones
+        raise DataError(f"{path}: expected {n_vertex} vertex rows, found {table.shape[0]}")
+    points = np.ascontiguousarray(table["xyz"])
     if not np.all(np.isfinite(points)):
         raise DataError(f"{path}: non-finite vertex coordinates")
-    return points, labels
+    return points, (np.ascontiguousarray(table["p3"]) if has_label else None)

@@ -41,7 +41,6 @@ from .nets import (
     ShapePrediction,
     build_plan,
     denormalized_spec,
-    feature_distance_matrix,
 )
 
 # clustering radius on the learned distance matrix: half the contrastive margin
@@ -343,7 +342,7 @@ class Pipeline:
             _require_finite(feat_nodes.value, "clustering features")
             mov_idx = np.flatnonzero(seg_logits.value.argmax(axis=1) == 1)
             if mov_idx.size:
-                dist = feature_distance_matrix(feat_nodes.value[mov_idx])
+                dist = dc.pairwise_row_distances(feat_nodes.value[mov_idx]).value
                 ids = dbscan_labels(dist, CLUSTER_EPS, default_min_pts(mov_idx.size))
                 labels = assemble_segmentation(n, mov_idx, ids)
                 confidences = {

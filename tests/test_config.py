@@ -99,6 +99,11 @@ def test_switches_other_than_basenet_compose():
         dict(weights=LossWeights(k_density=0)),
         # an interpolation over no neighbours
         dict(net=dict(fp_neighbors=0)),
+        # a negative period still divides the step count, and a negative
+        # motion threshold marks every point moving and never stops
+        dict(log_every=-1),
+        dict(checkpoint_every=-3),
+        dict(theta_stop=-0.5),
     ],
 )
 def test_invalid_fields_are_rejected(bad):

@@ -26,7 +26,6 @@ from partmotion.nets import (
     build_plan,
     denormalized_spec,
     farthest_point_indices,
-    feature_distance_matrix,
     k_smallest,
 )
 
@@ -253,16 +252,6 @@ def test_segment_rejects_wrong_map_count():
     maps = net.hallucinate(build_plan(pts, TINY)).value.reshape(2, 40, 3)
     with pytest.raises(ConfigError):
         net.segment(pts, maps[:1])
-
-
-def test_feature_distance_matrix_properties():
-    feats = np.random.default_rng(0).normal(size=(25, 8))
-    m = feature_distance_matrix(feats)
-    np.testing.assert_allclose(m, m.T, atol=1e-12)
-    np.testing.assert_allclose(np.diag(m), 0.0, atol=1e-12)
-    assert (m >= 0.0).all()
-    brute = np.linalg.norm(feats[:, None, :] - feats[None, :, :], axis=2)
-    np.testing.assert_allclose(m, brute, atol=1e-9)
 
 
 def test_tiny_overfit_loss_drops():
