@@ -11,7 +11,8 @@ names it. Layout under the output root:
 
 Everything is derived from integer seed paths fed to numpy's generator, so
 two runs with the same arguments produce byte-identical trees. The last
-tenth of every category (rounded up) forms the test split.
+tenth of every category (rounded up) forms the test split. A loaded shape
+is the MotionSequence that was written, plus its id, split and scan.
 """
 from __future__ import annotations
 
@@ -58,22 +59,15 @@ def mobility_from_json(data: dict) -> MobilitySpec:
 
 
 @dataclass
-class ShapeRecord:
-    """One loaded shape: frames, labels, mobility, optional partial scan."""
+class ShapeRecord(MotionSequence):
+    """One loaded shape: its motion sequence, identity and optional partial scan."""
 
     category: str
     shape_id: str
     split: str
-    frames: np.ndarray                     # (n, N, 3)
-    labels: np.ndarray                     # (N,)
-    specs: Optional[list[MobilitySpec]]
     scan_points: Optional[np.ndarray] = None
     scan_labels: Optional[np.ndarray] = None
     scan_viewpoint: Optional[np.ndarray] = None
-
-    @property
-    def sequence(self) -> MotionSequence:
-        return MotionSequence(self.frames, self.labels, self.specs)
 
 
 def _write_json(path: Path, payload: dict) -> None:

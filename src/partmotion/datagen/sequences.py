@@ -1,7 +1,9 @@
 """Motion sequences and per-state training instances.
 
 A sequence holds n frames of the same N points at motion fractions
-s = (k-1)/(n-1) for k = 1..n. Frame-to-frame displacement maps are the
+s = (k-1)/(n-1) for k = 1..n, rendered by the shape's frame function for
+every category. A loaded dataset shape is itself a sequence (ShapeRecord
+subclasses MotionSequence). Frame-to-frame displacement maps are the
 exact differences of consecutive frames. A training instance starts at
 state t and is expected to finish the motion: its targets are the
 remaining true maps padded with zero maps, so every instance carries the
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..geom import MobilitySpec, mobility_transform
+from ..geom import MobilitySpec
 from .templates import ShapeSample
 
 
@@ -35,34 +37,17 @@ class MotionSequence:
             raise ConfigError("one label per point required")
 
     @property
-    def n_frames(self) -> int:
-        return int(self.frames.shape[0])
-
-    @property
     def displacement_maps(self) -> np.ndarray:
         """(n-1, N, 3) true maps, map t moving frame t to frame t+1."""
         return self.frames[1:] - self.frames[:-1]
 
 
 def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
-    """Frames at n uniform motion fractions.
-
-    A parametric sample plays every declared mobility simultaneously; any
-    other sample renders its frames with its own frame function.
-    """
+    """The sample's frame function at n uniform motion fractions."""
     if n_frames < 2:
         raise ConfigError("need at least two frames")
-    if not sample.parametric:
-        frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
-        return MotionSequence(frames, sample.labels.copy(), None)
-    pts0 = sample.points
-    labels = sample.labels
-    frames = np.repeat(pts0[None], n_frames, axis=0)
-    for k in range(n_frames):
-        for part_id, spec in enumerate(sample.specs, start=1):
-            idx = np.flatnonzero(labels == part_id)
-            frames[k, idx] = mobility_transform(spec, k / (n_frames - 1)).apply(pts0[idx])
-    return MotionSequence(frames, labels.copy(), list(sample.specs))
+    frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
+    return MotionSequence(frames, sample.labels.copy(), None if sample.specs is None else list(sample.specs))
 
 
 def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +73,7 @@ class TrainingInstance:
 def make_instances(seq: MotionSequence) -> list[TrainingInstance]:
     """One instance per frame; instance t gets maps t..n-1 plus t zero maps."""
     maps = seq.displacement_maps
-    n = seq.n_frames
+    n = len(seq.frames)
     zero = np.zeros_like(seq.frames[0])
     out = []
     for t in range(1, n + 1):

@@ -1,11 +1,13 @@
 """Procedural articulated-shape templates.
 
 Each builder samples a start-state point cloud uniformly by area over its
-parametric surfaces, labels points by part (0 = reference), and declares
-the mobility of every moving part. Two categories (umbrella, balance) have
-no single-axis mobility; they expose a frame function instead and ship no
-mobility parameters. Shapes stand upright (+z) inside roughly a unit box
-and get a quadrant yaw with jitter for pose variety.
+parametric surfaces, labels points by part (0 = reference), and returns a
+frame function that moves it to any motion fraction s in [0, 1]. Six
+categories declare the mobility of every moving part, and their frame
+function plays all of them at once. Two (umbrella, balance) have no
+single-axis mobility and ship no mobility parameters; their frame functions
+move the parts by their own rules. Shapes stand upright (+z) inside roughly
+a unit box and get a quadrant yaw with jitter for pose variety.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from ..geom import (
     TYPE_TR,
     MobilitySpec,
     RigidTransform,
+    mobility_transform,
     rotation_about_axis,
 )
 
@@ -35,17 +38,13 @@ def min_part_points(n_points: int) -> int:
 
 @dataclass
 class ShapeSample:
-    """A generated start-state shape plus everything needed to move it."""
+    """A start-state shape; frame_fn(s) is its cloud at motion fraction s, frame_fn(0.0) is points."""
 
     points: np.ndarray          # (N, 3)
     labels: np.ndarray          # (N,) part ids, 0 = reference
     specs: Optional[list[MobilitySpec]]
-    frame_fn: Optional[Callable[[float], np.ndarray]] = None
+    frame_fn: Callable[[float], np.ndarray]
     extras: dict = field(default_factory=dict)
-
-    @property
-    def parametric(self) -> bool:
-        return self.specs is not None
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +130,17 @@ def sample_surfaces(rng: np.random.Generator, surfaces: list[Surface], count: in
     return np.concatenate(chunks, axis=0)
 
 
-def box_faces(center: np.ndarray, size: np.ndarray, skip: tuple[str, ...] = ()) -> list[Rect]:
+def box_faces(center: np.ndarray, size: np.ndarray) -> list[Rect]:
+    """The six faces of an axis-aligned box."""
     cx, cy, cz = center
     sx, sy, sz = size
     ex = np.array([sx, 0.0, 0.0])
     ey = np.array([0.0, sy, 0.0])
     ez = np.array([0.0, 0.0, sz])
     lo = np.array([cx - sx / 2, cy - sy / 2, cz - sz / 2])
-    faces = {
-        "-z": Rect(lo, ex, ey),
-        "+z": Rect(lo + ez, ex, ey),
-        "-y": Rect(lo, ex, ez),
-        "+y": Rect(lo + ey, ex, ez),
-        "-x": Rect(lo, ey, ez),
-        "+x": Rect(lo + ex, ey, ez),
-    }
-    return [rect for name, rect in faces.items() if name not in skip]
+    return [Rect(lo, ex, ey), Rect(lo + ez, ex, ey),   # -z, +z
+            Rect(lo, ex, ez), Rect(lo + ey, ex, ez),   # -y, +y
+            Rect(lo, ey, ez), Rect(lo + ex, ey, ez)]   # -x, +x
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +175,7 @@ def _sample_parts(rng: np.random.Generator, part_surfaces: list[list[Surface]], 
 
 def _assemble(rng: np.random.Generator, part_surfaces: list[list[Surface]], specs: list[MobilitySpec],
               n_points: int, part_weights: Optional[list[float]] = None) -> ShapeSample:
-    """Sample the parts and yaw them.
+    """Sample the parts and yaw them; the frame function moves each part by its yawed spec.
 
     The yaw is drawn before any surface sampling so that regenerating the
     same seed at a different point count reproduces the same pose and the
@@ -189,13 +183,22 @@ def _assemble(rng: np.random.Generator, part_surfaces: list[list[Surface]], spec
     """
     yaw = _yaw(rng)
     points, labels = _sample_parts(rng, part_surfaces, n_points, part_weights)
-    return ShapeSample(yaw.apply(np.concatenate(points)), labels, [_yaw_spec(s, yaw) for s in specs],
-                       extras={"yaw": yaw})
+    pts0 = yaw.apply(np.concatenate(points))
+    specs = [_yaw_spec(s, yaw) for s in specs]
+    parts = [(np.flatnonzero(labels == part_id), spec) for part_id, spec in enumerate(specs, start=1)]
+
+    def frame_fn(s: float) -> np.ndarray:
+        frame = pts0.copy()
+        for idx, spec in parts:
+            frame[idx] = mobility_transform(spec, s).apply(pts0[idx])
+        return frame
+
+    return ShapeSample(pts0, labels, specs, frame_fn, {"yaw": yaw})
 
 
-def _cabinet_shell(w: float, d: float, h: float, z0: float = 0.0) -> list[Surface]:
+def _cabinet_shell(w: float, d: float, h: float) -> list[Surface]:
     """Open-front box: back, two sides, top, bottom. Front at y = +d/2."""
-    lo = np.array([-w / 2, -d / 2, z0])
+    lo = np.array([-w / 2, -d / 2, 0.0])
     ex = np.array([w, 0.0, 0.0])
     ey = np.array([0.0, d, 0.0])
     ez = np.array([0.0, 0.0, h])
@@ -216,14 +219,22 @@ def _knob(center: np.ndarray) -> list[Surface]:
     return box_faces(center, np.array([0.05, 0.06, 0.05]))
 
 
-def _drawer_part(w: float, d: float, z0: float, zh: float) -> list[Surface]:
-    """Drawer front panel, inner open-top body, and a centered bar handle."""
-    g = 0.02
-    front = Rect(
+FRONT_GAP = 0.02  # inset of a drawer front or door panel from its cell's edges
+
+
+def _front_panel(w: float, d: float, z0: float, zh: float) -> Rect:
+    """The panel that closes the open front of the cell from z0 to z0 + zh."""
+    g = FRONT_GAP
+    return Rect(
         np.array([-w / 2 + g, d / 2, z0 + g]),
         np.array([w - 2 * g, 0.0, 0.0]),
         np.array([0.0, 0.0, zh - 2 * g]),
     )
+
+
+def _drawer_part(w: float, d: float, z0: float, zh: float) -> list[Surface]:
+    """Drawer front panel, inner open-top body, and a centered bar handle."""
+    g = FRONT_GAP
     bw, bd, bh = w - 4 * g, d * 0.8, zh * 0.6
     lo = np.array([-bw / 2, d / 2 - g - bd, z0 + g])
     ex = np.array([bw, 0.0, 0.0])
@@ -231,20 +242,13 @@ def _drawer_part(w: float, d: float, z0: float, zh: float) -> list[Surface]:
     ez = np.array([0.0, 0.0, bh])
     body = [Rect(lo, ex, ey), Rect(lo, ey, ez), Rect(lo + ex, ey, ez), Rect(lo, ex, ez)]
     handle = _bar_handle(np.array([0.0, d / 2 + 0.03, z0 + zh / 2]), w * 0.4)
-    return [front] + body + handle
+    return [_front_panel(w, d, z0, zh)] + body + handle
 
 
 def _door_part(w: float, d: float, z0: float, zh: float, hinge_left: bool) -> list[Surface]:
     """Door panel across the opening plus a knob near the free edge."""
-    g = 0.02
-    panel = Rect(
-        np.array([-w / 2 + g, d / 2, z0 + g]),
-        np.array([w - 2 * g, 0.0, 0.0]),
-        np.array([0.0, 0.0, zh - 2 * g]),
-    )
     knob_x = (w / 2 - 0.07) * (1.0 if hinge_left else -1.0)
-    knob = _knob(np.array([knob_x, d / 2 + 0.035, z0 + zh / 2]))
-    return [panel] + knob
+    return [_front_panel(w, d, z0, zh)] + _knob(np.array([knob_x, d / 2 + 0.035, z0 + zh / 2]))
 
 
 def _door_spec(w: float, d: float, rng: np.random.Generator, hinge_left: bool) -> MobilitySpec:
@@ -380,15 +384,13 @@ def build_umbrella(rng: np.random.Generator, n_points: int) -> ShapeSample:
     u = np.sqrt(u0**2 + rng.uniform(0.0, 1.0, size=m) * (1.0 - u0**2))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
 
-    def cover_at(alpha: float) -> np.ndarray:
-        radial = np.stack([np.cos(phi), np.sin(phi), np.zeros(m)], axis=1)
-        down = np.array([0.0, 0.0, -1.0])
-        pts = apex + (u * slant)[:, None] * (np.sin(alpha) * radial + np.cos(alpha) * down)
-        return pts
+    radial = np.stack([np.cos(phi), np.sin(phi), np.zeros(m)], axis=1)
+    down = np.array([0.0, 0.0, -1.0])
 
     def frame_fn(s: float) -> np.ndarray:
         alpha = a_open + s * (a_closed - a_open)
-        return yaw.apply(np.concatenate([ref_pts, cover_at(alpha)], axis=0))
+        cover = apex + (u * slant)[:, None] * (np.sin(alpha) * radial + np.cos(alpha) * down)
+        return yaw.apply(np.concatenate([ref_pts, cover], axis=0))
 
     labels = np.concatenate([np.zeros(int(counts[0]), dtype=np.int64), np.ones(m, dtype=np.int64)])
     return ShapeSample(frame_fn(0.0), labels, None, frame_fn, {"yaw": yaw})

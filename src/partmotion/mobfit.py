@@ -194,16 +194,14 @@ def _range_flags(composed: RigidTransform, spec: MobilitySpec) -> list[str]:
         off_axis = np.linalg.norm(composed.translation - span * spec.direction)
         if angle >= ANGLE_FLOOR_DEG or off_axis > max(1e-6, RANGE_TOLERANCE * abs(span)):
             return [FLAG_RANGE_INCONSISTENT]
-        expected = spec.span
-    elif angle < ANGLE_FLOOR_DEG:  # composed rotation vanished although the type is rotational
-        return [FLAG_RANGE_INCONSISTENT]
     else:
         try:
             span = float(np.sign(np.dot(rotation_axis(composed.rotation), spec.direction)) * angle)
-        except DataError:  # 180 degrees: the magnitude is still usable, the sign is not
+        except DataError:  # 0 or 180 degrees: the magnitude is still usable, the sign is not
             span = float(angle)
-        expected = abs((spec.span + 180.0) % 360.0 - 180.0)
-    if abs(span - expected) > max(1e-6, RANGE_TOLERANCE * max(spec.span, 1e-12)):
+        # of the spans congruent modulo 360, the one nearest the summed range
+        span = spec.span + (span - spec.span + 180.0) % 360.0 - 180.0
+    if abs(span - spec.span) > max(1e-6, RANGE_TOLERANCE * max(spec.span, 1e-12)):
         return [FLAG_RANGE_INCONSISTENT]
     return []
 

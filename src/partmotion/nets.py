@@ -442,10 +442,6 @@ class PredictionNode:
     prediction: ShapePrediction
     children: list["PredictionNode"] = field(default_factory=list)
 
-    @property
-    def depth(self) -> int:
-        return 1 + max((c.depth for c in self.children), default=0)
-
 
 def denormalized_spec(spec: Optional[MobilitySpec], scale: float, center: np.ndarray):
     """Map a spec fitted in normalized coordinates back to the original frame."""

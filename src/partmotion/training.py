@@ -43,9 +43,6 @@ from .nets import (
     denormalized_spec,
 )
 
-# clustering radius on the learned distance matrix: half the contrastive margin
-CLUSTER_EPS = 40.0
-
 # rigid fits worse than this mean squared pair error are treated as
 # non-parametric motion and no mobility is reported for the part; generated
 # umbrella sequences sit at 9e-4 and above, rigid categories at ~1e-32
@@ -92,7 +89,7 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
     check_dataset_matches(config, records)
     out = []
     for rec in records:
-        for inst in make_instances(rec.sequence):
+        for inst in make_instances(rec):
             mov_idx, same = same_part_matrix(inst.labels)
             plan = build_plan(inst.points, config.net)
             radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
@@ -343,7 +340,8 @@ class Pipeline:
             mov_idx = np.flatnonzero(seg_logits.value.argmax(axis=1) == 1)
             if mov_idx.size:
                 dist = dc.pairwise_row_distances(feat_nodes.value[mov_idx]).value
-                ids = dbscan_labels(dist, CLUSTER_EPS, default_min_pts(mov_idx.size))
+                # cluster at half the contrastive margin the features were trained with
+                ids = dbscan_labels(dist, self.config.weights.margin / 2, default_min_pts(mov_idx.size))
                 labels = assemble_segmentation(n, mov_idx, ids)
                 confidences = {
                     int(c) + 1: cluster_confidence(dist[np.ix_(ids == c, ids == c)])
@@ -572,7 +570,7 @@ def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
     for rec in records:
         mobilities = {} if rec.specs is None else dict(enumerate(rec.specs, start=1))
         confidences = {int(p): 1.0 for p in np.unique(rec.labels) if p != 0}
-        pred = ShapePrediction(rec.sequence.displacement_maps, rec.labels.copy(), mobilities, confidences,
+        pred = ShapePrediction(rec.displacement_maps, rec.labels.copy(), mobilities, confidences,
                                fits=mobilities)
         shapes.append(_eval_shape(rec, pred))
     return _eval_result(shapes)

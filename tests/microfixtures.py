@@ -55,8 +55,8 @@ def micro_records(categories, n_points=64, n_frames=4, seed=0, split="train"):
         seq = make_sequence(sample, n_frames)
         records.append(
             ShapeRecord(
-                category, f"{category}_{cat_idx:03d}", split,
                 seq.frames, seq.labels, seq.specs,
+                category=category, shape_id=f"{category}_{cat_idx:03d}", split=split,
             )
         )
     return records

@@ -3,7 +3,9 @@
 Everything here is deliberately slow and literal: plain loops, and no code
 shared with the package under test except where a reference says so. The
 mobfit reference (`fit_sequence_per_pair`) registers each pair on its own but
-takes the package's pair classifier, `_aligned_mean` and range check.
+takes the package's pair classifier, `_aligned_mean` and range check. The
+sequence reference (`make_sequence`) takes the package's `MotionSequence` and
+`mobility_transform`.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from scipy.spatial.distance import cdist
 from partmotion import diffcore as dc
 from partmotion import mobfit
 from partmotion.errors import ConfigError, DataError
-from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform
+from partmotion.datagen import MotionSequence, ShapeSample
+from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform
 from partmotion.mobfit import FLAG_LOW_CONFIDENCE, FittedMobility, PairMotion, _aligned_mean, classify_transform
 from partmotion.nets import EncoderPlan, NetConfig
 
@@ -441,3 +444,30 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
         fp1=_idw_weights(points, p1, cfg.fp_neighbors),
         fp2=_idw_weights(points, p1[c2_local], cfg.fp_neighbors),
     )
+
+
+# ---------------------------------------------------------------------------
+# sequence reference: the two-path builder, which moved each part of a
+# parametric sample by its mobility itself and used the frame function only
+# for the non-parametric categories
+
+
+def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
+    """Frames at n uniform motion fractions.
+
+    A parametric sample plays every declared mobility simultaneously; any
+    other sample renders its frames with its own frame function.
+    """
+    if n_frames < 2:
+        raise ConfigError("need at least two frames")
+    if sample.specs is None:
+        frames = np.stack([sample.frame_fn(k / (n_frames - 1)) for k in range(n_frames)])
+        return MotionSequence(frames, sample.labels.copy(), None)
+    pts0 = sample.points
+    labels = sample.labels
+    frames = np.repeat(pts0[None], n_frames, axis=0)
+    for k in range(n_frames):
+        for part_id, spec in enumerate(sample.specs, start=1):
+            idx = np.flatnonzero(labels == part_id)
+            frames[k, idx] = mobility_transform(spec, k / (n_frames - 1)).apply(pts0[idx])
+    return MotionSequence(frames, labels.copy(), list(sample.specs))

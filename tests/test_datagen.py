@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from microfixtures import spec_bytes
 from partmotion.datagen import (
     NON_PARAMETRIC,
     TEMPLATE_NAMES,
@@ -42,10 +44,10 @@ def test_template_basics(category):
     for p in parts:
         assert (labels == p).sum() >= floor
     assert np.abs(pts).max() < 1.5
+    assert np.array_equal(sample.frame_fn(0.0), pts)
     if category in NON_PARAMETRIC:
-        assert sample.specs is None and sample.frame_fn is not None
+        assert sample.specs is None
     else:
-        assert sample.frame_fn is None
         assert len(sample.specs) == len(parts) - 1
 
 
@@ -135,6 +137,18 @@ def test_instances_padding_and_telescoping():
         )
         assert not inst.targets[inst.n_true :].any()
         assert np.allclose(inst.points + inst.targets.sum(axis=0), final, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_frames", [2, 8])
+@pytest.mark.parametrize("category", TEMPLATE_NAMES)
+def test_make_sequence_matches_two_path_oracle(category, n_frames):
+    for seed in range(3):
+        sample = shape_of(category, seed=seed, n=256)
+        got = make_sequence(sample, n_frames)
+        want = oracles.make_sequence(sample, n_frames)
+        assert got.frames.tobytes() == want.frames.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert [spec_bytes(s) for s in got.specs or []] == [spec_bytes(s) for s in want.specs or []]
 
 
 @pytest.mark.parametrize("frames, labels", [
@@ -294,7 +308,7 @@ def test_densified_regeneration_keeps_shape_parameters():
         b = generate_shape(cat, np.random.default_rng([7, 1]), 1024)
         assert b.points.shape == (1024, 3)
         np.testing.assert_array_equal(a.extras["yaw"].rotation, b.extras["yaw"].rotation)
-        if a.parametric:
+        if a.specs is not None:
             for sa, sb in zip(a.specs, b.specs):
                 assert sa.tau == sb.tau
                 np.testing.assert_array_equal(sa.direction, sb.direction)

@@ -238,6 +238,24 @@ def test_range_inconsistency_is_flagged():
     assert FLAG_RANGE_INCONSISTENT in fit.flags
 
 
+def test_screws_past_half_a_turn_are_range_consistent():
+    # the composed first-to-last rotation of a screw past 180 degrees reads
+    # as 360 minus the angle about the flipped axis; modulo 360 it agrees
+    rng = np.random.default_rng(21)
+    part = rng.normal(size=(20, 3)) * 0.3
+    past_half = 0
+    for _ in range(200):
+        angle = rng.uniform(10.0, 350.0)
+        spec = MobilitySpec(TYPE_TR, unit(rng.normal(size=3)), rng.normal(size=3), (0.0, angle),
+                            (0.0, rng.uniform(0.1, 0.5)))
+        frames = np.stack([mobility_transform(spec, k / 7).apply(part) for k in range(8)])
+        fit = fit_sequence(frames)
+        assert fit.spec.tau == TYPE_TR and np.isclose(fit.spec.range_[1], angle)
+        assert FLAG_RANGE_INCONSISTENT not in fit.flags, angle
+        past_half += angle > 180.0
+    assert past_half > 80
+
+
 def test_rotation_angle_degenerate_guard():
     assert rotation_angle_deg(np.eye(3)) == 0.0
     with pytest.raises(DataError):

@@ -400,7 +400,7 @@ def test_recursive_predict_builds_two_levels():
     child = tree.children[0]
     np.testing.assert_array_equal(child.indices, np.arange(120, 200))
     assert child.prediction.mobilities[1].tau == "T"
-    assert tree.depth == 2
+    assert child.children == []
 
 
 def test_recursion_depth_limit():

@@ -4,10 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.config import RunConfig
+from partmotion.datagen import generate_shape
+from partmotion.losses import LossWeights
 from partmotion.errors import ConfigError, DataError, NumericError
 from partmotion.geom import MobilitySpec, unit
 from partmotion.nets import NetConfig
@@ -207,6 +211,18 @@ def test_zero_regressor_direction_is_numeric_error(records):
         pipe.predict(records[0].frames[0])
 
 
+@pytest.mark.parametrize("margin, eps", [(80.0, 40.0), (40.0, 20.0)])
+def test_clustering_radius_is_half_the_margin(records, monkeypatch, margin, eps):
+    cfg = micro_config(weights=LossWeights(margin=margin))
+    pipe = tr.Pipeline(cfg, net=tr.DisplacementNet(4, np.random.default_rng(0), cfg.net))
+    pipe.net.params["seg.l2.b"].value[:] = [-100.0, 100.0]  # every point moving
+    seen = []
+    dbscan_labels = tr.dbscan_labels
+    monkeypatch.setattr(tr, "dbscan_labels", lambda dist, e, min_pts: seen.append(e) or dbscan_labels(dist, e, min_pts))
+    pipe.predict(records[0].frames[0])
+    assert seen == [eps]
+
+
 def test_pipeline_requires_a_network():
     with pytest.raises(ConfigError, match="no displacement network"):
         tr.Pipeline(micro_config()).predict(np.zeros((64, 3)))
@@ -263,6 +279,16 @@ def test_checkpoint_round_trip(tmp_path, trained, records):
     b = loaded.predict(records[1].frames[0])
     assert np.array_equal(a.maps, b.maps)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_benchmark_checkpoint_loads_and_predicts():
+    # the benchmark's predict workload loads this run directory; a config
+    # field it lists that RunConfig no longer takes must fail here first
+    pipe = tr.load_pipeline(Path(__file__).parents[1] / "perfbench" / "checkpoint")
+    cloud = generate_shape("drawer_box", np.random.default_rng(0), 256).points
+    pred = pipe.predict(cloud)
+    assert pred.maps.shape == (8, 256, 3)
+    assert pred.labels.shape == (256,)
 
 
 def test_width_mismatch_is_a_data_error(tmp_path, trained):
