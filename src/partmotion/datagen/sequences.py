@@ -51,10 +51,11 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
 
 
 def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moving-point indices and their pair matrix: 0 same part, 1 different."""
+    """Moving-point indices and their read-only pair matrix: True where two share a part."""
     mov_idx = np.flatnonzero(np.asarray(labels) != 0)
     mov_labels = np.asarray(labels)[mov_idx]
-    same = (mov_labels[:, None] != mov_labels[None, :]).astype(np.int64)
+    same = mov_labels[:, None] == mov_labels[None, :]
+    same.flags.writeable = False
     return mov_idx, same
 
 
@@ -71,22 +72,24 @@ class TrainingInstance:
 
 
 def make_instances(seq: MotionSequence) -> list[TrainingInstance]:
-    """One instance per frame; instance t gets maps t..n-1 plus t zero maps."""
-    maps = seq.displacement_maps
+    """One instance per frame; instance t gets maps t..n-1 plus t zero maps.
+
+    A sequence's instances share two read-only buffers: each one's points
+    are a view of seq.frames, and its targets rows t-1 to t+n-2 of the true
+    maps followed by n zero maps. Labels and specs are each instance's own.
+    """
     n = len(seq.frames)
-    zero = np.zeros_like(seq.frames[0])
-    out = []
-    for t in range(1, n + 1):
-        true_part = maps[t - 1:]
-        targets = np.concatenate([true_part, np.tile(zero, (t, 1, 1))], axis=0)
-        out.append(
-            TrainingInstance(
-                t=t,
-                points=seq.frames[t - 1].copy(),
-                targets=targets,
-                labels=seq.labels.copy(),
-                n_true=n - t,
-                specs=None if seq.specs is None else list(seq.specs),
-            )
+    padded = np.concatenate([seq.displacement_maps, np.zeros_like(seq.frames)])
+    frames = seq.frames.view()
+    padded.flags.writeable = frames.flags.writeable = False
+    return [
+        TrainingInstance(
+            t=t,
+            points=frames[t - 1],
+            targets=padded[t - 1 : t - 1 + n],
+            labels=seq.labels.copy(),
+            n_true=n - t,
+            specs=None if seq.specs is None else list(seq.specs),
         )
-    return out
+        for t in range(1, n + 1)
+    ]

@@ -4,15 +4,17 @@ A Node wraps an ndarray value plus backward closures onto its parents.
 Graphs are built dynamically per forward pass. Every node is numbered when
 it is made, after its parents, so backward() visits the nodes that need a
 gradient in decreasing creation order: each one is reached after all of
-its consumers. Gradients accumulate across calls, so zero them between
-passes. Each op does one job: `add`, `sub`, `mul` and `div` are one
-broadcasting elementwise body (`mul` by a float is scaling, the float a constant
-and no grad node), `reduce_sum` and `reduce_mean` one reduction that divides by
-a count, `linear` is x @ w + b, `pair_relu_linear` is
-relu(rows[t] + cols[i]) @ w + b over every (t, i) pair in one hidden buffer,
-`slice_axis` takes a contiguous block along any axis (column readouts, weight
-row splits), `absolute` is |x| and `lstm` runs a whole LSTM recurrence as one
-node whose backward is one reverse sweep through time.
+its consumers. Gradients stay on leaves only: an op node's gradient is
+released once its parents have it. Leaf gradients accumulate across
+calls, so zero them between passes. Each op does one job: `add`, `sub`,
+`mul` and `div` are one broadcasting elementwise body (`mul` by a float is
+scaling, the float a constant and no grad node), `reduce_sum` and
+`reduce_mean` one reduction that divides by a count, `linear` is x @ w + b,
+`pair_relu_linear` is relu(rows[t] + cols[i]) @ w + b over every (t, i)
+pair in one hidden buffer, `slice_axis` takes a contiguous block along any
+axis (column readouts, weight row splits), `absolute` is |x| and `lstm` runs
+a whole LSTM recurrence as one node whose backward is one reverse sweep
+through time.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
@@ -457,13 +459,15 @@ def lstm(x_proj: Node | np.ndarray, w_h: Node | np.ndarray, steps: int) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar root into every contributing node.
+    """Accumulate gradients of a scalar root into every contributing leaf.
 
     A node is made after its parents, so taking the pending nodes in
     decreasing creation order reaches each one after every node that feeds
     it a gradient. A node's first contribution is stored as is; later ones
     make a new array (grad + contrib), never an in-place sum, because an op
-    may hand the same array to more than one parent.
+    may hand the same array to more than one parent. An op node's gradient
+    is released once it has been passed to its parents, so after the sweep
+    only leaves (nodes without parents) hold one.
     """
     if root.value.size != 1:
         raise ConfigError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -474,6 +478,8 @@ def backward(root: Node) -> None:
     while pending:
         _, node = heapq.heappop(pending)
         g = node.grad
+        if node.parents:
+            node.grad = None
         for parent, fn in node.parents:
             contrib = fn(g)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib

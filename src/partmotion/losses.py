@@ -193,17 +193,17 @@ def l_seg_obj(logits: Node, labels: np.ndarray) -> Node:
 def l_seg_mov(dist_matrix: Node, same_part: np.ndarray, margin: float = 80.0) -> Node:
     """Contrastive part loss over the moving-point distance matrix.
 
-    same_part is 0 where two points share a part and 1 otherwise. Same-part
-    pairs are pulled together by their distance; different-part pairs are
-    pushed past the margin by a hinge.
+    same_part is true (or 1) where two points share a part. Same-part pairs
+    are pulled together by their distance; different-part pairs are pushed
+    past the margin by a hinge.
     """
     same_part = np.asarray(same_part, dtype=np.float64)
     if dist_matrix.value.shape != same_part.shape:
         raise ConfigError(
             f"distance matrix {dist_matrix.value.shape} and part matrix {same_part.shape} disagree"
         )
-    pull = dc.reduce_sum(dc.mul(dist_matrix, 1.0 - same_part))
-    push = dc.reduce_sum(dc.mul(dc.relu(dc.sub(float(margin), dist_matrix)), same_part))
+    pull = dc.reduce_sum(dc.mul(dist_matrix, same_part))
+    push = dc.reduce_sum(dc.mul(dc.relu(dc.sub(float(margin), dist_matrix)), 1.0 - same_part))
     return dc.add(pull, push)
 
 

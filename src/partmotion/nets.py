@@ -127,12 +127,17 @@ def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndar
     return np.take_along_axis(near, np.where(slot < inside, slot, 0), axis=1)
 
 
-def _idw_weights(dist: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Dense inverse-square-distance weights over each row's k nearest columns."""
+def _idw_weights(dist: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest columns and their inverse-square-distance weights."""
     near = cols[k_smallest(dist[:, cols], k)]
     inv = 1.0 / (np.take_along_axis(dist, near, axis=1) ** 2 + 1e-8)
-    w = np.zeros(dist.shape)
-    np.put_along_axis(w, near, inv / inv.sum(axis=1, keepdims=True), axis=1)
+    return near, inv / inv.sum(axis=1, keepdims=True)
+
+
+def dense_weights(cols: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """The (N, width) matrix holding weights at cols and zeros elsewhere."""
+    w = np.zeros((cols.shape[0], width))
+    np.put_along_axis(w, cols, weights, axis=1)
     return w
 
 
@@ -147,8 +152,10 @@ class EncoderPlan:
     centroids2: np.ndarray      # indices into centroids1
     groups2: np.ndarray         # indices into stage-1 rows
     rel2: np.ndarray
-    fp1: np.ndarray             # (N, S1) interpolation weights
-    fp2: np.ndarray             # (N, S2)
+    fp1_cols: np.ndarray        # (N, k) stage-1 rows each point interpolates from
+    fp1_weights: np.ndarray     # (N, k) their weights, summing to 1 per point
+    fp2_cols: np.ndarray        # (N, k) stage-2 rows
+    fp2_weights: np.ndarray     # (N, k)
 
 
 def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
@@ -164,13 +171,14 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
     o1 = _coord_order(p1)
     g1 = _group(d1, _coord_order(points), r1, k1)
     g2 = _group(d1[np.ix_(c2, c1)], o1, r2, k2)
+    fp1 = _idw_weights(d1.T, o1, cfg.fp_neighbors)
+    fp2 = _idw_weights(d1[c2].T, _coord_order(p1[c2]), cfg.fp_neighbors)
     return EncoderPlan(
         points=points, centroids1=c1, groups1=g1,
         rel1=points[g1.ravel()] - np.repeat(p1, k1, axis=0),
         centroids2=c2, groups2=g2,
         rel2=p1[g2.ravel()] - np.repeat(p1[c2], k2, axis=0),
-        fp1=_idw_weights(d1.T, o1, cfg.fp_neighbors),
-        fp2=_idw_weights(d1[c2].T, _coord_order(p1[c2]), cfg.fp_neighbors),
+        fp1_cols=fp1[0], fp1_weights=fp1[1], fp2_cols=fp2[0], fp2_weights=fp2[1],
     )
 
 
@@ -193,8 +201,10 @@ def _linear(params: dict, name: str, x: dc.Node) -> dc.Node:
 
 
 def _interpolated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node) -> list[dc.Node]:
-    """Both stages' features interpolated back onto the plan's points."""
-    return [dc.matmul(dc.constant(plan.fp1), f1), dc.matmul(dc.constant(plan.fp2), f2)]
+    """Both stages' features interpolated back onto the plan's points, each
+    by one matmul with its weights scattered into a dense (N, S) matrix."""
+    return [dc.matmul(dense_weights(cols, w, f.value.shape[0]), f)
+            for cols, w, f in ((plan.fp1_cols, plan.fp1_weights, f1), (plan.fp2_cols, plan.fp2_weights, f2))]
 
 
 class SAEncoder:

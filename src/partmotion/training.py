@@ -63,7 +63,7 @@ class PreparedInstance(TrainingInstance):
 
     plan: EncoderPlan
     mov_idx: np.ndarray
-    same_mov: np.ndarray          # 0 same part, 1 different
+    same_mov: np.ndarray          # (M, M) bool, True where two moving points share a part
     gt_radii: np.ndarray          # (n_maps, M) moving_knn_radii
     k_density: int
 
@@ -89,8 +89,8 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
     check_dataset_matches(config, records)
     out = []
     for rec in records:
+        mov_idx, same = same_part_matrix(rec.labels)  # one per shape: its instances share labels
         for inst in make_instances(rec):
-            mov_idx, same = same_part_matrix(inst.labels)
             plan = build_plan(inst.points, config.net)
             radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
             out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, same_mov=same,
@@ -151,11 +151,10 @@ def _fit(
                 opt.step()
             except NumericError as exc:
                 raise NumericError(f"training aborted at step {step}: {exc}") from exc
+            terms, breakdown = breakdown.terms, None  # drop the step's graph before the next is built
             losses.append(value)
             if log_every and step % log_every == 0:
-                parts = " ".join(
-                    f"{k} {v:.6f}" for k, v in breakdown.terms.items() if k != "total"
-                )
+                parts = " ".join(f"{k} {v:.6f}" for k, v in terms.items() if k != "total")
                 emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
             step += 1
             if checkpoint_every and step % checkpoint_every == 0:

@@ -382,7 +382,7 @@ def case_loss_seg_object(rng):
 def case_loss_seg_moving(rng):
     feats = rng.normal(size=(7, 4)) * 8.0
     part = rng.integers(0, 2, size=7)
-    same = (part[:, None] != part[None, :]).astype(np.float64)
+    same = part[:, None] == part[None, :]
 
     def build(n):
         m = dc.pairwise_row_distances(n[0])

@@ -20,7 +20,7 @@ from partmotion.errors import ConfigError, DataError
 from partmotion.datagen import MotionSequence, ShapeSample
 from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform
 from partmotion.mobfit import FLAG_LOW_CONFIDENCE, FittedMobility, PairMotion, _aligned_mean, classify_transform
-from partmotion.nets import EncoderPlan, NetConfig
+from partmotion.nets import NetConfig
 
 
 def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -373,7 +373,8 @@ def l_mov(pred: dc.Node, gt: np.ndarray, k_density: int = 8) -> dc.Node:
 
 
 # ---------------------------------------------------------------------------
-# EncoderPlan reference: the per-row loop version, one lexsort per row
+# EncoderPlan reference: the per-row loop version, one lexsort per row, with
+# each interpolation stage as the dense (N, S) weight matrix
 
 
 def _lex_order(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -420,7 +421,8 @@ def _idw_weights(targets: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray
     return w
 
 
-def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
+def build_plan(points: np.ndarray, cfg: NetConfig) -> dict[str, np.ndarray]:
+    """The plan's arrays by field name; fp1 and fp2 are dense (N, S1) and (N, S2)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ConfigError(f"points must be (N, 3), got {points.shape}")
@@ -433,7 +435,7 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
     c2_local = farthest_point_indices(p1, s2)
     g2 = _group(p1, c2_local, r2, k2)
     rel2 = (p1[g2.ravel()] - np.repeat(p1[c2_local], k2, axis=0))
-    return EncoderPlan(
+    return dict(
         points=points,
         centroids1=c1,
         groups1=g1,

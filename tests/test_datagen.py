@@ -166,9 +166,11 @@ def test_same_part_matrix():
     mov_idx, same = same_part_matrix(labels)
     assert np.array_equal(mov_idx, [1, 2, 3, 5])
     expected = np.array(
-        [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], dtype=bool
     )
-    assert np.array_equal(same, expected)
+    assert same.dtype == bool and np.array_equal(same, expected)
+    with pytest.raises(ValueError):
+        same[0, 0] = False
 
 
 def test_hidden_point_removal_sphere_oracle():

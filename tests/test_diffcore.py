@@ -193,18 +193,34 @@ def test_shared_subgraph_accumulates_gradient():
 
 
 def test_shared_gradient_array_is_not_summed_into_in_place():
-    # `add` hands one gradient array to both u and v; u later gets a second
-    # contribution from p, which must not change v's gradient
-    x = dc.parameter(np.array([[1.0, -2.0]]))
+    # `add` hands one gradient array to both leaves u and v; s is made after
+    # p, so it is swept first and u's second contribution, from p, comes
+    # after u and v hold that one array: it must not change v's gradient
+    u, v = dc.parameter(np.array([[1.0, -2.0]])), dc.parameter(np.array([[4.0, 0.5]]))
     w = np.array([[0.5, 3.0]])
     w2 = np.array([[7.0, -1.0]])
-    u, v = dc.mul(x, 2.0), dc.mul(x, 3.0)
     p = dc.mul(u, w2)
     s = dc.add(u, v)
     dc.backward(dc.reduce_sum(dc.add(dc.mul(s, w), p)))
     np.testing.assert_array_equal(v.grad, w)
     np.testing.assert_array_equal(u.grad, w + w2)
-    np.testing.assert_array_equal(x.grad, 5.0 * w + 2.0 * w2)
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    x, y = dc.parameter(np.array([[1.0, -2.0]])), dc.parameter(np.array([[3.0], [0.5]]))
+    h = dc.relu(dc.matmul(dc.mul(x, x), y))
+    root = dc.reduce_sum(dc.add(dc.mul(h, 2.0), dc.matmul(x, y)))
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        nodes[node.seq] = node
+        stack.extend(p for p, _ in node.parents)
+    dc.backward(root)
+    ops = [n for n in nodes.values() if n.parents]
+    assert len(ops) == 7 and all(n.grad is None for n in ops)
+    assert all(n.grad is not None for n in nodes.values() if not n.parents)
+    np.testing.assert_array_equal(y.grad, [[3.0], [6.0]])
+    np.testing.assert_array_equal(x.grad, [[15.0, -3.5]])
 
 
 def test_backward_visits_nodes_in_decreasing_creation_order():

@@ -175,11 +175,11 @@ def test_seg_moving_contrastive_values():
     )
     same = np.array(
         [
-            [0, 0, 1],
-            [0, 0, 1],
             [1, 1, 0],
+            [1, 1, 0],
+            [0, 0, 1],
         ],
-        dtype=np.float64,
+        dtype=bool,
     )
     out = losses.l_seg_mov(dc.constant(m), same, margin=80.0)
     assert abs(float(out.value) - (2 * 5.0 + 2 * 0.0 + 2 * 50.0)) < 1e-12
@@ -234,7 +234,7 @@ def test_total_ablation_flags_drop_terms():
     maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
-    same = np.zeros((3, 3))
+    same = np.ones((3, 3), dtype=bool)
     full = losses.total_motion_loss(
         maps, gt, p0, seg, radii, dist, logits, same, n_true=2, weights=losses.LossWeights()
     )
@@ -257,7 +257,7 @@ def test_total_uniform_seg_logits_contribute_weighted_ln2():
     maps = dc.constant(np.zeros((12, 3)))
     logits = dc.constant(np.zeros((6, 2)))
     dist = dc.constant(np.zeros((3, 3)))
-    same = np.zeros((3, 3))
+    same = np.ones((3, 3), dtype=bool)
     out = losses.total_motion_loss(
         maps, gt, p0, seg, radii, dist, logits, same, n_true=2,
         weights=losses.LossWeights(), no_geom=True, no_disp=True, no_mot=True,

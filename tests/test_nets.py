@@ -24,6 +24,7 @@ from partmotion.nets import (
     PredictionNode,
     ShapePrediction,
     build_plan,
+    dense_weights,
     denormalized_spec,
     farthest_point_indices,
     k_smallest,
@@ -74,11 +75,30 @@ def test_build_plan_shapes_and_weights():
     assert plan.centroids1.shape == (16,)
     assert plan.groups1.shape == (16, 8)
     assert plan.centroids2.shape == (4,)
-    assert plan.fp1.shape == (100, 16)
-    assert plan.fp2.shape == (100, 4)
-    np.testing.assert_allclose(plan.fp1.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(plan.fp2.sum(axis=1), 1.0, atol=1e-12)
-    assert (np.count_nonzero(plan.fp1, axis=1) <= 3).all()
+    assert plan.fp1_cols.shape == plan.fp1_weights.shape == (100, 3)
+    assert plan.fp2_cols.shape == plan.fp2_weights.shape == (100, 3)
+    assert plan.fp1_cols.max() < 16 and plan.fp2_cols.max() < 4
+    fp1, fp2 = dense_plan_weights(plan)
+    assert fp1.shape == (100, 16) and fp2.shape == (100, 4)
+    np.testing.assert_allclose(fp1.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(fp2.sum(axis=1), 1.0, atol=1e-12)
+    assert (np.count_nonzero(fp1, axis=1) <= 3).all()
+
+
+def dense_plan_weights(plan: EncoderPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Both interpolation stages as the dense (N, S1) and (N, S2) matrices the encoder multiplies by."""
+    return (dense_weights(plan.fp1_cols, plan.fp1_weights, plan.centroids1.size),
+            dense_weights(plan.fp2_cols, plan.fp2_weights, plan.centroids2.size))
+
+
+def assert_plan_matches_oracle(got: EncoderPlan, want: dict) -> None:
+    """Every array of the loop oracle's plan, byte for byte; fp1 and fp2 densified."""
+    arrays = {f.name: getattr(got, f.name) for f in dataclasses.fields(EncoderPlan) if not f.name.startswith("fp")}
+    arrays["fp1"], arrays["fp2"] = dense_plan_weights(got)
+    assert arrays.keys() == want.keys()
+    for name, b in want.items():
+        a = arrays[name]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_build_plan_rejects_small_cloud():
@@ -131,10 +151,7 @@ def _plan_case(case):
 def test_build_plan_matches_loop_oracle_bytes(case):
     clouds, cfg = _plan_case(case)
     for pts in clouds:
-        got, want = build_plan(pts, cfg), oracles.build_plan(pts, cfg)
-        for f in dataclasses.fields(EncoderPlan):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        assert_plan_matches_oracle(build_plan(pts, cfg), oracles.build_plan(pts, cfg))
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,10 +190,7 @@ def test_build_plan_matches_loop_oracle_on_drawn_clouds(data):
     cfg = dataclasses.replace(TINY, group_sizes=(data.draw(st.integers(1, 24)), data.draw(st.integers(1, 8))),
                               fp_neighbors=data.draw(st.integers(1, 20)))
     pts = base[rows]
-    got, want = build_plan(pts, cfg), oracles.build_plan(pts, cfg)
-    for f in dataclasses.fields(EncoderPlan):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    assert_plan_matches_oracle(build_plan(pts, cfg), oracles.build_plan(pts, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Training loops, pipeline prediction, checkpoints, and the eval harness."""
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -49,7 +50,64 @@ def test_instances_expand_each_frame(records, instances):
 def test_same_part_matrix_covers_moving_points(instances):
     inst = instances[0]
     assert inst.same_mov.shape == (inst.mov_idx.size, inst.mov_idx.size)
-    assert set(np.unique(inst.same_mov)) <= {0, 1}
+    assert inst.same_mov.dtype == bool
+    labels = inst.labels[inst.mov_idx]
+    assert np.array_equal(inst.same_mov, labels[:, None] == labels[None, :])
+
+
+def test_instances_of_a_shape_share_read_only_targets_and_part_matrix(records, instances):
+    per_shape = len(instances) // len(records)
+    for first, rest, others in ((instances[0], instances[1:per_shape], instances[per_shape:]),
+                                (instances[per_shape], instances[per_shape + 1:], instances[:per_shape])):
+        for inst in rest:
+            assert np.shares_memory(inst.targets, first.targets)
+            assert np.shares_memory(inst.same_mov, first.same_mov)
+        assert not any(np.shares_memory(o.targets, first.targets) for o in others)
+        for array in (first.targets, first.same_mov, first.points):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through dataclass fields, sequences and array bases."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from _reachable_arrays(obj.base, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _reachable_arrays(getattr(obj, f.name), seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _reachable_arrays(item, seen)
+
+
+def test_prepared_instances_hold_no_dense_interpolation_matrix(instances):
+    config = micro_config()
+    dense = config.n_points * config.net.sa_stages[0][0]
+    for inst in instances:
+        arrays = list(_reachable_arrays(inst))
+        assert any(a is inst.plan.fp1_weights for a in arrays)
+        assert all(a.size != dense for a in arrays)
+
+
+def test_fit_holds_one_step_graph_at_a_time(instances):
+    config = micro_config()
+    net = tr.DisplacementNet(config.n_frames, np.random.default_rng(0), config.net)
+    roots = []
+
+    def loss_fn(inst):
+        assert not roots or roots[-1]() is None, "the previous step's graph is still alive"
+        breakdown = tr._instance_loss(net, inst, config)
+        roots.append(weakref.ref(breakdown.total.value))
+        return breakdown
+
+    tr._fit(instances, net.parameters(), loss_fn, config, 1, 1, None)
+    assert len(roots) == len(instances)
 
 
 def test_radii_are_tied_to_their_k_density(records, instances):
