@@ -39,7 +39,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .geom import MOBILITY_TYPES, TYPE_T, MobilitySpec, unit
 
 THETA_STOP = 0.01
@@ -162,6 +162,8 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ConfigError(f"points must be (N, 3), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise DataError("points must be finite")
     (s1, r1, _), (s2, r2, _) = cfg.sa_stages
     k1, k2 = cfg.group_sizes
     # the stage-1 centroid-to-point distances serve both groupings and both interpolations

@@ -5,13 +5,17 @@ shared with the package under test except where a reference says so. The
 mobfit reference (`fit_sequence_per_pair`) registers each pair on its own but
 takes the package's pair classifier, `_aligned_mean` and range check. The
 sequence reference (`make_sequence`) takes the package's `MotionSequence` and
-`mobility_transform`.
+`mobility_transform`. The sparse-graph DBSCAN (`dbscan_labels`) is the
+package's own earlier implementation, kept as the byte reference for its
+rewrite.
 """
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
@@ -101,6 +105,56 @@ def brute_dbscan(dist: np.ndarray, eps: float, min_pts: int) -> list[set[int]]:
         if best is not None:
             best[1].add(i)
     return clusters
+
+
+# The package's DBSCAN before it linked cores by pointer jumping: cores are
+# joined by scipy's connected components on a sparse core graph. Its labels
+# are the byte reference for `partmotion.cluster.dbscan_labels`.
+def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Cluster ids (0..k-1) for every row of a symmetric distance matrix."""
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.shape != (n, n):
+        raise ConfigError(f"distance matrix must be square, got {dist.shape}")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    if not np.allclose(dist, dist.T, atol=1e-9):
+        raise ConfigError("distance matrix must be symmetric")
+    within = dist <= eps
+    core = within.sum(axis=1) >= min_pts  # neighborhood includes the point itself
+    if not core.any():
+        return np.zeros(n, dtype=np.int64)
+
+    # eps-linked cores are one cluster; components are numbered by their
+    # smallest member, which the noise tie-break below relies on
+    core_idx = np.flatnonzero(core)
+    n_clusters, components = connected_components(
+        csr_matrix(within[np.ix_(core_idx, core_idx)]), directed=False
+    )
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core_idx] = components
+    rest = np.flatnonzero(labels < 0)
+    if rest.size:
+        to_cores = dist[np.ix_(rest, core_idx)]
+        border = to_cores.min(axis=1) <= eps
+        # border: nearest core decides; noise: smallest mean distance to a cluster
+        nearest = core_idx[to_cores.argmin(axis=1)]
+        labels[rest[border]] = labels[nearest[border]]
+        base = labels.copy()  # noise joins settled members only, order-free
+        for i in rest[~border]:
+            means = [dist[i, base == c].mean() for c in range(n_clusters)]
+            labels[i] = int(np.argmin(means))
+
+    return _canonical_ids(labels)
+
+
+def _canonical_ids(labels: np.ndarray) -> np.ndarray:
+    order = []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        order.append((-members.size, int(members[0]), int(c)))
+    remap = {old: new for new, (_, _, old) in enumerate(sorted(order))}
+    return np.array([remap[int(c)] for c in labels], dtype=np.int64)
 
 
 def brute_average_precision(

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+import oracles
+from partmotion import diffcore as dc
 from partmotion.cluster import assemble_segmentation, dbscan_labels, default_min_pts
 from partmotion.errors import ConfigError
+from partmotion.losses import LossWeights
 
 from oracles import brute_dbscan
+
+EPS = LossWeights().margin / 2  # the radius Pipeline.predict clusters at
 
 
 def partition(labels):
@@ -122,6 +127,108 @@ def test_input_validation():
     with pytest.raises(ConfigError):
         dbscan_labels(bad, 1.0, 2)
     assert dbscan_labels(np.zeros((0, 0)), 1.0, 2).size == 0
+    # a symmetric NaN is named as such, not as an asymmetry
+    nan = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ConfigError, match=r"NaN entries, at \[\[0, 1\], \[1, 0\]\]"):
+        dbscan_labels(nan, 1.0, 2)
+    # a NaN eps would otherwise make every point noise without a word
+    for eps in (np.nan, -1.0):
+        with pytest.raises(ConfigError, match="eps must be a non-negative number"):
+            dbscan_labels(np.zeros((3, 3)), eps, 2)
+
+
+def test_infinite_distances_are_never_within_eps():
+    dist, _ = block_matrix([5, 6], far=np.inf)
+    labels = assert_matches_sparse_oracle(dist, 40.0, 4)
+    assert np.array_equal(labels, [1] * 5 + [0] * 6)
+
+
+# ---------------------------------------------------------------------------
+# byte equality with the sparse-graph implementation the linking replaced
+
+
+def assert_matches_sparse_oracle(dist, eps, min_pts):
+    ours = dbscan_labels(dist, eps, min_pts)
+    ref = oracles.dbscan_labels(dist, eps, min_pts)
+    assert (ours.dtype, ours.shape, ours.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+    return ours
+
+
+def clustered_features(rng, m, width=16):
+    """Distances of m feature rows drawn around a few centres about eps apart.
+
+    The spread around each centre is drawn too, from tight clusters of cores
+    to loose ones with many border and noise rows.
+    """
+    centres = rng.normal(scale=EPS, size=(rng.integers(1, 6), width))
+    spread = rng.uniform(0.1, 0.3) * EPS
+    rows = centres[rng.integers(0, len(centres), m)] + rng.normal(scale=spread, size=(m, width))
+    return dc.pairwise_row_distances(rows).value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9, 31, 64, 100, 150, 199, 232, 256])
+def test_matches_sparse_oracle_on_clustered_features(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        dist = clustered_features(rng, m)
+        assert_matches_sparse_oracle(dist, EPS, default_min_pts(m))
+        perm = rng.permutation(m)
+        assert_matches_sparse_oracle(dist[np.ix_(perm, perm)], EPS, default_min_pts(m))
+
+
+def test_matches_sparse_oracle_on_a_chain_of_cores():
+    # consecutive cores just under eps apart and in shuffled order: the
+    # longest path a root has to travel, so the most linking rounds
+    rng = np.random.default_rng(5)
+    pos = np.cumsum(np.full(200, 0.999))[rng.permutation(200)]
+    dist = np.abs(pos[:, None] - pos[None, :])
+    labels = assert_matches_sparse_oracle(dist, 1.0, 3)
+    assert not labels.any()
+
+
+def test_core_with_no_core_neighbour_and_large_diagonal():
+    # point 0 is core through three non-core neighbours, and its own
+    # distance exceeds eps, so its row of the core-to-core matrix is empty
+    dist = np.array([
+        [5.0, 1.0, 1.0, 1.0],
+        [1.0, 0.0, 9.0, 9.0],
+        [1.0, 9.0, 0.0, 9.0],
+        [1.0, 9.0, 9.0, 0.0],
+    ])
+    labels = assert_matches_sparse_oracle(dist, 2.0, 3)
+    assert np.array_equal(labels, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("min_pts", [0, 1])
+def test_matches_sparse_oracle_when_every_point_is_core(min_pts):
+    rng = np.random.default_rng(11)
+    assert_matches_sparse_oracle(clustered_features(rng, 40), EPS, min_pts)
+    # every core its own component: all pairs farther than eps
+    dist = random_symmetric(rng, 30, scale=10.0) + 50.0
+    np.fill_diagonal(dist, 0.0)
+    labels = assert_matches_sparse_oracle(dist, 40.0, min_pts)
+    assert np.array_equal(np.sort(labels), np.arange(30))
+
+
+def test_matches_sparse_oracle_with_no_cores():
+    rng = np.random.default_rng(12)
+    dist = random_symmetric(rng, 25, scale=10.0) + 50.0
+    np.fill_diagonal(dist, 0.0)
+    labels = assert_matches_sparse_oracle(dist, 40.0, 2)
+    assert not labels.any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_sparse_oracle_on_noise_ties(seed):
+    # the noise rows sit at the same mean distance from two interleaved
+    # clusters of equal size, in permuted order
+    rng = np.random.default_rng(seed)
+    member = np.array([0, 1] * 6)
+    grown = np.full((15, 15), 60.0)
+    grown[:12, :12] = np.where(member[:, None] == member[None, :], 0.0, 80.0)
+    np.fill_diagonal(grown, 0.0)
+    perm = rng.permutation(15)
+    assert_matches_sparse_oracle(grown[np.ix_(perm, perm)], 40.0, 4)
 
 
 def test_default_min_pts():

@@ -12,7 +12,7 @@ from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.config import RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
-from partmotion.errors import ConfigError
+from partmotion.errors import ConfigError, DataError
 from partmotion.geom import MobilitySpec
 from partmotion.nets import (
     THETA_STOP,
@@ -104,6 +104,16 @@ def assert_plan_matches_oracle(got: EncoderPlan, want: dict) -> None:
 def test_build_plan_rejects_small_cloud():
     with pytest.raises(ConfigError):
         build_plan(cloud(8), TINY)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_plan_rejects_non_finite_points(bad):
+    # one bad coordinate must stop here: past the boundary it surfaces in the
+    # k-nearest picks as an IndexError on mismatched shapes
+    pts = cloud(64)
+    pts[5, 1] = bad
+    with pytest.raises(DataError, match="points must be finite"):
+        build_plan(pts, TINY)
 
 
 def test_farthest_point_sampling_is_order_free():

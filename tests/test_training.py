@@ -8,10 +8,11 @@ import pytest
 from pathlib import Path
 
 from microfixtures import micro_config, micro_records
+from test_golden import _prediction_digest
 from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.config import RunConfig
-from partmotion.datagen import generate_shape
+from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.losses import LossWeights
 from partmotion.errors import ConfigError, DataError, NumericError
 from partmotion.geom import MobilitySpec, unit
@@ -339,14 +340,46 @@ def test_checkpoint_round_trip(tmp_path, trained, records):
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_benchmark_checkpoint_loads_and_predicts():
+@pytest.fixture(scope="module")
+def benchmark_pipeline():
+    return tr.load_pipeline(Path(__file__).parents[1] / "perfbench" / "checkpoint")
+
+
+def test_benchmark_checkpoint_loads_and_predicts(benchmark_pipeline):
     # the benchmark's predict workload loads this run directory; a config
     # field it lists that RunConfig no longer takes must fail here first
-    pipe = tr.load_pipeline(Path(__file__).parents[1] / "perfbench" / "checkpoint")
     cloud = generate_shape("drawer_box", np.random.default_rng(0), 256).points
-    pred = pipe.predict(cloud)
+    pred = benchmark_pipeline.predict(cloud)
     assert pred.maps.shape == (8, 256, 3)
     assert pred.labels.shape == (256,)
+
+
+# Digests of the benchmark checkpoint's predictions on the first state of
+# two held-out umbrella shapes, built as perfbench's predict pool builds
+# them. They mark 232 and 228 points as moving, so DBSCAN runs on its
+# largest matrices here; the micro golden digests never get near that size.
+UMBRELLA_DIGEST = {
+    1: ("f689b32fbbeb5ecc29f37e8873b76c046b50193c35f213aa3383361711cd3aff", 232),
+    3: ("720082eb1903bd2a84b6e0e69cda3c97c0b9c3ffd6455ea589256c53abec8127", 228),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UMBRELLA_DIGEST))
+def test_benchmark_checkpoint_umbrella_prediction_bytes(benchmark_pipeline, shape):
+    digest, n_moving = UMBRELLA_DIGEST[shape]
+    rng = np.random.default_rng([1, TEMPLATE_NAMES.index("umbrella"), shape])
+    seq = make_sequence(generate_shape("umbrella", rng, 256), 8)
+    pred = benchmark_pipeline.predict(seq.frames[0])
+    assert int((pred.labels > 0).sum()) == n_moving
+    assert _prediction_digest(pred) == digest
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_rejects_non_finite_points(benchmark_pipeline, bad):
+    cloud = generate_shape("drawer_box", np.random.default_rng(0), 256).points.copy()
+    cloud[17, 2] = bad
+    with pytest.raises(DataError, match="points must be finite"):
+        benchmark_pipeline.predict(cloud)
 
 
 def test_width_mismatch_is_a_data_error(tmp_path, trained):
