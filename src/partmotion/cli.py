@@ -7,6 +7,7 @@ Every command is driven by a JSON run config and is deterministic given
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import shutil
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from .config import ABLATION_SWITCHES, RunConfig, load_config
 from .datagen import generate_dataset, load_dataset
+from .datagen.dataset import foreign_entries
 from .errors import ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
 from .metrics import MetricsReport
@@ -112,6 +114,8 @@ def cmd_gen(args) -> int:
     if out.exists() and any(out.iterdir()):
         if not args.force:
             raise DataError(f"{out} already exists; pass --force to regenerate")
+        if foreign := foreign_entries(out):
+            raise DataError(f"{out} holds {foreign[:3]}, which gen does not write; --force replaces only a dataset")
         shutil.rmtree(out)
     manifest = generate_dataset(
         out,
@@ -215,7 +219,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = ["ablation table"]
     for row in rows:
-        config = base if row == "full" else base.replaced(**{row: True})
+        config = base if row == "full" else dataclasses.replace(base, **{row: True})
         pipeline = run_training(config, train_records, out_dir=out / row, instances=instances)
         result = evaluate_model(test_records, pipeline)
         table.append(f"row {row} {format_errors(result.report)}")

@@ -4,8 +4,9 @@ Used to split predicted moving points into parts: the learned pairwise
 feature distances of moving points feed straight into DBSCAN. Unlike the
 textbook algorithm this variant leaves nobody behind, because every moving
 point must end up in some part: border points join their nearest core's
-cluster and noise points join the cluster with the smallest mean distance.
-With no core points at all the whole set is one cluster.
+cluster and noise points join the cluster with the smallest mean distance
+to its cores and borders (one reduction per cluster; the lowest id wins a
+tie). With no core points at all the whole set is one cluster.
 
 Cores are linked by pointer jumping on the dense core-to-core eps matrix:
 each core starts as its own root and in every round takes the smallest root
@@ -63,10 +64,9 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         # border: nearest core decides; noise: smallest mean distance to a cluster
         nearest = core_idx[to_cores.argmin(axis=1)]
         labels[rest[border]] = labels[nearest[border]]
-        base = labels.copy()  # noise joins settled members only, order-free
-        for i in rest[~border]:
-            means = [dist[i, base == c].mean() for c in range(roots.size)]
-            labels[i] = int(np.argmin(means))
+        noise, settled = rest[~border], labels.copy()  # noise joins settled members only
+        to_noise = dist[noise]
+        labels[noise] = np.argmin([to_noise[:, settled == c].mean(axis=1) for c in range(roots.size)], axis=0)
 
     return _canonical_ids(labels)
 
@@ -79,15 +79,3 @@ def _canonical_ids(labels: np.ndarray) -> np.ndarray:
     rank[np.lexsort((first, -counts))] = np.arange(first.size)
     return rank[inverse]
 
-
-def assemble_segmentation(
-    n_points: int, moving_idx: np.ndarray, cluster_ids: np.ndarray
-) -> np.ndarray:
-    """Full per-point labels: 0 for reference, cluster id + 1 for moving."""
-    moving_idx = np.asarray(moving_idx, dtype=np.int64)
-    cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    if moving_idx.shape != cluster_ids.shape:
-        raise ConfigError("one cluster id per moving index required")
-    labels = np.zeros(n_points, dtype=np.int64)
-    labels[moving_idx] = cluster_ids + 1
-    return labels

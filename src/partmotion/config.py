@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"unknown categories {unknown}; choose from {list(TEMPLATE_NAMES)}")
         if not self.categories:
             raise ConfigError("need at least one category")
+        if len(set(self.categories)) < len(self.categories):
+            raise ConfigError(f"categories must not repeat, got {list(self.categories)}")
         if self.shapes_per_category < 1 or self.n_points < 1:
             raise ConfigError("shapes_per_category and n_points must be positive")
         if self.n_frames < 2:
@@ -119,9 +121,6 @@ class RunConfig:
     @property
     def ablation_tags(self) -> list[str]:
         return [s for s in ABLATION_SWITCHES if getattr(self, s)]
-
-    def replaced(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -5,6 +5,8 @@ readers check every file they read: a malformed one is a DataError that
 names it. Layout under the output root:
 
     manifest.json                     dataset-wide parameters and shape list
+    split.txt                         one "<shape id>\t<split>" line per shape
+    config.json                       the run config, when written by `gen`
     <category>_<idx>/shape.json       per-shape metadata incl. mobility
     <category>_<idx>/frame_01.ply ... labeled frames, 01 is the start state
     <category>_<idx>/scan.ply         partial scan of frame 01 (test shapes)
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -70,6 +73,14 @@ class ShapeRecord(MotionSequence):
     scan_viewpoint: Optional[np.ndarray] = None
 
 
+def foreign_entries(root: Path) -> list[str]:
+    """Names of root's top-level entries that are not part of the layout above."""
+    shape_dir = re.compile(f"(?:{'|'.join(TEMPLATE_NAMES)})_[0-9]{{3,}}")
+    return sorted(p.name for p in root.iterdir() if not (
+        p.is_file() if p.name in ("manifest.json", "split.txt", "config.json")
+        else p.is_dir() and shape_dir.fullmatch(p.name)))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -91,6 +102,8 @@ def generate_dataset(
     """
     if not 0.0 <= scan_fraction <= 1.0:
         raise ConfigError(f"scan fraction must lie in [0, 1], got {scan_fraction}")
+    if len(set(categories)) < len(categories):  # a repeat would overwrite its shapes
+        raise ConfigError(f"categories must not repeat, got {list(categories)}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     n_test = math.ceil(0.1 * shapes_per_category)

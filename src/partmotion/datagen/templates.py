@@ -197,18 +197,9 @@ def _assemble(rng: np.random.Generator, part_surfaces: list[list[Surface]], spec
 
 
 def _cabinet_shell(w: float, d: float, h: float) -> list[Surface]:
-    """Open-front box: back, two sides, top, bottom. Front at y = +d/2."""
-    lo = np.array([-w / 2, -d / 2, 0.0])
-    ex = np.array([w, 0.0, 0.0])
-    ey = np.array([0.0, d, 0.0])
-    ez = np.array([0.0, 0.0, h])
-    return [
-        Rect(lo, ex, ez),                      # back
-        Rect(lo, ey, ez),                      # left
-        Rect(lo + ex, ey, ez),                 # right
-        Rect(lo, ex, ey),                      # bottom
-        Rect(lo + ez, ex, ey),                 # top
-    ]
+    """Open-front box: back, left, right, bottom, top. Front at y = +d/2."""
+    faces = box_faces(np.array([0.0, 0.0, h / 2]), np.array([w, d, h]))
+    return [faces[i] for i in (2, 4, 5, 0, 1)]
 
 
 def _bar_handle(center: np.ndarray, length: float) -> list[Surface]:
@@ -351,10 +342,7 @@ def build_cabinet_multi(rng: np.random.Generator, n_points: int) -> ShapeSample:
     d = rng.uniform(0.45, 0.6)
     cell = rng.uniform(0.33, 0.42)
     hinge_left = bool(rng.integers(0, 2))
-    shell = _cabinet_shell(w, d, 2 * cell)
-    shell.append(  # divider between the two cells
-        Rect(np.array([-w / 2, -d / 2, cell]), np.array([w, 0.0, 0.0]), np.array([0.0, d, 0.0]))
-    )
+    shell = _cabinet_shell(w, d, 2 * cell) + _cabinet_shell(w, d, cell)[4:]  # divider: the lower cell's top
     drawer = _drawer_part(w, d, cell, cell)
     door = _door_part(w, d, 0.0, cell, hinge_left)
     drawer_spec = MobilitySpec(

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .cluster import assemble_segmentation, dbscan_labels, default_min_pts
+from .cluster import dbscan_labels, default_min_pts
 from .config import RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances, same_part_matrix
 from .errors import ConfigError, DataError, NumericError
@@ -209,7 +209,7 @@ def train_displacement(
         n_maps, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
     return net, _fit(
-        instances, net.parameters(), lambda inst: _instance_loss(net, inst, config),
+        instances, net.params, lambda inst: _instance_loss(net, inst, config),
         config, 1, config.epochs, log,
         log_every=config.log_every,
         checkpoint_every=0 if checkpoint_dir is None else config.checkpoint_every,
@@ -250,9 +250,7 @@ def train_mobility(
         plan, channels, spec = sample
         return LossBreakdown(l_mob(*reg.forward(plan, channels), spec))
 
-    return reg, _fit(
-        samples, reg.parameters(), loss_fn, config, 3, config.mobility_epochs, log, "mobility "
-    )
+    return reg, _fit(samples, reg.params, loss_fn, config, 3, config.mobility_epochs, log, "mobility ")
 
 
 def train_baseline(
@@ -272,7 +270,7 @@ def train_baseline(
         return baseline_loss(seg, inst.labels == part_id, type_logits, axis_out, spec)
 
     return baseline, _fit(
-        samples, baseline.parameters(), loss_fn, config, 5, config.mobility_epochs, log,
+        samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log,
         "baseline ",
     )
 
@@ -327,9 +325,10 @@ class Pipeline:
         n = points.shape[0]
         maps = self.net.hallucinate(plan).value.reshape(self.net.n_maps, n, 3)
         _require_finite(maps, "displacement maps")
+        labels, confidences = np.zeros(n, dtype=np.int64), {}
         if self.config.no_seg:
             # trained without the segmentation terms: threshold the motion
-            labels = (np.linalg.norm(maps, axis=2).mean(axis=0) > self.config.theta_stop).astype(np.int64)
+            labels[np.linalg.norm(maps, axis=2).mean(axis=0) > self.config.theta_stop] = 1
             confidences = {1: 1.0} if labels.any() else {}
         else:
             p0 = np.zeros_like(points) if self.config.no_p0 else points
@@ -341,14 +340,11 @@ class Pipeline:
                 dist = dc.pairwise_row_distances(feat_nodes.value[mov_idx]).value
                 # cluster at half the contrastive margin the features were trained with
                 ids = dbscan_labels(dist, self.config.weights.margin / 2, default_min_pts(mov_idx.size))
-                labels = assemble_segmentation(n, mov_idx, ids)
+                labels[mov_idx] = ids + 1
                 confidences = {
                     int(c) + 1: cluster_confidence(dist[np.ix_(ids == c, ids == c)])
                     for c in range(int(ids.max()) + 1)
                 }
-            else:
-                labels = np.zeros(n, dtype=np.int64)
-                confidences = {}
         mobilities: dict[int, Optional[MobilitySpec]] = {}
         fits: dict[int, Optional[MobilitySpec]] = {}
         for part in sorted(int(p) for p in np.unique(labels) if p != 0):
@@ -444,7 +440,7 @@ def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
     models = {BASE_PARAMS: pipeline.baseline, DISP_PARAMS: pipeline.net, MOB_PARAMS: pipeline.regressor}
     for name, model in models.items():
         if model is not None:
-            dc.save_params(out / name, model.parameters())
+            dc.save_params(out / name, model.params)
     return out
 
 
@@ -465,14 +461,14 @@ def load_pipeline(run_dir: str | Path) -> Pipeline:
     rng = np.random.default_rng(0)    # values are overwritten by the checkpoint
     if config.basenet:
         baseline = DirectBaseline(rng, config.net)
-        dc.load_into(baseline.parameters(), run / BASE_PARAMS)
+        dc.load_into(baseline.params, run / BASE_PARAMS)
         return Pipeline(config, baseline=baseline)
     net = DisplacementNet(config.n_frames, rng, config.net, use_rnn=not config.no_rnn)
-    dc.load_into(net.parameters(), run / DISP_PARAMS)
+    dc.load_into(net.params, run / DISP_PARAMS)
     regressor = None
     if (run / MOB_PARAMS).exists():
         regressor = MobilityRegressor(config.n_frames, rng, config.net)
-        dc.load_into(regressor.parameters(), run / MOB_PARAMS)
+        dc.load_into(regressor.params, run / MOB_PARAMS)
     return Pipeline(config, net=net, regressor=regressor)
 
 

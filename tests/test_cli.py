@@ -54,6 +54,36 @@ def test_gen_force_reproduces_bytes(workdir, tmp_path):
     assert first == tree_hash(workdir / "data")
 
 
+def test_gen_force_keeps_a_directory_gen_did_not_write(workdir, tmp_path, capsys):
+    out = tmp_path / "mine"
+    out.mkdir()
+    (out / "important.txt").write_text("keep me\n")
+    (out / "fan_000").mkdir()
+    assert main(["gen", "--config", str(workdir / "config.json"), "--out", str(out), "--force"]) == 3
+    err = capsys.readouterr().err
+    assert str(out) in err and "important.txt" in err
+    assert sorted(p.name for p in out.iterdir()) == ["fan_000", "important.txt"]
+    assert (out / "important.txt").read_text() == "keep me\n"
+
+
+def test_gen_force_replaces_a_half_written_dataset(workdir, tmp_path):
+    out = tmp_path / "half"
+    shutil.copytree(workdir / "data" / "fan_001", out / "fan_001")
+    (out / "drawer_box_007").mkdir()
+    (out / "split.txt").write_text("stale\n")
+    assert main(["gen", "--config", str(workdir / "config.json"), "--out", str(out), "--force"]) == 0
+    assert tree_hash(out) == tree_hash(workdir / "data")
+
+
+def test_gen_repeated_category_is_config_error(tmp_path, capsys):
+    micro_config(categories=("drawer_box",)).save(tmp_path / "config.json")
+    text = (tmp_path / "config.json").read_text().replace('"drawer_box"', '"fan", "fan"')
+    (tmp_path / "config.json").write_text(text)
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_writes_run_dir(workdir):
     run = workdir / "run"
     names = {p.name for p in run.iterdir()}

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from partmotion import diffcore as dc
-from partmotion.cluster import assemble_segmentation, dbscan_labels, default_min_pts
+from partmotion.cluster import dbscan_labels, default_min_pts
 from partmotion.errors import ConfigError
 from partmotion.losses import LossWeights
 
@@ -231,13 +231,26 @@ def test_matches_sparse_oracle_on_noise_ties(seed):
     assert_matches_sparse_oracle(grown[np.ix_(perm, perm)], 40.0, 4)
 
 
+@pytest.mark.parametrize("m", [31, 64, 150, 232, 256])
+def test_matches_sparse_oracle_on_noise_heavy_features(m):
+    # eps at 0.2-0.5 of the median distance leaves many rows noise; integer
+    # features put distances, and so eps hits and mean distances, on exact ties
+    rng = np.random.default_rng(100 + m)
+    noisy_cases = 0
+    for frac in (0.2, 0.3, 0.4, 0.5):
+        for width, min_pts in ((3, default_min_pts(m)), (8, default_min_pts(m)), (8, 3)):
+            dist = dc.pairwise_row_distances(np.round(rng.normal(scale=3.0, size=(m, width)))).value
+            eps = frac * np.median(dist)
+            within = dist <= eps
+            core = within.sum(axis=1) >= min_pts
+            labels = assert_matches_sparse_oracle(dist, eps, min_pts)
+            noisy_cases += core.any() and labels.max() > 0 and not within[:, core].any(axis=1).all()
+            perm = rng.permutation(m)
+            assert_matches_sparse_oracle(dist[np.ix_(perm, perm)], eps, min_pts)
+    assert noisy_cases  # some noise rows chose between at least two clusters
+
+
 def test_default_min_pts():
     assert default_min_pts(10) == 4
     assert default_min_pts(400) == 8
 
-
-def test_assemble_segmentation():
-    labels = assemble_segmentation(6, np.array([1, 3, 4]), np.array([0, 1, 0]))
-    assert np.array_equal(labels, [0, 1, 0, 2, 1, 0])
-    with pytest.raises(ConfigError):
-        assemble_segmentation(6, np.array([1, 2]), np.array([0]))

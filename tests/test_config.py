@@ -1,4 +1,5 @@
 """RunConfig validation and JSON round-tripping."""
+import dataclasses
 import json
 
 import numpy as np
@@ -104,6 +105,8 @@ def test_switches_other_than_basenet_compose():
         dict(log_every=-1),
         dict(checkpoint_every=-3),
         dict(theta_stop=-0.5),
+        # shape directories are named by category and index: a repeat would overwrite
+        dict(categories=("fan", "drawer_box", "fan")),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
@@ -150,6 +153,6 @@ def test_echo_into_writes_the_same_config(tmp_path):
 
 def test_replaced_does_not_mutate():
     cfg = micro_config()
-    other = cfg.replaced(seed=77, no_rnn=True)
+    other = dataclasses.replace(cfg, seed=77, no_rnn=True)
     assert cfg.seed == 0 and not cfg.no_rnn
     assert other.seed == 77 and other.no_rnn

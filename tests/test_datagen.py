@@ -341,3 +341,9 @@ def test_dataset_generation_is_byte_deterministic(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+
+def test_repeated_category_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="repeat"):
+        generate_dataset(tmp_path / "data", categories=("fan", "fan"), shapes_per_category=2, n_points=64)
+    assert not (tmp_path / "data").exists()

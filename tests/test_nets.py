@@ -91,14 +91,32 @@ def dense_plan_weights(plan: EncoderPlan) -> tuple[np.ndarray, np.ndarray]:
             dense_weights(plan.fp2_cols, plan.fp2_weights, plan.centroids2.size))
 
 
+def group_offsets(plan: EncoderPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Each group member's offset from its centroid, per stage, as SAEncoder.apply derives them."""
+    k1, k2 = plan.groups1.shape[1], plan.groups2.shape[1]
+    p1 = plan.points[plan.centroids1]
+    return (plan.points[plan.groups1.ravel()] - np.repeat(p1, k1, axis=0),
+            p1[plan.groups2.ravel()] - np.repeat(p1[plan.centroids2], k2, axis=0))
+
+
 def assert_plan_matches_oracle(got: EncoderPlan, want: dict) -> None:
-    """Every array of the loop oracle's plan, byte for byte; fp1 and fp2 densified."""
+    """Every array of the loop oracle's plan, byte for byte; fp1 and fp2 densified,
+    rel1 and rel2 derived from the plan's indices."""
     arrays = {f.name: getattr(got, f.name) for f in dataclasses.fields(EncoderPlan) if not f.name.startswith("fp")}
     arrays["fp1"], arrays["fp2"] = dense_plan_weights(got)
+    arrays["rel1"], arrays["rel2"] = group_offsets(got)
     assert arrays.keys() == want.keys()
     for name, b in want.items():
         a = arrays[name]
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_plan_stores_indices_and_weights_only():
+    # default config, 256 points: 33.6 KiB besides the points, whatever the shape;
+    # stored group offsets would add 27 KiB
+    plan = build_plan(cloud(256), NetConfig())
+    sizes = {f.name: getattr(plan, f.name).nbytes for f in dataclasses.fields(EncoderPlan) if f.name != "points"}
+    assert sum(sizes.values()) <= 36 * 1024, sizes
 
 
 def test_build_plan_rejects_small_cloud():
@@ -283,7 +301,7 @@ def test_tiny_overfit_loss_drops():
     plan = build_plan(pts, TINY)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(5), cfg=TINY)
     target = np.concatenate([np.full((24, 3), 0.05), np.full((24, 3), -0.02)])
-    opt = dc.Adam(net.parameters(), lr=5e-3)
+    opt = dc.Adam(net.params, lr=5e-3)
 
     def loss_value():
         # the sum over both maps of each map's mean squared error

@@ -1,0 +1,49 @@
+"""Static checks over the package source, read module by module with ast."""
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "partmotion").rglob("*.py"))
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "scipy", "partmotion"}
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def declared_all(path: Path):
+    """The literal value of the module's top-level __all__, or None."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_imports_only_stdlib_numpy_scipy_or_own(path):
+    # pure numpy/scipy: the package needs nothing else installed
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports are the package's own
+            imported.add(node.module)
+    assert {name.split(".")[0] for name in imported} <= ALLOWED_TOP_LEVEL
+
+
+EXPORTING = [path for path in MODULES if declared_all(path) is not None]
+
+
+def test_some_modules_declare_all():
+    assert len(EXPORTING) >= 5
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=module_name)
+def test_every_name_in_all_exists(path):
+    module = importlib.import_module(module_name(path))
+    assert [name for name in declared_all(path) if not hasattr(module, name)] == []

@@ -107,7 +107,7 @@ def test_fit_holds_one_step_graph_at_a_time(instances):
         roots.append(weakref.ref(breakdown.total.value))
         return breakdown
 
-    tr._fit(instances, net.parameters(), loss_fn, config, 1, 1, None)
+    tr._fit(instances, net.params, loss_fn, config, 1, 1, None)
     assert len(roots) == len(instances)
 
 
@@ -155,8 +155,8 @@ def test_training_is_deterministic(records, instances):
     cfg = micro_config()
     net_a, _ = tr.train_displacement(instances, cfg)
     net_b, _ = tr.train_displacement(instances, cfg)
-    for name, node in net_a.parameters().items():
-        assert np.array_equal(node.value, net_b.parameters()[name].value), name
+    for name, node in net_a.params.items():
+        assert np.array_equal(node.value, net_b.params[name].value), name
 
 
 def test_loss_log_lines_are_emitted(records, instances):
