@@ -19,7 +19,6 @@ from .sequences import (
     TrainingInstance,
     make_instances,
     make_sequence,
-    same_part_matrix,
 )
 from .templates import (
     NON_PARAMETRIC,
@@ -45,7 +44,6 @@ __all__ = [
     "TrainingInstance",
     "make_instances",
     "make_sequence",
-    "same_part_matrix",
     "NON_PARAMETRIC",
     "TEMPLATE_NAMES",
     "ShapeSample",

@@ -234,6 +234,8 @@ def load_shape(shape_dir: str | Path) -> ShapeRecord:
         pts, lab = read_ply(path)
         if lab is None or (labels is not None and not np.array_equal(lab, labels)):
             raise DataError(f"{path}: frame without labels or unlike the shape's first frame")
+        if np.any(lab < 0):
+            raise DataError(f"{path}: negative part label {lab.min()}")
         frames.append(pts)
         labels = lab
     specs = meta["specs"]

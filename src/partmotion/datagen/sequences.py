@@ -50,15 +50,6 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
     return MotionSequence(frames, sample.labels.copy(), None if sample.specs is None else list(sample.specs))
 
 
-def same_part_matrix(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moving-point indices and their read-only pair matrix: True where two share a part."""
-    mov_idx = np.flatnonzero(np.asarray(labels) != 0)
-    mov_labels = np.asarray(labels)[mov_idx]
-    same = mov_labels[:, None] == mov_labels[None, :]
-    same.flags.writeable = False
-    return mov_idx, same
-
-
 @dataclass
 class TrainingInstance:
     """One start state plus the maps that finish (then hold) the motion."""

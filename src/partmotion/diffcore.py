@@ -258,7 +258,7 @@ def gather_rows(a: Node | np.ndarray, idx: np.ndarray) -> Node:
         raise ShapeMismatch(
             f"op 'gather_rows': index range [{idx.min()}, {idx.max()}] outside 0..{a.value.shape[0] - 1}"
         )
-    out = a.value[idx]
+    out = a.value.take(idx, axis=0)
     width = math.prod(a.value.shape[1:])
 
     def bw(g: np.ndarray) -> np.ndarray:

@@ -14,6 +14,10 @@ which the displacement net emits its maps, so `l_ref`, `l_mov`, `l_disp`
 and `l_mot` each cover every frame with one call. The cumulative clouds
 p0 + d_1 + ... + d_t of all frames come from one matmul of a lower
 triangle of ones with the maps laid out as (n, N*3).
+
+`total_motion_loss` sums these motion terms and the heads' term, which the
+caller builds with `segmentation_loss` and passes in. Labels are part ids;
+`labels > 0` marks the moving points.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ __all__ = [
     "l_seg_obj",
     "l_seg_mov",
     "l_mob",
+    "segmentation_loss",
     "total_motion_loss",
     "baseline_loss",
 ]
@@ -106,7 +111,7 @@ def moving_knn_radii(p0: np.ndarray, gt_maps: np.ndarray, mov_idx: np.ndarray, k
     return radii
 
 
-def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int = 8) -> Node:
+def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int) -> Node:
     """Moving-part resemblance: symmetric Chamfer plus a local density term.
 
     gt holds the ground-truth moving points of n frames, (n, M', 3), and
@@ -186,22 +191,23 @@ def l_mot(maps: Node, n_frames: int, mov_idx: np.ndarray, n_true: int) -> Node:
 
 
 def l_seg_obj(logits: Node, labels: np.ndarray) -> Node:
-    """Object-level segmentation cross entropy (moving vs reference)."""
-    return dc.softmax_cross_entropy(logits, np.asarray(labels, dtype=np.int64))
+    """Object-level segmentation cross entropy, moving (labels > 0) vs reference."""
+    return dc.softmax_cross_entropy(logits, (np.asarray(labels) > 0).astype(np.int64))
 
 
-def l_seg_mov(dist_matrix: Node, same_part: np.ndarray, margin: float = 80.0) -> Node:
+def l_seg_mov(dist_matrix: Node, part_labels: np.ndarray, margin: float) -> Node:
     """Contrastive part loss over the moving-point distance matrix.
 
-    same_part is true (or 1) where two points share a part. Same-part pairs
-    are pulled together by their distance; different-part pairs are pushed
-    past the margin by a hinge.
+    part_labels holds the part id of each moving point, (M,), for an
+    (M, M) matrix. Same-part pairs are pulled together by their distance;
+    different-part pairs are pushed past the margin by a hinge.
     """
-    same_part = np.asarray(same_part, dtype=np.float64)
-    if dist_matrix.value.shape != same_part.shape:
+    part_labels = np.asarray(part_labels)
+    if dist_matrix.value.shape != part_labels.shape * 2:
         raise ConfigError(
-            f"distance matrix {dist_matrix.value.shape} and part matrix {same_part.shape} disagree"
+            f"distance matrix {dist_matrix.value.shape} does not pair part labels {part_labels.shape}"
         )
+    same_part = (part_labels[:, None] == part_labels[None, :]).astype(np.float64)
     pull = dc.reduce_sum(dc.mul(dist_matrix, same_part))
     push = dc.reduce_sum(dc.mul(dc.relu(dc.sub(float(margin), dist_matrix)), 1.0 - same_part))
     return dc.add(pull, push)
@@ -225,29 +231,36 @@ def l_mob(type_logits: Node, axis_out: Node, gt: MobilitySpec) -> Node:
     return out
 
 
+def segmentation_loss(seg_logits: Node, dist_mov: Node, labels: np.ndarray, weights: LossWeights) -> Node:
+    """The heads' term, w_seg_obj * l_seg_obj + w_seg_mov * l_seg_mov; dist_mov
+    pairs the moving points (labels > 0) in index order."""
+    labels = np.asarray(labels)
+    obj = dc.mul(l_seg_obj(seg_logits, labels), weights.w_seg_obj)
+    pairs = dc.mul(l_seg_mov(dist_mov, labels[labels > 0], weights.margin), weights.w_seg_mov)
+    return dc.add(obj, pairs)
+
+
 def total_motion_loss(
     maps: Node,
     gt_maps: np.ndarray,
     p0: np.ndarray,
-    seg_labels: np.ndarray,
+    labels: np.ndarray,
     gt_radii: np.ndarray,
-    dist_mov: Optional[Node],
-    seg_logits: Optional[Node],
-    same_mov: Optional[np.ndarray],
+    segmentation: Optional[Node],
     n_true: int,
     weights: LossWeights,
     no_geom: bool = False,
     no_disp: bool = False,
     no_mot: bool = False,
-    no_seg: bool = False,
 ) -> LossBreakdown:
     """Combined objective over one training instance.
 
     maps are the n predicted displacement maps stacked along rows,
     (n*N, 3); gt_maps the padded targets, (n, N, 3); gt_radii the
-    instance's `moving_knn_radii` at weights.k_density. Per-frame terms are
-    averaged over frames; the motion and segmentation terms enter once.
-    Ablation flags drop whole terms.
+    instance's `moving_knn_radii` at weights.k_density; segmentation the
+    instance's `segmentation_loss`, or None when the heads are not trained.
+    Per-frame terms are averaged over frames; the motion and segmentation
+    terms enter once. Ablation flags drop whole terms.
     """
     gt_maps = np.asarray(gt_maps, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
@@ -257,12 +270,11 @@ def total_motion_loss(
             f"total_motion_loss needs (n >= 1, N, 3) gt maps and (n*N, 3) predicted maps for"
             f" (N, 3) points, got {gt_maps.shape}, {maps.value.shape} and {p0.shape}"
         )
-    seg_labels = np.asarray(seg_labels, dtype=np.int64)
-    mov_idx = np.flatnonzero(seg_labels > 0)
-    ref_idx = np.flatnonzero(seg_labels == 0)
+    labels = np.asarray(labels, dtype=np.int64)
+    mov_idx = np.flatnonzero(labels > 0)
+    ref_idx = np.flatnonzero(labels == 0)
     mov_rows = _frame_rows(mov_idx, n, p0.shape[0])
-    terms: dict[str, float] = {}
-    pieces: list[Node] = []
+    pieces: dict[str, Node] = {}
 
     recon: list[Node] = []
     if not no_geom:
@@ -280,30 +292,15 @@ def total_motion_loss(
     if not no_disp:
         recon.append(l_disp(maps, gt_maps.reshape(-1, 3), mov_rows))
     if recon:
-        rec = dc.mul(reduce(dc.add, recon), 1.0 / n)
-        terms["reconstruction"] = float(rec.value)
-        pieces.append(rec)
-
+        pieces["reconstruction"] = dc.mul(reduce(dc.add, recon), 1.0 / n)
     if not no_mot:
         effective = n if weights.include_padded_motion else n_true
-        mot = l_mot(maps, n, mov_idx, effective)
-        terms["motion_consistency"] = float(mot.value)
-        pieces.append(mot)
-
-    if not no_seg:
-        if seg_logits is None or dist_mov is None or same_mov is None:
-            raise ConfigError("segmentation terms need logits, distance matrix, and part matrix")
-        obj = dc.mul(l_seg_obj(seg_logits, (seg_labels > 0).astype(np.int64)), weights.w_seg_obj)
-        mov_pairs = dc.mul(l_seg_mov(dist_mov, same_mov, weights.margin), weights.w_seg_mov)
-        seg = dc.add(obj, mov_pairs)
-        terms["segmentation"] = float(seg.value)
-        pieces.append(seg)
-
+        pieces["motion_consistency"] = l_mot(maps, n, mov_idx, effective)
+    if segmentation is not None:
+        pieces["segmentation"] = segmentation
     if not pieces:
         raise ConfigError("all loss terms ablated away")
-    total = reduce(dc.add, pieces)
-    terms["total"] = float(total.value)
-    return LossBreakdown(total=total, terms=terms)
+    return LossBreakdown(reduce(dc.add, pieces.values()), {k: float(v.value) for k, v in pieces.items()})
 
 
 def baseline_loss(
@@ -312,16 +309,6 @@ def baseline_loss(
     type_logits: Node,
     axis_out: Node,
     gt: MobilitySpec,
-) -> LossBreakdown:
+) -> Node:
     """Direct baseline objective: object segmentation plus mobility regression."""
-    seg = l_seg_obj(seg_logits, (np.asarray(seg_labels) > 0).astype(np.int64))
-    mob = l_mob(type_logits, axis_out, gt)
-    total = dc.add(seg, mob)
-    return LossBreakdown(
-        total=total,
-        terms={
-            "segmentation": float(seg.value),
-            "mobility": float(mob.value),
-            "total": float(total.value),
-        },
-    )
+    return dc.add(l_seg_obj(seg_logits, seg_labels), l_mob(type_logits, axis_out, gt))

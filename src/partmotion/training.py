@@ -17,10 +17,10 @@ import numpy as np
 from . import diffcore as dc
 from .cluster import dbscan_labels, default_min_pts
 from .config import RunConfig, load_config
-from .datagen import ShapeRecord, TrainingInstance, make_instances, same_part_matrix
+from .datagen import ShapeRecord, TrainingInstance, make_instances
 from .errors import ConfigError, DataError, NumericError
 from .geom import TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
-from .losses import LossBreakdown, baseline_loss, l_mob, moving_knn_radii, total_motion_loss
+from .losses import LossBreakdown, baseline_loss, l_mob, moving_knn_radii, segmentation_loss, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -59,11 +59,10 @@ LogFn = Callable[[str], None]
 
 @dataclass
 class PreparedInstance(TrainingInstance):
-    """One training instance with its plan, moving points, part matrix and k-NN radii."""
+    """One training instance with its plan, moving points and k-NN radii."""
 
     plan: EncoderPlan
-    mov_idx: np.ndarray
-    same_mov: np.ndarray          # (M, M) bool, True where two moving points share a part
+    mov_idx: np.ndarray           # (M,) points with labels > 0
     gt_radii: np.ndarray          # (n_maps, M) moving_knn_radii
     k_density: int
 
@@ -89,12 +88,12 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
     check_dataset_matches(config, records)
     out = []
     for rec in records:
-        mov_idx, same = same_part_matrix(rec.labels)  # one per shape: its instances share labels
+        mov_idx = np.flatnonzero(rec.labels > 0)  # one per shape: its instances share labels
         for inst in make_instances(rec):
             plan = build_plan(inst.points, config.net)
             radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
-            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, same_mov=same,
-                                        gt_radii=radii, k_density=config.weights.k_density))
+            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, gt_radii=radii,
+                                        k_density=config.weights.k_density))
     return out
 
 
@@ -154,7 +153,7 @@ def _fit(
             terms, breakdown = breakdown.terms, None  # drop the step's graph before the next is built
             losses.append(value)
             if log_every and step % log_every == 0:
-                parts = " ".join(f"{k} {v:.6f}" for k, v in terms.items() if k != "total")
+                parts = " ".join(f"{k} {v:.6f}" for k, v in terms.items())
                 emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
             step += 1
             if checkpoint_every and step % checkpoint_every == 0:
@@ -169,28 +168,15 @@ def _fit(
 
 def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConfig):
     maps = net.hallucinate(inst.plan)
-    seg_logits = dist_mov = same = None
+    segmentation = None
     if not config.no_seg:
         p0 = np.zeros_like(inst.points) if config.no_p0 else inst.points
         seg_logits, feats = net.segment(p0, maps.value.reshape(inst.targets.shape))
         dist_mov = dc.pairwise_row_distances(dc.gather_rows(feats, inst.mov_idx))
-        same = inst.same_mov
-    return total_motion_loss(
-        maps,
-        inst.targets,
-        inst.points,
-        inst.labels,
-        inst.gt_radii,
-        dist_mov,
-        seg_logits,
-        same,
-        inst.n_true,
-        config.weights,
-        no_geom=config.no_geom,
-        no_disp=config.no_disp,
-        no_mot=config.no_mot,
-        no_seg=config.no_seg,
-    )
+        segmentation = segmentation_loss(seg_logits, dist_mov, inst.labels, config.weights)
+    return total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_radii, segmentation,
+                             inst.n_true, config.weights,
+                             no_geom=config.no_geom, no_disp=config.no_disp, no_mot=config.no_mot)
 
 
 def train_displacement(
@@ -267,7 +253,7 @@ def train_baseline(
     def loss_fn(sample) -> LossBreakdown:
         inst, part_id, spec = sample
         seg, type_logits, axis_out = baseline.forward(inst.plan)
-        return baseline_loss(seg, inst.labels == part_id, type_logits, axis_out, spec)
+        return LossBreakdown(baseline_loss(seg, inst.labels == part_id, type_logits, axis_out, spec))
 
     return baseline, _fit(
         samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log,

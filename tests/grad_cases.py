@@ -382,11 +382,10 @@ def case_loss_seg_object(rng):
 def case_loss_seg_moving(rng):
     feats = rng.normal(size=(7, 4)) * 8.0
     part = rng.integers(0, 2, size=7)
-    same = part[:, None] == part[None, :]
 
     def build(n):
         m = dc.pairwise_row_distances(n[0])
-        return losses.l_seg_mov(m, same, margin=20.0)
+        return losses.l_seg_mov(m, part, margin=20.0)
 
     return "loss_l_seg_mov", [feats], build
 
@@ -419,27 +418,16 @@ def case_loss_mobility_translation(rng):
 def case_loss_total(rng):
     p0, mov, gt = _loss_fixture(rng, n_points=12, n_moving=7)
     seg = np.zeros(len(p0), dtype=np.int64)
-    seg[mov] = 1
-    same = np.zeros((len(mov), len(mov)))
+    seg[mov] = 1 + np.arange(len(mov)) % 2  # two moving parts
     d = rng.normal(scale=0.08, size=(3 * len(p0), 3))
     logits = rng.normal(size=(len(p0), 2))
     feats = rng.normal(size=(len(mov), 4)) * 5.0
     radii = losses.moving_knn_radii(p0, gt, mov, losses.LossWeights().k_density)
 
     def build(n):
-        m = dc.pairwise_row_distances(n[2])
-        return losses.total_motion_loss(
-            n[0],
-            gt,
-            p0,
-            seg,
-            radii,
-            m,
-            n[1],
-            same,
-            n_true=2,
-            weights=losses.LossWeights(),
-        ).total
+        weights = losses.LossWeights()
+        segmentation = losses.segmentation_loss(n[1], dc.pairwise_row_distances(n[2]), seg, weights)
+        return losses.total_motion_loss(n[0], gt, p0, seg, radii, segmentation, n_true=2, weights=weights).total
 
     return "loss_total", [d, logits, feats], build
 

@@ -509,6 +509,21 @@ def test_moving_labels_with_a_gap_are_data_error(workdir, tmp_path, capsys):
         assert str(shape / "shape.json") in capsys.readouterr().err
 
 
+def test_negative_part_label_is_data_error(tmp_path, capsys):
+    # umbrella's shape.json lists no parts, so only the frame check sees the label
+    cfg = micro_config(categories=("umbrella", "fan"), dataset_dir=str(tmp_path / "data"))
+    cfg.save(tmp_path / "config.json")
+    assert main(["gen", "--config", str(tmp_path / "config.json")]) == 0
+    shape = tmp_path / "data" / "umbrella_000"  # a train shape
+    for frame in shape.glob("frame_*.ply"):
+        points, labels = read_ply(frame)
+        labels[-1] = -1
+        write_ply(frame, points, labels)
+    for argv in dataset_reads(tmp_path, tmp_path / "data", tmp_path):
+        assert main(argv) == 3, argv[0]
+        assert f"{shape / 'frame_01.ply'}: negative part label" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gen", "gen_force", "train", "eval"])
 def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
     taken = tmp_path / "taken"

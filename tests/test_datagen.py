@@ -15,15 +15,16 @@ from partmotion.datagen import (
     generate_shape,
     hidden_point_removal,
     load_dataset,
+    load_shape,
     make_instances,
     make_sequence,
     min_part_points,
     partial_scan,
-    same_part_matrix,
     scan_with_viewpoint_retries,
 )
 from partmotion.errors import ConfigError, DataError
 from partmotion.geom import TYPE_R
+from partmotion.plyio import read_ply, write_ply
 
 N_TEST = 512
 
@@ -161,18 +162,6 @@ def test_motion_sequence_validation(frames, labels):
         MotionSequence(frames, labels, None)
 
 
-def test_same_part_matrix():
-    labels = np.array([0, 1, 1, 2, 0, 2])
-    mov_idx, same = same_part_matrix(labels)
-    assert np.array_equal(mov_idx, [1, 2, 3, 5])
-    expected = np.array(
-        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], dtype=bool
-    )
-    assert same.dtype == bool and np.array_equal(same, expected)
-    with pytest.raises(ValueError):
-        same[0, 0] = False
-
-
 def test_hidden_point_removal_sphere_oracle():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(800, 3))
@@ -275,6 +264,18 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(rec.frames, seq.frames)
     assert rec.specs[0].tau == seq.specs[0].tau
     assert np.array_equal(rec.specs[0].direction, seq.specs[0].direction)
+
+
+def test_load_shape_rejects_a_negative_part_label(tmp_path):
+    # umbrella's shape.json lists no parts, so no part count checks its labels
+    generate_dataset(tmp_path / "d", categories=("umbrella",), shapes_per_category=1, n_points=64, n_frames=3)
+    shape = tmp_path / "d" / "umbrella_000"
+    for frame in sorted(shape.glob("frame_*.ply")):
+        points, labels = read_ply(frame)
+        labels[-1] = -1
+        write_ply(frame, points, labels)
+    with pytest.raises(DataError, match=f"{shape / 'frame_01.ply'}: negative part label -1"):
+        load_shape(shape)
 
 
 def test_dataset_split_filter_and_missing(tmp_path):

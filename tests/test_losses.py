@@ -90,7 +90,7 @@ def test_moving_term_over_stacked_frames_sums_single_frames(m, m_gt, k):
 @pytest.mark.parametrize("rows, frames", [(7, 3), (6, 0)])
 def test_moving_term_rejects_rows_that_do_not_split_into_frames(rows, frames):
     with pytest.raises(ConfigError):
-        losses.l_mov(dc.constant(np.zeros((rows, 3))), np.zeros((frames, 2, 3)), np.zeros((frames, 2)))
+        losses.l_mov(dc.constant(np.zeros((rows, 3))), np.zeros((frames, 2, 3)), np.zeros((frames, 2)), 8)
 
 
 @pytest.mark.parametrize("kind", ["random", "duplicates", "negative_zero"])
@@ -173,16 +173,28 @@ def test_seg_moving_contrastive_values():
             [100.0, 30.0, 0.0],
         ]
     )
-    same = np.array(
-        [
-            [1, 1, 0],
-            [1, 1, 0],
-            [0, 0, 1],
-        ],
-        dtype=bool,
-    )
-    out = losses.l_seg_mov(dc.constant(m), same, margin=80.0)
+    out = losses.l_seg_mov(dc.constant(m), np.array([1, 1, 2]), margin=80.0)
     assert abs(float(out.value) - (2 * 5.0 + 2 * 0.0 + 2 * 50.0)) < 1e-12
+
+
+@pytest.mark.parametrize("part_labels", [np.array([1, 1]), np.array([1, 1, 2, 2]), np.array([[1, 1, 2]])],
+                         ids=["short", "long", "2d"])
+def test_seg_moving_rejects_labels_that_do_not_pair_the_matrix(part_labels):
+    with pytest.raises(ConfigError, match="does not pair part labels"):
+        losses.l_seg_mov(dc.constant(np.zeros((3, 3))), part_labels, margin=80.0)
+
+
+def test_segmentation_loss_is_the_weighted_sum_of_its_terms():
+    # two moving parts (ids 1 and 2) among six points
+    rng = np.random.default_rng(5)
+    labels = np.array([0, 1, 2, 0, 2, 1])
+    logits = dc.constant(rng.normal(size=(6, 2)))
+    dist = dc.pairwise_row_distances(rng.normal(size=(4, 3)) * 30.0)
+    weights = losses.LossWeights()
+    out = losses.segmentation_loss(logits, dist, labels, weights)
+    obj = float(losses.l_seg_obj(logits, labels).value)
+    pairs = float(losses.l_seg_mov(dist, np.array([1, 2, 2, 1]), weights.margin).value)
+    assert float(out.value) == weights.w_seg_obj * obj + weights.w_seg_mov * pairs
 
 
 def test_mobility_loss_near_zero_for_exact_prediction():
@@ -221,48 +233,42 @@ def test_total_weights_reflected_in_reference_term():
     p0, seg, gt, radii = _total_fixture(n=1)
     maps = dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, None, None, None, n_true=1,
-        weights=losses.LossWeights(), no_seg=True, no_mot=True,
+        maps, gt, p0, seg, radii, None, n_true=1, weights=losses.LossWeights(), no_mot=True,
     )
     # one reference point offset by 0.3: w_ref * 0.3 plus the moving-term
     # Chamfer of unmoved moving points (zero)
-    assert abs(out.terms["total"] - 10.0 * 0.3) < 1e-9
+    assert abs(float(out.total.value) - 10.0 * 0.3) < 1e-9
 
 
 def test_total_ablation_flags_drop_terms():
     p0, seg, gt, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
-    logits = dc.constant(np.zeros((6, 2)))
-    dist = dc.constant(np.zeros((3, 3)))
-    same = np.ones((3, 3), dtype=bool)
-    full = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, dist, logits, same, n_true=2, weights=losses.LossWeights()
+    segmentation = losses.segmentation_loss(
+        dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
     )
-    assert {"reconstruction", "motion_consistency", "segmentation", "total"} <= set(full.terms)
-    no_seg = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, None, None, None, n_true=2,
-        weights=losses.LossWeights(), no_seg=True,
-    )
+    full = losses.total_motion_loss(maps, gt, p0, seg, radii, segmentation, n_true=2, weights=losses.LossWeights())
+    assert list(full.terms) == ["reconstruction", "motion_consistency", "segmentation"]
+    assert float(full.total.value) == sum(full.terms.values())
+    no_seg = losses.total_motion_loss(maps, gt, p0, seg, radii, None, n_true=2, weights=losses.LossWeights())
     assert "segmentation" not in no_seg.terms
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="all loss terms ablated away"):
         losses.total_motion_loss(
-            maps, gt, p0, seg, radii, None, None, None, n_true=2,
-            weights=losses.LossWeights(),
-            no_geom=True, no_disp=True, no_mot=True, no_seg=True,
+            maps, gt, p0, seg, radii, None, n_true=2, weights=losses.LossWeights(),
+            no_geom=True, no_disp=True, no_mot=True,
         )
 
 
 def test_total_uniform_seg_logits_contribute_weighted_ln2():
     p0, seg, gt, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
-    logits = dc.constant(np.zeros((6, 2)))
-    dist = dc.constant(np.zeros((3, 3)))
-    same = np.ones((3, 3), dtype=bool)
+    segmentation = losses.segmentation_loss(
+        dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
+    )
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, dist, logits, same, n_true=2,
+        maps, gt, p0, seg, radii, segmentation, n_true=2,
         weights=losses.LossWeights(), no_geom=True, no_disp=True, no_mot=True,
     )
-    assert abs(out.terms["total"] - 2.0 * np.log(2.0)) < 1e-12
+    assert abs(float(out.total.value) - 2.0 * np.log(2.0)) < 1e-12
 
 
 def test_moving_term_is_permutation_invariant():
@@ -280,10 +286,13 @@ def test_baseline_loss_combines_terms():
     seg = np.array([0, 0, 1, 1])
     type_logits = dc.constant(np.array([[5.0, -5.0, -5.0]]))
     axis = dc.constant(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
-    out = losses.baseline_loss(logits, seg, type_logits, axis, MobilitySpec("T", np.array([1.0, 0.0, 0.0])))
-    assert abs(out.terms["segmentation"] - np.log(2.0)) < 1e-12
-    assert out.terms["mobility"] < 1e-3
-    assert abs(out.terms["total"] - (out.terms["segmentation"] + out.terms["mobility"])) < 1e-12
+    spec = MobilitySpec("T", np.array([1.0, 0.0, 0.0]))
+    out = losses.baseline_loss(logits, seg, type_logits, axis, spec)
+    seg_term = float(losses.l_seg_obj(logits, seg).value)
+    mob_term = float(losses.l_mob(type_logits, axis, spec).value)
+    assert abs(seg_term - np.log(2.0)) < 1e-12
+    assert mob_term < 1e-3
+    assert float(out.value) == seg_term + mob_term
 
 
 @pytest.mark.parametrize("maps_rows, gt_shape", [(12, (2, 5, 3)), (10, (2, 6, 3)), (0, (0, 6, 3)), (12, (12, 3))],
@@ -292,8 +301,8 @@ def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape):
     p0, seg, _, radii = _total_fixture()
     with pytest.raises(ConfigError, match="total_motion_loss"):
         losses.total_motion_loss(
-            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, radii, None, None, None,
-            n_true=1, weights=losses.LossWeights(), no_seg=True,
+            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, radii, None,
+            n_true=1, weights=losses.LossWeights(),
         )
 
 
