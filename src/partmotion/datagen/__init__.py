@@ -21,7 +21,6 @@ from .sequences import (
     make_sequence,
 )
 from .templates import (
-    NON_PARAMETRIC,
     TEMPLATE_NAMES,
     ShapeSample,
     generate_shape,
@@ -44,7 +43,6 @@ __all__ = [
     "TrainingInstance",
     "make_instances",
     "make_sequence",
-    "NON_PARAMETRIC",
     "TEMPLATE_NAMES",
     "ShapeSample",
     "generate_shape",

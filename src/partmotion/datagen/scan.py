@@ -14,16 +14,15 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import DataError
-from .templates import allocate, min_part_points
+from .templates import allocate
 
 RADIUS_FACTOR = 10.0
+VIEW_DISTANCE_FACTOR = 2.2  # viewpoint distance from the center, in cloud radii
 DEPTH_SIGMA = 0.005
 MAX_VIEWPOINT_TRIES = 20
 
 
-def hidden_point_removal(
-    points: np.ndarray, viewpoint: np.ndarray, radius_factor: float = RADIUS_FACTOR
-) -> np.ndarray:
+def hidden_point_removal(points: np.ndarray, viewpoint: np.ndarray) -> np.ndarray:
     """Indices of points visible from the viewpoint, sorted ascending."""
     points = np.asarray(points, dtype=np.float64)
     viewpoint = np.asarray(viewpoint, dtype=np.float64)
@@ -31,7 +30,7 @@ def hidden_point_removal(
     r = np.linalg.norm(q, axis=1)
     if (r < 1e-12).any():
         raise DataError("viewpoint coincides with a point of the cloud")
-    radius = float(r.max() * radius_factor)
+    radius = float(r.max() * RADIUS_FACTOR)
     flipped = q * (2.0 * radius / r - 1.0)[:, None]
     cloud = np.concatenate([flipped, np.zeros((1, 3))], axis=0)
     try:
@@ -47,15 +46,13 @@ def partial_scan(
     labels: np.ndarray,
     viewpoint: np.ndarray,
     rng: np.random.Generator,
-    sigma: float = DEPTH_SIGMA,
-    n_target: Optional[int] = None,
-    floor: Optional[int] = None,
+    sigma: float,
+    n_target: int,
+    floor: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan from one viewpoint; DataError if any part drops below the floor."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
-    if floor is None:
-        floor = min_part_points(points.shape[0])
     visible = hidden_point_removal(points, viewpoint)
     vis_labels = labels[visible]
     parts = np.unique(labels)
@@ -63,9 +60,9 @@ def partial_scan(
     if (counts < floor).any():
         lost = parts[counts < floor]
         raise DataError(f"part occluded: parts {lost.tolist()} fall below {floor} visible points")
-    if n_target is not None and visible.size < n_target:
+    if visible.size < n_target:
         raise DataError(f"only {visible.size} of {n_target} requested points visible")
-    if n_target is not None and visible.size > n_target:
+    if visible.size > n_target:
         share = allocate(n_target, counts.astype(np.float64), floor)
         if (share > counts).any():
             raise DataError("part occluded: too few visible points to honor the floor")
@@ -85,10 +82,9 @@ def scan_with_viewpoint_retries(
     points: np.ndarray,
     labels: np.ndarray,
     rng: np.random.Generator,
-    sigma: float = DEPTH_SIGMA,
-    n_target: Optional[int] = None,
-    floor: Optional[int] = None,
-    distance_factor: float = 2.2,
+    sigma: float,
+    n_target: int,
+    floor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Try random viewpoints until every part stays visible enough.
 
@@ -101,11 +97,9 @@ def scan_with_viewpoint_retries(
     for _ in range(MAX_VIEWPOINT_TRIES):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        viewpoint = center + distance_factor * radius * direction
+        viewpoint = center + VIEW_DISTANCE_FACTOR * radius * direction
         try:
-            scan, scan_labels = partial_scan(
-                points, labels, viewpoint, rng, sigma=sigma, n_target=n_target, floor=floor
-            )
+            scan, scan_labels = partial_scan(points, labels, viewpoint, rng, sigma, n_target, floor)
             return scan, scan_labels, viewpoint
         except DataError as exc:
             last_error = exc

@@ -28,8 +28,6 @@ from ..geom import (
     rotation_about_axis,
 )
 
-NON_PARAMETRIC = ("umbrella", "balance")
-
 
 def min_part_points(n_points: int) -> int:
     """Per-part floor on sample counts, 100 at the reference 2048 resolution."""

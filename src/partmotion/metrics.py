@@ -7,10 +7,10 @@ when both sides have a rotational component. Unmatched or unfitted ground
 truth parts score worst case.
 
 Segmentation quality is pooled average precision over a whole test set at
-IoU thresholds 0.50..0.95 in steps of 0.05: pair k of the sum uses the
-threshold with index 11-k from that ascending grid and pair 11 is pinned
-at precision 1, recall 0. Pooling means precision and recall stay
-proportional, so this pairing and the usual area reading coincide.
+IoU thresholds 0.50..0.95 in steps of 0.05. Walking the thresholds from
+0.95 down, each adds (its recall - the next lower threshold's recall) times
+its precision; below 0.50 the recall counts as 0. Where IoUs tie, the
+predicted or ground truth part with the lowest id wins.
 """
 from __future__ import annotations
 
@@ -41,10 +41,6 @@ def position_error(x_pred: np.ndarray, d_pred: np.ndarray, x_gt: np.ndarray) -> 
     return float(min(np.linalg.norm(perp), DIST_WORST))
 
 
-def type_error(tau_pred: str, tau_gt: str) -> int:
-    return int(tau_pred != tau_gt)
-
-
 @dataclass
 class MobilityEval:
     e_type: float
@@ -59,7 +55,7 @@ def evaluate_mobility(pred: Optional[MobilitySpec], gt: MobilitySpec) -> Mobilit
     if gt.tau != TYPE_T and pred.tau != TYPE_T:
         e_dist = position_error(pred.position, pred.direction, gt.position)
     return MobilityEval(
-        float(type_error(pred.tau, gt.tau)),
+        float(pred.tau != gt.tau),
         angle_error(pred.direction, gt.direction),
         e_dist,
     )
@@ -69,11 +65,21 @@ def evaluate_mobility(pred: Optional[MobilitySpec], gt: MobilitySpec) -> Mobilit
 # segmentation
 
 
-def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    union = np.logical_or(mask_a, mask_b).sum()
-    if union == 0:
-        return 0.0
-    return float(np.logical_and(mask_a, mask_b).sum() / union)
+def iou_table(pred_labels: np.ndarray, gt_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moving part ids of each side and their (predicted, ground truth) IoUs."""
+    pred_labels = np.asarray(pred_labels)
+    gt_labels = np.asarray(gt_labels)
+    if pred_labels.shape != gt_labels.shape:
+        raise ConfigError("label arrays must align")
+    pred_ids, pred_inv = np.unique(pred_labels, return_inverse=True)
+    gt_ids, gt_inv = np.unique(gt_labels, return_inverse=True)
+    shared = np.bincount(
+        pred_inv.ravel() * gt_ids.size + gt_inv.ravel(), minlength=pred_ids.size * gt_ids.size
+    ).reshape(pred_ids.size, gt_ids.size)
+    union = shared.sum(axis=1)[:, None] + shared.sum(axis=0)[None, :] - shared
+    moving_pred, moving_gt = pred_ids != 0, gt_ids != 0
+    table = (shared / union)[moving_pred][:, moving_gt]
+    return pred_ids[moving_pred], gt_ids[moving_gt], table
 
 
 @dataclass
@@ -85,22 +91,12 @@ class PartMatch:
 
 def match_moving_parts(pred_labels: np.ndarray, gt_labels: np.ndarray) -> list[PartMatch]:
     """Best-IoU predicted part for every ground truth moving part."""
-    pred_labels = np.asarray(pred_labels)
-    gt_labels = np.asarray(gt_labels)
-    if pred_labels.shape != gt_labels.shape:
-        raise ConfigError("label arrays must align")
+    pred_ids, gt_ids, table = iou_table(pred_labels, gt_labels)
     matches = []
-    pred_parts = [p for p in np.unique(pred_labels) if p != 0]
-    for g in np.unique(gt_labels):
-        if g == 0:
-            continue
-        gt_mask = gt_labels == g
-        best_part, best_iou = None, 0.0
-        for p in pred_parts:
-            value = iou(pred_labels == p, gt_mask)
-            if value > best_iou:
-                best_part, best_iou = int(p), value
-        matches.append(PartMatch(int(g), best_part, best_iou))
+    for g, column in zip(gt_ids.tolist(), table.T):
+        best = max(range(column.size), key=column.__getitem__, default=None)
+        value = 0.0 if best is None else float(column[best])
+        matches.append(PartMatch(g, int(pred_ids[best]) if value > 0.0 else None, value))
     return matches
 
 
@@ -136,34 +132,23 @@ class ShapeAPRecord:
 
 
 def prediction_matches(
-    pred_labels: np.ndarray,
-    gt_labels: np.ndarray,
-    confidences: Optional[dict[int, float]] = None,
+    pred_labels: np.ndarray, gt_labels: np.ndarray, confidences: dict[int, float]
 ) -> ShapeAPRecord:
     """Greedy one-to-one matching of predicted parts against gt parts.
 
     Predictions claim ground truth parts in decreasing confidence order,
     each taking the unclaimed part with the highest IoU; leftovers score 0.
     """
-    pred_labels = np.asarray(pred_labels)
-    gt_labels = np.asarray(gt_labels)
-    pred_parts = [int(p) for p in np.unique(pred_labels) if p != 0]
-    gt_parts = [int(g) for g in np.unique(gt_labels) if g != 0]
-    if confidences is None:
-        confidences = {p: 1.0 for p in pred_parts}
-    order = sorted(pred_parts, key=lambda p: (-confidences[p], p))
-    free = set(gt_parts)
+    pred_ids, gt_ids, table = iou_table(pred_labels, gt_labels)
+    free = list(range(gt_ids.size))
     matched = []
-    for p in order:
-        best_g, best_iou = None, 0.0
-        for g in free:
-            value = iou(pred_labels == p, gt_labels == g)
-            if value > best_iou:
-                best_g, best_iou = g, value
-        if best_g is not None:
-            free.discard(best_g)
-        matched.append((float(confidences[p]), best_iou))
-    return ShapeAPRecord(matched, len(gt_parts))
+    for p, row in sorted(zip(pred_ids.tolist(), table), key=lambda pr: (-confidences[pr[0]], pr[0])):
+        best = max(free, key=row.__getitem__, default=None)
+        value = 0.0 if best is None else float(row[best])
+        if value > 0.0:
+            free.remove(best)
+        matched.append((float(confidences[p]), value))
+    return ShapeAPRecord(matched, len(gt_ids))
 
 
 def pooled_average_precision(records: Sequence[ShapeAPRecord]) -> float:
@@ -171,19 +156,12 @@ def pooled_average_precision(records: Sequence[ShapeAPRecord]) -> float:
         raise ConfigError("cannot pool average precision over an empty test set")
     preds = [pair for rec in records for pair in rec.matched]
     n_gt = sum(rec.n_gt for rec in records)
-    pr = {}
-    for k in range(1, 11):
-        thr = AP_THRESHOLDS[(11 - k) - 1]
+    steps = []  # (precision, recall) from the highest threshold down
+    for thr in reversed(AP_THRESHOLDS):
         tp = sum(1 for _, value in preds if value >= thr)
-        precision = tp / len(preds) if preds else 0.0
-        recall = tp / n_gt if n_gt else 0.0
-        pr[k] = (precision, recall)
-    pr[11] = (1.0, 0.0)
-    return float(sum((pr[k][1] - pr[k + 1][1]) * pr[k][0] for k in range(1, 11)))
-
-
-def segmentation_error(records: Sequence[ShapeAPRecord]) -> float:
-    return 1.0 - pooled_average_precision(records)
+        steps.append((tp / len(preds) if preds else 0.0, tp / n_gt if n_gt else 0.0))
+    lower_recalls = [recall for _, recall in steps[1:]] + [0.0]
+    return float(sum((recall - lower) * precision for (precision, recall), lower in zip(steps, lower_recalls)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +187,7 @@ def summarize(
         e_type=float(np.mean([e.e_type for e in mobility_evals])) if mobility_evals else 0.0,
         e_angle=float(np.mean([e.e_angle for e in mobility_evals])) if mobility_evals else 0.0,
         e_dist=float(np.mean(dists)) if dists else None,
-        e_seg=segmentation_error(ap_records),
+        e_seg=1.0 - pooled_average_precision(ap_records),
         n_parts=len(mobility_evals),
         n_shapes=len(ap_records),
     )

@@ -328,7 +328,7 @@ class Pipeline:
                 ids = dbscan_labels(dist, self.config.weights.margin / 2, default_min_pts(mov_idx.size))
                 labels[mov_idx] = ids + 1
                 confidences = {
-                    int(c) + 1: cluster_confidence(dist[np.ix_(ids == c, ids == c)])
+                    int(c) + 1: cluster_confidence(dist[ids == c][:, ids == c])
                     for c in range(int(ids.max()) + 1)
                 }
         mobilities: dict[int, Optional[MobilitySpec]] = {}

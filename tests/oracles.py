@@ -7,7 +7,7 @@ takes the package's pair classifier, `_aligned_mean` and range check. The
 sequence reference (`make_sequence`) takes the package's `MotionSequence` and
 `mobility_transform`. The sparse-graph DBSCAN (`dbscan_labels`) is the
 package's own earlier implementation, kept as the byte reference for its
-rewrite.
+rewrite, and so are the part matchers and `pooled_average_precision`.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from partmotion import mobfit
 from partmotion.errors import ConfigError, DataError
 from partmotion.datagen import MotionSequence, ShapeSample
 from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform
+from partmotion.metrics import AP_THRESHOLDS, PartMatch, ShapeAPRecord
 from partmotion.mobfit import FLAG_LOW_CONFIDENCE, FittedMobility, PairMotion, _aligned_mean, classify_transform
 from partmotion.nets import NetConfig
 
@@ -190,6 +191,84 @@ def brute_average_precision(
         _, r_next = pr[k + 1]
         ap += (r_k - r_next) * p_k
     return ap
+
+
+# The package's part scoring before it read one IoU table: every (predicted,
+# ground truth) pair is masked and counted on its own. These are the byte
+# reference for `partmotion.metrics`.
+def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+    union = np.logical_or(mask_a, mask_b).sum()
+    if union == 0:
+        return 0.0
+    return float(np.logical_and(mask_a, mask_b).sum() / union)
+
+
+def match_moving_parts(pred_labels: np.ndarray, gt_labels: np.ndarray) -> list[PartMatch]:
+    """Best-IoU predicted part for every ground truth moving part."""
+    pred_labels = np.asarray(pred_labels)
+    gt_labels = np.asarray(gt_labels)
+    if pred_labels.shape != gt_labels.shape:
+        raise ConfigError("label arrays must align")
+    matches = []
+    pred_parts = [p for p in np.unique(pred_labels) if p != 0]
+    for g in np.unique(gt_labels):
+        if g == 0:
+            continue
+        gt_mask = gt_labels == g
+        best_part, best_iou = None, 0.0
+        for p in pred_parts:
+            value = iou(pred_labels == p, gt_mask)
+            if value > best_iou:
+                best_part, best_iou = int(p), value
+        matches.append(PartMatch(int(g), best_part, best_iou))
+    return matches
+
+
+def prediction_matches(
+    pred_labels: np.ndarray,
+    gt_labels: np.ndarray,
+    confidences: Optional[dict[int, float]] = None,
+) -> ShapeAPRecord:
+    """Greedy one-to-one matching of predicted parts against gt parts.
+
+    Predictions claim ground truth parts in decreasing confidence order,
+    each taking the unclaimed part with the highest IoU; leftovers score 0.
+    """
+    pred_labels = np.asarray(pred_labels)
+    gt_labels = np.asarray(gt_labels)
+    pred_parts = [int(p) for p in np.unique(pred_labels) if p != 0]
+    gt_parts = [int(g) for g in np.unique(gt_labels) if g != 0]
+    if confidences is None:
+        confidences = {p: 1.0 for p in pred_parts}
+    order = sorted(pred_parts, key=lambda p: (-confidences[p], p))
+    free = set(gt_parts)
+    matched = []
+    for p in order:
+        best_g, best_iou = None, 0.0
+        for g in free:
+            value = iou(pred_labels == p, gt_labels == g)
+            if value > best_iou:
+                best_g, best_iou = g, value
+        if best_g is not None:
+            free.discard(best_g)
+        matched.append((float(confidences[p]), best_iou))
+    return ShapeAPRecord(matched, len(gt_parts))
+
+
+def pooled_average_precision(records: Sequence[ShapeAPRecord]) -> float:
+    if not records:
+        raise ConfigError("cannot pool average precision over an empty test set")
+    preds = [pair for rec in records for pair in rec.matched]
+    n_gt = sum(rec.n_gt for rec in records)
+    pr = {}
+    for k in range(1, 11):
+        thr = AP_THRESHOLDS[(11 - k) - 1]
+        tp = sum(1 for _, value in preds if value >= thr)
+        precision = tp / len(preds) if preds else 0.0
+        recall = tp / n_gt if n_gt else 0.0
+        pr[k] = (precision, recall)
+    pr[11] = (1.0, 0.0)
+    return float(sum((pr[k][1] - pr[k + 1][1]) * pr[k][0] for k in range(1, 11)))
 
 
 def _unary(a: dc.Node, out: np.ndarray, backward: Callable, op_tag: str) -> dc.Node:

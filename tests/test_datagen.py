@@ -8,7 +8,7 @@ import pytest
 import oracles
 from microfixtures import spec_bytes
 from partmotion.datagen import (
-    NON_PARAMETRIC,
+    DEPTH_SIGMA,
     TEMPLATE_NAMES,
     MotionSequence,
     generate_dataset,
@@ -27,6 +27,7 @@ from partmotion.geom import TYPE_R
 from partmotion.plyio import read_ply, write_ply
 
 N_TEST = 512
+PARAMETRIC = [c for c in TEMPLATE_NAMES if generate_shape(c, np.random.default_rng(0), N_TEST).specs is not None]
 
 
 def shape_of(category, seed=3, n=N_TEST):
@@ -46,9 +47,9 @@ def test_template_basics(category):
         assert (labels == p).sum() >= floor
     assert np.abs(pts).max() < 1.5
     assert np.array_equal(sample.frame_fn(0.0), pts)
-    if category in NON_PARAMETRIC:
-        assert sample.specs is None
-    else:
+    # umbrella and balance move without a parametric mobility
+    assert (sample.specs is None) == (category in ("umbrella", "balance"))
+    if sample.specs is not None:
         assert len(sample.specs) == len(parts) - 1
 
 
@@ -69,7 +70,7 @@ def test_part_floor_at_reference_resolution():
         assert (sample.labels == p).sum() >= 100
 
 
-@pytest.mark.parametrize("category", [c for c in TEMPLATE_NAMES if c not in NON_PARAMETRIC])
+@pytest.mark.parametrize("category", PARAMETRIC)
 def test_parametric_sequences_are_rigid(category):
     sample = shape_of(category, seed=5)
     seq = make_sequence(sample, 5)
@@ -180,10 +181,11 @@ def test_partial_scan_noise_free_keeps_original_points():
     sample = shape_of("drawer_box", seed=4)
     pts, labels = sample.points, sample.labels
     view = pts.mean(axis=0) + np.array([0.0, 3.0, 1.0])
+    n_visible = hidden_point_removal(pts, view).size
     scan, scan_labels = partial_scan(
-        pts, labels, view, np.random.default_rng(0), sigma=0.0, floor=1
+        pts, labels, view, np.random.default_rng(0), sigma=0.0, n_target=n_visible, floor=1
     )
-    assert scan.shape[0] < pts.shape[0]
+    assert scan.shape[0] == n_visible < pts.shape[0]
     # noise-free scan points are a subset of the originals
     d = np.linalg.norm(scan[:, None] - pts[None], axis=2)
     nearest = d.argmin(axis=1)
@@ -200,8 +202,11 @@ def test_partial_scan_detects_lost_part():
     labels = np.repeat([0, 1], [wall.shape[0], hidden.shape[0]])
     # the small patch sits squarely in the wall's shadow
     view = np.array([0.0, -6.0, 0.5])
-    with pytest.raises(DataError):
-        partial_scan(pts, labels, view, np.random.default_rng(0), sigma=0.0)
+    with pytest.raises(DataError, match="part occluded"):
+        partial_scan(
+            pts, labels, view, np.random.default_rng(0),
+            sigma=0.0, n_target=hidden_point_removal(pts, view).size, floor=min_part_points(pts.shape[0]),
+        )
 
 
 def test_partial_scan_target_respects_floor():
@@ -218,10 +223,11 @@ def test_partial_scan_target_respects_floor():
 
 def test_scan_retries_finds_viewpoint():
     sample = shape_of("cabinet_multi", seed=8)
-    scan, scan_labels, view = scan_with_viewpoint_retries(
-        sample.points, sample.labels, np.random.default_rng(3)
-    )
     floor = min_part_points(N_TEST)
+    scan, scan_labels, view = scan_with_viewpoint_retries(
+        sample.points, sample.labels, np.random.default_rng(3), sigma=DEPTH_SIGMA, n_target=100, floor=floor
+    )
+    assert scan.shape[0] == 100
     for p in np.unique(sample.labels):
         assert (scan_labels == p).sum() >= floor
     assert np.linalg.norm(view - sample.points.mean(axis=0)) > 1.0

@@ -12,16 +12,14 @@ from partmotion.metrics import (
     angle_error,
     cluster_confidence,
     evaluate_mobility,
-    iou,
     match_moving_parts,
     pooled_average_precision,
     position_error,
     prediction_matches,
-    segmentation_error,
     summarize,
-    type_error,
 )
 
+import oracles
 from oracles import brute_average_precision
 
 
@@ -52,15 +50,14 @@ def test_position_error_measures_line_distance():
     assert position_error(x_gt, d, x_gt) == 0.0
 
 
-def test_type_error_binary():
-    assert type_error(TYPE_R, TYPE_R) == 0
-    assert type_error(TYPE_R, TYPE_TR) == 1
-
-
 def test_evaluate_mobility_matched():
     ev = evaluate_mobility(spec_r(), spec_r(position=(0.1, 0.0, 0.0)))
     assert ev.e_type == 0.0 and ev.e_angle == 0.0
     assert np.isclose(ev.e_dist, 0.1)
+    # the same axis with the wrong type costs the type term only
+    screw = MobilitySpec(TYPE_TR, np.array([0.0, 0.0, 1.0]), np.zeros(3), (0.0, 90.0), (0.0, 0.1))
+    ev = evaluate_mobility(screw, spec_r())
+    assert (ev.e_type, ev.e_angle, ev.e_dist) == (1.0, 0.0, 0.0)
 
 
 def test_evaluate_mobility_translation_has_no_position():
@@ -81,9 +78,9 @@ def test_evaluate_mobility_worst_case():
 def test_iou_and_part_matching():
     gt = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2, 0])
     pred = np.array([0, 0, 1, 1, 0, 2, 2, 2, 3, 0])
-    assert np.isclose(iou(pred == 1, gt == 1), 2 / 3)
     matches = match_moving_parts(pred, gt)
     assert [(m.gt_part, m.pred_part) for m in matches] == [(1, 1), (2, 2)]
+    assert np.isclose(matches[0].iou, 2 / 3)
     assert np.isclose(matches[1].iou, 3 / 4)
 
 
@@ -104,6 +101,45 @@ def test_prediction_matching_is_greedy_by_confidence():
     assert rec.matched[1] == (0.4, 0.0)
 
 
+def test_misaligned_labels_are_a_config_error():
+    pred, gt = np.array([0, 1, 1]), np.array([0, 1])
+    with pytest.raises(ConfigError, match="align"):
+        prediction_matches(pred, gt, {1: 1.0})
+    with pytest.raises(ConfigError, match="align"):
+        match_moving_parts(pred, gt)
+
+
+@st.composite
+def labelled_shapes(draw):
+    """Predicted and ground truth labels of one cloud, with part confidences.
+
+    Small clouds and few ids make tied IoUs common, the drawn id ranges leave
+    gaps or no moving part on either side, and confidences come from three
+    values so that they tie too. Ids stay below 8: there the reference's set
+    of free parts iterates in ascending order, the tie rule the package states.
+    """
+    n = draw(st.integers(0, 24))
+    pred = draw(st.lists(st.integers(0, draw(st.integers(0, 7))), min_size=n, max_size=n))
+    gt = draw(st.lists(st.integers(0, draw(st.integers(0, 7))), min_size=n, max_size=n))
+    confidences = {p: draw(st.sampled_from([0.25, 0.5, 1.0])) for p in set(pred) - {0}}
+    return np.array(pred, dtype=np.int64), np.array(gt, dtype=np.int64), confidences
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(labelled_shapes(), min_size=1, max_size=4))
+def test_scorer_matches_reference_bit_for_bit(shapes):
+    ours, reference = [], []
+    for pred, gt, confidences in shapes:
+        fields = [[(m.gt_part, m.pred_part, m.iou.hex()) for m in matcher(pred, gt)]
+                  for matcher in (match_moving_parts, oracles.match_moving_parts)]
+        assert fields[0] == fields[1]
+        ours.append(prediction_matches(pred, gt, confidences))
+        reference.append(oracles.prediction_matches(pred, gt, confidences))
+        assert ours[-1].n_gt == reference[-1].n_gt
+        assert [(c, v.hex()) for c, v in ours[-1].matched] == [(c, v.hex()) for c, v in reference[-1].matched]
+    assert pooled_average_precision(ours).hex() == oracles.pooled_average_precision(reference).hex()
+
+
 def canonical_fixture():
     """Three predicted parts hitting IoUs 0.96, 0.7, 0.4 exactly."""
     gt = np.zeros(400, dtype=np.int64)
@@ -119,23 +155,23 @@ def canonical_fixture():
 
 def test_pooled_ap_matches_oracle_on_canonical_fixture():
     pred, gt = canonical_fixture()
-    rec = prediction_matches(pred, gt)
+    rec = prediction_matches(pred, gt, {1: 1.0, 2: 1.0, 3: 1.0})
     assert sorted(v for _, v in rec.matched) == pytest.approx([0.4, 0.7, 0.96])
     ap = pooled_average_precision([rec])
     oracle = brute_average_precision([(rec.matched, rec.n_gt)])
     assert abs(ap - oracle) < 1e-12
-    assert abs(segmentation_error([rec]) - (1.0 - oracle)) < 1e-12
+    assert abs(summarize([], [rec]).e_seg - (1.0 - oracle)) < 1e-12
 
 
 def test_perfect_segmentation_scores_one():
     gt = np.array([0, 1, 1, 2, 2, 2])
-    rec = prediction_matches(gt.copy(), gt)
+    rec = prediction_matches(gt.copy(), gt, {1: 1.0, 2: 1.0})
     assert pooled_average_precision([rec]) == 1.0
-    assert segmentation_error([rec]) == 0.0
+    assert summarize([], [rec]).e_seg == 0.0
 
 
 def test_empty_predictions_score_zero():
-    rec = prediction_matches(np.zeros(5, dtype=int), np.array([0, 1, 1, 0, 0]))
+    rec = prediction_matches(np.zeros(5, dtype=int), np.array([0, 1, 1, 0, 0]), {})
     assert rec.matched == []
     assert pooled_average_precision([rec]) == 0.0
 
@@ -219,10 +255,10 @@ def test_summarize_means_and_pooling():
         MobilityEval(1.0, 0.4, None),
     ]
     pred, gt = canonical_fixture()
-    records = [prediction_matches(pred, gt)]
+    records = [prediction_matches(pred, gt, {1: 1.0, 2: 1.0, 3: 1.0})]
     report = summarize(evals, records)
     assert np.isclose(report.e_type, 0.5)
     assert np.isclose(report.e_angle, 0.3)
     assert np.isclose(report.e_dist, 0.5)
     assert report.n_parts == 2 and report.n_shapes == 1
-    assert np.isclose(report.e_seg, segmentation_error(records))
+    assert np.isclose(report.e_seg, 1.0 - pooled_average_precision(records))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from partmotion.datagen import NON_PARAMETRIC, TEMPLATE_NAMES, generate_shape, make_sequence
+from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import DataError
 from partmotion.geom import (
     TYPE_R,
@@ -31,7 +31,7 @@ import oracles
 from microfixtures import spec_bytes
 from oracles import registration_residual, rotation_matrix
 
-PARAMETRIC = [c for c in TEMPLATE_NAMES if c not in NON_PARAMETRIC]
+PARAMETRIC = [c for c in TEMPLATE_NAMES if generate_shape(c, np.random.default_rng(0), 256).specs is not None]
 
 
 def rigid_register(src, dst) -> RigidTransform:
