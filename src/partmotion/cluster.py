@@ -59,7 +59,7 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     roots, labels[core_idx] = np.unique(root, return_inverse=True)
     rest = np.flatnonzero(labels < 0)
     if rest.size:
-        to_cores = dist[np.ix_(rest, core_idx)]
+        to_cores = dist[rest][:, core_idx]
         border = to_cores.min(axis=1) <= eps
         # border: nearest core decides; noise: smallest mean distance to a cluster
         nearest = core_idx[to_cores.argmin(axis=1)]

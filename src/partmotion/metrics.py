@@ -106,7 +106,8 @@ def cluster_confidence(dist_submatrix: np.ndarray) -> float:
     n = d.shape[0]
     if n <= 1:
         return 1.0
-    off = d[~np.eye(n, dtype=bool)]
+    # past the first entry, each run of n + 1 entries ends on a diagonal entry
+    off = d.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].ravel()
     return float(1.0 / (1.0 + off.mean()))
 
 

@@ -8,9 +8,9 @@ equally distant points, in sampling, grouping and interpolation alike, the
 first in coordinate order (x, then y, then z, then index) wins, so a
 permuted cloud encodes to the same global feature; with a point set's
 columns in that order, each tie-break is a first-wins argmax or a stable
-sort. One distance table per cloud serves sampling, both groupings and both
-interpolations; `k_smallest`, shared with the loss, sorts each row for its
-k-th value and stable-sorts the k columns it keeps. Each plan is built once.
+sort. Each point set is sorted into coordinate order once, and one distance
+table per cloud serves sampling, both groupings and both interpolations;
+`k_smallest`, shared with the loss, ranks each row with one sort of int64 keys.
 
 The displacement net decodes a global feature through an LSTM, one step
 per future frame, and turns each hidden state plus interpolated per-point
@@ -88,12 +88,11 @@ def _coord_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
-def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """count picks, and their (count, N) distances to every point in input order."""
+def _farthest_points(points: np.ndarray, order: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count picks as positions in order, and their (count, N) distances to points[order]."""
     if points.shape[0] < count:
         raise ConfigError(f"cannot pick {count} centroids from {points.shape[0]} points")
-    order = _coord_order(points)
-    ranked = points[order]
+    ranked = points.take(order, axis=0)
     table = cdist(ranked, ranked)
     # the first pick is farthest from the mean, each next one from all picked
     gap = np.linalg.norm(ranked - points.mean(axis=0), axis=1)
@@ -101,36 +100,44 @@ def farthest_point_indices(points: np.ndarray, count: int) -> tuple[np.ndarray, 
     for _ in range(count):
         chosen.append(int(gap.argmax()))
         near = gap = np.minimum(near, table[chosen[-1]])
-    return order[chosen], table[np.ix_(chosen, np.argsort(order))]
+    return np.array(chosen), table.take(chosen, axis=0)
 
 
 def k_smallest(table: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest columns in ascending order, tied columns lowest first."""
-    k = min(k, table.shape[1])
-    kth = np.sort(table, axis=1)[:, k - 1 : k]
-    keep = table <= kth
-    extra = np.flatnonzero(keep.sum(axis=1) > k)
-    if extra.size:
-        # rows tied at the k-th value: every column below it, then the first tied ones up to k
-        below, tied = table[extra] < kth[extra], table[extra] == kth[extra]
-        keep[extra] = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
-    picked = np.flatnonzero(keep).reshape(-1, k) % table.shape[1]
-    rank = np.argsort(np.take_along_axis(table, picked, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(picked, rank, axis=1)
+    """Each row's k smallest columns in ascending order, tied columns lowest first.
+
+    table holds float64 distances as cdist returns them, non-negative finite or
+    +inf, whose int64 bits order like the values. Keyed by those bits, column index
+    in the low bits, a row sorts once; one whose k+1 leading keys tie is stable-argsorted."""
+    cols = table.shape[1]
+    k, low = min(k, cols), (cols - 1).bit_length()
+    keys = table.view(np.int64) & -(1 << low)
+    keys |= np.arange(cols)
+    keys.sort(axis=1)
+    lead = keys[:, : k + 1] >> low
+    tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
+    picked = keys[:, :k] & ((1 << low) - 1)
+    if tied.size:
+        picked[tied] = np.argsort(table[tied], axis=1, kind="stable")[:, :k]
+    return picked
 
 
-def _group(dist: np.ndarray, cols: np.ndarray, radius: float, k: int) -> np.ndarray:
-    """(rows, k) nearest columns within radius, padded with the nearest; ties in cols order."""
-    near = cols[k_smallest(dist[:, cols], k)]
-    inside = np.sum(np.take_along_axis(dist, near, axis=1) <= radius, axis=1, keepdims=True)
-    slot = np.arange(k)
-    return np.take_along_axis(near, np.where(slot < inside, slot, 0), axis=1)
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """np.take_along_axis(a, idx, axis=1) as one flat take."""
+    return a.take(idx + np.arange(0, a.size, a.shape[1])[:, None])
 
 
-def _idw_weights(dist: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _group(dist: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """(rows, k) nearest columns within radius, padded with the nearest."""
+    near = k_smallest(dist, k)
+    inside = np.sum(_take_rows(dist, near) <= radius, axis=1, keepdims=True)
+    return _take_rows(near, np.where(np.arange(k) < inside, np.arange(k), 0))
+
+
+def _idw_weights(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest columns and their inverse-square-distance weights."""
-    near = cols[k_smallest(dist[:, cols], k)]
-    inv = 1.0 / (np.take_along_axis(dist, near, axis=1) ** 2 + 1e-8)
+    near = k_smallest(dist, k)
+    inv = 1.0 / (_take_rows(dist, near) ** 2 + 1e-8)
     return near, inv / inv.sum(axis=1, keepdims=True)
 
 
@@ -164,17 +171,19 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
         raise DataError("points must be finite")
     (s1, r1, _), (s2, r2, _) = cfg.sa_stages
     k1, k2 = cfg.group_sizes
-    # the stage-1 centroid-to-point distances serve both groupings and both interpolations
-    c1, d1 = farthest_point_indices(points, s1)
-    p1 = points[c1]
-    c2, _ = farthest_point_indices(p1, s2)
+    # d1: stage-1 centroids to points in coordinate order, for both groupings and both interpolations
+    order = _coord_order(points)
+    f1, d1 = _farthest_points(points, order, s1)
+    p1 = points.take(order[f1], axis=0)
     o1 = _coord_order(p1)
-    fp1 = _idw_weights(d1.T, o1, cfg.fp_neighbors)
-    fp2 = _idw_weights(d1[c2].T, _coord_order(p1[c2]), cfg.fp_neighbors)
+    c2 = o1[_farthest_points(p1, o1, s2)[0]]
+    o2 = _coord_order(p1.take(c2, axis=0))
+    to_points = d1.take(np.argsort(order), axis=1)
+    fp1, fp2 = (_idw_weights(to_points.take(rows, axis=0).T.copy(), cfg.fp_neighbors) for rows in (o1, c2[o2]))
     return EncoderPlan(
-        points=points, centroids1=c1, groups1=_group(d1, _coord_order(points), r1, k1),
-        centroids2=c2, groups2=_group(d1[np.ix_(c2, c1)], o1, r2, k2),
-        fp1_cols=fp1[0], fp1_weights=fp1[1], fp2_cols=fp2[0], fp2_weights=fp2[1],
+        points=points, centroids1=order[f1], groups1=order[_group(d1, r1, k1)],
+        centroids2=c2, groups2=o1[_group(d1.take(c2, axis=0).take(f1[o1], axis=1), r2, k2)],
+        fp1_cols=o1[fp1[0]], fp1_weights=fp1[1], fp2_cols=o2[fp2[0]], fp2_weights=fp2[1],
     )
 
 

@@ -271,6 +271,16 @@ def pooled_average_precision(records: Sequence[ShapeAPRecord]) -> float:
     return float(sum((pr[k][1] - pr[k + 1][1]) * pr[k][0] for k in range(1, 11)))
 
 
+def cluster_confidence(dist_submatrix: np.ndarray) -> float:
+    """The eye-mask form: the off-diagonal entries through an (n, n) mask."""
+    d = np.asarray(dist_submatrix, dtype=np.float64)
+    n = d.shape[0]
+    if n <= 1:
+        return 1.0
+    off = d[~np.eye(n, dtype=bool)]
+    return float(1.0 / (1.0 + off.mean()))
+
+
 def _unary(a: dc.Node, out: np.ndarray, backward: Callable, op_tag: str) -> dc.Node:
     """One engine node with a single parent, which it skips unless a needs a gradient."""
     parents = ((a, backward),) if a.requires_grad else ()

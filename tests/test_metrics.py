@@ -249,6 +249,15 @@ def test_cluster_confidence():
     assert cluster_confidence(np.zeros((1, 1))) == 1.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_cluster_confidence_matches_eye_mask_bytes(n, seed, decimals):
+    # a change in which entries are summed, or in what order, shows in the bytes
+    pts = np.random.default_rng(seed).normal(size=(n, 16))
+    d = np.round(np.linalg.norm(pts[:, None] - pts[None], axis=2), decimals)
+    assert cluster_confidence(d) == oracles.cluster_confidence(d)
+
+
 def test_summarize_means_and_pooling():
     evals = [
         MobilityEval(0.0, 0.2, 0.5),

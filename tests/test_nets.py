@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles
 from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
+from partmotion import nets
 from partmotion import training as tr
 from partmotion.config import RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
@@ -26,7 +28,6 @@ from partmotion.nets import (
     build_plan,
     dense_weights,
     denormalized_spec,
-    farthest_point_indices,
     k_smallest,
 )
 
@@ -137,17 +138,18 @@ def test_build_plan_rejects_non_finite_points(bad):
 def test_farthest_point_sampling_is_order_free():
     pts = cloud(60, seed=3)
     perm = np.random.default_rng(1).permutation(60)
-    a = pts[farthest_point_indices(pts, 10)[0]]
-    b = pts[perm][farthest_point_indices(pts[perm], 10)[0]]
+    a = pts[build_plan(pts, TINY).centroids1]
+    b = pts[perm][build_plan(pts[perm], TINY).centroids1]
     np.testing.assert_allclose(a, b, atol=0.0)
 
 
 def test_farthest_point_sampling_spreads_out():
     # a far-away outlier must be picked before its crowded neighbors
     pts = np.concatenate([cloud(40) * 0.1, [[5.0, 0.0, 0.0]]])
-    idx, rows = farthest_point_indices(pts, 4)
-    assert 40 in idx
-    want = np.linalg.norm(pts - pts[idx][:, None], axis=2)
+    order = nets._coord_order(pts)
+    picks, rows = nets._farthest_points(pts, order, 4)
+    assert 40 in order[picks]
+    want = np.linalg.norm(pts[order] - pts[order[picks]][:, None], axis=2)
     assert rows.tobytes() == want.tobytes()
 
 
@@ -168,13 +170,17 @@ def _plan_case(case):
     if case == "oversized":  # group sizes and fp_neighbors exceed the points available
         cfg = dataclasses.replace(TINY, group_sizes=(40, 20), fp_neighbors=20)
         return [cloud(30), np.round(cloud(30, seed=1), 1), np.round(cloud(30, seed=2), 0)], cfg
+    if case in ("257", "600"):  # wider than 8 bits of column index in every point-table key
+        n = int(case)
+        return [cloud(n, seed=n), np.round(cloud(n, seed=n + 1), 1)], NetConfig()
     category, seed = case.split(":")
     return states(category, int(seed)), NetConfig()
 
 
 @pytest.mark.parametrize(
     "case",
-    [f"{c}:{s}" for c in TEMPLATE_NAMES for s in (0, 1)] + ["rounded", "duplicates", "tiny", "oversized"],
+    [f"{c}:{s}" for c in TEMPLATE_NAMES for s in (0, 1)]
+    + ["rounded", "duplicates", "tiny", "oversized", "257", "600"],
 )
 def test_build_plan_matches_loop_oracle_bytes(case):
     clouds, cfg = _plan_case(case)
@@ -194,16 +200,28 @@ def test_nearest_matches_stable_argsort_on_ties(data):
     assert cols[k_smallest(dist[:, cols], k)].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["random", "rounded", "all_equal"])
+K_SMALLEST_KINDS = ["random", "rounded", "all_equal", "ulp", "inf", "zeros"]
+
+
+@pytest.mark.parametrize("kind", K_SMALLEST_KINDS)
 def test_k_smallest_matches_stable_argsort(kind):
-    rng = np.random.default_rng(["random", "rounded", "all_equal"].index(kind))
-    for rows, cols in ((64, 256), (150, 150), (7, 3)):
+    rng = np.random.default_rng(K_SMALLEST_KINDS.index(kind))
+    # 257 and more columns need more than 8 bits of column index in each key
+    for rows, cols in ((64, 256), (150, 150), (7, 3), (20, 257), (9, 600)):
         table = rng.random((rows, cols))
         if kind == "rounded":
             table = np.round(table, 1)
         if kind == "all_equal":
             table[::2] = 0.5
-        for k in (1, 3, 8, cols):
+        if kind == "ulp":  # one ulp below its left neighbour, so mostly the same key above the column bits
+            table[:, 1::2] = np.nextafter(table[:, : cols - 1 : 2], 0.0)
+        if kind == "inf":  # as l_mov's diagonal, and in runs that tie at the end of a row
+            table[rng.random(table.shape) < 0.3] = np.inf
+            np.fill_diagonal(table, np.inf)
+        if kind == "zeros":  # exact zeros and repeats: distances between duplicate points
+            base = rng.random((max(2, cols // 8), 3))
+            table = cdist(base[rng.integers(0, len(base), rows)], base[rng.integers(0, len(base), cols)])
+        for k in (1, 3, 8, cols, cols + 5):
             want = np.argsort(table, axis=1, kind="stable")[:, :k]
             assert k_smallest(table, k).tobytes() == want.tobytes(), (rows, cols, k)
 
@@ -336,6 +354,23 @@ def test_training_step_graph_size():
         stack.extend(p for p, _ in node.parents if p.requires_grad)
     assert sum(tags.values()) == 115
     assert tags["transpose"] == tags["neg"] == 0
+
+
+def test_build_plan_work_count(monkeypatch):
+    # one coordinate sort per point set (the points, the stage-1 centroids
+    # and the stage-2 centroids) and one distance table for each stage's sampling
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
+    monkeypatch.setattr(nets, "cdist", counted("cdist", nets.cdist))
+    build_plan(cloud(256), NetConfig())
+    assert calls == {"lexsort": 3, "cdist": 2}
 
 
 # ---------------------------------------------------------------------------
