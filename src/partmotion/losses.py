@@ -4,9 +4,10 @@ All losses are differentiable scalars built from diffcore ops. Nearest
 neighbor matching inside the moving-part shape term is computed on values
 and treated as a fixed correspondence; gradients flow through the matched
 distances. Sums run over points where the objective is a per-point sum,
-and cross entropies are means over points. The ground-truth k-NN radii
-of `l_mov` depend only on the instance, so `moving_knn_radii` builds them
-once when it is prepared; each step searches only the predicted points.
+and cross entropies are means over points. The ground truth of `l_mov` is
+the true frames' moving points, and `training.prepare_instances` builds
+their k-NN radii once per articulation state, for every instance of the
+shape to share; each step searches only the predicted points.
 
 Per-frame terms stack their frames along the row axis: frame t of an
 N-point cloud is rows [t*N, (t+1)*N) of one (n*N, 3) array, the layout in
@@ -96,27 +97,12 @@ def knn_radii(points: np.ndarray, k: int) -> np.ndarray:
     return np.sort(d, axis=1)[:, :k].sum(axis=1) / k
 
 
-def _target_clouds(p0: np.ndarray, gt_maps: np.ndarray) -> np.ndarray:
-    """Ground-truth cloud of every frame: p0 plus the first t maps, (n, N, 3)."""
-    return np.cumsum(np.concatenate([p0[None], gt_maps]), axis=0)[1:]
-
-
-def moving_knn_radii(p0: np.ndarray, gt_maps: np.ndarray, mov_idx: np.ndarray, k: int) -> np.ndarray:
-    """knn_radii of the moving points in each ground-truth frame, (n, M); a
-    frame that zero padding repeats reuses the radii of the one before it."""
-    clouds = _target_clouds(p0, gt_maps)[:, mov_idx]
-    radii = np.empty(clouds.shape[:2])
-    for t, cloud in enumerate(clouds):
-        radii[t] = radii[t - 1] if t and np.array_equal(cloud, clouds[t - 1]) else knn_radii(cloud, k)
-    return radii
-
-
 def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int) -> Node:
     """Moving-part resemblance: symmetric Chamfer plus a local density term.
 
     gt holds the ground-truth moving points of n frames, (n, M', 3), and
     gt_radii their `knn_radii` at k_density, (n, M'), built once per
-    instance; pred holds the predicted moving points of the same
+    articulation state; pred holds the predicted moving points of the same
     frames stacked along rows, (n*M, 3). Each frame's term is computed on
     its own and the frames are summed. The density term compares each
     predicted point's mean k-NN radius, searched per step, with that of its
@@ -245,6 +231,7 @@ def total_motion_loss(
     gt_maps: np.ndarray,
     p0: np.ndarray,
     labels: np.ndarray,
+    gt_moving: np.ndarray,
     gt_radii: np.ndarray,
     segmentation: Optional[Node],
     n_true: int,
@@ -256,22 +243,25 @@ def total_motion_loss(
     """Combined objective over one training instance.
 
     maps are the n predicted displacement maps stacked along rows,
-    (n*N, 3); gt_maps the padded targets, (n, N, 3); gt_radii the
-    instance's `moving_knn_radii` at weights.k_density; segmentation the
-    instance's `segmentation_loss`, or None when the heads are not trained.
-    Per-frame terms are averaged over frames; the motion and segmentation
-    terms enter once. Ablation flags drop whole terms.
+    (n*N, 3); gt_maps the padded targets, (n, N, 3); gt_moving the true
+    moving points (labels > 0) of the frame each map ends in, (n, M, 3),
+    and gt_radii their `knn_radii` at weights.k_density, (n, M);
+    segmentation the instance's `segmentation_loss`, or None when the
+    heads are not trained. Per-frame terms are averaged over frames; the
+    motion and segmentation terms enter once. Ablation flags drop whole terms.
     """
     gt_maps = np.asarray(gt_maps, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
-    n = gt_maps.shape[0] if gt_maps.ndim == 3 else 0
-    if n == 0 or gt_maps.shape[1:] != p0.shape or maps.value.shape != (n * p0.shape[0], 3):
-        raise ConfigError(
-            f"total_motion_loss needs (n >= 1, N, 3) gt maps and (n*N, 3) predicted maps for"
-            f" (N, 3) points, got {gt_maps.shape}, {maps.value.shape} and {p0.shape}"
-        )
     labels = np.asarray(labels, dtype=np.int64)
     mov_idx = np.flatnonzero(labels > 0)
+    n = gt_maps.shape[0] if gt_maps.ndim == 3 else 0
+    if (n == 0 or gt_maps.shape[1:] != p0.shape or maps.value.shape != (n * p0.shape[0], 3)
+            or np.shape(gt_moving) != (n, mov_idx.size, 3) or np.shape(gt_radii) != (n, mov_idx.size)):
+        raise ConfigError(
+            f"total_motion_loss needs (n >= 1, N, 3) gt maps, (n*N, 3) predicted maps, (n, M, 3) moving"
+            f" ground truth and (n, M) radii for (N, 3) points of which M move, got {gt_maps.shape},"
+            f" {maps.value.shape}, {np.shape(gt_moving)}, {np.shape(gt_radii)} and {p0.shape}"
+        )
     ref_idx = np.flatnonzero(labels == 0)
     mov_rows = _frame_rows(mov_idx, n, p0.shape[0])
     pieces: dict[str, Node] = {}
@@ -286,8 +276,7 @@ def total_motion_loss(
         ref_rows = _frame_rows(ref_idx, n, p0.shape[0])
         recon.append(dc.mul(l_ref(clouds, origins, ref_rows), weights.w_ref))
         if mov_idx.size:
-            gt_clouds = _target_clouds(p0, gt_maps)[:, mov_idx]
-            mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_clouds, gt_radii, weights.k_density)
+            mov = l_mov(dc.gather_rows(clouds, mov_rows), gt_moving, gt_radii, weights.k_density)
             recon.append(dc.mul(mov, weights.w_mov))
     if not no_disp:
         recon.append(l_disp(maps, gt_maps.reshape(-1, 3), mov_rows))

@@ -20,7 +20,7 @@ from .config import RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances
 from .errors import ConfigError, DataError, NumericError
 from .geom import TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
-from .losses import LossBreakdown, baseline_loss, l_mob, moving_knn_radii, segmentation_loss, total_motion_loss
+from .losses import LossBreakdown, baseline_loss, knn_radii, l_mob, segmentation_loss, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -59,11 +59,15 @@ LogFn = Callable[[str], None]
 
 @dataclass
 class PreparedInstance(TrainingInstance):
-    """One training instance with its plan, moving points and k-NN radii."""
+    """One training instance with its plan, moving points and the ground truth of l_mov.
+
+    All instances of a shape view one read-only buffer of each of gt_moving and gt_radii.
+    """
 
     plan: EncoderPlan
     mov_idx: np.ndarray           # (M,) points with labels > 0
-    gt_radii: np.ndarray          # (n_maps, M) moving_knn_radii
+    gt_moving: np.ndarray         # (n_maps, M, 3) frames[min(t-1+j, n-1)][mov_idx] for maps j = 1..n_maps
+    gt_radii: np.ndarray          # (n_maps, M) knn_radii of gt_moving at k_density
     k_density: int
 
 
@@ -77,7 +81,7 @@ def check_dataset_matches(config: RunConfig, records: Sequence[ShapeRecord]) -> 
 
 
 def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list[PreparedInstance]:
-    """Expand shapes into per-state instances and precompute their plans and radii.
+    """Expand shapes into per-state instances and precompute their plans and l_mov ground truth.
 
     Plans depend only on the points and the network geometry, and radii on
     config.weights.k_density, so one pass here is shared by every training
@@ -86,14 +90,18 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
     networks from the config.
     """
     check_dataset_matches(config, records)
+    k = config.weights.k_density
     out = []
     for rec in records:
-        mov_idx = np.flatnonzero(rec.labels > 0)  # one per shape: its instances share labels
+        n, mov_idx = len(rec.frames), np.flatnonzero(rec.labels > 0)  # one per shape: its instances share labels
+        # states 2..n once each, then the last state held, as make_instances pads its maps
+        states, held = rec.frames[1:, mov_idx], np.minimum(np.arange(2 * n - 1), n - 2)
+        gt_moving, gt_radii = states[held], np.stack([knn_radii(cloud, k) for cloud in states])[held]
+        gt_moving.flags.writeable = gt_radii.flags.writeable = False
         for inst in make_instances(rec):
-            plan = build_plan(inst.points, config.net)
-            radii = moving_knn_radii(inst.points, inst.targets, mov_idx, config.weights.k_density)
-            out.append(PreparedInstance(**vars(inst), plan=plan, mov_idx=mov_idx, gt_radii=radii,
-                                        k_density=config.weights.k_density))
+            window = slice(inst.t - 1, inst.t - 1 + n)
+            out.append(PreparedInstance(**vars(inst), plan=build_plan(inst.points, config.net), mov_idx=mov_idx,
+                                        gt_moving=gt_moving[window], gt_radii=gt_radii[window], k_density=k))
     return out
 
 
@@ -174,8 +182,8 @@ def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConf
         seg_logits, feats = net.segment(p0, maps.value.reshape(inst.targets.shape))
         dist_mov = dc.pairwise_row_distances(dc.gather_rows(feats, inst.mov_idx))
         segmentation = segmentation_loss(seg_logits, dist_mov, inst.labels, config.weights)
-    return total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_radii, segmentation,
-                             inst.n_true, config.weights,
+    return total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_moving, inst.gt_radii,
+                             segmentation, inst.n_true, config.weights,
                              no_geom=config.no_geom, no_disp=config.no_disp, no_mot=config.no_mot)
 
 

@@ -310,6 +310,13 @@ def _loss_fixture(rng, n_points=10, n_moving=6):
     return p0, mov, gt_disp
 
 
+def moving_targets(p0, maps, mov, k):
+    """l_mov's ground truth by cumulative sum: the moving points of p0 plus
+    the first t maps for t = 1..n, (n, M, 3), and their knn_radii, (n, M)."""
+    clouds = np.cumsum(np.concatenate([p0[None], maps]), axis=0)[1:, mov]
+    return clouds, np.stack([losses.knn_radii(cloud, k) for cloud in clouds])
+
+
 def case_loss_reference(rng):
     p0, mov, gt = _loss_fixture(rng)
     ref = np.setdiff1d(np.arange(len(p0)), mov)
@@ -422,12 +429,14 @@ def case_loss_total(rng):
     d = rng.normal(scale=0.08, size=(3 * len(p0), 3))
     logits = rng.normal(size=(len(p0), 2))
     feats = rng.normal(size=(len(mov), 4)) * 5.0
-    radii = losses.moving_knn_radii(p0, gt, mov, losses.LossWeights().k_density)
+    gt_moving, radii = moving_targets(p0, gt, mov, losses.LossWeights().k_density)
 
     def build(n):
         weights = losses.LossWeights()
         segmentation = losses.segmentation_loss(n[1], dc.pairwise_row_distances(n[2]), seg, weights)
-        return losses.total_motion_loss(n[0], gt, p0, seg, radii, segmentation, n_true=2, weights=weights).total
+        return losses.total_motion_loss(
+            n[0], gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights,
+        ).total
 
     return "loss_total", [d, logits, feats], build
 

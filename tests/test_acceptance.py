@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from grad_cases import ALL_CASES
+from grad_cases import ALL_CASES, moving_targets
 from microfixtures import TINY_NET
 from oracles import brute_average_precision, rotation_matrix
 from test_diffcore import run_gradient_case
@@ -59,13 +59,13 @@ def test_criterion_gradient_suite():
     flat = rng.normal(scale=0.08, size=(n_maps * n_pts, 3))
     logits = rng.normal(size=(n_pts, 2))
     feats = rng.normal(size=(len(mov), 8)) * 4.0
-    radii = losses.moving_knn_radii(p0, gt, mov, losses.LossWeights().k_density)
+    gt_moving, radii = moving_targets(p0, gt, mov, losses.LossWeights().k_density)
 
     def build(nodes):
         weights = losses.LossWeights()
         segmentation = losses.segmentation_loss(nodes[1], dc.pairwise_row_distances(nodes[2]), seg, weights)
         return losses.total_motion_loss(
-            nodes[0], gt, p0, seg, radii, segmentation, n_true=2, weights=weights,
+            nodes[0], gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights,
         ).total
 
     case = lambda rng: ("full_eq1_graph", [flat, logits, feats], build)

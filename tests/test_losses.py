@@ -10,7 +10,7 @@ from partmotion.geom import MobilitySpec
 from partmotion.training import prepare_instances
 
 import oracles
-from grad_cases import LOSS_CASES
+from grad_cases import LOSS_CASES, moving_targets
 from microfixtures import micro_config, micro_records
 from oracles import brute_chamfer, brute_knn_radius, rotation_matrix
 from test_diffcore import run_gradient_case
@@ -226,14 +226,14 @@ def _total_fixture(n=2, n_points=6):
     p0 = np.linspace(0.0, 1.0, n_points * 3).reshape(n_points, 3)
     seg = np.array([0, 0, 0, 1, 1, 1])
     gt = np.zeros((n, n_points, 3))
-    return p0, seg, gt, losses.moving_knn_radii(p0, gt, np.flatnonzero(seg), 8)
+    return (p0, seg, gt, *moving_targets(p0, gt, np.flatnonzero(seg), 8))
 
 
 def test_total_weights_reflected_in_reference_term():
-    p0, seg, gt, radii = _total_fixture(n=1)
+    p0, seg, gt, gt_moving, radii = _total_fixture(n=1)
     maps = dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, None, n_true=1, weights=losses.LossWeights(), no_mot=True,
+        maps, gt, p0, seg, gt_moving, radii, None, n_true=1, weights=losses.LossWeights(), no_mot=True,
     )
     # one reference point offset by 0.3: w_ref * 0.3 plus the moving-term
     # Chamfer of unmoved moving points (zero)
@@ -241,31 +241,32 @@ def test_total_weights_reflected_in_reference_term():
 
 
 def test_total_ablation_flags_drop_terms():
-    p0, seg, gt, radii = _total_fixture()
+    p0, seg, gt, gt_moving, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
     segmentation = losses.segmentation_loss(
         dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
     )
-    full = losses.total_motion_loss(maps, gt, p0, seg, radii, segmentation, n_true=2, weights=losses.LossWeights())
+    weights = losses.LossWeights()
+    full = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights)
     assert list(full.terms) == ["reconstruction", "motion_consistency", "segmentation"]
     assert float(full.total.value) == sum(full.terms.values())
-    no_seg = losses.total_motion_loss(maps, gt, p0, seg, radii, None, n_true=2, weights=losses.LossWeights())
+    no_seg = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, None, n_true=2, weights=weights)
     assert "segmentation" not in no_seg.terms
     with pytest.raises(ConfigError, match="all loss terms ablated away"):
         losses.total_motion_loss(
-            maps, gt, p0, seg, radii, None, n_true=2, weights=losses.LossWeights(),
+            maps, gt, p0, seg, gt_moving, radii, None, n_true=2, weights=weights,
             no_geom=True, no_disp=True, no_mot=True,
         )
 
 
 def test_total_uniform_seg_logits_contribute_weighted_ln2():
-    p0, seg, gt, radii = _total_fixture()
+    p0, seg, gt, gt_moving, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
     segmentation = losses.segmentation_loss(
         dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
     )
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, radii, segmentation, n_true=2,
+        maps, gt, p0, seg, gt_moving, radii, segmentation, n_true=2,
         weights=losses.LossWeights(), no_geom=True, no_disp=True, no_mot=True,
     )
     assert abs(float(out.total.value) - 2.0 * np.log(2.0)) < 1e-12
@@ -295,14 +296,25 @@ def test_baseline_loss_combines_terms():
     assert float(out.value) == seg_term + mob_term
 
 
-@pytest.mark.parametrize("maps_rows, gt_shape", [(12, (2, 5, 3)), (10, (2, 6, 3)), (0, (0, 6, 3)), (12, (12, 3))],
-                         ids=["gt_points", "map_rows", "no_frames", "gt_2d"])
-def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape):
-    p0, seg, _, radii = _total_fixture()
+@pytest.mark.parametrize("maps_rows, gt_shape, moving_shape, radii_shape", [
+    (12, (2, 5, 3), (2, 3, 3), (2, 3)),
+    (10, (2, 6, 3), (2, 3, 3), (2, 3)),
+    (0, (0, 6, 3), (2, 3, 3), (2, 3)),
+    (12, (12, 3), (2, 3, 3), (2, 3)),
+    (12, (2, 6, 3), (1, 3, 3), (2, 3)),
+    (12, (2, 6, 3), (2, 6, 3), (2, 3)),
+    (12, (2, 6, 3), (6, 3), (2, 3)),
+    (12, (2, 6, 3), (2, 3, 3), (2, 6)),
+    (12, (2, 6, 3), (2, 3, 3), (3, 3)),
+], ids=["gt_points", "map_rows", "no_frames", "gt_2d", "moving_frames", "moving_all_points", "moving_2d",
+        "radii_all_points", "radii_frames"])
+def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape, moving_shape, radii_shape):
+    # 3 of the fixture's 6 points move, over 2 frames
+    p0, seg, *_ = _total_fixture()
     with pytest.raises(ConfigError, match="total_motion_loss"):
         losses.total_motion_loss(
-            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg, radii, None,
-            n_true=1, weights=losses.LossWeights(),
+            dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg,
+            np.zeros(moving_shape), np.zeros(radii_shape), None, n_true=1, weights=losses.LossWeights(),
         )
 
 
@@ -316,13 +328,14 @@ def _backward_bytes(fn, pred):
 @pytest.mark.parametrize("k", [3, 8])
 @pytest.mark.parametrize("category", TEMPLATE_NAMES)
 def test_moving_term_matches_per_step_oracle_bytes(category, k):
-    # radii built once per instance must give the value and gradient bytes
-    # of the old term, which rebuilt them and argsorted each row every step
+    # the true frames and radii built once per state must give the value and
+    # gradient bytes of the per-step term, which rebuilt the radii and
+    # argsorted each row every step
     config = micro_config(categories=(category,), weights=losses.LossWeights(k_density=k))
     instances = prepare_instances(micro_records(config.categories, n_frames=4), config)
     rng = np.random.default_rng([TEMPLATE_NAMES.index(category), k])
     for inst in (instances[0], instances[1], instances[-1]):  # 3, 2 and 0 real maps
-        gt = np.cumsum(np.concatenate([inst.points[None], inst.targets]), axis=0)[1:, inst.mov_idx]
+        gt = inst.gt_moving
         pred = (gt + rng.normal(scale=0.01, size=gt.shape)).reshape(-1, 3)
         got = _backward_bytes(lambda p: losses.l_mov(p, gt, inst.gt_radii, k), pred)
         assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, k), pred), (inst.t, inst.n_true)
@@ -335,25 +348,10 @@ def test_moving_term_matches_oracle_bytes_on_random_frames(m):
     rng = np.random.default_rng(m)
     p0 = rng.normal(size=(m, 3))
     maps = np.concatenate([rng.normal(scale=0.1, size=(2, m, 3)), np.zeros((2, m, 3))])
-    radii = losses.moving_knn_radii(p0, maps, np.arange(m), 8)
-    gt = np.cumsum(np.concatenate([p0[None], maps]), axis=0)[1:]
+    gt, radii = moving_targets(p0, maps, np.arange(m), 8)
     pred = (gt + rng.normal(scale=0.01, size=gt.shape)).reshape(-1, 3)
     got = _backward_bytes(lambda p: losses.l_mov(p, gt, radii, 8), pred)
     assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, 8), pred)
-
-
-def test_moving_radii_reuse_repeated_frames(monkeypatch):
-    rng = np.random.default_rng(12)
-    p0 = rng.normal(size=(20, 3))
-    maps = np.concatenate([rng.normal(scale=0.1, size=(3, 20, 3)), np.zeros((5, 20, 3))])
-    mov = np.arange(4, 16)
-    calls = []
-    monkeypatch.setattr(losses, "knn_radii", lambda pts, k: calls.append(k) or oracles.knn_radii(pts, k))
-    radii = losses.moving_knn_radii(p0, maps, mov, 4)
-    assert len(calls) == 3  # the 5 padded frames repeat the third
-    clouds = np.cumsum(np.concatenate([p0[None], maps]), axis=0)[1:, mov]
-    want = np.stack([oracles.knn_radii(c, 4) for c in clouds])
-    assert radii.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,7 +13,7 @@ from partmotion import diffcore as dc
 from partmotion import training as tr
 from partmotion.config import RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
-from partmotion.losses import LossWeights
+from partmotion.losses import LossWeights, knn_radii
 from partmotion.errors import ConfigError, DataError, NumericError
 from partmotion.geom import MobilitySpec, unit
 from partmotion.nets import NetConfig
@@ -58,6 +58,37 @@ def test_instances_of_a_shape_share_read_only_targets(records, instances):
         for array in (first.targets, first.points):
             with pytest.raises(ValueError):
                 array.flat[0] = 1
+
+
+def test_prepared_ground_truth_is_the_true_frames(records, instances):
+    # instance t's map j ends in frame t-1+j, held at the last frame once the
+    # motion is done; every instance of a shape views the same two buffers
+    k = micro_config().weights.k_density
+    per_shape = len(instances) // len(records)
+    for s, rec in enumerate(records):
+        n = len(rec.frames)
+        own = instances[s * per_shape : (s + 1) * per_shape]
+        others = instances[: s * per_shape] + instances[(s + 1) * per_shape :]
+        for inst in own:
+            want = np.stack([rec.frames[min(inst.t - 1 + j, n - 1)][inst.mov_idx] for j in range(1, n + 1)])
+            assert inst.gt_moving.tobytes() == want.tobytes()
+            assert inst.gt_radii.tobytes() == np.stack([knn_radii(cloud, k) for cloud in want]).tobytes()
+            for name in ("gt_moving", "gt_radii"):
+                array = getattr(inst, name)
+                assert not array.flags.writeable
+                assert np.shares_memory(array, getattr(own[0], name))
+                assert not any(np.shares_memory(array, getattr(o, name)) for o in others)
+
+
+def test_prepare_builds_radii_once_per_state(monkeypatch):
+    # one k-NN radii table for each articulation state after the first,
+    # shared by every instance whose targets reach it
+    config = micro_config(categories=TEMPLATE_NAMES)
+    records = micro_records(TEMPLATE_NAMES)
+    calls = []
+    monkeypatch.setattr(tr, "knn_radii", lambda points, k: calls.append(k) or knn_radii(points, k))
+    tr.prepare_instances(records, config)
+    assert len(calls) == len(records) * (config.n_frames - 1)
 
 
 def _reachable_arrays(obj, seen=None):
@@ -105,6 +136,7 @@ def test_fit_holds_one_step_graph_at_a_time(instances):
 def test_radii_are_tied_to_their_k_density(records, instances):
     first = instances[0]
     assert first.k_density == micro_config().weights.k_density
+    assert first.gt_moving.shape == (4, first.mov_idx.size, 3)
     assert first.gt_radii.shape == (4, first.mov_idx.size)
     # prepared under k_density 8, trained under 3: the radii would be wrong
     config = micro_config(weights=dataclasses.replace(micro_config().weights, k_density=3))
