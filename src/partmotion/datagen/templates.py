@@ -25,6 +25,7 @@ from ..geom import (
     MobilitySpec,
     RigidTransform,
     mobility_transform,
+    moved_spec,
     rotation_about_axis,
 )
 
@@ -150,16 +151,6 @@ def _yaw(rng: np.random.Generator) -> RigidTransform:
     return rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.zeros(3), float(angle))
 
 
-def _yaw_spec(spec: MobilitySpec, t: RigidTransform) -> MobilitySpec:
-    return MobilitySpec(
-        spec.tau,
-        t.rotation @ spec.direction,
-        None if spec.position is None else t.apply(spec.position[None])[0],
-        spec.range_,
-        spec.slide_range,
-    )
-
-
 def _sample_parts(rng: np.random.Generator, part_surfaces: list[list[Surface]], n_points: int,
                   part_weights: Optional[list[float]] = None) -> tuple[list[np.ndarray], np.ndarray]:
     """Each part's points, allocated by area (or the given weights) over the
@@ -182,7 +173,7 @@ def _assemble(rng: np.random.Generator, part_surfaces: list[list[Surface]], spec
     yaw = _yaw(rng)
     points, labels = _sample_parts(rng, part_surfaces, n_points, part_weights)
     pts0 = yaw.apply(np.concatenate(points))
-    specs = [_yaw_spec(s, yaw) for s in specs]
+    specs = [moved_spec(s, 1.0, yaw.translation, yaw.rotation) for s in specs]
     parts = [(np.flatnonzero(labels == part_id), spec) for part_id, spec in enumerate(specs, start=1)]
 
     def frame_fn(s: float) -> np.ndarray:

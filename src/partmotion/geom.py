@@ -2,7 +2,8 @@
 
 Angles are degrees at every public boundary and radians only inside a
 function body. Rotations follow the right-hand rule about the axis
-direction. All arrays are float64.
+direction. All arrays are float64. `moved_spec` is the one home of how a
+spec follows its cloud: the templates' yaw and undoing the unit box.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ __all__ = [
     "unit",
     "rotation_about_axis",
     "mobility_transform",
+    "moved_spec",
     "normalize_to_unit_box",
 ]
 
@@ -141,6 +143,24 @@ def mobility_transform(spec: MobilitySpec, s: float) -> RigidTransform:
         slide_span = spec.slide_range[1] - spec.slide_range[0]
         transform.translation = transform.translation + unit(spec.direction) * (s * slide_span)
     return transform
+
+
+def moved_spec(spec: MobilitySpec, scale: float, shift: np.ndarray,
+               rotation: Optional[np.ndarray] = None) -> MobilitySpec:
+    """spec after its cloud moves by p -> rotation @ (scale * p) + shift, scale > 0.
+
+    Lengths (the T range, the TR slide and the axis position) scale, angles
+    do not. With no rotation the direction is kept: multiplying it by the
+    identity would turn a -0.0 component into 0.0.
+    """
+    direction = spec.direction if rotation is None else rotation @ spec.direction
+    if spec.tau == TYPE_T:
+        return MobilitySpec(TYPE_T, direction, None, (spec.range_[0] * scale, spec.range_[1] * scale))
+    position = spec.position[None] * scale
+    if rotation is not None:
+        position = position @ rotation.T
+    slide = None if spec.slide_range is None else (spec.slide_range[0] * scale, spec.slide_range[1] * scale)
+    return MobilitySpec(spec.tau, direction, position[0] + shift, spec.range_, slide)
 
 
 def normalize_to_unit_box(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

@@ -18,7 +18,8 @@ triangle of ones with the maps laid out as (n, N*3).
 
 `total_motion_loss` sums these motion terms and the heads' term, which the
 caller builds with `segmentation_loss` and passes in. Labels are part ids;
-`labels > 0` marks the moving points.
+`labels > 0` marks the moving points. The direct baseline minimises
+`l_seg_obj + l_mob`, which `training.train_baseline` adds up itself.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "l_mob",
     "segmentation_loss",
     "total_motion_loss",
-    "baseline_loss",
 ]
 
 
@@ -290,14 +290,3 @@ def total_motion_loss(
     if not pieces:
         raise ConfigError("all loss terms ablated away")
     return LossBreakdown(reduce(dc.add, pieces.values()), {k: float(v.value) for k, v in pieces.items()})
-
-
-def baseline_loss(
-    seg_logits: Node,
-    seg_labels: np.ndarray,
-    type_logits: Node,
-    axis_out: Node,
-    gt: MobilitySpec,
-) -> Node:
-    """Direct baseline objective: object segmentation plus mobility regression."""
-    return dc.add(l_seg_obj(seg_logits, seg_labels), l_mob(type_logits, axis_out, gt))

@@ -4,8 +4,9 @@ Given the frames of one part, all consecutive pairs and the composed
 first-to-last pair are registered in one batched SVD (Kabsch) solve. Each
 consecutive pair's relative transform is classified as a translation,
 rotation, or screw from its rotation angle and pitch. The sequence verdict
-is the majority pair type; the axis averages sign-aligned pair axes and the
-motion range comes from summing signed per-pair steps, which stays well
+is the majority pair type. One path serves all three types: the axis
+averages the sign-aligned axes of the pairs of the winning kind, and the
+motion range sums their signed angles and slides, which stays well
 conditioned where a single composed rotation would approach the 180 degree
 ambiguity. The composed transform serves only as a cross check on the
 summed range. Reported axes point along the observed motion, so ranges
@@ -154,26 +155,20 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
         tau = max(pairs, key=lambda p: p.amount).tau
         flags.append(FLAG_LOW_CONFIDENCE)
 
-    if tau == TYPE_T:
-        kept = [p for p in pairs if p.tau == TYPE_T]
-        direction = _aligned_mean([p.direction for p in kept])
-        span = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
-        if span < 0.0:
-            direction, span = -direction, -span
-        spec = MobilitySpec(TYPE_T, direction, None, (0.0, float(span)))
-    else:
-        kept = [p for p in pairs if p.tau in (TYPE_R, TYPE_TR)]
-        direction = _aligned_mean([p.direction for p in kept])
-        position = np.mean([p.position for p in kept], axis=0)
-        angle = sum(np.sign(np.dot(p.direction, direction)) * p.angle_deg for p in kept)
-        slide = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
-        if angle < 0.0:
-            direction, angle, slide = -direction, -angle, -slide
-        if tau == TYPE_R:
-            spec = MobilitySpec(TYPE_R, direction, position, (0.0, float(angle)))
-        else:
-            slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
-            spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
+    # the winning kind's pairs (T, or R and TR), signed against their aligned mean axis
+    translation = tau == TYPE_T
+    kept = [p for p in pairs if (p.tau == TYPE_T) == translation]
+    direction = _aligned_mean([p.direction for p in kept])
+    signs = [np.sign(np.dot(p.direction, direction)) for p in kept]
+    angle = sum(sign * p.angle_deg for sign, p in zip(signs, kept))
+    slide = sum(sign * p.slide for sign, p in zip(signs, kept))
+    if (slide if translation else angle) < 0.0:  # the axis points along the motion
+        direction, angle, slide = -direction, -angle, -slide
+    position = None if translation else np.mean([p.position for p in kept], axis=0)
+    slide_range = None
+    if tau == TYPE_TR:
+        slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
+    spec = MobilitySpec(tau, direction, position, (0.0, float(slide if translation else angle)), slide_range)
 
     flags.extend(_range_flags(composed, spec))
     return FittedMobility(spec, residual, flags)

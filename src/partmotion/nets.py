@@ -40,7 +40,7 @@ from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
 from .errors import ConfigError, DataError, NumericError
-from .geom import MOBILITY_TYPES, TYPE_T, MobilitySpec, unit
+from .geom import MOBILITY_TYPES, MobilitySpec, unit
 
 THETA_STOP = 0.01
 # Clustering features are projected onto a sphere of this radius. The
@@ -448,17 +448,3 @@ class PredictionNode:
     indices: np.ndarray                    # into the input cloud's points
     prediction: ShapePrediction
     children: list["PredictionNode"] = field(default_factory=list)
-
-
-def denormalized_spec(spec: Optional[MobilitySpec], scale: float, center: np.ndarray):
-    """Map a spec fitted in normalized coordinates back to the original frame."""
-    if spec is None:
-        return None
-    position = None if spec.position is None else spec.position * scale + center
-    range_ = spec.range_
-    slide = spec.slide_range
-    if spec.tau == TYPE_T:
-        range_ = (range_[0] * scale, range_[1] * scale)
-    if slide is not None:
-        slide = (slide[0] * scale, slide[1] * scale)
-    return MobilitySpec(spec.tau, spec.direction, position, range_, slide)

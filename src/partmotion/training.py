@@ -19,8 +19,8 @@ from .cluster import dbscan_labels, default_min_pts
 from .config import RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances
 from .errors import ConfigError, DataError, NumericError
-from .geom import TYPE_T, TYPE_TR, MobilitySpec, normalize_to_unit_box, unit
-from .losses import LossBreakdown, baseline_loss, knn_radii, l_mob, segmentation_loss, total_motion_loss
+from .geom import TYPE_T, TYPE_TR, MobilitySpec, moved_spec, normalize_to_unit_box, unit
+from .losses import LossBreakdown, knn_radii, l_mob, l_seg_obj, segmentation_loss, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -40,7 +40,6 @@ from .nets import (
     PredictionNode,
     ShapePrediction,
     build_plan,
-    denormalized_spec,
 )
 
 # rigid fits worse than this mean squared pair error are treated as
@@ -261,7 +260,7 @@ def train_baseline(
     def loss_fn(sample) -> LossBreakdown:
         inst, part_id, spec = sample
         seg, type_logits, axis_out = baseline.forward(inst.plan)
-        return LossBreakdown(baseline_loss(seg, inst.labels == part_id, type_logits, axis_out, spec))
+        return LossBreakdown(dc.add(l_seg_obj(seg, inst.labels == part_id), l_mob(type_logits, axis_out, spec)))
 
     return baseline, _fit(
         samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log,
@@ -377,8 +376,8 @@ class Pipeline:
                 subtree += sub.children
                 sub.indices = member_idx[sub.indices]
                 pred = sub.prediction
-                pred.mobilities = {p: denormalized_spec(s, scale, center) for p, s in pred.mobilities.items()}
-                pred.fits = {p: denormalized_spec(s, scale, center) for p, s in pred.fits.items()}
+                pred.mobilities = {p: s and moved_spec(s, scale, center) for p, s in pred.mobilities.items()}
+                pred.fits = {p: s and moved_spec(s, scale, center) for p, s in pred.fits.items()}
             node.children.append(child)
         return node
 

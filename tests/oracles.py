@@ -7,7 +7,9 @@ takes the package's pair classifier, `_aligned_mean` and range check. The
 sequence reference (`make_sequence`) takes the package's `MotionSequence` and
 `mobility_transform`. The sparse-graph DBSCAN (`dbscan_labels`) is the
 package's own earlier implementation, kept as the byte reference for its
-rewrite, and so are the part matchers and `pooled_average_precision`.
+rewrite, and so are the part matchers and `pooled_average_precision`, the
+two spec transforms `yaw_spec` and `denormalized_spec` that `geom.moved_spec`
+replaced, and `fit_sequence` with its separate T and R/TR sums.
 """
 from __future__ import annotations
 
@@ -24,7 +26,15 @@ from partmotion.errors import ConfigError, DataError
 from partmotion.datagen import MotionSequence, ShapeSample
 from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform
 from partmotion.metrics import AP_THRESHOLDS, PartMatch, ShapeAPRecord
-from partmotion.mobfit import FLAG_LOW_CONFIDENCE, FittedMobility, PairMotion, _aligned_mean, classify_transform
+from partmotion.mobfit import (
+    FLAG_LOW_CONFIDENCE,
+    FittedMobility,
+    PairMotion,
+    _aligned_mean,
+    _kabsch,
+    _range_flags,
+    classify_transform,
+)
 from partmotion.nets import NetConfig
 
 
@@ -616,3 +626,94 @@ def make_sequence(sample: ShapeSample, n_frames: int) -> MotionSequence:
             idx = np.flatnonzero(labels == part_id)
             frames[k, idx] = mobility_transform(spec, k / (n_frames - 1)).apply(pts0[idx])
     return MotionSequence(frames, labels.copy(), list(sample.specs))
+
+
+# ---------------------------------------------------------------------------
+# mobility-spec references: the package's earlier code, kept as the byte
+# references for `geom.moved_spec` and the one signed-sum path of
+# `mobfit.fit_sequence`
+
+
+def yaw_spec(spec: MobilitySpec, t: RigidTransform) -> MobilitySpec:
+    return MobilitySpec(
+        spec.tau,
+        t.rotation @ spec.direction,
+        None if spec.position is None else t.apply(spec.position[None])[0],
+        spec.range_,
+        spec.slide_range,
+    )
+
+
+def denormalized_spec(spec: Optional[MobilitySpec], scale: float, center: np.ndarray):
+    """Map a spec fitted in normalized coordinates back to the original frame."""
+    if spec is None:
+        return None
+    position = None if spec.position is None else spec.position * scale + center
+    range_ = spec.range_
+    slide = spec.slide_range
+    if spec.tau == TYPE_T:
+        range_ = (range_[0] * scale, range_[1] * scale)
+    if slide is not None:
+        slide = (slide[0] * scale, slide[1] * scale)
+    return MobilitySpec(spec.tau, spec.direction, position, range_, slide)
+
+
+def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
+    """Mobility of one part across its frames; None when it never moves.
+
+    Still pairs (padded tail frames for instance) do not vote.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
+        raise DataError(f"frames must be (n>=2, M, 3), got {frames.shape}")
+    # the consecutive pairs, then the composed first-to-last pair
+    rotations, translations = _kabsch(np.concatenate([frames[:-1], frames[:1]]),
+                                      np.concatenate([frames[1:], frames[-1:]]))
+    composed = RigidTransform(rotations[-1], translations[-1])
+    rotations, translations = rotations[:-1], translations[:-1]
+    amounts = np.linalg.norm(frames[1:] - frames[:-1], axis=2).mean(axis=1)
+    pairs: list[PairMotion] = []
+    for rotation, translation, amount in zip(rotations, translations, amounts):
+        motion = classify_transform(RigidTransform(rotation, translation))
+        if motion is not None:
+            motion.amount = float(amount)
+            pairs.append(motion)
+    if not pairs:
+        return None
+    diff = frames[:-1] @ rotations.transpose(0, 2, 1) + translations[:, None] - frames[1:]
+    residual = float(np.mean(np.mean(np.sum(diff * diff, axis=2), axis=1)))
+    flags: list[str] = []
+
+    votes = {tau: sum(p.tau == tau for p in pairs) for tau in MOBILITY_TYPES}
+    top = max(votes.values())
+    leaders = [tau for tau, v in votes.items() if v == top]
+    if len(leaders) == 1:
+        tau = leaders[0]
+    else:
+        # no clear majority: the most-moving pair decides
+        tau = max(pairs, key=lambda p: p.amount).tau
+        flags.append(FLAG_LOW_CONFIDENCE)
+
+    if tau == TYPE_T:
+        kept = [p for p in pairs if p.tau == TYPE_T]
+        direction = _aligned_mean([p.direction for p in kept])
+        span = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
+        if span < 0.0:
+            direction, span = -direction, -span
+        spec = MobilitySpec(TYPE_T, direction, None, (0.0, float(span)))
+    else:
+        kept = [p for p in pairs if p.tau in (TYPE_R, TYPE_TR)]
+        direction = _aligned_mean([p.direction for p in kept])
+        position = np.mean([p.position for p in kept], axis=0)
+        angle = sum(np.sign(np.dot(p.direction, direction)) * p.angle_deg for p in kept)
+        slide = sum(np.sign(np.dot(p.direction, direction)) * p.slide for p in kept)
+        if angle < 0.0:
+            direction, angle, slide = -direction, -angle, -slide
+        if tau == TYPE_R:
+            spec = MobilitySpec(TYPE_R, direction, position, (0.0, float(angle)))
+        else:
+            slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
+            spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
+
+    flags.extend(_range_flags(composed, spec))
+    return FittedMobility(spec, residual, flags)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partmotion import geom
 from partmotion.errors import ConfigError
 
-from oracles import rotation_matrix
+from microfixtures import spec_bytes
+from oracles import denormalized_spec, rotation_matrix, yaw_spec
 
 
 def test_rotation_90_about_z_maps_x_to_y():
@@ -134,3 +135,98 @@ def test_normalize_round_trip(seed):
     assert abs(extents.max() - 1.0) < 1e-12
     np.testing.assert_allclose(normed * scl + center, pts, atol=1e-12)
     np.testing.assert_allclose(normed.min(axis=0) + normed.max(axis=0), np.zeros(3), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# moved_spec: the one transform of a spec that follows its cloud
+
+
+def test_moved_spec_scaling():
+    center = np.array([1.0, 2.0, 3.0])
+    t = geom.MobilitySpec("T", np.array([0.0, 1.0, 0.0]), None, (0.0, 0.4))
+    out = geom.moved_spec(t, 2.5, center)
+    assert out.range_ == (0.0, 1.0)
+    r = geom.MobilitySpec("R", np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), (0.0, 90.0))
+    out = geom.moved_spec(r, 2.0, center)
+    np.testing.assert_allclose(out.position, np.array([1.4, 2.0, 3.0]), atol=1e-12)
+    assert out.range_ == (0.0, 90.0)
+    tr = geom.MobilitySpec(
+        "TR", np.array([0.0, 0.0, 1.0]), np.zeros(3), (0.0, 120.0), (0.0, 0.05)
+    )
+    out = geom.moved_spec(tr, 4.0, center)
+    assert out.slide_range == (0.0, 0.2)
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+COORD = ZEROS | st.floats(-2.0, 2.0)
+# unit directions spelled with exact zeros of either sign
+UNIT_DIRECTIONS = st.builds(
+    lambda base, order, signs: np.array([base[i] * s for i, s in zip(order, signs)]),
+    st.sampled_from([(1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.48, 0.6, 0.64)]),
+    st.permutations([0, 1, 2]),
+    st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
+)
+
+
+@st.composite
+def specs(draw):
+    tau = draw(st.sampled_from(geom.MOBILITY_TYPES))
+    direction = draw(UNIT_DIRECTIONS | st.builds(geom.unit, st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3)))
+    position = None if tau == geom.TYPE_T else np.array(draw(st.lists(COORD, min_size=3, max_size=3)))
+    range_ = (draw(ZEROS), draw(ZEROS | st.floats(0.0, 150.0)))
+    slide = None
+    if tau == geom.TYPE_TR:
+        slide = tuple(sorted(draw(st.lists(COORD, min_size=2, max_size=2))))
+    return geom.MobilitySpec(tau, direction, position, range_, slide)
+
+
+def yaws(angle, axis, position):
+    return geom.rotation_about_axis(axis, np.array(position), angle)
+
+
+TRANSFORMS = st.builds(
+    yaws,
+    st.sampled_from([0.0, 90.0, 180.0, 270.0]) | st.floats(-360.0, 360.0),
+    st.just(np.array([0.0, 0.0, 1.0])) | UNIT_DIRECTIONS,
+    st.lists(COORD, min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(), transform=TRANSFORMS)
+def test_moved_spec_rotated_matches_yaw_oracle_bytes(spec, transform):
+    moved = geom.moved_spec(spec, 1.0, transform.translation, transform.rotation)
+    assert spec_bytes(moved) == spec_bytes(yaw_spec(spec, transform))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(), scale=st.sampled_from([1.0, 2.0, 0.5]) | st.floats(1e-3, 1e3),
+       center=st.lists(COORD, min_size=3, max_size=3))
+@example(spec=geom.MobilitySpec("T", np.array([-0.0, 0.0, -1.0]), None, (-0.0, 0.0)), scale=1.0,
+         center=[0.0, -0.0, 0.0])
+@example(spec=geom.MobilitySpec("TR", np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -0.0]), (0.0, 30.0),
+                                (-0.0, 0.0)), scale=2.0, center=[-0.0, -0.0, -0.0])
+def test_moved_spec_scaled_matches_denormalized_oracle_bytes(spec, scale, center):
+    moved = geom.moved_spec(spec, scale, np.array(center))
+    assert spec_bytes(moved) == spec_bytes(denormalized_spec(spec, scale, np.array(center)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), tau=st.sampled_from(geom.MOBILITY_TYPES), s=st.floats(0.0, 1.0))
+def test_moved_spec_moves_with_its_cloud(seed, tau, s):
+    # moving the cloud, then the part by the moved spec, ends where the part
+    # moved by the original spec ends after the same cloud motion
+    rng = np.random.default_rng(seed)
+    position = None if tau == geom.TYPE_T else rng.normal(size=3)
+    slide = (-0.2, 0.3) if tau == geom.TYPE_TR else None
+    spec = geom.MobilitySpec(tau, geom.unit(rng.normal(size=3)), position, (0.0, 120.0), slide)
+    rotation = geom.rotation_about_axis(rng.normal(size=3), np.zeros(3), rng.uniform(-180.0, 180.0)).rotation
+    scale, shift = rng.uniform(0.2, 5.0), rng.normal(size=3)
+    points = rng.normal(size=(20, 3))
+
+    def move(p):
+        return (scale * p) @ rotation.T + shift
+
+    moved = geom.moved_spec(spec, scale, shift, rotation)
+    np.testing.assert_allclose(geom.mobility_transform(moved, s).apply(move(points)),
+                               move(geom.mobility_transform(spec, s).apply(points)), atol=1e-9)

@@ -282,20 +282,6 @@ def test_moving_term_is_permutation_invariant():
     assert abs(a - b) < 1e-12
 
 
-def test_baseline_loss_combines_terms():
-    logits = dc.constant(np.zeros((4, 2)))
-    seg = np.array([0, 0, 1, 1])
-    type_logits = dc.constant(np.array([[5.0, -5.0, -5.0]]))
-    axis = dc.constant(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
-    spec = MobilitySpec("T", np.array([1.0, 0.0, 0.0]))
-    out = losses.baseline_loss(logits, seg, type_logits, axis, spec)
-    seg_term = float(losses.l_seg_obj(logits, seg).value)
-    mob_term = float(losses.l_mob(type_logits, axis, spec).value)
-    assert abs(seg_term - np.log(2.0)) < 1e-12
-    assert mob_term < 1e-3
-    assert float(out.value) == seg_term + mob_term
-
-
 @pytest.mark.parametrize("maps_rows, gt_shape, moving_shape, radii_shape", [
     (12, (2, 5, 3), (2, 3, 3), (2, 3)),
     (10, (2, 6, 3), (2, 3, 3), (2, 3)),

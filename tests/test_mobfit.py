@@ -1,6 +1,8 @@
 """Mobility extraction checks: synthetic transforms and generated sequences."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import DataError
@@ -342,3 +344,71 @@ def test_rigid_register_matches_per_pair_oracle():
             want = oracles.rigid_register(src, dst)
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one signed-sum path against the earlier separate T and R/TR sums
+
+
+STILL = "still"
+
+
+def _stepped_frames(seed: int, steps) -> np.ndarray:
+    """Frames of one part moved pair by pair: (kind, backward) per pair.
+
+    Every moving pair turns or slides about nearly the same axis, so pairs
+    run forward or backward along it and their signed sums can cancel.
+    """
+    rng = np.random.default_rng(seed)
+    axis, position = unit(rng.normal(size=3)), rng.normal(size=3)
+    frames = [rng.normal(size=(8, 3))]
+    for kind, backward in steps:
+        d = unit(axis + rng.normal(0.0, 0.05, size=3)) * (-1.0 if backward else 1.0)
+        if kind == STILL:
+            step = RigidTransform(np.eye(3), np.zeros(3))
+        elif kind == TYPE_T:
+            step = RigidTransform(np.eye(3), d * rng.uniform(0.02, 0.3))
+        else:
+            step = rotation_about_axis(d, position, rng.uniform(2.0, 40.0))
+            if kind == TYPE_TR:
+                step.translation = step.translation + d * rng.uniform(0.01, 0.2) * rng.choice([-1.0, 1.0])
+        frames.append(step.apply(frames[-1]))
+    return np.stack(frames)
+
+
+def _assert_matches_two_path_oracle(frames) -> tuple:
+    got = _fit_bytes(fit_sequence, frames)[:3]
+    assert got == _fit_bytes(oracles.fit_sequence, frames)[:3]
+    return got
+
+
+@pytest.mark.parametrize("steps, tau, flipped, tied", [
+    ([(STILL, False), (TYPE_R, False), (STILL, False)], TYPE_R, False, False),
+    ([(TYPE_T, False), (TYPE_R, True)], TYPE_R, False, True),
+    ([(TYPE_R, False), (TYPE_R, True), (TYPE_R, True), (TYPE_R, True)], TYPE_R, True, False),
+    ([(TYPE_T, False), (TYPE_T, True), (TYPE_T, True), (STILL, False)], TYPE_T, True, False),
+    ([(TYPE_TR, False), (TYPE_TR, True), (TYPE_TR, True), (TYPE_TR, True)], TYPE_TR, True, False),
+], ids=["still_pairs", "tied_votes", "negative_angle_sum", "negative_slide_sum", "negative_screw_sum"])
+def test_fit_sequence_matches_two_path_oracle_cases(steps, tau, flipped, tied):
+    frames = _stepped_frames(5, steps)
+    got = _assert_matches_two_path_oracle(frames)
+    fit = fit_sequence(frames)
+    assert fit.spec.tau == tau and (FLAG_LOW_CONFIDENCE in fit.flags) == tied
+    # a negative sum turns the axis against the first kept pair's
+    pairs = [classify_transform(rigid_register(a, b)) for a, b in zip(frames, frames[1:])]
+    first = next(m for m in pairs if m and (m.tau == TYPE_T) == (tau == TYPE_T))
+    assert (np.dot(fit.spec.direction, first.direction) < 0.0) == flipped
+    assert got[0] == spec_bytes(fit.spec)
+
+
+def test_fit_sequence_matches_two_path_oracle_when_still():
+    assert _assert_matches_two_path_oracle(_stepped_frames(5, [(STILL, False), (STILL, True)])) == (None,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       steps=st.lists(st.tuples(st.sampled_from([STILL, TYPE_T, TYPE_R, TYPE_TR]), st.booleans()),
+                      min_size=1, max_size=6))
+@example(seed=1, steps=[(TYPE_T, True), (TYPE_TR, False), (TYPE_R, True)])
+def test_fit_sequence_matches_two_path_oracle_bytes(seed, steps):
+    _assert_matches_two_path_oracle(_stepped_frames(seed, steps))

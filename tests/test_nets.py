@@ -27,7 +27,6 @@ from partmotion.nets import (
     ShapePrediction,
     build_plan,
     dense_weights,
-    denormalized_spec,
     k_smallest,
 )
 
@@ -557,19 +556,3 @@ def test_depth_three_reports_grandchild_in_input_frame():
     for spec in (grandchild.prediction.mobilities[1], grandchild.prediction.fits[1]):
         np.testing.assert_allclose(spec.position, pts[280], atol=1e-12)
 
-
-def test_denormalized_spec_scaling():
-    center = np.array([1.0, 2.0, 3.0])
-    t = MobilitySpec("T", np.array([0.0, 1.0, 0.0]), None, (0.0, 0.4))
-    out = denormalized_spec(t, 2.5, center)
-    assert out.range_ == (0.0, 1.0)
-    r = MobilitySpec("R", np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.0, 0.0]), (0.0, 90.0))
-    out = denormalized_spec(r, 2.0, center)
-    np.testing.assert_allclose(out.position, np.array([1.4, 2.0, 3.0]), atol=1e-12)
-    assert out.range_ == (0.0, 90.0)
-    tr = MobilitySpec(
-        "TR", np.array([0.0, 0.0, 1.0]), np.zeros(3), (0.0, 120.0), (0.0, 0.05)
-    )
-    out = denormalized_spec(tr, 4.0, center)
-    assert out.slide_range == (0.0, 0.2)
-    assert denormalized_spec(None, 2.0, center) is None
