@@ -276,7 +276,12 @@ def _compose_spec(
     tau: str, d: np.ndarray, x: np.ndarray, part_maps: np.ndarray,
     fit_spec: Optional[MobilitySpec],
 ) -> MobilitySpec:
-    """Regressor (type, axis) plus a motion range read off the maps."""
+    """Regressor (type, axis) plus a motion range read off the maps.
+
+    The axis points along the motion: for T, along the mean step; for R and
+    TR, along mobfit's axis, about which the fitted range is measured (the
+    line stays the regressor's).
+    """
     d = unit(d)
     if tau == TYPE_T:
         span = float((part_maps.mean(axis=1) @ d).sum())
@@ -286,6 +291,8 @@ def _compose_spec(
     range_ = (0.0, 0.0)
     if fit_spec is not None and fit_spec.tau != TYPE_T:
         range_ = fit_spec.range_
+        if np.dot(d, fit_spec.direction) < 0.0:
+            d = -d
     slide = None
     if tau == TYPE_TR:
         slide = (0.0, 0.0)

@@ -180,13 +180,13 @@ def test_loss_trace_every_step(monkeypatch, row):
 # two epochs: maps, labels, cluster confidences, and each part's mobility
 # and mobfit spec, all as raw float64 bytes.
 PREDICT_DIGEST = {
-    "drawer_box": "4efdf428340e49334a042e12d04e36f584fd19935e09d056847678fd3c94fba9",
-    "door_box": "8be1206367a18444b1deef8017c79018b4e6484b65f420dc98cb7cf4e5bdd52a",
-    "fan": "23b056d8c7fc120b982d44b5010c69b54b7f1e8752c822dccb3dc92b6ef202ad",
-    "laptop": "82982a097b4518715c98cc4feee73b59fa98300b8ac86fca6a152e63508336ec",
-    "bottle_cap_TR": "72c728b9af246db9315c9159d8695f3d65ba3139bb125b53c0686dc2232b8f4f",
-    "cabinet_multi": "67a2e57e1472a1593f7db95b4f06b3dffde18404722227ec2a17ea8752ce0fb6",
-    "umbrella": "c89d9620e36d25b02b72ceb1700dda5b3d4fd82ba5b32730a61ff7ba68b9b5cb",
+    "drawer_box": "1e6fa61a366b2cc5e0b3310ea5425d102a432400aa6986beab50b9abbf5da747",
+    "door_box": "42873b778c26ffd5d98a03efb7a0b6ea5b4af5b7096ddef15b6250efb8b28631",
+    "fan": "c92f781a3a5190b56abeb41999c88c439e79c72206791dcb85e3f87b7199245a",
+    "laptop": "06d68195e05e90889accb90682184faf6c7a5acd071e6a5a5b7bd9291057922c",
+    "bottle_cap_TR": "8341731421548adce62dc8933942c944add3dc98e6765640ef2bcac6b40efd3e",
+    "cabinet_multi": "b00291796823d5e3ae65e270367a0a77a2e9beab99c7d2cba346507fadea7f5a",
+    "umbrella": "ef546db5f66c6307226ba25211ed8db0d8c47bd262399b5451c70fa59267fed1",
     "balance": "069a227fa6fca493907cd4c017ce599955d29a3b08e46f076b92ccd894b355dc",
 }
 

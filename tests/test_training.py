@@ -1,5 +1,6 @@
 """Training loops, pipeline prediction, checkpoints, and the eval harness."""
 import dataclasses
+import types
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from partmotion.config import RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.losses import LossWeights, knn_radii
 from partmotion.errors import ConfigError, DataError, NumericError
-from partmotion.geom import MobilitySpec, unit
+from partmotion.geom import MobilitySpec, mobility_transform, unit
 from partmotion.nets import NetConfig
 
 
@@ -344,6 +345,32 @@ def test_compose_spec_rotation_takes_fit_range():
     assert spec.range_ == (0.0, 90.0)
     spec = tr._compose_spec("TR", np.array([0.0, 1.0, 0.0]), np.ones(3), np.zeros((4, 5, 3)), None)
     assert spec.range_ == (0.0, 0.0) and spec.slide_range == (0.0, 0.0)
+
+
+class ReversedAxisRegressor:
+    """A regressor that reads a part's type and axis line right but points the axis backwards."""
+
+    def __init__(self, spec: MobilitySpec):
+        self.spec = spec
+
+    def predict(self, plan, channels):
+        return self.spec.tau, -self.spec.direction, self.spec.position
+
+
+@pytest.mark.parametrize("category", ["door_box", "laptop", "bottle_cap_TR"])
+def test_reversed_regressor_axis_still_reproduces_the_last_frame(category):
+    # mobfit measures the range about its own axis, so the composed spec
+    # takes that axis's sense and keeps the regressor's line
+    rec = micro_records((category,), n_points=128)[0]
+    member, spec = np.flatnonzero(rec.labels == 1), rec.specs[0]
+    pipe = tr.Pipeline(micro_config(), regressor=ReversedAxisRegressor(spec))
+    plan = types.SimpleNamespace(points=rec.frames[0])
+    composed, fit = pipe._part_mobility(plan, rec.displacement_maps, member)
+    assert fit is not None and fit.tau == spec.tau == composed.tau
+    np.testing.assert_allclose(composed.direction, spec.direction, atol=1e-12)
+    np.testing.assert_array_equal(composed.position, spec.position)
+    last = mobility_transform(composed, 1.0).apply(rec.frames[0][member])
+    np.testing.assert_allclose(last, rec.frames[-1][member], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
