@@ -173,6 +173,12 @@ def _fit(
 # displacement network training
 
 
+def _check_frame_count(instances: Sequence[PreparedInstance], config: RunConfig) -> None:
+    """ConfigError unless every instance has config.n_frames maps, the count load_pipeline rebuilds."""
+    if any(inst.targets.shape[0] != config.n_frames for inst in instances):
+        raise ConfigError(f"instances were prepared for another frame count than n_frames={config.n_frames}")
+
+
 def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConfig):
     maps = net.hallucinate(inst.plan)
     segmentation = None
@@ -197,9 +203,9 @@ def train_displacement(
         raise DataError("no training instances")
     if any(inst.k_density != config.weights.k_density for inst in instances):
         raise ConfigError(f"instances were prepared for another k_density than {config.weights.k_density}")
-    n_maps = int(instances[0].targets.shape[0])
+    _check_frame_count(instances, config)
     net = DisplacementNet(
-        n_maps, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
+        config.n_frames, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
     return net, _fit(
         instances, net.params, lambda inst: _instance_loss(net, inst, config),
@@ -230,14 +236,14 @@ def train_mobility(
     Returns None when no instance carries mobility parameters (purely
     non-parametric corpora such as umbrella-only training).
     """
+    _check_frame_count(instances, config)
     samples = []
     for inst, part_id, spec in _start_parts(instances):  # each part's input is built once
         member = np.flatnonzero(inst.labels == part_id)
         samples.append((inst.plan, MobilityRegressor.component_channels(inst.points, inst.targets, member), spec))
     if not samples:
         return None, []
-    n_maps = int(instances[0].targets.shape[0])
-    reg = MobilityRegressor(n_maps, np.random.default_rng([config.seed, 2]), config.net)
+    reg = MobilityRegressor(config.n_frames, np.random.default_rng([config.seed, 2]), config.net)
 
     def loss_fn(sample) -> LossBreakdown:
         plan, channels, spec = sample
@@ -432,7 +438,8 @@ def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
     """Write the run's config.json and the parameters of each network it holds.
 
     config.json is the only description of the networks: load_pipeline
-    rebuilds them from it.
+    rebuilds them from it. The parameter file of each network the pipeline
+    lacks is removed, so an earlier run into out_dir is never loaded with it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -441,6 +448,8 @@ def save_pipeline(out_dir: str | Path, pipeline: Pipeline) -> Path:
     for name, model in models.items():
         if model is not None:
             dc.save_params(out / name, model.params)
+        else:
+            (out / name).unlink(missing_ok=True)
     return out
 
 

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,42 @@ def test_some_modules_declare_all():
 def test_every_name_in_all_exists(path):
     module = importlib.import_module(module_name(path))
     assert [name for name in declared_all(path) if not hasattr(module, name)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each top-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    """Every name node mentions: loads and stores, attributes and imports."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.split(".")[-1])
+    return out
+
+
+def test_every_private_name_is_used_by_the_package():
+    # code that only its tests call piles up unseen; tests do not count here
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    everywhere = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    unused = [f"{module_name(path)}.{name}"
+              for path, tree in trees.items() for name, node in _private_definitions(tree)
+              if everywhere[name] == Counter(_referenced_names(node))[name]]
+    assert unused == []

@@ -146,6 +146,13 @@ def test_radii_are_tied_to_their_k_density(records, instances):
     tr.train_displacement(tr.prepare_instances(records[:1], config), config)
 
 
+@pytest.mark.parametrize("train", [tr.train_displacement, tr.train_mobility], ids=["displacement", "mobility"])
+def test_training_rejects_instances_of_another_frame_count(instances, train):
+    # load_pipeline rebuilds the networks with config.n_frames maps
+    with pytest.raises(ConfigError, match="another frame count than n_frames=3"):
+        train(instances, micro_config(n_frames=3))
+
+
 def test_prepare_rejects_records_of_another_size(tmp_path, records):
     # a 6-frame config over 4-frame records would train a 4-map net that
     # its own run directory could not reload
@@ -388,6 +395,21 @@ def test_checkpoint_round_trip(tmp_path, trained, records):
     b = loaded.predict(records[1].frames[0])
     assert np.array_equal(a.maps, b.maps)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_saving_removes_parameters_of_networks_the_pipeline_lacks(tmp_path, trained, records):
+    cfg, pipe = trained
+    out = tmp_path / "run"
+    tr.save_pipeline(out, pipe)
+    tr.save_pipeline(out, tr.Pipeline(cfg, net=pipe.net))
+    assert not (out / tr.MOB_PARAMS).exists()
+    loaded = tr.load_pipeline(out)
+    assert loaded.regressor is None
+    cloud = records[1].frames[0]
+    assert _prediction_digest(loaded.predict(cloud)) == _prediction_digest(tr.Pipeline(cfg, net=pipe.net).predict(cloud))
+    base = dataclasses.replace(cfg, basenet=True)
+    tr.save_pipeline(out, tr.Pipeline(base, baseline=tr.DirectBaseline(np.random.default_rng(0), cfg.net)))
+    assert sorted(p.name for p in out.iterdir()) == ["baseline.params", "config.json"]
 
 
 @pytest.fixture(scope="module")
