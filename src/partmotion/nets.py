@@ -27,8 +27,10 @@ input points concatenated with all n maps, read as data; the loss and
 prediction's DBSCAN both compare their clustering features by
 `dc.pairwise_row_distances`. The mobility regressor reads the same
 concatenation with displacements zeroed outside one component and
-outputs a motion type and an axis. The baseline predicts segmentation
-and a single mobility straight from the input points.
+outputs a motion type and an axis (its objective is `losses.l_mob`). The
+baseline predicts segmentation and a single mobility straight from the
+input points. Specs fitted inside a component's unit box go back to the
+input frame through `geom.moved_spec`.
 """
 from __future__ import annotations
 

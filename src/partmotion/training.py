@@ -282,12 +282,9 @@ def _compose_spec(
     tau: str, d: np.ndarray, x: np.ndarray, part_maps: np.ndarray,
     fit_spec: Optional[MobilitySpec],
 ) -> MobilitySpec:
-    """Regressor (type, axis) plus a motion range read off the maps.
-
-    The axis points along the motion: for T, along the mean step; for R and
-    TR, along mobfit's axis, about which the fitted range is measured (the
-    line stays the regressor's).
-    """
+    """Regressor (type, axis) plus a motion range read off the maps; the axis
+    points along the mean step (T) or, keeping its line, along mobfit's axis,
+    about which mobfit measured the range it gives R and TR."""
     d = unit(d)
     if tau == TYPE_T:
         span = float((part_maps.mean(axis=1) @ d).sum())

@@ -180,12 +180,8 @@ def specs(draw):
     return geom.MobilitySpec(tau, direction, position, range_, slide)
 
 
-def yaws(angle, axis, position):
-    return geom.rotation_about_axis(axis, np.array(position), angle)
-
-
 TRANSFORMS = st.builds(
-    yaws,
+    lambda angle, axis, position: geom.rotation_about_axis(axis, np.array(position), angle),
     st.sampled_from([0.0, 90.0, 180.0, 270.0]) | st.floats(-360.0, 360.0),
     st.just(np.array([0.0, 0.0, 1.0])) | UNIT_DIRECTIONS,
     st.lists(COORD, min_size=3, max_size=3),
