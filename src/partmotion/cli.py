@@ -18,7 +18,7 @@ import numpy as np
 from .config import ABLATION_SWITCHES, RunConfig, load_config
 from .datagen import generate_dataset, load_dataset
 from .datagen.dataset import foreign_entries
-from .errors import ConfigError, DataError, NumericError, exit_code_for
+from .errors import EXIT_OK, ConfigError, DataError, NumericError, exit_code_for
 from .geom import MobilitySpec
 from .metrics import MetricsReport
 from .nets import PredictionNode, ShapePrediction
@@ -130,7 +130,7 @@ def cmd_gen(args) -> int:
     config.save(out / "config.json")
     n_shapes = len(manifest["shapes"])
     print(f"wrote {n_shapes} shapes ({n_shapes * config.n_frames} instances) to {out}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
@@ -140,7 +140,7 @@ def cmd_train(args) -> int:
     records = load_dataset(dataset, split="train")
     run_training(config, records, out_dir=out, log=print if args.verbose else None)
     print(f"checkpoint written to {out}")
-    return 0
+    return EXIT_OK
 
 
 def _load_input_points(path: Path, config: RunConfig) -> tuple[np.ndarray, bool]:
@@ -165,12 +165,11 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["prediction report", f"input {args.input}", f"resampled {str(resampled).lower()}"]
+    node = pipeline.predict_tree(points, max(args.recursive, 1))
+    pred = node.prediction
     if args.recursive > 1:
-        node = pipeline.predict_tree(points, args.recursive)
         lines += format_tree(node, config.theta_stop)
-        pred = node.prediction
     else:
-        pred = pipeline.predict(points)
         lines += format_prediction(pred, config.theta_stop)
     cloud = points.copy()
     for t in range(pred.maps.shape[0]):
@@ -180,7 +179,7 @@ def cmd_predict(args) -> int:
     report.write_text("".join(line + "\n" for line in lines))
     print("\n".join(lines))
     print(f"report and {pred.maps.shape[0]} frames written to {out}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -198,7 +197,7 @@ def cmd_eval(args) -> int:
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
-    return 0
+    return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
@@ -226,7 +225,7 @@ def cmd_ablate(args) -> int:
         print(table[-1])
     (out / "table.txt").write_text("".join(line + "\n" for line in table))
     print(f"table written to {out / 'table.txt'}")
-    return 0
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

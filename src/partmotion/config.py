@@ -130,9 +130,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
         try:
-            if "net" in data and not isinstance(data["net"], NetConfig):
+            if "net" in data:
                 data["net"] = _net_from_dict(data["net"])
-            if "weights" in data and not isinstance(data["weights"], LossWeights):
+            if "weights" in data:
                 data["weights"] = LossWeights(**data["weights"])
             return cls(**data)
         except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
@@ -163,7 +163,7 @@ def _whole(value) -> int:  # a count, width or group size from JSON: 16.0 is 16,
 
 
 def _net_from_dict(data: dict) -> NetConfig:
-    data = dict(data)
+    data = {**data}  # a TypeError, so a ConfigError, for anything but a mapping
     if "sa_stages" in data:
         data["sa_stages"] = tuple(
             (_whole(count), float(radius), tuple(_whole(w) for w in widths))

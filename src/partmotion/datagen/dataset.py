@@ -14,7 +14,7 @@ names it. Layout under the output root:
 Everything is derived from integer seed paths fed to numpy's generator, so
 two runs with the same arguments produce byte-identical trees. The last
 tenth of every category (rounded up) forms the test split. A loaded shape
-is the MotionSequence that was written, plus its id, split and scan.
+is the written MotionSequence plus its id and split; scans are not read.
 """
 from __future__ import annotations
 
@@ -63,14 +63,11 @@ def mobility_from_json(data: dict) -> MobilitySpec:
 
 @dataclass
 class ShapeRecord(MotionSequence):
-    """One loaded shape: its motion sequence, identity and optional partial scan."""
+    """One loaded shape: its motion sequence and identity."""
 
     category: str
     shape_id: str
     split: str
-    scan_points: Optional[np.ndarray] = None
-    scan_labels: Optional[np.ndarray] = None
-    scan_viewpoint: Optional[np.ndarray] = None
 
 
 def foreign_entries(root: Path) -> list[str]:
@@ -87,11 +84,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def generate_dataset(
     out_dir: str | Path,
-    categories: tuple[str, ...] = TEMPLATE_NAMES,
-    shapes_per_category: int = 25,
-    n_points: int = 2048,
-    n_frames: int = 8,
-    seed: int = 0,
+    categories: tuple[str, ...],
+    shapes_per_category: int,
+    n_points: int,
+    n_frames: int,
+    seed: int,
     scan_sigma: float = DEPTH_SIGMA,
     scan_fraction: float = 1.0,
 ) -> dict:
@@ -200,8 +197,7 @@ def load_dataset(root: str | Path, split: Optional[str] = None) -> list[ShapeRec
 def _read_shape_json(shape_dir: Path) -> dict:
     """The checked shape.json of one shape directory.
 
-    Its mobilities come parsed under "specs" and its scan, if any, as a
-    (file name, viewpoint) pair under "scan". seed_path is written, not read.
+    Its mobilities come parsed under "specs"; seed_path and scan are not read.
     """
     path = shape_dir / "shape.json"
     try:
@@ -215,10 +211,6 @@ def _read_shape_json(shape_dir: Path) -> dict:
             raise ValueError(f"need str shape_id and split, got {meta['shape_id']!r}, {meta['split']!r}")
         parts = meta["parts"]
         meta["specs"] = None if parts is None else [mobility_from_json(p["mobility"]) for p in parts]
-        scan = meta.get("scan")
-        if scan and type(scan["file"]) is not str:
-            raise ValueError(f"need a file name as scan file, got {scan['file']!r}")
-        meta["scan"] = (scan["file"], np.array(scan["viewpoint"], dtype=np.float64).reshape(3)) if scan else None
     except MALFORMED as exc:
         raise DataError(f"{path}: unreadable or malformed ({exc!r})") from exc
     return meta
@@ -242,7 +234,7 @@ def load_shape(shape_dir: str | Path) -> ShapeRecord:
     # one part per moving label, labelled 1..K without gaps
     if specs is not None and not np.array_equal(np.unique(labels[labels != 0]), np.arange(1, len(specs) + 1)):
         raise DataError(f"{shape_dir / 'shape.json'}: {len(specs)} parts do not match the frames' moving labels")
-    record = ShapeRecord(
+    return ShapeRecord(
         category=meta["category"],
         shape_id=meta["shape_id"],
         split=meta["split"],
@@ -250,7 +242,3 @@ def load_shape(shape_dir: str | Path) -> ShapeRecord:
         labels=labels,
         specs=specs,
     )
-    if meta["scan"]:
-        scan_file, record.scan_viewpoint = meta["scan"]
-        record.scan_points, record.scan_labels = read_ply(shape_dir / scan_file)
-    return record

@@ -277,12 +277,9 @@ def gather_rows(a: Node | np.ndarray, idx: np.ndarray) -> Node:
 def _reduce(a: Node, axis: Optional[int], count: int, op_tag: str) -> Node:
     """The sum along axis (over everything for None) divided by count: numpy's
     mean is that sum / count, and a sum divides by 1."""
-    shape = a.value.shape
 
     def bw(g: np.ndarray) -> np.ndarray:
-        if axis is None:
-            return np.full(shape, g / count)
-        return np.broadcast_to(np.expand_dims(g, axis), shape) / count
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.value.shape) / count
 
     return _make(a.value.sum(axis=axis) / count, [(a, bw)], op_tag)
 
@@ -562,7 +559,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
 _MAGIC = "partmotion-params 1"
 
 
-def save_params(path: str | Path, params: dict[str, Node | np.ndarray]) -> None:
+def save_params(path: str | Path, params: dict[str, Node]) -> None:
     """Write parameters as a text header plus little-endian float64 payload."""
     names = list(params.keys())
     for name in names:
@@ -571,8 +568,7 @@ def save_params(path: str | Path, params: dict[str, Node | np.ndarray]) -> None:
     header = [_MAGIC, f"tensors {len(names)}"]
     blobs = []
     for name in names:
-        arr = params[name].value if isinstance(params[name], Node) else np.asarray(params[name])
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = params[name].value
         dims = ",".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
         header.append(f"{name} {dims}")
         blobs.append(arr.astype("<f8", copy=False).tobytes())

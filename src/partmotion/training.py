@@ -490,6 +490,8 @@ def run_training(
         instances = prepare_instances(records, config)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for stale in Path(out_dir).glob("step_*.params"):  # an earlier run's mid-run checkpoints
+            stale.unlink()
     if config.basenet:
         baseline, lines = train_baseline(instances, config, log)
         pipeline = Pipeline(config, baseline=baseline)

@@ -9,7 +9,8 @@ sequence reference (`make_sequence`) takes the package's `MotionSequence` and
 package's own earlier implementation, kept as the byte reference for its
 rewrite, and so are the part matchers and `pooled_average_precision`, the
 two spec transforms `yaw_spec` and `denormalized_spec` that `geom.moved_spec`
-replaced, and `fit_sequence` with its separate T and R/TR sums.
+replaced, `fit_sequence` with its separate T and R/TR sums, and
+`reduce_backward`, the two-branch gradient of `dc.reduce_sum` and `dc.reduce_mean`.
 """
 from __future__ import annotations
 
@@ -339,6 +340,14 @@ def lstm_states(x_proj: dc.Node, w_h: dc.Node, steps: int) -> dc.Node:
         h, c = lstm_cell(x_proj, h, c, w_h)
         states.append(h)
     return dc.concat(states)
+
+
+# The reductions' backward before it was one broadcast: a full reduction
+# filled the input's shape with g / count.
+def reduce_backward(g: np.ndarray, shape: tuple[int, ...], axis: Optional[int], count: int) -> np.ndarray:
+    if axis is None:
+        return np.full(shape, g / count)
+    return np.broadcast_to(np.expand_dims(g, axis), shape) / count
 
 
 def pair_relu_linear(rows: dc.Node, cols: dc.Node, w: dc.Node, b: dc.Node) -> dc.Node:

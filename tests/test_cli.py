@@ -1,5 +1,6 @@
 """End-to-end command surface: every subcommand plus the exit-code contract."""
 import json
+import shlex
 import shutil
 import tempfile
 from pathlib import Path
@@ -154,6 +155,67 @@ def test_predict_recursive_tree(workdir, tmp_path, capsys):
     assert main(["predict", "--run", str(workdir / "run"), "--input", str(inp),
                  "--out", str(tmp_path / "p"), "--recursive", "2"]) == 0
     assert "node level 1" in capsys.readouterr().out
+
+
+FAN_004_PARTS = """\
+points 64
+mean_step 0.005646
+motion_complete true
+step_magnitudes 0.005594 0.005236 0.005608 0.006145
+segmentation reference 59 moving_parts 1
+part 1 size 5 confidence 0.0997
+part 1 mobility type TR direction -0.455253,0.750601,-0.478897 position 0.051231,0.026883,0.037324 \
+range 0.000000,0.000000 slide 0.000000,0.000000
+part 1 mobfit type T direction 0.517250,-0.554303,0.652075 position - range 0.000000,0.011475
+"""
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_predict_report_text_is_pinned(workdir, tmp_path, depth):
+    # the whole report of the module's micro run; the run's maps are below
+    # theta_stop, so depth 2 adds only the root's node line
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(workdir / "run"), "--input", str(inp),
+                 "--out", str(tmp_path / "p"), "--recursive", str(depth)]) == 0
+    node = "node level 1 points 64\n" if depth == 2 else ""
+    head = f"prediction report\ninput {inp}\nresampled false\n{node}"
+    assert (tmp_path / "p" / "report.txt").read_text() == head + FAN_004_PARTS
+
+
+def test_predict_tree_report_text_is_pinned(workdir, tmp_path):
+    # an untrained net moves the cloud past theta_stop, so the tree has a child
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=DisplacementNet(4, rng, cfg.net),
+                                                   regressor=MobilityRegressor(4, rng, cfg.net)))
+    inp = workdir / "data" / "drawer_box_000" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p"),
+                 "--recursive", "2"]) == 0
+    assert (tmp_path / "p" / "report.txt").read_text() == f"""\
+prediction report
+input {inp}
+resampled false
+node level 1 points 64
+points 64
+mean_step 0.109841
+motion_complete false
+step_magnitudes 0.096021 0.105166 0.114920 0.123256
+segmentation reference 12 moving_parts 1
+part 1 size 52 confidence 0.0156
+part 1 mobility type R direction -0.835131,0.418283,-0.357206 position 0.018224,-0.065116,-0.024049 \
+range 0.000000,0.000000
+part 1 mobfit none
+  node level 2 points 52
+  points 52
+  mean_step 0.167664
+  motion_complete false
+  step_magnitudes 0.146797 0.161424 0.175271 0.187163
+  segmentation reference 1 moving_parts 1
+  part 1 size 51 confidence 0.0162
+  part 1 mobility type R direction -0.802358,0.465810,-0.373153 position -0.005662,-0.062002,0.235194 \
+range 0.000000,0.000000
+  part 1 mobfit none
+"""
 
 
 def test_predict_recursive_stops_at_config_theta_stop(workdir, tmp_path, capsys):
@@ -420,6 +482,18 @@ def test_ablate_rejects_unknown_row(workdir, tmp_path):
                  "--out", str(tmp_path / "a"), "--rows", "no_such"]) == 2
 
 
+def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    config = readme.split("```json\n")[1].split("```")[0]
+    assert json.loads(config)["net"] == TINY_NET_JSON
+    commands = [shlex.split(line)[3:] for line in readme.splitlines() if line.startswith("python -m partmotion.cli ")]
+    assert sorted({argv[0] for argv in commands}) == ["ablate", "eval", "gen", "predict", "train"]
+    monkeypatch.chdir(tmp_path)
+    Path("micro.json").write_text(config)
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 0.0, 0.0],
                 "range": [0.0, 90.0], "slide_range": None}
 
@@ -448,6 +522,28 @@ def test_shape_json_without_seed_path_loads(workdir, tmp_path, capsys):
     shutil.copytree(workdir / "data", data)
     meta = data / "fan_002" / "shape.json"
     meta.write_text(json.dumps({k: v for k, v in json.loads(meta.read_text()).items() if k != "seed_path"}))
+    texts = []
+    for root in (workdir / "data", data):
+        assert main(["eval", "--oracle", "--dataset", str(root), "--split", "train"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("scan_ply", [None, "ply\nformat ascii 1.0\nend_header\n"], ids=["missing", "malformed"])
+def test_scan_ply_is_not_read(workdir, tmp_path, capsys, scan_ply):
+    # gen writes scans for test shapes, but no command reads one back: a train
+    # shape given a scan entry whose file is missing or malformed changes nothing
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    scan_entry = json.loads((data / "fan_004" / "shape.json").read_text())["scan"]
+    meta = data / "fan_002" / "shape.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "scan": scan_entry}))
+    if scan_ply is not None:
+        (data / "fan_002" / "scan.ply").write_text(scan_ply)
+    train, _ = dataset_reads(workdir, data, tmp_path)
+    assert main(train) == 0
+    assert (tmp_path / "run" / "loss.log").read_bytes() == (workdir / "run" / "loss.log").read_bytes()
+    capsys.readouterr()
     texts = []
     for root in (workdir / "data", data):
         assert main(["eval", "--oracle", "--dataset", str(root), "--split", "train"]) == 0

@@ -123,6 +123,16 @@ def test_unknown_keys_are_rejected():
         RunConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [("net", NetConfig()), ("net", []), ("net", ""), ("net", None),
+                                        ("weights", LossWeights()), ("weights", [])])
+def test_net_and_weights_must_be_json_objects(key, value):
+    # from_dict reads JSON; a built config object or any other non-object is an error
+    data = json.loads(RunConfig().to_json())
+    data[key] = value
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="does not exist"):
         load_config(tmp_path / "missing.json")

@@ -1,4 +1,5 @@
 """Template, sequence, scan, and dataset round-trip checks."""
+import inspect
 import json
 from pathlib import Path
 
@@ -253,11 +254,16 @@ def test_dataset_round_trip(tmp_path):
             assert len(rec.specs) == 1
         else:
             assert rec.specs is None
+        # the loader reads no scan, so check what the writer left on disk
+        shape_dir = tmp_path / "d" / rec.shape_id
+        scan = json.loads((shape_dir / "shape.json").read_text())["scan"]
         if rec.split == "test":
-            assert rec.scan_points is not None and rec.scan_viewpoint is not None
-            assert rec.scan_points.shape == (256, 3)
+            assert scan["file"] == "scan.ply" and scan["sigma"] == DEPTH_SIGMA
+            assert len(scan["viewpoint"]) == 3
+            points, labels = read_ply(shape_dir / "scan.ply")
+            assert points.shape == (256, 3) and labels.shape == (256,)
         else:
-            assert rec.scan_points is None
+            assert scan is None and not (shape_dir / "scan.ply").exists()
     assert by_split == {"train": 4, "test": 2}
     split_lines = (tmp_path / "d" / "split.txt").read_text().strip().splitlines()
     assert len(split_lines) == 6
@@ -274,7 +280,8 @@ def test_dataset_round_trip(tmp_path):
 
 def test_load_shape_rejects_a_negative_part_label(tmp_path):
     # umbrella's shape.json lists no parts, so no part count checks its labels
-    generate_dataset(tmp_path / "d", categories=("umbrella",), shapes_per_category=1, n_points=64, n_frames=3)
+    generate_dataset(tmp_path / "d", categories=("umbrella",), shapes_per_category=1, n_points=64, n_frames=3,
+                     seed=0)
     shape = tmp_path / "d" / "umbrella_000"
     for frame in sorted(shape.glob("frame_*.ply")):
         points, labels = read_ply(frame)
@@ -302,13 +309,15 @@ def test_scan_fraction_limits_scanned_test_shapes(tmp_path):
     )
     records = load_dataset(tmp_path / "d", split="test")
     assert len(records) == 3
-    scanned = [r.shape_id for r in records if r.scan_points is not None]
-    assert scanned == ["drawer_box_027", "drawer_box_028"]
-    for r in records:
-        if r.scan_points is not None:
-            assert r.scan_points.shape == (256, 3)
-            for p in np.unique(r.scan_labels):
-                assert (r.scan_labels == p).sum() >= min_part_points(256)
+    scans = {r.shape_id: json.loads((tmp_path / "d" / r.shape_id / "shape.json").read_text())["scan"]
+             for r in records}
+    assert [shape_id for shape_id, scan in scans.items() if scan] == ["drawer_box_027", "drawer_box_028"]
+    assert sorted(p.parent.name for p in (tmp_path / "d").glob("*/scan.ply")) == ["drawer_box_027", "drawer_box_028"]
+    for shape_id in ("drawer_box_027", "drawer_box_028"):
+        points, labels = read_ply(tmp_path / "d" / shape_id / "scan.ply")
+        assert points.shape == (256, 3)
+        for p in np.unique(labels):
+            assert (labels == p).sum() >= min_part_points(256)
 
 
 def test_densified_regeneration_keeps_shape_parameters():
@@ -352,5 +361,13 @@ def test_dataset_generation_is_byte_deterministic(tmp_path):
 
 def test_repeated_category_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="repeat"):
-        generate_dataset(tmp_path / "data", categories=("fan", "fan"), shapes_per_category=2, n_points=64)
+        generate_dataset(tmp_path / "data", categories=("fan", "fan"), shapes_per_category=2, n_points=64,
+                         n_frames=3, seed=0)
     assert not (tmp_path / "data").exists()
+
+
+def test_dataset_size_has_no_defaults_to_disagree_with_the_config():
+    # a default n_points of 2048 once wrote shapes a default RunConfig (256) rejects
+    params = inspect.signature(generate_dataset).parameters
+    required = ("categories", "shapes_per_category", "n_points", "n_frames", "seed")
+    assert [name for name in required if params[name].default is not inspect.Parameter.empty] == []

@@ -116,6 +116,25 @@ def test_reduce_max_gradient_goes_to_first_winner():
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3).map(tuple), seed=st.integers(0, 2**32 - 1))
+def test_reduce_backward_matches_two_branch_reference_bytes(shape, seed):
+    # every axis and the full reduction, 0-d and empty inputs included; a mean
+    # over nothing divides by a zero count, on both sides alike
+    rng = np.random.default_rng(seed)
+    x = dc.parameter(rng.normal(size=shape))
+    for axis in (None, *range(len(shape))):
+        size = x.value.size if axis is None else shape[axis]
+        for reduce, count in ((dc.reduce_sum, 1), (dc.reduce_mean, size)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = reduce(x, axis)
+                g = np.asarray(rng.normal(size=y.value.shape))
+                got = y.parents[0][1](g)
+                want = oracles.reduce_backward(g, shape, axis, count)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (reduce.__name__, axis)
+
+
 def test_pairwise_row_distances_symmetric_zero_diagonal():
     rng = np.random.default_rng(0)
     f = rng.normal(size=(20, 6))

@@ -9,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "partmotion").rglob("*.py"))
+PERFBENCH = sorted(p for p in (SRC.parent / "perfbench").rglob("*.py") if not p.name.startswith("test_"))
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "scipy", "partmotion"}
 
 
@@ -50,8 +51,8 @@ def test_every_name_in_all_exists(path):
     assert [name for name in declared_all(path) if not hasattr(module, name)] == []
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, node) of each top-level private function, class or constant."""
+def _definitions(tree: ast.Module):
+    """(name, node) of each top-level function, class or constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -62,19 +63,18 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield name, node
 
 
-def _referenced_names(node: ast.AST) -> list[str]:
-    """Every name node mentions: loads and stores, attributes and imports."""
+def _referenced_names(node: ast.AST, imports: bool = True) -> list[str]:
+    """Every name node mentions: loads and stores, attributes and, if asked, imports."""
     out = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.append(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.append(sub.attr)
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and imports:
             out.append(sub.name.split(".")[-1])
     return out
 
@@ -84,6 +84,20 @@ def test_every_private_name_is_used_by_the_package():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     everywhere = Counter(name for tree in trees.values() for name in _referenced_names(tree))
     unused = [f"{module_name(path)}.{name}"
-              for path, tree in trees.items() for name, node in _private_definitions(tree)
-              if everywhere[name] == Counter(_referenced_names(node))[name]]
+              for path, tree in trees.items() for name, node in _definitions(tree)
+              if name.startswith("_") and not name.endswith("__")
+              and everywhere[name] == Counter(_referenced_names(node))[name]]
+    assert unused == []
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # a public name must be read somewhere besides its own definition, in the
+    # package or in perfbench/; imports, __all__ strings and tests do not count
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    readers = [*trees.values(), *(ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH)]
+    everywhere = Counter(name for tree in readers for name in _referenced_names(tree, imports=False))
+    unused = [f"{module_name(path)}.{name}"
+              for path, tree in trees.items() for name, node in _definitions(tree)
+              if not name.startswith("_")
+              and everywhere[name] == Counter(_referenced_names(node, imports=False))[name]]
     assert unused == []

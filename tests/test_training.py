@@ -245,6 +245,15 @@ def test_mid_run_checkpoints_written(tmp_path, records, instances):
     assert (tmp_path / "step_000005.params").exists()
 
 
+def test_second_run_into_a_directory_removes_the_first_runs_step_checkpoints(tmp_path, records, instances):
+    # nothing in a step file names its run, so only the last run's may stay
+    for epochs, every in ((2, 4), (1, 5)):
+        cfg = micro_config(epochs=epochs, checkpoint_every=every, no_mob_net=True)
+        tr.run_training(cfg, records, out_dir=tmp_path, instances=instances)
+    assert len(instances) == 8
+    assert sorted(p.name for p in tmp_path.glob("step_*.params")) == ["step_000005.params"]
+
+
 # ---------------------------------------------------------------------------
 # pipeline prediction
 
