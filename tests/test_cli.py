@@ -482,7 +482,7 @@ def test_ablate_rejects_unknown_row(workdir, tmp_path):
                  "--out", str(tmp_path / "a"), "--rows", "no_such"]) == 2
 
 
-def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch, capsys):
+def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     config = readme.split("```json\n")[1].split("```")[0]
     assert json.loads(config)["net"] == TINY_NET_JSON
