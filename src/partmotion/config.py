@@ -8,12 +8,12 @@ directory so a run can always be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .datagen.dataset import read_json, write_json
 from .datagen.scan import DEPTH_SIGMA
 from .datagen.templates import TEMPLATE_NAMES
 from .errors import ConfigError
@@ -131,18 +131,15 @@ class RunConfig:
             raise ConfigError(f"unknown config keys {unknown}")
         try:
             if "net" in data:
-                data["net"] = _net_from_dict(data["net"])
+                data["net"] = NetConfig(**data["net"])
             if "weights" in data:
                 data["weights"] = LossWeights(**data["weights"])
             return cls(**data)
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        except (TypeError, ValueError, OverflowError) as exc:  # a 400-digit int overflows float
             raise ConfigError(str(exc)) from exc
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        write_json(path, dataclasses.asdict(self))
 
 
 def _check_scalar_types(obj) -> None:
@@ -156,32 +153,5 @@ def _check_scalar_types(obj) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
-def _whole(value) -> int:  # a count, width or group size from JSON: 16.0 is 16, 16.9 an error
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
-        raise ConfigError(f"network counts, widths and group sizes must be whole numbers, got {value!r}")
-    return int(value)
-
-
-def _net_from_dict(data: dict) -> NetConfig:
-    data = {**data}  # a TypeError, so a ConfigError, for anything but a mapping
-    if "sa_stages" in data:
-        data["sa_stages"] = tuple(
-            (_whole(count), float(radius), tuple(_whole(w) for w in widths))
-            for count, radius, widths in data["sa_stages"]
-        )
-    if "group_sizes" in data:
-        data["group_sizes"] = tuple(_whole(k) for k in data["group_sizes"])
-    return NetConfig(**data)
-
-
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(read_json(path, ConfigError))

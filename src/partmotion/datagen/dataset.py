@@ -1,8 +1,10 @@
-"""On-disk dataset generation and loading.
+"""On-disk dataset generation and loading, and the package's JSON home.
 
 This is the only module that reads or writes the dataset layout, and its
 readers check every file they read: a malformed one is a DataError that
-names it. Layout under the output root:
+names it. It is also the only module that imports json: `read_json` and
+`write_json` read and write every JSON file of the package, the run config
+included. Layout under the output root:
 
     manifest.json                     dataset-wide parameters and shape list
     split.txt                         one "<shape id>\t<split>" line per shape
@@ -78,8 +80,20 @@ def foreign_entries(root: Path) -> list[str]:
         else p.is_dir() and shape_dir.fullmatch(p.name)))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def read_json(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object in path, or error naming the file when it cannot be
+    read, is not UTF-8, is not JSON, nests too deep or holds no object."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{path}: unreadable or invalid JSON ({exc!r})") from exc
+    if type(data) is not dict:
+        raise error(f"{path}: need a JSON object, got {type(data).__name__}")
+    return data
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def generate_dataset(
@@ -151,7 +165,7 @@ def generate_dataset(
                 write_ply(shape_dir / "scan.ply", scan_points, scan_labels)
                 meta["scan"] = {"file": "scan.ply", "viewpoint": viewpoint.tolist(),
                                 "sigma": scan_sigma}
-            _write_json(shape_dir / "shape.json", meta)
+            write_json(shape_dir / "shape.json", meta)
             shapes.append({"shape_id": shape_id, "category": category, "split": split})
             split_lines.append(f"{shape_id}\t{split}\n")
     manifest = {
@@ -165,31 +179,19 @@ def generate_dataset(
         "scan_fraction": scan_fraction,
         "shapes": shapes,
     }
-    _write_json(root / "manifest.json", manifest)
+    write_json(root / "manifest.json", manifest)
     (root / "split.txt").write_text("".join(split_lines))
     return manifest
-
-
-# A file that is missing, is not JSON or holds the wrong kinds of values
-# raises one of these while it is read; the readers report each as a
-# DataError naming the file. ConfigError, from MobilitySpec, is a ValueError.
-MALFORMED = (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError)
 
 
 def load_dataset(root: str | Path, split: Optional[str] = None) -> list[ShapeRecord]:
     """Load every shape (optionally one split) back into memory."""
     path = Path(root) / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-        if type(manifest) is not dict or manifest.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"need an object of format_version {FORMAT_VERSION}")
-        entries = manifest["shapes"]
-        if type(entries) is not list or not all(
-                type(e) is dict and type(e.get("shape_id")) is str and type(e.get("split")) is str
-                for e in entries):
-            raise ValueError("need a list of {shape_id, split} objects as shapes")
-    except MALFORMED as exc:
-        raise DataError(f"{path}: unreadable or malformed ({exc!r})") from exc
+    manifest = read_json(path, DataError)
+    entries = manifest.get("shapes")
+    if manifest.get("format_version") != FORMAT_VERSION or type(entries) is not list or not all(
+            type(e) is dict and type(e.get("shape_id")) is str and type(e.get("split")) is str for e in entries):
+        raise DataError(f"{path}: need format_version {FORMAT_VERSION} and a list of {{shape_id, split}} objects")
     return [load_shape(path.parent / e["shape_id"]) for e in entries
             if split is None or e["split"] == split]
 
@@ -200,8 +202,8 @@ def _read_shape_json(shape_dir: Path) -> dict:
     Its mobilities come parsed under "specs"; seed_path and scan are not read.
     """
     path = shape_dir / "shape.json"
+    meta = read_json(path, DataError)
     try:
-        meta = json.loads(path.read_text())
         category, n_frames = meta["category"], meta["n_frames"]
         if category not in TEMPLATE_NAMES or type(n_frames) is not int or n_frames < 2:
             raise ValueError(
@@ -211,8 +213,8 @@ def _read_shape_json(shape_dir: Path) -> dict:
             raise ValueError(f"need str shape_id and split, got {meta['shape_id']!r}, {meta['split']!r}")
         parts = meta["parts"]
         meta["specs"] = None if parts is None else [mobility_from_json(p["mobility"]) for p in parts]
-    except MALFORMED as exc:
-        raise DataError(f"{path}: unreadable or malformed ({exc!r})") from exc
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:  # and MobilitySpec's ConfigError
+        raise DataError(f"{path}: malformed ({exc!r})") from exc
     return meta
 
 

@@ -422,7 +422,8 @@ def lstm(x_proj: Node | np.ndarray, w_h: Node | np.ndarray, steps: int) -> Node:
     for t in range(steps):
         gates = (xv if h is None else xv + h @ wv).reshape(4, width)
         a = acts[t]
-        a[:] = 1.0 / (1.0 + np.exp(-gates))
+        with np.errstate(over="ignore"):  # exp(-g) is inf below g of about -709: the sigmoid is 0.0
+            a[:] = 1.0 / (1.0 + np.exp(-gates))
         a[2] = np.tanh(gates[2])
         cells[t] = a[0] * a[2] if h is None else a[1] * cells[t - 1] + a[0] * a[2]
         tanh_c[t] = np.tanh(cells[t])

@@ -123,11 +123,18 @@ def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int) -> N
     if m == 0 or m_gt == 0:
         return dc.constant(0.0)
     frames = pv.reshape(n, m, 3)
+    k = int(k_density)
+    use_density = m > k and m_gt > k
     nearest_gt = np.empty((n, m), dtype=np.int64)
     nearest_pred = np.empty((n, m_gt), dtype=np.int64)
+    nbr = np.empty((n, m, k if use_density else 0), dtype=np.int64)  # each point's k nearest, as pred rows
     for t in range(n):
         cross = cdist(frames[t], gt[t])
         nearest_gt[t], nearest_pred[t] = cross.argmin(axis=1), cross.argmin(axis=0)
+        if use_density:
+            own = cdist(frames[t], frames[t])
+            np.fill_diagonal(own, np.inf)  # no point is its own neighbour
+            nbr[t] = k_smallest(own, k) + t * m
     first = np.arange(n)[:, None] * m
     # per frame: each predicted point against its nearest ground truth, then
     # each ground-truth point against its nearest prediction
@@ -135,15 +142,7 @@ def l_mov(pred: Node, gt: np.ndarray, gt_radii: np.ndarray, k_density: int) -> N
     targets = np.concatenate([gt[np.arange(n)[:, None], nearest_gt], gt], axis=1)
     matched = dc.l2_norm_rows(dc.sub(dc.gather_rows(pred, rows.ravel()), targets.reshape(-1, 3)))
     per_frame = dc.reduce_mean(dc.reshape(matched, rows.shape), axis=1)
-    k = int(k_density)
-    if m > k and m_gt > k:
-        nbr = np.empty((n * m, k), dtype=np.int64)
-        per = max(1, (1 << 17) // (m * m))  # frames per own-distance table of at most 1 MiB, which stays in cache
-        for t0 in range(0, n, per):
-            ts = np.arange(t0, min(n, t0 + per))
-            own = np.stack([cdist(frames[t], frames[t]) for t in ts])
-            own[:, np.arange(m), np.arange(m)] = np.inf  # no point is its own neighbour
-            nbr[t0 * m : (ts[-1] + 1) * m] = k_smallest(own.reshape(-1, m), k) + np.repeat(ts * m, m)[:, None]
+    if use_density:
         anchors = np.repeat(np.arange(n * m), k)
         diffs = dc.sub(dc.gather_rows(pred, anchors), dc.gather_rows(pred, nbr.ravel()))
         radii = dc.reduce_mean(dc.reshape(dc.l2_norm_rows(diffs), (n * m, k)), axis=1)

@@ -34,6 +34,7 @@ input frame through `geom.moved_spec`.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,9 +53,24 @@ THETA_STOP = 0.01
 FEATURE_RADIUS = 80.0
 
 
+def _whole(value) -> int:  # a count, width or group size: 16.0 is 16; 16.9, inf, true or text are errors
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"network counts, widths and group sizes must be whole numbers, got {value!r}")
+    return int(value)
+
+
+def _radius(value) -> float:  # a set-abstraction radius: a positive finite real number, not true or text
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+        raise ConfigError(f"set-abstraction radii must be positive finite numbers, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class NetConfig:
-    """Desk-scale widths for all three networks."""
+    """Desk-scale widths for all three networks.
+
+    It checks its stages, given as tuples or JSON lists, and keeps them as tuples."""
 
     sa_stages: tuple = ((64, 0.2, (32, 64)), (16, 0.4, (64, 128)))
     group_sizes: tuple = (16, 8)
@@ -65,16 +81,18 @@ class NetConfig:
     feature_width: int = 64
 
     def __post_init__(self) -> None:
-        if len(self.sa_stages) != 2 or len(self.group_sizes) != 2 or any(
-                len(stage) != 3 or len(stage[2]) != 2 for stage in self.sa_stages):
-            raise ConfigError("need two (count, radius, (width, width)) stages and two group sizes")
-        (s1, r1, (w1a, w1b)), (s2, r2, (w2a, w2b)) = self.sa_stages
+        try:
+            (s1, r1, (w1a, w1b)), (s2, r2, (w2a, w2b)) = self.sa_stages
+            k1, k2 = self.group_sizes
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("need two (count, radius, (width, width)) stages and two group sizes") from exc
+        s1, w1a, w1b, s2, w2a, w2b, k1, k2 = map(_whole, (s1, w1a, w1b, s2, w2a, w2b, k1, k2))
+        self.sa_stages = ((s1, _radius(r1), (w1a, w1b)), (s2, _radius(r2), (w2a, w2b)))
+        self.group_sizes = (k1, k2)
         if not 0 < s2 < s1:
             raise ConfigError("set-abstraction sample counts must be positive and strictly decrease")
-        if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
-            raise ConfigError(f"set-abstraction radii must be positive and finite, got {r1}, {r2}")
         sizes = [s1, w1a, w1b, w2a, w2b, self.global_width, self.decoder_hidden, self.head_hidden,
-                 self.feature_width, self.fp_neighbors, *self.group_sizes]
+                 self.feature_width, self.fp_neighbors, k1, k2]
         if min(sizes) <= 0 or max(sizes) >= 2**31:  # a width of 1e308 would fail in numpy
             raise ConfigError("network counts, widths, group sizes and fp_neighbors must lie in [1, 2**31)")
         if w2b != self.global_width:

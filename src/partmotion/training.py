@@ -460,10 +460,9 @@ def load_pipeline(run_dir: str | Path) -> Pipeline:
     parameters that do not fit the networks a DataError naming their file.
     """
     run = Path(run_dir)
-    config_path = run / "config.json"
-    if not config_path.exists():
+    if not (run / "config.json").exists():
         raise DataError(f"no config.json under {run}")
-    config = load_config(config_path)
+    config = load_config(run / "config.json")
     rng = np.random.default_rng(0)    # values are overwritten by the checkpoint
     if config.basenet:
         baseline = DirectBaseline(rng, config.net)

@@ -1,4 +1,5 @@
 """End-to-end command surface: every subcommand plus the exit-code contract."""
+import dataclasses
 import json
 import shlex
 import shutil
@@ -311,13 +312,19 @@ def test_predict_zero_regressor_direction_is_numeric_error(workdir, tmp_path, ca
     assert "mobility regressor output" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"net": {"bogus": 1}}, {"weights": {"bogus": 1}}, {"seed": "x"}],
-                         ids=["net_key", "weights_key", "seed_text"])
+NOT_UTF8 = b'{"seed": "\xff"}'
+DEEP = b"[" * 10_000 + b"]" * 10_000  # past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("bad", [{"net": {"bogus": 1}}, {"weights": {"bogus": 1}}, {"seed": "x"}, NOT_UTF8, DEEP],
+                         ids=["net_key", "weights_key", "seed_text", "not_utf8", "deep"])
 def test_malformed_config_field_is_config_error(tmp_path, capsys, bad):
-    (tmp_path / "bad.json").write_text(json.dumps(bad))
-    assert main(["gen", "--config", str(tmp_path / "bad.json"),
-                 "--out", str(tmp_path / "data")]) == 2
-    assert "error:" in capsys.readouterr().err
+    # a dict is written as JSON, bytes as they are
+    (tmp_path / "bad.json").write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+    for command in ("gen", "train"):
+        assert main([command, "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
@@ -347,17 +354,22 @@ def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     ({"no_rnn": "no"}, 2, "no_rnn"),
     ({"basenet": "no"}, 2, "basenet"),
     ({"n_points": -3}, 2, "n_points"),
-    ({"net": {**TINY_NET_JSON, "sa_stages": [[float("inf"), 0.35, [8, 16]], [4, 0.8, [16, 24]]]}}, 2, "infinity"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[float("inf"), 0.35, [8, 16]], [4, 0.8, [16, 24]]]}}, 2, "got inf"),
     ({"net": {**TINY_NET_JSON, "global_width": 32, "sa_stages": [[16, 0.35, [8, 16]], [4, 0.8, [16, 32]]]}},
      3, "displacement.params"),
     ({"n_frames": 5}, 3, "displacement.params"),
     ({"no_rnn": True}, 3, "displacement.params"),
     ({"basenet": True}, 3, "baseline.params"),
+    (NOT_UTF8, 2, "config.json"),
+    (DEEP, 2, "config.json"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, True, [8, 16]], [4, 0.8, [16, 24]]]}}, 2, "radii"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, 0.35, [8, 16]], [4, "0.8", [16, 24]]]}}, 2, "radii"),
 ], ids=["missing", "not_json", "list", "no_keys", "net_key", "n_frames_zero", "no_rnn_text", "basenet_text",
-        "n_points_negative", "count_inf", "widths", "n_frames", "no_rnn", "basenet"])
+        "n_points_negative", "count_inf", "widths", "n_frames", "no_rnn", "basenet", "not_utf8", "deep",
+        "radius_true", "radius_text"])
 def test_malformed_run_config_exits_with_contract_code(workdir, tmp_path, capsys, body, code, named):
-    # None deletes the run's config.json, a str replaces it and a dict
-    # overrides fields of the saved one
+    # None deletes the run's config.json, a str or bytes replace it and a
+    # dict overrides fields of the saved one
     run = tmp_path / "run"
     shutil.copytree(workdir / "run", run)
     if body is None:
@@ -365,7 +377,7 @@ def test_malformed_run_config_exits_with_contract_code(workdir, tmp_path, capsys
     else:
         if isinstance(body, dict):
             body = json.dumps({**json.loads((run / "config.json").read_text()), **body})
-        (run / "config.json").write_text(body)
+        (run / "config.json").write_bytes(body if isinstance(body, bytes) else body.encode())
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
     assert main(["predict", "--run", str(run), "--input", str(inp),
                  "--out", str(tmp_path / "p")]) == code
@@ -500,17 +512,17 @@ NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 
 
 @pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"category": "sofa"},
                                   {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1},
-                                  {"parts": [{"mobility": NAN_MOBILITY}]}],
+                                  {"parts": [{"mobility": NAN_MOBILITY}]}, NOT_UTF8, DEEP],
                          ids=["not_json", "list", "no_keys", "category_unknown",
-                              "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan"])
+                              "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan", "not_utf8", "deep"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
-    # a str replaces the whole file; a dict overrides fields of the saved one
+    # a str or bytes replace the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"
     shutil.copytree(workdir / "data", data)
     meta = data / "fan_002" / "shape.json"
     if isinstance(body, dict):
         body = json.dumps({**json.loads(meta.read_text()), **body})
-    meta.write_text(body)
+    meta.write_bytes(body if isinstance(body, bytes) else body.encode())
     for argv in dataset_reads(workdir, data, tmp_path):
         assert main(argv) == 3, argv[0]
         assert str(meta) in capsys.readouterr().err
@@ -573,15 +585,19 @@ def drop_last_vertex(text: str) -> str:
     ("fan_002/frame_03.ply", drop_last_vertex),
     ("fan_002/frame_03.ply", lambda t: t.replace(" 0\n", " 1\n", 1)),
     ("fan_002/shape.json", lambda t: json.dumps({**json.loads(t), "parts": []})),
+    ("manifest.json", lambda t: NOT_UTF8),
+    ("manifest.json", lambda t: DEEP),
 ], ids=["manifest_not_json", "manifest_list", "manifest_no_shapes", "manifest_shapes_text",
-        "manifest_entry_no_split", "frame_short", "frame_relabelled", "parts_short"])
+        "manifest_entry_no_split", "frame_short", "frame_relabelled", "parts_short", "manifest_not_utf8",
+        "manifest_deep"])
 def test_malformed_dataset_is_data_error(workdir, tmp_path, capsys, name, edit):
+    # edit returns the new text, or bytes to write as they are
     data = tmp_path / "data"
     shutil.copytree(workdir / "data", data)
     path = data / name
     edited = edit(path.read_text())
     assert edited != path.read_text()
-    path.write_text(edited)
+    path.write_bytes(edited if isinstance(edited, bytes) else edited.encode())
     for argv in dataset_reads(workdir, data, tmp_path):
         assert main(argv) == 3, argv[0]
         assert str(path) in capsys.readouterr().err
@@ -667,7 +683,7 @@ def json_file_text(base: dict, keys) -> st.SearchStrategy:
                      overrides.map(lambda d: json.dumps({**base, **d})))
 
 
-CONFIG_BASE = json.loads(micro_config(categories=("fan",), shapes_per_category=1).to_json())
+CONFIG_BASE = dataclasses.asdict(micro_config(categories=("fan",), shapes_per_category=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,7 @@ def test_defaults_are_valid():
 
 def test_json_round_trip_preserves_everything():
     cfg = micro_config(seed=9, no_disp=True, scan_fraction=0.5, lr=3e-4)
-    back = RunConfig.from_dict(json.loads(cfg.to_json()))
+    back = RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert back == cfg
     assert isinstance(back.net.sa_stages, tuple)
     assert isinstance(back.net.sa_stages[0][2], tuple)
@@ -32,7 +32,7 @@ def test_json_round_trip_preserves_everything():
 
 
 def test_net_widths_survive_as_plain_json():
-    data = json.loads(micro_config().to_json())
+    data = json.loads(json.dumps(dataclasses.asdict(micro_config())))
     assert data["net"]["sa_stages"] == TINY_NET_JSON["sa_stages"]
     cfg = RunConfig.from_dict(data)
     assert cfg.net.global_width == 24
@@ -107,6 +107,9 @@ def test_switches_other_than_basenet_compose():
         dict(theta_stop=-0.5),
         # shape directories are named by category and index: a repeat would overwrite
         dict(categories=("fan", "drawer_box", "fan")),
+        # a radius is a real number, as counts and widths are whole ones: float() took these
+        dict(net=dict(sa_stages=((64, True, (32, 64)), (16, 0.4, (64, 128))))),
+        dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, "0.35", (64, 128))))),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
@@ -117,7 +120,7 @@ def test_invalid_fields_are_rejected(bad):
 
 
 def test_unknown_keys_are_rejected():
-    data = json.loads(RunConfig().to_json())
+    data = dataclasses.asdict(RunConfig())
     data["typo_field"] = 1
     with pytest.raises(ConfigError, match="typo_field"):
         RunConfig.from_dict(data)
@@ -127,14 +130,14 @@ def test_unknown_keys_are_rejected():
                                         ("weights", LossWeights()), ("weights", [])])
 def test_net_and_weights_must_be_json_objects(key, value):
     # from_dict reads JSON; a built config object or any other non-object is an error
-    data = json.loads(RunConfig().to_json())
+    data = dataclasses.asdict(RunConfig())
     data[key] = value
     with pytest.raises(ConfigError):
         RunConfig.from_dict(data)
 
 
 def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError, match="does not exist"):
+    with pytest.raises(ConfigError, match="No such file"):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -157,7 +160,8 @@ def test_echo_into_writes_the_same_config(tmp_path):
     cfg = micro_config()
     rng = np.random.default_rng(0)
     run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=DisplacementNet(4, rng, cfg.net)))
-    assert (run / "config.json").read_text() == cfg.to_json()
+    cfg.save(tmp_path / "config.json")
+    assert (run / "config.json").read_bytes() == (tmp_path / "config.json").read_bytes()
     assert load_config(run / "config.json") == cfg
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -152,6 +154,18 @@ def test_lstm_zero_params_give_zero_states():
     states = dc.lstm(x_proj, np.zeros((width, 4 * width)), 5)
     assert states.value.shape == (5, width)
     np.testing.assert_allclose(states.value, 0.0, atol=1e-15)
+
+
+def test_lstm_saturated_gates_give_zero_states_without_a_warning():
+    # exp(1000) overflows to inf, so each sigmoid is exactly 0.0; the
+    # overflow is expected there and must not warn
+    width = 3
+    x_proj = dc.parameter(np.full((1, 4 * width), -1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = dc.lstm(x_proj, np.zeros((width, 4 * width)), 3)
+        dc.backward(dc.reduce_sum(states))
+    assert not states.value.any() and not x_proj.grad.any()
 
 
 @pytest.mark.parametrize("width,steps", [(128, 8), (3, 1)])

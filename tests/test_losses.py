@@ -7,6 +7,7 @@ from partmotion import losses
 from partmotion.datagen import TEMPLATE_NAMES
 from partmotion.errors import ConfigError, NumericError
 from partmotion.geom import MobilitySpec
+from partmotion.nets import NetConfig
 from partmotion.training import prepare_instances
 
 import oracles
@@ -327,10 +328,21 @@ def test_moving_term_matches_per_step_oracle_bytes(category, k):
         assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, k), pred), (inst.t, inst.n_true)
 
 
-@pytest.mark.parametrize("m", [5, 8, 9, 230], ids=["below_k", "equal_k", "k_plus_one", "two_frames_per_table"])
+def test_moving_term_matches_oracle_bytes_on_a_default_size_umbrella():
+    # the default scale: N = 256 with an umbrella's 234 moving points, n = 8 maps
+    config = micro_config(categories=("umbrella",), n_points=256, n_frames=8, net=NetConfig())
+    inst = prepare_instances(micro_records(config.categories, n_points=256, n_frames=8), config)[0]
+    gt, k = inst.gt_moving, config.weights.k_density
+    assert gt.shape == (8, 234, 3) and k == 8
+    pred = (gt + np.random.default_rng(7).normal(scale=0.01, size=gt.shape)).reshape(-1, 3)
+    got = _backward_bytes(lambda p: losses.l_mov(p, gt, inst.gt_radii, k), pred)
+    assert got == _backward_bytes(lambda p: oracles.l_mov(p, gt, k), pred)
+
+
+@pytest.mark.parametrize("m", [5, 8, 9, 230], ids=["below_k", "equal_k", "k_plus_one", "m_230"])
 def test_moving_term_matches_oracle_bytes_on_random_frames(m):
     # with M <= k the density term is skipped; at M = k + 1 every other point
-    # is a neighbour; at M = 230 the four frames take two own-distance tables
+    # is a neighbour; M = 230 is near the default size
     rng = np.random.default_rng(m)
     p0 = rng.normal(size=(m, 3))
     maps = np.concatenate([rng.normal(scale=0.1, size=(2, m, 3)), np.zeros((2, m, 3))])

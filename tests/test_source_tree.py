@@ -26,16 +26,28 @@ def declared_all(path: Path):
     return None
 
 
-@pytest.mark.parametrize("path", MODULES, ids=module_name)
-def test_imports_only_stdlib_numpy_scipy_or_own(path):
-    # pure numpy/scipy: the package needs nothing else installed
+def imported_top_level(path: Path) -> set[str]:
+    """The top-level names of the modules path imports, its own relative imports left out."""
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports are the package's own
             imported.add(node.module)
-    assert {name.split(".")[0] for name in imported} <= ALLOWED_TOP_LEVEL
+    return {name.split(".")[0] for name in imported}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_imports_only_stdlib_numpy_scipy_or_own(path):
+    # pure numpy/scipy: the package needs nothing else installed
+    assert imported_top_level(path) <= ALLOWED_TOP_LEVEL
+
+
+def test_only_the_dataset_module_imports_json():
+    # one JSON reader and writer, datagen.dataset's read_json and write_json,
+    # so every JSON file fails the same way when it is malformed
+    assert [module_name(path) for path in MODULES if "json" in imported_top_level(path)] == [
+        "partmotion.datagen.dataset"]
 
 
 EXPORTING = [path for path in MODULES if declared_all(path) is not None]
