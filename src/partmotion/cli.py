@@ -183,17 +183,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.oracle:
-        dataset = Path(args.dataset)
-        records = load_dataset(dataset, split=args.split)
-        result = evaluate_oracle(records)
-    else:
-        pipeline = load_pipeline(args.run)
-        dataset = Path(args.dataset or pipeline.config.dataset_dir)
-        records = load_dataset(dataset, split=args.split)
-        result = evaluate_model(records, pipeline)
-    lines = format_metrics(result)
-    text = "".join(line + "\n" for line in lines)
+    pipeline = None if args.oracle else load_pipeline(args.run)
+    records = load_dataset(Path(args.dataset or pipeline.config.dataset_dir), split=args.split)
+    result = evaluate_oracle(records) if pipeline is None else evaluate_model(records, pipeline)
+    text = "".join(line + "\n" for line in format_metrics(result))
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")

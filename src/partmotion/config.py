@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,8 @@ ABLATION_SWITCHES = (
     "no_p0",
     "basenet",
 )
+# keys of earlier configs, dropped at the value and type that turned them off, else a ConfigError
+_RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False}
 
 
 @dataclass
@@ -64,7 +67,6 @@ class RunConfig:
     epochs: int = 4
     mobility_epochs: int = 30
     log_every: int = 100
-    checkpoint_every: int = 0      # steps between mid-run checkpoints, 0 = final only
 
     # ablation switches (mutually composable, basenet exclusive)
     no_rnn: bool = False
@@ -103,8 +105,8 @@ class RunConfig:
             raise ConfigError(f"scan_sigma must be at least +0.0, got {self.scan_sigma}")
         if self.epochs < 1 or self.mobility_epochs < 0:
             raise ConfigError("epoch counts must be positive")
-        if min(self.log_every, self.checkpoint_every, self.theta_stop) < 0:
-            raise ConfigError("log_every, checkpoint_every and theta_stop must be non-negative")
+        if min(self.log_every, self.theta_stop) < 0:
+            raise ConfigError("log_every and theta_stop must be non-negative")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
         # a clip norm of 0 zeroes every step and a negative one flips its sign
@@ -124,7 +126,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
+        data = _drop_retired(data)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -133,13 +135,23 @@ class RunConfig:
             if "net" in data:
                 data["net"] = NetConfig(**data["net"])
             if "weights" in data:
-                data["weights"] = LossWeights(**data["weights"])
+                data["weights"] = LossWeights(**_drop_retired(data["weights"], "weights."))
             return cls(**data)
-        except (TypeError, ValueError, OverflowError) as exc:  # a 400-digit int overflows float
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def save(self, path: str | Path) -> None:
         write_json(path, dataclasses.asdict(self))
+
+
+def _drop_retired(data, prefix: str = ""):
+    if not isinstance(data, dict):  # a non-object is left for the constructor to reject
+        return data
+    retired = {key: _RETIRED_KEYS[f"{prefix}{key}"] for key in data if f"{prefix}{key}" in _RETIRED_KEYS}
+    for key, old in retired.items():
+        if (type(data[key]), data[key]) != (type(old), old):
+            raise ConfigError(f"{prefix}{key} is retired and accepted only as {old!r}, got {data[key]!r}")
+    return {key: value for key, value in data.items() if key not in retired}
 
 
 def _check_scalar_types(obj) -> None:
@@ -149,7 +161,7 @@ def _check_scalar_types(obj) -> None:
         kind, value = kinds.get(type(f.default)), getattr(obj, f.name)
         if kind and (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
             raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-        if kind is numbers.Real and not math.isfinite(value):
+        if kind is numbers.Real and not abs(value) <= sys.float_info.max:  # a 400-digit int too
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 

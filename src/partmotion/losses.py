@@ -61,7 +61,6 @@ class LossWeights:
     w_seg_mov: float = 0.2
     margin: float = 80.0
     k_density: int = 8
-    include_padded_motion: bool = False
 
 
 @dataclass
@@ -282,8 +281,7 @@ def total_motion_loss(
     if recon:
         pieces["reconstruction"] = dc.mul(reduce(dc.add, recon), 1.0 / n)
     if not no_mot:
-        effective = n if weights.include_padded_motion else n_true
-        pieces["motion_consistency"] = l_mot(maps, n, mov_idx, effective)
+        pieces["motion_consistency"] = l_mot(maps, n, mov_idx, n_true)
     if segmentation is not None:
         pieces["segmentation"] = segmentation
     if not pieces:

@@ -35,6 +35,7 @@ input frame through `geom.moved_spec`.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,7 +62,7 @@ def _whole(value) -> int:  # a count, width or group size: 16.0 is 16; 16.9, inf
 
 
 def _radius(value) -> float:  # a set-abstraction radius: a positive finite real number, not true or text
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= sys.float_info.max:
         raise ConfigError(f"set-abstraction radii must be positive finite numbers, got {value!r}")
     return float(value)
 

@@ -118,15 +118,12 @@ def _fit(
     log: Optional[LogFn],
     prefix: str = "",
     log_every: int = 0,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[Path] = None,
 ) -> list[str]:
     """Adam over `epochs` passes of `samples`; returns the loss log lines.
 
     Each pass visits the samples in an order drawn from the RNG lane
     (config.seed, lane). Every line goes to `log` as it is made. A step
-    line is made every `log_every` steps and a checkpoint written every
-    `checkpoint_every` steps; 0 turns either off.
+    line is made every `log_every` steps, none when it is 0.
     """
     opt = dc.Adam(
         params,
@@ -148,13 +145,14 @@ def _fit(
         losses = []
         for idx in shuffle.permutation(len(samples)):
             try:
-                breakdown = loss_fn(samples[int(idx)])
-                value = float(breakdown.total.value)
-                if not np.isfinite(value):
-                    raise NumericError("non-finite loss value")
-                opt.zero_grad()
-                dc.backward(breakdown.total)
-                opt.step()
+                with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NumericError instead
+                    breakdown = loss_fn(samples[int(idx)])
+                    value = float(breakdown.total.value)
+                    if not np.isfinite(value):
+                        raise NumericError("non-finite loss value")
+                    opt.zero_grad()
+                    dc.backward(breakdown.total)
+                    opt.step()
             except NumericError as exc:
                 raise NumericError(f"training aborted at step {step}: {exc}") from exc
             terms, breakdown = breakdown.terms, None  # drop the step's graph before the next is built
@@ -163,8 +161,6 @@ def _fit(
                 parts = " ".join(f"{k} {v:.6f}" for k, v in terms.items())
                 emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
             step += 1
-            if checkpoint_every and step % checkpoint_every == 0:
-                dc.save_params(Path(checkpoint_dir) / f"step_{step:06d}.params", params)
         emit(f"{prefix}epoch {epoch} mean_loss {float(np.mean(losses)):.6f}")
     return lines
 
@@ -195,7 +191,6 @@ def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConf
 def train_displacement(
     instances: Sequence[PreparedInstance],
     config: RunConfig,
-    checkpoint_dir: Optional[Path] = None,
     log: Optional[LogFn] = None,
 ) -> tuple[DisplacementNet, list[str]]:
     """Fit the displacement net; returns it with the loss log lines."""
@@ -207,13 +202,8 @@ def train_displacement(
     net = DisplacementNet(
         config.n_frames, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
-    return net, _fit(
-        instances, net.params, lambda inst: _instance_loss(net, inst, config),
-        config, 1, config.epochs, log,
-        log_every=config.log_every,
-        checkpoint_every=0 if checkpoint_dir is None else config.checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
+    return net, _fit(instances, net.params, lambda inst: _instance_loss(net, inst, config),
+                     config, 1, config.epochs, log, log_every=config.log_every)
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +477,13 @@ def run_training(
     """Train whatever the config asks for and optionally persist the run."""
     if instances is None:
         instances = prepare_instances(records, config)
-    if out_dir is not None:
+    if out_dir is not None:  # a bad out_dir fails before training
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        for stale in Path(out_dir).glob("step_*.params"):  # an earlier run's mid-run checkpoints
-            stale.unlink()
     if config.basenet:
         baseline, lines = train_baseline(instances, config, log)
         pipeline = Pipeline(config, baseline=baseline)
     else:
-        net, lines = train_displacement(
-            instances, config,
-            checkpoint_dir=None if out_dir is None else Path(out_dir),
-            log=log,
-        )
+        net, lines = train_displacement(instances, config, log)
         regressor = None
         if not config.no_mob_net:
             regressor, mob_lines = train_mobility(instances, config, log)

@@ -105,11 +105,20 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
 def test_train_numeric_failure_exits_4(workdir, tmp_path, capsys):
     cfg = micro_config(lr=1e200, dataset_dir=str(workdir / "data"))
     cfg.save(tmp_path / "hot.json")
-    with pytest.warns(RuntimeWarning):
-        code = main(["train", "--config", str(tmp_path / "hot.json"),
-                     "--out", str(tmp_path / "r")])
-    assert code == 4
+    # numpy's overflow warnings are muted: with warnings as errors, the run still exits 4
+    assert main(["train", "--config", str(tmp_path / "hot.json"), "--out", str(tmp_path / "r")]) == 4
     assert "training aborted at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [(None, "checkpoint_every", 5), (None, "checkpoint_every", False),
+                                                 ("weights", "include_padded_motion", True)])
+def test_train_rejects_a_retired_key_away_from_its_old_default(workdir, tmp_path, capsys, section, key, value):
+    config = json.loads((workdir / "config.json").read_text())
+    (config[section] if section else config)[key] = value
+    (tmp_path / "old.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_zero_grad_clip_is_config_error(workdir, tmp_path, capsys):

@@ -1,16 +1,19 @@
 """RunConfig validation and JSON round-tripping."""
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from microfixtures import TINY_NET_JSON, micro_config
-from partmotion.config import ABLATION_SWITCHES, RunConfig, load_config
+from partmotion.config import _RETIRED_KEYS, ABLATION_SWITCHES, RunConfig, load_config
 from partmotion.errors import ConfigError
 from partmotion.losses import LossWeights
 from partmotion.nets import DisplacementNet, NetConfig
-from partmotion.training import Pipeline, save_pipeline
+from partmotion.training import Pipeline, load_pipeline, save_pipeline
+
+BENCHMARK_RUN = Path(__file__).parents[1] / "perfbench" / "checkpoint"
 
 
 def test_defaults_are_valid():
@@ -103,13 +106,15 @@ def test_switches_other_than_basenet_compose():
         # a negative period still divides the step count, and a negative
         # motion threshold marks every point moving and never stops
         dict(log_every=-1),
-        dict(checkpoint_every=-3),
         dict(theta_stop=-0.5),
         # shape directories are named by category and index: a repeat would overwrite
         dict(categories=("fan", "drawer_box", "fan")),
         # a radius is a real number, as counts and widths are whole ones: float() took these
         dict(net=dict(sa_stages=((64, True, (32, 64)), (16, 0.4, (64, 128))))),
         dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, "0.35", (64, 128))))),
+        # a 400-digit integer is finite as an int but overflows a float
+        dict(lr=10**400),
+        dict(net=dict(sa_stages=((64, 10**400, (32, 64)), (16, 0.4, (64, 128))))),
     ],
 )
 def test_invalid_fields_are_rejected(bad):
@@ -124,6 +129,51 @@ def test_unknown_keys_are_rejected():
     data["typo_field"] = 1
     with pytest.raises(ConfigError, match="typo_field"):
         RunConfig.from_dict(data)
+
+
+def test_a_400_digit_integer_names_its_field():
+    data = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
+    with pytest.raises(ConfigError, match="lr must be finite"):
+        RunConfig.from_dict({**data, "lr": 10**400})
+    data["net"]["sa_stages"][1][1] = 10**400
+    with pytest.raises(ConfigError, match="set-abstraction radii"):
+        RunConfig.from_dict(data)
+
+
+def test_the_benchmark_checkpoint_config_loads_and_saves_without_its_retired_keys(tmp_path):
+    data = json.loads((BENCHMARK_RUN / "config.json").read_text())
+    assert data["checkpoint_every"] == 0 and data["weights"]["include_padded_motion"] is False
+    cfg = RunConfig.from_dict(data)
+    cfg.save(tmp_path / "config.json")
+    del data["checkpoint_every"], data["weights"]["include_padded_motion"]  # from_dict left its input whole
+    assert json.loads((tmp_path / "config.json").read_text()) == data
+    assert load_pipeline(BENCHMARK_RUN).config == cfg
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "checkpoint_every", -3),
+    (None, "checkpoint_every", 5),
+    (None, "checkpoint_every", False),
+    (None, "checkpoint_every", 0.0),
+    ("weights", "include_padded_motion", True),
+    ("weights", "include_padded_motion", 0),
+    # a retired key is retired only where earlier configs wrote it
+    (None, "include_padded_motion", False),
+    ("weights", "checkpoint_every", 0),
+])
+def test_a_retired_key_is_accepted_only_at_its_old_default(section, key, value):
+    data = dataclasses.asdict(RunConfig())
+    (data[section] if section else data)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(data)
+
+
+def test_no_retired_key_is_a_live_field():
+    live = {f.name for f in dataclasses.fields(RunConfig)} | {
+        f"weights.{f.name}" for f in dataclasses.fields(LossWeights)}
+    assert not live & set(_RETIRED_KEYS)
+    # from_dict looks for them only at the top level and under weights
+    assert all(key.count(".") == 0 or key.startswith("weights.") for key in _RETIRED_KEYS)
 
 
 @pytest.mark.parametrize("key, value", [("net", NetConfig()), ("net", []), ("net", ""), ("net", None),

@@ -218,7 +218,6 @@ def test_overfitting_reduces_the_loss():
     assert means[-1] < 0.5 * means[0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_blowup_aborts_with_step_index(records, instances):
     cfg = micro_config(lr=1e200)
     with pytest.raises(NumericError, match=r"training aborted at step \d+"):
@@ -239,19 +238,9 @@ def test_mobility_training_skips_nonparametric_corpora():
     assert lines == []
 
 
-def test_mid_run_checkpoints_written(tmp_path, records, instances):
-    cfg = micro_config(checkpoint_every=5)
-    tr.train_displacement(instances, cfg, checkpoint_dir=tmp_path)
-    assert (tmp_path / "step_000005.params").exists()
-
-
-def test_second_run_into_a_directory_removes_the_first_runs_step_checkpoints(tmp_path, records, instances):
-    # nothing in a step file names its run, so only the last run's may stay
-    for epochs, every in ((2, 4), (1, 5)):
-        cfg = micro_config(epochs=epochs, checkpoint_every=every, no_mob_net=True)
-        tr.run_training(cfg, records, out_dir=tmp_path, instances=instances)
-    assert len(instances) == 8
-    assert sorted(p.name for p in tmp_path.glob("step_*.params")) == ["step_000005.params"]
+def test_a_run_directory_holds_only_the_final_parameters(tmp_path, records, instances):
+    tr.run_training(micro_config(no_mob_net=True), records, out_dir=tmp_path, instances=instances)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "displacement.params", "loss.log"]
 
 
 # ---------------------------------------------------------------------------
