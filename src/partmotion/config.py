@@ -155,7 +155,7 @@ def _drop_retired(data, prefix: str = ""):
 
 
 def _check_scalar_types(obj) -> None:
-    """Every int, float, bool or str field must hold a value of that kind, floats finite."""
+    """Every int, float, bool or str field must hold a value of that kind, floats finite and ints bounded."""
     kinds = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
     for f in dataclasses.fields(obj):
         kind, value = kinds.get(type(f.default)), getattr(obj, f.name)
@@ -163,6 +163,9 @@ def _check_scalar_types(obj) -> None:
             raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         if kind is numbers.Real and not abs(value) <= sys.float_info.max:  # a 400-digit int too
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        bits = 63 if f.name == "seed" else 31  # a seed is an int64; counts stay under 2**31, as NetConfig's do
+        if kind is numbers.Integral and not abs(value) < 2**bits:  # not printed: it may have thousands of digits
+            raise ConfigError(f"{f.name} must lie strictly between -2**{bits} and 2**{bits}")
 
 
 def load_config(path: str | Path) -> RunConfig:

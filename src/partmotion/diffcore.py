@@ -1,15 +1,22 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Node wraps an ndarray value plus backward closures onto its parents.
-Graphs are built dynamically per forward pass. Every node is numbered when
-it is made, after its parents, so backward() visits the nodes that need a
-gradient in decreasing creation order: each one is reached after all of
-its consumers. Gradients stay on leaves only: an op node's gradient is
+Graphs are built dynamically per forward pass. An op keeps as parents only
+the inputs that need a gradient, so over constants and parameters marked
+`requires_grad = False` (those of a `training.Pipeline`) it builds no graph,
+and work that only a backward needs waits in its closures. Every node is
+numbered when it is made, after its parents, so backward() visits the nodes
+that need a gradient in decreasing creation order: each one is reached after
+all of its consumers. Gradients stay on leaves only: an op node's gradient is
 released once its parents have it. Leaf gradients accumulate across
 calls, so zero them between passes. Each op does one job: `add`, `sub`,
 `mul` and `div` are one broadcasting elementwise body (`mul` by a float is
 scaling, the float a constant and no grad node), `reduce_sum` and
-`reduce_mean` one reduction that divides by a count, `linear` is x @ w + b,
+`reduce_mean` one reduction that divides by a count, `linear` is x @ w + b
+with the bias added into the matmul's output, `relu_linear` is relu(x @ w + b)
+as one node whose relu runs in place on that output (`relu` is left for
+inputs that no linear layer makes), `reduce_max`'s backward finds each
+group's first winner in one pass and scatters by flat index,
 `pair_relu_linear` is relu(rows[t] + cols[i]) @ w + b over every (t, i)
 pair in one hidden buffer, `slice_axis` takes a contiguous block along any
 axis (column readouts, weight row splits), `absolute` is |x| and `lstm` runs
@@ -44,6 +51,7 @@ __all__ = [
     "div",
     "matmul",
     "linear",
+    "relu_linear",
     "pair_relu_linear",
     "reshape",
     "concat",
@@ -169,18 +177,37 @@ def _fits_bias(b: Node, w: Node) -> bool:
     return w.value.ndim == 2 and b.value.shape in ((w.value.shape[1],), (1, w.value.shape[1]))
 
 
-def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
-    """x @ w + b, with b broadcast over the rows."""
+def _affine(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray, op_tag: str) -> Node:
+    """x @ w + b, the bias added into the matmul's output (the bytes of x @ w + b,
+    one array fewer); op_tag "relu_linear" also takes its relu there, in place."""
     x, w, b = _as_node(x), _as_node(w), _as_node(b)
     xv, wv = x.value, w.value
     if xv.ndim != 2 or not _fits_bias(b, w) or xv.shape[1] != wv.shape[0]:
-        raise ShapeMismatch(f"op 'linear': shapes {xv.shape}, {wv.shape} and bias {b.value.shape} do not fit")
-    out = xv @ wv + b.value
-    return _make(
-        out,
-        [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g), (b, lambda g: _unbroadcast(g, b.value.shape))],
-        "linear",
-    )
+        raise ShapeMismatch(f"op {op_tag!r}: shapes {xv.shape}, {wv.shape} and bias {b.value.shape} do not fit")
+    out = xv @ wv
+    out += b.value
+    relu = op_tag == "relu_linear"
+    if relu:
+        np.maximum(out, 0.0, out=out)  # out > 0 exactly where the pre-activation is
+    masked: list = [None, None]  # backward() hands all three closures one g: mask it once per call
+
+    def pre_grad(g: np.ndarray) -> np.ndarray:
+        if relu and masked[0] is not g:
+            masked[:] = g, g * (out > 0.0)
+        return masked[1] if relu else g
+
+    return _make(out, [(x, lambda g: pre_grad(g) @ wv.T), (w, lambda g: xv.T @ pre_grad(g)),
+                       (b, lambda g: _unbroadcast(pre_grad(g), b.value.shape))], op_tag)
+
+
+def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
+    """x @ w + b, with b broadcast over the rows."""
+    return _affine(x, w, b, "linear")
+
+
+def relu_linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
+    """relu(x @ w + b) as one node, the bytes of relu(linear(x, w, b))."""
+    return _affine(x, w, b, "relu_linear")
 
 
 def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node | np.ndarray,
@@ -301,10 +328,18 @@ def reduce_max(a: Node | np.ndarray, axis: int) -> Node:
     out = a.value.max(axis=axis)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        idx = np.expand_dims((a.value == np.expand_dims(out, axis)).argmax(axis=axis), axis)
-        acc = np.zeros(a.value.shape)
-        np.put_along_axis(acc, idx, np.expand_dims(g, axis), axis=axis)
-        return acc
+        # a as (pre, k, post) groups along the middle axis; within a group, the
+        # first winner scores highest of the weights k..1, and no winner (a NaN
+        # group) scores 0, which (k - score) % k sends to position 0 as argmax would
+        shape = a.value.shape
+        k, post = shape[axis], math.prod(shape[axis % len(shape) + 1:])
+        hit = (a.value == np.expand_dims(out, axis)).reshape(-1, k, post)
+        score = (hit * np.arange(k, 0, -1, dtype=np.min_scalar_type(k)).reshape(k, 1)).max(axis=1)
+        flat = ((k - score) % k).astype(np.intp) * post
+        flat += np.arange(0, a.value.size, k * post)[:, None] + np.arange(post)
+        acc = np.zeros(a.value.size)
+        acc[flat.ravel()] = g.ravel()
+        return acc.reshape(shape)
 
     return _make(out, [(a, bw)], "reduce_max")
 
@@ -330,10 +365,9 @@ def l2_norm_rows(a: Node | np.ndarray) -> Node:
     if a.value.ndim != 2:
         raise ShapeMismatch(f"op 'l2_norm_rows': expected (N, D), got {a.value.shape}")
     out = np.linalg.norm(a.value, axis=1)
-    safe = np.maximum(out, _EPS)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        return (g / safe)[:, None] * a.value
+        return (g / np.maximum(out, _EPS))[:, None] * a.value
 
     return _make(out, [(a, bw)], "l2_norm_rows")
 
@@ -391,10 +425,9 @@ def pairwise_row_distances(a: Node | np.ndarray) -> Node:
     d2 = np.maximum((d2 + d2.T) / 2.0, 0.0)
     np.fill_diagonal(d2, 0.0)
     out = np.sqrt(d2)
-    safe = np.maximum(out, _EPS)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        w = (g + g.T) / safe
+        w = (g + g.T) / np.maximum(out, _EPS)
         np.fill_diagonal(w, 0.0)
         return w.sum(axis=1)[:, None] * f - w @ f
 

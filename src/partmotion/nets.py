@@ -23,9 +23,11 @@ is applied once per cloud as (N, hidden) and the state block and bias once
 to the n stacked states as (n, hidden); one `dc.pair_relu_linear` node runs
 the relu and the output layer on every (state, point) sum, giving the maps
 stacked frame by frame, (n*N, 3). Segmentation heads consume the
-input points concatenated with all n maps, read as data; the loss and
-prediction's DBSCAN both compare their clustering features by
-`dc.pairwise_row_distances`. The mobility regressor reads the same
+input points concatenated with all n maps, read as data. The clustering
+features run on the moving points only, the true ones in training and the
+ones the segmentation head marks in prediction; the loss and prediction's
+DBSCAN both compare them by `dc.pairwise_row_distances`. Every relu'd layer
+is one `dc.relu_linear` node. The mobility regressor reads the same
 concatenation with displacements zeroed outside one component and
 outputs a motion type and an axis (its objective is `losses.l_mob`). The
 baseline predicts segmentation and a single mobility straight from the
@@ -222,8 +224,9 @@ def _linear_params(rng, name: str, fan_in: int, fan_out: int, params: dict) -> N
     params[f"{name}.b"] = dc.parameter(np.zeros((1, fan_out)))
 
 
-def _linear(params: dict, name: str, x: dc.Node) -> dc.Node:
-    return dc.linear(x, params[f"{name}.w"], params[f"{name}.b"])
+def _linear(params: dict, name: str, x: dc.Node | np.ndarray, op=dc.linear) -> dc.Node:
+    """Layer `name` applied to x by op: dc.linear, or dc.relu_linear for a relu'd layer."""
+    return op(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _interpolated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node) -> list[dc.Node]:
@@ -260,13 +263,13 @@ class SAEncoder:
             if channels is None:
                 raise ConfigError("encoder expects per-point channels")
             x1 = dc.concat([x1, dc.gather_rows(channels, plan.groups1.ravel())], axis=1)
-        h = dc.relu(_linear(self.params, f"{self.prefix}.sa1.l1", x1))
-        h = dc.relu(_linear(self.params, f"{self.prefix}.sa1.l2", h))
+        h = _linear(self.params, f"{self.prefix}.sa1.l1", x1, dc.relu_linear)
+        h = _linear(self.params, f"{self.prefix}.sa1.l2", h, dc.relu_linear)
         f1 = dc.reduce_max(dc.reshape(h, (s1, k1, w1b)), axis=1)
         rel2 = p1.take(plan.groups2.ravel(), axis=0) - np.repeat(p1[plan.centroids2], k2, axis=0)
         x2 = dc.concat([dc.constant(rel2), dc.gather_rows(f1, plan.groups2.ravel())], axis=1)
-        h = dc.relu(_linear(self.params, f"{self.prefix}.sa2.l1", x2))
-        h = dc.relu(_linear(self.params, f"{self.prefix}.sa2.l2", h))
+        h = _linear(self.params, f"{self.prefix}.sa2.l1", x2, dc.relu_linear)
+        h = _linear(self.params, f"{self.prefix}.sa2.l2", h, dc.relu_linear)
         f2 = dc.reduce_max(dc.reshape(h, (s2, k2, w2b)), axis=1)
         pooled = dc.reduce_max(f2, axis=0)
         return f1, f2, dc.reshape(pooled, (1, cfg.global_width))
@@ -341,21 +344,27 @@ class DisplacementNet:
         # one readout emits all n maps side by side, (N, 3n)
         return dc.concat([dc.slice_axis(out, 3 * t, 3 * t + 3, axis=1) for t in range(self.n_maps)])
 
-    def segment(self, p0: np.ndarray, maps: np.ndarray):
-        """Per-point 2-way logits and clustering features.
+    def segment(self, p0: np.ndarray, maps: np.ndarray, rows: Optional[np.ndarray] = None):
+        """(per-point 2-way logits, rows, clustering features of those rows).
 
         maps is (n, N, 3); the heads read it and p0 as data, so the margin
-        term cannot trade displacement quality for feature separation.
+        term cannot trade displacement quality for feature separation. Only
+        moving points' features are ever read, so the feature head runs on
+        `rows` alone: by default the points the logits mark as moving, in
+        training the true moving points.
         """
         maps = np.asarray(maps, dtype=np.float64)
         if maps.shape[0] != self.n_maps:
             raise ConfigError(f"expected {self.n_maps} maps, got {maps.shape[0]}")
-        x = dc.constant(np.concatenate([p0, *maps], axis=1))
-        seg = _linear(self.params, "seg.l2", dc.relu(_linear(self.params, "seg.l1", x)))
-        raw = _linear(self.params, "feat.l2", dc.relu(_linear(self.params, "feat.l1", x)))
+        x = np.concatenate([p0, *maps], axis=1)
+        seg = _linear(self.params, "seg.l2", _linear(self.params, "seg.l1", x, dc.relu_linear))
+        if rows is None:
+            rows = np.flatnonzero(seg.value.argmax(axis=1) == 1)
+        hidden = _linear(self.params, "feat.l1", x.take(rows, axis=0), dc.relu_linear)
+        raw = _linear(self.params, "feat.l2", hidden)
         norms = dc.reshape(dc.l2_norm_rows(raw), (raw.value.shape[0], 1))
         feats = dc.mul(dc.div(raw, dc.add(norms, 1e-8)), FEATURE_RADIUS)
-        return seg, feats
+        return seg, rows, feats
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +408,7 @@ class MobilityRegressor:
 
     def forward(self, plan: EncoderPlan, channels: np.ndarray):
         _, _, g_feat = self.encoder.apply(plan, dc.constant(channels))
-        h = dc.relu(_linear(self.params, "mob.fc", g_feat))
+        h = _linear(self.params, "mob.fc", g_feat, dc.relu_linear)
         return _linear(self.params, "mob.type", h), _linear(self.params, "mob.axis", h)
 
     def predict(self, plan: EncoderPlan, channels: np.ndarray):
@@ -430,11 +439,8 @@ class DirectBaseline:
         """(per-point 2-way logits, type logits, axis output)."""
         f1, f2, g_feat = self.encoder.apply(plan)
         per_point = dc.concat(_interpolated(plan, f1, f2), axis=1)
-        seg = _linear(
-            self.params, "base.seg.l2",
-            dc.relu(_linear(self.params, "base.seg.l1", per_point)),
-        )
-        h = dc.relu(_linear(self.params, "base.fc", g_feat))
+        seg = _linear(self.params, "base.seg.l2", _linear(self.params, "base.seg.l1", per_point, dc.relu_linear))
+        h = _linear(self.params, "base.fc", g_feat, dc.relu_linear)
         return seg, _linear(self.params, "base.type", h), _linear(self.params, "base.axis", h)
 
     def predict(self, plan: EncoderPlan):

@@ -180,8 +180,8 @@ def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConf
     segmentation = None
     if not config.no_seg:
         p0 = np.zeros_like(inst.points) if config.no_p0 else inst.points
-        seg_logits, feats = net.segment(p0, maps.value.reshape(inst.targets.shape))
-        dist_mov = dc.pairwise_row_distances(dc.gather_rows(feats, inst.mov_idx))
+        seg_logits, _, feats = net.segment(p0, maps.value.reshape(inst.targets.shape), inst.mov_idx)
+        dist_mov = dc.pairwise_row_distances(feats)
         segmentation = segmentation_loss(seg_logits, dist_mov, inst.labels, config.weights)
     return total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_moving, inst.gt_radii,
                              segmentation, inst.n_true, config.weights,
@@ -301,12 +301,22 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 @dataclass
 class Pipeline:
-    """A trained model bundle exposing flat shape prediction."""
+    """A trained model bundle exposing flat shape prediction.
+
+    Prediction builds no backward graph: making a pipeline marks every
+    parameter of its networks as needing no gradient, so each diffcore op
+    keeps no parents and the forward pass computes only what it returns.
+    """
 
     config: RunConfig
     net: Optional[DisplacementNet] = None
     regressor: Optional[MobilityRegressor] = None
     baseline: Optional[DirectBaseline] = None
+
+    def __post_init__(self) -> None:
+        for model in (self.net, self.regressor, self.baseline):
+            for param in getattr(model, "params", {}).values():  # None, or a stand-in without parameters
+                param.requires_grad = False
 
     def predict(self, points: np.ndarray) -> ShapePrediction:
         points = np.asarray(points, dtype=np.float64)
@@ -325,12 +335,11 @@ class Pipeline:
             confidences = {1: 1.0} if labels.any() else {}
         else:
             p0 = np.zeros_like(points) if self.config.no_p0 else points
-            seg_logits, feat_nodes = self.net.segment(p0, maps)
+            seg_logits, mov_idx, feats = self.net.segment(p0, maps)
             _require_finite(seg_logits.value, "segmentation logits")
-            _require_finite(feat_nodes.value, "clustering features")
-            mov_idx = np.flatnonzero(seg_logits.value.argmax(axis=1) == 1)
+            _require_finite(feats.value, "clustering features")
             if mov_idx.size:
-                dist = dc.pairwise_row_distances(feat_nodes.value[mov_idx]).value
+                dist = dc.pairwise_row_distances(feats).value
                 # cluster at half the contrastive margin the features were trained with
                 ids = dbscan_labels(dist, self.config.weights.margin / 2, default_min_pts(mov_idx.size))
                 labels[mov_idx] = ids + 1

@@ -245,6 +245,14 @@ def case_pair_relu_linear(rng):
     )
 
 
+def case_relu_linear(rng):
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+    while np.abs(x @ w + b).min() < 0.05:  # every pre-activation off the relu's kink
+        x = rng.normal(size=(5, 3))
+    p = _proj(rng, (5, 4))
+    return "relu_linear", [x, w, b], lambda n: dc.reduce_sum(dc.mul(dc.relu_linear(n[0], n[1], n[2]), p))
+
+
 def case_mlp_chain(rng):
     x = rng.normal(size=(4, 3))
     w1 = rng.normal(size=(3, 5)) * 0.7
@@ -292,6 +300,7 @@ OP_CASES = [
     case_pairwise_row_distances,
     case_lstm,
     case_pair_relu_linear,
+    case_relu_linear,
     case_mlp_chain,
 ]
 

@@ -10,7 +10,8 @@ package's own earlier implementation, kept as the byte reference for its
 rewrite, and so are the part matchers and `pooled_average_precision`, the
 two spec transforms `yaw_spec` and `denormalized_spec` that `geom.moved_spec`
 replaced, `fit_sequence` with its separate T and R/TR sums, and
-`reduce_backward`, the two-branch gradient of `dc.reduce_sum` and `dc.reduce_mean`.
+`reduce_backward`, the two-branch gradient of `dc.reduce_sum` and `dc.reduce_mean`,
+and `reduce_max_backward`, the argmax gradient of `dc.reduce_max`.
 """
 from __future__ import annotations
 
@@ -348,6 +349,15 @@ def reduce_backward(g: np.ndarray, shape: tuple[int, ...], axis: Optional[int], 
     if axis is None:
         return np.full(shape, g / count)
     return np.broadcast_to(np.expand_dims(g, axis), shape) / count
+
+
+# dc.reduce_max's backward before its one-pass rewrite: the first winner of
+# each group by argmax, the gradient placed by put_along_axis.
+def reduce_max_backward(a: np.ndarray, out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    idx = np.expand_dims((a == np.expand_dims(out, axis)).argmax(axis=axis), axis)
+    acc = np.zeros(a.shape)
+    np.put_along_axis(acc, idx, np.expand_dims(g, axis), axis=axis)
+    return acc
 
 
 def pair_relu_linear(rows: dc.Node, cols: dc.Node, w: dc.Node, b: dc.Node) -> dc.Node:

@@ -86,6 +86,16 @@ def test_gen_repeated_category_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("field, value", [("n_points", 10**400), ("seed", 2**63), ("shapes_per_category", 2**31)])
+def test_gen_huge_integer_is_config_error(tmp_path, capsys, field, value):
+    micro_config(categories=("drawer_box",)).save(tmp_path / "config.json")
+    config = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, field: value}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
+    assert f"{field} must lie strictly between" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_writes_run_dir(workdir):
     run = workdir / "run"
     names = {p.name for p in run.iterdir()}

@@ -220,3 +220,19 @@ def test_replaced_does_not_mutate():
     other = dataclasses.replace(cfg, seed=77, no_rnn=True)
     assert cfg.seed == 0 and not cfg.no_rnn
     assert other.seed == 77 and other.no_rnn
+
+
+@pytest.mark.parametrize("name, bits", [("seed", 63), ("n_points", 31), ("shapes_per_category", 31),
+                                        ("epochs", 31), ("mobility_epochs", 31), ("log_every", 31),
+                                        ("weights.k_density", 31)])
+def test_integer_fields_are_bounded(name, bits):
+    # a 400-digit count used to pass the check and overflow later, in a float
+    # division inside the corpus generator
+    section, _, field_name = name.rpartition(".")
+    for value in (2**bits, -(2**bits), 10**400):
+        data = {section: {field_name: value}} if section else {field_name: value}
+        with pytest.raises(ConfigError, match=f"{field_name} must lie strictly between -2\\*\\*{bits}"):
+            RunConfig.from_dict(data)
+    near = 2**bits - 1 if name == "seed" else 3
+    data = {section: {field_name: near}} if section else {field_name: near}
+    assert RunConfig.from_dict(data) is not None

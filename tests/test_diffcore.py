@@ -65,6 +65,27 @@ def test_pair_relu_linear_matches_unfused_chain_bytes(steps):
         assert g.grad.shape == w.grad.shape and g.grad.tobytes() == w.grad.tobytes()
 
 
+@pytest.mark.parametrize("bias_shape", [(4,), (1, 4)])
+def test_relu_linear_matches_unfused_chain_bytes(bias_shape):
+    rng = np.random.default_rng(3)
+    x, w, b = rng.normal(size=(6, 5)), rng.normal(size=(5, 4)), rng.normal(size=bias_shape)
+    x[0] = 0.0
+    b.reshape(-1)[0] = 0.0  # a column of pre-activations that are exactly 0 in row 0
+    weights = rng.normal(size=(6, 4))
+    got, want = [dc.parameter(a) for a in (x, w, b)], [dc.parameter(a) for a in (x, w, b)]
+    fused, chain = dc.relu_linear(*got), dc.relu(dc.linear(*want))
+    assert fused.value.tobytes() == chain.value.tobytes()
+    assert not fused.value[0, 0] and fused.op_tag == "relu_linear"
+    for _ in range(2):  # the second pass must mask its own upstream gradient
+        for out in (fused, chain):
+            out.grad = None
+        dc.backward(dc.reduce_sum(dc.mul(fused, weights)))
+        dc.backward(dc.reduce_sum(dc.mul(chain, weights)))
+        weights = rng.normal(size=(6, 4))
+    for g, w_ in zip(got, want):
+        assert g.grad.shape == w_.grad.shape and g.grad.tobytes() == w_.grad.tobytes()
+
+
 def test_pair_relu_linear_masks_again_on_each_backward_call():
     # two backward passes through one node must each mask their own
     # upstream gradient, not reuse the first pass's
@@ -116,6 +137,42 @@ def test_reduce_max_gradient_goes_to_first_winner():
     dc.backward(dc.reduce_sum(out))
     # the tie in the first row sends the whole gradient to its first winner
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _assert_reduce_max_backward_matches_argmax_reference(a, rng):
+    x = dc.parameter(a)
+    for axis in range(-a.ndim, a.ndim):
+        y = dc.reduce_max(x, axis)
+        g = rng.normal(size=y.value.shape)
+        got = y.parents[0][1](g)
+        want = oracles.reduce_max_backward(a, y.value, g, axis)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), axis
+
+
+@pytest.mark.parametrize("a", [
+    np.full((3, 4, 2), 1.5),                                     # every group all equal
+    np.array([[2.0, 1.0, 2.0, 2.0], [0.0, 3.0, -1.0, 3.0]]),      # repeated maxima
+    np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -0.0]]),            # -0.0 ties with 0.0
+    np.array([[1.0, np.nan, 2.0], [np.nan, np.nan, 0.0]]),       # a NaN group has no winner
+], ids=["all_equal", "repeated_maxima", "signed_zero", "nan"])
+def test_reduce_max_backward_matches_argmax_reference_on_ties(a):
+    with np.errstate(invalid="ignore"):
+        _assert_reduce_max_backward_matches_argmax_reference(a, np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple), seed=st.integers(0, 2**32 - 1))
+def test_reduce_max_backward_matches_argmax_reference_bytes(shape, seed):
+    # values from a small set, so most groups tie, -0.0 against 0.0 included
+    rng = np.random.default_rng(seed)
+    _assert_reduce_max_backward_matches_argmax_reference(rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape), rng)
+
+
+def test_reduce_max_backward_matches_argmax_reference_on_encoder_shapes():
+    rng = np.random.default_rng(5)
+    for shape in ((64, 16, 64), (16, 8, 128), (16, 128)):
+        _assert_reduce_max_backward_matches_argmax_reference(np.maximum(rng.normal(size=shape), 0.0), rng)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,6 +384,11 @@ def test_linear_adds_bias_per_column(bias_shape):
 def test_linear_rejects_bias_that_is_not_one_per_column(bias_shape):
     with pytest.raises(ShapeMismatch, match="linear"):
         dc.linear(np.eye(3), np.eye(3), np.zeros(bias_shape))
+
+
+def test_relu_linear_rejects_a_bias_that_is_not_one_per_column():
+    with pytest.raises(ShapeMismatch, match="op 'relu_linear'"):
+        dc.relu_linear(np.eye(3), np.eye(3), np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("lo, hi, axis", [(1, 4, 0), (-1, 2, 0), (2, 2, 1), (0, 2, 2)])

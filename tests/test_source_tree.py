@@ -113,3 +113,47 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
               if not name.startswith("_")
               and everywhere[name] == Counter(_referenced_names(node, imports=False))[name]]
     assert unused == []
+
+
+_LINEAR_CALLS = {"linear", "_linear", "relu_linear", "matmul"}
+
+
+def _callee(node: ast.AST):
+    """The called name of a call node (`f` of `f(...)` or `m.f(...)`), else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def _relus_over_linear_layers(tree: ast.AST) -> list[int]:
+    """Lines where relu takes a linear layer's output: the call itself, an
+    add over a matmul, or a name that the same function assigned from one."""
+
+    def is_layer(node: ast.AST) -> bool:
+        return _callee(node) in _LINEAR_CALLS or (
+            _callee(node) == "add" and any(_callee(arg) == "matmul" for arg in node.args))
+
+    lines = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        layers = {target.id for node in ast.walk(scope) if isinstance(node, ast.Assign) and is_layer(node.value)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        lines += [node.lineno for node in ast.walk(scope) if _callee(node) == "relu" and node.args
+                  and (is_layer(node.args[0]) or getattr(node.args[0], "id", None) in layers)]
+    return sorted(set(lines))
+
+
+def test_relu_over_linear_check_finds_each_form():
+    source = ("h = dc.relu(_linear(p, 'a', x))\n"
+              "g = dc.relu(dc.add(dc.matmul(x, w), b))\n"
+              "def f(x):\n    y = dc.linear(x, w, b)\n    return dc.relu(y)\n"
+              "ok = dc.relu(dc.sub(1.0, d))\n")
+    assert _relus_over_linear_layers(ast.parse(source)) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_no_linear_layer_is_wrapped_in_a_separate_relu(path):
+    # a relu'd layer is one dc.relu_linear node, its relu in place; dc.relu is
+    # left for inputs that no linear layer makes, such as a hinge
+    assert _relus_over_linear_layers(ast.parse(path.read_text(), filename=str(path))) == []

@@ -258,6 +258,35 @@ def test_pipeline_prediction_shapes(trained, records):
     assert set(pred.confidences) == parts
 
 
+@pytest.mark.parametrize("source", ["trained", "loaded", "baseline"])
+def test_prediction_builds_no_graph(tmp_path, monkeypatch, trained, records, instances, source):
+    cfg, pipe = trained
+    if source == "loaded":
+        pipe = tr.load_pipeline(tr.save_pipeline(tmp_path / "run", pipe))
+    elif source == "baseline":
+        pipe = tr.Pipeline(cfg, baseline=tr.train_baseline(instances, cfg)[0])
+    made, make = [], dc._make  # every node a diffcore op makes during the prediction
+    monkeypatch.setattr(dc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    pipe.predict(records[0].frames[0])
+    assert made
+    assert [n for n in made if n.parents or n.requires_grad] == []
+
+
+@pytest.mark.parametrize("category", TEMPLATE_NAMES)
+def test_prediction_bytes_do_not_depend_on_gradients(trained, category):
+    _, pipe = trained
+    cloud = micro_records(TEMPLATE_NAMES, seed=1, split="test")[TEMPLATE_NAMES.index(category)].frames[0]
+    params = [*pipe.net.params.values(), *pipe.regressor.params.values()]
+    frozen = _prediction_digest(pipe.predict(cloud))
+    try:
+        for param in params:
+            param.requires_grad = True
+        assert _prediction_digest(pipe.predict(cloud)) == frozen
+    finally:
+        for param in params:
+            param.requires_grad = False
+
+
 def test_part_too_small_to_register_keeps_regressor_mobility(trained, instances):
     cfg, pipe = trained
     inst = instances[0]
