@@ -1,4 +1,12 @@
 """Recurrent motion hallucination and part mobility estimation for point clouds."""
+import os
+import sys
+
+# one BLAS thread, whose float64 products round the same on any CPU count; BLAS reads
+# these once, as numpy loads, so the pin stays above the imports. A user's own setting is kept.
+if "numpy" not in sys.modules:
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
 
 from .config import RunConfig, load_config
 from .training import Pipeline, evaluate_model, load_pipeline, run_training

@@ -1,8 +1,8 @@
 """Command-line surface: gen, train, predict, eval, ablate.
 
 Every command is driven by a JSON run config and is deterministic given
-(config, seed). Reports are plain structured text. Exit codes: 0 success,
-2 config error, 3 data error, 4 numeric failure.
+(config, seed) at the one BLAS thread the package pins. Reports are plain
+structured text. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="replace an existing dataset")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("train", help="train the configured model")
+    p = sub.add_parser("train", help="train the configured model", description=(
+        "Train the configured model. The bytes it writes depend on the config, its seed and the BLAS thread "
+        "count, which is 1 unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS sets another."))
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", default=None, help="run directory (default: config out_dir)")

@@ -1,27 +1,19 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-A Node wraps an ndarray value plus backward closures onto its parents.
-Graphs are built dynamically per forward pass. An op keeps as parents only
-the inputs that need a gradient, so over constants and parameters marked
-`requires_grad = False` (those of a `training.Pipeline`) it builds no graph,
-and work that only a backward needs waits in its closures. Every node is
+A Node wraps an ndarray value. An op's forward computes only that value and
+makes its node with `_make`, from one backward closure per input and at most
+one shared step; work that only a backward needs waits there. backward()
+runs a node's step once on its incoming gradient and hands the result to
+every parent's closure, so work the parents share (a relu mask, an LSTM's
+reverse sweep) runs once per call, and no closure remembers an earlier
+call. An op keeps as parents only the inputs that need a gradient, so over
+constants and parameters marked `requires_grad = False` (those of a
+`training.Pipeline`) it builds no graph and keeps no closure. Every node is
 numbered when it is made, after its parents, so backward() visits the nodes
 that need a gradient in decreasing creation order: each one is reached after
-all of its consumers. Gradients stay on leaves only: an op node's gradient is
-released once its parents have it. Leaf gradients accumulate across
-calls, so zero them between passes. Each op does one job: `add`, `sub`,
-`mul` and `div` are one broadcasting elementwise body (`mul` by a float is
-scaling, the float a constant and no grad node), `reduce_sum` and
-`reduce_mean` one reduction that divides by a count, `linear` is x @ w + b
-with the bias added into the matmul's output, `relu_linear` is relu(x @ w + b)
-as one node whose relu runs in place on that output (`relu` is left for
-inputs that no linear layer makes), `reduce_max`'s backward finds each
-group's first winner in one pass and scatters by flat index,
-`pair_relu_linear` is relu(rows[t] + cols[i]) @ w + b over every (t, i)
-pair in one hidden buffer, `slice_axis` takes a contiguous block along any
-axis (column readouts, weight row splits), `absolute` is |x| and `lstm` runs
-a whole LSTM recurrence as one node whose backward is one reverse sweep
-through time.
+all of its consumers. Gradients stay on leaves only: an op node's gradient
+is released once its parents have it. Leaf gradients accumulate across
+calls, so zero them between passes.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
@@ -80,7 +72,7 @@ _CREATED = itertools.count()
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "grad", "parents", "op_tag", "requires_grad", "seq")
+    __slots__ = ("value", "grad", "parents", "op_tag", "requires_grad", "seq", "step")
 
     def __init__(
         self,
@@ -88,6 +80,7 @@ class Node:
         parents: tuple = (),
         op_tag: str = "leaf",
         requires_grad: bool = False,
+        step: Optional[Callable] = None,
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
@@ -95,6 +88,7 @@ class Node:
         self.op_tag = op_tag
         self.requires_grad = requires_grad
         self.seq = next(_CREATED)
+        self.step = step
 
     def __repr__(self) -> str:
         return f"Node({self.op_tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -112,9 +106,12 @@ def _as_node(x: Node | np.ndarray | float) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def _make(value: np.ndarray, parents: Iterable[tuple[Node, Callable]], op_tag: str) -> Node:
+def _make(value: np.ndarray, parents: Iterable[tuple[Node, Callable]], op_tag: str,
+          step: Optional[Callable] = None) -> Node:
+    """The node of an op: (input, closure) pairs, those without a gradient dropped,
+    and the step whose result on the node's gradient every closure receives."""
     kept = tuple((p, fn) for p, fn in parents if p.requires_grad)
-    return Node(value, kept, op_tag, requires_grad=bool(kept))
+    return Node(value, kept, op_tag, requires_grad=bool(kept), step=step if kept else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,7 +176,8 @@ def _fits_bias(b: Node, w: Node) -> bool:
 
 def _affine(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray, op_tag: str) -> Node:
     """x @ w + b, the bias added into the matmul's output (the bytes of x @ w + b,
-    one array fewer); op_tag "relu_linear" also takes its relu there, in place."""
+    one array fewer); op_tag "relu_linear" also takes its relu there, in place,
+    and its step masks the gradient with it."""
     x, w, b = _as_node(x), _as_node(w), _as_node(b)
     xv, wv = x.value, w.value
     if xv.ndim != 2 or not _fits_bias(b, w) or xv.shape[1] != wv.shape[0]:
@@ -189,15 +187,9 @@ def _affine(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray, op
     relu = op_tag == "relu_linear"
     if relu:
         np.maximum(out, 0.0, out=out)  # out > 0 exactly where the pre-activation is
-    masked: list = [None, None]  # backward() hands all three closures one g: mask it once per call
-
-    def pre_grad(g: np.ndarray) -> np.ndarray:
-        if relu and masked[0] is not g:
-            masked[:] = g, g * (out > 0.0)
-        return masked[1] if relu else g
-
-    return _make(out, [(x, lambda g: pre_grad(g) @ wv.T), (w, lambda g: xv.T @ pre_grad(g)),
-                       (b, lambda g: _unbroadcast(pre_grad(g), b.value.shape))], op_tag)
+    return _make(out, [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                       (b, lambda g: _unbroadcast(g, b.value.shape))], op_tag,
+                 (lambda g: g * (out > 0.0)) if relu else None)
 
 
 def linear(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray) -> Node:
@@ -220,17 +212,16 @@ def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node |
     steps, n = rv.shape[0], cv.shape[0]
     hidden = np.add(rv[:, None], cv).reshape(steps * n, -1)  # the one (T*N, H) buffer, relu in place
     np.maximum(hidden, 0.0, out=hidden)
-    masked: list = [None, None]  # backward() hands all four closures one g: mask it once per call
 
-    def pre_grad(g: np.ndarray) -> np.ndarray:
-        if masked[0] is not g:  # (T, N, H) gradient of the pre-activations
-            masked[:] = g, (g @ wv.T).reshape(steps, n, -1)
-            masked[1] *= (hidden > 0.0).reshape(steps, n, -1)
-        return masked[1]
+    def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g and the (T, N, H) gradient of the pre-activations."""
+        pre = (g @ wv.T).reshape(steps, n, -1)
+        pre *= (hidden > 0.0).reshape(steps, n, -1)
+        return g, pre
 
-    return _make(hidden @ wv + b.value, [(rows, lambda g: pre_grad(g).sum(axis=1)),
-                 (cols, lambda g: pre_grad(g).sum(axis=0)), (w, lambda g: hidden.T @ g),
-                 (b, lambda g: _unbroadcast(g, b.value.shape))], "pair_relu_linear")
+    return _make(hidden @ wv + b.value, [(rows, lambda gp: gp[1].sum(axis=1)),
+                 (cols, lambda gp: gp[1].sum(axis=0)), (w, lambda gp: hidden.T @ gp[0]),
+                 (b, lambda gp: _unbroadcast(gp[0], b.value.shape))], "pair_relu_linear", step)
 
 
 def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
@@ -240,23 +231,19 @@ def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
     return _make(out, [(a, lambda g: g.reshape(src))], "reshape")
 
 
+def _block(ndim: int, axis: int, lo: int, hi: int) -> tuple:
+    """The index of the block [lo, hi) along one axis of an ndim-dimensional array."""
+    return (slice(None),) * (axis % ndim) + (slice(lo, hi),)
+
+
 def concat(nodes: Sequence[Node | np.ndarray], axis: int = 0) -> Node:
     parts = [_as_node(n) for n in nodes]
     if not parts:
         raise ShapeMismatch("op 'concat': needs at least one input")
     out = np.concatenate([p.value for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
-    parents = []
-    for i, p in enumerate(parts):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def bw(g: np.ndarray, lo=lo, hi=hi) -> np.ndarray:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        parents.append((p, bw))
-    return _make(out, parents, "concat")
+    blocks = [_block(out.ndim, axis, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _make(out, [(p, lambda g, sl=sl: g[sl]) for p, sl in zip(parts, blocks)], "concat")
 
 
 def slice_axis(a: Node | np.ndarray, lo: int, hi: int, axis: int = 0) -> Node:
@@ -265,7 +252,7 @@ def slice_axis(a: Node | np.ndarray, lo: int, hi: int, axis: int = 0) -> Node:
     shape = a.value.shape
     if not -len(shape) <= axis < len(shape) or not 0 <= lo < hi <= shape[axis]:
         raise ShapeMismatch(f"op 'slice_axis': block [{lo}, {hi}) on axis {axis} outside shape {shape}")
-    sl = (slice(None),) * (axis % len(shape)) + (slice(lo, hi),)
+    sl = _block(len(shape), axis, lo, hi)
 
     def bw(g: np.ndarray) -> np.ndarray:
         acc = np.zeros(shape)
@@ -349,14 +336,14 @@ def reduce_max(a: Node | np.ndarray, axis: int) -> Node:
 
 
 def relu(a: Node | np.ndarray) -> Node:
+    """For inputs that no linear layer makes; a relu'd layer is one `relu_linear` node."""
     a = _as_node(a)
     return _make(np.maximum(a.value, 0.0), [(a, lambda g: g * (a.value > 0.0))], "relu")
 
 
 def absolute(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
-    sign = np.sign(a.value)
-    return _make(np.abs(a.value), [(a, lambda g: g * sign)], "absolute")
+    return _make(np.abs(a.value), [(a, lambda g: g * np.sign(a.value))], "absolute")
 
 
 def l2_norm_rows(a: Node | np.ndarray) -> Node:
@@ -388,10 +375,9 @@ def softmax_cross_entropy(logits: Node | np.ndarray, labels: np.ndarray) -> Node
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     out = -log_probs[np.arange(n), labels].mean()
-    probs = np.exp(log_probs)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        delta = probs.copy()
+        delta = np.exp(log_probs)
         delta[np.arange(n), labels] -= 1.0
         return (float(g) / n) * delta
 
@@ -462,27 +448,24 @@ def lstm(x_proj: Node | np.ndarray, w_h: Node | np.ndarray, steps: int) -> Node:
         tanh_c[t] = np.tanh(cells[t])
         h = (a[3] * tanh_c[t]).reshape(1, width)
         states[t] = h
-    swept: list = [None, None]  # backward() hands both closures one g: sweep once per call
 
-    def gate_grads(g: np.ndarray) -> np.ndarray:
-        """(steps, 4W) gradient of every step's gate pre-activations."""
-        if swept[0] is not g:
-            slope = acts * (1.0 - acts)
-            slope[:, 2] = 1.0 - acts[:, 2] ** 2
-            dG = np.empty((steps, 4, width))
-            dh, dc = g[-1], 0.0
-            for t in range(steps - 1, -1, -1):
-                i, f, cand, o = acts[t]
-                dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-                dG[t] = dc * cand, dc * (cells[t - 1] if t else 0.0), dc * i, dh * tanh_c[t]
-                dG[t] *= slope[t]
-                if t:
-                    dh, dc = g[t - 1] + dG[t].reshape(-1) @ wv.T, dc * f
-            swept[:] = g, dG.reshape(steps, 4 * width)
-        return swept[1]
+    def sweep(g: np.ndarray) -> np.ndarray:
+        """The (steps, 4W) gradient of every step's gate pre-activations, in one reverse sweep."""
+        slope = acts * (1.0 - acts)
+        slope[:, 2] = 1.0 - acts[:, 2] ** 2
+        dG = np.empty((steps, 4, width))
+        dh, dc = g[-1], 0.0
+        for t in range(steps - 1, -1, -1):
+            i, f, cand, o = acts[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+            dG[t] = dc * cand, dc * (cells[t - 1] if t else 0.0), dc * i, dh * tanh_c[t]
+            dG[t] *= slope[t]
+            if t:
+                dh, dc = g[t - 1] + dG[t].reshape(-1) @ wv.T, dc * f
+        return dG.reshape(steps, 4 * width)
 
-    return _make(states, [(x_proj, lambda g: gate_grads(g).sum(axis=0, keepdims=True)),
-                          (w_h, lambda g: states[:-1].T @ gate_grads(g)[1:])], "lstm")
+    return _make(states, [(x_proj, lambda dG: dG.sum(axis=0, keepdims=True)),
+                          (w_h, lambda dG: states[:-1].T @ dG[1:])], "lstm", sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +477,13 @@ def backward(root: Node) -> None:
 
     A node is made after its parents, so taking the pending nodes in
     decreasing creation order reaches each one after every node that feeds
-    it a gradient. A node's first contribution is stored as is; later ones
-    make a new array (grad + contrib), never an in-place sum, because an op
-    may hand the same array to more than one parent. An op node's gradient
-    is released once it has been passed to its parents, so after the sweep
-    only leaves (nodes without parents) hold one.
+    it a gradient. A node's step, if it has one, runs once on its complete
+    gradient, and each parent's closure gets the result. A node's first
+    contribution is stored as is; later ones make a new array (grad +
+    contrib), never an in-place sum, because an op may hand the same array to
+    more than one parent. An op node's gradient is released once it has been
+    passed to its parents, so after the sweep only leaves (nodes without
+    parents) hold one.
     """
     if root.value.size != 1:
         raise ConfigError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -511,6 +496,8 @@ def backward(root: Node) -> None:
         g = node.grad
         if node.parents:
             node.grad = None
+        if node.step is not None:  # only a node with parents keeps one
+            g = node.step(g)
         for parent, fn in node.parents:
             contrib = fn(g)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib

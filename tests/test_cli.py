@@ -1,8 +1,11 @@
 """End-to-end command surface: every subcommand plus the exit-code contract."""
 import dataclasses
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -769,3 +772,47 @@ def test_fuzzed_shape_json_exits_with_contract_code(workdir, data):
         (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
         (Path(tmp) / "fan_002" / "shape.json").write_text(text)
         assert main(["eval", "--oracle", "--dataset", tmp]) in CONTRACT_CODES
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, cwd, threads):
+    """Run python with src importable and the BLAS thread variables removed,
+    or all set to `threads`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads) if threads else {})
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS runs one thread whatever the variables say")
+def test_train_writes_the_same_bytes_with_the_thread_variables_unset(tmp_path):
+    # OpenBLAS otherwise runs one thread per CPU, and at two threads some of the
+    # default net's products round differently
+    config = {"categories": ["drawer_box"], "shapes_per_category": 2, "epochs": 1, "mobility_epochs": 1}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    gen = _python(["-m", "partmotion.cli", "gen", "--config", "config.json", "--out", "data"], tmp_path, "1")
+    assert gen.returncode == 0, gen.stderr
+    params = []
+    for threads in (None, "1"):
+        out = f"run_{threads or 'unset'}"
+        train = _python(["-m", "partmotion.cli", "train", "--config", "config.json", "--dataset", "data",
+                         "--out", out], tmp_path, threads)
+        assert train.returncode == 0, train.stderr
+        params.append((tmp_path / out / "displacement.params").read_bytes())
+    assert params[0] == params[1]
+
+
+@pytest.mark.parametrize("threads, numpy_first, want", [
+    (None, False, ["1", "1", "1"]),     # pinned
+    ("2", False, ["2", "2", "2"]),      # the user's own setting is kept
+    (None, True, [None, None, None]),   # too late: BLAS has read the variables
+])
+def test_importing_the_package_pins_blas_threads(tmp_path, threads, numpy_first, want):
+    code = ("import numpy\n" if numpy_first else "") + (
+        f"import os, partmotion\nprint([os.environ.get(n) for n in {BLAS_THREAD_VARIABLES}])")
+    probe = _python(["-c", code], tmp_path, threads)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == repr(want)

@@ -274,6 +274,44 @@ def test_lstm_rejects_mismatched_shapes(x_shape, w_shape):
         dc.lstm(np.zeros(x_shape), np.zeros(w_shape), 2)
 
 
+def _counted_step_node(monkeypatch, op, requires_grad):
+    """One op node over parameters with requires_grad as given, and the list that
+    gets one entry each time backward() runs the step the op handed to _make."""
+    runs, make = [], dc._make
+    monkeypatch.setattr(dc, "_make", lambda value, parents, op_tag, step=None: make(
+        value, parents, op_tag, None if step is None else lambda g: runs.append(op_tag) or step(g)))
+    rng = np.random.default_rng(11)
+    arrays, extra = {
+        "relu_linear": ([rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))], ()),
+        "pair_relu_linear": (_pair_inputs(3, n=4, width=5)[0], ()),
+        "lstm": ([rng.normal(size=(1, 12)), rng.normal(size=(3, 12))], (4,)),
+    }[op]
+    nodes = [dc.parameter(a) for a in arrays]
+    for node in nodes:
+        node.requires_grad = requires_grad
+    return getattr(dc, op)(*nodes, *extra), runs
+
+
+@pytest.mark.parametrize("op, n_parents", [("relu_linear", 3), ("pair_relu_linear", 4), ("lstm", 2)])
+def test_shared_step_runs_once_per_backward_call(monkeypatch, op, n_parents):
+    node, runs = _counted_step_node(monkeypatch, op, requires_grad=True)
+    assert len(node.parents) == n_parents
+    weights = np.random.default_rng(12).normal(size=node.value.shape)
+    for calls in (1, 2):
+        dc.backward(dc.reduce_sum(dc.mul(node, weights)))
+        assert runs == [op] * calls
+
+
+@pytest.mark.parametrize("op", ["relu_linear", "pair_relu_linear", "lstm"])
+def test_shared_step_never_runs_over_frozen_parameters(monkeypatch, op):
+    # as in a prediction: the node has no parents, so backward() never reaches it
+    node, runs = _counted_step_node(monkeypatch, op, requires_grad=False)
+    other = dc.parameter(np.ones(node.value.shape))
+    dc.backward(dc.reduce_sum(dc.mul(node, other)))
+    assert node.parents == () and node.step is None
+    assert runs == [] and other.grad.tobytes() == node.value.tobytes()
+
+
 def test_shared_subgraph_accumulates_gradient():
     x = dc.parameter(np.array([[2.0]]))
     y = dc.add(dc.mul(x, x), dc.mul(x, 3.0))  # x^2 + 3x

@@ -157,3 +157,16 @@ def test_no_linear_layer_is_wrapped_in_a_separate_relu(path):
     # a relu'd layer is one dc.relu_linear node, its relu in place; dc.relu is
     # left for inputs that no linear layer makes, such as a hinge
     assert _relus_over_linear_layers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_package_pins_blas_threads_before_its_first_relative_import():
+    # BLAS reads its thread count once, when numpy loads it, and any of the
+    # package's modules loads numpy: an import sorter must not hoist one above the pin
+    body = ast.parse((SRC / "partmotion" / "__init__.py").read_text()).body
+    first = next(i for i, node in enumerate(body) if isinstance(node, ast.ImportFrom) and node.level)
+    before = [sub for node in body[:first] for sub in ast.walk(node)]
+    assert "setdefault" in [_callee(sub) for sub in before]
+    assert {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} <= {
+        sub.value for sub in before if isinstance(sub, ast.Constant)}
+    assert not {"numpy", "scipy"} & {alias.name.split(".")[0] for sub in before
+                                     if isinstance(sub, ast.Import) for alias in sub.names}
