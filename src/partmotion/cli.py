@@ -197,8 +197,7 @@ def cmd_ablate(args) -> int:
     base = load_config(args.config)
     if base.ablation_tags:
         raise ConfigError("ablation base config must have all switches off")
-    rows = args.rows or list(DEFAULT_ABLATION_ROWS)
-    for row in rows:
+    for row in args.rows:
         if row != "full" and row not in ABLATION_SWITCHES:
             raise ConfigError(f"unknown ablation row {row!r}")
     dataset = Path(args.dataset or base.dataset_dir)
@@ -210,7 +209,7 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = ["ablation table"]
-    for row in rows:
+    for row in args.rows:
         config = base if row == "full" else dataclasses.replace(base, **{row: True})
         pipeline = run_training(config, train_records, out_dir=out / row, instances=instances)
         result = evaluate_model(test_records, pipeline)
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--rows", nargs="*", default=None,
+    p.add_argument("--rows", nargs="+", default=list(DEFAULT_ABLATION_ROWS),
                    help=f"rows to run (default: {' '.join(DEFAULT_ABLATION_ROWS)})")
     p.set_defaults(fn=cmd_ablate)
     return parser

@@ -106,6 +106,9 @@ class NetConfig:
 # deterministic, order-free neighborhood structure
 
 
+MAX_EXTENT = float(np.sqrt(np.finfo(np.float64).max / 3.0))  # the widest cloud build_plan takes
+
+
 def _coord_order(points: np.ndarray) -> np.ndarray:
     """Indices in coordinate order: x, then y, then z, then index."""
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
@@ -190,8 +193,16 @@ def build_plan(points: np.ndarray, cfg: NetConfig) -> EncoderPlan:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ConfigError(f"points must be (N, 3), got {points.shape}")
-    if not np.isfinite(points).all():
+    peak = float(np.abs(points).max(initial=0.0))  # nan or inf where any coordinate is
+    if not np.isfinite(peak):
         raise DataError("points must be finite")
+    # squared distances reach 3 * extent**2, an extent past MAX_EXTENT needs a coordinate
+    # past half of it, and halves keep the extent itself finite
+    if peak > MAX_EXTENT / 2.0:
+        half = float(np.max(points.max(axis=0) / 2.0 - points.min(axis=0) / 2.0))
+        if half > MAX_EXTENT / 2.0:
+            raise DataError(f"points span {2.0 * half:.6g} along one axis; above {MAX_EXTENT:.6g} "
+                            "squared distances between them overflow")
     (s1, r1, _), (s2, r2, _) = cfg.sa_stages
     k1, k2 = cfg.group_sizes
     # d1: stage-1 centroids to points in coordinate order, for both groupings and both interpolations

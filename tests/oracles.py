@@ -2,19 +2,24 @@
 
 Everything here is deliberately slow and literal: plain loops, and no code
 shared with the package under test except where a reference says so. The
-mobfit reference (`fit_sequence_per_pair`) registers each pair on its own but
-takes the package's pair classifier, `_aligned_mean` and range check. The
+mobfit reference (`fit_sequence_per_pair`) registers each pair on its own and
+classifies it with its own copy of the package's earlier per-pair code
+(`PairMotion`, `classify_transform`, `rotation_angle_deg`, `rotation_axis`,
+`axis_point`, `_aligned_mean`), kept verbatim as the byte reference for the
+one-pass `mobfit.fit_sequence`; only the range check is the package's. The
 sequence reference (`make_sequence`) takes the package's `MotionSequence` and
 `mobility_transform`. The sparse-graph DBSCAN (`dbscan_labels`) is the
 package's own earlier implementation, kept as the byte reference for its
 rewrite, and so are the part matchers and `pooled_average_precision`, the
 two spec transforms `yaw_spec` and `denormalized_spec` that `geom.moved_spec`
-replaced, `fit_sequence` with its separate T and R/TR sums, and
-`reduce_backward`, the two-branch gradient of `dc.reduce_sum` and `dc.reduce_mean`,
-and `reduce_max_backward`, the argmax gradient of `dc.reduce_max`.
+replaced, `fit_sequence` with its separate T and R/TR sums (on the same
+per-pair code), and `reduce_backward`, the two-branch gradient of
+`dc.reduce_sum` and `dc.reduce_mean`, and `reduce_max_backward`, the argmax
+gradient of `dc.reduce_max`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,16 +31,17 @@ from partmotion import diffcore as dc
 from partmotion import mobfit
 from partmotion.errors import ConfigError, DataError
 from partmotion.datagen import MotionSequence, ShapeSample
-from partmotion.geom import MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform
+from partmotion.geom import (
+    MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform, unit,
+)
 from partmotion.metrics import AP_THRESHOLDS, PartMatch, ShapeAPRecord
 from partmotion.mobfit import (
+    ANGLE_FLOOR_DEG,
     FLAG_LOW_CONFIDENCE,
+    PITCH_FLOOR,
+    STILL_EPS,
     FittedMobility,
-    PairMotion,
-    _aligned_mean,
     _kabsch,
-    _range_flags,
-    classify_transform,
 )
 from partmotion.nets import NetConfig
 
@@ -389,6 +395,89 @@ def rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:
 # mobfit reference: one Kabsch solve and one residual per frame pair
 
 
+# The package's per-pair classifier before `mobfit.fit_sequence` read every
+# pair in one array pass, kept verbatim as the byte reference.
+
+
+def rotation_angle_deg(rotation: np.ndarray) -> float:
+    cos = np.clip((np.trace(rotation) - 1.0) / 2.0, -1.0, 1.0)
+    return float(np.degrees(np.arccos(cos)))
+
+
+def rotation_axis(rotation: np.ndarray) -> np.ndarray:
+    """Unit axis of a rotation, oriented so the rotation angle is positive."""
+    raw = np.array(
+        [
+            rotation[2, 1] - rotation[1, 2],
+            rotation[0, 2] - rotation[2, 0],
+            rotation[1, 0] - rotation[0, 1],
+        ]
+    )
+    norm = np.linalg.norm(raw)
+    if norm < 1e-12:
+        raise DataError("rotation too close to 0 or 180 degrees for a stable axis")
+    return raw / norm
+
+
+def axis_point(rotation: np.ndarray, translation: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Point of the screw axis closest to the origin.
+
+    Solves (I - R + d d^T) x = t_perp; the left side is invertible for any
+    proper rotation with nonzero angle and the solution has no component
+    along the axis direction.
+    """
+    t_perp = translation - np.dot(translation, direction) * direction
+    a = np.eye(3) - rotation + np.outer(direction, direction)
+    return np.linalg.solve(a, t_perp)
+
+
+@dataclass
+class PairMotion:
+    """Classified relative motion of one consecutive frame pair."""
+
+    tau: str
+    direction: np.ndarray
+    position: Optional[np.ndarray]
+    angle_deg: float
+    slide: float
+    amount: float = 0.0   # mean per-point displacement, for tie breaks
+
+
+def classify_transform(transform: RigidTransform) -> Optional[PairMotion]:
+    """Pair verdict; None when nothing moves."""
+    angle = rotation_angle_deg(transform.rotation)
+    t = transform.translation
+    if angle < ANGLE_FLOOR_DEG:
+        shift = float(np.linalg.norm(t))
+        if shift < STILL_EPS:
+            return None
+        return PairMotion(TYPE_T, t / shift, None, 0.0, shift)
+    direction = rotation_axis(transform.rotation)
+    slide = float(np.dot(t, direction))
+    position = axis_point(transform.rotation, t, direction)
+    tau = TYPE_TR if abs(slide) >= PITCH_FLOOR else TYPE_R
+    return PairMotion(tau, direction, position, angle, slide)
+
+
+def _aligned_mean(directions: list[np.ndarray]) -> np.ndarray:
+    ref = directions[0]
+    acc = np.zeros(3)
+    for d in directions:
+        acc += d if np.dot(d, ref) >= 0.0 else -d
+    return unit(acc)
+
+
+def range_flags(composed: RigidTransform, spec: MobilitySpec) -> list[str]:
+    """`mobfit._range_flags` on a composed transform, its angle and axis read
+    per pair as above. The range check is looked up on the module when
+    called, so a test can watch what it gets."""
+    try:
+        axis = rotation_axis(composed.rotation)
+    except DataError:
+        axis = None
+    return mobfit._range_flags(rotation_angle_deg(composed.rotation), axis, composed.translation, spec)
+
+
 def rigid_register(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform mapping src onto dst, det(R) = +1."""
     src = np.asarray(src, dtype=np.float64)
@@ -419,10 +508,11 @@ def registration_residual(transform: RigidTransform, src: np.ndarray, dst: np.nd
 def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
     """`mobfit.fit_sequence` with one registration and one residual per pair.
 
-    The vote and the range check are the package's own; the registrations
-    they use, of each consecutive pair and of the first-to-last pair, are
-    `rigid_register` above. The range check is looked up on the module when
-    called, so a test can watch the composed transform it gets.
+    Pairs are classified by `classify_transform` above and the range check
+    is the package's, through `range_flags`. The registrations they use, of
+    each consecutive pair and then of the first-to-last pair, are
+    `rigid_register` above, looked up when called, so a test can substitute
+    transforms of its own.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] < 2:
@@ -473,7 +563,7 @@ def fit_sequence_per_pair(frames: np.ndarray) -> Optional[FittedMobility]:
             slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
-    flags.extend(mobfit._range_flags(composed, spec))
+    flags.extend(range_flags(composed, spec))
     return FittedMobility(spec, residual, flags)
 
 
@@ -734,5 +824,5 @@ def fit_sequence(frames: np.ndarray) -> Optional[FittedMobility]:
             slide_range = (0.0, float(slide)) if slide >= 0.0 else (float(slide), 0.0)
             spec = MobilitySpec(TYPE_TR, direction, position, (0.0, float(angle)), slide_range)
 
-    flags.extend(_range_flags(composed, spec))
+    flags.extend(range_flags(composed, spec))
     return FittedMobility(spec, residual, flags)

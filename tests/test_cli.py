@@ -321,6 +321,20 @@ def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
     assert "non-finite displacement maps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e160, 3)])
+def test_predict_huge_cloud_is_data_error(workdir, tmp_path, capsys, scale, code):
+    # finite coordinates whose squared distances overflow stop at the plan, without a warning
+    points, labels = read_ply(workdir / "data" / "fan_004" / "frame_01.ply")
+    write_ply(tmp_path / "huge.ply", points * scale, labels)
+    assert main(["predict", "--run", str(workdir / "run"), "--input", str(tmp_path / "huge.ply"),
+                 "--out", str(tmp_path / "p")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: points span ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_predict_zero_regressor_direction_is_numeric_error(workdir, tmp_path, capsys):
     cfg = micro_config()
     rng = np.random.default_rng(0)
@@ -514,6 +528,14 @@ def test_ablate_rejects_switched_base(workdir, tmp_path, capsys):
 def test_ablate_rejects_unknown_row(workdir, tmp_path):
     assert main(["ablate", "--config", str(workdir / "config.json"),
                  "--out", str(tmp_path / "a"), "--rows", "no_such"]) == 2
+
+
+def test_ablate_rows_without_values_is_usage_error(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", "--config", str(workdir / "config.json"), "--out", str(tmp_path / "a"), "--rows"])
+    assert err.value.code == 2
+    assert "--rows" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 """Mobility extraction checks: synthetic transforms and generated sequences."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,13 +22,13 @@ from partmotion import mobfit
 from partmotion.mobfit import (
     FLAG_LOW_CONFIDENCE,
     FLAG_RANGE_INCONSISTENT,
+    ANGLE_FLOOR_DEG,
+    PITCH_FLOOR,
+    STILL_EPS,
     FittedMobility,
     _kabsch,
-    _range_flags,
-    classify_transform,
     fit_from_displacements,
     fit_sequence,
-    rotation_angle_deg,
 )
 
 import oracles
@@ -77,46 +79,58 @@ def test_rigid_register_accepts_planar_points():
     assert np.allclose(fit.rotation, tf.rotation, atol=1e-10)
 
 
+def _pair_frames(*transforms, seed=0) -> np.ndarray:
+    """A part's frames, moved by each transform in turn."""
+    frames = [np.random.default_rng(seed).normal(size=(20, 3))]
+    for transform in transforms:
+        frames.append(transform.apply(frames[-1]))
+    return np.stack(frames)
+
+
 def test_classify_pure_translation():
-    motion = classify_transform(RigidTransform(np.eye(3), np.array([0.0, 0.2, 0.0])))
-    assert motion.tau == TYPE_T
-    assert np.allclose(motion.direction, [0.0, 1.0, 0.0])
-    assert np.isclose(motion.slide, 0.2)
+    fit = fit_sequence(_pair_frames(RigidTransform(np.eye(3), np.array([0.0, 0.2, 0.0]))))
+    assert fit.spec.tau == TYPE_T
+    assert np.allclose(fit.spec.direction, [0.0, 1.0, 0.0])
+    assert np.isclose(fit.spec.range_[1], 0.2)
 
 
 def test_classify_still_returns_none():
-    assert classify_transform(RigidTransform(np.eye(3), np.zeros(3))) is None
+    still = RigidTransform(np.eye(3), np.zeros(3))
+    assert fit_sequence(_pair_frames(still)) is None
+    assert fit_sequence(_pair_frames(still, still)) is None
 
 
 def test_classify_rotation_recovers_axis_and_position():
     d = unit(np.array([0.3, -0.5, 0.8]))
     x = np.array([0.2, 0.1, -0.3])
-    tf = rotation_about_axis(d, x, 30.0)
-    motion = classify_transform(tf)
-    assert motion.tau == TYPE_R
-    assert np.allclose(motion.direction, d, atol=1e-12)
-    assert np.isclose(motion.angle_deg, 30.0, atol=1e-10)
-    assert point_line_distance(motion.position, x, d) < 1e-10
+    fit = fit_sequence(_pair_frames(rotation_about_axis(d, x, 30.0)))
+    assert fit.spec.tau == TYPE_R
+    assert np.allclose(fit.spec.direction, d, atol=1e-12)
+    assert np.isclose(fit.spec.range_[1], 30.0, atol=1e-10)
+    assert point_line_distance(fit.spec.position, x, d) < 1e-10
     # reported position is the axis point closest to the origin
-    assert abs(np.dot(motion.position, d)) < 1e-10
+    assert abs(np.dot(fit.spec.position, d)) < 1e-10
 
 
 def test_classify_screw_splits_angle_and_pitch():
     d = np.array([0.0, 0.0, 1.0])
     tf = mobility_transform(MobilitySpec(TYPE_TR, d, np.array([0.1, 0.0, 0.0]), (0.0, 25.0), (0.0, 0.04)), 1.0)
-    motion = classify_transform(tf)
-    assert motion.tau == TYPE_TR
-    assert np.isclose(motion.angle_deg, 25.0, atol=1e-10)
-    assert np.isclose(motion.slide, 0.04, atol=1e-12)
+    fit = fit_sequence(_pair_frames(tf))
+    assert fit.spec.tau == TYPE_TR
+    assert np.isclose(fit.spec.range_[1], 25.0, atol=1e-10)
+    assert np.isclose(fit.spec.slide_range[1], 0.04, atol=1e-12)
 
 
 def test_classification_floors():
     d = np.array([0.0, 0.0, 1.0])
     tiny_rot = rotation_about_axis(d, np.zeros(3), 0.2)
     shifted = RigidTransform(tiny_rot.rotation, tiny_rot.translation + np.array([0.0, 0.0, 0.1]))
-    assert classify_transform(shifted).tau == TYPE_T  # angle under the floor
+    assert fit_sequence(_pair_frames(shifted)).spec.tau == TYPE_T  # angle under the floor
     small_pitch = mobility_transform(MobilitySpec(TYPE_TR, d, np.zeros(3), (0.0, 20.0), (0.0, 0.002)), 1.0)
-    assert classify_transform(small_pitch).tau == TYPE_R  # pitch under the floor
+    assert fit_sequence(_pair_frames(small_pitch)).spec.tau == TYPE_R  # pitch under the floor
+    # a pair under both floors votes T; with a clear rotation the vote ties
+    fit = fit_sequence(_pair_frames(shifted, small_pitch))
+    assert fit.spec.tau == TYPE_R and fit.flags[0] == FLAG_LOW_CONFIDENCE
 
 
 @pytest.mark.parametrize("category", PARAMETRIC)
@@ -207,12 +221,12 @@ def test_derive_range_translation():
     part = rng.normal(size=(25, 3))
     d = np.array([0.0, 1.0, 0.0])
     spec = MobilitySpec(TYPE_T, d, None, (0.0, 0.3))
-    assert _range_flags(oracles.rigid_register(part, part + 0.3 * d), spec) == []
+    assert oracles.range_flags(oracles.rigid_register(part, part + 0.3 * d), spec) == []
     # a composed span other than the summed one
-    assert _range_flags(oracles.rigid_register(part, part + 0.2 * d), spec) == [FLAG_RANGE_INCONSISTENT]
+    assert oracles.range_flags(oracles.rigid_register(part, part + 0.2 * d), spec) == [FLAG_RANGE_INCONSISTENT]
     # rotating end state conflicts with a translation claim
     swung = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.zeros(3), 15.0).apply(part)
-    assert _range_flags(oracles.rigid_register(part, swung), spec) == [FLAG_RANGE_INCONSISTENT]
+    assert oracles.range_flags(oracles.rigid_register(part, swung), spec) == [FLAG_RANGE_INCONSISTENT]
 
 
 def test_derive_range_rotation_sign():
@@ -221,11 +235,11 @@ def test_derive_range_rotation_sign():
     d = np.array([0.0, 0.0, 1.0])
     spec = MobilitySpec(TYPE_R, d, np.zeros(3), (0.0, 50.0))
     forward = rotation_about_axis(d, np.zeros(3), 50.0).apply(part)
-    assert _range_flags(oracles.rigid_register(part, forward), spec) == []
+    assert oracles.range_flags(oracles.rigid_register(part, forward), spec) == []
     backward = rotation_about_axis(d, np.zeros(3), -50.0).apply(part)
-    assert _range_flags(oracles.rigid_register(part, backward), spec) == [FLAG_RANGE_INCONSISTENT]
+    assert oracles.range_flags(oracles.rigid_register(part, backward), spec) == [FLAG_RANGE_INCONSISTENT]
     # a composed rotation that vanished although the type is rotational
-    assert _range_flags(oracles.rigid_register(part, part + 0.1 * d), spec) == [FLAG_RANGE_INCONSISTENT]
+    assert oracles.range_flags(oracles.rigid_register(part, part + 0.1 * d), spec) == [FLAG_RANGE_INCONSISTENT]
 
 
 def test_range_inconsistency_is_flagged():
@@ -258,12 +272,25 @@ def test_screws_past_half_a_turn_are_range_consistent():
     assert past_half > 80
 
 
+def test_frames_whose_registration_overflows_are_a_data_error():
+    frames = _pair_frames(rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.zeros(3), 30.0)) * 1e155
+    with pytest.raises(DataError, match="cross-covariance overflows"):
+        fit_sequence(frames)
+
+
 def test_rotation_angle_degenerate_guard():
-    assert rotation_angle_deg(np.eye(3)) == 0.0
-    with pytest.raises(DataError):
-        classify_transform(
-            RigidTransform(rotation_matrix(np.array([0.0, 0.0, 1.0]), np.pi), np.zeros(3))
-        )
+    # a cloud registered exactly: the identity turn has angle 0 and no axis
+    part = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 2.0, 0], [0, -2.0, 0], [0, 0, 3.0], [0, 0, -3.0]])
+    spec, _, flags, composed = _fit_bytes(fit_sequence, np.stack([part, part + np.array([0.5, 0.25, 0.0])]))
+    assert spec.startswith(b"T|") and flags == []
+    assert composed[0].startswith(np.float64(0.0).tobytes() + b"|-|")
+    half_turn = RigidTransform(rotation_matrix(np.array([0.0, 0.0, 1.0]), np.pi), np.zeros(3))
+    with pytest.raises(DataError, match="too close to 0 or 180 degrees"):
+        fit_sequence(_pair_frames(half_turn))
+    # only as a composed pair, whose range check needs no axis, a half turn is fine
+    quarter_turn = RigidTransform(rotation_matrix(np.array([0.0, 0.0, 1.0]), np.pi / 2), np.zeros(3))
+    fit = fit_sequence(_pair_frames(quarter_turn, quarter_turn))
+    assert fit.spec.tau == TYPE_R and np.isclose(fit.spec.range_[1], 180.0) and fit.flags == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +299,14 @@ def test_rotation_angle_degenerate_guard():
 
 def _fit_bytes(fit_fn, frames) -> tuple:
     """Every field of a fit as raw bytes, and the composed first-to-last
-    transform its range check got, or the DataError text it raised."""
+    transform its range check got (angle, axis or None, translation), or
+    the DataError text it raised."""
     composed = []
 
-    def watched(transform, spec):
-        composed.append(transform.rotation.tobytes() + transform.translation.tobytes())
-        return range_flags(transform, spec)
+    def watched(angle, axis, translation, spec):
+        axis_bytes = b"-" if axis is None else axis.tobytes()
+        composed.append(b"|".join([np.float64(angle).tobytes(), axis_bytes, translation.tobytes()]))
+        return range_flags(angle, axis, translation, spec)
 
     range_flags, mobfit._range_flags = mobfit._range_flags, watched
     try:
@@ -332,6 +361,124 @@ def test_fit_sequence_matches_oracle_errors():
     assert _assert_matches_oracle(collinear_pair)[1].startswith("rank-deficient")
     two_points = rng.normal(size=(4, 2, 3))
     assert _assert_matches_oracle(two_points) == ("DataError", "need at least three points to register")
+
+
+# boundary pairs: exact transforms stand in for both registrations
+
+
+def _about_z(c: float, zero: float = 0.0) -> np.ndarray:
+    """A turn about +z with cosine c; `zero` fills the off-axis entries,
+    so -0.0 there gives the axis -0.0 components."""
+    s = np.sqrt(1.0 - c * c)
+    return np.array([[c, -s, zero], [s, c, -zero], [-zero, zero, 1.0]])
+
+
+def _composed(transforms) -> RigidTransform:
+    rotation, translation = np.eye(3), np.zeros(3)
+    for tf in transforms:
+        rotation, translation = tf.rotation @ rotation, tf.rotation @ translation + tf.translation
+    return RigidTransform(rotation, translation)
+
+
+def _assert_matches_oracle_on(monkeypatch, pairs, composed=None) -> tuple:
+    """Both fits on frames moved by `pairs`, each registering the pairs and
+    then `composed` (their composition by default) exactly as given."""
+    transforms = list(pairs) + [composed or _composed(pairs)]
+    rotations = np.stack([tf.rotation for tf in transforms])
+    translations = np.stack([tf.translation for tf in transforms])
+    monkeypatch.setattr(mobfit, "_kabsch", lambda src, dst: (rotations.copy(), translations.copy()))
+    calls = itertools.cycle(transforms)
+    monkeypatch.setattr(oracles, "rigid_register", lambda src, dst: next(calls))
+    return _assert_matches_oracle(_pair_frames(*pairs))
+
+
+def _floor_cosine() -> float:
+    """The largest cosine whose turn about z still reads at least ANGLE_FLOOR_DEG."""
+    lo, hi = np.cos(np.radians(0.49)), np.cos(np.radians(0.51))
+    lo_bits, hi_bits = np.float64(hi).view(np.int64), np.float64(lo).view(np.int64)
+    while hi_bits - lo_bits > 1:  # cosines grow with their bits, angles shrink
+        mid = (lo_bits + hi_bits) // 2
+        if oracles.rotation_angle_deg(_about_z(np.int64(mid).view(np.float64))) >= ANGLE_FLOOR_DEG:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    return float(np.int64(lo_bits).view(np.float64))
+
+
+def test_fit_sequence_matches_oracle_at_angle_floor(monkeypatch):
+    at = _floor_cosine()
+    below = np.nextafter(at, 2.0)
+    assert oracles.rotation_angle_deg(_about_z(at)) >= ANGLE_FLOOR_DEG > oracles.rotation_angle_deg(_about_z(below))
+    turn = RigidTransform(_about_z(np.cos(np.radians(20.0))), np.array([0.1, 0.0, 0.0]))
+    taus = []
+    for c in (np.nextafter(at, 0.0), at, below, np.nextafter(below, 2.0)):
+        pair = RigidTransform(_about_z(c), np.array([0.01, 0.02, 0.03]))
+        taus.append(_assert_matches_oracle_on(monkeypatch, [pair])[0][:2])
+        _assert_matches_oracle_on(monkeypatch, [pair, turn])
+    assert taus == [b"TR", b"TR", b"T|", b"T|"]
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_fit_sequence_matches_oracle_at_pitch_floor(monkeypatch, zero):
+    rotation = _about_z(np.cos(np.radians(20.0)), zero)
+    taus = []
+    for slide in (PITCH_FLOOR, np.nextafter(PITCH_FLOOR, 1.0), np.nextafter(PITCH_FLOOR, 0.0), -PITCH_FLOOR):
+        pair = RigidTransform(rotation, np.array([0.1, zero, slide]))
+        taus.append(_assert_matches_oracle_on(monkeypatch, [pair])[0][:2])
+        _assert_matches_oracle_on(monkeypatch, [pair, pair, RigidTransform(np.eye(3), np.array([zero, 0.3, 0.0]))])
+    assert taus == [b"TR", b"TR", b"R|", b"TR"]
+
+
+def test_fit_sequence_matches_oracle_at_still_floor(monkeypatch):
+    turn = RigidTransform(_about_z(np.cos(np.radians(20.0))), np.zeros(3))
+    got = []
+    for shift in (STILL_EPS, np.nextafter(STILL_EPS, 1.0), np.nextafter(STILL_EPS, 0.0)):
+        pair = RigidTransform(np.eye(3), np.array([shift, 0.0, 0.0]))
+        got.append(_assert_matches_oracle_on(monkeypatch, [pair]))
+        _assert_matches_oracle_on(monkeypatch, [pair, turn])
+    assert [g[0][:2] for g in got[:2]] == [b"T|", b"T|"] and got[2] == (None,)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_fit_sequence_matches_oracle_on_composed_half_and_no_turn(monkeypatch, zero):
+    quarter = RigidTransform(_about_z(0.0, zero), np.array([zero, 0.2, 0.0]))
+    half = RigidTransform(np.diag([-1.0, -1.0, 1.0]), np.zeros(3))
+    got = _assert_matches_oracle_on(monkeypatch, [quarter, quarter], half)
+    assert got[3][0].startswith(np.float64(180.0).tobytes() + b"|-|") and got[2] == []
+    back = RigidTransform(_about_z(0.0, zero).T, np.zeros(3))
+    still = RigidTransform(np.eye(3), np.zeros(3))
+    got = _assert_matches_oracle_on(monkeypatch, [quarter, back], still)
+    assert got[3][0].startswith(np.float64(0.0).tobytes() + b"|-|")
+    got = _assert_matches_oracle_on(monkeypatch, [quarter, quarter], still)
+    assert got[2] == [FLAG_RANGE_INCONSISTENT]
+
+
+def test_fit_sequence_matches_oracle_on_signed_zero_axes(monkeypatch):
+    # one pair: the aligned-axis sum starting from +0.0 clears the -0.0 components
+    got = _assert_matches_oracle_on(monkeypatch, [RigidTransform(np.eye(3), np.array([-0.0, 0.1, -0.0]))])
+    assert got[0] == spec_bytes(MobilitySpec(TYPE_T, np.array([0.0, 1.0, 0.0]), None, (0.0, 0.1)))
+    # a backward pair turns the axis around, signs and all
+    backward = [RigidTransform(np.eye(3), np.array([-0.0, 0.1, -0.0])),
+                RigidTransform(np.eye(3), np.array([0.0, -0.3, -0.0]))]
+    assert _assert_matches_oracle_on(monkeypatch, backward)[0].startswith(
+        b"T|" + np.array([-0.0, -1.0, -0.0]).tobytes())
+    for zero in (0.0, -0.0):
+        turns = [RigidTransform(_about_z(np.cos(np.radians(a)), zero), np.array([zero, zero, 0.0]))
+                 for a in (10.0, 30.0)]
+        _assert_matches_oracle_on(monkeypatch, turns)
+        _assert_matches_oracle_on(monkeypatch, [turns[0], RigidTransform(turns[1].rotation.T, np.zeros(3))])
+
+
+def test_fit_sequence_matches_oracle_on_sum_order(monkeypatch):
+    # each 128 is half an ulp of 2**60 and rounds away when added in turn; np.sum,
+    # pairwise from nine terms on, would first add the eight into 1024
+    steps = [2.0**60] + [128.0] * 8
+    slides = [RigidTransform(np.eye(3), np.array([step, 0.0, 0.0])) for step in steps]
+    assert _assert_matches_oracle_on(monkeypatch, slides)[0] == spec_bytes(
+        MobilitySpec(TYPE_T, np.array([1.0, 0.0, 0.0]), None, (0.0, 2.0**60)))
+    turn = _about_z(np.cos(np.radians(20.0)))
+    screws = [RigidTransform(turn, np.array([0.0, 0.0, step])) for step in steps]
+    assert _assert_matches_oracle_on(monkeypatch, screws)[0].endswith(np.array([0.0, 2.0**60]).tobytes())
 
 
 def test_rigid_register_matches_per_pair_oracle():
@@ -395,7 +542,7 @@ def test_fit_sequence_matches_two_path_oracle_cases(steps, tau, flipped, tied):
     fit = fit_sequence(frames)
     assert fit.spec.tau == tau and (FLAG_LOW_CONFIDENCE in fit.flags) == tied
     # a negative sum turns the axis against the first kept pair's
-    pairs = [classify_transform(rigid_register(a, b)) for a, b in zip(frames, frames[1:])]
+    pairs = [oracles.classify_transform(rigid_register(a, b)) for a, b in zip(frames, frames[1:])]
     first = next(m for m in pairs if m and (m.tau == TYPE_T) == (tau == TYPE_T))
     assert (np.dot(fit.spec.direction, first.direction) < 0.0) == flipped
     assert got[0] == spec_bytes(fit.spec)

@@ -134,6 +134,18 @@ def test_build_plan_rejects_non_finite_points(bad):
         build_plan(pts, TINY)
 
 
+def test_build_plan_rejects_clouds_whose_squared_distances_overflow():
+    pts = cloud(64)
+    span = float(np.max(np.ptp(pts, axis=0)))
+    build_plan(pts * (0.999 * nets.MAX_EXTENT / span), TINY)  # no overflow warning either
+    for scale in (1.001 * nets.MAX_EXTENT / span, 1e160, 1e307):
+        with pytest.raises(DataError, match=r"points span \S+ along one axis; above 7.741e\+153"):
+            build_plan(pts * scale, TINY)
+    pts[:2] = [[np.finfo(np.float64).max] * 3, [-np.finfo(np.float64).max] * 3]
+    with pytest.raises(DataError, match="points span inf"):  # a span past the float range itself
+        build_plan(pts, TINY)
+
+
 def test_farthest_point_sampling_is_order_free():
     pts = cloud(60, seed=3)
     perm = np.random.default_rng(1).permutation(60)
