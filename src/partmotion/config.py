@@ -21,16 +21,6 @@ from .errors import ConfigError
 from .losses import LossWeights
 from .nets import THETA_STOP, NetConfig
 
-ABLATION_SWITCHES = (
-    "no_rnn",
-    "no_geom",
-    "no_disp",
-    "no_mot",
-    "no_seg",
-    "no_mob_net",
-    "no_p0",
-    "basenet",
-)
 # keys of earlier configs, dropped at the value and type that turned them off, else a ConfigError
 _RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False}
 
@@ -142,6 +132,9 @@ class RunConfig:
 
     def save(self, path: str | Path) -> None:
         write_json(path, dataclasses.asdict(self))
+
+
+ABLATION_SWITCHES = tuple(f.name for f in dataclasses.fields(RunConfig) if isinstance(f.default, bool))
 
 
 def _drop_retired(data, prefix: str = ""):

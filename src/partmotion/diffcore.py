@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.special import log_softmax
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 
@@ -371,9 +372,7 @@ def softmax_cross_entropy(logits: Node | np.ndarray, labels: np.ndarray) -> Node
     if labels.size and (labels.min() < 0 or labels.max() >= lv.shape[1]):
         raise ShapeMismatch("op 'softmax_cross_entropy': label outside class range")
     n = lv.shape[0]
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = log_softmax(lv, axis=1)
     out = -log_probs[np.arange(n), labels].mean()
 
     def bw(g: np.ndarray) -> np.ndarray:

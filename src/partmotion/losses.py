@@ -16,16 +16,15 @@ and `l_mot` each cover every frame with one call. The cumulative clouds
 p0 + d_1 + ... + d_t of all frames come from one matmul of a lower
 triangle of ones with the maps laid out as (n, N*3).
 
-`total_motion_loss` sums these motion terms and the heads' term, which the
-caller builds with `segmentation_loss` and passes in. Labels are part ids;
-`labels > 0` marks the moving points. The direct baseline minimises
-`l_seg_obj + l_mob`, which `training.train_baseline` adds up itself.
+`total_motion_loss` returns the weighted motion terms as named pieces and
+`segmentation_loss` the heads' term; `training._fit` sums a step's pieces.
+Labels are part ids; `labels > 0` marks the moving points. The direct
+baseline's pieces are `l_seg_obj` and `l_mob`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -38,7 +37,6 @@ from .nets import k_smallest
 
 __all__ = [
     "LossWeights",
-    "LossBreakdown",
     "l_ref",
     "l_mov",
     "l_disp",
@@ -61,14 +59,6 @@ class LossWeights:
     w_seg_mov: float = 0.2
     margin: float = 80.0
     k_density: int = 8
-
-
-@dataclass
-class LossBreakdown:
-    """Total loss node plus per-term values for logging."""
-
-    total: Node
-    terms: dict = field(default_factory=dict)
 
 
 def _frame_rows(idx: np.ndarray, n: int, n_points: int) -> np.ndarray:
@@ -231,22 +221,21 @@ def total_motion_loss(
     labels: np.ndarray,
     gt_moving: np.ndarray,
     gt_radii: np.ndarray,
-    segmentation: Optional[Node],
     n_true: int,
     weights: LossWeights,
     no_geom: bool = False,
     no_disp: bool = False,
     no_mot: bool = False,
-) -> LossBreakdown:
-    """Combined objective over one training instance.
+) -> dict[str, Node]:
+    """The motion pieces of one training instance's objective, by name.
 
     maps are the n predicted displacement maps stacked along rows,
     (n*N, 3); gt_maps the padded targets, (n, N, 3); gt_moving the true
     moving points (labels > 0) of the frame each map ends in, (n, M, 3),
-    and gt_radii their `knn_radii` at weights.k_density, (n, M);
-    segmentation the instance's `segmentation_loss`, or None when the
-    heads are not trained. Per-frame terms are averaged over frames; the
-    motion and segmentation terms enter once. Ablation flags drop whole terms.
+    and gt_radii their `knn_radii` at weights.k_density, (n, M).
+    Per-frame terms are averaged over frames into "reconstruction"; the
+    "motion_consistency" term enters once. Ablation flags drop whole terms,
+    and an empty dict is left for the caller to reject.
     """
     gt_maps = np.asarray(gt_maps, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
@@ -282,8 +271,4 @@ def total_motion_loss(
         pieces["reconstruction"] = dc.mul(reduce(dc.add, recon), 1.0 / n)
     if not no_mot:
         pieces["motion_consistency"] = l_mot(maps, n, mov_idx, n_true)
-    if segmentation is not None:
-        pieces["segmentation"] = segmentation
-    if not pieces:
-        raise ConfigError("all loss terms ablated away")
-    return LossBreakdown(reduce(dc.add, pieces.values()), {k: float(v.value) for k, v in pieces.items()})
+    return pieces

@@ -374,6 +374,8 @@ class DisplacementNet:
         hidden = _linear(self.params, "feat.l1", x.take(rows, axis=0), dc.relu_linear)
         raw = _linear(self.params, "feat.l2", hidden)
         norms = dc.reshape(dc.l2_norm_rows(raw), (raw.value.shape[0], 1))
+        if not np.all(np.isfinite(norms.value)):
+            raise NumericError("clustering features have a non-finite norm")
         feats = dc.mul(dc.div(raw, dc.add(norms, 1e-8)), FEATURE_RADIUS)
         return seg, rows, feats
 

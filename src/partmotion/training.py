@@ -9,6 +9,7 @@ prediction derives from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +21,7 @@ from .config import RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances
 from .errors import ConfigError, DataError, NumericError
 from .geom import TYPE_T, TYPE_TR, MobilitySpec, moved_spec, normalize_to_unit_box, unit
-from .losses import LossBreakdown, knn_radii, l_mob, l_seg_obj, segmentation_loss, total_motion_loss
+from .losses import knn_radii, l_mob, l_seg_obj, segmentation_loss, total_motion_loss
 from .metrics import (
     MetricsReport,
     MobilityEval,
@@ -111,7 +112,7 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
 def _fit(
     samples: Sequence,
     params: dict[str, dc.Node],
-    loss_fn: Callable[[object], LossBreakdown],
+    loss_fn: Callable[[object], dict[str, dc.Node]],
     config: RunConfig,
     lane: int,
     epochs: int,
@@ -121,9 +122,11 @@ def _fit(
 ) -> list[str]:
     """Adam over `epochs` passes of `samples`; returns the loss log lines.
 
-    Each pass visits the samples in an order drawn from the RNG lane
-    (config.seed, lane). Every line goes to `log` as it is made. A step
-    line is made every `log_every` steps, none when it is 0.
+    `loss_fn` returns a step's named pieces, and the sum of them in order
+    is minimised. Each pass visits the samples in an order drawn from the
+    RNG lane (config.seed, lane). Every line goes to `log` as it is made.
+    A step line (the sum, then each piece) is made every `log_every`
+    steps, none when it is 0.
     """
     opt = dc.Adam(
         params,
@@ -146,20 +149,21 @@ def _fit(
         for idx in shuffle.permutation(len(samples)):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NumericError instead
-                    breakdown = loss_fn(samples[int(idx)])
-                    value = float(breakdown.total.value)
+                    pieces = loss_fn(samples[int(idx)])
+                    total = reduce(dc.add, pieces.values())
+                    value = float(total.value)
                     if not np.isfinite(value):
                         raise NumericError("non-finite loss value")
                     opt.zero_grad()
-                    dc.backward(breakdown.total)
+                    dc.backward(total)
                     opt.step()
             except NumericError as exc:
                 raise NumericError(f"training aborted at step {step}: {exc}") from exc
-            terms, breakdown = breakdown.terms, None  # drop the step's graph before the next is built
             losses.append(value)
             if log_every and step % log_every == 0:
-                parts = " ".join(f"{k} {v:.6f}" for k, v in terms.items())
+                parts = " ".join(f"{k} {float(v.value):.6f}" for k, v in pieces.items())
                 emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
+            pieces = total = None  # drop the step's graph before the next is built
             step += 1
         emit(f"{prefix}epoch {epoch} mean_loss {float(np.mean(losses)):.6f}")
     return lines
@@ -175,17 +179,19 @@ def _check_frame_count(instances: Sequence[PreparedInstance], config: RunConfig)
         raise ConfigError(f"instances were prepared for another frame count than n_frames={config.n_frames}")
 
 
-def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConfig):
+def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConfig) -> dict[str, dc.Node]:
     maps = net.hallucinate(inst.plan)
-    segmentation = None
+    pieces = total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_moving, inst.gt_radii,
+                               inst.n_true, config.weights,
+                               no_geom=config.no_geom, no_disp=config.no_disp, no_mot=config.no_mot)
     if not config.no_seg:
         p0 = np.zeros_like(inst.points) if config.no_p0 else inst.points
         seg_logits, _, feats = net.segment(p0, maps.value.reshape(inst.targets.shape), inst.mov_idx)
         dist_mov = dc.pairwise_row_distances(feats)
-        segmentation = segmentation_loss(seg_logits, dist_mov, inst.labels, config.weights)
-    return total_motion_loss(maps, inst.targets, inst.points, inst.labels, inst.gt_moving, inst.gt_radii,
-                             segmentation, inst.n_true, config.weights,
-                             no_geom=config.no_geom, no_disp=config.no_disp, no_mot=config.no_mot)
+        pieces["segmentation"] = segmentation_loss(seg_logits, dist_mov, inst.labels, config.weights)
+    if not pieces:
+        raise ConfigError("all loss terms ablated away")
+    return pieces
 
 
 def train_displacement(
@@ -235,9 +241,9 @@ def train_mobility(
         return None, []
     reg = MobilityRegressor(config.n_frames, np.random.default_rng([config.seed, 2]), config.net)
 
-    def loss_fn(sample) -> LossBreakdown:
+    def loss_fn(sample) -> dict[str, dc.Node]:
         plan, channels, spec = sample
-        return LossBreakdown(l_mob(*reg.forward(plan, channels), spec))
+        return {"l_mob": l_mob(*reg.forward(plan, channels), spec)}
 
     return reg, _fit(samples, reg.params, loss_fn, config, 3, config.mobility_epochs, log, "mobility ")
 
@@ -253,10 +259,10 @@ def train_baseline(
         raise DataError("baseline training needs shapes with mobility parameters")
     baseline = DirectBaseline(np.random.default_rng([config.seed, 4]), config.net)
 
-    def loss_fn(sample) -> LossBreakdown:
+    def loss_fn(sample) -> dict[str, dc.Node]:
         inst, part_id, spec = sample
         seg, type_logits, axis_out = baseline.forward(inst.plan)
-        return LossBreakdown(dc.add(l_seg_obj(seg, inst.labels == part_id), l_mob(type_logits, axis_out, spec)))
+        return {"l_seg_obj": l_seg_obj(seg, inst.labels == part_id), "l_mob": l_mob(type_logits, axis_out, spec)}
 
     return baseline, _fit(
         samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log,
@@ -318,6 +324,7 @@ class Pipeline:
             for param in getattr(model, "params", {}).values():  # None, or a stand-in without parameters
                 param.requires_grad = False
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise NumericError instead
     def predict(self, points: np.ndarray) -> ShapePrediction:
         points = np.asarray(points, dtype=np.float64)
         plan = build_plan(points, self.config.net)
@@ -337,7 +344,6 @@ class Pipeline:
             p0 = np.zeros_like(points) if self.config.no_p0 else points
             seg_logits, mov_idx, feats = self.net.segment(p0, maps)
             _require_finite(seg_logits.value, "segmentation logits")
-            _require_finite(feats.value, "clustering features")
             if mov_idx.size:
                 dist = dc.pairwise_row_distances(feats).value
                 # cluster at half the contrastive margin the features were trained with

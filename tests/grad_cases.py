@@ -7,6 +7,7 @@ where build maps freshly wrapped Nodes for `arrays` onto a scalar Node.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -443,9 +444,8 @@ def case_loss_total(rng):
     def build(n):
         weights = losses.LossWeights()
         segmentation = losses.segmentation_loss(n[1], dc.pairwise_row_distances(n[2]), seg, weights)
-        return losses.total_motion_loss(
-            n[0], gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights,
-        ).total
+        pieces = losses.total_motion_loss(n[0], gt, p0, seg, gt_moving, radii, n_true=2, weights=weights)
+        return reduce(dc.add, [*pieces.values(), segmentation])
 
     return "loss_total", [d, logits, feats], build
 

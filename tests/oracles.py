@@ -14,8 +14,9 @@ rewrite, and so are the part matchers and `pooled_average_precision`, the
 two spec transforms `yaw_spec` and `denormalized_spec` that `geom.moved_spec`
 replaced, `fit_sequence` with its separate T and R/TR sums (on the same
 per-pair code), and `reduce_backward`, the two-branch gradient of
-`dc.reduce_sum` and `dc.reduce_mean`, and `reduce_max_backward`, the argmax
-gradient of `dc.reduce_max`.
+`dc.reduce_sum` and `dc.reduce_mean`, `reduce_max_backward`, the argmax
+gradient of `dc.reduce_max`, and `log_softmax`, the hand-rolled forward of
+`dc.softmax_cross_entropy` that scipy's `log_softmax` replaced.
 """
 from __future__ import annotations
 
@@ -364,6 +365,13 @@ def reduce_max_backward(a: np.ndarray, out: np.ndarray, g: np.ndarray, axis: int
     acc = np.zeros(a.shape)
     np.put_along_axis(acc, idx, np.expand_dims(g, axis), axis=axis)
     return acc
+
+
+# dc.softmax_cross_entropy's row-wise log-softmax before it called scipy's.
+def log_softmax(lv: np.ndarray) -> np.ndarray:
+    shifted = lv - lv.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - log_z
 
 
 def pair_relu_linear(rows: dc.Node, cols: dc.Node, w: dc.Node, b: dc.Node) -> dc.Node:

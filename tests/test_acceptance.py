@@ -8,6 +8,7 @@ brute-force oracles and exact identities; and DBSCAN recovering exact,
 permutation-invariant partitions from ground-truth margin matrices.
 """
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -64,9 +65,8 @@ def test_criterion_gradient_suite():
     def build(nodes):
         weights = losses.LossWeights()
         segmentation = losses.segmentation_loss(nodes[1], dc.pairwise_row_distances(nodes[2]), seg, weights)
-        return losses.total_motion_loss(
-            nodes[0], gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights,
-        ).total
+        pieces = losses.total_motion_loss(nodes[0], gt, p0, seg, gt_moving, radii, n_true=2, weights=weights)
+        return reduce(dc.add, [*pieces.values(), segmentation])
 
     case = lambda rng: ("full_eq1_graph", [flat, logits, feats], build)
     run_gradient_case(case, n_fixtures=1, rel_tol=1e-3)

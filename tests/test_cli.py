@@ -123,6 +123,17 @@ def test_train_numeric_failure_exits_4(workdir, tmp_path, capsys):
     assert "training aborted at step" in capsys.readouterr().err
 
 
+def test_train_with_every_loss_term_ablated_is_config_error(workdir, tmp_path, capsys):
+    cfg = micro_config(dataset_dir=str(workdir / "data"), no_geom=True, no_disp=True, no_mot=True, no_seg=True,
+                       log_every=1)
+    cfg.save(tmp_path / "none.json")
+    assert main(["train", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "r"), "--verbose"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: all loss terms ablated away\n"
+    assert captured.out == ""  # --verbose streams every step line: none was made
+    assert not (tmp_path / "r" / "loss.log").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [(None, "checkpoint_every", 5), (None, "checkpoint_every", False),
                                                  ("weights", "include_padded_motion", True)])
 def test_train_rejects_a_retired_key_away_from_its_old_default(workdir, tmp_path, capsys, section, key, value):
@@ -315,24 +326,26 @@ def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
     net.params["dec.l1.b"].value[:] = 1e300
     run = save_pipeline(tmp_path / "run", Pipeline(cfg, net=net, regressor=MobilityRegressor(4, rng, cfg.net)))
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
-    with pytest.warns(RuntimeWarning):
-        code = main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p")])
-    assert code == 4
-    assert "non-finite displacement maps" in capsys.readouterr().err
+    # numpy's overflow warnings are muted (they are errors under pytest): the NumericError alone reports it
+    assert main(["predict", "--run", str(run), "--input", str(inp), "--out", str(tmp_path / "p")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: prediction produced non-finite displacement maps") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e160, 3)])
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e151, 0), (1e152, 0), (1e153, 4), (3e153, 4), (7e153, 4),
+                                         (1e160, 3)])
 def test_predict_huge_cloud_is_data_error(workdir, tmp_path, capsys, scale, code):
-    # finite coordinates whose squared distances overflow stop at the plan, without a warning
+    # finite coordinates whose squared distances overflow stop at the plan; spans the plan accepts can still
+    # overflow the clustering features' norms; either way with one error line and no warning
     points, labels = read_ply(workdir / "data" / "fan_004" / "frame_01.ply")
     write_ply(tmp_path / "huge.ply", points * scale, labels)
     assert main(["predict", "--run", str(workdir / "run"), "--input", str(tmp_path / "huge.ply"),
                  "--out", str(tmp_path / "p")]) == code
     err = capsys.readouterr().err
-    if code:
+    if code == 3:
         assert err.startswith("error: points span ") and err.count("\n") == 1
     else:
-        assert err == ""
+        assert err == {0: "", 4: "error: clustering features have a non-finite norm\n"}[code]
 
 
 def test_predict_zero_regressor_direction_is_numeric_error(workdir, tmp_path, capsys):

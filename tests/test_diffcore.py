@@ -122,6 +122,32 @@ def test_softmax_cross_entropy_uniform_logits():
     assert abs(float(out.value) - np.log(2.0)) < 1e-12
 
 
+def _softmax_cross_entropy_rows():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 301)), int(rng.integers(2, 6)))
+        yield rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, np.log10(300.0))
+    yield np.array([[0.0, 0.0], [2.5, 2.5], [-1.0, -1.0]])  # tied rows
+    yield np.array([[1.0, 1.0, 0.5], [3.0, -2.0, 3.0], [-0.0, 0.0, -0.0]])  # tied maxima
+    yield np.array([[700.0, 0.0], [-700.0, 0.0], [700.0, -700.0], [700.0, 700.0], [-700.0, -700.0]])
+    yield np.array([[700.0, 699.0, -700.0, 3.0], [-700.0, -699.5, -700.0, -700.0]])
+
+
+def test_softmax_cross_entropy_matches_hand_rolled_log_softmax_bytes():
+    # scipy's log_softmax shifts by the row max, sums exp and takes its log as the earlier forward did
+    rng = np.random.default_rng(32)
+    for lv in _softmax_cross_entropy_rows():
+        labels = rng.integers(0, lv.shape[1], size=lv.shape[0])
+        logits = dc.parameter(lv)
+        out = dc.softmax_cross_entropy(logits, labels)
+        dc.backward(out)
+        log_probs = oracles.log_softmax(lv)
+        delta = np.exp(log_probs)
+        delta[np.arange(lv.shape[0]), labels] -= 1.0
+        assert out.value.tobytes() == np.float64(-log_probs[np.arange(lv.shape[0]), labels].mean()).tobytes()
+        assert logits.grad.tobytes() == ((1.0 / lv.shape[0]) * delta).tobytes()
+
+
 def test_variance_of_constant_input_is_zero_with_zero_grad():
     x = dc.parameter(np.full((5, 3), 2.5))
     out = dc.reduce_sum(dc.variance_along_axis(x, axis=0))

@@ -234,30 +234,26 @@ def test_total_weights_reflected_in_reference_term():
     p0, seg, gt, gt_moving, radii = _total_fixture(n=1)
     maps = dc.constant(np.vstack([np.array([[0.0, 0.0, 0.3]]), np.zeros((5, 3))]))
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, gt_moving, radii, None, n_true=1, weights=losses.LossWeights(), no_mot=True,
+        maps, gt, p0, seg, gt_moving, radii, n_true=1, weights=losses.LossWeights(), no_mot=True,
     )
     # one reference point offset by 0.3: w_ref * 0.3 plus the moving-term
     # Chamfer of unmoved moving points (zero)
-    assert abs(float(out.total.value) - 10.0 * 0.3) < 1e-9
+    assert list(out) == ["reconstruction"]
+    assert abs(float(out["reconstruction"].value) - 10.0 * 0.3) < 1e-9
 
 
 def test_total_ablation_flags_drop_terms():
     p0, seg, gt, gt_moving, radii = _total_fixture()
     maps = dc.constant(np.zeros((12, 3)))
-    segmentation = losses.segmentation_loss(
-        dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
-    )
     weights = losses.LossWeights()
-    full = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, segmentation, n_true=2, weights=weights)
-    assert list(full.terms) == ["reconstruction", "motion_consistency", "segmentation"]
-    assert float(full.total.value) == sum(full.terms.values())
-    no_seg = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, None, n_true=2, weights=weights)
-    assert "segmentation" not in no_seg.terms
-    with pytest.raises(ConfigError, match="all loss terms ablated away"):
-        losses.total_motion_loss(
-            maps, gt, p0, seg, gt_moving, radii, None, n_true=2, weights=weights,
-            no_geom=True, no_disp=True, no_mot=True,
-        )
+    full = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, n_true=2, weights=weights)
+    assert list(full) == ["reconstruction", "motion_consistency"]
+    no_mot = losses.total_motion_loss(maps, gt, p0, seg, gt_moving, radii, n_true=2, weights=weights, no_mot=True)
+    assert list(no_mot) == ["reconstruction"]
+    # with every motion term off nothing is left; training._instance_loss rejects an empty objective
+    assert losses.total_motion_loss(
+        maps, gt, p0, seg, gt_moving, radii, n_true=2, weights=weights, no_geom=True, no_disp=True, no_mot=True,
+    ) == {}
 
 
 def test_total_uniform_seg_logits_contribute_weighted_ln2():
@@ -267,10 +263,11 @@ def test_total_uniform_seg_logits_contribute_weighted_ln2():
         dc.constant(np.zeros((6, 2))), dc.constant(np.zeros((3, 3))), seg, losses.LossWeights()
     )
     out = losses.total_motion_loss(
-        maps, gt, p0, seg, gt_moving, radii, segmentation, n_true=2,
+        maps, gt, p0, seg, gt_moving, radii, n_true=2,
         weights=losses.LossWeights(), no_geom=True, no_disp=True, no_mot=True,
     )
-    assert abs(float(out.total.value) - 2.0 * np.log(2.0)) < 1e-12
+    assert out == {}
+    assert abs(float(segmentation.value) - 2.0 * np.log(2.0)) < 1e-12
 
 
 def test_moving_term_is_permutation_invariant():
@@ -301,7 +298,7 @@ def test_total_rejects_maps_that_do_not_match_targets(maps_rows, gt_shape, movin
     with pytest.raises(ConfigError, match="total_motion_loss"):
         losses.total_motion_loss(
             dc.constant(np.zeros((maps_rows, 3))), np.zeros(gt_shape), p0, seg,
-            np.zeros(moving_shape), np.zeros(radii_shape), None, n_true=1, weights=losses.LossWeights(),
+            np.zeros(moving_shape), np.zeros(radii_shape), n_true=1, weights=losses.LossWeights(),
         )
 
 

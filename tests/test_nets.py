@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -384,7 +385,7 @@ def test_training_step_graph_size():
     config = micro_config()
     inst = tr.prepare_instances(micro_records(("drawer_box", "fan")), config)[0]
     net = DisplacementNet(inst.targets.shape[0], np.random.default_rng([0, 0]), config.net)
-    root = tr._instance_loss(net, inst, config).total
+    root = reduce(dc.add, tr._instance_loss(net, inst, config).values())  # the sum training._fit takes
     tags = Counter()
     seen = set()
     stack = [root]

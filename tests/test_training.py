@@ -126,12 +126,49 @@ def test_fit_holds_one_step_graph_at_a_time(instances):
 
     def loss_fn(inst):
         assert not roots or roots[-1]() is None, "the previous step's graph is still alive"
-        breakdown = tr._instance_loss(net, inst, config)
-        roots.append(weakref.ref(breakdown.total.value))
-        return breakdown
+        pieces = tr._instance_loss(net, inst, config)
+        roots.append(weakref.ref(pieces["reconstruction"].value))  # the total's graph holds every piece
+        return pieces
 
     tr._fit(instances, net.params, loss_fn, config, 1, 1, None)
     assert len(roots) == len(instances)
+
+
+PIECES = ("reconstruction", "motion_consistency", "segmentation")
+
+
+@pytest.mark.parametrize("flags, names", [
+    ({}, PIECES),
+    ({"no_rnn": True}, PIECES),
+    ({"no_geom": True}, PIECES),  # l_disp alone is still a reconstruction
+    ({"no_disp": True}, PIECES),
+    ({"no_mot": True}, ("reconstruction", "segmentation")),
+    ({"no_seg": True}, ("reconstruction", "motion_consistency")),
+    ({"no_p0": True}, PIECES),
+    ({"no_geom": True, "no_disp": True, "no_mot": True}, ("segmentation",)),
+], ids=["full", "no_rnn", "no_geom", "no_disp", "no_mot", "no_seg", "no_p0", "segmentation_only"])
+def test_fit_minimises_and_logs_the_in_order_sum_of_the_pieces(instances, monkeypatch, flags, names):
+    sums, roots = [], []
+    instance_loss, backward = tr._instance_loss, dc.backward
+
+    def record_pieces(*args):
+        pieces = instance_loss(*args)
+        sums.append(sum(float(piece.value) for piece in pieces.values()))
+        return pieces
+
+    def record_root(root):
+        roots.append(float(root.value))
+        backward(root)
+
+    monkeypatch.setattr(tr, "_instance_loss", record_pieces)
+    monkeypatch.setattr(dc, "backward", record_root)
+    _, lines = tr.train_displacement(instances, micro_config(log_every=1, **flags))
+    assert len(roots) == len(instances) and roots == sums
+    steps = [line.split() for line in lines if line.startswith("step ")]
+    assert len(steps) == len(instances)
+    for words in steps:  # step i epoch e loss total, then name value per piece
+        assert tuple(words[6::2]) == names
+        assert float(words[5]) == pytest.approx(sum(float(v) for v in words[7::2]), abs=1e-5)
 
 
 def test_radii_are_tied_to_their_k_density(records, instances):
@@ -296,7 +333,6 @@ def test_part_too_small_to_register_keeps_regressor_mobility(trained, instances)
     assert spec is not None and spec.tau in ("T", "R", "TR")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("layers, what", [(("dec.l1", "dec.l2"), "displacement maps"),
                                           (("feat.l1", "feat.l2"), "clustering features"),
                                           (("mob.fc", "mob.axis"), "mobility regressor output")])
