@@ -211,18 +211,27 @@ def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node |
     if rv.ndim != 2 or cv.ndim != 2 or not _fits_bias(b, w) or not rv.shape[1] == cv.shape[1] == wv.shape[0]:
         raise ShapeMismatch(f"op 'pair_relu_linear': shapes {rv.shape, cv.shape, wv.shape, b.value.shape} differ")
     steps, n = rv.shape[0], cv.shape[0]
-    hidden = np.add(rv[:, None], cv).reshape(steps * n, -1)  # the one (T*N, H) buffer, relu in place
+    hidden = np.empty((steps * n, cv.shape[1]))  # the one (T*N, H) buffer, relu in place
+    for t in range(steps):  # T adds of (N, H) run faster than one broadcast add over (T, N, H)
+        np.add(rv[t], cv, out=hidden[t * n : (t + 1) * n])
     np.maximum(hidden, 0.0, out=hidden)
 
-    def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g and the (T, N, H) gradient of the pre-activations."""
-        pre = (g @ wv.T).reshape(steps, n, -1)
-        pre *= (hidden > 0.0).reshape(steps, n, -1)
-        return g, pre
+    def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g and the pre-activations' gradient summed over points, (T, H), and over
+        steps, (N, H). One step's (N, H) block at a time, so it stays in cache; each
+        sum adds in the order, and from the +0.0, of numpy's sum over that axis of
+        the whole (T, N, H) array, so the bytes are the same."""
+        by_step, by_point = np.empty((steps, rv.shape[1])), np.zeros(cv.shape)
+        for t in range(steps):
+            pre = g[t * n : (t + 1) * n] @ wv.T
+            pre *= hidden[t * n : (t + 1) * n] > 0.0
+            pre.sum(axis=0, out=by_step[t])
+            by_point += pre
+        return g, by_step, by_point
 
-    return _make(hidden @ wv + b.value, [(rows, lambda gp: gp[1].sum(axis=1)),
-                 (cols, lambda gp: gp[1].sum(axis=0)), (w, lambda gp: hidden.T @ gp[0]),
-                 (b, lambda gp: _unbroadcast(gp[0], b.value.shape))], "pair_relu_linear", step)
+    return _make(hidden @ wv + b.value, [(rows, lambda gp: gp[1]), (cols, lambda gp: gp[2]),
+                 (w, lambda gp: hidden.T @ gp[0]), (b, lambda gp: _unbroadcast(gp[0], b.value.shape))],
+                 "pair_relu_linear", step)
 
 
 def reshape(a: Node | np.ndarray, shape: Sequence[int]) -> Node:
@@ -352,10 +361,13 @@ def l2_norm_rows(a: Node | np.ndarray) -> Node:
     a = _as_node(a)
     if a.value.ndim != 2:
         raise ShapeMismatch(f"op 'l2_norm_rows': expected (N, D), got {a.value.shape}")
-    out = np.linalg.norm(a.value, axis=1)
+    av = a.value
+    # np.linalg.norm adds fewer than 8 squares in order (numpy's pairwise sum starts at 8),
+    # so on narrow rows a sum over the columns has its bytes at a fraction of its cost
+    out = np.sqrt(sum(col * col for col in av.T)) if 0 < av.shape[1] < 8 else np.linalg.norm(av, axis=1)
 
     def bw(g: np.ndarray) -> np.ndarray:
-        return (g / np.maximum(out, _EPS))[:, None] * a.value
+        return (g / np.maximum(out, _EPS))[:, None] * av
 
     return _make(out, [(a, bw)], "l2_norm_rows")
 
@@ -509,8 +521,18 @@ def backward(root: Node) -> None:
 # optimizer
 
 
+ADAM_BLOCK = 32768  # elements per pass of a step's elementwise operations, so a block stays in cache
+
+
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    Parameter values live in one flat float64 buffer, in the dict's order, and
+    each parameter's `.value` becomes a view into it; `m`, `v`, a gradient copy
+    and its squares have flat buffers of their own (`_m` and `_v` hold
+    per-parameter views). Replacing a value instead of writing into it, as
+    `load_into` does, is an error: the next step raises ConfigError rather
+    than train a copy that the parameter no longer holds."""
 
     def __init__(
         self,
@@ -526,10 +548,17 @@ class Adam:
         self.eps = float(eps)
         self.max_grad_norm = max_grad_norm
         self.t = 0
-        self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        # two work arrays per parameter, so a step allocates nothing
-        self._work = {k: (np.empty(p.value.shape), np.empty(p.value.shape)) for k, p in params.items()}
+        ends = np.cumsum([0] + [p.value.size for p in params.values()]).tolist()
+        self._spans = dict(zip(params, zip(ends[:-1], ends[1:])))
+        # separate arrays, so that a trained parameter keeps only the value buffer alive
+        self._flat = [np.zeros(ends[-1]) for _ in range(5)]
+        self._work = np.empty((2, min(ADAM_BLOCK, ends[-1])))  # two block-sized work arrays
+        views = [{k: buf[lo:hi].reshape(params[k].value.shape) for k, (lo, hi) in self._spans.items()}
+                 for buf in self._flat]
+        self._values, self._m, self._v, self._grads, self._squares = views
+        for k, p in params.items():
+            self._values[k][...] = p.value
+            p.value = self._values[k]
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -538,38 +567,60 @@ class Adam:
     def step(self) -> None:
         """One update, in place, with the operations of m = b1 m + (1 - b1) g,
         v = b2 v + (1 - b2) g g and value -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        in their order, so the bytes match that arithmetic. Only a non-finite clip
-        norm checks each gradient; the first non-finite one raises before anything changes."""
-        grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
-        total = float(np.sqrt(sum(float(np.multiply(g, g, out=self._work[k][1]).sum())
-                                  for k, g in grads.items())))
+        in their order, so the bytes match that arithmetic. Each runs once per
+        block of every run of neighbouring parameters that have a gradient; an
+        unclipped step reads g g from the squares that the clip norm sums. Only a
+        non-finite clip norm checks each gradient; the first non-finite one raises
+        before anything changes."""
+        live: list[str] = []
+        runs: list[list[int]] = []  # [lo, hi) of each run of neighbouring parameters with a gradient
+        for k, p in self.params.items():
+            if p.value is not self._values[k]:
+                raise ConfigError(f"parameter {k!r} no longer views the optimizer's buffer; make a new Adam")
+            if p.grad is not None:
+                np.copyto(self._grads[k], p.grad)
+                lo, hi = self._spans[k]
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+                live.append(k)
+        value, m, v, grad, squares = self._flat
+        for lo, hi in runs:
+            np.multiply(grad[lo:hi], grad[lo:hi], out=squares[lo:hi])
+        total = float(np.sqrt(sum(float(self._squares[k].sum()) for k in live)))
         if not math.isfinite(total):  # or a finite gradient whose square overflows
-            for k, g in grads.items():
-                if not np.all(np.isfinite(g)):
+            for k in live:
+                if not np.all(np.isfinite(self._grads[k])):
                     raise NumericError(f"non-finite gradient for parameter {k!r}")
         clip = self.max_grad_norm
         factor = clip / (total + _EPS) if clip is not None and total > clip else None
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for k, g in grads.items():
-            a, b = self._work[k]
-            if factor is not None:
-                g = np.multiply(g, factor, out=a)
-            m, v = self._m[k], self._v[k]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=b)
-            v *= self.beta2
-            np.multiply(g, g, out=b)
-            b *= 1.0 - self.beta2
-            v += b
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            update = np.divide(m, bc1, out=a)
-            update /= b
-            update *= self.lr
-            self.params[k].value -= update
+        for run_lo, run_hi in runs:
+            for lo in range(run_lo, run_hi, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, run_hi)
+                a, b = self._work[:, : hi - lo]
+                g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+                if factor is not None:
+                    g = np.multiply(g, factor, out=a)
+                mb *= self.beta1
+                mb += np.multiply(g, 1.0 - self.beta1, out=b)
+                vb *= self.beta2
+                if factor is None:
+                    np.multiply(squares[lo:hi], 1.0 - self.beta2, out=b)
+                else:
+                    np.multiply(g, g, out=b)
+                    b *= 1.0 - self.beta2
+                vb += b
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                update = np.divide(mb, bc1, out=a)
+                update /= b
+                update *= self.lr
+                value[lo:hi] -= update
 
 
 # ---------------------------------------------------------------------------

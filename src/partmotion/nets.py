@@ -22,12 +22,17 @@ pass: the first decoder layer's weight splits by rows, the per-point block
 is applied once per cloud as (N, hidden) and the state block and bias once
 to the n stacked states as (n, hidden); one `dc.pair_relu_linear` node runs
 the relu and the output layer on every (state, point) sum, giving the maps
-stacked frame by frame, (n*N, 3). Segmentation heads consume the
-input points concatenated with all n maps, read as data. The clustering
-features run on the moving points only, the true ones in training and the
-ones the segmentation head marks in prediction; the loss and prediction's
-DBSCAN both compare them by `dc.pairwise_row_distances`. Every relu'd layer
-is one `dc.relu_linear` node. The mobility regressor reads the same
+stacked frame by frame, (n*N, 3). The per-point block reads the raw
+coordinates and both stages' features interpolated onto the points
+(PointNet++ feature propagation). That layer is linear, so each stage's
+features meet their rows of the weight at the stage's centroids, and one
+matmul of [points | interpolation weights] interpolates the projections
+(`_propagated`); the baseline's seg head does the same. Segmentation heads
+consume the input points concatenated with all n maps, read as data. The
+clustering features run on the moving points only, the true ones in training
+and the ones the segmentation head marks in prediction; the loss and
+prediction's DBSCAN both compare them by `dc.pairwise_row_distances`. Every
+relu'd layer is one `dc.relu_linear` node. The mobility regressor reads the same
 concatenation with displacements zeroed outside one component and
 outputs a motion type and an axis (its objective is `losses.l_mob`). The
 baseline predicts segmentation and a single mobility straight from the
@@ -240,11 +245,20 @@ def _linear(params: dict, name: str, x: dc.Node | np.ndarray, op=dc.linear) -> d
     return op(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def _interpolated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node) -> list[dc.Node]:
-    """Both stages' features interpolated back onto the plan's points, each
-    by one matmul with its weights scattered into a dense (N, S) matrix."""
-    return [dc.matmul(dense_weights(cols, w, f.value.shape[0]), f)
-            for cols, w, f in ((plan.fp1_cols, plan.fp1_weights, f1), (plan.fp2_cols, plan.fp2_weights, f2))]
+def _propagated(plan: EncoderPlan, f1: dc.Node, f2: dc.Node, w: dc.Node, coords: bool) -> tuple[np.ndarray, dc.Node]:
+    """(spread, rows) with spread @ rows equal to concat([points, W1 @ f1, W2 @ f2]) @ w[:k],
+    k the width of that concatenation; the points take part only when coords is set.
+
+    Wk is stage k's dense (N, Sk) interpolation matrix. Each stage's features
+    meet their block of w's rows before the interpolation, on Sk rows instead
+    of N, and one matmul interpolates all of them: spread is [points | W1 | W2]."""
+    spread, rows, lo = ([plan.points], [dc.slice_axis(w, 0, 3)], 3) if coords else ([], [], 0)
+    for cols, weights, f in ((plan.fp1_cols, plan.fp1_weights, f1), (plan.fp2_cols, plan.fp2_weights, f2)):
+        centroids, width = f.value.shape
+        spread.append(dense_weights(cols, weights, centroids))
+        rows.append(dc.matmul(f, dc.slice_axis(w, lo, lo + width)))
+        lo += width
+    return np.concatenate(spread, axis=1), dc.concat(rows)
 
 
 class SAEncoder:
@@ -336,13 +350,16 @@ class DisplacementNet:
 
     def hallucinate(self, plan: EncoderPlan) -> dc.Node:
         """All n displacement maps stacked frame by frame: (n*N, 3), frame t
-        in rows [t*N, (t+1)*N)."""
+        in rows [t*N, (t+1)*N).
+
+        `dec.l1.w` is one (3 + C1 + C2 + G, hidden) parameter, read in row blocks:
+        the coordinates' rows, each stage's rows, applied to its centroid features
+        before the interpolation, and the state rows."""
         f1, f2, g_feat = self.encoder.apply(plan)
-        per_point = dc.concat([dc.constant(plan.points)] + _interpolated(plan, f1, f2), axis=1)
         w = self.params["dec.l1.w"]
-        split = per_point.value.shape[1]
-        base = dc.matmul(per_point, dc.slice_axis(w, 0, split))
-        w_state = dc.slice_axis(w, split, w.value.shape[0])
+        spread, rows = _propagated(plan, f1, f2, w, coords=True)
+        base = dc.matmul(spread, rows)
+        w_state = dc.slice_axis(w, w.value.shape[0] - self.cfg.global_width, w.value.shape[0])
         if self.use_rnn:
             x_proj = dc.linear(g_feat, self.params["lstm.wx"], self.params["lstm.b"])
             states = dc.lstm(x_proj, self.params["lstm.wh"], self.n_maps)
@@ -451,8 +468,8 @@ class DirectBaseline:
     def forward(self, plan: EncoderPlan):
         """(per-point 2-way logits, type logits, axis output)."""
         f1, f2, g_feat = self.encoder.apply(plan)
-        per_point = dc.concat(_interpolated(plan, f1, f2), axis=1)
-        seg = _linear(self.params, "base.seg.l2", _linear(self.params, "base.seg.l1", per_point, dc.relu_linear))
+        spread, rows = _propagated(plan, f1, f2, self.params["base.seg.l1.w"], coords=False)
+        seg = _linear(self.params, "base.seg.l2", dc.relu_linear(spread, rows, self.params["base.seg.l1.b"]))
         h = _linear(self.params, "base.fc", g_feat, dc.relu_linear)
         return seg, _linear(self.params, "base.type", h), _linear(self.params, "base.axis", h)
 

@@ -65,6 +65,20 @@ def test_pair_relu_linear_matches_unfused_chain_bytes(steps):
         assert g.grad.shape == w.grad.shape and g.grad.tobytes() == w.grad.tobytes()
 
 
+def test_pair_relu_linear_point_masked_in_every_step_gets_positive_zero():
+    # each step adds g * 0.0 = -0.0 for point 1; a sum over the steps starts
+    # from +0.0, so the chain's gradient is +0.0 there, and the op's must be too
+    arrays, weights = _pair_inputs(8)
+    rows, cols, w, _ = arrays
+    cols[1] = -1.0 - np.abs(rows).max(axis=0)
+    weights[1::32] = -w[0]  # the masked pre-activation gradient of column 0 is negative
+    got, want = [dc.parameter(a) for a in arrays], [dc.parameter(a) for a in arrays]
+    dc.backward(dc.reduce_sum(dc.mul(dc.pair_relu_linear(*got), weights)))
+    dc.backward(dc.reduce_sum(dc.mul(oracles.pair_relu_linear(*want), weights)))
+    assert want[1].grad[1, 0] == 0.0 and not np.signbit(want[1].grad[1, 0])
+    assert got[1].grad.tobytes() == want[1].grad.tobytes()
+
+
 @pytest.mark.parametrize("bias_shape", [(4,), (1, 4)])
 def test_relu_linear_matches_unfused_chain_bytes(bias_shape):
     rng = np.random.default_rng(3)
@@ -229,6 +243,19 @@ def test_pairwise_row_distances_symmetric_zero_diagonal():
     assert (m >= 0.0).all()
     brute = np.linalg.norm(f[:, None, :] - f[None, :, :], axis=2)
     np.testing.assert_allclose(m, brute, atol=1e-9)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 64])
+def test_l2_norm_rows_matches_linalg_norm_bytes(width):
+    # narrow rows take a running column sum, wide ones np.linalg.norm itself;
+    # rows span 16 orders of magnitude, and some are zero or negative zero
+    rng = np.random.default_rng(width)
+    for rows in (1, 2, 9, 300, 5000):
+        a = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-8, 8, size=(rows, width))
+        a[rows // 2] = -0.0
+        a[:: max(rows // 7, 1), 0] = 0.0
+        assert dc.l2_norm_rows(a).value.tobytes() == np.linalg.norm(a, axis=1).tobytes()
+        assert dc.l2_norm_rows(a[:, ::-1]).value.tobytes() == np.linalg.norm(a[:, ::-1], axis=1).tobytes()
 
 
 def test_lstm_zero_params_give_zero_states():
@@ -550,6 +577,53 @@ def test_adam_in_place_update_matches_reference_bytes():
             update = (m / (1.0 - 0.8**t)) / (np.sqrt(v / (1.0 - 0.95**t)) + 1e-7)
             value = value - 3e-3 * update
             assert p.value.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("clip", [2.0, None], ids=["clipped", "unclipped"])
+def test_flat_adam_matches_per_parameter_oracle_bytes(clip):
+    # parameters larger than a block, a scalar, and gradients missing at the
+    # start, in the middle and at the end, so runs split and blocks end inside them
+    shapes = [(3,), (dc.ADAM_BLOCK + 7,), (), (40, 900), (2, 5), (dc.ADAM_BLOCK,)]
+    missing = [set(), {0}, {2, 3}, {5}, {1, 3, 5}, {0, 1, 2, 3, 4, 5}, set()]
+    rng = np.random.default_rng(12)
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = {f"p{i}": dc.parameter(v.copy()) for i, v in enumerate(start)}
+    want = {f"p{i}": dc.parameter(v.copy()) for i, v in enumerate(start)}
+    opt = dc.Adam(params, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
+    ref = oracles.Adam(want, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
+    for skip in missing:
+        for i, k in enumerate(params):
+            g = None if i in skip else rng.normal(size=shapes[i])
+            params[k].grad, want[k].grad = g, None if g is None else g.copy()
+        opt.step()
+        ref.step()
+        for k in params:
+            assert params[k].value.tobytes() == want[k].value.tobytes(), k
+            assert opt._m[k].tobytes() == ref._m[k].tobytes() and opt._v[k].tobytes() == ref._v[k].tobytes(), k
+    assert opt.t == ref.t == len(missing)
+
+
+def test_adam_values_are_views_of_its_buffer():
+    params = {"a": dc.parameter(np.arange(6.0).reshape(2, 3)), "b": dc.parameter(np.float64(4.0))}
+    opt = dc.Adam(params)
+    assert params["a"].value.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]] and params["b"].value == 4.0
+    assert all(np.shares_memory(p.value, opt._flat[0]) for p in params.values())
+    params["a"].value *= 2.0  # an in-place change keeps the view, and the step reads it
+    params["a"].grad = np.ones((2, 3))
+    opt.step()
+    assert np.all(params["a"].value < 2.0 * np.arange(6.0).reshape(2, 3)) and params["b"].value == 4.0
+
+
+def test_adam_step_rejects_a_parameter_replaced_by_load_into(tmp_path):
+    params = {"a": dc.parameter(np.ones((2, 3))), "b": dc.parameter(np.zeros(4))}
+    opt = dc.Adam(params, lr=0.1)
+    dc.save_params(tmp_path / "p.params", params)
+    dc.load_into(params, tmp_path / "p.params")
+    for p in params.values():
+        p.grad = np.ones(p.value.shape)
+    with pytest.raises(ConfigError, match="'a'.*new Adam"):
+        opt.step()
+    assert opt.t == 0 and not opt._m["b"].any()
 
 
 def test_adam_step_magnitude_approaches_lr():

@@ -175,14 +175,14 @@ def test_loss_trace_every_step(monkeypatch, row):
 # two epochs: maps, labels, cluster confidences, and each part's mobility
 # and mobfit spec, all as raw float64 bytes.
 PREDICT_DIGEST = {
-    "drawer_box": "1e6fa61a366b2cc5e0b3310ea5425d102a432400aa6986beab50b9abbf5da747",
-    "door_box": "42873b778c26ffd5d98a03efb7a0b6ea5b4af5b7096ddef15b6250efb8b28631",
-    "fan": "c92f781a3a5190b56abeb41999c88c439e79c72206791dcb85e3f87b7199245a",
-    "laptop": "06d68195e05e90889accb90682184faf6c7a5acd071e6a5a5b7bd9291057922c",
-    "bottle_cap_TR": "8341731421548adce62dc8933942c944add3dc98e6765640ef2bcac6b40efd3e",
-    "cabinet_multi": "b00291796823d5e3ae65e270367a0a77a2e9beab99c7d2cba346507fadea7f5a",
-    "umbrella": "ef546db5f66c6307226ba25211ed8db0d8c47bd262399b5451c70fa59267fed1",
-    "balance": "069a227fa6fca493907cd4c017ce599955d29a3b08e46f076b92ccd894b355dc",
+    "drawer_box": "28c7d46a46377a7db24a5d55f7e22d95f3d67b25fc415f31f024a36b3e59fc7a",
+    "door_box": "2d3c6957888a7c2e99530de7b6c055fcacc6e835c829eb4d878f3c249c36495d",
+    "fan": "352a476ce0bcdf9acddcb53cac610ba0fa0cc6a64830db75c10e39006807d5e2",
+    "laptop": "670ab91da40596a3f8398252e0a1c3e60a5c673b6f5e5a0b879902b0b1f6bcb6",
+    "bottle_cap_TR": "2117311828427aa2fe0d9f23274127f87e419bdf454230189fdba1e914e95db3",
+    "cabinet_multi": "94742ba3d732dc54487b5c2bdc92ecf9f4d99336c74c1a3bc88e88e8dee79f69",
+    "umbrella": "ced813ee858640b675e263be738e698d6b37b841df3ed376407f1fc319f1befa",
+    "balance": "56637f79c2cb4b89b2b3bbff18822ac8b7512e596d6d8489b58d3fb6772d9639",
 }
 
 

@@ -17,6 +17,7 @@ from partmotion.config import RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import ConfigError, DataError
 from partmotion.geom import MobilitySpec
+from partmotion.losses import l_seg_obj
 from partmotion.nets import (
     THETA_STOP,
     DirectBaseline,
@@ -396,8 +397,86 @@ def test_training_step_graph_size():
         seen.add(id(node))
         tags[node.op_tag] += 1
         stack.extend(p for p, _ in node.parents if p.requires_grad)
-    assert sum(tags.values()) == 108
+    assert sum(tags.values()) == 110
     assert tags["transpose"] == tags["neg"] == 0
+
+
+# The decoder projects each stage's features before interpolating them; the
+# oracle interpolates first. Same function, different rounding, so the two
+# agree to within 1e-12 of each array's largest magnitude. The feature head's
+# gradients are left out: they reach the maps only as data, and on the tiny
+# no_rnn case an untrained head puts two moving points' features (entries
+# near 48) 5e-9 apart, which dc.pairwise_row_distances reads as 0.0. The
+# contrastive term's gradient there turns with the last bits of its input:
+# it moved by up to 1e-3 of its largest entry, where every other gradient
+# stayed within 3e-15.
+DECODER_NETS = {"default": (NetConfig(), 256), "tiny": (TINY, 64)}
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def _step_outputs(net, inst, config, hallucinate):
+    """Maps, seg logits and every parameter gradient of one training step, with
+    `hallucinate` standing in for the net's own."""
+    seen = {}
+    segment = net.segment
+
+    def maps(plan):
+        seen["maps"] = hallucinate(plan)
+        return seen["maps"]
+
+    def logits(*args):
+        out = segment(*args)
+        seen["seg"] = out[0]
+        return out
+
+    net.hallucinate, net.segment = maps, logits  # instance attributes shadow the methods
+    try:
+        dc.backward(reduce(dc.add, tr._instance_loss(net, inst, config).values()))
+    finally:
+        del net.hallucinate, net.segment
+    grads = {k: p.grad for k, p in net.params.items()}
+    for p in net.params.values():
+        p.grad = None
+    return seen["maps"].value, seen["seg"].value, grads
+
+
+@pytest.mark.parametrize("no_rnn", [False, True], ids=["rnn", "no_rnn"])
+@pytest.mark.parametrize("size", sorted(DECODER_NETS))
+def test_decoder_matches_interpolate_then_project_oracle(size, no_rnn):
+    cfg, n_points = DECODER_NETS[size]
+    config = micro_config(net=cfg, n_points=n_points, no_rnn=no_rnn)
+    for inst in tr.prepare_instances(micro_records(("drawer_box", "fan"), n_points=n_points), config)[::5]:
+        net = DisplacementNet(inst.targets.shape[0], np.random.default_rng([1, inst.t]), cfg, use_rnn=not no_rnn)
+        maps, seg, grads = _step_outputs(net, inst, config, net.hallucinate)
+        want_maps, want_seg, want_grads = _step_outputs(net, inst, config, lambda plan: oracles.hallucinate(net, plan))
+        assert _close(maps, want_maps) and _close(seg, want_seg)
+        assert grads.keys() == want_grads.keys() and all(g is not None for g in grads.values())
+        compared = [k for k in grads if not k.startswith("feat.")]
+        assert len(compared) == len(grads) - 4
+        assert all(_close(grads[k], want_grads[k]) for k in compared), \
+            [k for k in compared if not _close(grads[k], want_grads[k])]
+
+
+@pytest.mark.parametrize("size", sorted(DECODER_NETS))
+def test_baseline_seg_head_matches_interpolate_then_project_oracle(size):
+    cfg, n_points = DECODER_NETS[size]
+    base = DirectBaseline(np.random.default_rng(6), cfg)
+    for seed in range(3):
+        seq = make_sequence(generate_shape(TEMPLATE_NAMES[seed], np.random.default_rng(seed), n_points), 4)
+        plan = build_plan(seq.frames[0], cfg)
+        outputs = []
+        for seg in (base.forward(plan)[0], oracles.baseline_seg_logits(base, plan)):
+            dc.backward(l_seg_obj(seg, seq.labels))
+            outputs.append((seg.value, {k: p.grad for k, p in base.params.items()}))
+            for p in base.params.values():
+                p.grad = None
+        (seg, grads), (want_seg, want_grads) = outputs
+        assert _close(seg, want_seg)
+        assert {k for k, g in grads.items() if g is not None} == {k for k, g in want_grads.items() if g is not None}
+        assert all(_close(grads[k], want_grads[k]) for k in grads if grads[k] is not None)
 
 
 def test_build_plan_work_count(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from pathlib import Path
 
+import oracles
 from microfixtures import micro_config, micro_records
 from test_golden import _prediction_digest
 from partmotion import diffcore as dc
@@ -17,7 +18,7 @@ from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.losses import LossWeights, knn_radii
 from partmotion.errors import ConfigError, DataError, NumericError
 from partmotion.geom import MobilitySpec, mobility_transform, unit
-from partmotion.nets import NetConfig
+from partmotion.nets import DisplacementNet, NetConfig
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,35 @@ def test_training_is_deterministic(records, instances):
     net_b, _ = tr.train_displacement(instances, cfg)
     for name, node in net_a.params.items():
         assert np.array_equal(node.value, net_b.params[name].value), name
+
+
+class _CountingAdam(oracles.Adam):
+    """The per-parameter oracle, counting the steps whose gradient norm the clip cuts."""
+
+    clipped = 0
+
+    def step(self) -> None:
+        grads = [p.grad for p in self.params.values() if p.grad is not None]
+        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        type(self).clipped += self.max_grad_norm is not None and total > self.max_grad_norm
+        super().step()
+
+
+@pytest.mark.parametrize("clip", [25.0, 1e12], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("flags", [{}, {"no_seg": True}], ids=["full", "no_seg"])
+def test_flat_adam_trains_the_bytes_of_the_per_parameter_oracle(instances, monkeypatch, flags, clip):
+    cfg = micro_config(epochs=2, max_grad_norm=clip, **flags)
+    net, _ = tr.train_displacement(instances, cfg)
+    monkeypatch.setattr(dc, "Adam", _CountingAdam)
+    monkeypatch.setattr(_CountingAdam, "clipped", 0)
+    want, _ = tr.train_displacement(instances, cfg)
+    assert (_CountingAdam.clipped > 0) == (clip == 25.0)
+    for name, node in net.params.items():
+        assert node.value.tobytes() == want.params[name].value.tobytes(), name
+    if flags:  # the heads get no gradient and keep their initial values
+        init = DisplacementNet(cfg.n_frames, np.random.default_rng([cfg.seed, 0]), cfg.net)
+        assert all(node.value.tobytes() == init.params[name].value.tobytes()
+                   for name, node in net.params.items() if name.startswith(("seg.", "feat.")))
 
 
 def test_loss_log_lines_are_emitted(records, instances):
@@ -495,8 +525,8 @@ def test_benchmark_checkpoint_loads_and_predicts(benchmark_pipeline):
 # largest matrices here; the micro golden digests never get near that size.
 # Recorded with BLAS on one thread, as conftest.py pins it.
 UMBRELLA_DIGEST = {
-    1: ("f689b32fbbeb5ecc29f37e8873b76c046b50193c35f213aa3383361711cd3aff", 232),
-    3: ("de9cf0eb17a301985287a86e70496721d8a6d5a06ed84ae363e7facda8a8bab0", 228),
+    1: ("f78c17f168f41ac10f290dd579985fa1d76580e05d8ebbbcd004b6128ca6f5e0", 232),
+    3: ("e3ed3de76a2c617ac9578c6c8952fbcfe3ba431597eaf91ff7ab1931d00d4cf8", 228),
 }
 
 
