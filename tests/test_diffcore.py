@@ -568,40 +568,63 @@ def test_adam_overflowing_square_of_finite_gradient_clips_to_zero():
 
 
 def test_adam_in_place_update_matches_reference_bytes():
-    # a scalar among the parameters, and gradients missing at the start, in
-    # the middle and at the end of the dict
-    shapes = [(4, 5), (), (3,), (2, 2)]
-    missing = [set(), {0}, {1, 2}, {3}, {0, 1, 2, 3}, set()]
     for clip in (1.5, None):
         rng = np.random.default_rng(11)
-        start = [rng.normal(size=shape) for shape in shapes]
-        params = {f"p{i}": dc.parameter(x.copy()) for i, x in enumerate(start)}
-        opt = dc.Adam(params, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
-        arrays = {k: p.value for k, p in params.items()}
-        value = dict(zip(params, start))
-        m = {k: np.zeros(x.shape) for k, x in value.items()}
-        v = {k: np.zeros(x.shape) for k, x in value.items()}
-        for t, skip in enumerate(missing, start=1):
-            grads = {k: rng.normal(size=shapes[i]) * 10.0 ** (t - 3)  # clipped from t = 3 on
-                     for i, k in enumerate(params) if i not in skip}
-            for k, p in params.items():
-                p.grad = grads[k].copy() if k in grads else None
+        start = rng.normal(size=(4, 5))
+        p = dc.parameter(start.copy())
+        opt = dc.Adam({"p": p}, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
+        value, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t in range(1, 6):
+            g = rng.normal(size=start.shape) * 10.0 ** (t - 3)  # clipped from t = 3 on
+            p.grad = g.copy()
             opt.step()
-            for k, g in grads.items():  # a gradient array may be shared: never written
-                assert params[k].grad.tobytes() == g.tobytes()
-            total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-            for k, g in grads.items():
-                if clip is not None and total > clip:
-                    g = g * (clip / (total + 1e-12))
-                m[k] = 0.8 * m[k] + (1.0 - 0.8) * g
-                v[k] = 0.95 * v[k] + (1.0 - 0.95) * (g * g)
-                update = (m[k] / (1.0 - 0.8**t)) / (np.sqrt(v[k] / (1.0 - 0.95**t)) + 1e-7)
-                value[k] = value[k] - 3e-3 * update
-            for k, p in params.items():  # a parameter without a gradient keeps its bytes
-                assert p.value is arrays[k] and p.value.tobytes() == value[k].tobytes(), (clip, t, k)
-                assert opt._m[k].tobytes() == m[k].tobytes(), (clip, t, k)
-                assert opt._v[k].tobytes() == v[k].tobytes(), (clip, t, k)
-        assert opt.t == len(missing)
+            assert p.grad.tobytes() == g.tobytes()  # a gradient array may be shared: never written
+            total = float(np.sqrt(float((g * g).sum())))
+            if clip is not None and total > clip:
+                g = g * (clip / (total + 1e-12))
+            m = 0.8 * m + (1.0 - 0.8) * g
+            v = 0.95 * v + (1.0 - 0.95) * (g * g)
+            update = (m / (1.0 - 0.8**t)) / (np.sqrt(v / (1.0 - 0.95**t)) + 1e-7)
+            value = value - 3e-3 * update
+            assert p.value.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("clip", [1.5, None], ids=["clipped", "unclipped"])
+def test_flat_adam_matches_per_parameter_oracle_bytes(clip):
+    # many parameters against a per-parameter reference written out here: a
+    # scalar among them, and gradients missing at the start, in the middle and
+    # at the end of the dict, so the clip norm sums only the gradients present
+    shapes = [(4, 5), (), (3,), (2, 2)]
+    missing = [set(), {0}, {1, 2}, {3}, {0, 1, 2, 3}, set()]
+    rng = np.random.default_rng(11)
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = {f"p{i}": dc.parameter(x.copy()) for i, x in enumerate(start)}
+    opt = dc.Adam(params, lr=3e-3, betas=(0.8, 0.95), eps=1e-7, max_grad_norm=clip)
+    arrays = {k: p.value for k, p in params.items()}
+    value = dict(zip(params, start))
+    m = {k: np.zeros(x.shape) for k, x in value.items()}
+    v = {k: np.zeros(x.shape) for k, x in value.items()}
+    for t, skip in enumerate(missing, start=1):
+        grads = {k: rng.normal(size=shapes[i]) * 10.0 ** (t - 3)  # clipped from t = 3 on
+                 for i, k in enumerate(params) if i not in skip}
+        for k, p in params.items():
+            p.grad = grads[k].copy() if k in grads else None
+        opt.step()
+        for k, g in grads.items():  # a gradient array may be shared: never written
+            assert params[k].grad.tobytes() == g.tobytes()
+        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        for k, g in grads.items():
+            if clip is not None and total > clip:
+                g = g * (clip / (total + 1e-12))
+            m[k] = 0.8 * m[k] + (1.0 - 0.8) * g
+            v[k] = 0.95 * v[k] + (1.0 - 0.95) * (g * g)
+            update = (m[k] / (1.0 - 0.8**t)) / (np.sqrt(v[k] / (1.0 - 0.95**t)) + 1e-7)
+            value[k] = value[k] - 3e-3 * update
+        for k, p in params.items():  # a parameter without a gradient keeps its bytes
+            assert p.value is arrays[k] and p.value.tobytes() == value[k].tobytes(), (clip, t, k)
+            assert opt._m[k].tobytes() == m[k].tobytes(), (clip, t, k)
+            assert opt._v[k].tobytes() == v[k].tobytes(), (clip, t, k)
+    assert opt.t == len(missing)
 
 
 def test_adam_steps_the_arrays_that_load_into_set(tmp_path):
