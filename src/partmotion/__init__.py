@@ -2,8 +2,9 @@
 import os
 import sys
 
-# one BLAS thread, whose float64 products round the same on any CPU count; BLAS reads
-# these once, as numpy loads, so the pin stays above the imports. A user's own setting is kept.
+# one BLAS thread by default: OpenBLAS gives the same bytes at 1-4 threads, but nobody measured
+# whether more threads help, and MKL is unchecked. BLAS reads these once, as numpy loads, so the
+# pin stays above the imports. A user's own setting is kept.
 if "numpy" not in sys.modules:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")

@@ -1,7 +1,8 @@
 """Command-line surface: gen, train, predict, eval, ablate.
 
 Every command is driven by a JSON run config and is deterministic given
-(config, seed) at the one BLAS thread the package pins. Reports are plain
+(config, seed); with OpenBLAS the bytes are the same at any thread count
+(checked at 1-4), though the package pins one by default. Reports are plain
 structured text. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -238,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train the configured model", description=(
-        "Train the configured model. The bytes it writes depend on the config, its seed and the BLAS thread "
-        "count, which is 1 unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS sets another."))
+        "Train the configured model. The bytes it writes depend on the config and its seed; with OpenBLAS they "
+        "are the same at any thread count (checked at 1-4). BLAS runs 1 thread unless OPENBLAS_NUM_THREADS, "
+        "OMP_NUM_THREADS or MKL_NUM_THREADS sets another."))
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", default=None, help="run directory (default: config out_dir)")

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import log_softmax
 
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
@@ -412,16 +413,14 @@ def variance_along_axis(a: Node | np.ndarray, axis: int = 0) -> Node:
 
 
 def pairwise_row_distances(a: Node | np.ndarray) -> Node:
-    """Symmetric matrix of Euclidean distances between all row pairs."""
+    """Symmetric (N, N) matrix of Euclidean distances between all row pairs. scipy's pdist takes
+    each from the row difference: near-coincident rows keep their distance, and no BLAS product
+    (whose rounding can follow the thread count) is involved."""
     a = _as_node(a)
     f = a.value
     if f.ndim != 2:
         raise ShapeMismatch(f"op 'pairwise_row_distances': expected (N, F), got {f.shape}")
-    sq = (f * f).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
-    d2 = np.maximum((d2 + d2.T) / 2.0, 0.0)
-    np.fill_diagonal(d2, 0.0)
-    out = np.sqrt(d2)
+    out = squareform(pdist(f)) if len(f) else np.zeros((0, 0))  # squareform of no pairs is (1, 1)
 
     def bw(g: np.ndarray) -> np.ndarray:
         w = (g + g.T) / np.maximum(out, _EPS)
@@ -623,12 +622,11 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         raise DataError(f"{path}: header is not ASCII") from exc
     if not lines or lines[0] != _MAGIC:
         raise DataError(f"{path}: not a parameter file")
-    try:
-        count = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed tensor count") from exc
+    tensors = re.fullmatch(r"tensors (\d+)", lines[1]) if len(lines) > 1 else None
+    if tensors is None or len(lines) != 2 + int(tensors[1]):
+        raise DataError(f"{path}: header is not 'tensors <count>' followed by that many tensor lines")
     entries = []
-    for line in lines[2 : 2 + count]:
+    for line in lines[2:]:
         try:
             name, dims = line.split()
             shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
@@ -639,8 +637,6 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         if any(name == seen for seen, _ in entries):
             raise DataError(f"{path}: tensor {name!r} is listed twice")
         entries.append((name, shape))
-    if len(entries) != count:
-        raise DataError(f"{path}: header lists {len(entries)} tensors, expected {count}")
     out: dict[str, np.ndarray] = {}
     cursor = split + len(marker)
     for name, shape in entries:

@@ -38,6 +38,7 @@ from .nets import (
     DisplacementNet,
     EncoderPlan,
     MobilityRegressor,
+    NetConfig,
     PredictionNode,
     ShapePrediction,
     build_plan,
@@ -68,6 +69,8 @@ class PreparedInstance(TrainingInstance):
     mov_idx: np.ndarray           # (M,) points with labels > 0
     gt_moving: np.ndarray         # (n_maps, M, 3) frames[min(t-1+j, n-1)][mov_idx] for maps j = 1..n_maps
     gt_radii: np.ndarray          # (n_maps, M) knn_radii of gt_moving at k_density
+    net: NetConfig                # the config.net, n_frames and weights.k_density it was prepared for
+    n_frames: int
     k_density: int
 
 
@@ -83,14 +86,13 @@ def check_dataset_matches(config: RunConfig, records: Sequence[ShapeRecord]) -> 
 def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list[PreparedInstance]:
     """Expand shapes into per-state instances and precompute their plans and l_mov ground truth.
 
-    Plans depend only on the points and the network geometry, and radii on
-    config.weights.k_density, so one pass here is shared by every training
-    run over the same dataset with that k_density. The shapes must have the
-    config's point and frame counts, since load_pipeline rebuilds the saved
-    networks from the config.
+    Plans depend on the points and config.net, radii on config.weights.k_density. Each instance
+    records both and n_frames, and the trainers reject it under a config that differs in any.
+    The shapes must have the config's point and frame counts.
     """
     check_dataset_matches(config, records)
     k = config.weights.k_density
+    prepared_for = dict(net=config.net, n_frames=config.n_frames, k_density=k)
     out = []
     for rec in records:
         n, mov_idx = len(rec.frames), np.flatnonzero(rec.labels > 0)  # one per shape: its instances share labels
@@ -101,7 +103,7 @@ def prepare_instances(records: Sequence[ShapeRecord], config: RunConfig) -> list
         for inst in make_instances(rec):
             window = slice(inst.t - 1, inst.t - 1 + n)
             out.append(PreparedInstance(**vars(inst), plan=build_plan(inst.points, config.net), mov_idx=mov_idx,
-                                        gt_moving=gt_moving[window], gt_radii=gt_radii[window], k_density=k))
+                                        gt_moving=gt_moving[window], gt_radii=gt_radii[window], **prepared_for))
     return out
 
 
@@ -173,10 +175,13 @@ def _fit(
 # displacement network training
 
 
-def _check_frame_count(instances: Sequence[PreparedInstance], config: RunConfig) -> None:
-    """ConfigError unless every instance has config.n_frames maps, the count load_pipeline rebuilds."""
-    if any(inst.targets.shape[0] != config.n_frames for inst in instances):
-        raise ConfigError(f"instances were prepared for another frame count than n_frames={config.n_frames}")
+def _check_prepared_for(instances: Sequence[PreparedInstance], config: RunConfig) -> None:
+    """ConfigError unless every instance was prepared for the config's net, n_frames and k_density."""
+    for key, want, what in (("net", config.net, "network geometry than the config's net"),
+                            ("n_frames", config.n_frames, f"frame count than n_frames={config.n_frames}"),
+                            ("k_density", config.weights.k_density, f"k_density than {config.weights.k_density}")):
+        if any(getattr(inst, key) != want for inst in instances):
+            raise ConfigError(f"instances were prepared for another {what}")
 
 
 def _instance_loss(net: DisplacementNet, inst: PreparedInstance, config: RunConfig) -> dict[str, dc.Node]:
@@ -202,9 +207,7 @@ def train_displacement(
     """Fit the displacement net; returns it with the loss log lines."""
     if not instances:
         raise DataError("no training instances")
-    if any(inst.k_density != config.weights.k_density for inst in instances):
-        raise ConfigError(f"instances were prepared for another k_density than {config.weights.k_density}")
-    _check_frame_count(instances, config)
+    _check_prepared_for(instances, config)
     net = DisplacementNet(
         config.n_frames, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
@@ -232,7 +235,7 @@ def train_mobility(
     Returns None when no instance carries mobility parameters (purely
     non-parametric corpora such as umbrella-only training).
     """
-    _check_frame_count(instances, config)
+    _check_prepared_for(instances, config)
     samples = []
     for inst, part_id, spec in _start_parts(instances):  # each part's input is built once
         member = np.flatnonzero(inst.labels == part_id)
@@ -254,6 +257,7 @@ def train_baseline(
     log: Optional[LogFn] = None,
 ) -> tuple[DirectBaseline, list[str]]:
     """Fit the direct baseline: static cloud in, segmentation plus one mobility."""
+    _check_prepared_for(instances, config)
     samples = _start_parts(instances)
     if not samples:
         raise DataError("baseline training needs shapes with mobility parameters")
@@ -264,10 +268,7 @@ def train_baseline(
         seg, type_logits, axis_out = baseline.forward(inst.plan)
         return {"l_seg_obj": l_seg_obj(seg, inst.labels == part_id), "l_mob": l_mob(type_logits, axis_out, spec)}
 
-    return baseline, _fit(
-        samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log,
-        "baseline ",
-    )
+    return baseline, _fit(samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log, "baseline ")
 
 
 # ---------------------------------------------------------------------------

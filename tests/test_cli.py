@@ -334,6 +334,21 @@ def test_predict_params_file_listing_a_tensor_twice_is_data_error(workdir, tmp_p
     assert not (tmp_path / "p").exists()
 
 
+def test_predict_params_file_with_a_malformed_count_line_is_data_error(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(workdir / "run", run)
+    path = run / "displacement.params"
+    header, payload = path.read_bytes().split(b"\ndata\n")
+    lines = header.decode().splitlines()
+    lines[1] += " junk"
+    path.write_bytes("\n".join(lines).encode() + b"\ndata\n" + payload)
+    inp = workdir / "data" / "fan_004" / "frame_01.ply"
+    assert main(["predict", "--run", str(run), "--input", str(inp),
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "displacement.params: header is not 'tensors <count>'" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_predict_non_finite_output_is_numeric_error(workdir, tmp_path, capsys):
     # finite weights whose products overflow: the maps come out infinite
     cfg = micro_config()
@@ -840,21 +855,21 @@ def _python(args, cwd, threads):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS runs one thread whatever the variables say")
-def test_train_writes_the_same_bytes_with_the_thread_variables_unset(tmp_path):
-    # OpenBLAS otherwise runs one thread per CPU, and at two threads some of the
-    # default net's products round differently
+def test_train_writes_the_same_bytes_at_any_blas_thread_setting(tmp_path):
+    # unset, the package pins one thread; no product of the default net may
+    # round differently at two
     config = {"categories": ["drawer_box"], "shapes_per_category": 2, "epochs": 1, "mobility_epochs": 1}
     (tmp_path / "config.json").write_text(json.dumps(config))
     gen = _python(["-m", "partmotion.cli", "gen", "--config", "config.json", "--out", "data"], tmp_path, "1")
     assert gen.returncode == 0, gen.stderr
     params = []
-    for threads in (None, "1"):
+    for threads in (None, "1", "2"):
         out = f"run_{threads or 'unset'}"
         train = _python(["-m", "partmotion.cli", "train", "--config", "config.json", "--dataset", "data",
                          "--out", out], tmp_path, threads)
         assert train.returncode == 0, train.stderr
         params.append((tmp_path / out / "displacement.params").read_bytes())
-    assert params[0] == params[1]
+    assert params[0] == params[1] == params[2]
 
 
 @pytest.mark.parametrize("threads, numpy_first, want", [

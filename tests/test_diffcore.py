@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -243,6 +244,23 @@ def test_pairwise_row_distances_symmetric_zero_diagonal():
     assert (m >= 0.0).all()
     brute = np.linalg.norm(f[:, None, :] - f[None, :, :], axis=2)
     np.testing.assert_allclose(m, brute, atol=1e-9)
+
+
+def test_pairwise_row_distances_keeps_near_coincident_rows_apart():
+    # 64-wide rows near 48 that lie 4.8e-9 apart: |a|^2 + |b|^2 - 2 a.b cancels to 0.0 here
+    rng = np.random.default_rng(0)
+    row = rng.uniform(47.0, 49.0, 64)
+    step = rng.normal(size=64)
+    f = np.stack([row, row + step * (4.8e-9 / np.linalg.norm(step))])
+    want = math.dist(f[0], f[1])
+    m = dc.pairwise_row_distances(f).value
+    assert abs(m[0, 1] - want) <= 1e-15 * want and m[1, 0] == m[0, 1]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_pairwise_row_distances_is_square_for_few_rows(rows):
+    m = dc.pairwise_row_distances(np.ones((rows, 4))).value
+    assert m.shape == (rows, rows) and not m.any()
 
 
 @pytest.mark.parametrize("width", [1, 3, 7, 8, 64])
@@ -517,6 +535,20 @@ def test_load_params_rejects_a_tensor_listed_twice(tmp_path):
     with pytest.raises(DataError, match="twice.params: tensor 'a' is listed twice"):
         dc.load_into(fresh, path)
     assert not fresh["a"].value.any() and not fresh["b"].value.any()
+
+
+@pytest.mark.parametrize("count_line, tensor_lines", [
+    ("tensors 1", ["a 3", "b 2"]),   # one line more than the count
+    ("tensors 1 junk", ["a 3"]),
+    ("foo 1", ["a 3"]),
+], ids=["extra_line", "trailing_word", "no_tensors_word"])
+def test_load_params_rejects_a_malformed_header(tmp_path, count_line, tensor_lines):
+    # each payload holds a alone
+    path = tmp_path / "header.params"
+    header = "\n".join(["partmotion-params 1", count_line, *tensor_lines, "data", ""])
+    path.write_bytes(header.encode() + np.arange(3.0).astype("<f8").tobytes())
+    with pytest.raises(DataError, match="header.params: header is not 'tensors <count>'"):
+        dc.load_params(path)
 
 
 def test_adam_rejects_non_finite_gradient():

@@ -175,14 +175,14 @@ def test_loss_trace_every_step(monkeypatch, row):
 # two epochs: maps, labels, cluster confidences, and each part's mobility
 # and mobfit spec, all as raw float64 bytes.
 PREDICT_DIGEST = {
-    "drawer_box": "28c7d46a46377a7db24a5d55f7e22d95f3d67b25fc415f31f024a36b3e59fc7a",
-    "door_box": "2d3c6957888a7c2e99530de7b6c055fcacc6e835c829eb4d878f3c249c36495d",
-    "fan": "352a476ce0bcdf9acddcb53cac610ba0fa0cc6a64830db75c10e39006807d5e2",
-    "laptop": "670ab91da40596a3f8398252e0a1c3e60a5c673b6f5e5a0b879902b0b1f6bcb6",
-    "bottle_cap_TR": "2117311828427aa2fe0d9f23274127f87e419bdf454230189fdba1e914e95db3",
-    "cabinet_multi": "94742ba3d732dc54487b5c2bdc92ecf9f4d99336c74c1a3bc88e88e8dee79f69",
-    "umbrella": "ced813ee858640b675e263be738e698d6b37b841df3ed376407f1fc319f1befa",
-    "balance": "56637f79c2cb4b89b2b3bbff18822ac8b7512e596d6d8489b58d3fb6772d9639",
+    "drawer_box": "fa26113693a91669c0c8c5a6ea0a0a1116cc16e02bcb5ab39e7dc31fc0acbdca",
+    "door_box": "489170dea9d9ff70219b343edc11cc2f29452d8fb2fc8f14c430bbded1370e52",
+    "fan": "aa185ed1b57f2bd085ab4ef1a8c4ddf732874f66eb22492338dbf43416b490d2",
+    "laptop": "46c4205abc6164e73994e5ce0d63c76100bfbf9d35140eb444fa71feea4931a0",
+    "bottle_cap_TR": "5967b955dd4f34e1df798196a28818211d9976ae40a8a7b35ef7914a8489d86b",
+    "cabinet_multi": "734e91c2f2511cebbd9189e88e3589905b7ba4b8434be3c5794f7563c42cee98",
+    "umbrella": "27c305d9deaf41b059a5a170fe78e1a3ee14ec20cab31451352552b00955413b",
+    "balance": "ba9dc4592fa70616c6fcec5b7a5c27a53451598c5b0d513344468bffec5b2e0a",
 }
 
 

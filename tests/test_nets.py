@@ -406,10 +406,11 @@ def test_training_step_graph_size():
 # agree to within 1e-12 of each array's largest magnitude. The feature head's
 # gradients are left out: they reach the maps only as data, and on the tiny
 # no_rnn case an untrained head puts two moving points' features (entries
-# near 48) 5e-9 apart, which dc.pairwise_row_distances reads as 0.0. The
-# contrastive term's gradient there turns with the last bits of its input:
-# it moved by up to 1e-3 of its largest entry, where every other gradient
-# stayed within 3e-15.
+# near 48) 5e-9 apart. The contrastive term's gradient there points along
+# their difference, which turns with the last bits of its input: it moved
+# by up to 3.6e-7 of its largest entry (1e-3 while the distances came from
+# the Gram identity, which read this pair as 0.0), where every other
+# gradient stayed within 3e-15.
 DECODER_NETS = {"default": (NetConfig(), 256), "tiny": (TINY, 64)}
 
 

@@ -159,6 +159,31 @@ def test_no_linear_layer_is_wrapped_in_a_separate_relu(path):
     assert _relus_over_linear_layers(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def _products_with_own_transpose(tree: ast.AST) -> list[int]:
+    """Lines of each `x @ x.T` or `x.T @ x`, whatever expression x is."""
+
+    def transposed(node: ast.AST, other: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "T" and ast.dump(node.value) == ast.dump(other)
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                   and (transposed(node.right, node.left) or transposed(node.left, node.right))})
+
+
+def test_own_transpose_check_finds_each_form():
+    source = ("g = f @ f.T\n"
+              "h = a.value.T @ a.value\n"
+              "ok = f @ w.T + w.T @ f + f.T @ g\n")
+    assert _products_with_own_transpose(ast.parse(source)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_no_array_is_multiplied_by_its_own_transpose(path):
+    # numpy sends such a product to BLAS's SYRK, whose rounding changes with
+    # the thread count; scipy's pdist gives the distances they are taken for
+    assert _products_with_own_transpose(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 def test_package_pins_blas_threads_before_its_first_relative_import():
     # BLAS reads its thread count once, when numpy loads it, and any of the
     # package's modules loads numpy: an import sorter must not hoist one above the pin

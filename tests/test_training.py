@@ -8,7 +8,7 @@ import pytest
 
 from pathlib import Path
 
-from microfixtures import micro_config, micro_records
+from microfixtures import TINY_NET, micro_config, micro_records
 from test_golden import _prediction_digest
 from partmotion import diffcore as dc
 from partmotion import training as tr
@@ -183,11 +183,24 @@ def test_radii_are_tied_to_their_k_density(records, instances):
     tr.train_displacement(tr.prepare_instances(records[:1], config), config)
 
 
-@pytest.mark.parametrize("train", [tr.train_displacement, tr.train_mobility], ids=["displacement", "mobility"])
-def test_training_rejects_instances_of_another_frame_count(instances, train):
-    # load_pipeline rebuilds the networks with config.n_frames maps
-    with pytest.raises(ConfigError, match="another frame count than n_frames=3"):
-        train(instances, micro_config(n_frames=3))
+# plans built for other stage radii and neighbour counts than the config's net
+OTHER_NET = NetConfig(**{**TINY_NET, "sa_stages": ((16, 0.9, (8, 16)), (4, 1.5, (16, 24))), "fp_neighbors": 5})
+
+
+@pytest.mark.parametrize("train, overrides, message", [
+    (tr.train_displacement, dict(n_frames=3), "another frame count than n_frames=3"),
+    (tr.train_mobility, dict(n_frames=3), "another frame count than n_frames=3"),
+    (tr.train_displacement, dict(net=OTHER_NET), "another network geometry"),
+    (tr.train_mobility, dict(net=OTHER_NET), "another network geometry"),
+    (tr.train_baseline, dict(net=OTHER_NET), "another network geometry"),
+    (lambda instances, config: tr.run_training(config, [], instances=instances), dict(net=OTHER_NET),
+     "another network geometry"),
+], ids=["displacement", "mobility", "displacement-net", "mobility-net", "baseline-net", "run_training-net"])
+def test_training_rejects_instances_of_another_frame_count(instances, train, overrides, message):
+    # load_pipeline rebuilds the networks with config.n_frames maps and config.net,
+    # and the saved config.json must name the net the plans were built with
+    with pytest.raises(ConfigError, match=message):
+        train(instances, micro_config(**overrides))
 
 
 def test_prepare_rejects_records_of_another_size(tmp_path, records):
@@ -519,10 +532,11 @@ def test_benchmark_checkpoint_loads_and_predicts(benchmark_pipeline):
 # two held-out umbrella shapes, built as perfbench's predict pool builds
 # them. They mark 232 and 228 points as moving, so DBSCAN runs on its
 # largest matrices here; the micro golden digests never get near that size.
-# Recorded with BLAS on one thread, as conftest.py pins it.
+# Recorded with BLAS on one thread, as conftest.py pins it; OpenBLAS gave the
+# same bytes at 1-4 threads.
 UMBRELLA_DIGEST = {
-    1: ("f78c17f168f41ac10f290dd579985fa1d76580e05d8ebbbcd004b6128ca6f5e0", 232),
-    3: ("e3ed3de76a2c617ac9578c6c8952fbcfe3ba431597eaf91ff7ab1931d00d4cf8", 228),
+    1: ("cde82ac303aa640d292ac09a7540fa288fd1955c2678efe7ef5122d7e2fecaab", 232),
+    3: ("c4d9b0177a862b71d4a7e5f8bec0ef7d8764f66b77249026b2915605dd5dc8d2", 228),
 }
 
 
