@@ -1,9 +1,11 @@
 """Pin BLAS to one thread for the whole test session.
 
-A float64 matmul can round differently on more threads, and the byte digests
-in the tests were recorded on one, the thread count the benchmark pins. The
-variables only take effect if numpy has not loaded BLAS yet, so this file
-refuses to run when something imported numpy first.
+The package pins one thread itself unless the variables are already set, and
+the benchmark pins one too; this keeps the tests on the same footing whatever
+the shell sets. With OpenBLAS the byte digests in the tests read the same at 1
+to 4 threads, but MKL is unchecked. The variables only take effect if numpy
+has not loaded BLAS yet, so this file refuses to run when something imported
+numpy first.
 """
 import os
 import sys

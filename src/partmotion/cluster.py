@@ -37,11 +37,10 @@ def dbscan_labels(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         raise ConfigError(f"eps must be a non-negative number, got {eps}")
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if not np.array_equal(dist, dist.T):  # also False on any NaN
+    if not np.array_equal(dist, dist.T):  # also False on any NaN; near-symmetric, i could reach j and j not i
         if np.isnan(dist).any():
             raise ConfigError(f"distance matrix has NaN entries, at {np.argwhere(np.isnan(dist))[:4].tolist()}")
-        if not np.allclose(dist, dist.T, atol=1e-9):
-            raise ConfigError("distance matrix must be symmetric")
+        raise ConfigError("distance matrix must be exactly symmetric")
     within = dist <= eps
     core = within.sum(axis=1) >= min_pts  # neighborhood includes the point itself
     if not core.any():

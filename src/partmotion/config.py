@@ -1,28 +1,119 @@
 """Run configuration: one JSON file drives every command.
 
-A RunConfig bundles dataset parameters, network widths, loss weights,
-optimizer settings, the training schedule, and ablation switches. The
-same file round-trips through JSON and is echoed into every output
-directory so a run can always be reproduced from its artifacts alone.
+A RunConfig bundles dataset parameters, network widths (NetConfig), loss
+weights (LossWeights), optimizer settings, the training schedule, and
+ablation switches. The same file round-trips through JSON and is echoed
+into every output directory so a run can always be reproduced from its
+artifacts alone. Each of the three config objects checks its own fields as
+it is built, so one built in code is checked as one read from JSON is: an
+int field or stage entry by `_int`, a float one by `_real`, and a bad value
+is a ConfigError that names its field.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from .datagen.dataset import read_json, write_json
 from .datagen.scan import DEPTH_SIGMA
 from .datagen.templates import TEMPLATE_NAMES
 from .errors import ConfigError
-from .losses import LossWeights
-from .nets import THETA_STOP, NetConfig
 
-# keys of earlier configs, dropped at the value and type that turned them off, else a ConfigError
-_RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False}
+THETA_STOP = 0.01
+
+# keys of earlier configs, each dropped at the one value of the same type that the code now
+# always uses (Adam's own settings) or that turned its feature off; any other value is a ConfigError
+_RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False,
+                 "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+
+
+def _int(name: str, value, low: int = 1, bits: int = 31) -> int:
+    """The integer rule, for flat fields and stage entries alike: a Python int, as JSON
+    and `save` write one, so neither a bool, 16.0 nor a numpy integer, in [low, 2**bits)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be int, got {value!r}")
+    if not abs(value) < 2**bits:  # not printed: it may have thousands of digits
+        raise ConfigError(f"{name} must lie strictly between -2**{bits} and 2**{bits}")
+    if value < low:
+        raise ConfigError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """The real rule: a Python int or float, not a bool, finite and at least +0.0, or above 0 if positive."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be float, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or a 400-digit int, which is not printed
+        raise ConfigError(f"{name} must be finite")
+    if not (value > 0.0 if positive else math.copysign(1.0, value) > 0.0):
+        raise ConfigError(f"{name} must be {'positive' if positive else 'at least +0.0'}, got {value!r}")
+    return float(value)
+
+
+def _check_fields(obj, low: Optional[dict] = None, positive: tuple = ()) -> None:
+    """Every int, float, bool or str field of a config object holds a valid value of that
+    kind: ints at least 1 unless `low` names another bound, floats at least +0.0 or, if
+    named in `positive`, above 0. A seed is an int64; every other int stays under 2**31."""
+    for f in dataclasses.fields(obj):
+        kind, value = type(f.default), getattr(obj, f.name)
+        if kind is int:
+            _int(f.name, value, (low or {}).get(f.name, 1), 63 if f.name == "seed" else 31)
+        elif kind is float:
+            _real(f.name, value, f.name in positive)
+        elif kind in (bool, str) and not isinstance(value, kind):
+            raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+
+
+@dataclass
+class NetConfig:
+    """Desk-scale widths for all three networks.
+
+    It checks its stages, given as tuples or JSON lists, and keeps them as tuples."""
+
+    sa_stages: tuple = ((64, 0.2, (32, 64)), (16, 0.4, (64, 128)))
+    group_sizes: tuple = (16, 8)
+    global_width: int = 128
+    fp_neighbors: int = 3
+    decoder_hidden: int = 128
+    head_hidden: int = 64
+    feature_width: int = 64
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        try:
+            (s1, r1, (w1a, w1b)), (s2, r2, (w2a, w2b)) = self.sa_stages
+            k1, k2 = self.group_sizes
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("need two (count, radius, (width, width)) stages and two group sizes") from exc
+        stages = ((s1, r1, (w1a, w1b)), (s2, r2, (w2a, w2b)))
+        self.sa_stages = tuple((_int(f"sa_stages[{i}] count", s), _real(f"sa_stages[{i}] radius", r, positive=True),
+                                tuple(_int(f"sa_stages[{i}] widths", w) for w in widths))
+                               for i, (s, r, widths) in enumerate(stages))
+        self.group_sizes = tuple(_int("group_sizes", k) for k in (k1, k2))
+        if not s2 < s1:
+            raise ConfigError(f"sa_stages counts must strictly decrease, got {s1} then {s2}")
+        if w2b != self.global_width:
+            raise ConfigError(f"global_width must equal the last stage's output width, got {self.global_width} "
+                              f"and {w2b}")
+
+
+@dataclass
+class LossWeights:
+    """Weights and constants of the combined objective."""
+
+    w_ref: float = 10.0
+    w_mov: float = 5.0
+    w_seg_obj: float = 2.0
+    w_seg_mov: float = 0.2
+    margin: float = 80.0
+    k_density: int = 8
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 @dataclass
@@ -48,9 +139,6 @@ class RunConfig:
 
     # optimizer
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_grad_norm: float = 25.0
 
     # schedule
@@ -73,10 +161,14 @@ class RunConfig:
     out_dir: str = "run"
 
     def __post_init__(self) -> None:
-        for obj in (self, self.net, self.weights):
-            _check_scalar_types(obj)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # a clip norm of 0 zeroes every step and a negative one flips its sign
+        _check_fields(self, low={"seed": 0, "n_frames": 2, "mobility_epochs": 0, "log_every": 0},
+                      positive=("lr", "max_grad_norm"))
+        if not isinstance(self.net, NetConfig) or not isinstance(self.weights, LossWeights):
+            raise ConfigError(f"net must be a NetConfig and weights a LossWeights, got {type(self.net).__name__} "
+                              f"and {type(self.weights).__name__}")
+        if not isinstance(self.categories, (list, tuple)):
+            raise ConfigError(f"categories must be a list, got {self.categories!r}")
         self.categories = tuple(self.categories)
         unknown = [c for c in self.categories if c not in TEMPLATE_NAMES]
         if unknown:
@@ -85,28 +177,8 @@ class RunConfig:
             raise ConfigError("need at least one category")
         if len(set(self.categories)) < len(self.categories):
             raise ConfigError(f"categories must not repeat, got {list(self.categories)}")
-        if self.shapes_per_category < 1 or self.n_points < 1:
-            raise ConfigError("shapes_per_category and n_points must be positive")
-        if self.n_frames < 2:
-            raise ConfigError("n_frames must be at least 2")
-        if not 0.0 <= self.scan_fraction <= 1.0:
-            raise ConfigError(f"scan fraction must lie in [0, 1], got {self.scan_fraction}")
-        if math.copysign(1.0, self.scan_sigma) < 0.0:
-            raise ConfigError(f"scan_sigma must be at least +0.0, got {self.scan_sigma}")
-        if self.epochs < 1 or self.mobility_epochs < 0:
-            raise ConfigError("epoch counts must be positive")
-        if min(self.log_every, self.theta_stop) < 0:
-            raise ConfigError("log_every and theta_stop must be non-negative")
-        if self.lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
-        # a clip norm of 0 zeroes every step and a negative one flips its sign
-        if self.max_grad_norm <= 0.0 or self.adam_eps <= 0.0:
-            raise ConfigError("max_grad_norm and adam_eps must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"Adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        w = self.weights
-        if min(w.w_ref, w.w_mov, w.w_seg_obj, w.w_seg_mov, w.margin) < 0.0 or w.k_density < 1:
-            raise ConfigError("loss weights and margin must be non-negative and k_density at least 1")
+        if self.scan_fraction > 1.0:
+            raise ConfigError(f"scan_fraction must lie in [0, 1], got {self.scan_fraction}")
         if self.basenet and any(getattr(self, s) for s in ABLATION_SWITCHES if s != "basenet"):
             raise ConfigError("basenet is exclusive; it cannot combine with other switches")
 
@@ -145,20 +217,6 @@ def _drop_retired(data, prefix: str = ""):
         if (type(data[key]), data[key]) != (type(old), old):
             raise ConfigError(f"{prefix}{key} is retired and accepted only as {old!r}, got {data[key]!r}")
     return {key: value for key, value in data.items() if key not in retired}
-
-
-def _check_scalar_types(obj) -> None:
-    """Every int, float, bool or str field must hold a value of that kind, floats finite and ints bounded."""
-    kinds = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
-    for f in dataclasses.fields(obj):
-        kind, value = kinds.get(type(f.default)), getattr(obj, f.name)
-        if kind and (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))):
-            raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-        if kind is numbers.Real and not abs(value) <= sys.float_info.max:  # a 400-digit int too
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        bits = 63 if f.name == "seed" else 31  # a seed is an int64; counts stay under 2**31, as NetConfig's do
-        if kind is numbers.Integral and not abs(value) < 2**bits:  # not printed: it may have thousands of digits
-            raise ConfigError(f"{f.name} must lie strictly between -2**{bits} and 2**{bits}")
 
 
 def load_config(path: str | Path) -> RunConfig:

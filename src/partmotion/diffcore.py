@@ -212,9 +212,7 @@ def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node |
     if rv.ndim != 2 or cv.ndim != 2 or not _fits_bias(b, w) or not rv.shape[1] == cv.shape[1] == wv.shape[0]:
         raise ShapeMismatch(f"op 'pair_relu_linear': shapes {rv.shape, cv.shape, wv.shape, b.value.shape} differ")
     steps, n = rv.shape[0], cv.shape[0]
-    hidden = np.empty((steps * n, cv.shape[1]))  # the one (T*N, H) buffer, relu in place
-    for t in range(steps):  # T adds of (N, H) run faster than one broadcast add over (T, N, H)
-        np.add(rv[t], cv, out=hidden[t * n : (t + 1) * n])
+    hidden = (rv[:, None] + cv).reshape(steps * n, cv.shape[1])  # the one (T*N, H) buffer, relu in place
     np.maximum(hidden, 0.0, out=hidden)
 
     def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

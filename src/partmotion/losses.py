@@ -23,13 +23,13 @@ baseline's pieces are `l_seg_obj` and `l_mob`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import diffcore as dc
+from .config import LossWeights
 from .diffcore import Node
 from .errors import ConfigError, NumericError
 from .geom import MOBILITY_TYPES, TYPE_T, MobilitySpec
@@ -47,18 +47,6 @@ __all__ = [
     "segmentation_loss",
     "total_motion_loss",
 ]
-
-
-@dataclass
-class LossWeights:
-    """Weights and constants of the combined objective."""
-
-    w_ref: float = 10.0
-    w_mov: float = 5.0
-    w_seg_obj: float = 2.0
-    w_seg_mov: float = 0.2
-    margin: float = 80.0
-    k_density: int = 8
 
 
 def _frame_rows(idx: np.ndarray, n: int, n_points: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .cluster import dbscan_labels, default_min_pts
-from .config import RunConfig, load_config
+from .config import NetConfig, RunConfig, load_config
 from .datagen import ShapeRecord, TrainingInstance, make_instances
 from .errors import ConfigError, DataError, NumericError
 from .geom import TYPE_T, TYPE_TR, MobilitySpec, moved_spec, normalize_to_unit_box, unit
@@ -38,7 +38,6 @@ from .nets import (
     DisplacementNet,
     EncoderPlan,
     MobilityRegressor,
-    NetConfig,
     PredictionNode,
     ShapePrediction,
     build_plan,
@@ -130,13 +129,7 @@ def _fit(
     A step line (the sum, then each piece) is made every `log_every`
     steps, none when it is 0.
     """
-    opt = dc.Adam(
-        params,
-        lr=config.lr,
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
-        max_grad_norm=config.max_grad_norm,
-    )
+    opt = dc.Adam(params, lr=config.lr, max_grad_norm=config.max_grad_norm)
     shuffle = np.random.default_rng([config.seed, lane])
     lines: list[str] = []
 

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from microfixtures import TINY_NET, TINY_NET_JSON, micro_config, tree_hash
 from partmotion.cli import main
+from partmotion.config import THETA_STOP
 from partmotion.datagen import TEMPLATE_NAMES
-from partmotion.nets import THETA_STOP, DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
+from partmotion.nets import DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
 
@@ -135,7 +136,7 @@ def test_train_with_every_loss_term_ablated_is_config_error(workdir, tmp_path, c
 
 
 @pytest.mark.parametrize("section, key, value", [(None, "checkpoint_every", 5), (None, "checkpoint_every", False),
-                                                 ("weights", "include_padded_motion", True)])
+                                                 ("weights", "include_padded_motion", True), (None, "beta1", 0.95)])
 def test_train_rejects_a_retired_key_away_from_its_old_default(workdir, tmp_path, capsys, section, key, value):
     config = json.loads((workdir / "config.json").read_text())
     (config[section] if section else config)[key] = value
@@ -143,6 +144,17 @@ def test_train_rejects_a_retired_key_away_from_its_old_default(workdir, tmp_path
     assert main(["train", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "r")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_train_drops_retired_keys_at_their_old_values(workdir, tmp_path):
+    # a config written before Adam's settings were retired trains as before,
+    # and the run's config.json no longer holds them
+    config = json.loads((workdir / "config.json").read_text())
+    old = {**config, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08, "checkpoint_every": 0}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert main(["train", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r" / "config.json").read_text()) == config
+    assert (tmp_path / "r" / "loss.log").read_bytes() == (workdir / "run" / "loss.log").read_bytes()
 
 
 def test_train_zero_grad_clip_is_config_error(workdir, tmp_path, capsys):
@@ -417,7 +429,8 @@ PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\npropert
     PLY_HEAD.format(2) + "0 0 0\nnan 0 0\n",
     PLY_HEAD.format(2) + "0 0 0\n0 inf 0\n",
     PLY_HEAD.format(0),
-], ids=["count_text", "count_negative", "nan", "inf", "empty"])
+    PLY_HEAD.format(1).replace("property double x\nproperty double y", "property double y\nproperty double x") + "0 0 0\n",
+], ids=["count_text", "count_negative", "nan", "inf", "empty", "not_xyz"])
 def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     (tmp_path / "bad.ply").write_text(body)
     assert main(["predict", "--run", str(workdir / "run"),
@@ -443,8 +456,10 @@ def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     ({"basenet": True}, 3, "baseline.params"),
     (NOT_UTF8, 2, "config.json"),
     (DEEP, 2, "config.json"),
-    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, True, [8, 16]], [4, 0.8, [16, 24]]]}}, 2, "radii"),
-    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, 0.35, [8, 16]], [4, "0.8", [16, 24]]]}}, 2, "radii"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, True, [8, 16]], [4, 0.8, [16, 24]]]}}, 2,
+     "sa_stages[0] radius must be float, got True"),
+    ({"net": {**TINY_NET_JSON, "sa_stages": [[16, 0.35, [8, 16]], [4, "0.8", [16, 24]]]}}, 2,
+     "sa_stages[1] radius must be float, got '0.8'"),
 ], ids=["missing", "not_json", "list", "no_keys", "net_key", "n_frames_zero", "no_rnn_text", "basenet_text",
         "n_points_negative", "count_inf", "widths", "n_frames", "no_rnn", "basenet", "not_utf8", "deep",
         "radius_true", "radius_text"])
@@ -466,12 +481,12 @@ def test_malformed_run_config_exits_with_contract_code(workdir, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])
-@pytest.mark.parametrize("net", [
-    {"sa_stages": [[16, 0.35, [1e308, 16]], [4, 0.8, [16, 24]]]},
-    {"sa_stages": [[16, 0.35, [2.7, 16]], [4, 0.8, [16, 24]]]},
-    {"group_sizes": [16.9, 8]},
+@pytest.mark.parametrize("net, named", [
+    ({"sa_stages": [[16, 0.35, [1e308, 16]], [4, 0.8, [16, 24]]]}, "sa_stages[0] widths must be int, got 1e+308"),
+    ({"sa_stages": [[16, 0.35, [2.7, 16]], [4, 0.8, [16, 24]]]}, "sa_stages[0] widths must be int, got 2.7"),
+    ({"group_sizes": [16.9, 8]}, "group_sizes must be int, got 16.9"),
 ], ids=["width_huge", "width_fraction", "group_fraction"])
-def test_non_integral_or_huge_net_sizes_are_config_errors(workdir, tmp_path, capsys, command, net):
+def test_non_integral_or_huge_net_sizes_are_config_errors(workdir, tmp_path, capsys, command, net, named):
     # int() used to truncate 2.7 and 16.9 without a word, and a width of
     # 1e308 reached numpy's array constructor
     if command == "train":
@@ -486,7 +501,7 @@ def test_non_integral_or_huge_net_sizes_are_config_errors(workdir, tmp_path, cap
         argv = ["predict", "--run", str(run), "--input", str(workdir / "data" / "fan_004" / "frame_01.ply"),
                 "--out", str(tmp_path / "r")]
     assert main(argv) == 2
-    assert "network counts, widths" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -601,9 +616,11 @@ NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 
 
 @pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"category": "sofa"},
                                   {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1},
-                                  {"parts": [{"mobility": NAN_MOBILITY}]}, NOT_UTF8, DEEP],
+                                  {"parts": [{"mobility": NAN_MOBILITY}]}, NOT_UTF8, DEEP,
+                                  {"shape_id": 2}, {"split": None}],
                          ids=["not_json", "list", "no_keys", "category_unknown",
-                              "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan", "not_utf8", "deep"])
+                              "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan", "not_utf8", "deep",
+                              "shape_id_int", "split_null"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str or bytes replace the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"

@@ -131,6 +131,13 @@ def test_input_validation():
     nan = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ConfigError, match=r"NaN entries, at \[\[0, 1\], \[1, 0\]\]"):
         dbscan_labels(nan, 1.0, 2)
+    # at eps 1.0, 1.0 against 1.0 + 1e-12 would put 1 within 0's reach but not 0 within 1's
+    near = np.array([[0.0, 1.0, 5.0], [1.0 + 1e-12, 0.0, 5.0], [5.0, 5.0, 0.0]])
+    with pytest.raises(ConfigError, match="distance matrix must be exactly symmetric"):
+        dbscan_labels(near, 1.0, 2)
+    near[2, 2] = np.nan  # a NaN is still named first, even beside an asymmetry
+    with pytest.raises(ConfigError, match=r"NaN entries, at \[\[2, 2\]\]"):
+        dbscan_labels(near, 1.0, 2)
     # a NaN eps would otherwise make every point noise without a word
     for eps in (np.nan, -1.0):
         with pytest.raises(ConfigError, match="eps must be a non-negative number"):

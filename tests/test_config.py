@@ -1,6 +1,7 @@
 """RunConfig validation and JSON round-tripping."""
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,8 @@ def test_switches_other_than_basenet_compose():
         # NaN passes every comparison, so finiteness is its own check
         dict(lr=float("nan")),
         dict(theta_stop=float("nan")),
-        dict(weights=LossWeights(w_mov=float("nan"))),
-        dict(weights=LossWeights(margin=float("inf"))),
+        dict(weights=dict(w_mov=float("nan"))),
+        dict(weights=dict(margin=float("inf"))),
         dict(net=dict(sa_stages=((64, float("nan"), (32, 64)), (16, 0.4, (64, 128))))),
         dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (16, float("inf"), (64, 128))))),
         dict(net=dict(sa_stages=((64, 0.0, (32, 64)), (16, 0.4, (64, 128))))),
@@ -93,14 +94,15 @@ def test_switches_other_than_basenet_compose():
         # optimizer settings that would stall or reverse training
         dict(max_grad_norm=0.0),
         dict(max_grad_norm=-1.0),
-        dict(adam_eps=0.0),
-        dict(beta1=-0.1),
-        dict(beta1=1.0),
-        dict(beta2=1.0),
-        dict(weights=LossWeights(w_ref=-1.0)),
-        dict(weights=LossWeights(w_seg_mov=-0.2)),
-        dict(weights=LossWeights(margin=-80.0)),
-        dict(weights=LossWeights(k_density=0)),
+        # every float field is at least +0.0, as scan_sigma was, and a number; a path is text
+        dict(theta_stop=-0.0),
+        dict(weights=dict(margin=-0.0)),
+        dict(weights=dict(w_seg_obj="2.0")),
+        dict(dataset_dir=None),
+        dict(weights=dict(w_ref=-1.0)),
+        dict(weights=dict(w_seg_mov=-0.2)),
+        dict(weights=dict(margin=-80.0)),
+        dict(weights=dict(k_density=0)),
         # an interpolation over no neighbours
         dict(net=dict(fp_neighbors=0)),
         # a negative period still divides the step count, and a negative
@@ -118,10 +120,48 @@ def test_switches_other_than_basenet_compose():
     ],
 )
 def test_invalid_fields_are_rejected(bad):
-    with pytest.raises(ConfigError):
-        if "net" in bad:  # NetConfig checks its own shape as it is built
+    with pytest.raises(ConfigError):  # NetConfig and LossWeights check themselves as they are built
+        if "net" in bad:
             bad = dict(bad, net=NetConfig(**bad["net"]))
+        if "weights" in bad:
+            bad = dict(bad, weights=LossWeights(**bad["weights"]))
         RunConfig(**bad)
+
+
+@pytest.mark.parametrize("build, kwargs, name", [
+    (NetConfig, dict(head_hidden=64.5), "head_hidden must be int, got 64.5"),
+    (NetConfig, dict(fp_neighbors=True), "fp_neighbors must be int, got True"),
+    (LossWeights, dict(k_density=0), "k_density must be at least 1, got 0"),
+    (LossWeights, dict(w_ref=float("nan")), "w_ref must be finite"),
+    (RunConfig, dict(net={}), "net must be a NetConfig"),
+    (RunConfig, dict(weights=None), "weights a LossWeights"),
+    (RunConfig, dict(categories=5), "categories must be a list, got 5"),
+    (RunConfig, dict(seed=np.int64(3)), "seed must be int"),  # json cannot write it back
+])
+def test_a_config_object_built_in_code_checks_itself(build, kwargs, name):
+    with pytest.raises(ConfigError, match=name):
+        build(**kwargs)
+
+
+INT_SITES = {"n_points": ("n_points",), "k_density": ("weights", "k_density"), "global_width": ("net", "global_width"),
+             "sa_stages[0] count": ("net", "sa_stages", 0, 0), "sa_stages[1] widths": ("net", "sa_stages", 1, 2, 0),
+             "group_sizes": ("net", "group_sizes", 1)}
+
+
+@pytest.mark.parametrize("site", INT_SITES)
+@pytest.mark.parametrize("value, message", [(16.0, "must be int, got 16.0"), (True, "must be int, got True"),
+                                            ("16", "must be int, got '16'"), (0, "must be at least 1, got 0"),
+                                            (2**31, "must lie strictly between -2**31 and 2**31")])
+def test_one_integer_rule_for_flat_fields_and_stage_entries(site, value, message):
+    # the same value fails the same way wherever an integer goes
+    data = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
+    *path, last = INT_SITES[site]
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{site} {message}")):
+        RunConfig.from_dict(data)
 
 
 def test_unknown_keys_are_rejected():
@@ -136,16 +176,18 @@ def test_a_400_digit_integer_names_its_field():
     with pytest.raises(ConfigError, match="lr must be finite"):
         RunConfig.from_dict({**data, "lr": 10**400})
     data["net"]["sa_stages"][1][1] = 10**400
-    with pytest.raises(ConfigError, match="set-abstraction radii"):
+    with pytest.raises(ConfigError, match=r"sa_stages\[1\] radius must be finite"):
         RunConfig.from_dict(data)
 
 
 def test_the_benchmark_checkpoint_config_loads_and_saves_without_its_retired_keys(tmp_path):
     data = json.loads((BENCHMARK_RUN / "config.json").read_text())
     assert data["checkpoint_every"] == 0 and data["weights"]["include_padded_motion"] is False
+    assert (data["beta1"], data["beta2"], data["adam_eps"]) == (0.9, 0.999, 1e-8)
     cfg = RunConfig.from_dict(data)
     cfg.save(tmp_path / "config.json")
     del data["checkpoint_every"], data["weights"]["include_padded_motion"]  # from_dict left its input whole
+    del data["beta1"], data["beta2"], data["adam_eps"]
     assert json.loads((tmp_path / "config.json").read_text()) == data
     assert load_pipeline(BENCHMARK_RUN).config == cfg
 
@@ -157,6 +199,11 @@ def test_the_benchmark_checkpoint_config_loads_and_saves_without_its_retired_key
     (None, "checkpoint_every", 0.0),
     ("weights", "include_padded_motion", True),
     ("weights", "include_padded_motion", 0),
+    # Adam's settings are its defaults now, which earlier configs wrote out
+    (None, "beta1", 0.95),
+    (None, "beta2", 0.99),
+    (None, "adam_eps", 1e-7),
+    (None, "beta1", "0.9"),
     # a retired key is retired only where earlier configs wrote it
     (None, "include_padded_motion", False),
     ("weights", "checkpoint_every", 0),

@@ -366,6 +366,14 @@ def test_repeated_category_is_config_error(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_scan_fraction_outside_the_unit_interval_is_config_error(tmp_path, fraction):
+    with pytest.raises(ConfigError, match="scan fraction must lie in"):
+        generate_dataset(tmp_path / "data", categories=("fan",), shapes_per_category=2, n_points=64,
+                         n_frames=3, seed=0, scan_fraction=fraction)
+    assert not (tmp_path / "data").exists()
+
+
 def test_dataset_size_has_no_defaults_to_disagree_with_the_config():
     # a default n_points of 2048 once wrote shapes a default RunConfig (256) rejects
     params = inspect.signature(generate_dataset).parameters

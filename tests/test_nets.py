@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +15,12 @@ from microfixtures import micro_config, micro_records
 from partmotion import diffcore as dc
 from partmotion import nets
 from partmotion import training as tr
-from partmotion.config import RunConfig
+from partmotion.config import THETA_STOP, RunConfig
 from partmotion.datagen import TEMPLATE_NAMES, generate_shape, make_sequence
 from partmotion.errors import ConfigError, DataError
 from partmotion.geom import MobilitySpec
 from partmotion.losses import l_seg_obj
 from partmotion.nets import (
-    THETA_STOP,
     DirectBaseline,
     DisplacementNet,
     EncoderPlan,
@@ -398,7 +399,30 @@ def test_training_step_graph_size():
         tags[node.op_tag] += 1
         stack.extend(p for p, _ in node.parents if p.requires_grad)
     assert sum(tags.values()) == 110
-    assert tags["transpose"] == tags["neg"] == 0
+    known = _diffcore_op_tags()
+    # the collector reads each way a tag reaches a node: a default, _binary, _affine, _reduce and _make
+    assert {"leaf", "add", "relu_linear", "reduce_sum", "pair_relu_linear"} <= known
+    assert sorted(set(tags) - known) == []
+
+
+def _diffcore_op_tags() -> set[str]:
+    """Every string diffcore's source gives a node as its op_tag: the default of each
+    function with an op_tag parameter (Node's "leaf"), and each constant that a call
+    of such a function (_make, _binary, _affine, _reduce) passes for it."""
+    tree = ast.parse(Path(dc.__file__).read_text())
+    position, tags = {}, set()
+    for fn in ast.walk(tree):
+        params = [a.arg for a in fn.args.args] if isinstance(fn, ast.FunctionDef) else []
+        if "op_tag" in params:
+            position[fn.name] = params.index("op_tag")
+            default = dict(zip(reversed(params), reversed(fn.args.defaults))).get("op_tag")
+            tags |= {default.value} if isinstance(default, ast.Constant) else set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in position:
+            at = position[call.func.id]
+            given = call.args[at : at + 1] + [k.value for k in call.keywords if k.arg == "op_tag"]
+            tags |= {a.value for a in given if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return tags
 
 
 # The decoder projects each stage's features before interpolating them; the
