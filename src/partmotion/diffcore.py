@@ -517,23 +517,18 @@ def backward(root: Node) -> None:
 # ---------------------------------------------------------------------------
 # optimizer
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor, fixed for every run
+
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict, at BETA1, BETA2 and
+    ADAM_EPS. Gradients are clipped to a global norm of max_grad_norm; math.inf
+    never clips."""
 
-    def __init__(
-        self,
-        params: dict[str, Node],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        max_grad_norm: Optional[float] = None,
-    ) -> None:
+    def __init__(self, params: dict[str, Node], lr: float, max_grad_norm: float) -> None:
         self.params = params
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.max_grad_norm = max_grad_norm
+        self.max_grad_norm = float(max_grad_norm)
         self.t = 0
         self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
         self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
@@ -556,25 +551,24 @@ class Adam:
             for k, g in grads.items():
                 if not np.all(np.isfinite(g)):
                     raise NumericError(f"non-finite gradient for parameter {k!r}")
-        clip = self.max_grad_norm
-        factor = clip / (total + _EPS) if clip is not None and total > clip else None
+        factor = self.max_grad_norm / (total + _EPS) if total > self.max_grad_norm else None
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for k, g in grads.items():
             a, b = self._work[k]
             if factor is not None:
                 g = np.multiply(g, factor, out=a)
             m, v = self._m[k], self._v[k]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=b)
-            v *= self.beta2
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=b)
+            v *= BETA2
             np.multiply(g, g, out=b)
-            b *= 1.0 - self.beta2
+            b *= 1.0 - BETA2
             v += b
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             update = np.divide(m, bc1, out=a)
             update /= b
             update *= self.lr

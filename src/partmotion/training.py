@@ -1,10 +1,11 @@
 """Training, the prediction pipeline, and the evaluation harness.
 
 All three models (the displacement net, the mobility regressor, and the
-direct baseline) are fitted by one optimizer loop, `_fit`. Training is
-single-worker and deterministic given the config seed: each model's init
-and shuffle order draw from their own RNG lane of it, and every downstream
-prediction derives from them.
+direct baseline) are fitted by one optimizer loop, `_fit`, which streams its
+loss log lines through a `log` callback; only `run_training` keeps them, to
+write the run's loss.log. Training is single-worker and deterministic given
+the config seed: each model's init and shuffle order draw from their own RNG
+lane of it, and every downstream prediction derives from them.
 """
 from __future__ import annotations
 
@@ -120,24 +121,17 @@ def _fit(
     log: Optional[LogFn],
     prefix: str = "",
     log_every: int = 0,
-) -> list[str]:
-    """Adam over `epochs` passes of `samples`; returns the loss log lines.
+) -> None:
+    """Adam over `epochs` passes of `samples`, fitting `params` in place.
 
     `loss_fn` returns a step's named pieces, and the sum of them in order
     is minimised. Each pass visits the samples in an order drawn from the
-    RNG lane (config.seed, lane). Every line goes to `log` as it is made.
-    A step line (the sum, then each piece) is made every `log_every`
-    steps, none when it is 0.
+    RNG lane (config.seed, lane). Each loss log line goes to `log` as it
+    is made, and is kept nowhere else. A step line (the sum, then each
+    piece) is made every `log_every` steps, none when it is 0.
     """
-    opt = dc.Adam(params, lr=config.lr, max_grad_norm=config.max_grad_norm)
+    opt = dc.Adam(params, config.lr, config.max_grad_norm)
     shuffle = np.random.default_rng([config.seed, lane])
-    lines: list[str] = []
-
-    def emit(line: str) -> None:
-        lines.append(line)
-        if log:
-            log(line)
-
     step = 0
     for epoch in range(epochs):
         losses = []
@@ -155,13 +149,13 @@ def _fit(
             except NumericError as exc:
                 raise NumericError(f"training aborted at step {step}: {exc}") from exc
             losses.append(value)
-            if log_every and step % log_every == 0:
+            if log and log_every and step % log_every == 0:
                 parts = " ".join(f"{k} {float(v.value):.6f}" for k, v in pieces.items())
-                emit(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
+                log(f"step {step} epoch {epoch} loss {value:.6f} {parts}")
             pieces = total = None  # drop the step's graph before the next is built
             step += 1
-        emit(f"{prefix}epoch {epoch} mean_loss {float(np.mean(losses)):.6f}")
-    return lines
+        if log:
+            log(f"{prefix}epoch {epoch} mean_loss {float(np.mean(losses)):.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +190,17 @@ def train_displacement(
     instances: Sequence[PreparedInstance],
     config: RunConfig,
     log: Optional[LogFn] = None,
-) -> tuple[DisplacementNet, list[str]]:
-    """Fit the displacement net; returns it with the loss log lines."""
+) -> DisplacementNet:
+    """Fit the displacement net."""
     if not instances:
         raise DataError("no training instances")
     _check_prepared_for(instances, config)
     net = DisplacementNet(
         config.n_frames, np.random.default_rng([config.seed, 0]), config.net, use_rnn=not config.no_rnn
     )
-    return net, _fit(instances, net.params, lambda inst: _instance_loss(net, inst, config),
-                     config, 1, config.epochs, log, log_every=config.log_every)
+    _fit(instances, net.params, lambda inst: _instance_loss(net, inst, config),
+         config, 1, config.epochs, log, log_every=config.log_every)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,7 @@ def train_mobility(
     instances: Sequence[PreparedInstance],
     config: RunConfig,
     log: Optional[LogFn] = None,
-) -> tuple[Optional[MobilityRegressor], list[str]]:
+) -> Optional[MobilityRegressor]:
     """Fit the mobility regressor on ground-truth maps.
 
     Returns None when no instance carries mobility parameters (purely
@@ -234,21 +229,22 @@ def train_mobility(
         member = np.flatnonzero(inst.labels == part_id)
         samples.append((inst.plan, MobilityRegressor.component_channels(inst.points, inst.targets, member), spec))
     if not samples:
-        return None, []
+        return None
     reg = MobilityRegressor(config.n_frames, np.random.default_rng([config.seed, 2]), config.net)
 
     def loss_fn(sample) -> dict[str, dc.Node]:
         plan, channels, spec = sample
         return {"l_mob": l_mob(*reg.forward(plan, channels), spec)}
 
-    return reg, _fit(samples, reg.params, loss_fn, config, 3, config.mobility_epochs, log, "mobility ")
+    _fit(samples, reg.params, loss_fn, config, 3, config.mobility_epochs, log, "mobility ")
+    return reg
 
 
 def train_baseline(
     instances: Sequence[PreparedInstance],
     config: RunConfig,
     log: Optional[LogFn] = None,
-) -> tuple[DirectBaseline, list[str]]:
+) -> DirectBaseline:
     """Fit the direct baseline: static cloud in, segmentation plus one mobility."""
     _check_prepared_for(instances, config)
     samples = _start_parts(instances)
@@ -261,7 +257,8 @@ def train_baseline(
         seg, type_logits, axis_out = baseline.forward(inst.plan)
         return {"l_seg_obj": l_seg_obj(seg, inst.labels == part_id), "l_mob": l_mob(type_logits, axis_out, spec)}
 
-    return baseline, _fit(samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log, "baseline ")
+    _fit(samples, baseline.params, loss_fn, config, 5, config.mobility_epochs, log, "baseline ")
+    return baseline
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +480,23 @@ def run_training(
     log: Optional[LogFn] = None,
     instances: Optional[Sequence[PreparedInstance]] = None,
 ) -> Pipeline:
-    """Train whatever the config asks for and optionally persist the run."""
+    """Train whatever the config asks for and optionally persist the run with its loss.log."""
     if instances is None:
         instances = prepare_instances(records, config)
     if out_dir is not None:  # a bad out_dir fails before training
         Path(out_dir).mkdir(parents=True, exist_ok=True)
+    lines: list[str] = []
+
+    def keep(line: str) -> None:
+        lines.append(line)
+        if log:
+            log(line)
+
     if config.basenet:
-        baseline, lines = train_baseline(instances, config, log)
-        pipeline = Pipeline(config, baseline=baseline)
+        pipeline = Pipeline(config, baseline=train_baseline(instances, config, keep))
     else:
-        net, lines = train_displacement(instances, config, log)
-        regressor = None
-        if not config.no_mob_net:
-            regressor, mob_lines = train_mobility(instances, config, log)
-            lines += mob_lines
+        net = train_displacement(instances, config, keep)
+        regressor = None if config.no_mob_net else train_mobility(instances, config, keep)
         pipeline = Pipeline(config, net=net, regressor=regressor)
     if out_dir is not None:
         out = save_pipeline(out_dir, pipeline)

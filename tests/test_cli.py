@@ -100,6 +100,14 @@ def test_gen_huge_integer_is_config_error(tmp_path, capsys, field, value):
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_too_few_points_for_the_templates_is_config_error(tmp_path, capsys):
+    micro_config(categories=("drawer_box",)).save(tmp_path / "config.json")
+    config = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, "n_points": 16}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
+    assert "16 points is too few for multi-part templates" in capsys.readouterr().err
+
+
 def test_train_writes_run_dir(workdir):
     run = workdir / "run"
     names = {p.name for p in run.iterdir()}
@@ -116,12 +124,17 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def test_train_numeric_failure_exits_4(workdir, tmp_path, capsys):
-    cfg = micro_config(lr=1e200, dataset_dir=str(workdir / "data"))
+@pytest.mark.parametrize("flags, message", [
+    ({}, "training aborted at step"),
+    # without l_mov and the clustering features, the loss itself is the first non-finite value
+    ({"no_geom": True, "no_seg": True}, "training aborted at step 1: non-finite loss value"),
+], ids=["full", "loss_only"])
+def test_train_numeric_failure_exits_4(workdir, tmp_path, capsys, flags, message):
+    cfg = micro_config(lr=1e200, dataset_dir=str(workdir / "data"), **flags)
     cfg.save(tmp_path / "hot.json")
     # numpy's overflow warnings are muted: with warnings as errors, the run still exits 4
     assert main(["train", "--config", str(tmp_path / "hot.json"), "--out", str(tmp_path / "r")]) == 4
-    assert "training aborted at step" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_train_with_every_loss_term_ablated_is_config_error(workdir, tmp_path, capsys):
@@ -438,6 +451,17 @@ def test_malformed_input_ply_is_data_error(workdir, tmp_path, capsys, body):
     assert "bad.ply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [None, Path.mkdir, lambda path: path.write_bytes(b"ply\n\xff\xfe\n")],
+                         ids=["missing", "directory", "not_utf8"])
+def test_unreadable_input_ply_is_data_error(workdir, tmp_path, capsys, make):
+    path = tmp_path / "in.ply"
+    if make is not None:
+        make(path)
+    assert main(["predict", "--run", str(workdir / "run"), "--input", str(path), "--out", str(tmp_path / "p")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "cannot read as a text PLY file" in err
+
+
 @pytest.mark.parametrize("body, code, named", [
     (None, 3, "config.json"),
     ('{not json', 2, "config.json"),
@@ -612,15 +636,18 @@ def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch):
 
 NAN_MOBILITY = {"type": "R", "direction": [float("nan")] * 3, "position": [0.0, 0.0, 0.0],
                 "range": [0.0, 90.0], "slide_range": None}
+TR_MOBILITY = {**NAN_MOBILITY, "type": "TR", "direction": [0.0, 0.0, 1.0], "slide_range": [0.09, 0.05]}
 
 
 @pytest.mark.parametrize("body", ['{not json', '[]', '{}', {"category": "sofa"},
                                   {"n_frames": "4"}, {"n_frames": None}, {"n_frames": 1},
                                   {"parts": [{"mobility": NAN_MOBILITY}]}, NOT_UTF8, DEEP,
-                                  {"shape_id": 2}, {"split": None}],
+                                  {"shape_id": 2}, {"split": None},
+                                  {"parts": [{"mobility": {**NAN_MOBILITY, "direction": [1.0, 0.0]}}]},
+                                  {"parts": [{"mobility": TR_MOBILITY}]}],
                          ids=["not_json", "list", "no_keys", "category_unknown",
                               "n_frames_text", "n_frames_null", "n_frames_one", "direction_nan", "not_utf8", "deep",
-                              "shape_id_int", "split_null"])
+                              "shape_id_int", "split_null", "direction_2d", "slide_range_reversed"])
 def test_malformed_shape_json_is_data_error(workdir, tmp_path, capsys, body):
     # a str or bytes replace the whole file; a dict overrides fields of the saved one
     data = tmp_path / "data"
@@ -707,6 +734,15 @@ def test_malformed_dataset_is_data_error(workdir, tmp_path, capsys, name, edit):
     for argv in dataset_reads(workdir, data, tmp_path):
         assert main(argv) == 3, argv[0]
         assert str(path) in capsys.readouterr().err
+
+
+def test_missing_frame_is_data_error(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    (data / "fan_002" / "frame_03.ply").unlink()
+    for argv in dataset_reads(workdir, data, tmp_path):
+        assert main(argv) == 3, argv[0]
+        assert str(data / "fan_002" / "frame_03.ply") in capsys.readouterr().err
 
 
 def test_moving_labels_with_a_gap_are_data_error(workdir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -365,7 +366,7 @@ def test_tiny_overfit_loss_drops():
     plan = build_plan(pts, TINY)
     net = DisplacementNet(n_maps=2, rng=np.random.default_rng(5), cfg=TINY)
     target = np.concatenate([np.full((24, 3), 0.05), np.full((24, 3), -0.02)])
-    opt = dc.Adam(net.params, lr=5e-3)
+    opt = dc.Adam(net.params, 5e-3, math.inf)
 
     def loss_value():
         # the sum over both maps of each map's mean squared error

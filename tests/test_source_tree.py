@@ -115,6 +115,64 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     assert unused == []
 
 
+# the defaulted parameters that no call in the package or the benchmark passes, each with its reason
+UNPASSED_DEFAULTS = {
+    "partmotion.cli.main(argv)": "the tests drive the CLI through it; the console script leaves it to sys.argv",
+    "partmotion.diffcore.reduce_sum(axis)": "reduce_mean shares _reduce's axis, so dropping it would remove no code",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, parameter, position) of each parameter with a default, of
+    every function in tree; a keyword-only one has no position. A method is
+    called with its instance bound, and an `__init__` by its class's name."""
+    for scope in ast.walk(tree):
+        for fn in ast.iter_child_nodes(scope):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            method = isinstance(scope, ast.ClassDef) and not static
+            name = scope.name if fn.name == "__init__" else fn.name
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            for index in range(len(positional) - len(fn.args.defaults), len(positional)):
+                yield name, positional[index].arg, index - method
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether call passes the parameter, by name or by position; a splat may pass anything."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_defaulted_parameter_check_reads_each_form():
+    source = ("def f(a, b=1, *, c=2): pass\n"
+              "class K:\n    def __init__(self, x=0): pass\n    def m(self, y=1): pass\n"
+              "    @staticmethod\n    def s(z=1): pass\n")
+    assert list(_defaulted_parameters(ast.parse(source))) == [
+        ("f", "b", 1), ("f", "c", None), ("K", "x", 0), ("m", "y", 0), ("s", "z", 0)]
+    call = ast.parse("f(1, 2, **rest)").body[0].value
+    assert _passes(call, "b", 1) and _passes(call, "c", None)
+    call = ast.parse("f(1, c=3)").body[0].value
+    assert not _passes(call, "b", 1) and _passes(call, "c", None)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
+    # a default that every caller takes is a constant with extra code. Calls
+    # match functions by name; tests do not count. The allowances must still
+    # be unpassed defaults, so a stale one cannot hide the next
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    readers = [*trees.values(), *(ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH)]
+    calls = [node for tree in readers for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = [f"{module_name(path)}.{name}({parameter})"
+                for path, tree in trees.items() for name, parameter, position in _defaulted_parameters(tree)
+                if not any(_callee(call) == name and _passes(call, parameter, position) for call in calls)]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
 _LINEAR_CALLS = {"linear", "_linear", "relu_linear", "matmul"}
 
 

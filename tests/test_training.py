@@ -162,7 +162,8 @@ def test_fit_minimises_and_logs_the_in_order_sum_of_the_pieces(instances, monkey
 
     monkeypatch.setattr(tr, "_instance_loss", record_pieces)
     monkeypatch.setattr(dc, "backward", record_root)
-    _, lines = tr.train_displacement(instances, micro_config(log_every=1, **flags))
+    lines = []
+    tr.train_displacement(instances, micro_config(log_every=1, **flags), log=lines.append)
     assert len(roots) == len(instances) and roots == sums
     steps = [line.split() for line in lines if line.startswith("step ")]
     assert len(steps) == len(instances)
@@ -234,8 +235,8 @@ def test_baseline_training_rejects_nonparametric_corpora():
 
 def test_training_is_deterministic(records, instances):
     cfg = micro_config()
-    net_a, _ = tr.train_displacement(instances, cfg)
-    net_b, _ = tr.train_displacement(instances, cfg)
+    net_a = tr.train_displacement(instances, cfg)
+    net_b = tr.train_displacement(instances, cfg)
     for name, node in net_a.params.items():
         assert np.array_equal(node.value, net_b.params[name].value), name
 
@@ -248,7 +249,7 @@ class _CountingAdam(dc.Adam):
     def step(self) -> None:
         grads = [p.grad for p in self.params.values() if p.grad is not None]
         total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-        type(self).clipped += self.max_grad_norm is not None and total > self.max_grad_norm
+        type(self).clipped += total > self.max_grad_norm
         super().step()
 
 
@@ -258,7 +259,7 @@ def test_clip_cuts_only_at_25_and_no_seg_heads_keep_initial_bytes(instances, mon
     cfg = micro_config(epochs=2, max_grad_norm=clip, **flags)
     monkeypatch.setattr(dc, "Adam", _CountingAdam)
     monkeypatch.setattr(_CountingAdam, "clipped", 0)
-    net, _ = tr.train_displacement(instances, cfg)
+    net = tr.train_displacement(instances, cfg)
     assert (_CountingAdam.clipped > 0) == (clip == 25.0)
     if flags:  # the heads get no gradient and keep their initial values
         init = DisplacementNet(cfg.n_frames, np.random.default_rng([cfg.seed, 0]), cfg.net)
@@ -269,10 +270,9 @@ def test_clip_cuts_only_at_25_and_no_seg_heads_keep_initial_bytes(instances, mon
 def test_loss_log_lines_are_emitted(records, instances):
     cfg = micro_config(log_every=3)
     seen = []
-    _, lines = tr.train_displacement(instances, cfg, log=seen.append)
-    assert lines == seen
-    assert any(line.startswith("step 0 ") for line in lines)
-    assert lines[-1].startswith("epoch 0 mean_loss ")
+    assert isinstance(tr.train_displacement(instances, cfg, log=seen.append), DisplacementNet)
+    assert any(line.startswith("step 0 ") for line in seen)
+    assert seen[-1].startswith("epoch 0 mean_loss ")
 
 
 @pytest.mark.parametrize("flags", [{}, {"basenet": True}], ids=["full", "basenet"])
@@ -289,7 +289,8 @@ def test_overfitting_reduces_the_loss():
     records = micro_records(("drawer_box",))
     cfg = micro_config(categories=("drawer_box",), epochs=80, lr=3e-3)
     instances = tr.prepare_instances(records[:1], cfg)[:1]
-    _, lines = tr.train_displacement(instances, cfg)
+    lines = []
+    tr.train_displacement(instances, cfg, log=lines.append)
     means = [float(l.split()[-1]) for l in lines if l.startswith("epoch")]
     assert means[-1] < 0.5 * means[0]
 
@@ -309,8 +310,8 @@ def test_mobility_training_skips_nonparametric_corpora():
     records = micro_records(("umbrella",))
     cfg = micro_config(categories=("umbrella",))
     instances = tr.prepare_instances(records, cfg)
-    regressor, lines = tr.train_mobility(instances, cfg)
-    assert regressor is None
+    lines = []
+    assert tr.train_mobility(instances, cfg, log=lines.append) is None
     assert lines == []
 
 
@@ -340,7 +341,7 @@ def test_prediction_builds_no_graph(tmp_path, monkeypatch, trained, records, ins
     if source == "loaded":
         pipe = tr.load_pipeline(tr.save_pipeline(tmp_path / "run", pipe))
     elif source == "baseline":
-        pipe = tr.Pipeline(cfg, baseline=tr.train_baseline(instances, cfg)[0])
+        pipe = tr.Pipeline(cfg, baseline=tr.train_baseline(instances, cfg))
     made, make = [], dc._make  # every node a diffcore op makes during the prediction
     monkeypatch.setattr(dc, "_make", lambda *args: made.append(make(*args)) or made[-1])
     pipe.predict(records[0].frames[0])
@@ -438,6 +439,18 @@ def test_basenet_pipeline(records, instances):
     assert np.all(pred.maps == 0.0)
     if 1 in pred.mobilities:
         assert pred.fits[1] is None
+
+
+def test_baseline_predicting_no_moving_part_returns_an_empty_prediction(records):
+    # a segmentation head whose logits favour the static class at every point
+    cfg = micro_config(basenet=True)
+    base = tr.DirectBaseline(np.random.default_rng(0), cfg.net)
+    base.params["base.seg.l2.w"].value[:] = 0.0
+    base.params["base.seg.l2.b"].value[:] = [[1.0, 0.0]]
+    pred = tr.Pipeline(cfg, baseline=base).predict(records[0].frames[0])
+    assert pred.labels.tolist() == [0] * cfg.n_points
+    assert pred.maps.shape == (cfg.n_frames, cfg.n_points, 3) and not pred.maps.any()
+    assert pred.mobilities == pred.confidences == pred.fits == {}
 
 
 def test_compose_spec_translation_flips_to_positive_span():
