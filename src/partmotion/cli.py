@@ -125,8 +125,6 @@ def cmd_gen(args) -> int:
         n_points=config.n_points,
         n_frames=config.n_frames,
         seed=config.seed,
-        scan_sigma=config.scan_sigma,
-        scan_fraction=config.scan_fraction,
     )
     config.save(out / "config.json")
     n_shapes = len(manifest["shapes"])

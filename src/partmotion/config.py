@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Optional
 
 from .datagen.dataset import read_json, write_json
-from .datagen.scan import DEPTH_SIGMA
 from .datagen.templates import TEMPLATE_NAMES
 from .errors import ConfigError
 
 THETA_STOP = 0.01
 
-# keys of earlier configs, each dropped at the one value of the same type that the code now
-# always uses (Adam's own settings) or that turned its feature off; any other value is a ConfigError
-_RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False,
-                 "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+# keys of earlier configs, each dropped at the one value of the same type that the code now always uses
+# (Adam's settings, the scan's depth noise and share) or that turned its feature off; else a ConfigError
+_RETIRED_KEYS = {"checkpoint_every": 0, "weights.include_padded_motion": False, "beta1": 0.9, "beta2": 0.999,
+                 "adam_eps": 1e-8, "scan_sigma": 0.005, "scan_fraction": 1.0}
 
 
 def _int(name: str, value, low: int = 1, bits: int = 31) -> int:
@@ -127,8 +126,6 @@ class RunConfig:
     shapes_per_category: int = 25
     n_points: int = 256
     n_frames: int = 8
-    scan_sigma: float = DEPTH_SIGMA
-    scan_fraction: float = 1.0
 
     # model
     net: NetConfig = field(default_factory=NetConfig)
@@ -177,8 +174,6 @@ class RunConfig:
             raise ConfigError("need at least one category")
         if len(set(self.categories)) < len(self.categories):
             raise ConfigError(f"categories must not repeat, got {list(self.categories)}")
-        if self.scan_fraction > 1.0:
-            raise ConfigError(f"scan_fraction must lie in [0, 1], got {self.scan_fraction}")
         if self.basenet and any(getattr(self, s) for s in ABLATION_SWITCHES if s != "basenet"):
             raise ConfigError("basenet is exclusive; it cannot combine with other switches")
 

@@ -15,8 +15,9 @@ included. Layout under the output root:
 
 Everything is derived from integer seed paths fed to numpy's generator, so
 two runs with the same arguments produce byte-identical trees. The last
-tenth of every category (rounded up) forms the test split. A loaded shape
-is the written MotionSequence plus its id and split; scans are not read.
+tenth of every category (rounded up) forms the test split, and `gen` scans
+every test shape at depth noise DEPTH_SIGMA. A loaded shape is the written
+MotionSequence plus its id and split; scans are not read.
 """
 from __future__ import annotations
 
@@ -103,20 +104,19 @@ def generate_dataset(
     n_points: int,
     n_frames: int,
     seed: int,
-    scan_sigma: float = DEPTH_SIGMA,
     scan_fraction: float = 1.0,
 ) -> dict:
     """Write a full corpus; returns the dataset manifest.
 
-    scan_fraction controls how many test shapes per category get a partial
-    scan (rounded to the nearest count, earliest test shapes first).
+    Scans carry depth noise DEPTH_SIGMA; scan_fraction sets how many test shapes
+    per category get one (rounded, earliest first; `gen` scans them all). No
+    directory is made before the first shape has been generated.
     """
     if not 0.0 <= scan_fraction <= 1.0:
         raise ConfigError(f"scan fraction must lie in [0, 1], got {scan_fraction}")
     if len(set(categories)) < len(categories):  # a repeat would overwrite its shapes
         raise ConfigError(f"categories must not repeat, got {list(categories)}")
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     n_test = math.ceil(0.1 * shapes_per_category)
     n_scanned = round(scan_fraction * n_test)
     first_test = shapes_per_category - n_test
@@ -129,7 +129,7 @@ def generate_dataset(
             seq = make_sequence(generate_shape(category, rng, n_points), n_frames)
             shape_id = f"{category}_{shape_idx:03d}"
             shape_dir = root / shape_id
-            shape_dir.mkdir(exist_ok=True)
+            shape_dir.mkdir(parents=True, exist_ok=True)
             for k in range(n_frames):
                 write_ply(shape_dir / f"frame_{k + 1:02d}.ply", seq.frames[k], seq.labels)
             meta = {
@@ -158,13 +158,13 @@ def generate_dataset(
                     dense.points,
                     dense.labels,
                     rng,
-                    sigma=scan_sigma,
+                    sigma=DEPTH_SIGMA,
                     n_target=n_points,
                     floor=min_part_points(n_points),
                 )
                 write_ply(shape_dir / "scan.ply", scan_points, scan_labels)
                 meta["scan"] = {"file": "scan.ply", "viewpoint": viewpoint.tolist(),
-                                "sigma": scan_sigma}
+                                "sigma": DEPTH_SIGMA}
             write_json(shape_dir / "shape.json", meta)
             shapes.append({"shape_id": shape_id, "category": category, "split": split})
             split_lines.append(f"{shape_id}\t{split}\n")
@@ -175,10 +175,11 @@ def generate_dataset(
         "n_points": n_points,
         "n_frames": n_frames,
         "seed": seed,
-        "scan_sigma": scan_sigma,
+        "scan_sigma": DEPTH_SIGMA,
         "scan_fraction": scan_fraction,
         "shapes": shapes,
     }
+    root.mkdir(parents=True, exist_ok=True)
     write_json(root / "manifest.json", manifest)
     (root / "split.txt").write_text("".join(split_lines))
     return manifest

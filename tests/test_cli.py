@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 
 from microfixtures import TINY_NET, TINY_NET_JSON, micro_config, tree_hash
 from partmotion.cli import main
-from partmotion.config import THETA_STOP
-from partmotion.datagen import TEMPLATE_NAMES
+from partmotion.config import THETA_STOP, load_config
+from partmotion.datagen import TEMPLATE_NAMES, generate_dataset
 from partmotion.nets import DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README_CONFIG = README.split("```json\n")[1].split("```")[0]  # the micro config, saved as micro.json
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,35 @@ def test_gen_too_few_points_for_the_templates_is_config_error(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps({**config, "n_points": 16}))
     assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
     assert "16 points is too few for multi-part templates" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value", [("scan_fraction", 0.5), ("scan_sigma", 0.01)])
+def test_gen_rejects_a_scan_setting_away_from_the_one_every_run_used(tmp_path, capsys, key, value):
+    micro_config().save(tmp_path / "config.json")
+    config = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, key: value}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_writes_the_library_corpus_with_every_test_shape_scanned(tmp_path):
+    # on the README micro config, gen's tree less its config.json is generate_dataset's at the same arguments
+    (tmp_path / "micro.json").write_text(README_CONFIG)
+    assert main(["gen", "--config", str(tmp_path / "micro.json"), "--out", str(tmp_path / "cli")]) == 0
+    (tmp_path / "cli" / "config.json").unlink()
+    cfg = load_config(tmp_path / "micro.json")
+    generate_dataset(tmp_path / "lib", cfg.categories, cfg.shapes_per_category, cfg.n_points, cfg.n_frames, cfg.seed)
+    files = {root: {p.relative_to(tmp_path / root): p.read_bytes() for p in (tmp_path / root).rglob("*")
+                    if p.is_file()} for root in ("cli", "lib")}
+    assert files["cli"] == files["lib"]
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert (manifest["scan_sigma"], manifest["scan_fraction"]) == (0.005, 1.0)
+    tests = [e["shape_id"] for e in manifest["shapes"] if e["split"] == "test"]
+    assert tests and sorted(p.parent.name for p in (tmp_path / "cli").glob("*/scan.ply")) == sorted(tests)
+    for shape_id in tests:
+        assert json.loads((tmp_path / "cli" / shape_id / "shape.json").read_text())["scan"]["sigma"] == 0.005
 
 
 def test_train_writes_run_dir(workdir):
@@ -160,10 +192,11 @@ def test_train_rejects_a_retired_key_away_from_its_old_default(workdir, tmp_path
 
 
 def test_train_drops_retired_keys_at_their_old_values(workdir, tmp_path):
-    # a config written before Adam's settings were retired trains as before,
-    # and the run's config.json no longer holds them
+    # a config written before Adam's and the scan's settings were retired trains
+    # as before, and the run's config.json no longer holds them
     config = json.loads((workdir / "config.json").read_text())
-    old = {**config, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08, "checkpoint_every": 0}
+    old = {**config, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08, "checkpoint_every": 0,
+           "scan_sigma": 0.005, "scan_fraction": 1.0}
     (tmp_path / "old.json").write_text(json.dumps(old))
     assert main(["train", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "r")]) == 0
     assert json.loads((tmp_path / "r" / "config.json").read_text()) == config
@@ -623,13 +656,11 @@ def test_ablate_rows_without_values_is_usage_error(workdir, tmp_path, capsys):
 
 
 def test_readme_commands_run_on_its_micro_config(tmp_path, monkeypatch):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    config = readme.split("```json\n")[1].split("```")[0]
-    assert json.loads(config)["net"] == TINY_NET_JSON
-    commands = [shlex.split(line)[3:] for line in readme.splitlines() if line.startswith("python -m partmotion.cli ")]
+    assert json.loads(README_CONFIG)["net"] == TINY_NET_JSON
+    commands = [shlex.split(line)[3:] for line in README.splitlines() if line.startswith("python -m partmotion.cli ")]
     assert sorted({argv[0] for argv in commands}) == ["ablate", "eval", "gen", "predict", "train"]
     monkeypatch.chdir(tmp_path)
-    Path("micro.json").write_text(config)
+    Path("micro.json").write_text(README_CONFIG)
     for argv in commands:
         assert main(argv) == 0, argv
 
@@ -830,7 +861,8 @@ CONFIG_BASE = dataclasses.asdict(micro_config(categories=("fan",), shapes_per_ca
 
 @settings(max_examples=40, deadline=None)
 @given(text=json_file_text(CONFIG_BASE, [k for k in CONFIG_BASE if k not in ("dataset_dir", "out_dir")]))
-@example(text=json.dumps({**CONFIG_BASE, "scan_sigma": -0.0}))
+@example(text=json.dumps({**CONFIG_BASE, "scan_sigma": -0.0}))  # a retired key away from its one value
+@example(text=json.dumps({**CONFIG_BASE, "theta_stop": -0.0}))
 def test_fuzzed_config_exits_with_contract_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.json").write_text(text)

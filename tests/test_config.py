@@ -27,7 +27,7 @@ def test_defaults_are_valid():
 
 
 def test_json_round_trip_preserves_everything():
-    cfg = micro_config(seed=9, no_disp=True, scan_fraction=0.5, lr=3e-4)
+    cfg = micro_config(seed=9, no_disp=True, theta_stop=0.05, lr=3e-4)
     back = RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert back == cfg
     assert isinstance(back.net.sa_stages, tuple)
@@ -58,8 +58,6 @@ def test_switches_other_than_basenet_compose():
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(scan_fraction=1.5),
-        dict(scan_fraction=-0.1),
         dict(categories=("no_such_template",)),
         dict(categories=()),
         dict(shapes_per_category=0),
@@ -78,10 +76,9 @@ def test_switches_other_than_basenet_compose():
         dict(net=dict(group_sizes=(16, 8, 4))),
         dict(net=dict(sa_stages=((64, 0.2, (32, 64)), (0, 0.4, (64, 128))))),
         dict(net=dict(group_sizes=(16, 0))),
-        dict(scan_sigma=-0.5),
-        dict(scan_sigma=-0.0),
-        dict(scan_sigma=float("nan")),
-        dict(scan_sigma=float("inf")),
+        dict(lr=-0.5),
+        dict(weights=dict(w_ref=-0.0)),
+        dict(max_grad_norm=float("inf")),
         # NaN passes every comparison, so finiteness is its own check
         dict(lr=float("nan")),
         dict(theta_stop=float("nan")),
@@ -94,7 +91,7 @@ def test_switches_other_than_basenet_compose():
         # optimizer settings that would stall or reverse training
         dict(max_grad_norm=0.0),
         dict(max_grad_norm=-1.0),
-        # every float field is at least +0.0, as scan_sigma was, and a number; a path is text
+        # every float field is at least +0.0, so never -0.0, and a number; a path is text
         dict(theta_stop=-0.0),
         dict(weights=dict(margin=-0.0)),
         dict(weights=dict(w_seg_obj="2.0")),
@@ -184,10 +181,11 @@ def test_the_benchmark_checkpoint_config_loads_and_saves_without_its_retired_key
     data = json.loads((BENCHMARK_RUN / "config.json").read_text())
     assert data["checkpoint_every"] == 0 and data["weights"]["include_padded_motion"] is False
     assert (data["beta1"], data["beta2"], data["adam_eps"]) == (0.9, 0.999, 1e-8)
+    assert (data["scan_sigma"], data["scan_fraction"]) == (0.005, 1.0)
     cfg = RunConfig.from_dict(data)
     cfg.save(tmp_path / "config.json")
     del data["checkpoint_every"], data["weights"]["include_padded_motion"]  # from_dict left its input whole
-    del data["beta1"], data["beta2"], data["adam_eps"]
+    del data["beta1"], data["beta2"], data["adam_eps"], data["scan_sigma"], data["scan_fraction"]
     assert json.loads((tmp_path / "config.json").read_text()) == data
     assert load_pipeline(BENCHMARK_RUN).config == cfg
 
@@ -204,6 +202,14 @@ def test_the_benchmark_checkpoint_config_loads_and_saves_without_its_retired_key
     (None, "beta2", 0.99),
     (None, "adam_eps", 1e-7),
     (None, "beta1", "0.9"),
+    # every scan used depth noise 0.005 and scanned every test shape, which earlier configs wrote out
+    (None, "scan_sigma", 0.5),
+    (None, "scan_sigma", -0.0),
+    (None, "scan_sigma", float("nan")),
+    (None, "scan_fraction", 0.5),
+    (None, "scan_fraction", -0.0),
+    (None, "scan_fraction", 1.5),
+    (None, "scan_fraction", 1),
     # a retired key is retired only where earlier configs wrote it
     (None, "include_padded_motion", False),
     ("weights", "checkpoint_every", 0),
