@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -99,9 +100,9 @@ def format_metrics(result: EvalResult) -> list[str]:
     lines = ["metrics report"]
     for name, report in (("model", result.report), ("mobfit", result.fit_report)):
         lines.append(f"{name} {format_errors(report)} parts {report.n_parts} shapes {report.n_shapes}")
-    for shape in result.shapes:
-        ious = " ".join(f"{iou:.3f}" for _, iou in shape.ap_record.matched) or "-"
-        lines.append(f"shape {shape.shape_id} gt_parts {shape.ap_record.n_gt} pred_iou {ious}")
+    for shape_id, ap_record in result.shapes:
+        ious = " ".join(f"{iou:.3f}" for _, iou in ap_record.matched) or "-"
+        lines.append(f"shape {shape_id} gt_parts {ap_record.n_gt} pred_iou {ious}")
     return lines
 
 
@@ -117,16 +118,24 @@ def cmd_gen(args) -> int:
             raise DataError(f"{out} already exists; pass --force to regenerate")
         if foreign := foreign_entries(out):
             raise DataError(f"{out} holds {foreign[:3]}, which gen does not write; --force replaces only a dataset")
-        shutil.rmtree(out)
-    manifest = generate_dataset(
-        out,
-        categories=config.categories,
-        shapes_per_category=config.shapes_per_category,
-        n_points=config.n_points,
-        n_frames=config.n_frames,
-        seed=config.seed,
-    )
-    config.save(out / "config.json")
+    # stage in the nearest existing directory above out, and touch out only once the corpus is complete
+    target = out.resolve()
+    beside = next(path for path in target.parents if path.is_dir())
+    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=beside) as staging:
+        manifest = generate_dataset(
+            staging,
+            categories=config.categories,
+            shapes_per_category=config.shapes_per_category,
+            n_points=config.n_points,
+            n_frames=config.n_frames,
+            seed=config.seed,
+        )
+        config.save(Path(staging) / "config.json")
+        target.mkdir(parents=True, exist_ok=True)
+        for old in filter(Path.is_dir, target.iterdir()):  # old shapes; the new files replace the old ones
+            shutil.rmtree(old)
+        for new in Path(staging).iterdir():
+            new.replace(target / new.name)
     n_shapes = len(manifest["shapes"])
     print(f"wrote {n_shapes} shapes ({n_shapes * config.n_frames} instances) to {out}")
     return EXIT_OK

@@ -64,8 +64,6 @@ def partial_scan(
         raise DataError(f"only {visible.size} of {n_target} requested points visible")
     if visible.size > n_target:
         share = allocate(n_target, counts.astype(np.float64), floor)
-        if (share > counts).any():
-            raise DataError("part occluded: too few visible points to honor the floor")
         keep = []
         for p, c in zip(parts, share):
             pool = visible[vis_labels == p]

@@ -9,10 +9,10 @@ lane of it, and every downstream prediction derives from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .geom import TYPE_T, TYPE_TR, MobilitySpec, moved_spec, normalize_to_unit_b
 from .losses import knn_radii, l_mob, l_seg_obj, segmentation_loss, total_motion_loss
 from .metrics import (
     MetricsReport,
-    MobilityEval,
     ShapeAPRecord,
     cluster_confidence,
     evaluate_mobility,
@@ -509,63 +508,41 @@ def run_training(
 
 
 @dataclass
-class ShapeEval:
-    """Scores for one test shape."""
-
-    shape_id: str
-    ap_record: ShapeAPRecord
-    net_evals: list[MobilityEval]
-    fit_evals: list[MobilityEval]
-
-
-@dataclass
 class EvalResult:
-    """Test-set metrics, primary and mobfit cross-check."""
+    """Test-set metrics, primary and mobfit cross-check, and each shape's id and part matches."""
 
     report: MetricsReport
     fit_report: MetricsReport
-    shapes: list[ShapeEval] = field(default_factory=list)
+    shapes: list[tuple[str, ShapeAPRecord]]
 
 
-def _eval_result(shapes: list[ShapeEval]) -> EvalResult:
-    """Pool the per-shape scores into the primary and cross-check reports."""
-    if not shapes:
+def _evaluate(records: Sequence[ShapeRecord], predictions: Iterable[ShapePrediction]) -> EvalResult:
+    """Score each prediction for the start frame of its test shape, and pool the scores."""
+    if not records:
         raise DataError("no shapes to evaluate")
-    ap_records = [s.ap_record for s in shapes]
-    return EvalResult(
-        report=summarize([e for s in shapes for e in s.net_evals], ap_records),
-        fit_report=summarize([e for s in shapes for e in s.fit_evals], ap_records),
-        shapes=shapes,
-    )
-
-
-def _eval_shape(rec: ShapeRecord, pred: ShapePrediction) -> ShapeEval:
-    """Score one prediction for the start frame of a test shape."""
-    ap_record = prediction_matches(pred.labels, rec.labels, pred.confidences)
-    net_evals: list[MobilityEval] = []
-    fit_evals: list[MobilityEval] = []
-    if rec.specs is not None:
-        matches = match_moving_parts(pred.labels, rec.labels)
-        for m, gt_spec in zip(matches, rec.specs):
-            pred_net = pred.mobilities.get(m.pred_part) if m.pred_part is not None else None
-            pred_fit = pred.fits.get(m.pred_part) if m.pred_part is not None else None
-            net_evals.append(evaluate_mobility(pred_net, gt_spec))
-            fit_evals.append(evaluate_mobility(pred_fit, gt_spec))
-    return ShapeEval(rec.shape_id, ap_record, net_evals, fit_evals)
+    ap_records, net_evals, fit_evals = [], [], []
+    for rec, pred in zip(records, predictions):
+        ap_records.append(prediction_matches(pred.labels, rec.labels, pred.confidences))
+        if rec.specs is None:
+            continue
+        for m, gt_spec in zip(match_moving_parts(pred.labels, rec.labels), rec.specs):
+            net_evals.append(evaluate_mobility(pred.mobilities.get(m.pred_part), gt_spec))
+            fit_evals.append(evaluate_mobility(pred.fits.get(m.pred_part), gt_spec))
+    return EvalResult(summarize(net_evals, ap_records), summarize(fit_evals, ap_records),
+                      [(rec.shape_id, ap) for rec, ap in zip(records, ap_records)])
 
 
 def evaluate_model(records: Sequence[ShapeRecord], pipeline: Pipeline) -> EvalResult:
     """Score a test split, one shape after another."""
-    return _eval_result([_eval_shape(r, pipeline.predict(r.frames[0])) for r in records])
+    return _evaluate(records, (pipeline.predict(r.frames[0]) for r in records))
 
 
 def evaluate_oracle(records: Sequence[ShapeRecord]) -> EvalResult:
     """Score the ground truth as the prediction; the end-to-end identity check."""
-    shapes = []
-    for rec in records:
+
+    def truth(rec: ShapeRecord) -> ShapePrediction:
         mobilities = {} if rec.specs is None else dict(enumerate(rec.specs, start=1))
         confidences = {int(p): 1.0 for p in np.unique(rec.labels) if p != 0}
-        pred = ShapePrediction(rec.displacement_maps, rec.labels.copy(), mobilities, confidences,
-                               fits=mobilities)
-        shapes.append(_eval_shape(rec, pred))
-    return _eval_result(shapes)
+        return ShapePrediction(rec.displacement_maps, rec.labels.copy(), mobilities, confidences, fits=mobilities)
+
+    return _evaluate(records, map(truth, records))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from microfixtures import TINY_NET, TINY_NET_JSON, micro_config, tree_hash
 from partmotion.cli import main
 from partmotion.config import THETA_STOP, load_config
-from partmotion.datagen import TEMPLATE_NAMES, generate_dataset
+from partmotion.datagen import TEMPLATE_NAMES, dataset, generate_dataset
+from partmotion.errors import DataError
 from partmotion.nets import DisplacementNet, MobilityRegressor, NetConfig, ShapePrediction
 from partmotion.plyio import read_ply, write_ply
 from partmotion.training import Pipeline, save_pipeline
@@ -84,6 +85,40 @@ def test_gen_force_replaces_a_half_written_dataset(workdir, tmp_path):
     assert tree_hash(out) == tree_hash(workdir / "data")
 
 
+
+def test_gen_force_into_the_working_directory_replaces_its_dataset(workdir, tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    shutil.copytree(workdir / "data", out)
+    (out / "fan_000" / "frame_01.ply").write_text("stale\n")
+    monkeypatch.chdir(out)
+    assert main(["gen", "--config", str(workdir / "config.json"), "--out", ".", "--force"]) == 0
+    assert tree_hash(out) == tree_hash(workdir / "data")
+    assert [path.name for path in tmp_path.iterdir()] == ["data"]
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    ("n_points", 2, "16 points is too few for multi-part templates"),
+    ("scan", 3, "no usable viewpoint"),
+], ids=["config_error", "scan_error"])
+def test_failed_gen_force_leaves_the_old_dataset_as_it_was(workdir, tmp_path, capsys, monkeypatch,
+                                                           fault, code, message):
+    out = tmp_path / "data"
+    shutil.copytree(workdir / "data", out)
+    before = tree_hash(out)
+    config = json.loads((workdir / "config.json").read_text())
+    if fault == "n_points":
+        config["n_points"] = 16
+    else:  # every shape before the first test shape is written, then its scan fails
+        def no_viewpoint(*args, **kwargs):
+            raise DataError("no usable viewpoint after 20 tries")
+        monkeypatch.setattr(dataset, "scan_with_viewpoint_retries", no_viewpoint)
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    assert main(["gen", "--config", str(tmp_path / "bad.json"), "--out", str(out), "--force"]) == code
+    assert message in capsys.readouterr().err
+    assert tree_hash(out) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json", "data"]
+
+
 def test_gen_repeated_category_is_config_error(tmp_path, capsys):
     micro_config(categories=("drawer_box",)).save(tmp_path / "config.json")
     text = (tmp_path / "config.json").read_text().replace('"drawer_box"', '"fan", "fan"')
@@ -110,6 +145,15 @@ def test_gen_too_few_points_for_the_templates_is_config_error(tmp_path, capsys):
     assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 2
     assert "16 points is too few for multi-part templates" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_failed_gen_into_a_missing_directory_makes_none_of_it(tmp_path, capsys):
+    micro_config(categories=("drawer_box",)).save(tmp_path / "config.json")
+    config = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, "n_points": 16}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "a" / "b")]) == 2
+    assert "16 points is too few" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("key, value", [("scan_fraction", 0.5), ("scan_sigma", 0.01)])
@@ -575,11 +619,15 @@ def test_run_config_group_sizes_drive_predict(workdir, tmp_path):
     assert (tmp_path / "p" / "report.txt").read_text().startswith("prediction report\n")
 
 
-@pytest.mark.parametrize("old, new", [(b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n"),
-                                      (b"tensors", b"tens\xc3\xb6rs"),
-                                      (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w 4294967296,4294967296\n")],
-                         ids=["no_shape", "non_ascii", "dims_overflow"])
-def test_malformed_params_header_is_data_error(workdir, tmp_path, capsys, old, new):
+@pytest.mark.parametrize("old, new, message", [
+    (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w\n", "malformed tensor line"),
+    (b"tensors", b"tens\xc3\xb6rs", "header is not ASCII"),
+    (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w 4294967296,4294967296\n", "truncated payload"),
+    (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w -3,8\n", "negative dimension"),
+    (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w 3,7\n", "trailing bytes after payload"),
+    (b"enc.sa1.l1.w 3,8\n", b"enc.sa1.l1.w " + b",".join([b"1"] * 70) + b"\n", "unusable shape"),
+], ids=["no_shape", "non_ascii", "dims_overflow", "negative_dim", "short_dim", "too_many_dims"])
+def test_malformed_params_header_is_data_error(workdir, tmp_path, capsys, old, new, message):
     run = tmp_path / "run"
     shutil.copytree(workdir / "run", run)
     raw = (run / "displacement.params").read_bytes()
@@ -588,7 +636,8 @@ def test_malformed_params_header_is_data_error(workdir, tmp_path, capsys, old, n
     inp = workdir / "data" / "fan_004" / "frame_01.ply"
     assert main(["predict", "--run", str(run), "--input", str(inp),
                  "--out", str(tmp_path / "p")]) == 3
-    assert "displacement.params" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{run / 'displacement.params'}: {message}" in err
 
 
 def test_eval_report_matches_file(workdir, tmp_path, capsys):

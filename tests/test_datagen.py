@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from microfixtures import spec_bytes
@@ -23,6 +25,7 @@ from partmotion.datagen import (
     partial_scan,
     scan_with_viewpoint_retries,
 )
+from partmotion.datagen.templates import allocate
 from partmotion.errors import ConfigError, DataError
 from partmotion.geom import TYPE_R
 from partmotion.plyio import read_ply, write_ply
@@ -220,6 +223,20 @@ def test_partial_scan_target_respects_floor():
     assert scan.shape[0] == 80
     for p in np.unique(labels):
         assert (scan_labels == p).sum() >= 25
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(1, 4096), min_size=1, max_size=8), data=st.data())
+def test_scan_thinning_never_asks_a_part_for_more_points_than_it_shows(counts, data):
+    # partial_scan thins with allocate only when more points are visible than
+    # it keeps and every part shows at least the floor: each part's share then
+    # lies between the floor and its visible count
+    floor = data.draw(st.integers(0, min(counts)), label="floor")
+    assume(sum(counts) > floor * len(counts))
+    n_target = data.draw(st.integers(floor * len(counts), sum(counts) - 1), label="n_target")
+    share = allocate(n_target, np.array(counts, dtype=np.float64), floor)
+    assert share.sum() == n_target
+    assert (share >= floor).all() and (share <= counts).all()
 
 
 def test_scan_retries_finds_viewpoint():

@@ -137,6 +137,14 @@ def test_normalize_round_trip(seed):
     np.testing.assert_allclose(normed.min(axis=0) + normed.max(axis=0), np.zeros(3), atol=1e-12)
 
 
+def test_normalize_coincident_points_keeps_scale_one():
+    pts = np.tile([1.5, -2.0, 0.25], (4, 1))
+    normed, scl, center = geom.normalize_to_unit_box(pts)
+    np.testing.assert_array_equal(normed, np.zeros((4, 3)))
+    assert scl == 1.0
+    np.testing.assert_array_equal(center, [1.5, -2.0, 0.25])
+
+
 # ---------------------------------------------------------------------------
 # moved_spec: the one transform of a spec that follows its cloud
 

@@ -60,6 +60,17 @@ def test_header_is_ascii_ply(tmp_path):
     assert lines[-1] == "0 0 0 2"
 
 
+def test_blank_header_line_is_skipped(tmp_path):
+    path = tmp_path / "c.ply"
+    write_ply(path, np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]]), np.array([0, 1]))
+    plain = read_ply(path)
+    path.write_text(path.read_text().replace("element vertex", "\nelement vertex", 1))
+    assert "ply\nformat ascii 1.0\n\nelement vertex 2\n" in path.read_text()
+    points, labels = read_ply(path)
+    np.testing.assert_array_equal(points, plain[0])
+    np.testing.assert_array_equal(labels, plain[1])
+
+
 LABELED = (
     "ply\nformat ascii 1.0\nelement vertex 2\n"
     "property double x\nproperty double y\nproperty double z\nproperty int label\nend_header\n"

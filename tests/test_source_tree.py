@@ -50,6 +50,30 @@ def test_only_the_dataset_module_imports_json():
         "partmotion.datagen.dataset"]
 
 
+def _unused_imports(tree: ast.Module, exported) -> list[str]:
+    """The names tree imports that it never reads and does not list in
+    exported; `from __future__` names a compiler feature, not a name to read."""
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names]
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)} | set(exported)
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_check_reads_each_form():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+              "from typing import Optional, Sequence\nfrom .metrics import MobilityEval, summarize\n"
+              "x: Optional[int] = summarize(os.path.sep)\n")
+    assert _unused_imports(ast.parse(source), ["Sequence"]) == ["j", "MobilityEval"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_every_imported_name_is_read_or_exported(path):
+    # an import that nothing reads is left over from code that is gone
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree, declared_all(path) or []) == []
+
+
 EXPORTING = [path for path in MODULES if declared_all(path) is not None]
 
 
