@@ -17,7 +17,9 @@ calls, so zero them between passes.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
-the outputs of a prediction).
+the outputs of a prediction). Relu is a maximum against a zero array, not the
+scalar 0.0: numpy vectorizes `maximum` of two arrays, not of an array and a
+scalar, and the bits are the same.
 """
 from __future__ import annotations
 
@@ -69,6 +71,18 @@ __all__ = [
 
 _EPS = 1e-12
 _CREATED = itertools.count()
+_ZEROS = np.zeros(0)  # relu's operand, replaced by a larger buffer when an array outgrows it
+_ZEROS.flags.writeable = False
+
+
+def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(a, 0.0), against a read-only zero view of a's shape."""
+    global _ZEROS
+    zeros = _ZEROS
+    if zeros.size < a.size:
+        zeros = _ZEROS = np.zeros(a.size)
+        zeros.flags.writeable = False
+    return np.maximum(a, zeros[: a.size].reshape(a.shape), out=out)
 
 
 class Node:
@@ -188,8 +202,10 @@ def _affine(x: Node | np.ndarray, w: Node | np.ndarray, b: Node | np.ndarray, op
     out += b.value
     relu = op_tag == "relu_linear"
     if relu:
-        np.maximum(out, 0.0, out=out)  # out > 0 exactly where the pre-activation is
-    return _make(out, [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+        _relu(out, out=out)  # out > 0 exactly where the pre-activation is
+    # one row: BLAS's bytes without BLAS, whose sums start from +0.0, so a -0.0 product reads +0.0
+    grad_w = (lambda g: xv.T @ g) if len(xv) != 1 else (lambda g: xv.T * g + 0.0)
+    return _make(out, [(x, lambda g: g @ wv.T), (w, grad_w),
                        (b, lambda g: _unbroadcast(g, b.value.shape))], op_tag,
                  (lambda g: g * (out > 0.0)) if relu else None)
 
@@ -213,7 +229,7 @@ def pair_relu_linear(rows: Node | np.ndarray, cols: Node | np.ndarray, w: Node |
         raise ShapeMismatch(f"op 'pair_relu_linear': shapes {rv.shape, cv.shape, wv.shape, b.value.shape} differ")
     steps, n = rv.shape[0], cv.shape[0]
     hidden = (rv[:, None] + cv).reshape(steps * n, cv.shape[1])  # the one (T*N, H) buffer, relu in place
-    np.maximum(hidden, 0.0, out=hidden)
+    _relu(hidden, out=hidden)
 
     def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g and the pre-activations' gradient summed over points, (T, H), and over
@@ -347,7 +363,7 @@ def reduce_max(a: Node | np.ndarray, axis: int) -> Node:
 def relu(a: Node | np.ndarray) -> Node:
     """For inputs that no linear layer makes; a relu'd layer is one `relu_linear` node."""
     a = _as_node(a)
-    return _make(np.maximum(a.value, 0.0), [(a, lambda g: g * (a.value > 0.0))], "relu")
+    return _make(_relu(a.value), [(a, lambda g: g * (a.value > 0.0))], "relu")
 
 
 def absolute(a: Node | np.ndarray) -> Node:

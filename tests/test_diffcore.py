@@ -60,6 +60,9 @@ def test_pair_relu_linear_matches_unfused_chain_bytes(steps):
     got, want = [dc.parameter(a) for a in arrays], [dc.parameter(a) for a in arrays]
     fused, chain = dc.pair_relu_linear(*got), oracles.pair_relu_linear(*want)
     assert fused.value.tobytes() == chain.value.tobytes()
+    rows, cols, w, b = arrays  # the oracle relus through dc.relu, so also against numpy's own
+    pre = (rows[:, None] + cols).reshape(-1, rows.shape[1])
+    assert fused.value.tobytes() == (np.maximum(pre, 0.0) @ w + b).tobytes()
     dc.backward(dc.reduce_sum(dc.mul(fused, weights)))
     dc.backward(dc.reduce_sum(dc.mul(chain, weights)))
     for g, w in zip(got, want):
@@ -90,6 +93,7 @@ def test_relu_linear_matches_unfused_chain_bytes(bias_shape):
     got, want = [dc.parameter(a) for a in (x, w, b)], [dc.parameter(a) for a in (x, w, b)]
     fused, chain = dc.relu_linear(*got), dc.relu(dc.linear(*want))
     assert fused.value.tobytes() == chain.value.tobytes()
+    assert fused.value.tobytes() == np.maximum(x @ w + b, 0.0).tobytes()
     assert not fused.value[0, 0] and fused.op_tag == "relu_linear"
     for _ in range(2):  # the second pass must mask its own upstream gradient
         for out in (fused, chain):
@@ -99,6 +103,47 @@ def test_relu_linear_matches_unfused_chain_bytes(bias_shape):
         weights = rng.normal(size=(6, 4))
     for g, w_ in zip(got, want):
         assert g.grad.shape == w_.grad.shape and g.grad.tobytes() == w_.grad.tobytes()
+
+
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+def test_relu_matches_numpy_maximum_of_scalar_zero_bytes(monkeypatch):
+    monkeypatch.setattr(dc, "_ZEROS", dc._ZEROS[:0])  # so every larger input grows the buffer
+    rng = np.random.default_rng(7)
+    cases = [np.array(_SPECIAL + [1.5, -2.0]), np.zeros(0), rng.normal(size=(2, 3, 4)),
+             rng.normal(size=(5, 7)).T, rng.normal(size=200), np.array(_SPECIAL)]
+    cases[2][0, 0, :2] = cases[3][0, :2] = -0.0, 5e-324
+    for x in cases:
+        node, g = dc.parameter(x), rng.normal(size=x.shape)
+        out = dc.relu(node)
+        assert out.value.shape == x.shape and out.value.tobytes() == np.maximum(x, 0.0).tobytes()
+        dc.backward(dc.reduce_sum(dc.mul(out, g)))
+        assert node.grad.tobytes() == (g * (x > 0.0)).tobytes()
+    assert dc._ZEROS.size >= 200 and not dc._ZEROS.any() and not dc._ZEROS.flags.writeable
+
+
+@pytest.mark.parametrize("op", [dc.linear, dc.relu_linear], ids=["linear", "relu_linear"])
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_weight_gradient_matches_blas_outer_product_bytes(op, rows):
+    # one row takes x.T * g, not BLAS: the bytes must still be those of x.T @ g,
+    # whose sum starts from +0.0, where the product alone can be -0.0
+    rng = np.random.default_rng(rows)
+    x, w, g = rng.normal(size=(rows, 128)), rng.normal(size=(128, 512)), rng.normal(size=(rows, 512))
+    for a in (x, g):
+        a.ravel()[rng.choice(a.size, a.size // 4)] = rng.choice(_SPECIAL, a.size // 4)
+    weight = dc.parameter(w)
+    with np.errstate(invalid="ignore"):  # inf * 0.0, as in a diverging training step
+        out = op(x, weight, np.zeros(512))
+        dc.backward(dc.reduce_sum(dc.mul(out, g)))
+        upstream = g * (out.value > 0.0) if op is dc.relu_linear else g
+        want, got = x.T @ upstream, weight.grad
+        product = x.T * upstream if rows == 1 else None
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    if product is not None:
+        assert (np.signbit(product) & (product == 0.0)).any(), "a -0.0 product BLAS reads as +0.0"
 
 
 def test_pair_relu_linear_masks_again_on_each_backward_call():

@@ -266,6 +266,33 @@ def test_no_array_is_multiplied_by_its_own_transpose(path):
     assert _products_with_own_transpose(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def _maxima_of_a_literal(tree: ast.AST) -> list[int]:
+    """Lines of each `maximum` or `fmax` call with a numeric literal (or its negation) as an operand."""
+
+    def literal(node: ast.AST) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if _callee(node) in ("maximum", "fmax") and any(map(literal, node.args[:2]))})
+
+
+def test_literal_maximum_check_finds_each_form():
+    source = ("a = np.maximum(x, 0.0)\n"
+              "np.maximum(out, 0, out=out)\n"
+              "c = np.fmax(-1e-12, x)\n"
+              "ok = np.maximum(x, _EPS) + np.maximum(x, zeros) + np.minimum(x, 0.0) + max(x, 0.0)\n")
+    assert _maxima_of_a_literal(ast.parse(source)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_no_maximum_takes_a_numeric_literal(path):
+    # numpy runs `maximum` of an array and a scalar in an unvectorized loop,
+    # more than twice as slow as against an array of zeros (diffcore._relu)
+    assert _maxima_of_a_literal(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 def test_package_pins_blas_threads_before_its_first_relative_import():
     # BLAS reads its thread count once, when numpy loads it, and any of the
     # package's modules loads numpy: an import sorter must not hoist one above the pin
