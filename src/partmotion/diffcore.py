@@ -5,15 +5,15 @@ makes its node with `_make`, from one backward closure per input and at most
 one shared step; work that only a backward needs waits there. backward()
 runs a node's step once on its incoming gradient and hands the result to
 every parent's closure, so work the parents share (a relu mask, an LSTM's
-reverse sweep) runs once per call, and no closure remembers an earlier
-call. An op keeps as parents only the inputs that need a gradient, so over
-constants and parameters marked `requires_grad = False` (those of a
-`training.Pipeline`) it builds no graph and keeps no closure. Every node is
-numbered when it is made, after its parents, so backward() visits the nodes
-that need a gradient in decreasing creation order: each one is reached after
-all of its consumers. Gradients stay on leaves only: an op node's gradient
-is released once its parents have it. Leaf gradients accumulate across
-calls, so zero them between passes.
+reverse sweep) runs once. An op keeps as parents only the inputs that need
+a gradient, so over constants and parameters marked `requires_grad = False`
+(those of a `training.Pipeline`) it builds no graph and keeps no closure.
+Every node is numbered when it is made, after its parents, so backward()
+visits the nodes that need a gradient in decreasing creation order. A sweep
+consumes its graph: an op node drops its gradient, parents and step once its
+parents have the gradient, so the closures and forward arrays behind it are
+freed in the sweep. Its value stays; a later backward that reaches it raises
+ConfigError. Leaf gradients accumulate across calls; zero them between passes.
 
 Ops do not check their values for NaN or infinity; the callers check at
 their boundaries (the training loss, Adam's gradients, loaded parameters,
@@ -501,33 +501,32 @@ def backward(root: Node) -> None:
 
     A node is made after its parents, so taking the pending nodes in
     decreasing creation order reaches each one after every node that feeds
-    it a gradient. A node's step, if it has one, runs once on its complete
-    gradient, and each parent's closure gets the result. A node's first
-    contribution is stored as is; later ones make a new array (grad +
-    contrib), never an in-place sum, because an op may hand the same array to
-    more than one parent. An op node's gradient is released once it has been
-    passed to its parents, so after the sweep only leaves (nodes without
-    parents) hold one.
+    it a gradient; a node is queued by its first contribution. Its step, if
+    it has one, runs once on its complete gradient, and each parent's closure
+    gets the result. A first contribution is stored as is; later ones make a
+    new array (grad + contrib), never an in-place sum, because an op may hand
+    the same array to more than one parent. The sweep consumes the graph (see
+    the module docstring): afterwards only leaves (nodes without parents)
+    hold a gradient, and a backward that reaches a swept node raises ConfigError.
     """
     if root.value.size != 1:
         raise ConfigError(f"backward root must be scalar, got shape {root.value.shape}")
     seed = np.ones(root.value.shape)
     root.grad = seed if root.grad is None else root.grad + seed
     pending = [(-root.seq, root)]
-    queued = {root.seq}
     while pending:
         _, node = heapq.heappop(pending)
-        g = node.grad
-        if node.parents:
-            node.grad = None
-        if node.step is not None:  # only a node with parents keeps one
-            g = node.step(g)
-        for parent, fn in node.parents:
+        parents, step, g = node.parents, node.step, node.grad
+        if parents != ():  # an op node, swept now or before; a leaf keeps its gradient
+            node.grad = node.parents = node.step = None
+        if parents is None:
+            raise ConfigError(f"backward reached op {node.op_tag!r}, whose graph was already swept")
+        g = g if step is None else step(g)
+        for parent, fn in parents:
             contrib = fn(g)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
-            if parent.seq not in queued:
-                queued.add(parent.seq)
+            if parent.grad is None:  # its first contribution queues it
                 heapq.heappush(pending, (-parent.seq, parent))
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +538,8 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominato
 class Adam:
     """Adam with bias correction over a named parameter dict, at BETA1, BETA2 and
     ADAM_EPS. Gradients are clipped to a global norm of max_grad_norm; math.inf
-    never clips."""
+    never clips. A step allocates nothing: it works in views of one scratch pair,
+    each array the size of the largest parameter."""
 
     def __init__(self, params: dict[str, Node], lr: float, max_grad_norm: float) -> None:
         self.params = params
@@ -548,8 +548,8 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
         self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        # two work arrays per parameter, so a step allocates nothing
-        self._work = {k: (np.empty(p.value.shape), np.empty(p.value.shape)) for k, p in params.items()}
+        scratch = [np.empty(max((p.value.size for p in params.values()), default=0)) for _ in range(2)]
+        self._work = {k: tuple(s[: p.value.size].reshape(p.value.shape) for s in scratch) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():

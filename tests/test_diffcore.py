@@ -95,11 +95,10 @@ def test_relu_linear_matches_unfused_chain_bytes(bias_shape):
     assert fused.value.tobytes() == chain.value.tobytes()
     assert fused.value.tobytes() == np.maximum(x @ w + b, 0.0).tobytes()
     assert not fused.value[0, 0] and fused.op_tag == "relu_linear"
-    for _ in range(2):  # the second pass must mask its own upstream gradient
-        for out in (fused, chain):
-            out.grad = None
+    for _ in range(2):  # a sweep consumes its nodes, so each pass masks its own upstream gradient in fresh ones
         dc.backward(dc.reduce_sum(dc.mul(fused, weights)))
         dc.backward(dc.reduce_sum(dc.mul(chain, weights)))
+        fused, chain = dc.relu_linear(*got), dc.relu(dc.linear(*want))
         weights = rng.normal(size=(6, 4))
     for g, w_ in zip(got, want):
         assert g.grad.shape == w_.grad.shape and g.grad.tobytes() == w_.grad.tobytes()
@@ -147,17 +146,15 @@ def test_weight_gradient_matches_blas_outer_product_bytes(op, rows):
 
 
 def test_pair_relu_linear_masks_again_on_each_backward_call():
-    # two backward passes through one node must each mask their own
-    # upstream gradient, not reuse the first pass's
+    # two backward passes over the same parameters must each mask their own
+    # upstream gradient; a sweep consumes its node, so each pass makes its own
     arrays, w1 = _pair_inputs(4, n=5, width=6)
     _, w2 = _pair_inputs(4, n=5, width=6, seed=1)
 
     def grads(*weights):
         nodes = [dc.parameter(a) for a in arrays]
-        out = dc.pair_relu_linear(*nodes)
-        for w in weights:
-            out.grad = None  # only the parameters sum over both passes
-            dc.backward(dc.reduce_sum(dc.mul(out, w)))
+        for w in weights:  # only the parameters sum over both passes
+            dc.backward(dc.reduce_sum(dc.mul(dc.pair_relu_linear(*nodes), w)))
         return [n.grad for n in nodes]
 
     for got, a, b in zip(grads(w1, w2), grads(w1), grads(w2)):
@@ -360,18 +357,17 @@ def test_lstm_matches_cell_loop_bytes(width, steps):
 
 
 def test_lstm_sweeps_again_on_each_backward_call():
-    # two backward passes through one lstm node must each use their own
-    # upstream gradient, not the gate gradients of the first pass
+    # two backward passes over the same parameters must each use their own
+    # upstream gradient, not the gate gradients of the first pass; a sweep
+    # consumes its lstm node, so each pass makes its own
     rng = np.random.default_rng(5)
     x_proj, w_h = rng.normal(size=(1, 12)), rng.normal(size=(3, 12))
     w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
 
     def grads(*weights):
         nodes = [dc.parameter(x_proj), dc.parameter(w_h)]
-        states = dc.lstm(*nodes, 4)
-        for w in weights:
-            states.grad = None  # only the parameters sum over both passes
-            dc.backward(dc.reduce_sum(dc.mul(states, w)))
+        for w in weights:  # only the parameters sum over both passes
+            dc.backward(dc.reduce_sum(dc.mul(dc.lstm(*nodes, 4), w)))
         return [n.grad for n in nodes]
 
     both, first, second = grads(w1, w2), grads(w1), grads(w2)
@@ -412,10 +408,12 @@ def _counted_step_node(monkeypatch, op, requires_grad):
 def test_shared_step_runs_once_per_backward_call(monkeypatch, op, n_parents):
     node, runs = _counted_step_node(monkeypatch, op, requires_grad=True)
     assert len(node.parents) == n_parents
+    inputs = [p for p, _ in node.parents] + ([len(node.value)] if op == "lstm" else [])  # lstm's steps
     weights = np.random.default_rng(12).normal(size=node.value.shape)
     for calls in (1, 2):
         dc.backward(dc.reduce_sum(dc.mul(node, weights)))
         assert runs == [op] * calls
+        node = getattr(dc, op)(*inputs)  # the sweep consumed the node: the next call sweeps a fresh one
 
 
 @pytest.mark.parametrize("op", ["relu_linear", "pair_relu_linear", "lstm"])
@@ -459,10 +457,11 @@ def test_backward_leaves_gradients_on_leaves_only():
         node = stack.pop()
         nodes[node.seq] = node
         stack.extend(p for p, _ in node.parents)
+    ops = [n for n in nodes.values() if n.parents]  # collected before the sweep consumes the graph
+    leaves = [n for n in nodes.values() if not n.parents]
     dc.backward(root)
-    ops = [n for n in nodes.values() if n.parents]
-    assert len(ops) == 7 and all(n.grad is None for n in ops)
-    assert all(n.grad is not None for n in nodes.values() if not n.parents)
+    assert len(ops) == 7 and all(n.grad is None and not n.parents for n in ops)
+    assert all(n.grad is not None for n in leaves)
     np.testing.assert_array_equal(y.grad, [[3.0], [6.0]])
     np.testing.assert_array_equal(x.grad, [[15.0, -3.5]])
 
@@ -479,6 +478,28 @@ def test_backward_visits_nodes_in_decreasing_creation_order():
     dc.backward(out)
     assert visited == sorted(visited, reverse=True)
     np.testing.assert_array_equal(x.grad, 2.0 * x.value + 2.0 * x.value + 2.0)
+
+
+def test_backward_raises_on_a_swept_root():
+    x = dc.parameter(np.array([[1.5, -2.0]]))
+    root = dc.reduce_sum(dc.mul(x, x))
+    dc.backward(root)
+    assert root.value == 6.25 and root.parents is None and root.step is None
+    with pytest.raises(ConfigError, match="op 'reduce_sum', whose graph was already swept"):
+        dc.backward(root)
+    np.testing.assert_array_equal(x.grad, [[3.0, -4.0]])
+
+
+def test_backward_raises_on_a_swept_parent_inside_a_new_graph():
+    x = dc.parameter(np.array([[1.5, -2.0]]))
+    h = dc.mul(x, x)
+    dc.backward(dc.reduce_sum(h))
+    for _ in range(2):  # the failed sweep leaves h no gradient, so h is queued and raises again
+        with pytest.raises(ConfigError, match="op 'mul', whose graph was already swept"):
+            dc.backward(dc.reduce_sum(dc.add(h, x)))
+    x.grad = None  # leaves stay leaves: a graph rebuilt over x sweeps as before
+    dc.backward(dc.reduce_sum(dc.add(dc.mul(x, x), x)))
+    np.testing.assert_array_equal(x.grad, [[4.0, -3.0]])
 
 
 def test_backward_requires_scalar_root():
@@ -702,6 +723,41 @@ def test_flat_adam_matches_per_parameter_oracle_bytes(clip):
             assert opt._m[k].tobytes() == m[k].tobytes(), (clip, t, k)
             assert opt._v[k].tobytes() == v[k].tobytes(), (clip, t, k)
     assert opt.t == len(missing)
+
+
+@pytest.mark.parametrize("clip", [1.5, math.inf], ids=["clipped", "unclipped"])
+def test_adam_works_in_one_scratch_pair_sized_to_the_largest_parameter(tmp_path, clip):
+    # a scalar, a small array and one larger than all the rest, not last in the
+    # dict; load_into before step 4 swaps every value array, and the steps go on
+    shapes = {"s": (), "small": (3,), "big": (6, 7), "mid": (2, 4)}
+    rng = np.random.default_rng(21)
+    params = {k: dc.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
+    opt = dc.Adam(params, lr=3e-3, max_grad_norm=clip)
+    scratch = {id(view.base): view.base for pair in opt._work.values() for view in pair}
+    assert len(scratch) == 2 and all(a.shape == (42,) for a in scratch.values())
+    assert all(view.shape == shapes[k] for k, pair in opt._work.items() for view in pair)
+    value = {k: p.value.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    for t in range(1, 7):
+        if t == 4:
+            value = {k: x + 1.0 for k, x in value.items()}
+            dc.save_params(tmp_path / "p.params", {k: dc.parameter(x) for k, x in value.items()})
+            dc.load_into(params, tmp_path / "p.params")
+        grads = {k: rng.normal(size=shape) * 10.0 ** (t - 3) for k, shape in shapes.items()}  # clipped from t = 3 on
+        for k, p in params.items():
+            p.grad = grads[k].copy()
+        opt.step()
+        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        for k, g in grads.items():
+            if total > clip:
+                g = g * (clip / (total + 1e-12))
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            update = (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v[k] / (1.0 - 0.999**t)) + 1e-8)
+            value[k] = value[k] - 3e-3 * update
+            assert params[k].value.tobytes() == value[k].tobytes(), (clip, t, k)
+    assert opt.t == 6
 
 
 def test_adam_steps_the_arrays_that_load_into_set(tmp_path):

@@ -2,6 +2,7 @@
 import dataclasses
 import types
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ def test_fit_holds_one_step_graph_at_a_time(instances):
 
     tr._fit(instances, net.params, loss_fn, config, 1, 1, None)
     assert len(roots) == len(instances)
+
+
+def test_backward_consumes_the_step_graph(instances):
+    # a change that keeps the swept graph alive past the step fails here
+    config = micro_config()
+    net = tr.DisplacementNet(config.n_frames, np.random.default_rng(0), config.net)
+    pieces = tr._instance_loss(net, instances[0], config)
+    values = {k: piece.value.tobytes() for k, piece in pieces.items()}
+    assert all(piece.parents for piece in pieces.values())
+    dc.backward(reduce(dc.add, pieces.values()))
+    assert {k: piece.value.tobytes() for k, piece in pieces.items()} == values
+    assert all(not piece.parents and piece.step is None and piece.grad is None for piece in pieces.values())
+    assert all(p.grad is not None for p in net.params.values())
 
 
 PIECES = ("reconstruction", "motion_consistency", "segmentation")
